@@ -192,6 +192,8 @@ def cmd_train(args) -> int:
                         row["outcome"],
                         "" if row["deploy_step"] is None else row["deploy_step"],
                         f"{row['epsilon']:.4f}",
+                        row["steps"],
+                        "" if row["deploy_greedy"] is None else int(row["deploy_greedy"]),
                     ]
                 )
     return 0

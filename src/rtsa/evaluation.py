@@ -34,14 +34,6 @@ __all__ = [
     "calibrate_wind",
 ]
 
-_OUTCOME_NAMES = {
-    fastpath.OUTCOME_COMPLETED: Verdict.COMPLETED,
-    fastpath.OUTCOME_EXITED: Verdict.EXITED,
-    fastpath.OUTCOME_GROUNDED: Verdict.GROUNDED,
-    fastpath.OUTCOME_TIMEOUT: Verdict.TIMEOUT,
-}
-
-
 @dataclass(frozen=True)
 class PolicySpec:
     """Which controller family runs an episode: nominal, baseline:<delta>, or weights."""
@@ -142,59 +134,31 @@ class CalibrationResult:
     iterations: int
 
 
-def _kernel_scenario_args(scenario: Scenario) -> dict:
-    sim = scenario.sim
-    return {
-        "env_min": scenario.envelope.min_corner,
-        "env_max": scenario.envelope.max_corner,
-        "waypoints": scenario.mission.waypoints,
-        "arrival_radius": scenario.mission.arrival_radius,
-        "dt": sim.dt,
-        "a_max": sim.a_max,
-        "cruise_speed": sim.cruise_speed,
-        "lookahead": sim.lookahead,
-        "kp": sim.kp,
-        "kd": sim.kd,
-        "air_drag": sim.air_drag,
-        "drag_z": sim.parachute_drag_z,
-        "drag_xy": sim.parachute_drag_xy,
-        "max_steps": sim.max_steps,
-    }
+# The name benchmarks and tests import the kernels' scenario arguments by.
+_kernel_scenario_args = fastpath.scenario_args
 
 
 def run_episode(policy: PolicySpec, scenario: Scenario, seed: int,
                 alert_penalty: Optional[float] = None) -> EpisodeRecord:
     """Run one seeded episode under the given policy."""
     field = sample_wind_field(np.random.default_rng(seed), scenario.sim)
-    wind_params = np.array(
-        [
-            field.base[0],
-            field.base[1],
-            field.gust_amplitude[0],
-            field.gust_amplitude[1],
-            field.gust_frequencies[0],
-            field.gust_frequencies[1],
-            field.gust_phases[0],
-            field.gust_phases[1],
-        ]
-    )
     theta = policy.theta if policy.theta is not None else np.zeros((N_FEATURES, len(Action)))
     if alert_penalty is None:
         alert_penalty = scenario.reward.alert_penalty
     traj, outcome, deploy_step = fastpath.rollout(
-        wind_params=wind_params,
+        wind_params=fastpath.wind_params(field),
         policy_mode=policy._mode(),
         delta=policy.delta,
         theta=theta,
         scales=scenario.feature_scales,
         alert_penalty=alert_penalty,
-        **_kernel_scenario_args(scenario),
+        **fastpath.scenario_args(scenario),
     )
     return EpisodeRecord(
         seed=seed,
         policy_id=policy.policy_id,
         trajectory=traj,
-        outcome=_OUTCOME_NAMES[outcome],
+        outcome=fastpath.VERDICTS[outcome],
         deploy_step=None if deploy_step < 0 else int(deploy_step),
     )
 

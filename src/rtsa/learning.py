@@ -5,25 +5,28 @@ cross-checks for the Bellman machinery on small synthetic MDPs. The linear
 pieces are what the switching policy actually trains with: one weight column
 per action, epsilon-greedy exploration with a persistent floor, and a batch
 warm start replaying distance-threshold episodes before any online learning.
+``warm_start`` and ``train`` drive the scalar loops in ``_rollout_py``
+(``replay_episode``, ``learn_episode``); ``linear_q_update`` and
+``epsilon_greedy`` are their array-level statements.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import build_path
-from .policy import (
-    Action,
-    RewardConfig,
-    extract_features,
-    greedy_action,
-    compose_controller,
-    reward,
-)
-from .sim import Verdict, episode_terminated, sample_wind_field, step, wind_at
+from . import fastpath
+from ._rollout_py import learn_episode, replay_episode
+from .policy import Action, RewardConfig, greedy_action
+from .sim import Verdict, sample_wind_field
+
+# Not called here: the learning loops run in _rollout_py. These stay module
+# attributes because rtsabench/tracer.py wraps the per-step layers by name.
+from .policy import compose_controller, extract_features, reward  # noqa: F401
+from .sim import episode_terminated, step, wind_at  # noqa: F401
 
 __all__ = [
     "Transition",
@@ -187,53 +190,68 @@ def epsilon_greedy(theta: np.ndarray, phi: np.ndarray, epsilon: float,
     return greedy_action(theta, phi)
 
 
-def _replay_transitions(record, scenario):
-    """Reconstruct feature-space transitions from a recorded episode.
+def _columns(theta: np.ndarray):
+    """The weight matrix as (continue column, deploy column) float lists."""
+    theta = np.asarray(theta, dtype=float)
+    return theta[:, 0].tolist(), theta[:, 1].tolist()
 
-    The wind field is re-derived from the record's seed, so the wind features
-    match what a policy would have observed live.
+
+def _matrix(t0, t1) -> np.ndarray:
+    return np.column_stack((t0, t1))
+
+
+def _check_finite(t0, t1, where: str) -> None:
+    if not all(map(math.isfinite, t0 + t1)):
+        raise RuntimeError(
+            f"weights became non-finite in {where}; lower the learning rate"
+        )
+
+
+def _replay_arrays(record, scenario):
+    """A recorded episode as (feature rows, actions, rewards, terminal).
+
+    Row i of the features is the state of trajectory row i, with the wind
+    re-derived from the record's seed so it matches what a policy would have
+    observed live, and the deployment indicator set once an earlier row
+    deployed.
     """
-    field = sample_wind_field(np.random.default_rng(record.seed), scenario.sim)
     traj = np.asarray(record.trajectory)
+    wind = sample_wind_field(np.random.default_rng(record.seed), scenario.sim)
     env = scenario.envelope
-    scales = scenario.feature_scales
-    transitions = []
-    deployed = False
-    n_transitions = traj.shape[0] - 1
-    for i in range(n_transitions):
-        t_i, p_i, v_i, a_i = traj[i, 0], traj[i, 1:4], traj[i, 4:7], int(traj[i, 7])
-        r_i = float(traj[i, 8])
-        phi_s = _features_raw(p_i, v_i, deployed, env, field, t_i, scales)
-        deployed_next = deployed or a_i == Action.DEPLOY
-        t_n, p_n, v_n = traj[i + 1, 0], traj[i + 1, 1:4], traj[i + 1, 4:7]
-        phi_next = _features_raw(p_n, v_n, deployed_next, env, field, t_n, scales)
-        terminal = i == n_transitions - 1 and record.outcome != Verdict.TIMEOUT
-        transitions.append(Transition(phi_s, Action(a_i), r_i, phi_next, terminal))
-        deployed = deployed_next
-    return transitions
-
-
-def _features_raw(p, v, deployed, env, field, t, scales):
-    from .sim import VehicleState
-
-    s = VehicleState(position=p, velocity=v, time=float(t), deployed=deployed)
-    return extract_features(s, env, wind_at(field, p, float(t)), scales)
+    scales = np.asarray(scenario.feature_scales, dtype=float)
+    pos = traj[:, 1:4]
+    gusts = np.sin(wind.gust_frequencies[:2] * traj[:, 0:1] + wind.gust_phases[:2])
+    actions = traj[:-1, 7]
+    phi = np.column_stack(
+        (
+            np.minimum(pos - env.min_corner, env.max_corner - pos) / scales[0:3],
+            traj[:, 4:7] / scales[3:6],
+            (wind.base[:2] + wind.gust_amplitude[:2] * gusts) / scales[6:8],
+            np.concatenate(([0.0], np.maximum.accumulate(actions))),
+        )
+    )
+    return phi, actions.astype(int), traj[:-1, 8], record.outcome != Verdict.TIMEOUT
 
 
 def warm_start(episodes, theta0: np.ndarray, cfg: LearnConfig, scenario,
                rc: RewardConfig) -> np.ndarray:
-    """Batch-fit the weights by replaying recorded episodes through the TD update."""
+    """Batch-fit the weights by replaying recorded episodes through the TD update.
+
+    Raises RuntimeError as soon as a pass leaves the weights non-finite.
+    """
     episodes = list(episodes)
     if not episodes:
         raise ValueError("warm start needs a non-empty episode batch")
-    theta = np.array(theta0, dtype=float, copy=True)
-    transitions = []
-    for record in episodes:
-        transitions.extend(_replay_transitions(record, scenario))
-    for _ in range(cfg.warm_start_passes):
-        for tr in transitions:
-            theta = linear_q_update(theta, tr, cfg.learning_rate, rc.discount)
-    return theta
+    t0, t1 = _columns(theta0)
+    replays = [_replay_arrays(record, scenario) for record in episodes]
+    for n in range(cfg.warm_start_passes):
+        for phi, actions, rewards, terminal in replays:
+            # Converted to lists per episode, not all up front: float lists
+            # take several times the memory of the arrays.
+            replay_episode(t0, t1, phi.tolist(), actions.tolist(), rewards.tolist(),
+                           terminal, cfg.learning_rate, rc.discount)
+        _check_finite(t0, t1, f"warm-start pass {n}")
+    return _matrix(t0, t1)
 
 
 @dataclass
@@ -242,9 +260,10 @@ class TrainingLog:
 
     episodes: list = field(default_factory=list)
 
-    COLUMNS = ("episode", "return", "outcome", "deploy_step", "epsilon")
+    COLUMNS = ("episode", "return", "outcome", "deploy_step", "epsilon", "steps",
+               "deploy_greedy")
 
-    def append(self, episode, ret, outcome, deploy_step, epsilon, deploy_greedy=None):
+    def append(self, episode, ret, outcome, deploy_step, epsilon, steps, deploy_greedy):
         self.episodes.append(
             {
                 "episode": episode,
@@ -252,8 +271,9 @@ class TrainingLog:
                 "outcome": outcome,
                 "deploy_step": deploy_step,
                 "epsilon": epsilon,
+                "steps": steps,
                 # Whether the first deployment was the greedy choice rather
-                # than an exploration draw; not part of the CSV columns.
+                # than an exploration draw; None when the switch never flipped.
                 "deploy_greedy": deploy_greedy,
             }
         )
@@ -270,15 +290,10 @@ def train(scenario, rc: RewardConfig, cfg: LearnConfig, theta0: np.ndarray,
     at ``cfg.seed``); exploration and update randomness comes from a separate
     stream, so the same wind seeds can be reused for evaluation comparisons
     elsewhere without touching exploration. Returns (theta, TrainingLog).
+    Raises RuntimeError as soon as an episode leaves the weights non-finite.
     """
-    from .sim import VehicleState
-
-    env = scenario.envelope
-    mission = scenario.mission
-    sim_cfg = scenario.sim
-    scales = scenario.feature_scales
-    path = build_path(mission)
-    theta = np.array(theta0, dtype=float, copy=True)
+    kernel_args = fastpath.scenario_args(scenario)
+    t0, t1 = _columns(theta0)
     log = TrainingLog()
     if wind_seeds is None:
         wind_seeds = [cfg.seed + i for i in range(max(cfg.episodes, 1))]
@@ -287,50 +302,31 @@ def train(scenario, rc: RewardConfig, cfg: LearnConfig, theta0: np.ndarray,
     epsilon = cfg.epsilon0
     lr_warned = False
     for ep in range(cfg.episodes):
-        field_rng = np.random.default_rng(wind_seeds[ep % len(wind_seeds)])
-        wind_field = sample_wind_field(field_rng, sim_cfg)
-        rng = np.random.default_rng([cfg.seed, ep])
-        s = VehicleState(position=mission.waypoints[0], velocity=np.zeros(3))
-        ret = 0.0
-        disc = 1.0
-        steps = 0
-        deploy_step = None
-        deploy_greedy = None
-        while True:
-            w = wind_at(wind_field, s.position, s.time)
-            phi = extract_features(s, env, w, scales)
-            if not lr_warned and cfg.learning_rate * float(phi @ phi) >= 1.0:
-                warnings.warn(
-                    "learning_rate times squared feature norm exceeds 1; "
-                    "updates may diverge",
-                    stacklevel=2,
-                )
-                lr_warned = True
-            if s.deployed:
-                a = Action.DEPLOY
-            else:
-                a = epsilon_greedy(theta, phi, epsilon, rng)
-            if a == Action.DEPLOY and not s.deployed and deploy_step is None:
-                deploy_step = steps
-                deploy_greedy = greedy_action(theta, phi) == Action.DEPLOY
-            u = compose_controller(a, s, path, w, sim_cfg)
-            s_next = step(s, u, wind_field, sim_cfg)
-            r = reward(s, a, s_next, env, rc)
-            steps += 1
-            verdict = episode_terminated(s_next, env, mission, steps, sim_cfg)
-            # Timeout is truncation, not an absorbing state: keep the bootstrap.
-            terminal = verdict not in (Verdict.RUNNING, Verdict.TIMEOUT)
-            w_next = wind_at(wind_field, s_next.position, s_next.time)
-            phi_next = extract_features(s_next, env, w_next, scales)
-            theta = linear_q_update(
-                theta, Transition(phi, a, r, phi_next, terminal),
-                cfg.learning_rate, rc.discount,
+        if not 0.0 <= epsilon <= 1.0:
+            raise ValueError("epsilon must lie in [0, 1]")
+        wind = sample_wind_field(np.random.default_rng(wind_seeds[ep % len(wind_seeds)]),
+                                 scenario.sim)
+        ret, outcome, deploy_step, deploy_greedy, steps, norm2_max = learn_episode(
+            wind_params=fastpath.wind_params(wind),
+            theta=(t0, t1),
+            scales=scenario.feature_scales,
+            alert_penalty=rc.alert_penalty,
+            exit_penalty=rc.exit_penalty,
+            discount=rc.discount,
+            learning_rate=cfg.learning_rate,
+            epsilon=epsilon,
+            rng=np.random.default_rng([cfg.seed, ep]),
+            **kernel_args,
+        )
+        if not lr_warned and cfg.learning_rate * norm2_max >= 1.0:
+            warnings.warn(
+                "learning_rate times squared feature norm exceeds 1; "
+                "updates may diverge",
+                stacklevel=2,
             )
-            ret += disc * r
-            disc *= rc.discount
-            s = s_next
-            if verdict != Verdict.RUNNING:
-                break
-        log.append(ep, ret, verdict, deploy_step, epsilon, deploy_greedy)
+            lr_warned = True
+        _check_finite(t0, t1, f"training episode {ep}")
+        log.append(ep, ret, fastpath.VERDICTS[outcome],
+                   None if deploy_step < 0 else deploy_step, epsilon, steps, deploy_greedy)
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
-    return theta, log
+    return _matrix(t0, t1), log

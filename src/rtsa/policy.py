@@ -167,4 +167,6 @@ def load_weights(path) -> np.ndarray:
     flat = np.asarray(payload["weights"], dtype=float)
     if flat.shape != (N_FEATURES * len(Action),):
         raise ValueError(f"weight file must hold {N_FEATURES * len(Action)} values")
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("weight file holds non-finite values")
     return flat.reshape(N_FEATURES, len(Action))

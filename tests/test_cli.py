@@ -102,7 +102,39 @@ class TestWarmstartAndTrain:
         assert load_weights(w1).shape == (9, 2)
         lines = log.read_text().splitlines()
         assert lines[0].startswith("# scenario_hash=")
+        assert lines[1] == "episode,return,outcome,deploy_step,epsilon,steps,deploy_greedy"
         assert len(lines) == 2 + 5  # comment + header + one row per episode
+        for line in lines[2:]:
+            row = dict(zip(lines[1].split(","), line.split(",")))
+            assert int(row["steps"]) >= 1
+            assert (row["deploy_greedy"] == "") == (row["deploy_step"] == "")
+
+    def test_train_diverging_learning_rate_exits_2(self, scenario_path, tmp_path, capsys):
+        w0 = tmp_path / "w0.json"
+        save_weights(np.zeros((9, 2)), w0)
+        with pytest.warns(UserWarning, match="learning_rate"):
+            rc = main(["train", "--scenario", scenario_path, "--init", str(w0),
+                       "--alert-penalty", "0.05", "--episodes", "5", "--seed", "0",
+                       "--learning-rate", "1e6", "--out", str(tmp_path / "w1.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+        assert not (tmp_path / "w1.json").exists()
+
+    def test_non_finite_weights_exit_2(self, scenario_path, tmp_path, capsys):
+        theta = np.zeros((9, 2))
+        theta[0, 0] = float("nan")
+        w = tmp_path / "nan.json"
+        save_weights(theta, w)
+        rc = main(["evaluate", "--scenario", scenario_path, "--policy", f"weights:{w}",
+                   "--seeds", "0..2"])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+        rc = main(["train", "--scenario", scenario_path, "--init", str(w),
+                   "--alert-penalty", "0.05", "--episodes", "1", "--seed", "0",
+                   "--out", str(tmp_path / "unused.json")])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_train_missing_init_exits_2(self, scenario_path, capsys):
         rc = main(["train", "--scenario", scenario_path, "--init", "/nope.json",

@@ -1,6 +1,12 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import learning_oracle
+from rtsa import fastpath
+from rtsa._rollout_py import learn_episode, rollout
 from rtsa.learning import (
     LearnConfig,
     ToyMDP,
@@ -16,7 +22,11 @@ from rtsa.learning import (
     warm_start,
 )
 from rtsa.evaluation import PolicySpec, run_batch
-from rtsa.policy import N_FEATURES, Action
+from rtsa.policy import N_FEATURES, Action, random_weights
+from rtsa.sim import Verdict, sample_wind_field
+
+THETA_RTOL = 1e-9
+THETA_ATOL = 1e-12
 
 
 class TestToyMDP:
@@ -245,3 +255,108 @@ class TestTrain:
         for e in log.episodes:
             # Discounted sum of values from {0, -alpha, -1}: bounded below.
             assert -2.0 < e["return"] <= 0.0
+
+
+@pytest.fixture(scope="module")
+def short_scenario(calibrated_scenario):
+    """The calibrated demo cut off after 150 steps, so nominal flight times out."""
+    return replace(calibrated_scenario, sim=replace(calibrated_scenario.sim, max_steps=150))
+
+
+def _log_key(rows):
+    return [(r["outcome"], r["deploy_step"], r["epsilon"], r["deploy_greedy"], r["steps"])
+            for r in rows]
+
+
+class TestOracleParity:
+    """The scalar loops against the object-level loops in learning_oracle.py."""
+
+    @pytest.mark.parametrize(
+        "which,epsilon,wind_seeds,verdicts",
+        [
+            ("calibrated", 0.0, [0, 3, 4], {Verdict.COMPLETED, Verdict.EXITED,
+                                            Verdict.GROUNDED}),
+            ("short", 0.0, range(6), {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED}),
+            ("calibrated", 1.0, range(4), {Verdict.GROUNDED}),
+            ("short", 1.0, range(4), {Verdict.GROUNDED}),
+        ],
+    )
+    def test_train_matches_object_loop(self, calibrated_scenario, short_scenario,
+                                       which, epsilon, wind_seeds, verdicts):
+        scenario = calibrated_scenario if which == "calibrated" else short_scenario
+        cfg = LearnConfig(seed=3, episodes=len(wind_seeds), epsilon0=epsilon,
+                          epsilon_decay=1.0, epsilon_floor=0.0)
+        theta0 = np.zeros((N_FEATURES, 2))
+        theta, log = train(scenario, scenario.reward, cfg, theta0, wind_seeds=wind_seeds)
+        ref_theta, ref_rows = learning_oracle.train(scenario, scenario.reward, cfg, theta0,
+                                                    wind_seeds=wind_seeds)
+        assert {r["outcome"] for r in ref_rows} == verdicts
+        assert _log_key(log.episodes) == _log_key(ref_rows)
+        for row, ref in zip(log.episodes, ref_rows):
+            assert abs(row["return"] - ref["return"]) <= 1e-12
+        np.testing.assert_allclose(theta, ref_theta, rtol=THETA_RTOL, atol=THETA_ATOL)
+
+    def test_timeout_at_epsilon_one(self, calibrated_scenario):
+        scenario = replace(calibrated_scenario, sim=replace(calibrated_scenario.sim,
+                                                            max_steps=20))
+        cfg = LearnConfig(seed=3, episodes=3, epsilon0=1.0, epsilon_decay=1.0)
+        theta, log = train(scenario, scenario.reward, cfg, np.zeros((N_FEATURES, 2)),
+                           wind_seeds=range(3))
+        ref_theta, ref_rows = learning_oracle.train(
+            scenario, scenario.reward, cfg, np.zeros((N_FEATURES, 2)), wind_seeds=range(3))
+        assert {r["outcome"] for r in ref_rows} == {Verdict.TIMEOUT}
+        assert _log_key(log.episodes) == _log_key(ref_rows)
+        np.testing.assert_allclose(theta, ref_theta, rtol=THETA_RTOL, atol=THETA_ATOL)
+
+    @pytest.mark.parametrize("which", ["calibrated", "short"])
+    def test_warm_start_matches_object_replay(self, calibrated_scenario, short_scenario,
+                                              which):
+        scenario = calibrated_scenario if which == "calibrated" else short_scenario
+        records = run_batch(PolicySpec.baseline(8.0), scenario, range(4))
+        assert len({r.outcome for r in records}) > 1
+        theta0 = np.random.default_rng(17).normal(scale=1e-3, size=(N_FEATURES, 2))
+        cfg = LearnConfig(warm_start_passes=2)
+        theta = warm_start(records, theta0, cfg, scenario, scenario.reward)
+        ref = learning_oracle.warm_start(records, theta0, cfg, scenario, scenario.reward)
+        np.testing.assert_allclose(theta, ref, rtol=THETA_RTOL, atol=THETA_ATOL)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_frozen_greedy_episode_is_the_weights_rollout(self, calibrated_scenario, seed):
+        scenario = calibrated_scenario
+        theta = random_weights(np.random.default_rng(seed), 0.3)
+        field = sample_wind_field(np.random.default_rng(seed), scenario.sim)
+        args = dict(wind_params=fastpath.wind_params(field), scales=scenario.feature_scales,
+                    alert_penalty=scenario.reward.alert_penalty,
+                    **fastpath.scenario_args(scenario))
+        traj, outcome, deploy_step = rollout(policy_mode=fastpath.POLICY_WEIGHTS, delta=0.0,
+                                             theta=theta, **args)
+        columns = (theta[:, 0].tolist(), theta[:, 1].tolist())
+        ret, l_outcome, l_deploy, deploy_greedy, steps, _ = learn_episode(
+            theta=columns, exit_penalty=1.0, discount=scenario.reward.discount,
+            learning_rate=0.0, epsilon=0.0, rng=np.random.default_rng(0), **args)
+        assert (l_outcome, l_deploy, steps) == (outcome, deploy_step, len(traj) - 1)
+        assert deploy_greedy is (None if deploy_step < 0 else True)
+        assert np.array_equal(np.column_stack(columns), theta)
+
+
+class TestDivergence:
+    def test_train_raises_on_non_finite_weights(self, calibrated_scenario):
+        cfg = LearnConfig(episodes=5, learning_rate=1e6, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(RuntimeError, match=r"training episode \d+"):
+                train(calibrated_scenario, calibrated_scenario.reward, cfg,
+                      np.zeros((N_FEATURES, 2)), wind_seeds=range(5))
+
+    def test_train_still_warns_about_the_learning_rate(self, calibrated_scenario):
+        cfg = LearnConfig(episodes=1, learning_rate=0.5, seed=0)
+        with pytest.warns(UserWarning, match="learning_rate"):
+            train(calibrated_scenario, calibrated_scenario.reward, cfg,
+                  np.zeros((N_FEATURES, 2)), wind_seeds=range(1))
+
+    def test_warm_start_raises_on_non_finite_weights(self, calibrated_scenario):
+        records = run_batch(PolicySpec.baseline(8.0), calibrated_scenario, [0, 1])
+        cfg = LearnConfig(learning_rate=1e6)
+        with pytest.raises(RuntimeError, match=r"warm-start pass \d+"):
+            warm_start(records, np.zeros((N_FEATURES, 2)), cfg, calibrated_scenario,
+                       calibrated_scenario.reward)

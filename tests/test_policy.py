@@ -250,3 +250,12 @@ class TestWeightSerialization:
         path.write_text('{"order": "x", "weights": [1, 2, 3]}')
         with pytest.raises(ValueError):
             load_weights(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_weights(self, tmp_path, bad):
+        theta = random_weights(np.random.default_rng(7))
+        theta[4, 1] = bad
+        path = tmp_path / "bad.json"
+        save_weights(theta, path)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_weights(path)
