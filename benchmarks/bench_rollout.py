@@ -13,16 +13,12 @@ import time
 
 import numpy as np
 
+from rtsa import fastpath
 from rtsa._rollout_py import rollout as rollout_python
 from rtsa.evaluation import PolicySpec, _kernel_scenario_args
 from rtsa.policy import N_FEATURES, Action, random_weights
 from rtsa.scenario import default_scenario
 from rtsa.sim import sample_wind_field
-
-try:
-    from rtsa._rollout_cy import rollout as rollout_compiled
-except ImportError:
-    rollout_compiled = None
 
 
 def episode_args(scenario, seed, policy):
@@ -80,11 +76,11 @@ def main():
     print(f"episodes: {args.episodes}  policy: {args.policy}  mean steps: {steps:.0f}")
     print(f"pure python : {t_py * 1e3:8.3f} ms/episode")
 
-    if rollout_compiled is None:
-        print("compiled    : extension not built (pip install -e . --no-build-isolation)")
+    if fastpath.rollout_compiled is None:
+        print(f"compiled    : C kernel not loaded ({fastpath.FALLBACK_REASON})")
         return
 
-    t_cy, res_cy = bench(rollout_compiled, all_args, args.repeats)
+    t_cy, res_cy = bench(fastpath.rollout_compiled, all_args, args.repeats)
     print(f"compiled    : {t_cy * 1e3:8.3f} ms/episode")
     print(f"speedup     : {t_py / t_cy:8.1f}x")
 

@@ -2,9 +2,9 @@
 
 ``rollout`` is the reference implementation of the evaluation inner loop:
 one full episode under a fixed policy (never-deploy, distance-threshold, or
-greedy linear weights). The compiled kernel in ``_rollout_cy`` performs the
-same arithmetic in the same order; ``rtsa.fastpath`` picks whichever is
-available at import time.
+greedy linear weights). Its C twin, ``_rollout.c``, performs the same
+arithmetic in the same order; ``rtsa.fastpath`` uses the C kernel when it
+builds and loads, this one otherwise.
 
 ``learn_episode`` (online epsilon-greedy Q-learning) and ``replay_episode``
 (warm-start TD passes) are the learning loops. They run in Python on every

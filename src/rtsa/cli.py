@@ -88,6 +88,14 @@ def _load(path: str) -> Scenario:
         raise CliError(str(exc)) from exc
 
 
+def _learn_config(**kwargs) -> LearnConfig:
+    cfg = LearnConfig(**kwargs)
+    problems = cfg.validate()
+    if problems:
+        raise CliError("; ".join(problems))
+    return cfg
+
+
 def _csv_writer(path, scenario: Scenario, seeds_note: str):
     fh = open(path, "w", newline="")
     fh.write(f"# scenario_hash={scenario.hash()} seeds={seeds_note}\n")
@@ -156,10 +164,10 @@ def cmd_run(args) -> int:
 
 def cmd_warmstart(args) -> int:
     scenario = _load(args.scenario)
+    cfg = _learn_config(seed=args.seed, warm_start_passes=args.passes,
+                        learning_rate=args.learning_rate)
     seeds = list(range(args.seed, args.seed + args.episodes))
     records = run_batch(PolicySpec.baseline(args.delta), scenario, seeds)
-    cfg = LearnConfig(seed=args.seed, warm_start_passes=args.passes,
-                      learning_rate=args.learning_rate)
     theta0 = np.zeros((N_FEATURES, len(Action)))
     theta = warm_start(records, theta0, cfg, scenario, scenario.reward)
     save_weights(theta, args.out)
@@ -170,8 +178,8 @@ def cmd_warmstart(args) -> int:
 def cmd_train(args) -> int:
     scenario = _load(args.scenario)
     rc = replace(scenario.reward, alert_penalty=args.alert_penalty)
-    cfg = LearnConfig(seed=args.seed, episodes=args.episodes,
-                      learning_rate=args.learning_rate)
+    cfg = _learn_config(seed=args.seed, episodes=args.episodes,
+                        learning_rate=args.learning_rate)
     try:
         theta0 = load_weights(args.init)
     except FileNotFoundError:
@@ -224,8 +232,8 @@ def cmd_soc(args) -> int:
     seeds_eval = _parse_seed_range(args.eval_seeds)
     if set(seeds_train) & set(seeds_eval):
         raise CliError("train and eval seed ranges overlap")
-    cfg = LearnConfig(seed=args.seed, episodes=args.episodes,
-                      learning_rate=args.learning_rate)
+    cfg = _learn_config(seed=args.seed, episodes=args.episodes,
+                        learning_rate=args.learning_rate)
 
     nominal_records = run_batch(PolicySpec.nominal(), scenario, seeds_eval)
     nominal_cm = confusion(nominal_records, scenario.envelope)

@@ -10,6 +10,8 @@ controller is deployed it keeps control until the episode ends.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -57,9 +59,16 @@ class RewardConfig:
     discount: float = 0.995
 
     def validate(self) -> list:
-        problems = []
-        if self.alert_penalty <= 0:
-            problems.append("reward.alert_penalty must be positive")
+        problems = [
+            f"reward.{name} must be a number"
+            for name in ("alert_penalty", "exit_penalty", "discount")
+            if isinstance(getattr(self, name), bool)
+            or not isinstance(getattr(self, name), numbers.Real)
+        ]
+        if problems:
+            return problems
+        if not 0 < self.alert_penalty < math.inf:
+            problems.append("reward.alert_penalty must be positive and finite")
         if self.exit_penalty != 1.0:
             problems.append("reward.exit_penalty is fixed at 1")
         if not 0.0 < self.discount < 1.0:
@@ -155,9 +164,12 @@ def save_weights(theta: np.ndarray, path) -> None:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (N_FEATURES, len(Action)):
         raise ValueError(f"weights must have shape ({N_FEATURES}, {len(Action)})")
+    if not np.all(np.isfinite(theta)):
+        # load_weights refuses them, and JSON has no NaN or infinity.
+        raise ValueError("weights hold non-finite values")
     payload = {"order": WEIGHT_ORDER, "weights": theta.ravel().tolist()}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

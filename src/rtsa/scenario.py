@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -46,13 +47,19 @@ class Scenario:
         problems = []
         problems.extend(self.sim.validate())
         problems.extend(f"reward: {p}" for p in self.reward.validate())
+        if not np.all(np.isfinite(self.envelope.min_corner)) or not np.all(
+            np.isfinite(self.envelope.max_corner)
+        ):
+            problems.append("envelope corners must be finite")
+        if not math.isfinite(self.mission.arrival_radius):
+            problems.append("mission.arrival_radius must be finite")
         for i, wp in enumerate(self.mission.waypoints):
             if not (np.all(self.envelope.min_corner < wp) and np.all(wp < self.envelope.max_corner)):
                 problems.append(f"mission.waypoints[{i}] does not lie strictly inside the envelope")
         if self.feature_scales.shape != (8,):
             problems.append("feature_scales must hold exactly 8 values")
-        elif np.any(self.feature_scales <= 0):
-            problems.append("feature_scales must all be positive")
+        elif not np.all(np.isfinite(self.feature_scales) & (self.feature_scales > 0)):
+            problems.append("feature_scales must all be positive and finite")
         return problems
 
     def to_dict(self) -> dict:

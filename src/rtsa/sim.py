@@ -10,7 +10,8 @@ queried generatively and never introspected by the rest of the system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,6 +32,10 @@ __all__ = [
 ]
 
 GRAVITY = 9.81
+
+#: Largest accepted ``max_steps``: the kernels preallocate (max_steps + 1) x 9
+#: float64 trajectory rows, 72 MB at this bound.
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -95,20 +100,29 @@ class SimConfig:
 
     def validate(self) -> list:
         problems = []
-        if self.dt <= 0:
-            problems.append("sim.dt must be positive")
-        if self.max_steps < 1:
-            problems.append("sim.max_steps must be at least 1")
-        if self.a_max <= 0:
-            problems.append("sim.a_max must be positive")
-        if self.cruise_speed <= 0:
-            problems.append("sim.cruise_speed must be positive")
-        if self.lookahead <= 0:
-            problems.append("sim.lookahead must be positive")
+        steps = self.max_steps
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+            problems.append("sim.max_steps must be an integer")
+        elif not 1 <= steps <= MAX_STEPS:
+            problems.append(f"sim.max_steps must lie in [1, {MAX_STEPS}]")
+        # Range checks run only on finite numbers: a string makes a comparison
+        # raise, and NaN passes every one of them.
+        finite = set()
+        for name in (f.name for f in fields(self) if f.name != "max_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                problems.append(f"sim.{name} must be a number")
+            elif not math.isfinite(value):
+                problems.append(f"sim.{name} must be finite")
+            else:
+                finite.add(name)
+        for name in ("dt", "a_max", "cruise_speed", "lookahead"):
+            if name in finite and getattr(self, name) <= 0:
+                problems.append(f"sim.{name} must be positive")
         for name in ("air_drag", "parachute_drag_z", "parachute_drag_xy"):
-            if getattr(self, name) < 0:
+            if name in finite and getattr(self, name) < 0:
                 problems.append(f"sim.{name} must be non-negative")
-        if self.wind_sigma < 0 or self.gust_sigma < 0:
+        if any(n in finite and getattr(self, n) < 0 for n in ("wind_sigma", "gust_sigma")):
             problems.append("sim wind parameters must be non-negative")
         return problems
 

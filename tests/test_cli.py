@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,8 @@ class TestWarmstartAndTrain:
         theta = np.zeros((9, 2))
         theta[0, 0] = float("nan")
         w = tmp_path / "nan.json"
-        save_weights(theta, w)
+        # save_weights refuses NaN, so write the file the way another tool might.
+        w.write_text(json.dumps({"order": "x", "weights": theta.ravel().tolist()}))
         rc = main(["evaluate", "--scenario", scenario_path, "--policy", f"weights:{w}",
                    "--seeds", "0..2"])
         assert rc == 2
@@ -135,6 +138,25 @@ class TestWarmstartAndTrain:
                    "--out", str(tmp_path / "unused.json")])
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_train_bad_learning_rate_exits_2(self, scenario_path, tmp_path, capsys):
+        w0 = tmp_path / "w0.json"
+        save_weights(np.zeros((9, 2)), w0)
+        out = tmp_path / "w1.json"
+        rc = main(["train", "--scenario", scenario_path, "--init", str(w0),
+                   "--alert-penalty", "0.05", "--episodes", "1", "--seed", "0",
+                   "--learning-rate", "-1", "--out", str(out)])
+        assert rc == 2
+        assert "learning_rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_warmstart_negative_passes_exits_2(self, scenario_path, tmp_path, capsys):
+        out = tmp_path / "w0.json"
+        rc = main(["warmstart", "--scenario", scenario_path, "--delta", "16",
+                   "--episodes", "2", "--seed", "0", "--passes", "-3", "--out", str(out)])
+        assert rc == 2
+        assert "counts must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_missing_init_exits_2(self, scenario_path, capsys):
         rc = main(["train", "--scenario", scenario_path, "--init", "/nope.json",
@@ -150,6 +172,15 @@ class TestSoc:
                    str(tmp_path / "soc.csv")])
         assert rc == 2
         assert "overlap" in capsys.readouterr().err
+
+    def test_bad_learning_rate_exits_2(self, scenario_path, tmp_path, capsys):
+        out = tmp_path / "soc.csv"
+        rc = main(["soc", "--scenario", scenario_path, "--train-seeds", "0..10",
+                   "--eval-seeds", "20..30", "--seed", "0", "--learning-rate", "0",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "learning_rate" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tiny_sweep(self, scenario_path, tmp_path, capsys):
         out = tmp_path / "soc.csv"

@@ -1,3 +1,10 @@
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,16 +13,26 @@ from rtsa._rollout_py import rollout as rollout_python
 from rtsa.evaluation import PolicySpec, run_episode, _kernel_scenario_args
 from rtsa.geometry import build_path
 from rtsa.policy import Action, N_FEATURES, compose_controller, random_weights, rtsa_action
-from rtsa.sim import VehicleState, episode_terminated, sample_wind_field, step, wind_at
+from rtsa.sim import MAX_STEPS, VehicleState, episode_terminated, sample_wind_field, step, wind_at
 
-try:
-    from rtsa._rollout_cy import rollout as rollout_compiled
-except ImportError:
-    rollout_compiled = None
+rollout_compiled = fastpath.rollout_compiled
 
 needs_compiled = pytest.mark.skipif(
-    rollout_compiled is None, reason="compiled extension not built"
+    rollout_compiled is None, reason=f"C kernel not loaded: {fastpath.FALLBACK_REASON}"
 )
+
+
+def _compiler_on_path():
+    cc = sysconfig.get_config_var("CC")
+    return any(c and shutil.which(c.split()[0]) for c in (cc, "cc"))
+
+
+@pytest.mark.skipif(bool(os.environ.get("RTSA_PURE_PYTHON")), reason="RTSA_PURE_PYTHON is set")
+@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+def test_c_backend_loads_when_a_compiler_exists():
+    # A broken build must fail here rather than hide behind the Python fallback.
+    assert fastpath.BACKEND == "c", f"fell back to Python: {fastpath.FALLBACK_REASON}"
+    assert fastpath.FALLBACK_REASON is None
 
 
 def wind_params_for(seed, scenario):
@@ -78,6 +95,71 @@ class TestBackendParity:
         )
         assert (o_py, d_py) == (o_cy, d_cy)
         assert np.array_equal(np.asarray(t_py), np.asarray(t_cy))
+
+
+class TestBuild:
+    @needs_compiled
+    def test_cache_hit_never_calls_the_compiler(self, monkeypatch):
+        def no_compiler(target):
+            raise AssertionError(f"compiler called although {target} is built")
+
+        monkeypatch.setattr(fastpath, "_compile", no_compiler)
+        assert fastpath._load_kernel() is not None
+
+    @pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+    def test_failed_build_raises_with_the_compiler_error(self, tmp_path, monkeypatch):
+        broken = tmp_path / "_rollout.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(fastpath, "_SOURCE", broken)
+        target = tmp_path / "__pycache__" / "_rollout-0.so"
+        with pytest.raises(OSError, match="could not compile _rollout.c: .*error"):
+            fastpath._compile(target)
+        assert list(target.parent.iterdir()) == []  # no temporary file left behind
+
+    def test_pure_python_variable_forces_the_python_kernel(self):
+        src = str(Path(fastpath.__file__).resolve().parents[1])
+        env = {**os.environ, "RTSA_PURE_PYTHON": "1", "PYTHONPATH": src}
+        code = "from rtsa import fastpath as f; print(f.BACKEND, f.rollout_compiled, f.FALLBACK_REASON)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.split() == ["python", "None", "RTSA_PURE_PYTHON", "is", "set"]
+
+
+@needs_compiled
+class TestCompiledArgumentChecks:
+    # Each case would make C read or write out of bounds, overflow an int or
+    # divide by a zero-length segment; the wrapper must refuse it first.
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("waypoints", np.zeros((1, 3))),
+            ("waypoints", np.zeros((4, 2))),
+            ("waypoints", np.zeros(12)),
+            ("waypoints", [[0.0, 0.0, 12.0], [0.0, 0.0, 12.0], [60.0, 0.0, 0.0]]),
+            ("theta", np.zeros((8, 2))),
+            ("theta", np.zeros(18)),
+            ("scales", np.ones(7)),
+            ("wind_params", np.zeros(9)),
+            ("env_min", np.zeros(2)),
+            ("env_max", np.zeros(4)),
+            ("max_steps", 0),
+            ("max_steps", MAX_STEPS + 1),
+            ("max_steps", 2**40),
+        ],
+    )
+    def test_bad_argument_raises_value_error(self, calibrated_scenario, key, value):
+        kwargs = dict(
+            wind_params=np.zeros(8),
+            policy_mode=fastpath.POLICY_NOMINAL,
+            delta=0.0,
+            theta=np.zeros((N_FEATURES, 2)),
+            scales=calibrated_scenario.feature_scales,
+            alert_penalty=0.05,
+            **_kernel_scenario_args(calibrated_scenario),
+        )
+        kwargs[key] = value
+        with pytest.raises(ValueError):
+            rollout_compiled(**kwargs)
 
 
 class TestKernelMatchesPythonComposition:

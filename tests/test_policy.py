@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,16 @@ class TestWeightSerialization:
         theta = random_weights(np.random.default_rng(7))
         theta[4, 1] = bad
         path = tmp_path / "bad.json"
-        save_weights(theta, path)
+        # Python's json writes NaN/Infinity tokens; save_weights refuses to.
+        path.write_text(json.dumps({"order": "x", "weights": theta.ravel().tolist()}))
         with pytest.raises(ValueError, match="non-finite"):
             load_weights(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_save_refuses_non_finite_weights(self, tmp_path, bad):
+        theta = random_weights(np.random.default_rng(7))
+        theta[4, 1] = bad
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_weights(theta, path)
+        assert not path.exists()

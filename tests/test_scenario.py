@@ -96,6 +96,47 @@ class TestValidationErrors:
             load_scenario(self.dump(tmp_path, d))
         assert any("feature_scales" in p for p in exc.value.problems)
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("sim", "dt", float("nan")),
+            ("sim", "dt", float("inf")),
+            ("sim", "dt", "0.05"),
+            ("sim", "a_max", float("inf")),
+            ("sim", "cruise_speed", float("nan")),
+            ("sim", "lookahead", float("inf")),
+            ("sim", "air_drag", float("nan")),
+            ("sim", "parachute_drag_z", float("inf")),
+            ("sim", "parachute_drag_xy", float("nan")),
+            ("sim", "wind_sigma", float("nan")),
+            ("sim", "gust_sigma", float("inf")),
+            ("sim", "max_steps", 2400.5),
+            ("sim", "max_steps", 1e9),
+            ("sim", "max_steps", 10**9),
+            ("sim", "max_steps", "2400"),
+            ("sim", "max_steps", True),
+            ("mission", "arrival_radius", float("nan")),
+            ("mission", "arrival_radius", float("inf")),
+            ("reward", "alert_penalty", float("inf")),
+            ("reward", "alert_penalty", "0.05"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_field_reported(self, tmp_path, section, key, value):
+        # These must never reach the kernels: a NaN step, a C int overflow or
+        # a multi-gigabyte trajectory buffer.
+        d = default_scenario().to_dict()
+        d[section][key] = value
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(self.dump(tmp_path, d))
+        assert any(key in p for p in exc.value.problems)
+
+    def test_non_finite_feature_scale(self, tmp_path):
+        d = default_scenario().to_dict()
+        d["feature_scales"][3] = float("nan")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(self.dump(tmp_path, d))
+        assert any("feature_scales" in p for p in exc.value.problems)
+
     def test_direct_validate_reports_bad_discount(self):
         s = default_scenario()
         bad = dataclasses.replace(s, reward=dataclasses.replace(s.reward, discount=1.5))
