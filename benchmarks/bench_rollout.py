@@ -15,7 +15,7 @@ import numpy as np
 
 from rtsa import fastpath
 from rtsa._rollout_py import rollout as rollout_python
-from rtsa.evaluation import PolicySpec, _kernel_scenario_args
+from rtsa.evaluation import PolicySpec
 from rtsa.policy import N_FEATURES, Action, random_weights
 from rtsa.scenario import default_scenario
 from rtsa.sim import sample_wind_field
@@ -23,23 +23,15 @@ from rtsa.sim import sample_wind_field
 
 def episode_args(scenario, seed, policy):
     field = sample_wind_field(np.random.default_rng(seed), scenario.sim)
-    wind_params = np.array(
-        [
-            field.base[0], field.base[1],
-            field.gust_amplitude[0], field.gust_amplitude[1],
-            field.gust_frequencies[0], field.gust_frequencies[1],
-            field.gust_phases[0], field.gust_phases[1],
-        ]
-    )
     theta = policy.theta if policy.theta is not None else np.zeros((N_FEATURES, len(Action)))
     return dict(
-        wind_params=wind_params,
+        wind_params=fastpath.wind_params(field),
         policy_mode=policy._mode(),
         delta=policy.delta,
         theta=theta,
         scales=scenario.feature_scales,
         alert_penalty=scenario.reward.alert_penalty,
-        **_kernel_scenario_args(scenario),
+        **fastpath.scenario_args(scenario),
     )
 
 

@@ -1,17 +1,23 @@
 """Pure-Python episode kernels.
 
-``rollout`` is the reference implementation of the evaluation inner loop:
-one full episode under a fixed policy (never-deploy, distance-threshold, or
-greedy linear weights). Its C twin, ``_rollout.c``, performs the same
-arithmetic in the same order; ``rtsa.fastpath`` uses the C kernel when it
-builds and loads, this one otherwise.
+``_episode`` is the one scalar episode loop: wind, the one-way meta
+decision, pure pursuit with a PD command or the parachute, the
+semi-implicit Euler step with its ground clamp, the reward and the
+termination chain. Two entry points drive it:
 
-``learn_episode`` (online epsilon-greedy Q-learning) and ``replay_episode``
-(warm-start TD passes) are the learning loops. They run in Python on every
-backend and share ``td_update``, the linear TD rule on weight columns held
-as float lists.
+- ``rollout`` runs one episode under a fixed policy (never-deploy,
+  distance-threshold, or greedy linear weights) and records its trajectory.
+  It is the reference for the evaluation kernel: its C twin,
+  ``_rollout.c``, performs the same arithmetic in the same order, and
+  ``rtsa.fastpath`` uses the C kernel when it builds and loads, this one
+  otherwise.
+- ``learn_episode`` runs one online epsilon-greedy Q-learning episode,
+  applying ``td_update`` to the weights at every step.
 
-Scalar math only in the loop bodies, so a compiled twin can mirror them
+``replay_episode`` (warm-start TD passes) shares ``td_update``, the linear
+TD rule on weight columns held as float lists.
+
+Scalar math only in the loop body, so a compiled twin can mirror it
 operation for operation.
 """
 
@@ -31,25 +37,6 @@ OUTCOME_GROUNDED = 3
 OUTCOME_TIMEOUT = 4
 
 _GRAVITY = 9.81
-
-
-def _segments(wps):
-    """Path segments as scalars: (count, starts, deltas, squared lengths, cumulative lengths)."""
-    n_seg = len(wps) - 1
-    seg_a = [(float(wps[i, 0]), float(wps[i, 1]), float(wps[i, 2])) for i in range(n_seg)]
-    seg_d = [
-        (
-            float(wps[i + 1, 0] - wps[i, 0]),
-            float(wps[i + 1, 1] - wps[i, 1]),
-            float(wps[i + 1, 2] - wps[i, 2]),
-        )
-        for i in range(n_seg)
-    ]
-    seg_len2 = [d[0] * d[0] + d[1] * d[1] + d[2] * d[2] for d in seg_d]
-    cum = [0.0]
-    for i in range(n_seg):
-        cum.append(cum[i] + math.sqrt(seg_len2[i]))
-    return n_seg, seg_a, seg_d, seg_len2, cum
 
 
 def rollout(
@@ -81,39 +68,146 @@ def rollout(
     state row: (t, px, py, pz, vx, vy, vz, action, reward). ``deploy_step``
     is -1 if the recovery controller was never deployed.
     """
+    rows = []
+    _, outcome, deploy_step, _, _, _ = _episode(
+        env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed, lookahead,
+        kp, kd, air_drag, drag_z, drag_xy, max_steps, wind_params, scales, alert_penalty,
+        policy_mode=policy_mode, delta=delta, theta=np.asarray(theta, dtype=float).T.tolist(),
+        traj=rows,
+    )
+    return np.array(rows, dtype=float), outcome, deploy_step
+
+
+def learn_episode(theta, exit_penalty, discount, learning_rate, epsilon, rng, **episode):
+    """Run one online epsilon-greedy Q-learning episode, updating ``theta`` in place.
+
+    ``theta`` is (continue column, deploy column), each a list of nine
+    floats, and gets one ``td_update`` per step. ``episode`` holds
+    ``rollout``'s scenario, wind, ``scales`` and ``alert_penalty`` keywords.
+    Until the switch flips, each step draws ``rng.random()`` (only when
+    epsilon > 0) and, on an exploring step, ``rng.integers(2)``: the draws
+    ``learning.epsilon_greedy`` makes.
+
+    Returns (discounted return, outcome, deploy_step, deploy_greedy, steps,
+    largest squared feature norm of a decision state). ``deploy_step`` is -1
+    and ``deploy_greedy`` None if the switch never flipped; otherwise
+    ``deploy_greedy`` says whether deploying was the greedy action.
+    """
+    return _episode(policy_mode=POLICY_WEIGHTS, delta=0.0, theta=theta,
+                    exit_penalty=exit_penalty, discount=discount,
+                    learning_rate=learning_rate, epsilon=epsilon, rng=rng, **episode)
+
+
+def _episode(env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed, lookahead,
+             kp, kd, air_drag, drag_z, drag_xy, max_steps, wind_params, scales, alert_penalty,
+             *, policy_mode, delta, theta, exit_penalty=1.0, discount=1.0, learning_rate=None,
+             epsilon=0.0, rng=None, traj=None):
+    """The episode loop behind ``rollout`` and ``learn_episode``.
+
+    ``theta`` is (continue column, deploy column) as float lists. Unless
+    ``learning_rate`` is None, every step ends in a ``td_update`` of them.
+    In the weights mode, an ``epsilon`` > 0 makes each undeployed step
+    epsilon-greedy on ``rng``. ``traj``, if given, is a list that gets the
+    trajectory rows. Returns (discounted return, outcome, deploy_step,
+    deploy_greedy, steps, largest squared feature norm of a decision state,
+    0 unless learning).
+    """
     exn0, exn1, exn2 = float(env_min[0]), float(env_min[1]), float(env_min[2])
     exx0, exx1, exx2 = float(env_max[0]), float(env_max[1]), float(env_max[2])
+    # The path as scalars: segment starts, deltas, squared and cumulative lengths.
     wps = np.asarray(waypoints, dtype=float)
-    n_seg, seg_a, seg_d, seg_len2, cum = _segments(wps)
+    n_seg = len(wps) - 1
+    seg_a = [(float(wps[i, 0]), float(wps[i, 1]), float(wps[i, 2])) for i in range(n_seg)]
+    seg_d = [
+        (
+            float(wps[i + 1, 0] - wps[i, 0]),
+            float(wps[i + 1, 1] - wps[i, 1]),
+            float(wps[i + 1, 2] - wps[i, 2]),
+        )
+        for i in range(n_seg)
+    ]
+    seg_len2 = [d[0] * d[0] + d[1] * d[1] + d[2] * d[2] for d in seg_d]
+    cum = [0.0]
+    for i in range(n_seg):
+        cum.append(cum[i] + math.sqrt(seg_len2[i]))
     total_len = cum[n_seg]
     wlx, wly, wlz = float(wps[-1, 0]), float(wps[-1, 1]), float(wps[-1, 2])
 
     bw0, bw1, ga0, ga1, gf0, gf1, gp0, gp1 = (float(x) for x in wind_params)
-    th = np.asarray(theta, dtype=float)
-    sc = [float(x) for x in scales]
+    t0, t1 = theta
+    sc0, sc1, sc2, sc3, sc4, sc5, sc6, sc7 = (float(x) for x in scales)
     dt = float(dt)
     max_steps = int(max_steps)
+    # As in the C twin, any mode other than these two uses the weights.
+    weights_mode = policy_mode != POLICY_NOMINAL and policy_mode != POLICY_BASELINE
+    learn = learning_rate is not None
+    explore = epsilon > 0.0
 
     px, py, pz = float(wps[0, 0]), float(wps[0, 1]), float(wps[0, 2])
     vx = vy = vz = 0.0
     t = 0.0
     deployed = False
     deploy_step = -1
-
-    traj = np.empty((max_steps + 1, 9))
+    deploy_greedy = None
+    ret = 0.0
+    disc = 1.0
+    norm2_max = 0.0
     step_idx = 0
-    outcome = OUTCOME_TIMEOUT
+    outcome = 0  # still running
 
+    # Each pass first observes the current state (wind, features) and applies
+    # the TD update of the step that led to it, then stops if that step ended
+    # the episode.
     while True:
         wx = bw0 + ga0 * math.sin(gf0 * t + gp0)
         wy = bw1 + ga1 * math.sin(gf1 * t + gp1)
+        if learn or (weights_mode and not deployed):
+            phi = [
+                min(px - exn0, exx0 - px) / sc0,
+                min(py - exn1, exx1 - py) / sc1,
+                min(pz - exn2, exx2 - pz) / sc2,
+                vx / sc3, vy / sc4, vz / sc5, wx / sc6, wy / sc7,
+                1.0 if deployed else 0.0,
+            ]
+            if learn and step_idx:
+                # The last step's transition. Timeout is truncation, not an
+                # absorbing state: keep the bootstrap.
+                td_update(t0, t1, phi_prev, action, r, phi,
+                          outcome != 0 and outcome != OUTCOME_TIMEOUT, learning_rate, discount)
+        if outcome:
+            break
+        if learn:
+            f0, f1, f2, f3, f4, f5, f6, f7, f8 = phi
+            norm2 = (
+                f0 * f0 + f1 * f1 + f2 * f2 + f3 * f3 + f4 * f4
+                + f5 * f5 + f6 * f6 + f7 * f7 + f8 * f8
+            )
+            if norm2 > norm2_max:
+                norm2_max = norm2
+            phi_prev = phi
 
         # Meta decision (one-way switch).
         if deployed:
             action = 1
+        elif weights_mode:
+            # The indicator feature is 0 before deployment.
+            f0, f1, f2, f3, f4, f5, f6, f7, _ = phi
+            q_cont = (
+                t0[0] * f0 + t0[1] * f1 + t0[2] * f2 + t0[3] * f3
+                + t0[4] * f4 + t0[5] * f5 + t0[6] * f6 + t0[7] * f7
+            )
+            q_dep = (
+                t1[0] * f0 + t1[1] * f1 + t1[2] * f2 + t1[3] * f3
+                + t1[4] * f4 + t1[5] * f5 + t1[6] * f6 + t1[7] * f7
+            )
+            greedy = 1 if q_dep > q_cont else 0
+            if explore and rng.random() < epsilon:
+                action = int(rng.integers(2))
+            else:
+                action = greedy
         elif policy_mode == POLICY_NOMINAL:
             action = 0
-        elif policy_mode == POLICY_BASELINE:
+        else:  # POLICY_BASELINE
             inside = exn0 <= px <= exx0 and exn1 <= py <= exx1 and exn2 <= pz <= exx2
             if not inside:
                 action = 1
@@ -130,29 +224,11 @@ def rollout(
                 if exx2 - pz < d:
                     d = exx2 - pz
                 action = 1 if d <= delta else 0
-        else:
-            f0 = min(px - exn0, exx0 - px) / sc[0]
-            f1 = min(py - exn1, exx1 - py) / sc[1]
-            f2 = min(pz - exn2, exx2 - pz) / sc[2]
-            f3 = vx / sc[3]
-            f4 = vy / sc[4]
-            f5 = vz / sc[5]
-            f6 = wx / sc[6]
-            f7 = wy / sc[7]
-            # Indicator feature is 0 here: this branch is unreachable once deployed.
-            q_cont = (
-                th[0, 0] * f0 + th[1, 0] * f1 + th[2, 0] * f2 + th[3, 0] * f3
-                + th[4, 0] * f4 + th[5, 0] * f5 + th[6, 0] * f6 + th[7, 0] * f7
-            )
-            q_dep = (
-                th[0, 1] * f0 + th[1, 1] * f1 + th[2, 1] * f2 + th[3, 1] * f3
-                + th[4, 1] * f4 + th[5, 1] * f5 + th[6, 1] * f6 + th[7, 1] * f7
-            )
-            action = 1 if q_dep > q_cont else 0
 
         fresh_deploy = action == 1 and not deployed
         if fresh_deploy:
             deploy_step = step_idx
+            deploy_greedy = not weights_mode or greedy == 1
 
         # Dynamics.
         if action == 1:
@@ -228,22 +304,15 @@ def rollout(
 
         outside = not (exn0 <= npx <= exx0 and exn1 <= npy <= exx1 and exn2 <= npz <= exx2)
         if outside:
-            r = -1.0
+            r = -exit_penalty
         elif fresh_deploy:
             r = -alert_penalty
         else:
             r = 0.0
-
-        row = traj[step_idx]
-        row[0] = t
-        row[1] = px
-        row[2] = py
-        row[3] = pz
-        row[4] = vx
-        row[5] = vy
-        row[6] = vz
-        row[7] = action
-        row[8] = r
+        if traj is not None:
+            traj.append((t, px, py, pz, vx, vy, vz, action, r))
+        ret += disc * r
+        disc *= discount
 
         px, py, pz = npx, npy, npz
         vx, vy, vz = nvx, nvy, nvz
@@ -254,33 +323,18 @@ def rollout(
 
         if outside:
             outcome = OUTCOME_EXITED
-            break
-        if not deployed:
-            dx = px - wlx
-            dy = py - wly
-            dz = pz - wlz
-            if math.sqrt(dx * dx + dy * dy + dz * dz) <= arrival_radius:
-                outcome = OUTCOME_COMPLETED
-                break
-        if deployed and pz == 0.0:
+        elif not deployed and math.sqrt(
+            (px - wlx) * (px - wlx) + (py - wly) * (py - wly) + (pz - wlz) * (pz - wlz)
+        ) <= arrival_radius:
+            outcome = OUTCOME_COMPLETED
+        elif deployed and pz == 0.0:
             outcome = OUTCOME_GROUNDED
-            break
-        if step_idx >= max_steps:
+        elif step_idx >= max_steps:
             outcome = OUTCOME_TIMEOUT
-            break
 
-    row = traj[step_idx]
-    row[0] = t
-    row[1] = px
-    row[2] = py
-    row[3] = pz
-    row[4] = vx
-    row[5] = vy
-    row[6] = vz
-    row[7] = 1.0 if deployed else 0.0
-    row[8] = 0.0
-
-    return traj[: step_idx + 1].copy(), outcome, deploy_step
+    if traj is not None:
+        traj.append((t, px, py, pz, vx, vy, vz, 1.0 if deployed else 0.0, 0.0))
+    return ret, outcome, deploy_step, deploy_greedy, step_idx, norm2_max
 
 
 def td_update(t0, t1, phi, action, r, phi_next, terminal, learning_rate, discount):
@@ -332,233 +386,3 @@ def replay_episode(t0, t1, phi, actions, rewards, terminal, learning_rate, disco
     for i in range(last + 1):
         td_update(t0, t1, phi[i], actions[i], rewards[i], phi[i + 1],
                   terminal and i == last, learning_rate, discount)
-
-
-def learn_episode(
-    env_min,
-    env_max,
-    waypoints,
-    arrival_radius,
-    dt,
-    a_max,
-    cruise_speed,
-    lookahead,
-    kp,
-    kd,
-    air_drag,
-    drag_z,
-    drag_xy,
-    max_steps,
-    wind_params,
-    theta,
-    scales,
-    alert_penalty,
-    exit_penalty,
-    discount,
-    learning_rate,
-    epsilon,
-    rng,
-):
-    """Run one online epsilon-greedy Q-learning episode, updating ``theta`` in place.
-
-    Dynamics, control law, wind, reward and termination are those of
-    ``rollout``. ``theta`` is (continue column, deploy column), each a list of
-    nine floats, and gets one ``td_update`` per step. Until the switch flips,
-    each step draws ``rng.random()`` (only when epsilon > 0) and, on an
-    exploring step, ``rng.integers(2)``: the draws ``learning.epsilon_greedy``
-    makes.
-
-    Returns (discounted return, outcome, deploy_step, deploy_greedy, steps,
-    largest squared feature norm of a decision state). ``deploy_step`` is -1
-    and ``deploy_greedy`` None if the switch never flipped; otherwise
-    ``deploy_greedy`` says whether deploying was the greedy action.
-    """
-    exn0, exn1, exn2 = float(env_min[0]), float(env_min[1]), float(env_min[2])
-    exx0, exx1, exx2 = float(env_max[0]), float(env_max[1]), float(env_max[2])
-    wps = np.asarray(waypoints, dtype=float)
-    n_seg, seg_a, seg_d, seg_len2, cum = _segments(wps)
-    total_len = cum[n_seg]
-    wlx, wly, wlz = float(wps[-1, 0]), float(wps[-1, 1]), float(wps[-1, 2])
-
-    bw0, bw1, ga0, ga1, gf0, gf1, gp0, gp1 = (float(x) for x in wind_params)
-    t0, t1 = theta
-    sc0, sc1, sc2, sc3, sc4, sc5, sc6, sc7 = (float(x) for x in scales)
-    dt = float(dt)
-    max_steps = int(max_steps)
-    explore = epsilon > 0.0
-    draw = rng.random
-    draw_action = rng.integers
-
-    px, py, pz = float(wps[0, 0]), float(wps[0, 1]), float(wps[0, 2])
-    vx = vy = vz = 0.0
-    t = 0.0
-    deployed = False
-    deploy_step = -1
-    deploy_greedy = None
-    ret = 0.0
-    disc = 1.0
-    norm2_max = 0.0
-    step_idx = 0
-    outcome = OUTCOME_TIMEOUT
-
-    wx = bw0 + ga0 * math.sin(gf0 * t + gp0)
-    wy = bw1 + ga1 * math.sin(gf1 * t + gp1)
-    phi = [
-        min(px - exn0, exx0 - px) / sc0,
-        min(py - exn1, exx1 - py) / sc1,
-        min(pz - exn2, exx2 - pz) / sc2,
-        vx / sc3, vy / sc4, vz / sc5, wx / sc6, wy / sc7, 0.0,
-    ]
-
-    while True:
-        f0, f1, f2, f3, f4, f5, f6, f7, f8 = phi
-        norm2 = (
-            f0 * f0 + f1 * f1 + f2 * f2 + f3 * f3 + f4 * f4
-            + f5 * f5 + f6 * f6 + f7 * f7 + f8 * f8
-        )
-        if norm2 > norm2_max:
-            norm2_max = norm2
-
-        # Meta decision (one-way switch), epsilon-greedy until deployed.
-        if deployed:
-            action = 1
-        else:
-            explored = explore and draw() < epsilon
-            if explored:
-                action = int(draw_action(2))
-            if not explored or action == 1:
-                # The indicator feature is 0 before deployment.
-                q_cont = (
-                    t0[0] * f0 + t0[1] * f1 + t0[2] * f2 + t0[3] * f3
-                    + t0[4] * f4 + t0[5] * f5 + t0[6] * f6 + t0[7] * f7
-                )
-                q_dep = (
-                    t1[0] * f0 + t1[1] * f1 + t1[2] * f2 + t1[3] * f3
-                    + t1[4] * f4 + t1[5] * f5 + t1[6] * f6 + t1[7] * f7
-                )
-                greedy = 1 if q_dep > q_cont else 0
-                if not explored:
-                    action = greedy
-
-        fresh_deploy = action == 1 and not deployed
-        if fresh_deploy:
-            deploy_step = step_idx
-            deploy_greedy = greedy == 1
-
-        # Dynamics.
-        if action == 1:
-            ax = drag_xy * (wx - vx)
-            ay = drag_xy * (wy - vy)
-            az = -_GRAVITY + drag_z * (0.0 - vz)
-        else:
-            # Project onto the path (earliest segment wins ties).
-            best_d2 = math.inf
-            best_s = 0.0
-            for i in range(n_seg):
-                sax, say, saz = seg_a[i]
-                sdx, sdy, sdz = seg_d[i]
-                tt = ((px - sax) * sdx + (py - say) * sdy + (pz - saz) * sdz) / seg_len2[i]
-                if tt < 0.0:
-                    tt = 0.0
-                elif tt > 1.0:
-                    tt = 1.0
-                cx = sax + tt * sdx
-                cy = say + tt * sdy
-                cz = saz + tt * sdz
-                d2 = (px - cx) * (px - cx) + (py - cy) * (py - cy) + (pz - cz) * (pz - cz)
-                if d2 < best_d2:
-                    best_d2 = d2
-                    best_s = cum[i] + tt * math.sqrt(seg_len2[i])
-            s_ahead = best_s + lookahead
-            if s_ahead < 0.0:
-                s_ahead = 0.0
-            elif s_ahead > total_len:
-                s_ahead = total_len
-            seg = n_seg - 1
-            for i in range(n_seg):
-                if s_ahead < cum[i + 1]:
-                    seg = i
-                    break
-            frac = (s_ahead - cum[seg]) / (cum[seg + 1] - cum[seg])
-            tx = seg_a[seg][0] + frac * seg_d[seg][0]
-            ty = seg_a[seg][1] + frac * seg_d[seg][1]
-            tz = seg_a[seg][2] + frac * seg_d[seg][2]
-
-            tox = tx - px
-            toy = ty - py
-            toz = tz - pz
-            dist = math.sqrt(tox * tox + toy * toy + toz * toz)
-            if dist > 1e-9:
-                vdx = cruise_speed * (tox / dist)
-                vdy = cruise_speed * (toy / dist)
-                vdz = cruise_speed * (toz / dist)
-            else:
-                vdx = vdy = vdz = 0.0
-            ux = kp * tox + kd * (vdx - vx)
-            uy = kp * toy + kd * (vdy - vy)
-            uz = kp * toz + kd * (vdz - vz)
-            un = math.sqrt(ux * ux + uy * uy + uz * uz)
-            if un > a_max:
-                scale = a_max / un
-                ux *= scale
-                uy *= scale
-                uz *= scale
-            ax = ux + air_drag * (wx - vx)
-            ay = uy + air_drag * (wy - vy)
-            az = uz + air_drag * (0.0 - vz)
-
-        vx = vx + dt * ax
-        vy = vy + dt * ay
-        vz = vz + dt * az
-        px = px + dt * vx
-        py = py + dt * vy
-        pz = pz + dt * vz
-        if pz <= 0.0:
-            pz = 0.0
-            vx = vy = vz = 0.0
-        t += dt
-        if action == 1:
-            deployed = True
-        step_idx += 1
-
-        outside = not (exn0 <= px <= exx0 and exn1 <= py <= exx1 and exn2 <= pz <= exx2)
-        if outside:
-            r = -exit_penalty
-        elif fresh_deploy:
-            r = -alert_penalty
-        else:
-            r = 0.0
-
-        running = False
-        if outside:
-            outcome = OUTCOME_EXITED
-        elif not deployed and math.sqrt(
-            (px - wlx) * (px - wlx) + (py - wly) * (py - wly) + (pz - wlz) * (pz - wlz)
-        ) <= arrival_radius:
-            outcome = OUTCOME_COMPLETED
-        elif deployed and pz == 0.0:
-            outcome = OUTCOME_GROUNDED
-        elif step_idx >= max_steps:
-            outcome = OUTCOME_TIMEOUT
-        else:
-            running = True
-
-        wx = bw0 + ga0 * math.sin(gf0 * t + gp0)
-        wy = bw1 + ga1 * math.sin(gf1 * t + gp1)
-        phi_next = [
-            min(px - exn0, exx0 - px) / sc0,
-            min(py - exn1, exx1 - py) / sc1,
-            min(pz - exn2, exx2 - pz) / sc2,
-            vx / sc3, vy / sc4, vz / sc5, wx / sc6, wy / sc7,
-            1.0 if deployed else 0.0,
-        ]
-        # Timeout is truncation, not an absorbing state: keep the bootstrap.
-        terminal = not running and outcome != OUTCOME_TIMEOUT
-        td_update(t0, t1, phi, action, r, phi_next, terminal, learning_rate, discount)
-        ret += disc * r
-        disc *= discount
-        if not running:
-            break
-        phi = phi_next
-
-    return ret, outcome, deploy_step, deploy_greedy, step_idx, norm2_max

@@ -126,6 +126,11 @@ def _build(data: dict) -> Scenario:
         problems.append(f"reward: {exc}")
         rc = None
 
+    try:
+        scales = np.asarray(data.get("feature_scales", []), dtype=float)
+    except (ValueError, TypeError) as exc:
+        problems.append(f"feature_scales: {exc}")
+
     if problems:
         raise ScenarioError(problems)
 
@@ -136,7 +141,7 @@ def _build(data: dict) -> Scenario:
         mission=mission,
         sim=sim,
         reward=rc,
-        feature_scales=np.asarray(data.get("feature_scales", []), dtype=float),
+        feature_scales=scales,
     )
     problems = scenario.validate()
     if not problems:

@@ -33,8 +33,8 @@ __all__ = [
 
 GRAVITY = 9.81
 
-#: Largest accepted ``max_steps``: the kernels preallocate (max_steps + 1) x 9
-#: float64 trajectory rows, 72 MB at this bound.
+#: Largest accepted ``max_steps``: the C kernel's caller preallocates
+#: (max_steps + 1) x 9 float64 trajectory rows, 72 MB at this bound.
 MAX_STEPS = 1_000_000
 
 
@@ -81,6 +81,25 @@ class WindField:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
 
+def finite_fields(config, section: str, names, problems: list) -> set:
+    """The fields among ``names`` that hold finite real numbers (bools excluded).
+
+    Appends a problem to ``problems`` for every other one. Range checks belong
+    on the returned fields only: a string makes a comparison raise, and NaN
+    passes every one of them.
+    """
+    finite = set()
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            problems.append(f"{section}.{name} must be a number")
+        elif not math.isfinite(value):
+            problems.append(f"{section}.{name} must be finite")
+        else:
+            finite.add(name)
+    return finite
+
+
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = 0.05
@@ -105,17 +124,9 @@ class SimConfig:
             problems.append("sim.max_steps must be an integer")
         elif not 1 <= steps <= MAX_STEPS:
             problems.append(f"sim.max_steps must lie in [1, {MAX_STEPS}]")
-        # Range checks run only on finite numbers: a string makes a comparison
-        # raise, and NaN passes every one of them.
-        finite = set()
-        for name in (f.name for f in fields(self) if f.name != "max_steps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                problems.append(f"sim.{name} must be a number")
-            elif not math.isfinite(value):
-                problems.append(f"sim.{name} must be finite")
-            else:
-                finite.add(name)
+        finite = finite_fields(
+            self, "sim", [f.name for f in fields(self) if f.name != "max_steps"], problems
+        )
         for name in ("dt", "a_max", "cruise_speed", "lookahead"):
             if name in finite and getattr(self, name) <= 0:
                 problems.append(f"sim.{name} must be positive")

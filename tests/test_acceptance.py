@@ -20,20 +20,11 @@ from rtsa.evaluation import (
     sweep_learned,
 )
 from rtsa.geometry import Envelope, boundary_query
-from rtsa.learning import (
-    LearnConfig,
-    Transition,
-    bellman_residual,
-    linear_q_update,
-    random_mdp,
-    tabular_q_learning,
-    train,
-    value_iteration,
-    warm_start,
-)
+from rtsa.learning import LearnConfig, Transition, linear_q_update, train, warm_start
 from rtsa.policy import N_FEATURES, Action, random_weights
 from rtsa.scenario import default_scenario
 from rtsa.sim import SimConfig, VehicleState, WindField, step
+from toy_mdp import bellman_residual, random_mdp, tabular_q_learning, value_iteration
 
 BASELINE_DELTAS = [1.0, 2.0, 4.0, 8.0, 16.0]
 ALERT_PENALTIES = [0.02, 0.03, 0.05, 0.07, 0.1]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rtsa import cli
 from rtsa.cli import CliError, _parse_policy, _parse_seed_range, main
 from rtsa.policy import load_weights, random_weights, save_weights
 from rtsa.scenario import default_scenario, save_scenario
@@ -156,6 +157,17 @@ class TestWarmstartAndTrain:
                    "--episodes", "2", "--seed", "0", "--passes", "-3", "--out", str(out)])
         assert rc == 2
         assert "counts must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_warmstart_nan_learning_rate_exits_2_before_any_demo(self, scenario_path, tmp_path,
+                                                                  capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_batch", lambda *a, **k: pytest.fail("ran the demos"))
+        out = tmp_path / "w0.json"
+        rc = main(["warmstart", "--scenario", scenario_path, "--delta", "16",
+                   "--episodes", "2", "--seed", "0", "--learning-rate", "nan",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "learning_rate must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_train_missing_init_exits_2(self, scenario_path, capsys):

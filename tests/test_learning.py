@@ -5,20 +5,22 @@ import numpy as np
 import pytest
 
 import learning_oracle
+from toy_mdp import (
+    ToyMDP,
+    bellman_residual,
+    random_mdp,
+    tabular_q_learning,
+    tabular_q_update,
+    value_iteration,
+)
 from rtsa import fastpath
 from rtsa._rollout_py import learn_episode, rollout
 from rtsa.learning import (
     LearnConfig,
-    ToyMDP,
     Transition,
-    bellman_residual,
     epsilon_greedy,
     linear_q_update,
-    random_mdp,
-    tabular_q_learning,
-    tabular_q_update,
     train,
-    value_iteration,
     warm_start,
 )
 from rtsa.evaluation import PolicySpec, run_batch
@@ -216,6 +218,43 @@ class TestWarmStart:
         assert np.array_equal(warm_start(*args), warm_start(*args))
 
 
+class TestLearnConfig:
+    def test_defaults_valid(self):
+        assert LearnConfig().validate() == []
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("learning_rate", 0.0),
+            ("learning_rate", -1.0),
+            ("learning_rate", "3e-3"),
+            ("learning_rate", True),
+            ("epsilon0", float("nan")),
+            ("epsilon0", 1.5),
+            ("epsilon_decay", 0.0),
+            ("epsilon_decay", float("inf")),
+            ("epsilon_floor", 5.0),
+            ("epsilon_floor", -0.1),
+            ("epsilon_floor", float("nan")),
+            ("episodes", 2.5),
+            ("episodes", -1),
+            ("episodes", "10"),
+            ("warm_start_passes", 1.5),
+            ("warm_start_passes", -3),
+            ("warm_start_passes", True),
+        ],
+    )
+    def test_bad_field_reported(self, key, value):
+        problems = LearnConfig(**{key: value}).validate()
+        assert len(problems) == 1 and key in problems[0]
+
+    def test_collects_problems(self):
+        cfg = LearnConfig(learning_rate=float("nan"), epsilon_floor=2.0, episodes=-1)
+        assert len(cfg.validate()) == 3
+
+
 class TestTrain:
     def test_zero_episodes_identity(self, calibrated_scenario):
         theta0 = np.random.default_rng(16).normal(size=(N_FEATURES, 2))
@@ -277,6 +316,7 @@ class TestOracleParity:
             ("calibrated", 0.0, [0, 3, 4], {Verdict.COMPLETED, Verdict.EXITED,
                                             Verdict.GROUNDED}),
             ("short", 0.0, range(6), {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED}),
+            ("calibrated", 0.02, range(8), {Verdict.EXITED, Verdict.GROUNDED}),
             ("calibrated", 1.0, range(4), {Verdict.GROUNDED}),
             ("short", 1.0, range(4), {Verdict.GROUNDED}),
         ],

@@ -130,9 +130,10 @@ class TestValidationErrors:
             load_scenario(self.dump(tmp_path, d))
         assert any(key in p for p in exc.value.problems)
 
-    def test_non_finite_feature_scale(self, tmp_path):
+    @pytest.mark.parametrize("bad", [float("nan"), "a"], ids=["nan", "string"])
+    def test_non_finite_feature_scale(self, tmp_path, bad):
         d = default_scenario().to_dict()
-        d["feature_scales"][3] = float("nan")
+        d["feature_scales"][3] = bad
         with pytest.raises(ScenarioError) as exc:
             load_scenario(self.dump(tmp_path, d))
         assert any("feature_scales" in p for p in exc.value.problems)
