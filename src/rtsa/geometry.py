@@ -124,15 +124,15 @@ def boundary_query(p, env: Envelope) -> BoundaryQuery:
         )
     closest = np.clip(p, env.min_corner, env.max_corner)
     offset = closest - p
-    dist = float(np.linalg.norm(offset))
-    if dist == 0.0:
-        # Outside by less than the norm can resolve: fall back to the
-        # dominant offset axis so the direction stays a unit vector.
-        k = int(np.argmax(np.abs(offset)))
-        direction = np.zeros(3)
-        direction[k] = np.sign(offset[k]) or 1.0
-        return BoundaryQuery(distance=0.0, direction=direction, inside=False)
-    return BoundaryQuery(distance=dist, direction=offset / dist, inside=False)
+    # Outside, some offset component is nonzero. Normalise the offset by its
+    # largest component first: squaring a tiny offset (below ~1e-154) would
+    # underflow and leave offset / norm(offset) short of unit length.
+    unit = offset / np.max(np.abs(offset))
+    return BoundaryQuery(
+        distance=float(np.linalg.norm(offset)),
+        direction=unit / np.linalg.norm(unit),
+        inside=False,
+    )
 
 
 def per_axis_boundary_distances(p, env: Envelope) -> np.ndarray:
