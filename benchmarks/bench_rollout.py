@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Compare the compiled and pure-Python rollout kernels.
+"""Compare the compiled and pure-Python episode kernels.
 
-Runs the same seeded episode batch through both backends, checks the results
-are bit-identical, and reports per-episode timing and the speedup.
+Runs the same seeded episode batch through both backends' rollout, online
+training episode and warm-start replay pass, checks the trajectories,
+training results and weights are bit-identical, and reports per-episode,
+per-training-step and per-replay-transition timing and the speedups.
 
 Usage: python benchmarks/bench_rollout.py [--episodes N] [--policy SPEC]
 """
@@ -13,12 +15,16 @@ import time
 
 import numpy as np
 
-from rtsa import fastpath
+from rtsa import _rollout_py, fastpath
 from rtsa._rollout_py import rollout as rollout_python
-from rtsa.evaluation import PolicySpec
+from rtsa.evaluation import PolicySpec, run_batch
+from rtsa.learning import _replay_batch
 from rtsa.policy import N_FEATURES, Action, random_weights
 from rtsa.scenario import default_scenario
 from rtsa.sim import sample_wind_field
+
+TRAIN_EPSILON = 0.1
+LEARNING_RATE = 3e-3
 
 
 def episode_args(scenario, seed, policy):
@@ -35,6 +41,20 @@ def episode_args(scenario, seed, policy):
     )
 
 
+def learn_args(scenario, seed):
+    field = sample_wind_field(np.random.default_rng(seed), scenario.sim)
+    return dict(
+        exit_penalty=scenario.reward.exit_penalty,
+        discount=scenario.reward.discount,
+        learning_rate=LEARNING_RATE,
+        epsilon=TRAIN_EPSILON,
+        wind_params=fastpath.wind_params(field),
+        scales=scenario.feature_scales,
+        alert_penalty=scenario.reward.alert_penalty,
+        **fastpath.scenario_args(scenario),
+    )
+
+
 def bench(backend, all_args, repeats):
     times = []
     results = []
@@ -43,6 +63,32 @@ def bench(backend, all_args, repeats):
         results = [backend(**args) for args in all_args]
         times.append((time.perf_counter() - start) / len(all_args))
     return min(times), results
+
+
+def bench_training(learn_episode, all_args, repeats):
+    """Best time of one online episode per argument set, weights carried forward.
+
+    Returns (seconds, final weights, per-episode results, generator states).
+    """
+    best = float("inf")
+    for _ in range(repeats):
+        rngs = [np.random.default_rng([0, i]) for i in range(len(all_args))]
+        theta = np.zeros((2, N_FEATURES))
+        start = time.perf_counter()
+        results = [learn_episode(theta, rng=rng, **args) for rng, args in zip(rngs, all_args)]
+        best = min(best, time.perf_counter() - start)
+    return best, theta, results, [rng.bit_generator.state for rng in rngs]
+
+
+def bench_replay(replay, batch, discount, repeats):
+    """Best time of one warm-start pass over ``batch``; returns (seconds, weights)."""
+    best = float("inf")
+    for _ in range(repeats):
+        theta = np.zeros((2, N_FEATURES))
+        start = time.perf_counter()
+        replay(theta, *batch, LEARNING_RATE, discount)
+        best = min(best, time.perf_counter() - start)
+    return best, theta
 
 
 def main():
@@ -60,26 +106,52 @@ def main():
         policy = PolicySpec.baseline(float(args.policy.split(":")[1]))
     else:
         policy = PolicySpec.weights(random_weights(np.random.default_rng(0)))
+    seeds = range(args.episodes)
 
-    all_args = [episode_args(scenario, seed, policy) for seed in range(args.episodes)]
-
+    all_args = [episode_args(scenario, seed, policy) for seed in seeds]
     t_py, res_py = bench(rollout_python, all_args, args.repeats)
     steps = statistics.mean(len(traj) - 1 for traj, _, _ in res_py)
     print(f"episodes: {args.episodes}  policy: {args.policy}  mean steps: {steps:.0f}")
     print(f"pure python : {t_py * 1e3:8.3f} ms/episode")
 
+    # Online training (epsilon TRAIN_EPSILON) over the same wind seeds, and one
+    # warm-start pass over baseline:8 demos on them.
+    all_learn = [learn_args(scenario, seed) for seed in seeds]
+    lt_py, theta_py, lres_py, states_py = bench_training(_rollout_py.learn_episode, all_learn,
+                                                         args.repeats)
+    train_steps = sum(result[4] for result in lres_py)
+    batch = _replay_batch(run_batch(PolicySpec.baseline(8.0), scenario, seeds), scenario)
+    transitions = len(batch[0]) - len(batch[3])
+    rt_py, rtheta_py = bench_replay(_rollout_py.replay, batch, scenario.reward.discount,
+                                    args.repeats)
+    print(f"training    : python   {lt_py / train_steps * 1e6:8.3f} us/step"
+          f"  ({train_steps} steps, epsilon {TRAIN_EPSILON})")
+    print(f"replay      : python   {rt_py / transitions * 1e6:8.3f} us/transition"
+          f"  ({transitions} transitions)")
+
     if fastpath.rollout_compiled is None:
         print(f"compiled    : C kernel not loaded ({fastpath.FALLBACK_REASON})")
         return
 
-    t_cy, res_cy = bench(fastpath.rollout_compiled, all_args, args.repeats)
-    print(f"compiled    : {t_cy * 1e3:8.3f} ms/episode")
-    print(f"speedup     : {t_py / t_cy:8.1f}x")
+    t_c, res_c = bench(fastpath.rollout_compiled, all_args, args.repeats)
+    print(f"compiled    : {t_c * 1e3:8.3f} ms/episode")
+    print(f"speedup     : {t_py / t_c:8.1f}x")
+    lt_c, theta_c, lres_c, states_c = bench_training(fastpath.learn_episode_compiled, all_learn,
+                                                     args.repeats)
+    rt_c, rtheta_c = bench_replay(fastpath.replay_compiled, batch, scenario.reward.discount,
+                                  args.repeats)
+    print(f"training    : compiled {lt_c / train_steps * 1e6:8.3f} us/step"
+          f"  speedup {lt_py / lt_c:6.1f}x")
+    print(f"replay      : compiled {rt_c / transitions * 1e6:8.3f} us/transition"
+          f"  speedup {rt_py / rt_c:6.1f}x")
 
-    for (a, oa, da), (b, ob, db) in zip(res_py, res_cy):
+    for (a, oa, da), (b, ob, db) in zip(res_py, res_c):
         assert oa == ob and da == db and np.array_equal(np.asarray(a), np.asarray(b)), \
             "backends disagree"
-    print("backends bit-identical over all episodes")
+    assert lres_py == lres_c and states_py == states_c, "training episodes disagree"
+    assert theta_py.tobytes() == theta_c.tobytes(), "trained weights disagree"
+    assert rtheta_py.tobytes() == rtheta_c.tobytes(), "warm-start weights disagree"
+    print("backends bit-identical over all episodes, training results and weights")
 
 
 if __name__ == "__main__":

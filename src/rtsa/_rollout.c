@@ -1,19 +1,37 @@
 /*
- * Compiled episode rollout kernel.
+ * Compiled episode kernels.
  *
- * Operation-for-operation mirror of rtsa._rollout_py.rollout; see that module
- * for the contract. Keep the arithmetic order in both in sync so the two
- * backends produce bit-identical trajectories. Build with
+ * Operation-for-operation mirror of rtsa._rollout_py; see that module for
+ * the contract. Keep the arithmetic order in both in sync so the two
+ * backends produce bit-identical trajectories and weights. Build with
  * -ffp-contract=off: a fused multiply-add rounds once where the Python twin
  * rounds twice.
  *
- * No Python or numpy headers: rtsa.fastpath packs the arguments into one
- * float64 array (layout below), allocates the trajectory buffer and calls
- * rtsa_rollout through ctypes.
+ * Three entry points, all behind one episode loop (`episode`) and one TD
+ * rule (`td_update`):
+ *   rtsa_rollout        one episode under a fixed policy, with its trajectory;
+ *   rtsa_learn_episode  one epsilon-greedy Q-learning episode, updating the
+ *                       weights in place at every step;
+ *   rtsa_replay         one warm-start TD pass over recorded episodes.
+ * `episode` is always inlined with constant flags, so the rollout carries no
+ * learning branches and the learner writes no trajectory.
+ *
+ * Exploration draws come from numpy's bit generator through its documented
+ * C struct `bitgen_t` (declared below; no numpy header is needed):
+ * Generator.random() is next_double(state), and Generator.integers(2) is
+ * next_uint32(state) >> 31, because Lemire's bounded draw over a range of
+ * one never rejects.
+ *
+ * No Python or numpy headers: rtsa.fastpath packs the scenario into one
+ * float64 array (layout below), allocates the outputs and calls these
+ * functions through ctypes. The learning kernels update their weights in
+ * place as two contiguous columns of nine, (continue, deploy).
  */
 
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define POLICY_NOMINAL 0
 #define POLICY_BASELINE 1
@@ -24,6 +42,16 @@
 #define OUTCOME_TIMEOUT 4
 
 #define GRAVITY 9.81
+#define N_FEATURES 9
+
+/* numpy/random/bitgen.h */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
 
 /* Offsets into the packed parameter array; mirrored by rtsa.fastpath. */
 enum {
@@ -43,7 +71,7 @@ enum {
     P_ALERT_PENALTY,
     P_WIND = 18,     /* base x/y, amplitude x/y, frequency x/y, phase x/y */
     P_SCALES = 26,   /* 8 feature scales */
-    P_THETA = 34,    /* 9 x 2, row-major: theta[i][action] */
+    P_THETA = 34,    /* rtsa_rollout's weights, 9 x 2, row-major: theta[i][action] */
     P_WAYPOINTS = 52 /* n_waypoints x 3, row-major */
 };
 
@@ -55,15 +83,47 @@ static inline int inside_box(const double *lo, const double *hi, double x, doubl
     return lo[0] <= x && x <= hi[0] && lo[1] <= y && y <= hi[1] && lo[2] <= z && z <= hi[2];
 }
 
+static inline double dot9(const double *a, const double *b)
+{
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] + a[4] * b[4] + a[5] * b[5]
+           + a[6] * b[6] + a[7] * b[7] + a[8] * b[8];
+}
+
 /*
- * Run one episode. `traj` holds (max_steps + 1) x 9 doubles; rows
- * 0..out[0] are written: (t, px, py, pz, vx, vy, vz, action, reward).
- * On return out = (steps, outcome, deploy_step), deploy_step -1 if never
- * deployed. Returns 0; -1 for a zero-length path segment or -2 for a
- * failed allocation, writing nothing then.
+ * One linear TD update, in place, on the taken action's column of
+ * th = (continue column, deploy column). Terminal transitions bootstrap 0.
  */
-int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_steps,
-                 double *traj, int *out)
+static inline void td_update(double *th, const double *phi, int action, double r,
+                             const double *phi_next, int terminal, double learning_rate,
+                             double discount)
+{
+    double *col = action ? th + N_FEATURES : th;
+    const double q_sa = dot9(col, phi);
+    double target;
+    if (terminal) {
+        target = r;
+    } else {
+        const double q_cont = dot9(th, phi_next), q_dep = dot9(th + N_FEATURES, phi_next);
+        target = r + discount * (q_dep > q_cont ? q_dep : q_cont);
+    }
+    const double k = learning_rate * (target - q_sa);
+    for (int i = 0; i < N_FEATURES; i++)
+        col[i] += k * phi[i];
+}
+
+/*
+ * The episode loop behind rtsa_rollout (learn = 0) and rtsa_learn_episode
+ * (learn = 1). `theta` is read into a local copy; when learning, the
+ * updated copy is written back to `theta_out`. Rows 0..out[0] of `traj`,
+ * if not NULL, get (t, px, py, pz, vx, vy, vz, action, reward). On return
+ * out = (steps, outcome, deploy_step, deploy_greedy) and, when learning,
+ * dout = (discounted return, largest squared feature norm).
+ */
+static inline __attribute__((always_inline)) int
+episode(const double *p, int n_waypoints, int policy_mode, int max_steps, const double *theta,
+        const int learn, double *theta_out, double exit_penalty, double discount,
+        double learning_rate, double epsilon, bitgen_t *bitgen, double *traj, int *out,
+        double *dout)
 {
     const double *env_min = p + P_ENV_MIN, *env_max = p + P_ENV_MAX;
     const double exn0 = env_min[0], exn1 = env_min[1], exn2 = env_min[2];
@@ -75,7 +135,13 @@ int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_step
     const double delta = p[P_DELTA], alert_penalty = p[P_ALERT_PENALTY];
     const double bw0 = p[P_WIND], bw1 = p[P_WIND + 1], ga0 = p[P_WIND + 2], ga1 = p[P_WIND + 3];
     const double gf0 = p[P_WIND + 4], gf1 = p[P_WIND + 5], gp0 = p[P_WIND + 6], gp1 = p[P_WIND + 7];
-    const double *sc = p + P_SCALES, *th = p + P_THETA, *wps = p + P_WAYPOINTS;
+    const double *sc = p + P_SCALES, *wps = p + P_WAYPOINTS;
+    const int weights_mode =
+        learn || (policy_mode != POLICY_NOMINAL && policy_mode != POLICY_BASELINE);
+    const int explore = learn && epsilon > 0.0;
+    double th[2 * N_FEATURES];
+    memcpy(th, theta, sizeof th);
+    const double *t0 = th, *t1 = th + N_FEATURES;
 
     /* Path segments: start (wps), delta, squared length, length, cumulative length. */
     const int n_seg = n_waypoints - 1;
@@ -102,20 +168,63 @@ int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_step
     double px = wps[0], py = wps[1], pz = wps[2];
     double vx = 0.0, vy = 0.0, vz = 0.0;
     double t = 0.0;
-    int deployed = 0, deploy_step = -1;
-    int step_idx = 0, outcome = OUTCOME_TIMEOUT;
+    int deployed = 0, deploy_step = -1, deploy_greedy = -1;
+    int step_idx = 0, outcome = 0; /* 0: still running */
+    int action = 0, greedy = 0;
+    double r = 0.0, ret = 0.0, disc = 1.0, norm2_max = 0.0;
+    double phi[N_FEATURES], phi_prev[N_FEATURES];
 
+    /* Each pass first observes the current state (wind, features) and applies
+     * the TD update of the step that led to it, then stops if that step ended
+     * the episode. */
     for (;;) {
         const double wx = bw0 + ga0 * sin(gf0 * t + gp0);
         const double wy = bw1 + ga1 * sin(gf1 * t + gp1);
+        if (learn || (weights_mode && !deployed)) {
+            phi[0] = min2(px - exn0, exx0 - px) / sc[0];
+            phi[1] = min2(py - exn1, exx1 - py) / sc[1];
+            phi[2] = min2(pz - exn2, exx2 - pz) / sc[2];
+            phi[3] = vx / sc[3];
+            phi[4] = vy / sc[4];
+            phi[5] = vz / sc[5];
+            phi[6] = wx / sc[6];
+            phi[7] = wy / sc[7];
+            phi[8] = deployed ? 1.0 : 0.0;
+            /* Timeout is truncation, not an absorbing state: keep the bootstrap. */
+            if (learn && step_idx)
+                td_update(th, phi_prev, action, r, phi,
+                          outcome != 0 && outcome != OUTCOME_TIMEOUT, learning_rate, discount);
+        }
+        if (outcome)
+            break;
+        if (learn) {
+            const double norm2 = phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2]
+                                 + phi[3] * phi[3] + phi[4] * phi[4] + phi[5] * phi[5]
+                                 + phi[6] * phi[6] + phi[7] * phi[7] + phi[8] * phi[8];
+            if (norm2 > norm2_max)
+                norm2_max = norm2;
+            memcpy(phi_prev, phi, sizeof phi);
+        }
 
         /* Meta decision (one-way switch). */
-        int action;
         if (deployed) {
             action = 1;
+        } else if (weights_mode) {
+            /* The indicator feature is 0 before deployment. */
+            const double q_cont = t0[0] * phi[0] + t0[1] * phi[1] + t0[2] * phi[2] + t0[3] * phi[3]
+                                  + t0[4] * phi[4] + t0[5] * phi[5] + t0[6] * phi[6]
+                                  + t0[7] * phi[7];
+            const double q_dep = t1[0] * phi[0] + t1[1] * phi[1] + t1[2] * phi[2] + t1[3] * phi[3]
+                                 + t1[4] * phi[4] + t1[5] * phi[5] + t1[6] * phi[6]
+                                 + t1[7] * phi[7];
+            greedy = q_dep > q_cont ? 1 : 0;
+            if (explore && bitgen->next_double(bitgen->state) < epsilon)
+                action = (int)(bitgen->next_uint32(bitgen->state) >> 31);
+            else
+                action = greedy;
         } else if (policy_mode == POLICY_NOMINAL) {
             action = 0;
-        } else if (policy_mode == POLICY_BASELINE) {
+        } else { /* POLICY_BASELINE */
             if (!inside_box(env_min, env_max, px, py, pz)) {
                 action = 1;
             } else {
@@ -132,26 +241,13 @@ int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_step
                     d = exx2 - pz;
                 action = d <= delta ? 1 : 0;
             }
-        } else {
-            const double f0 = min2(px - exn0, exx0 - px) / sc[0];
-            const double f1 = min2(py - exn1, exx1 - py) / sc[1];
-            const double f2 = min2(pz - exn2, exx2 - pz) / sc[2];
-            const double f3 = vx / sc[3];
-            const double f4 = vy / sc[4];
-            const double f5 = vz / sc[5];
-            const double f6 = wx / sc[6];
-            const double f7 = wy / sc[7];
-            /* Indicator feature is 0 here: this branch is unreachable once deployed. */
-            const double q_cont = th[0] * f0 + th[2] * f1 + th[4] * f2 + th[6] * f3
-                                  + th[8] * f4 + th[10] * f5 + th[12] * f6 + th[14] * f7;
-            const double q_dep = th[1] * f0 + th[3] * f1 + th[5] * f2 + th[7] * f3
-                                 + th[9] * f4 + th[11] * f5 + th[13] * f6 + th[15] * f7;
-            action = q_dep > q_cont ? 1 : 0;
         }
 
         const int fresh_deploy = action == 1 && !deployed;
-        if (fresh_deploy)
+        if (fresh_deploy) {
             deploy_step = step_idx;
+            deploy_greedy = !weights_mode || greedy == 1;
+        }
 
         /* Dynamics. */
         double ax, ay, az;
@@ -226,24 +322,28 @@ int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_step
         }
 
         const int outside = !inside_box(env_min, env_max, npx, npy, npz);
-        double r;
         if (outside)
-            r = -1.0;
+            r = -exit_penalty;
         else if (fresh_deploy)
             r = -alert_penalty;
         else
             r = 0.0;
-
-        double *row = traj + 9 * (size_t)step_idx;
-        row[0] = t;
-        row[1] = px;
-        row[2] = py;
-        row[3] = pz;
-        row[4] = vx;
-        row[5] = vy;
-        row[6] = vz;
-        row[7] = action;
-        row[8] = r;
+        if (traj) {
+            double *row = traj + 9 * (size_t)step_idx;
+            row[0] = t;
+            row[1] = px;
+            row[2] = py;
+            row[3] = pz;
+            row[4] = vx;
+            row[5] = vy;
+            row[6] = vz;
+            row[7] = action;
+            row[8] = r;
+        }
+        if (learn) {
+            ret += disc * r;
+            disc *= discount;
+        }
 
         px = npx;
         py = npy;
@@ -258,39 +358,96 @@ int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_step
 
         if (outside) {
             outcome = OUTCOME_EXITED;
-            break;
-        }
-        if (!deployed) {
-            const double dx = px - wlx, dy = py - wly, dz = pz - wlz;
-            if (sqrt(dx * dx + dy * dy + dz * dz) <= arrival_radius) {
-                outcome = OUTCOME_COMPLETED;
-                break;
-            }
-        }
-        if (deployed && pz == 0.0) {
+        } else if (!deployed && sqrt((px - wlx) * (px - wlx) + (py - wly) * (py - wly)
+                                     + (pz - wlz) * (pz - wlz)) <= arrival_radius) {
+            outcome = OUTCOME_COMPLETED;
+        } else if (deployed && pz == 0.0) {
             outcome = OUTCOME_GROUNDED;
-            break;
-        }
-        if (step_idx >= max_steps) {
+        } else if (step_idx >= max_steps) {
             outcome = OUTCOME_TIMEOUT;
-            break;
         }
     }
 
-    double *row = traj + 9 * (size_t)step_idx;
-    row[0] = t;
-    row[1] = px;
-    row[2] = py;
-    row[3] = pz;
-    row[4] = vx;
-    row[5] = vy;
-    row[6] = vz;
-    row[7] = deployed ? 1.0 : 0.0;
-    row[8] = 0.0;
+    if (traj) {
+        double *row = traj + 9 * (size_t)step_idx;
+        row[0] = t;
+        row[1] = px;
+        row[2] = py;
+        row[3] = pz;
+        row[4] = vx;
+        row[5] = vy;
+        row[6] = vz;
+        row[7] = deployed ? 1.0 : 0.0;
+        row[8] = 0.0;
+    }
 
     free(seg_d);
+    if (learn) {
+        memcpy(theta_out, th, sizeof th);
+        dout[0] = ret;
+        dout[1] = norm2_max;
+    }
     out[0] = step_idx;
     out[1] = outcome;
     out[2] = deploy_step;
+    out[3] = deploy_greedy;
     return 0;
+}
+
+/*
+ * Run one episode under a fixed policy, with the weights at P_THETA. `traj`
+ * holds (max_steps + 1) x 9 doubles; rows 0..out[0] are written. On return
+ * out = (steps, outcome, deploy_step, deploy_greedy), deploy_step -1 if never
+ * deployed. Returns 0; -1 for a zero-length path segment or -2 for a failed
+ * allocation, writing nothing then.
+ */
+int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_steps, double *traj,
+                 int *out)
+{
+    double theta[2 * N_FEATURES];
+    for (int i = 0; i < N_FEATURES; i++) {
+        theta[i] = p[P_THETA + 2 * i];
+        theta[N_FEATURES + i] = p[P_THETA + 2 * i + 1];
+    }
+    return episode(p, n_waypoints, policy_mode, max_steps, theta, 0, NULL, 1.0, 1.0, 0.0, 0.0,
+                   NULL, traj, out, NULL);
+}
+
+/*
+ * Run one online epsilon-greedy Q-learning episode under the weights policy,
+ * updating `theta` in place. Until the switch flips, each step draws
+ * next_double (only when epsilon > 0) and, on an exploring step,
+ * next_uint32 >> 31 from `bitgen`. On return out = (steps, outcome,
+ * deploy_step, deploy_greedy: -1 never deployed, 0 explored, 1 greedy) and
+ * dout = (discounted return, largest squared feature norm). Returns as
+ * rtsa_rollout.
+ */
+int rtsa_learn_episode(const double *p, int n_waypoints, int max_steps, double *theta,
+                       double exit_penalty, double discount, double learning_rate,
+                       double epsilon, bitgen_t *bitgen, int *out, double *dout)
+{
+    return episode(p, n_waypoints, 0, max_steps, theta, 1, theta, exit_penalty, discount,
+                   learning_rate, epsilon, bitgen, NULL, out, dout);
+}
+
+/*
+ * One warm-start pass: TD-update `theta` in place over recorded episodes,
+ * in order. Episode e owns rows ends[e-1]..ends[e]-1 (from 0 for e = 0) of
+ * `phi` (n x 9 features), `actions` and `rewards`; transition i goes from row
+ * i to row i + 1. Only an episode's last transition can be terminal, and is
+ * when terminal[e] is nonzero.
+ */
+void rtsa_replay(double *theta, const double *phi, const int64_t *actions,
+                 const double *rewards, const int64_t *ends, const int64_t *terminal,
+                 int64_t n_episodes, double learning_rate, double discount)
+{
+    int64_t start = 0;
+    for (int64_t e = 0; e < n_episodes; e++) {
+        const int64_t last = ends[e] - 2;
+        for (int64_t i = start; i <= last; i++)
+            td_update(theta, phi + N_FEATURES * i, (int)actions[i], rewards[i],
+                      phi + N_FEATURES * (i + 1), terminal[e] && i == last, learning_rate,
+                      discount);
+        start = ends[e];
+    }
 }

@@ -7,17 +7,22 @@ termination chain. Two entry points drive it:
 
 - ``rollout`` runs one episode under a fixed policy (never-deploy,
   distance-threshold, or greedy linear weights) and records its trajectory.
-  It is the reference for the evaluation kernel: its C twin,
-  ``_rollout.c``, performs the same arithmetic in the same order, and
-  ``rtsa.fastpath`` uses the C kernel when it builds and loads, this one
-  otherwise.
 - ``learn_episode`` runs one online epsilon-greedy Q-learning episode,
   applying ``td_update`` to the weights at every step.
 
-``replay_episode`` (warm-start TD passes) shares ``td_update``, the linear
-TD rule on weight columns held as float lists.
+``replay`` (one warm-start TD pass over recorded episodes) shares
+``td_update``, the linear TD rule on weight columns held as float lists.
 
-Scalar math only in the loop body, so a compiled twin can mirror it
+Each entry point has a C twin in ``_rollout.c`` (``rtsa_rollout``,
+``rtsa_learn_episode``, ``rtsa_replay``) that performs the same arithmetic
+in the same order and draws exploration from the same numpy bit generator,
+so the two backends give bit-identical trajectories, weights and generator
+states. ``rtsa.fastpath`` uses the C kernels when they build and load, these
+otherwise. ``learn_episode`` and ``replay`` take the weights as a
+contiguous (2, 9) float64 array of columns (continue, deploy), updated in
+place; here it is converted to float lists and back once per call.
+
+Scalar math only in the loop body, so the compiled twin can mirror it
 operation for operation.
 """
 
@@ -66,8 +71,10 @@ def rollout(
     ``wind_params`` is (base_x, base_y, amp_x, amp_y, freq_x, freq_y,
     phase_x, phase_y). The trajectory has one row per step plus a final
     state row: (t, px, py, pz, vx, vy, vz, action, reward). ``deploy_step``
-    is -1 if the recovery controller was never deployed.
+    is -1 if the recovery controller was never deployed. Raises ValueError
+    for a ``policy_mode`` other than the three POLICY_* codes.
     """
+    check_policy_mode(policy_mode)
     rows = []
     _, outcome, deploy_step, _, _, _ = _episode(
         env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed, lookahead,
@@ -78,14 +85,20 @@ def rollout(
     return np.array(rows, dtype=float), outcome, deploy_step
 
 
+def check_policy_mode(policy_mode):
+    if policy_mode not in (POLICY_NOMINAL, POLICY_BASELINE, POLICY_WEIGHTS):
+        raise ValueError(f"policy_mode must be one of 0, 1, 2 (nominal, baseline, weights), "
+                         f"got {policy_mode!r}")
+
+
 def learn_episode(theta, exit_penalty, discount, learning_rate, epsilon, rng, **episode):
     """Run one online epsilon-greedy Q-learning episode, updating ``theta`` in place.
 
-    ``theta`` is (continue column, deploy column), each a list of nine
-    floats, and gets one ``td_update`` per step. ``episode`` holds
-    ``rollout``'s scenario, wind, ``scales`` and ``alert_penalty`` keywords.
-    Until the switch flips, each step draws ``rng.random()`` (only when
-    epsilon > 0) and, on an exploring step, ``rng.integers(2)``: the draws
+    ``theta`` is the (2, 9) array of weight columns (continue, deploy) and
+    gets one ``td_update`` per step. ``episode`` holds ``rollout``'s
+    scenario, wind, ``scales`` and ``alert_penalty`` keywords. Until the
+    switch flips, each step draws ``rng.random()`` (only when epsilon > 0)
+    and, on an exploring step, ``rng.integers(2)``: the draws
     ``learning.epsilon_greedy`` makes.
 
     Returns (discounted return, outcome, deploy_step, deploy_greedy, steps,
@@ -93,9 +106,12 @@ def learn_episode(theta, exit_penalty, discount, learning_rate, epsilon, rng, **
     and ``deploy_greedy`` None if the switch never flipped; otherwise
     ``deploy_greedy`` says whether deploying was the greedy action.
     """
-    return _episode(policy_mode=POLICY_WEIGHTS, delta=0.0, theta=theta,
-                    exit_penalty=exit_penalty, discount=discount,
-                    learning_rate=learning_rate, epsilon=epsilon, rng=rng, **episode)
+    columns = theta.tolist()
+    result = _episode(policy_mode=POLICY_WEIGHTS, delta=0.0, theta=columns,
+                      exit_penalty=exit_penalty, discount=discount,
+                      learning_rate=learning_rate, epsilon=epsilon, rng=rng, **episode)
+    theta[...] = columns
+    return result
 
 
 def _episode(env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed, lookahead,
@@ -138,8 +154,7 @@ def _episode(env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_spee
     sc0, sc1, sc2, sc3, sc4, sc5, sc6, sc7 = (float(x) for x in scales)
     dt = float(dt)
     max_steps = int(max_steps)
-    # As in the C twin, any mode other than these two uses the weights.
-    weights_mode = policy_mode != POLICY_NOMINAL and policy_mode != POLICY_BASELINE
+    weights_mode = policy_mode == POLICY_WEIGHTS
     learn = learning_rate is not None
     explore = epsilon > 0.0
 
@@ -375,14 +390,27 @@ def td_update(t0, t1, phi, action, r, phi_next, terminal, learning_rate, discoun
     col[8] += k * f8
 
 
-def replay_episode(t0, t1, phi, actions, rewards, terminal, learning_rate, discount):
-    """TD-update the weight columns over one recorded episode, in order.
+def replay(theta, phi, actions, rewards, ends, terminal, learning_rate, discount):
+    """One warm-start pass: TD-update ``theta`` in place over recorded episodes, in order.
 
-    ``phi`` holds one feature list per trajectory row (one more than there
-    are actions); transition i goes from row i to row i + 1. Only the last
-    transition can be terminal, and is when ``terminal`` is true.
+    ``theta`` is the (2, 9) array of weight columns; the other arguments
+    but the rates are numpy arrays too. Episode e owns rows
+    ``ends[e-1]:ends[e]`` (from 0 for e = 0) of ``phi`` (features, n x 9),
+    ``actions`` and ``rewards``; transition i goes from row i to row i + 1.
+    Only an episode's last transition can be terminal, and is when
+    ``terminal[e]`` is true.
     """
-    last = len(actions) - 1
-    for i in range(last + 1):
-        td_update(t0, t1, phi[i], actions[i], rewards[i], phi[i + 1],
-                  terminal and i == last, learning_rate, discount)
+    t0, t1 = theta.tolist()
+    start = 0
+    for end, final in zip(ends.tolist(), terminal.tolist()):
+        # Converted to lists per episode, not all up front: float lists
+        # take several times the memory of the arrays.
+        rows = phi[start:end].tolist()
+        acts = actions[start:end].tolist()
+        rews = rewards[start:end].tolist()
+        last = end - start - 2
+        for i in range(last + 1):
+            td_update(t0, t1, rows[i], acts[i], rews[i], rows[i + 1],
+                      final and i == last, learning_rate, discount)
+        start = end
+    theta[...] = (t0, t1)

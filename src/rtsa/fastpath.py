@@ -1,12 +1,17 @@
-"""Backend selection for the episode rollout kernel, and the kernels' arguments.
+"""Backend selection for the episode kernels, and the kernels' arguments.
 
-At import, loads the C kernel ``_rollout.c`` through ctypes. The kernel is
+At import, loads the C kernels in ``_rollout.c`` through ctypes. They are
 compiled once per source and flags into ``__pycache__/_rollout-<sha12>.so``
 next to this file, so later imports only hash the source and load the
 library. When the build fails, or ``RTSA_PURE_PYTHON`` is set in the
-environment, ``rollout`` is the pure-Python twin instead and
-``FALLBACK_REASON`` says why. Both kernels implement identical arithmetic
-(see tests/test_fastpath.py).
+environment, ``rollout``, ``learn_episode`` and ``replay`` are the
+pure-Python twins in ``_rollout_py`` instead and ``FALLBACK_REASON`` says
+why. Both backends take the same arguments and give bit-identical results
+(see tests/test_fastpath.py). The learning kernels update a (2, 9) float64
+array of weight columns in place; the compiled learner draws its
+exploration from the numpy Generator's bit generator through numpy's
+``bitgen_t`` struct, so the Generator's state advances exactly as under the
+Python twin.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from ._rollout_py import (  # noqa: F401  (re-exported constants)
     POLICY_NOMINAL,
     POLICY_WEIGHTS,
 )
+from ._rollout_py import check_policy_mode
+from ._rollout_py import learn_episode as learn_episode_python
+from ._rollout_py import replay as replay_python
 from ._rollout_py import rollout as rollout_python
 from .policy import N_FEATURES
 from .sim import MAX_STEPS, Verdict
@@ -36,7 +44,14 @@ _SOURCE = Path(__file__).with_name("_rollout.c")
 # the Python twin; a contracted FMA would break bit-identity.
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _LDLIBS = ("-lm",)
-_Out = ctypes.c_int * 3  # (steps, outcome, deploy_step)
+_Out = ctypes.c_int * 4  # (steps, outcome, deploy_step, deploy_greedy)
+_LearnOut = ctypes.c_double * 2  # (discounted return, largest squared feature norm)
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
+_INT64S = ctypes.POINTER(ctypes.c_int64)
+_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_pointer.argtypes = (ctypes.py_object, ctypes.c_char_p)
+_capsule_pointer.restype = ctypes.c_void_p
+_NO_WEIGHTS = np.zeros((N_FEATURES, 2))
 
 
 def _library_path() -> Path:
@@ -79,22 +94,84 @@ def _compile(target: Path) -> None:
 
 
 def _load_kernel():
-    """The C entry point ``rtsa_rollout``, compiled first if no build is cached."""
+    """The C kernels' library, compiled first if no build is cached."""
     target = _library_path()
     if not target.exists():
         _compile(target)
-    fn = ctypes.CDLL(str(target)).rtsa_rollout
-    fn.argtypes = (ctypes.POINTER(ctypes.c_double), ctypes.c_int, ctypes.c_int, ctypes.c_int,
-                   ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int))
-    fn.restype = ctypes.c_int
-    return fn
+    lib = ctypes.CDLL(str(target))
+    c_int, c_double = ctypes.c_int, ctypes.c_double
+    lib.rtsa_rollout.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, ctypes.POINTER(c_int))
+    lib.rtsa_rollout.restype = c_int
+    lib.rtsa_learn_episode.argtypes = (_DOUBLES, c_int, c_int, _DOUBLES, c_double, c_double,
+                                       c_double, c_double, ctypes.c_void_p,
+                                       ctypes.POINTER(c_int), _DOUBLES)
+    lib.rtsa_learn_episode.restype = c_int
+    lib.rtsa_replay.argtypes = (_DOUBLES, _DOUBLES, _INT64S, _DOUBLES, _INT64S, _INT64S,
+                                ctypes.c_int64, c_double, c_double)
+    lib.rtsa_replay.restype = None
+    return lib
 
 
-def _checked(name, value, shape):
-    array = np.asarray(value, dtype=float)
+def _checked(name, value, shape, dtype=float):
+    array = np.ascontiguousarray(value, dtype=dtype)
     if array.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
     return array
+
+
+def _pointer(array, ctype=ctypes.c_double):
+    return ctypes.byref(ctype.from_buffer(array))
+
+
+def _packed(env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed, lookahead,
+            kp, kd, air_drag, drag_z, drag_xy, max_steps, wind_params, scales, alert_penalty,
+            delta=0.0, theta=_NO_WEIGHTS):
+    """The scenario as (packed parameter array, waypoint count, max_steps).
+
+    ``delta`` and ``theta`` are the rollout's fixed policy; the learner
+    passes its weights separately.
+
+    Checks every array's shape and ``max_steps`` before C sees them, and
+    raises ValueError instead of letting C read or write out of bounds.
+    """
+    wps = np.asarray(waypoints, dtype=float)
+    if wps.ndim != 2 or wps.shape[0] < 2 or wps.shape[1] != 3:
+        raise ValueError(f"waypoints must have shape (n >= 2, 3), got {wps.shape}")
+    steps = int(max_steps)
+    if not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"max_steps must lie in [1, {MAX_STEPS}], got {max_steps}")
+    # The packed parameter array; its layout is the P_* offsets in _rollout.c.
+    params = np.concatenate(
+        (
+            _checked("env_min", env_min, (3,)),
+            _checked("env_max", env_max, (3,)),
+            (arrival_radius, dt, a_max, cruise_speed, lookahead, kp, kd, air_drag, drag_z,
+             drag_xy, delta, alert_penalty),
+            _checked("wind_params", wind_params, (8,)),
+            _checked("scales", scales, (8,)),
+            _checked("theta", theta, (N_FEATURES, 2)).ravel(),
+            wps.ravel(),
+        ),
+        dtype=float,
+    )
+    return params, wps.shape[0], steps
+
+
+def _raise_for(status):
+    if status == -1:
+        raise ValueError("waypoints hold a zero-length segment")
+    if status != 0:
+        raise MemoryError("the episode kernel could not allocate its path segments")
+
+
+def _weights(theta):
+    """``theta`` itself, once it is known to be a writable contiguous (2, 9) float64 array."""
+    if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64
+            and theta.shape == (2, N_FEATURES) and theta.flags.c_contiguous
+            and theta.flags.writeable):
+        raise ValueError("theta must be a writable C-contiguous float64 array of shape "
+                         f"(2, {N_FEATURES}), updated in place")
+    return theta
 
 
 def rollout_compiled(
@@ -119,47 +196,61 @@ def rollout_compiled(
     scales,
     alert_penalty,
 ):
-    """``_rollout_py.rollout`` on the C kernel: same arguments, same result.
-
-    Checks every array's shape and ``max_steps`` before C sees them, and
-    raises ValueError instead of reading or writing out of bounds.
-    """
-    wps = np.asarray(waypoints, dtype=float)
-    if wps.ndim != 2 or wps.shape[0] < 2 or wps.shape[1] != 3:
-        raise ValueError(f"waypoints must have shape (n >= 2, 3), got {wps.shape}")
-    steps = int(max_steps)
-    if not 1 <= steps <= MAX_STEPS:
-        raise ValueError(f"max_steps must lie in [1, {MAX_STEPS}], got {max_steps}")
-    # The packed parameter array; its layout is the P_* offsets in _rollout.c.
-    params = np.concatenate(
-        (
-            _checked("env_min", env_min, (3,)),
-            _checked("env_max", env_max, (3,)),
-            (arrival_radius, dt, a_max, cruise_speed, lookahead, kp, kd, air_drag, drag_z,
-             drag_xy, delta, alert_penalty),
-            _checked("wind_params", wind_params, (8,)),
-            _checked("scales", scales, (8,)),
-            _checked("theta", theta, (N_FEATURES, 2)).ravel(),
-            wps.ravel(),
-        ),
-        dtype=float,
-    )
+    """``_rollout_py.rollout`` on the C kernel: same arguments, same result."""
+    check_policy_mode(policy_mode)
+    params, n_waypoints, steps = _packed(
+        env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed, lookahead, kp,
+        kd, air_drag, drag_z, drag_xy, max_steps, wind_params, scales, alert_penalty, delta,
+        theta)
     traj = np.empty((steps + 1, 9))
     out = _Out()
-    status = _kernel(
-        ctypes.byref(ctypes.c_double.from_buffer(params)),
-        wps.shape[0],
-        int(policy_mode),
-        steps,
-        ctypes.byref(ctypes.c_double.from_buffer(traj)),
-        out,
-    )
-    if status == -1:
-        raise ValueError("waypoints hold a zero-length segment")
-    if status != 0:
-        raise MemoryError("the rollout kernel could not allocate its path segments")
-    n, outcome, deploy_step = out
-    return traj[: n + 1].copy(), outcome, deploy_step
+    _raise_for(_lib.rtsa_rollout(_pointer(params), n_waypoints, int(policy_mode), steps,
+                                 _pointer(traj), out))
+    return traj[: out[0] + 1].copy(), out[1], out[2]
+
+
+def learn_episode_compiled(theta, exit_penalty, discount, learning_rate, epsilon, rng,
+                           **episode):
+    """``_rollout_py.learn_episode`` on the C kernel: same arguments, same result,
+    same updates to ``theta`` and the same draws from ``rng``."""
+    theta = _weights(theta)
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy Generator, got {type(rng).__name__}")
+    params, n_waypoints, steps = _packed(**episode)
+    out = _Out()
+    learn_out = _LearnOut()
+    bit_generator = rng.bit_generator
+    # The bitgen_t behind the Generator; the capsule is cheaper to reach than
+    # bit_generator.ctypes, which builds its ctypes view on first use.
+    bitgen = _capsule_pointer(bit_generator.capsule, b"BitGenerator")
+    with bit_generator.lock:
+        status = _lib.rtsa_learn_episode(
+            _pointer(params), n_waypoints, steps, _pointer(theta), exit_penalty, discount,
+            learning_rate, epsilon, bitgen, out, learn_out)
+    _raise_for(status)
+    n, outcome, deploy_step, deploy_greedy = out
+    return (learn_out[0], outcome, deploy_step, None if deploy_greedy < 0 else bool(deploy_greedy),
+            n, learn_out[1])
+
+
+def replay_compiled(theta, phi, actions, rewards, ends, terminal, learning_rate, discount):
+    """``_rollout_py.replay`` on the C kernel: same arguments, same updates to ``theta``."""
+    theta = _weights(theta)
+    phi = np.ascontiguousarray(phi, dtype=float)
+    if phi.ndim != 2 or phi.shape[1] != N_FEATURES:
+        raise ValueError(f"phi must have shape (n, {N_FEATURES}), got {phi.shape}")
+    n = phi.shape[0]
+    actions = _checked("actions", actions, (n,), np.int64)
+    rewards = _checked("rewards", rewards, (n,))
+    ends = np.ascontiguousarray(ends, dtype=np.int64)
+    if ends.ndim != 1:
+        raise ValueError(f"ends must be 1-D, got shape {ends.shape}")
+    terminal = _checked("terminal", terminal, ends.shape, np.int64)
+    if ends.size and (ends[0] < 0 or ends[-1] != n or np.any(np.diff(ends) < 0)):
+        raise ValueError(f"ends must be non-decreasing episode ends, the last one {n}")
+    _lib.rtsa_replay(_pointer(theta), _pointer(phi), _pointer(actions, ctypes.c_int64),
+                     _pointer(rewards), _pointer(ends, ctypes.c_int64),
+                     _pointer(terminal, ctypes.c_int64), ends.size, learning_rate, discount)
 
 
 FALLBACK_REASON = None
@@ -167,15 +258,15 @@ if os.environ.get("RTSA_PURE_PYTHON"):
     FALLBACK_REASON = "RTSA_PURE_PYTHON is set"
 else:
     try:
-        _kernel = _load_kernel()
+        _lib = _load_kernel()
     except OSError as exc:
         FALLBACK_REASON = str(exc)
 if FALLBACK_REASON is None:
-    rollout = rollout_compiled
+    rollout, learn_episode, replay = rollout_compiled, learn_episode_compiled, replay_compiled
     BACKEND = "c"
 else:
-    rollout_compiled = None
-    rollout = rollout_python
+    rollout_compiled = learn_episode_compiled = replay_compiled = None
+    rollout, learn_episode, replay = rollout_python, learn_episode_python, replay_python
     BACKEND = "python"
 
 #: Verdict name of each kernel outcome code.

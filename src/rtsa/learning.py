@@ -3,16 +3,18 @@
 One weight column per action, epsilon-greedy exploration with a persistent
 floor, and a batch warm start replaying distance-threshold episodes before
 any online learning. ``train`` runs each episode through
-``_rollout_py.learn_episode``, the episode loop that ``rollout`` also
-drives, so a policy trains on exactly the dynamics it is evaluated on.
-``warm_start`` replays recorded episodes through ``replay_episode``, which
-shares the loop's ``td_update``. ``linear_q_update`` and ``epsilon_greedy``
-are the array-level statements of that update and of the exploration draws.
+``fastpath.learn_episode``, the episode loop that ``rollout`` also drives,
+so a policy trains on exactly the dynamics it is evaluated on. Each
+warm-start pass is one ``fastpath.replay`` call over all recorded episodes,
+sharing the loop's TD update. Both run on the C kernels (``rtsa_learn_episode``,
+``rtsa_replay``) when they load, on their pure-Python twins otherwise, with
+bit-identical weights; the compiled learner draws its exploration from the
+same numpy Generator. ``linear_q_update`` and ``epsilon_greedy`` are the
+array-level statements of that update and of the exploration draws.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -20,11 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fastpath
-from ._rollout_py import learn_episode, replay_episode
-from .policy import Action, RewardConfig, greedy_action
+from .policy import N_FEATURES, Action, RewardConfig, greedy_action
 from .sim import Verdict, finite_fields, sample_wind_field
 
-# Not called here: the learning loops run in _rollout_py. These stay module
+# Not called here: the learning loops run in the episode kernels. These stay module
 # attributes because rtsabench/tracer.py wraps the per-step layers by name.
 from .policy import compose_controller, extract_features, reward  # noqa: F401
 from .sim import episode_terminated, step, wind_at  # noqa: F401
@@ -102,68 +103,76 @@ def epsilon_greedy(theta: np.ndarray, phi: np.ndarray, epsilon: float,
     return greedy_action(theta, phi)
 
 
-def _columns(theta: np.ndarray):
-    """The weight matrix as (continue column, deploy column) float lists."""
-    theta = np.asarray(theta, dtype=float)
-    return theta[:, 0].tolist(), theta[:, 1].tolist()
+def _checked_config(cfg: LearnConfig) -> None:
+    problems = cfg.validate()
+    if problems:
+        raise ValueError("invalid learning configuration: " + "; ".join(problems))
 
 
-def _matrix(t0, t1) -> np.ndarray:
-    return np.column_stack((t0, t1))
+def _columns(theta: np.ndarray) -> np.ndarray:
+    """The (9, 2) weight matrix as the kernels' contiguous (2, 9) array of columns."""
+    return np.array(np.asarray(theta, dtype=float).T, order="C")
 
 
-def _check_finite(t0, t1, where: str) -> None:
-    if not all(map(math.isfinite, t0 + t1)):
+def _check_finite(columns: np.ndarray, where: str) -> None:
+    if not np.isfinite(columns).all():
         raise RuntimeError(
             f"weights became non-finite in {where}; lower the learning rate"
         )
 
 
-def _replay_arrays(record, scenario):
-    """A recorded episode as (feature rows, actions, rewards, terminal).
+def _replay_batch(episodes, scenario):
+    """Recorded episodes as one replay batch: (features, actions, rewards, ends, terminal).
 
-    Row i of the features is the state of trajectory row i, with the wind
+    Episode e owns rows ``ends[e-1]:ends[e]``, one per trajectory row. Row i
+    of the features is the state of trajectory row i, with the wind
     re-derived from the record's seed so it matches what a policy would have
     observed live, and the deployment indicator set once an earlier row
     deployed.
     """
-    traj = np.asarray(record.trajectory)
-    wind = sample_wind_field(np.random.default_rng(record.seed), scenario.sim)
     env = scenario.envelope
     scales = np.asarray(scenario.feature_scales, dtype=float)
-    pos = traj[:, 1:4]
-    gusts = np.sin(wind.gust_frequencies[:2] * traj[:, 0:1] + wind.gust_phases[:2])
-    actions = traj[:-1, 7]
-    phi = np.column_stack(
-        (
-            np.minimum(pos - env.min_corner, env.max_corner - pos) / scales[0:3],
-            traj[:, 4:7] / scales[3:6],
-            (wind.base[:2] + wind.gust_amplitude[:2] * gusts) / scales[6:8],
-            np.concatenate(([0.0], np.maximum.accumulate(actions))),
-        )
-    )
-    return phi, actions.astype(int), traj[:-1, 8], record.outcome != Verdict.TIMEOUT
+    ends = np.cumsum([len(record.trajectory) for record in episodes])
+    phi = np.empty((ends[-1], N_FEATURES))
+    actions = np.empty(ends[-1], dtype=np.int64)
+    rewards = np.empty(ends[-1])
+    start = 0
+    for record, end in zip(episodes, ends):
+        traj = np.asarray(record.trajectory)
+        wind = sample_wind_field(np.random.default_rng(record.seed), scenario.sim)
+        pos = traj[:, 1:4]
+        gusts = np.sin(wind.gust_frequencies[:2] * traj[:, 0:1] + wind.gust_phases[:2])
+        rows = phi[start:end]
+        rows[:, 0:3] = np.minimum(pos - env.min_corner, env.max_corner - pos) / scales[0:3]
+        rows[:, 3:6] = traj[:, 4:7] / scales[3:6]
+        rows[:, 6:8] = (wind.base[:2] + wind.gust_amplitude[:2] * gusts) / scales[6:8]
+        rows[0, 8] = 0.0
+        rows[1:, 8] = np.maximum.accumulate(traj[:-1, 7])
+        actions[start:end] = traj[:, 7]
+        rewards[start:end] = traj[:, 8]
+        start = end
+    terminal = np.array([record.outcome != Verdict.TIMEOUT for record in episodes],
+                        dtype=np.int64)
+    return phi, actions, rewards, ends, terminal
 
 
 def warm_start(episodes, theta0: np.ndarray, cfg: LearnConfig, scenario,
                rc: RewardConfig) -> np.ndarray:
     """Batch-fit the weights by replaying recorded episodes through the TD update.
 
-    Raises RuntimeError as soon as a pass leaves the weights non-finite.
+    Raises ValueError for an invalid ``cfg`` and RuntimeError as soon as a
+    pass leaves the weights non-finite.
     """
+    _checked_config(cfg)
     episodes = list(episodes)
     if not episodes:
         raise ValueError("warm start needs a non-empty episode batch")
-    t0, t1 = _columns(theta0)
-    replays = [_replay_arrays(record, scenario) for record in episodes]
+    theta = _columns(theta0)
+    batch = _replay_batch(episodes, scenario)
     for n in range(cfg.warm_start_passes):
-        for phi, actions, rewards, terminal in replays:
-            # Converted to lists per episode, not all up front: float lists
-            # take several times the memory of the arrays.
-            replay_episode(t0, t1, phi.tolist(), actions.tolist(), rewards.tolist(),
-                           terminal, cfg.learning_rate, rc.discount)
-        _check_finite(t0, t1, f"warm-start pass {n}")
-    return _matrix(t0, t1)
+        fastpath.replay(theta, *batch, cfg.learning_rate, rc.discount)
+        _check_finite(theta, f"warm-start pass {n}")
+    return theta.T.copy()
 
 
 @dataclass
@@ -202,10 +211,12 @@ def train(scenario, rc: RewardConfig, cfg: LearnConfig, theta0: np.ndarray,
     at ``cfg.seed``); exploration and update randomness comes from a separate
     stream, so the same wind seeds can be reused for evaluation comparisons
     elsewhere without touching exploration. Returns (theta, TrainingLog).
-    Raises RuntimeError as soon as an episode leaves the weights non-finite.
+    Raises ValueError for an invalid ``cfg`` and RuntimeError as soon as an
+    episode leaves the weights non-finite.
     """
+    _checked_config(cfg)
     kernel_args = fastpath.scenario_args(scenario)
-    t0, t1 = _columns(theta0)
+    theta = _columns(theta0)
     log = TrainingLog()
     if wind_seeds is None:
         wind_seeds = [cfg.seed + i for i in range(max(cfg.episodes, 1))]
@@ -214,13 +225,11 @@ def train(scenario, rc: RewardConfig, cfg: LearnConfig, theta0: np.ndarray,
     epsilon = cfg.epsilon0
     lr_warned = False
     for ep in range(cfg.episodes):
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
         wind = sample_wind_field(np.random.default_rng(wind_seeds[ep % len(wind_seeds)]),
                                  scenario.sim)
-        ret, outcome, deploy_step, deploy_greedy, steps, norm2_max = learn_episode(
+        ret, outcome, deploy_step, deploy_greedy, steps, norm2_max = fastpath.learn_episode(
+            theta,
             wind_params=fastpath.wind_params(wind),
-            theta=(t0, t1),
             scales=scenario.feature_scales,
             alert_penalty=rc.alert_penalty,
             exit_penalty=rc.exit_penalty,
@@ -237,8 +246,8 @@ def train(scenario, rc: RewardConfig, cfg: LearnConfig, theta0: np.ndarray,
                 stacklevel=2,
             )
             lr_warned = True
-        _check_finite(t0, t1, f"training episode {ep}")
+        _check_finite(theta, f"training episode {ep}")
         log.append(ep, ret, fastpath.VERDICTS[outcome],
                    None if deploy_step < 0 else deploy_step, epsilon, steps, deploy_greedy)
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
-    return _matrix(t0, t1), log
+    return theta.T.copy(), log

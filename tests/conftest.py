@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,12 @@ def calibrated_scenario():
         resources.files("rtsa.data").joinpath("demo_scenario.json")
     ) as path:
         return load_scenario(path)
+
+
+@pytest.fixture(scope="session")
+def short_scenario(calibrated_scenario):
+    """The calibrated demo cut off after 150 steps, so nominal flight times out."""
+    return replace(calibrated_scenario, sim=replace(calibrated_scenario.sim, max_steps=150))
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
 """Object-level reference implementations of warm start and online training.
 
 These are the step-by-step loops over ``VehicleState``/``ControlInput``
-objects that ``rtsa.learning`` ran before its loops moved onto the scalar
-kernel in ``rtsa._rollout_py``. The parity tests in test_learning.py compare
-the kernel loops against them.
+objects that ``rtsa.learning`` ran before its loops moved onto the episode
+kernels (``rtsa._rollout_py`` and its C twin, picked by ``rtsa.fastpath``).
+The parity tests in test_learning.py compare the kernel loops against them.
 """
 
 from __future__ import annotations

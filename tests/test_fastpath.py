@@ -8,14 +8,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtsa import fastpath
+from rtsa import _rollout_py, fastpath
 from rtsa._rollout_py import rollout as rollout_python
-from rtsa.evaluation import PolicySpec, run_episode, _kernel_scenario_args
+from rtsa.evaluation import PolicySpec, run_batch, run_episode, _kernel_scenario_args
 from rtsa.geometry import build_path
+from rtsa.learning import _replay_batch
 from rtsa.policy import Action, N_FEATURES, compose_controller, random_weights, rtsa_action
-from rtsa.sim import MAX_STEPS, VehicleState, episode_terminated, sample_wind_field, step, wind_at
+from rtsa.sim import (
+    MAX_STEPS,
+    VehicleState,
+    Verdict,
+    episode_terminated,
+    sample_wind_field,
+    step,
+    wind_at,
+)
 
 rollout_compiled = fastpath.rollout_compiled
+learn_episode_compiled = fastpath.learn_episode_compiled
+replay_compiled = fastpath.replay_compiled
 
 needs_compiled = pytest.mark.skipif(
     rollout_compiled is None, reason=f"C kernel not loaded: {fastpath.FALLBACK_REASON}"
@@ -97,6 +108,94 @@ class TestBackendParity:
         assert np.array_equal(np.asarray(t_py), np.asarray(t_cy))
 
 
+def learn_call(backend, scenario, theta, seed, epsilon):
+    """One learning episode on ``backend``; returns its result and the exploration
+    generator's state after it."""
+    field = sample_wind_field(np.random.default_rng(seed), scenario.sim)
+    rng = np.random.default_rng([3, seed])
+    result = backend(theta, scenario.reward.exit_penalty, scenario.reward.discount, 3e-3,
+                     epsilon, rng, wind_params=fastpath.wind_params(field),
+                     scales=scenario.feature_scales,
+                     alert_penalty=scenario.reward.alert_penalty,
+                     **fastpath.scenario_args(scenario))
+    return result, rng.bit_generator.state
+
+
+@needs_compiled
+class TestLearningParity:
+    @pytest.mark.parametrize(
+        "which,epsilon,verdicts,greedy",
+        [
+            ("calibrated", 0.0, {Verdict.COMPLETED, Verdict.EXITED, Verdict.GROUNDED},
+             {None, True}),
+            ("calibrated", 0.02, {Verdict.EXITED, Verdict.GROUNDED}, {None, True, False}),
+            ("calibrated", 1.0, {Verdict.GROUNDED}, {False}),
+            ("short", 0.0, {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED}, {None, True}),
+            ("short", 0.02, {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED},
+             {None, True, False}),
+            ("short", 1.0, {Verdict.GROUNDED}, {False}),
+        ],
+    )
+    def test_learn_episode_bit_identical(self, calibrated_scenario, short_scenario, which,
+                                         epsilon, verdicts, greedy):
+        # Eight episodes in a row, each backend carrying its own weights forward.
+        scenario = calibrated_scenario if which == "calibrated" else short_scenario
+        theta_c, theta_py = np.zeros((2, N_FEATURES)), np.zeros((2, N_FEATURES))
+        seen_verdicts, seen_greedy = set(), set()
+        for seed in range(8):
+            c, c_state = learn_call(learn_episode_compiled, scenario, theta_c, seed, epsilon)
+            py, py_state = learn_call(_rollout_py.learn_episode, scenario, theta_py, seed,
+                                      epsilon)
+            # (return, outcome, deploy step, deploy_greedy, steps, largest squared norm)
+            assert c == py
+            assert c_state == py_state
+            assert theta_c.tobytes() == theta_py.tobytes()
+            seen_verdicts.add(fastpath.VERDICTS[c[1]])
+            seen_greedy.add(c[3])
+        assert seen_verdicts == verdicts
+        assert seen_greedy == greedy
+        assert np.any(theta_c != 0.0)
+
+    @pytest.mark.parametrize("which", ["calibrated", "short"])
+    def test_replay_bit_identical(self, calibrated_scenario, short_scenario, which):
+        scenario = calibrated_scenario if which == "calibrated" else short_scenario
+        records = run_batch(PolicySpec.baseline(8.0), scenario, range(6))
+        batch = _replay_batch(records, scenario)
+        theta0 = np.random.default_rng(17).normal(scale=1e-3, size=(2, N_FEATURES))
+        theta_c, theta_py = theta0.copy(), theta0.copy()
+        for _ in range(2):
+            replay_compiled(theta_c, *batch, 3e-3, scenario.reward.discount)
+            _rollout_py.replay(theta_py, *batch, 3e-3, scenario.reward.discount)
+            assert theta_c.tobytes() == theta_py.tobytes()
+        assert not np.array_equal(theta_c, theta0)
+
+    def test_train_policy_same_weights_on_both_backends(self):
+        # The whole training path (demos, warm start, online episodes) in a
+        # pure-Python process and in this one.
+        code = (
+            "from importlib import resources\n"
+            "from rtsa import fastpath\n"
+            "from rtsa.evaluation import train_policy\n"
+            "from rtsa.learning import LearnConfig\n"
+            "from rtsa.scenario import load_scenario\n"
+            "with resources.as_file(resources.files('rtsa.data')"
+            ".joinpath('demo_scenario.json')) as path:\n"
+            "    scenario = load_scenario(path)\n"
+            "theta, log = train_policy(scenario, 0.05, LearnConfig(episodes=8, epsilon0=0.5,"
+            " seed=2), range(12), warmstart_episodes=4)\n"
+            "print(fastpath.BACKEND, theta.tobytes().hex(), len(log))\n"
+        )
+        src = str(Path(fastpath.__file__).resolve().parents[1])
+        runs = {}
+        for pure in ("", "1"):
+            env = {**os.environ, "RTSA_PURE_PYTHON": pure, "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True, timeout=300).stdout.split()
+            runs[out[0]] = out[1:]
+        assert runs.keys() == {"c", "python"}
+        assert runs["c"] == runs["python"]
+
+
 class TestBuild:
     @needs_compiled
     def test_cache_hit_never_calls_the_compiler(self, monkeypatch):
@@ -145,6 +244,9 @@ class TestCompiledArgumentChecks:
             ("max_steps", 0),
             ("max_steps", MAX_STEPS + 1),
             ("max_steps", 2**40),
+            ("policy_mode", 3),
+            ("policy_mode", 7),
+            ("policy_mode", -1),
         ],
     )
     def test_bad_argument_raises_value_error(self, calibrated_scenario, key, value):
@@ -160,6 +262,33 @@ class TestCompiledArgumentChecks:
         kwargs[key] = value
         with pytest.raises(ValueError):
             rollout_compiled(**kwargs)
+
+
+    @pytest.mark.parametrize(
+        "theta",
+        [np.zeros((N_FEATURES, 2)), np.zeros((2, N_FEATURES), dtype=np.float32),
+         np.zeros((N_FEATURES, 2)).T, np.zeros((2, N_FEATURES)).tolist()],
+        ids=["shape", "dtype", "strided", "list"],
+    )
+    def test_learning_weights_must_be_updatable_in_place(self, calibrated_scenario, theta):
+        with pytest.raises(ValueError, match="theta"):
+            learn_call(learn_episode_compiled, calibrated_scenario, theta, 0, 0.0)
+        with pytest.raises(ValueError, match="theta"):
+            replay_compiled(theta, np.zeros((2, N_FEATURES)), [0, 0], [0.0, 0.0], [2], [1],
+                            3e-3, 0.99)
+
+    @pytest.mark.parametrize("ends", [[1], [3], [2, 1, 2], [-1, 2], [[2]]])
+    def test_replay_ends_must_cover_the_rows(self, ends):
+        phi = np.zeros((2, N_FEATURES))
+        with pytest.raises(ValueError, match="ends"):
+            replay_compiled(np.zeros((2, N_FEATURES)), phi, [0, 0], [0.0, 0.0], ends,
+                            np.ones(np.shape(ends), dtype=int), 3e-3, 0.99)
+
+
+@pytest.mark.parametrize("mode", [3, 7, -1])
+def test_python_kernel_rejects_unknown_policy_mode(calibrated_scenario, mode):
+    with pytest.raises(ValueError, match="policy_mode"):
+        kernel_call(rollout_python, calibrated_scenario, 0, mode)
 
 
 class TestKernelMatchesPythonComposition:

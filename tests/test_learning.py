@@ -13,7 +13,7 @@ from toy_mdp import (
     tabular_q_update,
     value_iteration,
 )
-from rtsa import fastpath
+from rtsa import _rollout_py, fastpath
 from rtsa._rollout_py import learn_episode, rollout
 from rtsa.learning import (
     LearnConfig,
@@ -29,6 +29,20 @@ from rtsa.sim import Verdict, sample_wind_field
 
 THETA_RTOL = 1e-9
 THETA_ATOL = 1e-12
+
+
+@pytest.fixture(params=["c", "python"])
+def learning_backend(request, monkeypatch):
+    """Route train and warm_start through one backend's learning kernels."""
+    if request.param == "c":
+        if fastpath.learn_episode_compiled is None:
+            pytest.skip(f"C kernel not loaded: {fastpath.FALLBACK_REASON}")
+        kernels = fastpath.learn_episode_compiled, fastpath.replay_compiled
+    else:
+        kernels = _rollout_py.learn_episode, _rollout_py.replay
+    monkeypatch.setattr(fastpath, "learn_episode", kernels[0])
+    monkeypatch.setattr(fastpath, "replay", kernels[1])
+    return request.param
 
 
 class TestToyMDP:
@@ -254,6 +268,35 @@ class TestLearnConfig:
         cfg = LearnConfig(learning_rate=float("nan"), epsilon_floor=2.0, episodes=-1)
         assert len(cfg.validate()) == 3
 
+    @pytest.mark.parametrize(
+        "cfg,field",
+        [
+            (LearnConfig(learning_rate=-1.0, episodes=2), "learning_rate"),
+            (LearnConfig(epsilon0=1.5, episodes=2), "epsilon0"),
+            (LearnConfig(epsilon_decay=0.0, episodes=2), "epsilon_decay"),
+        ],
+    )
+    def test_train_refuses_an_invalid_config(self, calibrated_scenario, learning_backend,
+                                             cfg, field):
+        # learning_rate=-1 used to return weights of about -1e27 without a word.
+        with pytest.raises(ValueError, match=field):
+            train(calibrated_scenario, calibrated_scenario.reward, cfg,
+                  np.zeros((N_FEATURES, 2)), wind_seeds=range(2))
+
+    @pytest.mark.parametrize(
+        "cfg,field",
+        [
+            (LearnConfig(learning_rate=-1.0), "learning_rate"),
+            (LearnConfig(warm_start_passes=-3), "warm_start_passes"),
+        ],
+    )
+    def test_warm_start_refuses_an_invalid_config(self, calibrated_scenario,
+                                                  learning_backend, cfg, field):
+        records = run_batch(PolicySpec.baseline(8.0), calibrated_scenario, [0, 1])
+        with pytest.raises(ValueError, match=field):
+            warm_start(records, np.zeros((N_FEATURES, 2)), cfg, calibrated_scenario,
+                       calibrated_scenario.reward)
+
 
 class TestTrain:
     def test_zero_episodes_identity(self, calibrated_scenario):
@@ -294,12 +337,6 @@ class TestTrain:
         for e in log.episodes:
             # Discounted sum of values from {0, -alpha, -1}: bounded below.
             assert -2.0 < e["return"] <= 0.0
-
-
-@pytest.fixture(scope="module")
-def short_scenario(calibrated_scenario):
-    """The calibrated demo cut off after 150 steps, so nominal flight times out."""
-    return replace(calibrated_scenario, sim=replace(calibrated_scenario.sim, max_steps=150))
 
 
 def _log_key(rows):
@@ -370,17 +407,17 @@ class TestOracleParity:
                     **fastpath.scenario_args(scenario))
         traj, outcome, deploy_step = rollout(policy_mode=fastpath.POLICY_WEIGHTS, delta=0.0,
                                              theta=theta, **args)
-        columns = (theta[:, 0].tolist(), theta[:, 1].tolist())
+        columns = np.array(theta.T, order="C")
         ret, l_outcome, l_deploy, deploy_greedy, steps, _ = learn_episode(
             theta=columns, exit_penalty=1.0, discount=scenario.reward.discount,
             learning_rate=0.0, epsilon=0.0, rng=np.random.default_rng(0), **args)
         assert (l_outcome, l_deploy, steps) == (outcome, deploy_step, len(traj) - 1)
         assert deploy_greedy is (None if deploy_step < 0 else True)
-        assert np.array_equal(np.column_stack(columns), theta)
+        assert np.array_equal(columns.T, theta)
 
 
 class TestDivergence:
-    def test_train_raises_on_non_finite_weights(self, calibrated_scenario):
+    def test_train_raises_on_non_finite_weights(self, calibrated_scenario, learning_backend):
         cfg = LearnConfig(episodes=5, learning_rate=1e6, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -388,13 +425,15 @@ class TestDivergence:
                 train(calibrated_scenario, calibrated_scenario.reward, cfg,
                       np.zeros((N_FEATURES, 2)), wind_seeds=range(5))
 
-    def test_train_still_warns_about_the_learning_rate(self, calibrated_scenario):
+    def test_train_still_warns_about_the_learning_rate(self, calibrated_scenario,
+                                                       learning_backend):
         cfg = LearnConfig(episodes=1, learning_rate=0.5, seed=0)
         with pytest.warns(UserWarning, match="learning_rate"):
             train(calibrated_scenario, calibrated_scenario.reward, cfg,
                   np.zeros((N_FEATURES, 2)), wind_seeds=range(1))
 
-    def test_warm_start_raises_on_non_finite_weights(self, calibrated_scenario):
+    def test_warm_start_raises_on_non_finite_weights(self, calibrated_scenario,
+                                                     learning_backend):
         records = run_batch(PolicySpec.baseline(8.0), calibrated_scenario, [0, 1])
         cfg = LearnConfig(learning_rate=1e6)
         with pytest.raises(RuntimeError, match=r"warm-start pass \d+"):
