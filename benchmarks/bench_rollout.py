@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Compare the compiled and pure-Python episode kernels.
+"""Compare the compiled and pure-Python episode kernels, and the batch and per-episode paths.
 
 Runs the same seeded episode batch through both backends' rollout, online
 training episode and warm-start replay pass, checks the trajectories,
 training results and weights are bit-identical, and reports per-episode,
 per-training-step and per-replay-transition timing and the speedups.
+
+Then, on the loaded backend and for each policy mode, times one
+``fastpath.batch`` call over the seeds against a loop of ``fastpath.rollout``
+calls, in episodes per second, and checks both give the same outcomes and
+deploy steps. Writes no file.
 
 Usage: python benchmarks/bench_rollout.py [--episodes N] [--policy SPEC]
 """
@@ -17,11 +22,11 @@ import numpy as np
 
 from rtsa import _rollout_py, fastpath
 from rtsa._rollout_py import rollout as rollout_python
-from rtsa.evaluation import PolicySpec, run_batch
+from rtsa.evaluation import PolicySpec, run_episode
 from rtsa.learning import _replay_batch
 from rtsa.policy import N_FEATURES, Action, random_weights
 from rtsa.scenario import default_scenario
-from rtsa.sim import sample_wind_field
+from rtsa.sim import sample_wind_field, wind_draws, wind_rows
 
 TRAIN_EPSILON = 0.1
 LEARNING_RATE = 3e-3
@@ -91,6 +96,30 @@ def bench_replay(replay, batch, discount, repeats):
     return best, theta
 
 
+def bench_batch(scenario, policy, seeds, repeats):
+    """Best episodes/s of one ``fastpath.batch`` call and of a ``fastpath.rollout`` loop.
+
+    Both include their wind: the batch draws its table once per call, the
+    loop samples each seed's field, as ``run_batch`` and ``run_episode`` do.
+    Returns (batch episodes/s, loop episodes/s, batch summaries, loop results).
+    """
+    theta = policy.theta if policy.theta is not None else np.zeros((N_FEATURES, len(Action)))
+    fixed = dict(policy_mode=policy._mode(), delta=policy.delta, theta=theta,
+                 scales=scenario.feature_scales, alert_penalty=scenario.reward.alert_penalty,
+                 **fastpath.scenario_args(scenario))
+    best_batch = best_loop = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        summaries = fastpath.batch(wind=wind_rows(wind_draws(seeds), scenario.sim), **fixed)
+        best_batch = min(best_batch, time.perf_counter() - start)
+        start = time.perf_counter()
+        results = [fastpath.rollout(wind_params=fastpath.wind_params(
+            sample_wind_field(np.random.default_rng(seed), scenario.sim)), **fixed)
+            for seed in seeds]
+        best_loop = min(best_loop, time.perf_counter() - start)
+    return len(seeds) / best_batch, len(seeds) / best_loop, summaries, results
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--episodes", type=int, default=50)
@@ -120,7 +149,8 @@ def main():
     lt_py, theta_py, lres_py, states_py = bench_training(_rollout_py.learn_episode, all_learn,
                                                          args.repeats)
     train_steps = sum(result[4] for result in lres_py)
-    batch = _replay_batch(run_batch(PolicySpec.baseline(8.0), scenario, seeds), scenario)
+    demos = [run_episode(PolicySpec.baseline(8.0), scenario, seed) for seed in seeds]
+    batch = _replay_batch(demos, scenario)
     transitions = len(batch[0]) - len(batch[3])
     rt_py, rtheta_py = bench_replay(_rollout_py.replay, batch, scenario.reward.discount,
                                     args.repeats)
@@ -128,6 +158,17 @@ def main():
           f"  ({train_steps} steps, epsilon {TRAIN_EPSILON})")
     print(f"replay      : python   {rt_py / transitions * 1e6:8.3f} us/transition"
           f"  ({transitions} transitions)")
+
+    print(f"batch       : {fastpath.BACKEND} backend, {args.episodes} episodes per call")
+    for policy in (PolicySpec.nominal(), PolicySpec.baseline(8.0),
+                   PolicySpec.weights(random_weights(np.random.default_rng(1)))):
+        batch_rate, loop_rate, summaries, results = bench_batch(scenario, policy, seeds,
+                                                                args.repeats)
+        assert [(o, d) for _, o, d, _ in summaries.tolist()] == \
+            [(o, d) for _, o, d in results], "batch and rollout disagree"
+        print(f"  {policy.policy_id:<11}: batch {batch_rate:9.0f} episodes/s"
+              f"  rollout loop {loop_rate:9.0f} episodes/s  ({batch_rate / loop_rate:4.1f}x)")
+    print("batch outcomes and deploy steps equal the rollout loop's")
 
     if fastpath.rollout_compiled is None:
         print(f"compiled    : C kernel not loaded ({fastpath.FALLBACK_REASON})")

@@ -7,14 +7,17 @@
  * -ffp-contract=off: a fused multiply-add rounds once where the Python twin
  * rounds twice.
  *
- * Three entry points, all behind one episode loop (`episode`) and one TD
+ * Four entry points, all behind one episode loop (`episode`) and one TD
  * rule (`td_update`):
  *   rtsa_rollout        one episode under a fixed policy, with its trajectory;
+ *   rtsa_batch          n episodes under a fixed policy, one wind row each,
+ *                       with per-episode summaries and no trajectories;
  *   rtsa_learn_episode  one epsilon-greedy Q-learning episode, updating the
  *                       weights in place at every step;
  *   rtsa_replay         one warm-start TD pass over recorded episodes.
  * `episode` is always inlined with constant flags, so the rollout carries no
- * learning branches and the learner writes no trajectory.
+ * learning branches, and neither the batch nor the learner writes a
+ * trajectory.
  *
  * Exploration draws come from numpy's bit generator through its documented
  * C struct `bitgen_t` (declared below; no numpy header is needed):
@@ -69,7 +72,7 @@ enum {
     P_DRAG_XY,
     P_DELTA,
     P_ALERT_PENALTY,
-    P_WIND = 18,     /* base x/y, amplitude x/y, frequency x/y, phase x/y */
+    P_WIND = 18,     /* rtsa_rollout's wind: base, amplitude, frequency, phase, each x/y */
     P_SCALES = 26,   /* 8 feature scales */
     P_THETA = 34,    /* rtsa_rollout's weights, 9 x 2, row-major: theta[i][action] */
     P_WAYPOINTS = 52 /* n_waypoints x 3, row-major */
@@ -112,18 +115,19 @@ static inline void td_update(double *th, const double *phi, int action, double r
 }
 
 /*
- * The episode loop behind rtsa_rollout (learn = 0) and rtsa_learn_episode
- * (learn = 1). `theta` is read into a local copy; when learning, the
+ * The episode loop behind rtsa_rollout and rtsa_batch (learn = 0) and
+ * rtsa_learn_episode (learn = 1), in the wind of the 8 values at `wind`
+ * (P_WIND order). `theta` is read into a local copy; when learning, the
  * updated copy is written back to `theta_out`. Rows 0..out[0] of `traj`,
  * if not NULL, get (t, px, py, pz, vx, vy, vz, action, reward). On return
  * out = (steps, outcome, deploy_step, deploy_greedy) and, when learning,
  * dout = (discounted return, largest squared feature norm).
  */
 static inline __attribute__((always_inline)) int
-episode(const double *p, int n_waypoints, int policy_mode, int max_steps, const double *theta,
-        const int learn, double *theta_out, double exit_penalty, double discount,
-        double learning_rate, double epsilon, bitgen_t *bitgen, double *traj, int *out,
-        double *dout)
+episode(const double *p, int n_waypoints, int policy_mode, int max_steps, const double *wind,
+        const double *theta, const int learn, double *theta_out, double exit_penalty,
+        double discount, double learning_rate, double epsilon, bitgen_t *bitgen, double *traj,
+        int *out, double *dout)
 {
     const double *env_min = p + P_ENV_MIN, *env_max = p + P_ENV_MAX;
     const double exn0 = env_min[0], exn1 = env_min[1], exn2 = env_min[2];
@@ -133,8 +137,8 @@ episode(const double *p, int n_waypoints, int policy_mode, int max_steps, const 
     const double kp = p[P_KP], kd = p[P_KD], air_drag = p[P_AIR_DRAG];
     const double drag_z = p[P_DRAG_Z], drag_xy = p[P_DRAG_XY];
     const double delta = p[P_DELTA], alert_penalty = p[P_ALERT_PENALTY];
-    const double bw0 = p[P_WIND], bw1 = p[P_WIND + 1], ga0 = p[P_WIND + 2], ga1 = p[P_WIND + 3];
-    const double gf0 = p[P_WIND + 4], gf1 = p[P_WIND + 5], gp0 = p[P_WIND + 6], gp1 = p[P_WIND + 7];
+    const double bw0 = wind[0], bw1 = wind[1], ga0 = wind[2], ga1 = wind[3];
+    const double gf0 = wind[4], gf1 = wind[5], gp0 = wind[6], gp1 = wind[7];
     const double *sc = p + P_SCALES, *wps = p + P_WAYPOINTS;
     const int weights_mode =
         learn || (policy_mode != POLICY_NOMINAL && policy_mode != POLICY_BASELINE);
@@ -394,23 +398,51 @@ episode(const double *p, int n_waypoints, int policy_mode, int max_steps, const 
     return 0;
 }
 
+/* rtsa_rollout's weights at P_THETA (row-major 9 x 2) as the loop's two columns. */
+static inline void theta_columns(const double *p, double *theta)
+{
+    for (int i = 0; i < N_FEATURES; i++) {
+        theta[i] = p[P_THETA + 2 * i];
+        theta[N_FEATURES + i] = p[P_THETA + 2 * i + 1];
+    }
+}
+
 /*
- * Run one episode under a fixed policy, with the weights at P_THETA. `traj`
- * holds (max_steps + 1) x 9 doubles; rows 0..out[0] are written. On return
- * out = (steps, outcome, deploy_step, deploy_greedy), deploy_step -1 if never
- * deployed. Returns 0; -1 for a zero-length path segment or -2 for a failed
- * allocation, writing nothing then.
+ * Run one episode under a fixed policy, with the weights at P_THETA and the
+ * wind at P_WIND. `traj` holds (max_steps + 1) x 9 doubles; rows 0..out[0]
+ * are written. On return out = (steps, outcome, deploy_step, deploy_greedy),
+ * deploy_step -1 if never deployed. Returns 0; -1 for a zero-length path
+ * segment or -2 for a failed allocation, writing nothing then.
  */
 int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_steps, double *traj,
                  int *out)
 {
     double theta[2 * N_FEATURES];
-    for (int i = 0; i < N_FEATURES; i++) {
-        theta[i] = p[P_THETA + 2 * i];
-        theta[N_FEATURES + i] = p[P_THETA + 2 * i + 1];
+    theta_columns(p, theta);
+    return episode(p, n_waypoints, policy_mode, max_steps, p + P_WIND, theta, 0, NULL, 1.0, 1.0,
+                   0.0, 0.0, NULL, traj, out, NULL);
+}
+
+/*
+ * Run n episodes under a fixed policy, as rtsa_rollout would one by one:
+ * episode i flies in the wind of row i of `wind` (n x 8, P_WIND order) and
+ * writes its (steps, outcome, deploy_step, deploy_greedy) to row i of `out`
+ * (n x 4). P_WIND is not read. Returns as rtsa_rollout, stopping at the
+ * first episode that fails.
+ */
+int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
+               const double *wind, int n, int *out)
+{
+    double theta[2 * N_FEATURES];
+    theta_columns(p, theta);
+    for (int i = 0; i < n; i++) {
+        const int status = episode(p, n_waypoints, policy_mode, max_steps, wind + 8 * (size_t)i,
+                                   theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL, NULL,
+                                   out + 4 * (size_t)i, NULL);
+        if (status)
+            return status;
     }
-    return episode(p, n_waypoints, policy_mode, max_steps, theta, 0, NULL, 1.0, 1.0, 0.0, 0.0,
-                   NULL, traj, out, NULL);
+    return 0;
 }
 
 /*
@@ -426,8 +458,8 @@ int rtsa_learn_episode(const double *p, int n_waypoints, int max_steps, double *
                        double exit_penalty, double discount, double learning_rate,
                        double epsilon, bitgen_t *bitgen, int *out, double *dout)
 {
-    return episode(p, n_waypoints, 0, max_steps, theta, 1, theta, exit_penalty, discount,
-                   learning_rate, epsilon, bitgen, NULL, out, dout);
+    return episode(p, n_waypoints, 0, max_steps, p + P_WIND, theta, 1, theta, exit_penalty,
+                   discount, learning_rate, epsilon, bitgen, NULL, out, dout);
 }
 
 /*

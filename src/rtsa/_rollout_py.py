@@ -3,10 +3,12 @@
 ``_episode`` is the one scalar episode loop: wind, the one-way meta
 decision, pure pursuit with a PD command or the parachute, the
 semi-implicit Euler step with its ground clamp, the reward and the
-termination chain. Two entry points drive it:
+termination chain. Three entry points drive it:
 
 - ``rollout`` runs one episode under a fixed policy (never-deploy,
   distance-threshold, or greedy linear weights) and records its trajectory.
+- ``batch`` runs one such episode per wind row and keeps only each
+  episode's summary (steps, outcome, deploy step, deploy_greedy).
 - ``learn_episode`` runs one online epsilon-greedy Q-learning episode,
   applying ``td_update`` to the weights at every step.
 
@@ -14,13 +16,14 @@ termination chain. Two entry points drive it:
 ``td_update``, the linear TD rule on weight columns held as float lists.
 
 Each entry point has a C twin in ``_rollout.c`` (``rtsa_rollout``,
-``rtsa_learn_episode``, ``rtsa_replay``) that performs the same arithmetic
-in the same order and draws exploration from the same numpy bit generator,
-so the two backends give bit-identical trajectories, weights and generator
-states. ``rtsa.fastpath`` uses the C kernels when they build and load, these
-otherwise. ``learn_episode`` and ``replay`` take the weights as a
-contiguous (2, 9) float64 array of columns (continue, deploy), updated in
-place; here it is converted to float lists and back once per call.
+``rtsa_batch``, ``rtsa_learn_episode``, ``rtsa_replay``) that performs the
+same arithmetic in the same order and draws exploration from the same numpy
+bit generator, so the two backends give bit-identical trajectories,
+summaries, weights and generator states. ``rtsa.fastpath`` uses the C
+kernels when they build and load, these otherwise. ``learn_episode`` and
+``replay`` take the weights as a contiguous (2, 9) float64 array of columns
+(continue, deploy), updated in place; here it is converted to float lists
+and back once per call.
 
 Scalar math only in the loop body, so the compiled twin can mirror it
 operation for operation.
@@ -83,6 +86,50 @@ def rollout(
         traj=rows,
     )
     return np.array(rows, dtype=float), outcome, deploy_step
+
+
+def batch(
+    env_min,
+    env_max,
+    waypoints,
+    arrival_radius,
+    dt,
+    a_max,
+    cruise_speed,
+    lookahead,
+    kp,
+    kd,
+    air_drag,
+    drag_z,
+    drag_xy,
+    max_steps,
+    wind,
+    policy_mode,
+    delta,
+    theta,
+    scales,
+    alert_penalty,
+):
+    """Run one ``rollout`` episode per row of ``wind``; returns their summaries.
+
+    ``wind`` is (n, 8), one ``wind_params`` row per episode. Returns an
+    (n, 4) ``intc`` array of (steps, outcome, deploy_step, deploy_greedy)
+    rows: ``deploy_step`` is -1 if the recovery controller was never
+    deployed, and ``deploy_greedy`` is then -1 too, and otherwise 1 (a
+    fixed policy's deployment is always its own choice). No trajectory is
+    kept. Raises ValueError as ``rollout`` does.
+    """
+    check_policy_mode(policy_mode)
+    columns = np.asarray(theta, dtype=float).T.tolist()
+    rows = []
+    for wind_params in np.asarray(wind, dtype=float).tolist():
+        _, outcome, deploy_step, deploy_greedy, steps, _ = _episode(
+            env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed, lookahead,
+            kp, kd, air_drag, drag_z, drag_xy, max_steps, wind_params, scales, alert_penalty,
+            policy_mode=policy_mode, delta=delta, theta=columns,
+        )
+        rows.append((steps, outcome, deploy_step, -1 if deploy_greedy is None else deploy_greedy))
+    return np.array(rows, dtype=np.intc).reshape(-1, 4)
 
 
 def check_policy_mode(policy_mode):

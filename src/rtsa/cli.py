@@ -166,8 +166,9 @@ def cmd_warmstart(args) -> int:
     scenario = _load(args.scenario)
     cfg = _learn_config(seed=args.seed, warm_start_passes=args.passes,
                         learning_rate=args.learning_rate)
-    seeds = list(range(args.seed, args.seed + args.episodes))
-    records = run_batch(PolicySpec.baseline(args.delta), scenario, seeds)
+    policy = PolicySpec.baseline(args.delta)
+    records = [run_episode(policy, scenario, seed)
+               for seed in range(args.seed, args.seed + args.episodes)]
     theta0 = np.zeros((N_FEATURES, len(Action)))
     theta = warm_start(records, theta0, cfg, scenario, scenario.reward)
     save_weights(theta, args.out)

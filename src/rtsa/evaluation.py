@@ -2,8 +2,20 @@
 
 Every batch is driven by an explicit seed list and the wind field of episode
 i depends only on seeds[i], so any two policies evaluated on the same list
-face identical wind realizations. Episode rollouts go through the fastpath
-kernel (compiled when available).
+face identical wind realizations. Episodes run on the fastpath kernels
+(compiled when available) along one of two paths:
+
+- the trajectory path: ``run_episode`` runs one episode through
+  ``fastpath.rollout`` and keeps its trajectory, for ``rtsa run --trace``
+  and for the demos that warm start replays;
+- the summary path: ``run_batch``, ``sweep_baseline``, ``exit_rate`` and
+  ``calibrate_wind`` run all of a policy's seeds in one ``fastpath.batch``
+  call and keep only each episode's outcome and deploy step, which is all a
+  confusion matrix reads. Their wind comes from one table of unit draws per
+  seed list (``sim.wind_draws``), drawn once and rescaled to each policy's
+  or calibration step's wind (``sim.wind_rows``).
+
+Both paths give the same outcomes and deploy steps for the same seeds.
 """
 
 from __future__ import annotations
@@ -15,9 +27,9 @@ import numpy as np
 
 from . import fastpath
 from .geometry import Envelope
-from .learning import LearnConfig, train, warm_start
+from .learning import LearnConfig, recorded_trajectory, train, warm_start
 from .policy import N_FEATURES, Action
-from .sim import Verdict, sample_wind_field
+from .sim import Verdict, sample_wind_field, wind_draws, wind_rows
 from .scenario import Scenario
 
 __all__ = [
@@ -80,12 +92,13 @@ class EpisodeRecord:
     """One seeded episode: trajectory rows are (t, px, py, pz, vx, vy, vz, action, reward).
 
     The last row is the final state (its action column repeats the latch, its
-    reward is 0); all earlier rows are transitions.
+    reward is 0); all earlier rows are transitions. ``trajectory`` is None
+    for the summary records of ``run_batch``.
     """
 
     seed: int
     policy_id: str
-    trajectory: np.ndarray
+    trajectory: Optional[np.ndarray]
     outcome: str
     deploy_step: Optional[int]
 
@@ -95,7 +108,7 @@ class EpisodeRecord:
 
     @property
     def episode_return(self) -> float:
-        return float(self.trajectory[:-1, 8].sum())
+        return float(recorded_trajectory(self)[:-1, 8].sum())
 
 
 @dataclass(frozen=True)
@@ -138,22 +151,23 @@ class CalibrationResult:
 _kernel_scenario_args = fastpath.scenario_args
 
 
-def run_episode(policy: PolicySpec, scenario: Scenario, seed: int,
-                alert_penalty: Optional[float] = None) -> EpisodeRecord:
-    """Run one seeded episode under the given policy."""
-    field = sample_wind_field(np.random.default_rng(seed), scenario.sim)
+def _kernel_args(policy: PolicySpec, scenario: Scenario,
+                 alert_penalty: Optional[float]) -> dict:
+    """The episode kernels' keyword arguments for ``policy``, all but the wind."""
     theta = policy.theta if policy.theta is not None else np.zeros((N_FEATURES, len(Action)))
     if alert_penalty is None:
         alert_penalty = scenario.reward.alert_penalty
+    return dict(policy_mode=policy._mode(), delta=policy.delta, theta=theta,
+                scales=scenario.feature_scales, alert_penalty=alert_penalty,
+                **fastpath.scenario_args(scenario))
+
+
+def run_episode(policy: PolicySpec, scenario: Scenario, seed: int,
+                alert_penalty: Optional[float] = None) -> EpisodeRecord:
+    """Run one seeded episode under the given policy, keeping its trajectory."""
+    field = sample_wind_field(np.random.default_rng(seed), scenario.sim)
     traj, outcome, deploy_step = fastpath.rollout(
-        wind_params=fastpath.wind_params(field),
-        policy_mode=policy._mode(),
-        delta=policy.delta,
-        theta=theta,
-        scales=scenario.feature_scales,
-        alert_penalty=alert_penalty,
-        **fastpath.scenario_args(scenario),
-    )
+        wind_params=fastpath.wind_params(field), **_kernel_args(policy, scenario, alert_penalty))
     return EpisodeRecord(
         seed=seed,
         policy_id=policy.policy_id,
@@ -163,21 +177,43 @@ def run_episode(policy: PolicySpec, scenario: Scenario, seed: int,
     )
 
 
-def run_batch(policy: PolicySpec, scenario: Scenario, seeds,
-              alert_penalty: Optional[float] = None):
-    """One EpisodeRecord per seed, in seed order."""
+def _seed_list(seeds) -> list:
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seed list must be non-empty")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    return [run_episode(policy, scenario, seed, alert_penalty) for seed in seeds]
+    return seeds
+
+
+def _summary_records(policy: PolicySpec, scenario: Scenario, seeds: list, wind: np.ndarray,
+                     alert_penalty: Optional[float] = None) -> list:
+    """One summary EpisodeRecord per seed, from one ``fastpath.batch`` call on its wind rows."""
+    summaries = fastpath.batch(wind=wind, **_kernel_args(policy, scenario, alert_penalty))
+    return [
+        EpisodeRecord(seed=seed, policy_id=policy.policy_id, trajectory=None,
+                      outcome=fastpath.VERDICTS[outcome],
+                      deploy_step=None if deploy_step < 0 else deploy_step)
+        for seed, (_, outcome, deploy_step, _) in zip(seeds, summaries.tolist())
+    ]
+
+
+def run_batch(policy: PolicySpec, scenario: Scenario, seeds,
+              alert_penalty: Optional[float] = None):
+    """One summary EpisodeRecord per seed, in seed order, from one kernel call.
+
+    The records carry no trajectory (``trajectory`` is None); their outcome
+    and deploy step equal ``run_episode``'s for the same seed.
+    """
+    seeds = _seed_list(seeds)
+    wind = wind_rows(wind_draws(seeds), scenario.sim)
+    return _summary_records(policy, scenario, seeds, wind, alert_penalty)
 
 
 def _ever_exited(record: EpisodeRecord, env: Optional[Envelope]) -> bool:
     if record.outcome == Verdict.EXITED:
         return True
-    if env is None:
+    if env is None or record.trajectory is None:
         return False
     pos = record.trajectory[:, 1:4]
     below = np.any(pos < env.min_corner, axis=1)
@@ -188,8 +224,11 @@ def _ever_exited(record: EpisodeRecord, env: Optional[Envelope]) -> bool:
 def confusion(records, env: Optional[Envelope] = None) -> ConfusionMatrix:
     """Aggregate episode outcomes into the four-quadrant matrix.
 
-    With an envelope given, exited-ness is judged over the whole trajectory
-    rather than trusting the terminal outcome label.
+    With an envelope given, a record that carries a trajectory is judged
+    exited over its whole trajectory rather than by its terminal outcome
+    label. A summary record is judged by its outcome: the kernels end an
+    episode at its first state outside the envelope, with the outcome
+    EXITED, so the two judgements agree on every kernel episode.
     """
     counts = {"sn": 0, "un": 0, "sd": 0, "ud": 0}
     for record in records:
@@ -225,9 +264,11 @@ def sweep_baseline(scenario: Scenario, deltas, seeds):
     deltas = list(deltas)
     if deltas != sorted(deltas):
         raise ValueError("deltas must be sorted ascending")
+    seeds = _seed_list(seeds)
+    wind = wind_rows(wind_draws(seeds), scenario.sim)
     points = []
     for delta in deltas:
-        records = run_batch(PolicySpec.baseline(delta), scenario, seeds)
+        records = _summary_records(PolicySpec.baseline(delta), scenario, seeds, wind)
         cm = confusion(records, scenario.envelope)
         points.append(soc_point(cm, delta, policy_family="baseline"))
     return points
@@ -243,10 +284,9 @@ def train_policy(scenario: Scenario, alert_penalty: float, learn_cfg: LearnConfi
     """Warm start from baseline episodes, then train online; returns (theta, log)."""
     seeds_train = list(seeds_train)
     rc = replace(scenario.reward, alert_penalty=alert_penalty)
-    warm_seeds = seeds_train[:warmstart_episodes]
-    warm_records = run_batch(
-        PolicySpec.baseline(warmstart_delta), scenario, warm_seeds, alert_penalty=alert_penalty
-    )
+    warm_policy = PolicySpec.baseline(warmstart_delta)
+    warm_records = [run_episode(warm_policy, scenario, seed, alert_penalty)
+                    for seed in _seed_list(seeds_train[:warmstart_episodes])]
     theta0 = np.zeros((N_FEATURES, len(Action)))
     theta = warm_start(warm_records, theta0, learn_cfg, scenario, rc)
     return train(scenario, rc, learn_cfg, theta, wind_seeds=seeds_train)
@@ -281,24 +321,30 @@ def sweep_learned(scenario: Scenario, alert_penalties, learn_cfg: LearnConfig,
 
 def exit_rate(scenario: Scenario, seeds) -> float:
     """Envelope-exit frequency of the nominal controller alone."""
-    records = run_batch(PolicySpec.nominal(), scenario, seeds)
-    return sum(r.outcome == Verdict.EXITED for r in records) / len(records)
+    return _exit_rate(scenario, wind_draws(_seed_list(seeds)))
+
+
+def _exit_rate(scenario: Scenario, draws: np.ndarray) -> float:
+    summaries = fastpath.batch(wind=wind_rows(draws, scenario.sim),
+                               **_kernel_args(PolicySpec.nominal(), scenario, None))
+    return int(np.count_nonzero(summaries[:, 1] == fastpath.OUTCOME_EXITED)) / len(summaries)
 
 
 def calibrate_wind(scenario: Scenario, target_exit_rate: float, seeds,
                    tol: float = 0.02, max_steps: int = 40) -> CalibrationResult:
     """Bisect the base-wind standard deviation to hit a nominal-only exit rate.
 
-    Gust strength is scaled proportionally to the base wind throughout.
+    Gust strength is scaled proportionally to the base wind throughout. The
+    seeds' wind draws are made once and rescaled at every evaluated sigma.
     """
     if not 0.0 < target_exit_rate < 1.0:
         raise ValueError("target exit rate must lie in (0, 1)")
-    seeds = list(seeds)
+    draws = wind_draws(_seed_list(seeds))
     sim = scenario.sim
     gust_ratio = sim.gust_sigma / sim.wind_sigma if sim.wind_sigma > 0 else 0.25
 
     def rate(sigma: float) -> float:
-        return exit_rate(scenario.with_wind(sigma, gust_ratio * sigma), seeds)
+        return _exit_rate(scenario.with_wind(sigma, gust_ratio * sigma), draws)
 
     iterations = 0
     lo, hi = 0.0, max(sim.wind_sigma, 1.0)

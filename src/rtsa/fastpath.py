@@ -4,11 +4,13 @@ At import, loads the C kernels in ``_rollout.c`` through ctypes. They are
 compiled once per source and flags into ``__pycache__/_rollout-<sha12>.so``
 next to this file, so later imports only hash the source and load the
 library. When the build fails, or ``RTSA_PURE_PYTHON`` is set in the
-environment, ``rollout``, ``learn_episode`` and ``replay`` are the
-pure-Python twins in ``_rollout_py`` instead and ``FALLBACK_REASON`` says
-why. Both backends take the same arguments and give bit-identical results
-(see tests/test_fastpath.py). The learning kernels update a (2, 9) float64
-array of weight columns in place; the compiled learner draws its
+environment, ``rollout``, ``batch``, ``learn_episode`` and ``replay`` are
+the pure-Python twins in ``_rollout_py`` instead and ``FALLBACK_REASON``
+says why. Both backends take the same arguments and give bit-identical
+results (see tests/test_fastpath.py). ``rollout`` returns one episode's
+trajectory; ``batch`` runs one episode per row of an (n, 8) wind array and
+returns only their (n, 4) summaries. The learning kernels update a (2, 9)
+float64 array of weight columns in place; the compiled learner draws its
 exploration from the numpy Generator's bit generator through numpy's
 ``bitgen_t`` struct, so the Generator's state advances exactly as under the
 Python twin.
@@ -32,6 +34,7 @@ from ._rollout_py import (  # noqa: F401  (re-exported constants)
     POLICY_NOMINAL,
     POLICY_WEIGHTS,
 )
+from ._rollout_py import batch as batch_python
 from ._rollout_py import check_policy_mode
 from ._rollout_py import learn_episode as learn_episode_python
 from ._rollout_py import replay as replay_python
@@ -52,6 +55,7 @@ _capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
 _capsule_pointer.argtypes = (ctypes.py_object, ctypes.c_char_p)
 _capsule_pointer.restype = ctypes.c_void_p
 _NO_WEIGHTS = np.zeros((N_FEATURES, 2))
+_NO_WIND = np.zeros(8)  # the packed wind slot, which rtsa_batch does not read
 
 
 def _library_path() -> Path:
@@ -102,6 +106,9 @@ def _load_kernel():
     c_int, c_double = ctypes.c_int, ctypes.c_double
     lib.rtsa_rollout.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, ctypes.POINTER(c_int))
     lib.rtsa_rollout.restype = c_int
+    lib.rtsa_batch.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, c_int,
+                               ctypes.POINTER(c_int))
+    lib.rtsa_batch.restype = c_int
     lib.rtsa_learn_episode.argtypes = (_DOUBLES, c_int, c_int, _DOUBLES, c_double, c_double,
                                        c_double, c_double, ctypes.c_void_p,
                                        ctypes.POINTER(c_int), _DOUBLES)
@@ -209,6 +216,43 @@ def rollout_compiled(
     return traj[: out[0] + 1].copy(), out[1], out[2]
 
 
+def batch_compiled(
+    env_min,
+    env_max,
+    waypoints,
+    arrival_radius,
+    dt,
+    a_max,
+    cruise_speed,
+    lookahead,
+    kp,
+    kd,
+    air_drag,
+    drag_z,
+    drag_xy,
+    max_steps,
+    wind,
+    policy_mode,
+    delta,
+    theta,
+    scales,
+    alert_penalty,
+):
+    """``_rollout_py.batch`` on the C kernel: same arguments, same result."""
+    check_policy_mode(policy_mode)
+    # A copy: ctypes can point into it even when the caller's array is read-only.
+    wind = np.array(wind, dtype=np.float64, order="C")
+    if wind.ndim != 2 or wind.shape[0] < 1 or wind.shape[1] != 8:
+        raise ValueError(f"wind must have shape (n >= 1, 8), got {wind.shape}")
+    params, n_waypoints, steps = _packed(
+        env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed, lookahead, kp,
+        kd, air_drag, drag_z, drag_xy, max_steps, _NO_WIND, scales, alert_penalty, delta, theta)
+    out = np.empty((wind.shape[0], 4), dtype=np.intc)
+    _raise_for(_lib.rtsa_batch(_pointer(params), n_waypoints, int(policy_mode), steps,
+                               _pointer(wind), wind.shape[0], _pointer(out, ctypes.c_int)))
+    return out
+
+
 def learn_episode_compiled(theta, exit_penalty, discount, learning_rate, epsilon, rng,
                            **episode):
     """``_rollout_py.learn_episode`` on the C kernel: same arguments, same result,
@@ -262,11 +306,13 @@ else:
     except OSError as exc:
         FALLBACK_REASON = str(exc)
 if FALLBACK_REASON is None:
-    rollout, learn_episode, replay = rollout_compiled, learn_episode_compiled, replay_compiled
+    rollout, batch = rollout_compiled, batch_compiled
+    learn_episode, replay = learn_episode_compiled, replay_compiled
     BACKEND = "c"
 else:
-    rollout_compiled = learn_episode_compiled = replay_compiled = None
-    rollout, learn_episode, replay = rollout_python, learn_episode_python, replay_python
+    rollout_compiled = batch_compiled = learn_episode_compiled = replay_compiled = None
+    rollout, batch = rollout_python, batch_python
+    learn_episode, replay = learn_episode_python, replay_python
     BACKEND = "python"
 
 #: Verdict name of each kernel outcome code.

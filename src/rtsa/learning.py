@@ -23,12 +23,12 @@ import numpy as np
 
 from . import fastpath
 from .policy import N_FEATURES, Action, RewardConfig, greedy_action
-from .sim import Verdict, finite_fields, sample_wind_field
+from .sim import Verdict, finite_fields, wind_draws, wind_rows
 
-# Not called here: the learning loops run in the episode kernels. These stay module
-# attributes because rtsabench/tracer.py wraps the per-step layers by name.
+# Not called here: the learning loops run in the episode kernels, in wind from the
+# wind table. These stay module attributes because rtsabench/tracer.py wraps them by name.
 from .policy import compose_controller, extract_features, reward  # noqa: F401
-from .sim import episode_terminated, step, wind_at  # noqa: F401
+from .sim import episode_terminated, sample_wind_field, step, wind_at  # noqa: F401
 
 __all__ = [
     "Transition",
@@ -121,6 +121,14 @@ def _check_finite(columns: np.ndarray, where: str) -> None:
         )
 
 
+def recorded_trajectory(record) -> np.ndarray:
+    """An episode record's trajectory; ValueError for a summary record, which has none."""
+    if record.trajectory is None:
+        raise ValueError(f"the episode of seed {record.seed} has no trajectory: "
+                         "record it with run_episode, not run_batch")
+    return np.asarray(record.trajectory)
+
+
 def _replay_batch(episodes, scenario):
     """Recorded episodes as one replay batch: (features, actions, rewards, ends, terminal).
 
@@ -132,20 +140,21 @@ def _replay_batch(episodes, scenario):
     """
     env = scenario.envelope
     scales = np.asarray(scenario.feature_scales, dtype=float)
-    ends = np.cumsum([len(record.trajectory) for record in episodes])
+    trajectories = [recorded_trajectory(record) for record in episodes]
+    ends = np.cumsum([len(traj) for traj in trajectories])
+    # (base x/y, amplitude x/y, frequency x/y, phase x/y) per episode.
+    winds = wind_rows(wind_draws([record.seed for record in episodes]), scenario.sim)
     phi = np.empty((ends[-1], N_FEATURES))
     actions = np.empty(ends[-1], dtype=np.int64)
     rewards = np.empty(ends[-1])
     start = 0
-    for record, end in zip(episodes, ends):
-        traj = np.asarray(record.trajectory)
-        wind = sample_wind_field(np.random.default_rng(record.seed), scenario.sim)
+    for traj, wind, end in zip(trajectories, winds, ends):
         pos = traj[:, 1:4]
-        gusts = np.sin(wind.gust_frequencies[:2] * traj[:, 0:1] + wind.gust_phases[:2])
+        gusts = np.sin(wind[4:6] * traj[:, 0:1] + wind[6:8])
         rows = phi[start:end]
         rows[:, 0:3] = np.minimum(pos - env.min_corner, env.max_corner - pos) / scales[0:3]
         rows[:, 3:6] = traj[:, 4:7] / scales[3:6]
-        rows[:, 6:8] = (wind.base[:2] + wind.gust_amplitude[:2] * gusts) / scales[6:8]
+        rows[:, 6:8] = (wind[0:2] + wind[2:4] * gusts) / scales[6:8]
         rows[0, 8] = 0.0
         rows[1:, 8] = np.maximum.accumulate(traj[:-1, 7])
         actions[start:end] = traj[:, 7]
@@ -160,8 +169,9 @@ def warm_start(episodes, theta0: np.ndarray, cfg: LearnConfig, scenario,
                rc: RewardConfig) -> np.ndarray:
     """Batch-fit the weights by replaying recorded episodes through the TD update.
 
-    Raises ValueError for an invalid ``cfg`` and RuntimeError as soon as a
-    pass leaves the weights non-finite.
+    The episodes must carry trajectories (``run_episode`` records). Raises
+    ValueError for an invalid ``cfg`` or an episode without a trajectory,
+    and RuntimeError as soon as a pass leaves the weights non-finite.
     """
     _checked_config(cfg)
     episodes = list(episodes)
@@ -221,15 +231,15 @@ def train(scenario, rc: RewardConfig, cfg: LearnConfig, theta0: np.ndarray,
     if wind_seeds is None:
         wind_seeds = [cfg.seed + i for i in range(max(cfg.episodes, 1))]
     wind_seeds = list(wind_seeds)
+    # Episode ep flies seed ep % len(wind_seeds); the first cfg.episodes seeds cover them all.
+    winds = wind_rows(wind_draws(wind_seeds[:cfg.episodes]), scenario.sim)
 
     epsilon = cfg.epsilon0
     lr_warned = False
     for ep in range(cfg.episodes):
-        wind = sample_wind_field(np.random.default_rng(wind_seeds[ep % len(wind_seeds)]),
-                                 scenario.sim)
         ret, outcome, deploy_step, deploy_greedy, steps, norm2_max = fastpath.learn_episode(
             theta,
-            wind_params=fastpath.wind_params(wind),
+            wind_params=winds[ep % len(wind_seeds)],
             scales=scenario.feature_scales,
             alert_penalty=rc.alert_penalty,
             exit_penalty=rc.exit_penalty,

@@ -24,6 +24,8 @@ __all__ = [
     "SimConfig",
     "Verdict",
     "sample_wind_field",
+    "wind_draws",
+    "wind_rows",
     "wind_at",
     "nominal_control",
     "recovery_control",
@@ -163,17 +165,48 @@ def sample_wind_field(rng: np.random.Generator, cfg: SimConfig) -> WindField:
     ~ U(0, 2 * gust_sigma), frequency ~ U(0.05, 0.5) rad/s and phase
     ~ U(0, 2 pi). The same seed always yields the same field.
     """
-    base = np.array([cfg.wind_mean_x + cfg.wind_sigma * rng.standard_normal(),
-                     cfg.wind_mean_y + cfg.wind_sigma * rng.standard_normal(),
-                     0.0])
-    amp = np.zeros(3)
-    freq = np.zeros(3)
-    phase = np.zeros(3)
-    for axis in range(2):
-        amp[axis] = rng.uniform(0.0, 2.0 * cfg.gust_sigma)
-        freq[axis] = rng.uniform(_GUST_FREQ_LO, _GUST_FREQ_HI)
-        phase[axis] = rng.uniform(0.0, 2.0 * math.pi)
-    return WindField(base=base, gust_amplitude=amp, gust_frequencies=freq, gust_phases=phase)
+    bx, by, ax, ay, fx, fy, px, py = wind_rows(_unit_draws(rng)[np.newaxis], cfg)[0]
+    return WindField(base=[bx, by, 0.0], gust_amplitude=[ax, ay, 0.0],
+                     gust_frequencies=[fx, fy, 0.0], gust_phases=[px, py, 0.0])
+
+
+def _unit_draws(rng: np.random.Generator) -> np.ndarray:
+    """The eight unit draws behind one wind field: two standard normals (base x,
+    y), then per axis the uniforms on [0, 1) for amplitude, frequency, phase."""
+    return np.concatenate((rng.standard_normal(2), rng.random(6)))
+
+
+def wind_draws(seeds) -> np.ndarray:
+    """The unit draws of each seed's wind field, one (n, 8) row per seed.
+
+    Row i is what ``sample_wind_field(np.random.default_rng(seeds[i]), cfg)``
+    draws, for any ``cfg``: ``wind_rows`` scales the table to a config's wind.
+    """
+    seeds = list(seeds)
+    draws = np.empty((len(seeds), 8))
+    for i, seed in enumerate(seeds):
+        draws[i] = _unit_draws(np.random.default_rng(seed))
+    return draws
+
+
+# Kernel wind order (base x/y, amplitude x/y, frequency x/y, phase x/y) by
+# draw column: base x, base y, then amplitude, frequency, phase for x, then y.
+_KERNEL_ORDER = [0, 1, 2, 5, 3, 6, 4, 7]
+
+
+def wind_rows(draws: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """Unit draws (``wind_draws``) scaled into the kernels' (n, 8) wind rows.
+
+    Columns follow ``fastpath.wind_params``. Each normal z becomes
+    mean + sigma * z and each uniform u becomes lo + (hi - lo) * u, the
+    arithmetic numpy's ``Generator.uniform`` performs, so a row equals the
+    field ``sample_wind_field`` draws for the same seed bit for bit.
+    """
+    uniform = ((0.0, 2.0 * cfg.gust_sigma), (_GUST_FREQ_LO, _GUST_FREQ_HI), (0.0, 2.0 * math.pi))
+    bounds = [b for b in uniform for _axis in range(2)]
+    offset = np.array([cfg.wind_mean_x, cfg.wind_mean_y] + [lo for lo, _ in bounds])
+    scale = np.array([cfg.wind_sigma, cfg.wind_sigma] + [hi - lo for lo, hi in bounds])
+    return offset + scale * np.asarray(draws, dtype=float)[:, _KERNEL_ORDER]
 
 
 def wind_at(field: WindField, p, t: float) -> np.ndarray:

@@ -161,7 +161,7 @@ class TestWarmstartAndTrain:
 
     def test_warmstart_nan_learning_rate_exits_2_before_any_demo(self, scenario_path, tmp_path,
                                                                   capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run_batch", lambda *a, **k: pytest.fail("ran the demos"))
+        monkeypatch.setattr(cli, "run_episode", lambda *a, **k: pytest.fail("ran the demos"))
         out = tmp_path / "w0.json"
         rc = main(["warmstart", "--scenario", scenario_path, "--delta", "16",
                    "--episodes", "2", "--seed", "0", "--learning-rate", "nan",

@@ -97,6 +97,39 @@ class TestRunBatch:
         with pytest.raises(ValueError):
             run_batch(PolicySpec.nominal(), calibrated_scenario, [1, 1])
 
+    def test_summary_records_have_no_return(self, calibrated_scenario):
+        (record,) = run_batch(PolicySpec.baseline(16.0), calibrated_scenario, [0])
+        assert record.trajectory is None
+        with pytest.raises(ValueError, match="run_episode"):
+            record.episode_return
+
+
+EXIT_POLICIES = [
+    PolicySpec.nominal(),
+    PolicySpec.baseline(1.0),
+    PolicySpec.baseline(4.0),
+    PolicySpec.baseline(16.0),
+    PolicySpec.weights(random_weights(np.random.default_rng(1))),
+]
+
+
+@pytest.mark.parametrize("policy", EXIT_POLICIES, ids=lambda p: p.policy_id)
+def test_only_an_exited_episode_leaves_the_envelope_and_only_at_its_end(calibrated_scenario,
+                                                                        policy):
+    # The invariant that lets confusion judge a summary record by its outcome.
+    scenario, seeds = calibrated_scenario, range(400)
+    env = scenario.envelope
+    records = [run_episode(policy, scenario, seed) for seed in seeds]
+    for record in records:
+        pos = record.trajectory[:, 1:4]
+        outside = np.any((pos < env.min_corner) | (pos > env.max_corner), axis=1)
+        assert not outside[:-1].any()
+        assert outside[-1] == (record.outcome == Verdict.EXITED)
+    summary = confusion(run_batch(policy, scenario, seeds), env)
+    assert summary == confusion(records, env)
+    if policy.kind == "nominal":
+        assert summary.unsafe_not_deployed > 0
+
 
 class TestConfusion:
     def make_record(self, deployed, outcome):

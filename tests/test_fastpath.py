@@ -22,9 +22,12 @@ from rtsa.sim import (
     sample_wind_field,
     step,
     wind_at,
+    wind_draws,
+    wind_rows,
 )
 
 rollout_compiled = fastpath.rollout_compiled
+batch_compiled = fastpath.batch_compiled
 learn_episode_compiled = fastpath.learn_episode_compiled
 replay_compiled = fastpath.replay_compiled
 
@@ -108,6 +111,58 @@ class TestBackendParity:
         assert np.array_equal(np.asarray(t_py), np.asarray(t_cy))
 
 
+BATCH_POLICIES = [
+    PolicySpec.nominal(),
+    PolicySpec.baseline(1.0),
+    PolicySpec.baseline(4.0),
+    PolicySpec.baseline(16.0),
+    PolicySpec.weights(random_weights(np.random.default_rng(1))),
+]
+
+
+def batch_kwargs(scenario, policy, seeds):
+    theta = policy.theta if policy.theta is not None else np.zeros((N_FEATURES, 2))
+    return dict(wind=wind_rows(wind_draws(seeds), scenario.sim), policy_mode=policy._mode(),
+                delta=policy.delta, theta=theta, scales=scenario.feature_scales,
+                alert_penalty=scenario.reward.alert_penalty, **_kernel_scenario_args(scenario))
+
+
+@needs_compiled
+class TestBatchParity:
+    @pytest.mark.parametrize("which", ["calibrated", "short"])
+    @pytest.mark.parametrize("policy", BATCH_POLICIES, ids=lambda p: p.policy_id)
+    def test_bit_identical_summaries(self, calibrated_scenario, short_scenario, which, policy):
+        scenario = calibrated_scenario if which == "calibrated" else short_scenario
+        kwargs = batch_kwargs(scenario, policy, range(40))
+        c = batch_compiled(**kwargs)
+        py = _rollout_py.batch(**kwargs)
+        assert c.shape == py.shape == (40, 4)
+        assert c.dtype == py.dtype == np.intc
+        # (steps, outcome, deploy step, deploy_greedy) of every episode.
+        assert c.tobytes() == py.tobytes()
+        assert np.all(c[:, 0] >= 1)
+
+
+@pytest.mark.parametrize("policy", BATCH_POLICIES, ids=lambda p: p.policy_id)
+def test_batch_summaries_match_single_episodes(calibrated_scenario, policy):
+    # On whichever backend loaded: the summary path against the trajectory path.
+    scenario, seeds = calibrated_scenario, list(range(100, 140))
+    summaries = fastpath.batch(**batch_kwargs(scenario, policy, seeds))
+    records = run_batch(policy, scenario, seeds)
+    outcomes = set()
+    for seed, summary, record in zip(seeds, summaries.tolist(), records):
+        steps, outcome, deploy_step, deploy_greedy = summary
+        episode = run_episode(policy, scenario, seed)
+        assert steps == len(episode.trajectory) - 1
+        assert fastpath.VERDICTS[outcome] == episode.outcome
+        assert (None if deploy_step < 0 else deploy_step) == episode.deploy_step
+        assert deploy_greedy == (-1 if deploy_step < 0 else 1)
+        assert (record.seed, record.outcome, record.deploy_step, record.trajectory) == (
+            seed, episode.outcome, episode.deploy_step, None)
+        outcomes.add(episode.outcome)
+    assert len(outcomes) > 1
+
+
 def learn_call(backend, scenario, theta, seed, epsilon):
     """One learning episode on ``backend``; returns its result and the exploration
     generator's state after it."""
@@ -159,7 +214,7 @@ class TestLearningParity:
     @pytest.mark.parametrize("which", ["calibrated", "short"])
     def test_replay_bit_identical(self, calibrated_scenario, short_scenario, which):
         scenario = calibrated_scenario if which == "calibrated" else short_scenario
-        records = run_batch(PolicySpec.baseline(8.0), scenario, range(6))
+        records = [run_episode(PolicySpec.baseline(8.0), scenario, s) for s in range(6)]
         batch = _replay_batch(records, scenario)
         theta0 = np.random.default_rng(17).normal(scale=1e-3, size=(2, N_FEATURES))
         theta_c, theta_py = theta0.copy(), theta0.copy()
@@ -263,6 +318,23 @@ class TestCompiledArgumentChecks:
         with pytest.raises(ValueError):
             rollout_compiled(**kwargs)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("wind", np.zeros((0, 8))),
+            ("wind", np.zeros((3, 7))),
+            ("wind", np.zeros(8)),
+            ("policy_mode", 3),
+            ("waypoints", np.zeros((1, 3))),
+            ("theta", np.zeros(18)),
+            ("max_steps", 0),
+        ],
+    )
+    def test_bad_batch_argument_raises_value_error(self, calibrated_scenario, key, value):
+        kwargs = batch_kwargs(calibrated_scenario, PolicySpec.nominal(), range(3))
+        kwargs[key] = value
+        with pytest.raises(ValueError):
+            batch_compiled(**kwargs)
 
     @pytest.mark.parametrize(
         "theta",

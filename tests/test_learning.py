@@ -23,7 +23,7 @@ from rtsa.learning import (
     train,
     warm_start,
 )
-from rtsa.evaluation import PolicySpec, run_batch
+from rtsa.evaluation import PolicySpec, run_batch, run_episode
 from rtsa.policy import N_FEATURES, Action, random_weights
 from rtsa.sim import Verdict, sample_wind_field
 
@@ -210,12 +210,18 @@ class TestWarmStart:
                        calm_scenario.reward)
 
     def test_zero_passes_identity(self, calibrated_scenario):
-        records = run_batch(PolicySpec.baseline(8.0), calibrated_scenario, [0, 1])
+        records = [run_episode(PolicySpec.baseline(8.0), calibrated_scenario, s) for s in [0, 1]]
         theta0 = np.random.default_rng(15).normal(size=(N_FEATURES, 2))
         cfg = LearnConfig(warm_start_passes=0)
         theta = warm_start(records, theta0, cfg, calibrated_scenario,
                            calibrated_scenario.reward)
         assert np.array_equal(theta, theta0)
+
+    def test_rejects_summary_records(self, calibrated_scenario):
+        records = run_batch(PolicySpec.baseline(8.0), calibrated_scenario, [0, 1])
+        with pytest.raises(ValueError, match="run_episode"):
+            warm_start(records, np.zeros((N_FEATURES, 2)), LearnConfig(), calibrated_scenario,
+                       calibrated_scenario.reward)
 
     def test_single_exit_transition_sign(self, calm_scenario):
         # A lone terminal exit moves the taken column against phi.
@@ -225,7 +231,8 @@ class TestWarmStart:
         assert np.all(theta[:, Action.CONTINUE] < 0)
 
     def test_deterministic(self, calibrated_scenario):
-        records = run_batch(PolicySpec.baseline(8.0), calibrated_scenario, [0, 1, 2])
+        records = [run_episode(PolicySpec.baseline(8.0), calibrated_scenario, s)
+                   for s in [0, 1, 2]]
         cfg = LearnConfig()
         args = (records, np.zeros((N_FEATURES, 2)), cfg, calibrated_scenario,
                 calibrated_scenario.reward)
@@ -389,7 +396,7 @@ class TestOracleParity:
     def test_warm_start_matches_object_replay(self, calibrated_scenario, short_scenario,
                                               which):
         scenario = calibrated_scenario if which == "calibrated" else short_scenario
-        records = run_batch(PolicySpec.baseline(8.0), scenario, range(4))
+        records = [run_episode(PolicySpec.baseline(8.0), scenario, s) for s in range(4)]
         assert len({r.outcome for r in records}) > 1
         theta0 = np.random.default_rng(17).normal(scale=1e-3, size=(N_FEATURES, 2))
         cfg = LearnConfig(warm_start_passes=2)
@@ -434,7 +441,7 @@ class TestDivergence:
 
     def test_warm_start_raises_on_non_finite_weights(self, calibrated_scenario,
                                                      learning_backend):
-        records = run_batch(PolicySpec.baseline(8.0), calibrated_scenario, [0, 1])
+        records = [run_episode(PolicySpec.baseline(8.0), calibrated_scenario, s) for s in [0, 1]]
         cfg = LearnConfig(learning_rate=1e6)
         with pytest.raises(RuntimeError, match=r"warm-start pass \d+"):
             warm_start(records, np.zeros((N_FEATURES, 2)), cfg, calibrated_scenario,

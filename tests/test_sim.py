@@ -17,7 +17,10 @@ from rtsa.sim import (
     sample_wind_field,
     step,
     wind_at,
+    wind_draws,
+    wind_rows,
 )
+from rtsa import fastpath
 
 
 def calm_field():
@@ -64,6 +67,48 @@ class TestSampleWindField:
     def test_vertical_base_is_zero(self):
         field = sample_wind_field(np.random.default_rng(5), SimConfig())
         assert field.base[2] == 0.0
+
+
+def scalar_wind_params(rng, cfg):
+    """A wind field drawn scalar by scalar with numpy's own normal and uniform
+    draws, in kernel order: the reference the wind table must reproduce."""
+    base = [cfg.wind_mean_x + cfg.wind_sigma * rng.standard_normal(),
+            cfg.wind_mean_y + cfg.wind_sigma * rng.standard_normal()]
+    per_axis = [(rng.uniform(0.0, 2.0 * cfg.gust_sigma), rng.uniform(0.05, 0.5),
+                 rng.uniform(0.0, 2.0 * math.pi)) for _axis in range(2)]
+    return np.array(base + [v for column in zip(*per_axis) for v in column])
+
+
+class TestWindTable:
+    SEEDS = [*range(300), 2**31 - 1, 987_654_321]
+
+    @pytest.mark.parametrize(
+        "sigmas",
+        [(8.0, 2.0), (0.0, 2.0), (8.0, 0.0), (0.0, 0.0), (13.37, 3.3425), (1e-9, 2.5e-10),
+         "calibrated"],
+    )
+    def test_rows_equal_sampled_fields_bit_for_bit(self, calibrated_scenario, sigmas):
+        if sigmas == "calibrated":
+            cfg = calibrated_scenario.sim
+        else:
+            cfg = SimConfig(wind_sigma=sigmas[0], gust_sigma=sigmas[1])
+        rows = wind_rows(wind_draws(self.SEEDS), cfg)
+        assert rows.shape == (len(self.SEEDS), 8)
+        for seed, row in zip(self.SEEDS, rows):
+            field = sample_wind_field(np.random.default_rng(seed), cfg)
+            assert row.tobytes() == fastpath.wind_params(field).tobytes()
+            assert row.tobytes() == scalar_wind_params(np.random.default_rng(seed), cfg).tobytes()
+
+    def test_sampling_draws_as_much_as_the_scalar_draws(self):
+        # A generator passed on after sample_wind_field must be where the
+        # scalar draws would have left it.
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        sample_wind_field(rng, SimConfig())
+        scalar_wind_params(ref, SimConfig())
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_empty_seed_list(self):
+        assert wind_rows(wind_draws([]), SimConfig()).shape == (0, 8)
 
 
 class TestWindAt:
