@@ -26,17 +26,21 @@ from rtsa.evaluation import PolicySpec, run_episode
 from rtsa.learning import _replay_batch
 from rtsa.policy import N_FEATURES, Action, random_weights
 from rtsa.scenario import default_scenario
-from rtsa.sim import sample_wind_field, wind_draws, wind_rows
+from rtsa.sim import wind_draws, wind_rows
 
 TRAIN_EPSILON = 0.1
 LEARNING_RATE = 3e-3
 
 
+def seed_wind(scenario, seed):
+    """One seed's kernel wind row, as ``run_episode`` draws it."""
+    return wind_rows(wind_draws([seed]), scenario.sim)[0]
+
+
 def episode_args(scenario, seed, policy):
-    field = sample_wind_field(np.random.default_rng(seed), scenario.sim)
     theta = policy.theta if policy.theta is not None else np.zeros((N_FEATURES, len(Action)))
     return dict(
-        wind_params=fastpath.wind_params(field),
+        wind_params=seed_wind(scenario, seed),
         policy_mode=policy._mode(),
         delta=policy.delta,
         theta=theta,
@@ -47,13 +51,12 @@ def episode_args(scenario, seed, policy):
 
 
 def learn_args(scenario, seed):
-    field = sample_wind_field(np.random.default_rng(seed), scenario.sim)
     return dict(
         exit_penalty=scenario.reward.exit_penalty,
         discount=scenario.reward.discount,
         learning_rate=LEARNING_RATE,
         epsilon=TRAIN_EPSILON,
-        wind_params=fastpath.wind_params(field),
+        wind_params=seed_wind(scenario, seed),
         scales=scenario.feature_scales,
         alert_penalty=scenario.reward.alert_penalty,
         **fastpath.scenario_args(scenario),
@@ -100,7 +103,7 @@ def bench_batch(scenario, policy, seeds, repeats):
     """Best episodes/s of one ``fastpath.batch`` call and of a ``fastpath.rollout`` loop.
 
     Both include their wind: the batch draws its table once per call, the
-    loop samples each seed's field, as ``run_batch`` and ``run_episode`` do.
+    loop draws each seed's wind row, as ``run_batch`` and ``run_episode`` do.
     Returns (batch episodes/s, loop episodes/s, batch summaries, loop results).
     """
     theta = policy.theta if policy.theta is not None else np.zeros((N_FEATURES, len(Action)))
@@ -113,9 +116,8 @@ def bench_batch(scenario, policy, seeds, repeats):
         summaries = fastpath.batch(wind=wind_rows(wind_draws(seeds), scenario.sim), **fixed)
         best_batch = min(best_batch, time.perf_counter() - start)
         start = time.perf_counter()
-        results = [fastpath.rollout(wind_params=fastpath.wind_params(
-            sample_wind_field(np.random.default_rng(seed), scenario.sim)), **fixed)
-            for seed in seeds]
+        results = [fastpath.rollout(wind_params=seed_wind(scenario, seed), **fixed)
+                   for seed in seeds]
         best_loop = min(best_loop, time.perf_counter() - start)
     return len(seeds) / best_batch, len(seeds) / best_loop, summaries, results
 

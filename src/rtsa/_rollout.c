@@ -26,9 +26,11 @@
  * one never rejects.
  *
  * No Python or numpy headers: rtsa.fastpath packs the scenario into one
- * float64 array (layout below), allocates the outputs and calls these
- * functions through ctypes. The learning kernels update their weights in
- * place as two contiguous columns of nine, (continue, deploy).
+ * float64 array (layout below) with rtsa._rollout_py.pack, allocates the
+ * outputs and calls these functions through ctypes. Each episode's wind is
+ * 8 values (base, amplitude, frequency, phase, each x/y) and its weights two
+ * contiguous columns of nine, (continue, deploy), both passed by pointer; the
+ * learning kernels update the weights in place.
  */
 
 #include <math.h>
@@ -56,7 +58,8 @@ typedef struct bitgen {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-/* Offsets into the packed parameter array; mirrored by rtsa.fastpath. */
+/* Offsets into the packed scenario array; mirrored by the P_* names of
+ * rtsa._rollout_py, whose `pack` builds it. */
 enum {
     P_ENV_MIN = 0, /* 3 values */
     P_ENV_MAX = 3, /* 3 values */
@@ -72,10 +75,8 @@ enum {
     P_DRAG_XY,
     P_DELTA,
     P_ALERT_PENALTY,
-    P_WIND = 18,     /* rtsa_rollout's wind: base, amplitude, frequency, phase, each x/y */
-    P_SCALES = 26,   /* 8 feature scales */
-    P_THETA = 34,    /* rtsa_rollout's weights, 9 x 2, row-major: theta[i][action] */
-    P_WAYPOINTS = 52 /* n_waypoints x 3, row-major */
+    P_SCALES = 18,   /* 8 feature scales */
+    P_WAYPOINTS = 26 /* n_waypoints x 3, row-major */
 };
 
 /* Python's min(a, b): b only when strictly smaller. */
@@ -116,10 +117,10 @@ static inline void td_update(double *th, const double *phi, int action, double r
 
 /*
  * The episode loop behind rtsa_rollout and rtsa_batch (learn = 0) and
- * rtsa_learn_episode (learn = 1), in the wind of the 8 values at `wind`
- * (P_WIND order). `theta` is read into a local copy; when learning, the
- * updated copy is written back to `theta_out`. Rows 0..out[0] of `traj`,
- * if not NULL, get (t, px, py, pz, vx, vy, vz, action, reward). On return
+ * rtsa_learn_episode (learn = 1), in the wind of the 8 values at `wind`.
+ * `theta` is read into a local copy; when learning, the updated copy is
+ * written back to `theta_out`. Rows 0..out[0] of `traj`, if not NULL, get
+ * (t, px, py, pz, vx, vy, vz, action, reward). On return
  * out = (steps, outcome, deploy_step, deploy_greedy) and, when learning,
  * dout = (discounted return, largest squared feature norm).
  */
@@ -398,43 +399,30 @@ episode(const double *p, int n_waypoints, int policy_mode, int max_steps, const 
     return 0;
 }
 
-/* rtsa_rollout's weights at P_THETA (row-major 9 x 2) as the loop's two columns. */
-static inline void theta_columns(const double *p, double *theta)
-{
-    for (int i = 0; i < N_FEATURES; i++) {
-        theta[i] = p[P_THETA + 2 * i];
-        theta[N_FEATURES + i] = p[P_THETA + 2 * i + 1];
-    }
-}
-
 /*
- * Run one episode under a fixed policy, with the weights at P_THETA and the
- * wind at P_WIND. `traj` holds (max_steps + 1) x 9 doubles; rows 0..out[0]
- * are written. On return out = (steps, outcome, deploy_step, deploy_greedy),
- * deploy_step -1 if never deployed. Returns 0; -1 for a zero-length path
- * segment or -2 for a failed allocation, writing nothing then.
+ * Run one episode under a fixed policy, in the wind at `wind` with the
+ * weight columns at `theta`. `traj` holds (max_steps + 1) x 9 doubles; rows
+ * 0..out[0] are written. On return out = (steps, outcome, deploy_step,
+ * deploy_greedy), deploy_step -1 if never deployed. Returns 0; -1 for a
+ * zero-length path segment or -2 for a failed allocation, writing nothing
+ * then.
  */
-int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_steps, double *traj,
-                 int *out)
+int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_steps,
+                 const double *wind, const double *theta, double *traj, int *out)
 {
-    double theta[2 * N_FEATURES];
-    theta_columns(p, theta);
-    return episode(p, n_waypoints, policy_mode, max_steps, p + P_WIND, theta, 0, NULL, 1.0, 1.0,
-                   0.0, 0.0, NULL, traj, out, NULL);
+    return episode(p, n_waypoints, policy_mode, max_steps, wind, theta, 0, NULL, 1.0, 1.0, 0.0,
+                   0.0, NULL, traj, out, NULL);
 }
 
 /*
  * Run n episodes under a fixed policy, as rtsa_rollout would one by one:
- * episode i flies in the wind of row i of `wind` (n x 8, P_WIND order) and
- * writes its (steps, outcome, deploy_step, deploy_greedy) to row i of `out`
- * (n x 4). P_WIND is not read. Returns as rtsa_rollout, stopping at the
- * first episode that fails.
+ * episode i flies in the wind of row i of `wind` (n x 8) and writes its
+ * (steps, outcome, deploy_step, deploy_greedy) to row i of `out` (n x 4).
+ * Returns as rtsa_rollout, stopping at the first episode that fails.
  */
 int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
-               const double *wind, int n, int *out)
+               const double *wind, int n, const double *theta, int *out)
 {
-    double theta[2 * N_FEATURES];
-    theta_columns(p, theta);
     for (int i = 0; i < n; i++) {
         const int status = episode(p, n_waypoints, policy_mode, max_steps, wind + 8 * (size_t)i,
                                    theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL, NULL,
@@ -447,19 +435,20 @@ int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
 
 /*
  * Run one online epsilon-greedy Q-learning episode under the weights policy,
- * updating `theta` in place. Until the switch flips, each step draws
+ * in the wind at `wind`, updating `theta` in place. Until the switch flips, each step draws
  * next_double (only when epsilon > 0) and, on an exploring step,
  * next_uint32 >> 31 from `bitgen`. On return out = (steps, outcome,
  * deploy_step, deploy_greedy: -1 never deployed, 0 explored, 1 greedy) and
  * dout = (discounted return, largest squared feature norm). Returns as
  * rtsa_rollout.
  */
-int rtsa_learn_episode(const double *p, int n_waypoints, int max_steps, double *theta,
-                       double exit_penalty, double discount, double learning_rate,
-                       double epsilon, bitgen_t *bitgen, int *out, double *dout)
+int rtsa_learn_episode(const double *p, int n_waypoints, int max_steps, const double *wind,
+                       double *theta, double exit_penalty, double discount,
+                       double learning_rate, double epsilon, bitgen_t *bitgen, int *out,
+                       double *dout)
 {
-    return episode(p, n_waypoints, 0, max_steps, p + P_WIND, theta, 1, theta, exit_penalty,
-                   discount, learning_rate, epsilon, bitgen, NULL, out, dout);
+    return episode(p, n_waypoints, 0, max_steps, wind, theta, 1, theta, exit_penalty, discount,
+                   learning_rate, epsilon, bitgen, NULL, out, dout);
 }
 
 /*

@@ -1,9 +1,18 @@
-"""Pure-Python episode kernels.
+"""Pure-Python episode kernels, and the kernels' argument format.
+
+``pack`` states that format once for both backends. It checks a scenario's
+arrays, ``max_steps`` and the policy mode, and packs the scenario into one
+float64 array laid out at the ``P_*`` offsets below, the enum of
+``_rollout.c``. An episode's wind (8 values: base, gust amplitude, gust
+frequency, gust phase, each x then y) and its weight columns travel beside
+that array. The C wrappers in ``rtsa.fastpath`` check them, and the
+learners' arguments, with the same functions as the twins here.
 
 ``_episode`` is the one scalar episode loop: wind, the one-way meta
 decision, pure pursuit with a PD command or the parachute, the
 semi-implicit Euler step with its ground clamp, the reward and the
-termination chain. Three entry points drive it:
+termination chain. It reads the packed array by the ``P_*`` offsets, as
+``episode`` in ``_rollout.c`` does. Three entry points drive it:
 
 - ``rollout`` runs one episode under a fixed policy (never-deploy,
   distance-threshold, or greedy linear weights) and records its trajectory.
@@ -32,8 +41,12 @@ operation for operation.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
+
+from .policy import N_FEATURES
+from .sim import MAX_STEPS
 
 POLICY_NOMINAL = 0
 POLICY_BASELINE = 1
@@ -47,89 +60,83 @@ OUTCOME_TIMEOUT = 4
 _GRAVITY = 9.81
 
 
-def rollout(
-    env_min,
-    env_max,
-    waypoints,
-    arrival_radius,
-    dt,
-    a_max,
-    cruise_speed,
-    lookahead,
-    kp,
-    kd,
-    air_drag,
-    drag_z,
-    drag_xy,
-    max_steps,
-    wind_params,
-    policy_mode,
-    delta,
-    theta,
-    scales,
-    alert_penalty,
-):
-    """Run one episode; returns (trajectory, outcome, deploy_step).
+# Offsets into the packed scenario array that ``pack`` builds.
+P_ENV_MIN = 0  # 3 values
+P_ENV_MAX = 3  # 3 values
+P_ARRIVAL_RADIUS = 6
+P_DT = 7
+P_A_MAX = 8
+P_CRUISE_SPEED = 9
+P_LOOKAHEAD = 10
+P_KP = 11
+P_KD = 12
+P_AIR_DRAG = 13
+P_DRAG_Z = 14
+P_DRAG_XY = 15
+P_DELTA = 16
+P_ALERT_PENALTY = 17
+P_SCALES = 18  # 8 feature scales
+P_WAYPOINTS = 26  # n_waypoints x 3, row-major
 
-    ``wind_params`` is (base_x, base_y, amp_x, amp_y, freq_x, freq_y,
-    phase_x, phase_y). The trajectory has one row per step plus a final
-    state row: (t, px, py, pz, vx, vy, vz, action, reward). ``deploy_step``
-    is -1 if the recovery controller was never deployed. Raises ValueError
-    for a ``policy_mode`` other than the three POLICY_* codes.
+ZERO_SEGMENT = "waypoints hold a zero-length segment"
+
+
+def pack(policy_mode, delta, *, env_min, env_max, waypoints, arrival_radius, dt, a_max,
+         cruise_speed, lookahead, kp, kd, air_drag, drag_z, drag_xy, max_steps, scales,
+         alert_penalty):
+    """The episode kernels' scenario argument: (packed array, waypoint count, max_steps).
+
+    The new float64 array holds the scenario, the feature ``scales``,
+    ``alert_penalty`` and the distance-threshold ``delta`` at the ``P_*``
+    offsets. Raises ValueError for an unknown ``policy_mode``, a
+    ``max_steps`` that is not an integer in [1, MAX_STEPS], or an array of
+    the wrong shape or not of numbers. A zero-length path segment is left to
+    the episode loop, which raises ValueError for it.
     """
     check_policy_mode(policy_mode)
-    rows = []
-    _, outcome, deploy_step, _, _, _ = _episode(
-        env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed, lookahead,
-        kp, kd, air_drag, drag_z, drag_xy, max_steps, wind_params, scales, alert_penalty,
-        policy_mode=policy_mode, delta=delta, theta=np.asarray(theta, dtype=float).T.tolist(),
-        traj=rows,
-    )
-    return np.array(rows, dtype=float), outcome, deploy_step
+    if (isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral)
+            or not 1 <= max_steps <= MAX_STEPS):
+        raise ValueError(f"max_steps must be an integer in [1, {MAX_STEPS}], got {max_steps!r}")
+    wps = checked_rows("waypoints", waypoints, 3, at_least=2)
+    scalars = (arrival_radius, dt, a_max, cruise_speed, lookahead, kp, kd, air_drag, drag_z,
+               drag_xy, delta, alert_penalty)
+    params = np.concatenate((
+        checked("env_min", env_min, (3,)),
+        checked("env_max", env_max, (3,)),
+        checked("the scalar arguments", scalars, (len(scalars),)),
+        checked("scales", scales, (8,)),
+        wps.ravel(),
+    ))
+    return params, wps.shape[0], int(max_steps)
 
 
-def batch(
-    env_min,
-    env_max,
-    waypoints,
-    arrival_radius,
-    dt,
-    a_max,
-    cruise_speed,
-    lookahead,
-    kp,
-    kd,
-    air_drag,
-    drag_z,
-    drag_xy,
-    max_steps,
-    wind,
-    policy_mode,
-    delta,
-    theta,
-    scales,
-    alert_penalty,
-):
-    """Run one ``rollout`` episode per row of ``wind``; returns their summaries.
+def _array(name, value, dtype=float):
+    """``value`` as a writable C-contiguous array of ``dtype``, copied only if it is not
+    one already; ValueError if it holds no numbers."""
+    try:
+        array = np.asarray(value, dtype=dtype, order="C")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+    # ctypes can point only into writable memory.
+    return array if array.flags.writeable else array.copy()
 
-    ``wind`` is (n, 8), one ``wind_params`` row per episode. Returns an
-    (n, 4) ``intc`` array of (steps, outcome, deploy_step, deploy_greedy)
-    rows: ``deploy_step`` is -1 if the recovery controller was never
-    deployed, and ``deploy_greedy`` is then -1 too, and otherwise 1 (a
-    fixed policy's deployment is always its own choice). No trajectory is
-    kept. Raises ValueError as ``rollout`` does.
-    """
-    check_policy_mode(policy_mode)
-    columns = np.asarray(theta, dtype=float).T.tolist()
-    rows = []
-    for wind_params in np.asarray(wind, dtype=float).tolist():
-        _, outcome, deploy_step, deploy_greedy, steps, _ = _episode(
-            env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed, lookahead,
-            kp, kd, air_drag, drag_z, drag_xy, max_steps, wind_params, scales, alert_penalty,
-            policy_mode=policy_mode, delta=delta, theta=columns,
-        )
-        rows.append((steps, outcome, deploy_step, -1 if deploy_greedy is None else deploy_greedy))
-    return np.array(rows, dtype=np.intc).reshape(-1, 4)
+
+def checked(name, value, shape, dtype=float):
+    """``value`` as a writable C-contiguous array of ``dtype`` and ``shape``, or ValueError."""
+    array = _array(name, value, dtype)
+    if array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+    return array
+
+
+def checked_rows(name, value, width, at_least=0):
+    """``value`` as a writable C-contiguous float64 array of shape (n >= ``at_least``,
+    ``width``), or ValueError."""
+    array = _array(name, value)
+    if array.ndim != 2 or array.shape[0] < at_least or array.shape[1] != width:
+        raise ValueError(f"{name} must have shape (n >= {at_least}, {width}), "
+                         f"got {array.shape}")
+    return array
 
 
 def check_policy_mode(policy_mode):
@@ -138,74 +145,165 @@ def check_policy_mode(policy_mode):
                          f"got {policy_mode!r}")
 
 
-def learn_episode(theta, exit_penalty, discount, learning_rate, epsilon, rng, **episode):
+def weight_columns(theta):
+    """A fixed policy's (9, 2) weight matrix as a new C-contiguous (2, 9) array of columns."""
+    return checked("theta", theta, (N_FEATURES, 2)).T.copy()
+
+
+def weights_in_place(theta):
+    """``theta`` itself, once it is known to be a writable C-contiguous (2, 9) float64 array."""
+    if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64
+            and theta.shape == (2, N_FEATURES) and theta.flags.c_contiguous
+            and theta.flags.writeable):
+        raise ValueError("theta must be a writable C-contiguous float64 array of shape "
+                         f"(2, {N_FEATURES}), updated in place")
+    return theta
+
+
+def check_generator(rng):
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy Generator, got {type(rng).__name__}")
+
+
+def replay_arrays(theta, phi, actions, rewards, ends, terminal):
+    """``replay``'s arrays, checked and as ``checked`` returns them, ``theta`` itself.
+
+    Raises ValueError unless ``theta`` passes ``weights_in_place``, ``phi``
+    is (n, 9), ``actions`` and ``rewards`` hold n values, and ``ends`` are
+    non-decreasing episode ends, the last one n, with one ``terminal`` flag
+    each.
+    """
+    theta = weights_in_place(theta)
+    phi = checked_rows("phi", phi, N_FEATURES)
+    n = phi.shape[0]
+    actions = checked("actions", actions, (n,), np.int64)
+    rewards = checked("rewards", rewards, (n,))
+    ends = _array("ends", ends, np.int64)
+    if ends.ndim != 1:
+        raise ValueError(f"ends must be 1-D, got shape {ends.shape}")
+    terminal = checked("terminal", terminal, ends.shape, np.int64)
+    if ends.size and (ends[0] < 0 or ends[-1] != n or np.any(np.diff(ends) < 0)):
+        raise ValueError(f"ends must be non-decreasing episode ends, the last one {n}")
+    return theta, phi, actions, rewards, ends, terminal
+
+
+def rollout(*, wind_params, policy_mode, delta, theta, **scenario):
+    """Run one episode; returns (trajectory, outcome, deploy_step).
+
+    ``scenario`` holds ``pack``'s keywords. ``wind_params`` is (base_x,
+    base_y, amp_x, amp_y, freq_x, freq_y, phase_x, phase_y) and ``theta`` the
+    (9, 2) weight matrix of the weights policy. The trajectory has one row
+    per step plus a final state row: (t, px, py, pz, vx, vy, vz, action,
+    reward). ``deploy_step`` is -1 if the recovery controller was never
+    deployed. Raises ValueError for an argument that ``pack``,
+    ``checked`` or ``weight_columns`` refuses, or a zero-length path segment.
+    """
+    params, n_waypoints, steps = pack(policy_mode, delta, **scenario)
+    wind, columns = checked("wind_params", wind_params, (8,)), weight_columns(theta)
+    rows = []
+    _, outcome, deploy_step, _, _, _ = _episode(
+        params.tolist(), n_waypoints, policy_mode, steps, wind.tolist(), columns.tolist(),
+        traj=rows)
+    return np.array(rows, dtype=float), outcome, deploy_step
+
+
+def batch(*, wind, policy_mode, delta, theta, **scenario):
+    """Run one ``rollout`` episode per row of ``wind``; returns their summaries.
+
+    ``wind`` is (n, 8), one ``wind_params`` row per episode. Returns an
+    (n, 4) ``intc`` array of (steps, outcome, deploy_step, deploy_greedy)
+    rows: ``deploy_step`` is -1 if the recovery controller was never
+    deployed, and ``deploy_greedy`` is then -1 too, and otherwise 1 (a
+    fixed policy's deployment is always its own choice). No trajectory is
+    kept. Raises ValueError as ``rollout`` does, and for a ``wind`` of
+    another shape.
+    """
+    params, n_waypoints, steps = pack(policy_mode, delta, **scenario)
+    table = checked_rows("wind", wind, 8, at_least=1)
+    p, columns = params.tolist(), weight_columns(theta).tolist()
+    rows = []
+    for wind_params in table.tolist():
+        _, outcome, deploy_step, deploy_greedy, n, _ = _episode(
+            p, n_waypoints, policy_mode, steps, wind_params, columns)
+        rows.append((n, outcome, deploy_step, -1 if deploy_greedy is None else deploy_greedy))
+    return np.array(rows, dtype=np.intc).reshape(-1, 4)
+
+
+def learn_episode(theta, exit_penalty, discount, learning_rate, epsilon, rng, *, wind_params,
+                  **scenario):
     """Run one online epsilon-greedy Q-learning episode, updating ``theta`` in place.
 
     ``theta`` is the (2, 9) array of weight columns (continue, deploy) and
-    gets one ``td_update`` per step. ``episode`` holds ``rollout``'s
-    scenario, wind, ``scales`` and ``alert_penalty`` keywords. Until the
-    switch flips, each step draws ``rng.random()`` (only when epsilon > 0)
-    and, on an exploring step, ``rng.integers(2)``: the draws
-    ``learning.epsilon_greedy`` makes.
+    gets one ``td_update`` per step. ``wind_params`` and ``scenario`` are as
+    for ``rollout``. Until the switch flips, each step draws ``rng.random()``
+    (only when epsilon > 0) and, on an exploring step, ``rng.integers(2)``:
+    the draws ``learning.epsilon_greedy`` makes.
 
     Returns (discounted return, outcome, deploy_step, deploy_greedy, steps,
     largest squared feature norm of a decision state). ``deploy_step`` is -1
     and ``deploy_greedy`` None if the switch never flipped; otherwise
-    ``deploy_greedy`` says whether deploying was the greedy action.
+    ``deploy_greedy`` says whether deploying was the greedy action. Raises
+    ValueError as ``rollout`` does, and for a ``theta`` that
+    ``weights_in_place`` refuses or an ``rng`` that is no numpy Generator.
     """
+    theta = weights_in_place(theta)
+    check_generator(rng)
+    params, n_waypoints, steps = pack(POLICY_WEIGHTS, 0.0, **scenario)
+    wind = checked("wind_params", wind_params, (8,))
     columns = theta.tolist()
-    result = _episode(policy_mode=POLICY_WEIGHTS, delta=0.0, theta=columns,
-                      exit_penalty=exit_penalty, discount=discount,
-                      learning_rate=learning_rate, epsilon=epsilon, rng=rng, **episode)
+    result = _episode(params.tolist(), n_waypoints, POLICY_WEIGHTS, steps, wind.tolist(),
+                      columns, exit_penalty=exit_penalty, discount=discount,
+                      learning_rate=learning_rate, epsilon=epsilon, rng=rng)
     theta[...] = columns
     return result
 
 
-def _episode(env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed, lookahead,
-             kp, kd, air_drag, drag_z, drag_xy, max_steps, wind_params, scales, alert_penalty,
-             *, policy_mode, delta, theta, exit_penalty=1.0, discount=1.0, learning_rate=None,
-             epsilon=0.0, rng=None, traj=None):
-    """The episode loop behind ``rollout`` and ``learn_episode``.
+def _episode(p, n_waypoints, policy_mode, max_steps, wind, theta, *, exit_penalty=1.0,
+             discount=1.0, learning_rate=None, epsilon=0.0, rng=None, traj=None):
+    """The episode loop behind ``rollout``, ``batch`` and ``learn_episode``.
 
-    ``theta`` is (continue column, deploy column) as float lists. Unless
-    ``learning_rate`` is None, every step ends in a ``td_update`` of them.
-    In the weights mode, an ``epsilon`` > 0 makes each undeployed step
-    epsilon-greedy on ``rng``. ``traj``, if given, is a list that gets the
-    trajectory rows. Returns (discounted return, outcome, deploy_step,
+    ``p`` is ``pack``'s array as a float list, ``wind`` the 8 wind values
+    and ``theta`` (continue column, deploy column), all float lists. Unless
+    ``learning_rate`` is None, every step ends in a ``td_update`` of the
+    columns. In the weights mode, an ``epsilon`` > 0 makes each undeployed
+    step epsilon-greedy on ``rng``. ``traj``, if given, is a list that gets
+    the trajectory rows. Returns (discounted return, outcome, deploy_step,
     deploy_greedy, steps, largest squared feature norm of a decision state,
-    0 unless learning).
+    0 unless learning). Raises ValueError for a zero-length path segment.
     """
-    exn0, exn1, exn2 = float(env_min[0]), float(env_min[1]), float(env_min[2])
-    exx0, exx1, exx2 = float(env_max[0]), float(env_max[1]), float(env_max[2])
+    exn0, exn1, exn2 = p[P_ENV_MIN:P_ENV_MIN + 3]
+    exx0, exx1, exx2 = p[P_ENV_MAX:P_ENV_MAX + 3]
+    arrival_radius, dt, a_max = p[P_ARRIVAL_RADIUS], p[P_DT], p[P_A_MAX]
+    cruise_speed, lookahead = p[P_CRUISE_SPEED], p[P_LOOKAHEAD]
+    kp, kd, air_drag = p[P_KP], p[P_KD], p[P_AIR_DRAG]
+    drag_z, drag_xy = p[P_DRAG_Z], p[P_DRAG_XY]
+    delta, alert_penalty = p[P_DELTA], p[P_ALERT_PENALTY]
+    bw0, bw1, ga0, ga1, gf0, gf1, gp0, gp1 = wind
+    t0, t1 = theta
+    sc0, sc1, sc2, sc3, sc4, sc5, sc6, sc7 = p[P_SCALES:P_SCALES + 8]
+    wps = p[P_WAYPOINTS:]
+    weights_mode = policy_mode == POLICY_WEIGHTS
+    learn = learning_rate is not None
+    explore = epsilon > 0.0
+
     # The path as scalars: segment starts, deltas, squared and cumulative lengths.
-    wps = np.asarray(waypoints, dtype=float)
-    n_seg = len(wps) - 1
-    seg_a = [(float(wps[i, 0]), float(wps[i, 1]), float(wps[i, 2])) for i in range(n_seg)]
+    n_seg = n_waypoints - 1
+    seg_a = [(wps[3 * i], wps[3 * i + 1], wps[3 * i + 2]) for i in range(n_seg)]
     seg_d = [
-        (
-            float(wps[i + 1, 0] - wps[i, 0]),
-            float(wps[i + 1, 1] - wps[i, 1]),
-            float(wps[i + 1, 2] - wps[i, 2]),
-        )
+        (wps[3 * i + 3] - wps[3 * i], wps[3 * i + 4] - wps[3 * i + 1],
+         wps[3 * i + 5] - wps[3 * i + 2])
         for i in range(n_seg)
     ]
     seg_len2 = [d[0] * d[0] + d[1] * d[1] + d[2] * d[2] for d in seg_d]
     cum = [0.0]
     for i in range(n_seg):
+        if not seg_len2[i] > 0.0:
+            raise ValueError(ZERO_SEGMENT)
         cum.append(cum[i] + math.sqrt(seg_len2[i]))
     total_len = cum[n_seg]
-    wlx, wly, wlz = float(wps[-1, 0]), float(wps[-1, 1]), float(wps[-1, 2])
+    wlx, wly, wlz = wps[3 * n_seg:3 * n_seg + 3]
 
-    bw0, bw1, ga0, ga1, gf0, gf1, gp0, gp1 = (float(x) for x in wind_params)
-    t0, t1 = theta
-    sc0, sc1, sc2, sc3, sc4, sc5, sc6, sc7 = (float(x) for x in scales)
-    dt = float(dt)
-    max_steps = int(max_steps)
-    weights_mode = policy_mode == POLICY_WEIGHTS
-    learn = learning_rate is not None
-    explore = epsilon > 0.0
-
-    px, py, pz = float(wps[0, 0]), float(wps[0, 1]), float(wps[0, 2])
+    px, py, pz = wps[0], wps[1], wps[2]
     vx = vy = vz = 0.0
     t = 0.0
     deployed = False
@@ -445,8 +543,11 @@ def replay(theta, phi, actions, rewards, ends, terminal, learning_rate, discount
     ``ends[e-1]:ends[e]`` (from 0 for e = 0) of ``phi`` (features, n x 9),
     ``actions`` and ``rewards``; transition i goes from row i to row i + 1.
     Only an episode's last transition can be terminal, and is when
-    ``terminal[e]`` is true.
+    ``terminal[e]`` is true. Raises ValueError for arrays that
+    ``replay_arrays`` refuses.
     """
+    theta, phi, actions, rewards, ends, terminal = replay_arrays(theta, phi, actions, rewards,
+                                                                 ends, terminal)
     t0, t1 = theta.tolist()
     start = 0
     for end, final in zip(ends.tolist(), terminal.tolist()):

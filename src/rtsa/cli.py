@@ -23,6 +23,7 @@ from .evaluation import (
     confusion,
     run_episode,
     run_batch,
+    soc_point,
     sweep_baseline,
     sweep_learned,
     train_policy,
@@ -238,8 +239,6 @@ def cmd_soc(args) -> int:
 
     nominal_records = run_batch(PolicySpec.nominal(), scenario, seeds_eval)
     nominal_cm = confusion(nominal_records, scenario.envelope)
-    from .evaluation import soc_point
-
     points = [soc_point(nominal_cm, 0.0, policy_family="nominal")]
     points.extend(sweep_baseline(scenario, deltas, seeds_eval))
     learned_points, thetas = sweep_learned(scenario, penalties, cfg, seeds_train, seeds_eval)
@@ -339,10 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ScenarioError, ValueError, RuntimeError) as exc:
+    except (CliError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ Both paths give the same outcomes and deploy steps for the same seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -29,8 +30,12 @@ from . import fastpath
 from .geometry import Envelope
 from .learning import LearnConfig, recorded_trajectory, train, warm_start
 from .policy import N_FEATURES, Action
-from .sim import Verdict, sample_wind_field, wind_draws, wind_rows
+from .sim import Verdict, wind_draws, wind_rows
 from .scenario import Scenario
+
+# Not called here: run_episode takes its wind from the wind table. It stays a
+# module attribute because rtsabench/tracer.py wraps it by name.
+from .sim import sample_wind_field  # noqa: F401
 
 __all__ = [
     "PolicySpec",
@@ -38,11 +43,14 @@ __all__ = [
     "ConfusionMatrix",
     "SocPoint",
     "CalibrationResult",
+    "run_episode",
     "run_batch",
     "confusion",
     "soc_point",
     "sweep_baseline",
     "sweep_learned",
+    "train_policy",
+    "exit_rate",
     "calibrate_wind",
 ]
 
@@ -60,9 +68,10 @@ class PolicySpec:
 
     @staticmethod
     def baseline(delta: float) -> "PolicySpec":
-        if delta <= 0:
-            raise ValueError("baseline delta must be positive")
-        return PolicySpec(kind="baseline", delta=float(delta))
+        delta = float(delta)
+        if not 0.0 < delta < math.inf:
+            raise ValueError(f"baseline delta must be positive and finite, got {delta}")
+        return PolicySpec(kind="baseline", delta=delta)
 
     @staticmethod
     def weights(theta: np.ndarray) -> "PolicySpec":
@@ -165,9 +174,9 @@ def _kernel_args(policy: PolicySpec, scenario: Scenario,
 def run_episode(policy: PolicySpec, scenario: Scenario, seed: int,
                 alert_penalty: Optional[float] = None) -> EpisodeRecord:
     """Run one seeded episode under the given policy, keeping its trajectory."""
-    field = sample_wind_field(np.random.default_rng(seed), scenario.sim)
     traj, outcome, deploy_step = fastpath.rollout(
-        wind_params=fastpath.wind_params(field), **_kernel_args(policy, scenario, alert_penalty))
+        wind_params=wind_rows(wind_draws([seed]), scenario.sim)[0],
+        **_kernel_args(policy, scenario, alert_penalty))
     return EpisodeRecord(
         seed=seed,
         policy_id=policy.policy_id,

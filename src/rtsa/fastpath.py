@@ -1,4 +1,4 @@
-"""Backend selection for the episode kernels, and the kernels' arguments.
+"""Backend selection for the episode kernels, and the ctypes calls into C.
 
 At import, loads the C kernels in ``_rollout.c`` through ctypes. They are
 compiled once per source and flags into ``__pycache__/_rollout-<sha12>.so``
@@ -6,12 +6,13 @@ next to this file, so later imports only hash the source and load the
 library. When the build fails, or ``RTSA_PURE_PYTHON`` is set in the
 environment, ``rollout``, ``batch``, ``learn_episode`` and ``replay`` are
 the pure-Python twins in ``_rollout_py`` instead and ``FALLBACK_REASON``
-says why. Both backends take the same arguments and give bit-identical
-results (see tests/test_fastpath.py). ``rollout`` returns one episode's
-trajectory; ``batch`` runs one episode per row of an (n, 8) wind array and
-returns only their (n, 4) summaries. The learning kernels update a (2, 9)
-float64 array of weight columns in place; the compiled learner draws its
-exploration from the numpy Generator's bit generator through numpy's
+says why. Both backends take the same arguments, check them with the same
+``_rollout_py`` functions (``pack`` states the argument format) and give
+bit-identical results (see tests/test_fastpath.py). ``rollout`` returns one
+episode's trajectory; ``batch`` runs one episode per row of an (n, 8) wind
+array and returns only their (n, 4) summaries. The learning kernels update a
+(2, 9) float64 array of weight columns in place; the compiled learner draws
+its exploration from the numpy Generator's bit generator through numpy's
 ``bitgen_t`` struct, so the Generator's state advances exactly as under the
 Python twin.
 """
@@ -34,13 +35,21 @@ from ._rollout_py import (  # noqa: F401  (re-exported constants)
     POLICY_NOMINAL,
     POLICY_WEIGHTS,
 )
+from ._rollout_py import (
+    ZERO_SEGMENT,
+    check_generator,
+    checked,
+    checked_rows,
+    pack,
+    replay_arrays,
+    weight_columns,
+    weights_in_place,
+)
 from ._rollout_py import batch as batch_python
-from ._rollout_py import check_policy_mode
 from ._rollout_py import learn_episode as learn_episode_python
 from ._rollout_py import replay as replay_python
 from ._rollout_py import rollout as rollout_python
-from .policy import N_FEATURES
-from .sim import MAX_STEPS, Verdict
+from .sim import Verdict
 
 _SOURCE = Path(__file__).with_name("_rollout.c")
 # -ffp-contract=off keeps every multiply and add separately rounded, as in
@@ -54,8 +63,6 @@ _INT64S = ctypes.POINTER(ctypes.c_int64)
 _capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
 _capsule_pointer.argtypes = (ctypes.py_object, ctypes.c_char_p)
 _capsule_pointer.restype = ctypes.c_void_p
-_NO_WEIGHTS = np.zeros((N_FEATURES, 2))
-_NO_WIND = np.zeros(8)  # the packed wind slot, which rtsa_batch does not read
 
 
 def _library_path() -> Path:
@@ -104,13 +111,14 @@ def _load_kernel():
         _compile(target)
     lib = ctypes.CDLL(str(target))
     c_int, c_double = ctypes.c_int, ctypes.c_double
-    lib.rtsa_rollout.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, ctypes.POINTER(c_int))
+    lib.rtsa_rollout.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, _DOUBLES, _DOUBLES,
+                                 ctypes.POINTER(c_int))
     lib.rtsa_rollout.restype = c_int
-    lib.rtsa_batch.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, c_int,
+    lib.rtsa_batch.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, c_int, _DOUBLES,
                                ctypes.POINTER(c_int))
     lib.rtsa_batch.restype = c_int
-    lib.rtsa_learn_episode.argtypes = (_DOUBLES, c_int, c_int, _DOUBLES, c_double, c_double,
-                                       c_double, c_double, ctypes.c_void_p,
+    lib.rtsa_learn_episode.argtypes = (_DOUBLES, c_int, c_int, _DOUBLES, _DOUBLES, c_double,
+                                       c_double, c_double, c_double, ctypes.c_void_p,
                                        ctypes.POINTER(c_int), _DOUBLES)
     lib.rtsa_learn_episode.restype = c_int
     lib.rtsa_replay.argtypes = (_DOUBLES, _DOUBLES, _INT64S, _DOUBLES, _INT64S, _INT64S,
@@ -119,148 +127,47 @@ def _load_kernel():
     return lib
 
 
-def _checked(name, value, shape, dtype=float):
-    array = np.ascontiguousarray(value, dtype=dtype)
-    if array.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
-    return array
-
-
 def _pointer(array, ctype=ctypes.c_double):
     return ctypes.byref(ctype.from_buffer(array))
 
 
-def _packed(env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed, lookahead,
-            kp, kd, air_drag, drag_z, drag_xy, max_steps, wind_params, scales, alert_penalty,
-            delta=0.0, theta=_NO_WEIGHTS):
-    """The scenario as (packed parameter array, waypoint count, max_steps).
-
-    ``delta`` and ``theta`` are the rollout's fixed policy; the learner
-    passes its weights separately.
-
-    Checks every array's shape and ``max_steps`` before C sees them, and
-    raises ValueError instead of letting C read or write out of bounds.
-    """
-    wps = np.asarray(waypoints, dtype=float)
-    if wps.ndim != 2 or wps.shape[0] < 2 or wps.shape[1] != 3:
-        raise ValueError(f"waypoints must have shape (n >= 2, 3), got {wps.shape}")
-    steps = int(max_steps)
-    if not 1 <= steps <= MAX_STEPS:
-        raise ValueError(f"max_steps must lie in [1, {MAX_STEPS}], got {max_steps}")
-    # The packed parameter array; its layout is the P_* offsets in _rollout.c.
-    params = np.concatenate(
-        (
-            _checked("env_min", env_min, (3,)),
-            _checked("env_max", env_max, (3,)),
-            (arrival_radius, dt, a_max, cruise_speed, lookahead, kp, kd, air_drag, drag_z,
-             drag_xy, delta, alert_penalty),
-            _checked("wind_params", wind_params, (8,)),
-            _checked("scales", scales, (8,)),
-            _checked("theta", theta, (N_FEATURES, 2)).ravel(),
-            wps.ravel(),
-        ),
-        dtype=float,
-    )
-    return params, wps.shape[0], steps
-
-
 def _raise_for(status):
     if status == -1:
-        raise ValueError("waypoints hold a zero-length segment")
+        raise ValueError(ZERO_SEGMENT)
     if status != 0:
         raise MemoryError("the episode kernel could not allocate its path segments")
 
 
-def _weights(theta):
-    """``theta`` itself, once it is known to be a writable contiguous (2, 9) float64 array."""
-    if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64
-            and theta.shape == (2, N_FEATURES) and theta.flags.c_contiguous
-            and theta.flags.writeable):
-        raise ValueError("theta must be a writable C-contiguous float64 array of shape "
-                         f"(2, {N_FEATURES}), updated in place")
-    return theta
-
-
-def rollout_compiled(
-    env_min,
-    env_max,
-    waypoints,
-    arrival_radius,
-    dt,
-    a_max,
-    cruise_speed,
-    lookahead,
-    kp,
-    kd,
-    air_drag,
-    drag_z,
-    drag_xy,
-    max_steps,
-    wind_params,
-    policy_mode,
-    delta,
-    theta,
-    scales,
-    alert_penalty,
-):
+def rollout_compiled(*, wind_params, policy_mode, delta, theta, **scenario):
     """``_rollout_py.rollout`` on the C kernel: same arguments, same result."""
-    check_policy_mode(policy_mode)
-    params, n_waypoints, steps = _packed(
-        env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed, lookahead, kp,
-        kd, air_drag, drag_z, drag_xy, max_steps, wind_params, scales, alert_penalty, delta,
-        theta)
+    params, n_waypoints, steps = pack(policy_mode, delta, **scenario)
+    wind, columns = checked("wind_params", wind_params, (8,)), weight_columns(theta)
     traj = np.empty((steps + 1, 9))
     out = _Out()
     _raise_for(_lib.rtsa_rollout(_pointer(params), n_waypoints, int(policy_mode), steps,
-                                 _pointer(traj), out))
+                                 _pointer(wind), _pointer(columns), _pointer(traj), out))
     return traj[: out[0] + 1].copy(), out[1], out[2]
 
 
-def batch_compiled(
-    env_min,
-    env_max,
-    waypoints,
-    arrival_radius,
-    dt,
-    a_max,
-    cruise_speed,
-    lookahead,
-    kp,
-    kd,
-    air_drag,
-    drag_z,
-    drag_xy,
-    max_steps,
-    wind,
-    policy_mode,
-    delta,
-    theta,
-    scales,
-    alert_penalty,
-):
+def batch_compiled(*, wind, policy_mode, delta, theta, **scenario):
     """``_rollout_py.batch`` on the C kernel: same arguments, same result."""
-    check_policy_mode(policy_mode)
-    # A copy: ctypes can point into it even when the caller's array is read-only.
-    wind = np.array(wind, dtype=np.float64, order="C")
-    if wind.ndim != 2 or wind.shape[0] < 1 or wind.shape[1] != 8:
-        raise ValueError(f"wind must have shape (n >= 1, 8), got {wind.shape}")
-    params, n_waypoints, steps = _packed(
-        env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed, lookahead, kp,
-        kd, air_drag, drag_z, drag_xy, max_steps, _NO_WIND, scales, alert_penalty, delta, theta)
-    out = np.empty((wind.shape[0], 4), dtype=np.intc)
+    params, n_waypoints, steps = pack(policy_mode, delta, **scenario)
+    table, columns = checked_rows("wind", wind, 8, at_least=1), weight_columns(theta)
+    out = np.empty((table.shape[0], 4), dtype=np.intc)
     _raise_for(_lib.rtsa_batch(_pointer(params), n_waypoints, int(policy_mode), steps,
-                               _pointer(wind), wind.shape[0], _pointer(out, ctypes.c_int)))
+                               _pointer(table), table.shape[0], _pointer(columns),
+                               _pointer(out, ctypes.c_int)))
     return out
 
 
-def learn_episode_compiled(theta, exit_penalty, discount, learning_rate, epsilon, rng,
-                           **episode):
+def learn_episode_compiled(theta, exit_penalty, discount, learning_rate, epsilon, rng, *,
+                           wind_params, **scenario):
     """``_rollout_py.learn_episode`` on the C kernel: same arguments, same result,
     same updates to ``theta`` and the same draws from ``rng``."""
-    theta = _weights(theta)
-    if not isinstance(rng, np.random.Generator):
-        raise ValueError(f"rng must be a numpy Generator, got {type(rng).__name__}")
-    params, n_waypoints, steps = _packed(**episode)
+    theta = weights_in_place(theta)
+    check_generator(rng)
+    params, n_waypoints, steps = pack(POLICY_WEIGHTS, 0.0, **scenario)
+    wind = checked("wind_params", wind_params, (8,))
     out = _Out()
     learn_out = _LearnOut()
     bit_generator = rng.bit_generator
@@ -269,8 +176,8 @@ def learn_episode_compiled(theta, exit_penalty, discount, learning_rate, epsilon
     bitgen = _capsule_pointer(bit_generator.capsule, b"BitGenerator")
     with bit_generator.lock:
         status = _lib.rtsa_learn_episode(
-            _pointer(params), n_waypoints, steps, _pointer(theta), exit_penalty, discount,
-            learning_rate, epsilon, bitgen, out, learn_out)
+            _pointer(params), n_waypoints, steps, _pointer(wind), _pointer(theta), exit_penalty,
+            discount, learning_rate, epsilon, bitgen, out, learn_out)
     _raise_for(status)
     n, outcome, deploy_step, deploy_greedy = out
     return (learn_out[0], outcome, deploy_step, None if deploy_greedy < 0 else bool(deploy_greedy),
@@ -279,19 +186,8 @@ def learn_episode_compiled(theta, exit_penalty, discount, learning_rate, epsilon
 
 def replay_compiled(theta, phi, actions, rewards, ends, terminal, learning_rate, discount):
     """``_rollout_py.replay`` on the C kernel: same arguments, same updates to ``theta``."""
-    theta = _weights(theta)
-    phi = np.ascontiguousarray(phi, dtype=float)
-    if phi.ndim != 2 or phi.shape[1] != N_FEATURES:
-        raise ValueError(f"phi must have shape (n, {N_FEATURES}), got {phi.shape}")
-    n = phi.shape[0]
-    actions = _checked("actions", actions, (n,), np.int64)
-    rewards = _checked("rewards", rewards, (n,))
-    ends = np.ascontiguousarray(ends, dtype=np.int64)
-    if ends.ndim != 1:
-        raise ValueError(f"ends must be 1-D, got shape {ends.shape}")
-    terminal = _checked("terminal", terminal, ends.shape, np.int64)
-    if ends.size and (ends[0] < 0 or ends[-1] != n or np.any(np.diff(ends) < 0)):
-        raise ValueError(f"ends must be non-decreasing episode ends, the last one {n}")
+    theta, phi, actions, rewards, ends, terminal = replay_arrays(theta, phi, actions, rewards,
+                                                                 ends, terminal)
     _lib.rtsa_replay(_pointer(theta), _pointer(phi), _pointer(actions, ctypes.c_int64),
                      _pointer(rewards), _pointer(ends, ctypes.c_int64),
                      _pointer(terminal, ctypes.c_int64), ends.size, learning_rate, discount)
@@ -325,7 +221,8 @@ VERDICTS = {
 
 
 def scenario_args(scenario) -> dict:
-    """The scenario's keyword arguments to the episode kernels."""
+    """The scenario's keyword arguments to ``_rollout_py.pack``, but for ``scales`` and
+    ``alert_penalty``."""
     sim = scenario.sim
     return {
         "env_min": scenario.envelope.min_corner,
@@ -344,19 +241,3 @@ def scenario_args(scenario) -> dict:
         "max_steps": sim.max_steps,
     }
 
-
-def wind_params(field) -> np.ndarray:
-    """A WindField as the kernels' (base_x, base_y, amp_x, amp_y, freq_x, freq_y,
-    phase_x, phase_y)."""
-    return np.array(
-        [
-            field.base[0],
-            field.base[1],
-            field.gust_amplitude[0],
-            field.gust_amplitude[1],
-            field.gust_frequencies[0],
-            field.gust_frequencies[1],
-            field.gust_phases[0],
-            field.gust_phases[1],
-        ]
-    )

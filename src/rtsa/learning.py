@@ -103,8 +103,8 @@ def epsilon_greedy(theta: np.ndarray, phi: np.ndarray, epsilon: float,
     return greedy_action(theta, phi)
 
 
-def _checked_config(cfg: LearnConfig) -> None:
-    problems = cfg.validate()
+def _checked_config(cfg: LearnConfig, rc: RewardConfig) -> None:
+    problems = cfg.validate() + rc.validate()
     if problems:
         raise ValueError("invalid learning configuration: " + "; ".join(problems))
 
@@ -170,10 +170,11 @@ def warm_start(episodes, theta0: np.ndarray, cfg: LearnConfig, scenario,
     """Batch-fit the weights by replaying recorded episodes through the TD update.
 
     The episodes must carry trajectories (``run_episode`` records). Raises
-    ValueError for an invalid ``cfg`` or an episode without a trajectory,
-    and RuntimeError as soon as a pass leaves the weights non-finite.
+    ValueError for an invalid ``cfg`` or ``rc`` or an episode without a
+    trajectory, and RuntimeError as soon as a pass leaves the weights
+    non-finite.
     """
-    _checked_config(cfg)
+    _checked_config(cfg, rc)
     episodes = list(episodes)
     if not episodes:
         raise ValueError("warm start needs a non-empty episode batch")
@@ -221,10 +222,10 @@ def train(scenario, rc: RewardConfig, cfg: LearnConfig, theta0: np.ndarray,
     at ``cfg.seed``); exploration and update randomness comes from a separate
     stream, so the same wind seeds can be reused for evaluation comparisons
     elsewhere without touching exploration. Returns (theta, TrainingLog).
-    Raises ValueError for an invalid ``cfg`` and RuntimeError as soon as an
-    episode leaves the weights non-finite.
+    Raises ValueError for an invalid ``cfg`` or ``rc`` and RuntimeError as
+    soon as an episode leaves the weights non-finite.
     """
-    _checked_config(cfg)
+    _checked_config(cfg, rc)
     kernel_args = fastpath.scenario_args(scenario)
     theta = _columns(theta0)
     log = TrainingLog()

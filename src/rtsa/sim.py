@@ -197,7 +197,8 @@ _KERNEL_ORDER = [0, 1, 2, 5, 3, 6, 4, 7]
 def wind_rows(draws: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """Unit draws (``wind_draws``) scaled into the kernels' (n, 8) wind rows.
 
-    Columns follow ``fastpath.wind_params``. Each normal z becomes
+    Columns are the kernels' wind order: base, gust amplitude, gust
+    frequency and gust phase, each x then y. Each normal z becomes
     mean + sigma * z and each uniform u becomes lo + (hi - lo) * u, the
     arithmetic numpy's ``Generator.uniform`` performs, so a row equals the
     field ``sample_wind_field`` draws for the same seed bit for bit.

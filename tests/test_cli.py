@@ -85,6 +85,15 @@ class TestEvaluate:
                    "--seeds", "5..5"])
         assert rc == 2
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "0"])
+    def test_non_finite_baseline_delta_exits_2(self, scenario_path, tmp_path, capsys, delta):
+        out = tmp_path / "cm.csv"
+        rc = main(["evaluate", "--scenario", scenario_path, "--policy", f"baseline:{delta}",
+                   "--seeds", "0..50", "--out", str(out)])
+        assert rc == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWarmstartAndTrain:
     def test_pipeline(self, scenario_path, tmp_path, capsys):
@@ -170,6 +179,18 @@ class TestWarmstartAndTrain:
         assert "learning_rate must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("penalty", ["-1", "0", "nan"])
+    def test_train_bad_alert_penalty_exits_2(self, scenario_path, tmp_path, capsys, penalty):
+        w0 = tmp_path / "w0.json"
+        save_weights(np.zeros((9, 2)), w0)
+        out = tmp_path / "w1.json"
+        rc = main(["train", "--scenario", scenario_path, "--init", str(w0),
+                   "--alert-penalty", penalty, "--episodes", "1", "--seed", "0",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "alert_penalty must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_missing_init_exits_2(self, scenario_path, capsys):
         rc = main(["train", "--scenario", scenario_path, "--init", "/nope.json",
                    "--alert-penalty", "0.05", "--episodes", "1", "--seed", "0",
@@ -192,6 +213,25 @@ class TestSoc:
                    "--out", str(out)])
         assert rc == 2
         assert "learning_rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--baseline-deltas", "4,nan", "positive and finite"),
+            ("--baseline-deltas", "inf", "positive and finite"),
+            ("--alert-penalties", "-1", "alert_penalty must be positive and finite"),
+            ("--alert-penalties", "0.05,0", "alert_penalty must be positive and finite"),
+        ],
+    )
+    def test_bad_delta_or_penalty_exits_2(self, scenario_path, tmp_path, capsys, option, value,
+                                          message):
+        out = tmp_path / "soc.csv"
+        rc = main(["soc", "--scenario", scenario_path, "--train-seeds", "0..10",
+                   "--eval-seeds", "20..30", "--seed", "0", "--episodes", "2",
+                   option, value, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_tiny_sweep(self, scenario_path, tmp_path, capsys):

@@ -22,9 +22,11 @@ class TestPolicySpec:
         assert PolicySpec.nominal().policy_id == "nominal"
         assert PolicySpec.baseline(4.0).policy_id == "baseline:4"
 
-    def test_baseline_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            PolicySpec.baseline(0.0)
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_baseline_rejects_nonpositive(self, delta):
+        # NaN used to give a switch that never deploys, inf one that always does.
+        with pytest.raises(ValueError, match="positive and finite"):
+            PolicySpec.baseline(delta)
 
     def test_weights_rejects_bad_shape(self):
         with pytest.raises(ValueError):

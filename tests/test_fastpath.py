@@ -1,12 +1,17 @@
+import copy
 import os
 import shutil
 import subprocess
 import sys
 import sysconfig
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rtsa import _rollout_py, fastpath
 from rtsa._rollout_py import rollout as rollout_python
@@ -127,6 +132,17 @@ def batch_kwargs(scenario, policy, seeds):
                 alert_penalty=scenario.reward.alert_penalty, **_kernel_scenario_args(scenario))
 
 
+@pytest.mark.skipif(fastpath.BACKEND != "c", reason="the script compares C with Python")
+def test_bench_rollout_script_finds_the_backends_bit_identical():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run([sys.executable, str(root / "benchmarks" / "bench_rollout.py"),
+                          "--episodes", "3", "--repeats", "1"], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert "backends bit-identical over all episodes" in run.stdout
+
+
 @needs_compiled
 class TestBatchParity:
     @pytest.mark.parametrize("which", ["calibrated", "short"])
@@ -166,10 +182,9 @@ def test_batch_summaries_match_single_episodes(calibrated_scenario, policy):
 def learn_call(backend, scenario, theta, seed, epsilon):
     """One learning episode on ``backend``; returns its result and the exploration
     generator's state after it."""
-    field = sample_wind_field(np.random.default_rng(seed), scenario.sim)
     rng = np.random.default_rng([3, seed])
     result = backend(theta, scenario.reward.exit_penalty, scenario.reward.discount, 3e-3,
-                     epsilon, rng, wind_params=fastpath.wind_params(field),
+                     epsilon, rng, wind_params=wind_params_for(seed, scenario)[1],
                      scales=scenario.feature_scales,
                      alert_penalty=scenario.reward.alert_penalty,
                      **fastpath.scenario_args(scenario))
@@ -279,10 +294,22 @@ class TestBuild:
         assert out.split() == ["python", "None", "RTSA_PURE_PYTHON", "is", "set"]
 
 
-@needs_compiled
-class TestCompiledArgumentChecks:
+BACKENDS = [pytest.param("c", marks=needs_compiled), "python"]
+
+
+def kernels(backend):
+    """One backend's ``rollout``, ``batch``, ``learn_episode`` and ``replay``."""
+    if backend == "c":
+        return SimpleNamespace(rollout=rollout_compiled, batch=batch_compiled,
+                               learn_episode=learn_episode_compiled, replay=replay_compiled)
+    return _rollout_py
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestArgumentChecks:
     # Each case would make C read or write out of bounds, overflow an int or
-    # divide by a zero-length segment; the wrapper must refuse it first.
+    # divide by a zero-length segment, and make the Python loop crash or run
+    # a wrong episode; both backends must refuse it first.
     @pytest.mark.parametrize(
         "key,value",
         [
@@ -290,21 +317,25 @@ class TestCompiledArgumentChecks:
             ("waypoints", np.zeros((4, 2))),
             ("waypoints", np.zeros(12)),
             ("waypoints", [[0.0, 0.0, 12.0], [0.0, 0.0, 12.0], [60.0, 0.0, 0.0]]),
+            ("waypoints", [[0.0, 0.0, 12.0], [np.nan, 0.0, 12.0]]),
             ("theta", np.zeros((8, 2))),
             ("theta", np.zeros(18)),
             ("scales", np.ones(7)),
+            ("scales", None),
             ("wind_params", np.zeros(9)),
             ("env_min", np.zeros(2)),
+            ("env_min", ["a", "b", "c"]),
             ("env_max", np.zeros(4)),
             ("max_steps", 0),
             ("max_steps", MAX_STEPS + 1),
             ("max_steps", 2**40),
+            ("max_steps", 2.5),
             ("policy_mode", 3),
             ("policy_mode", 7),
             ("policy_mode", -1),
         ],
     )
-    def test_bad_argument_raises_value_error(self, calibrated_scenario, key, value):
+    def test_bad_argument_raises_value_error(self, calibrated_scenario, backend, key, value):
         kwargs = dict(
             wind_params=np.zeros(8),
             policy_mode=fastpath.POLICY_NOMINAL,
@@ -315,8 +346,8 @@ class TestCompiledArgumentChecks:
             **_kernel_scenario_args(calibrated_scenario),
         )
         kwargs[key] = value
-        with pytest.raises(ValueError):
-            rollout_compiled(**kwargs)
+        with pytest.raises(ValueError, match=key):
+            kernels(backend).rollout(**kwargs)
 
     @pytest.mark.parametrize(
         "key,value",
@@ -326,15 +357,17 @@ class TestCompiledArgumentChecks:
             ("wind", np.zeros(8)),
             ("policy_mode", 3),
             ("waypoints", np.zeros((1, 3))),
+            ("waypoints", np.zeros((2, 3))),
             ("theta", np.zeros(18)),
             ("max_steps", 0),
         ],
     )
-    def test_bad_batch_argument_raises_value_error(self, calibrated_scenario, key, value):
+    def test_bad_batch_argument_raises_value_error(self, calibrated_scenario, backend, key,
+                                                   value):
         kwargs = batch_kwargs(calibrated_scenario, PolicySpec.nominal(), range(3))
         kwargs[key] = value
-        with pytest.raises(ValueError):
-            batch_compiled(**kwargs)
+        with pytest.raises(ValueError, match=key):
+            kernels(backend).batch(**kwargs)
 
     @pytest.mark.parametrize(
         "theta",
@@ -342,25 +375,113 @@ class TestCompiledArgumentChecks:
          np.zeros((N_FEATURES, 2)).T, np.zeros((2, N_FEATURES)).tolist()],
         ids=["shape", "dtype", "strided", "list"],
     )
-    def test_learning_weights_must_be_updatable_in_place(self, calibrated_scenario, theta):
+    def test_learning_weights_must_be_updatable_in_place(self, calibrated_scenario, backend,
+                                                         theta):
         with pytest.raises(ValueError, match="theta"):
-            learn_call(learn_episode_compiled, calibrated_scenario, theta, 0, 0.0)
+            learn_call(kernels(backend).learn_episode, calibrated_scenario, theta, 0, 0.0)
         with pytest.raises(ValueError, match="theta"):
-            replay_compiled(theta, np.zeros((2, N_FEATURES)), [0, 0], [0.0, 0.0], [2], [1],
-                            3e-3, 0.99)
+            kernels(backend).replay(theta, np.zeros((2, N_FEATURES)), [0, 0], [0.0, 0.0], [2], [1], 3e-3, 0.99)
+
+    def test_learning_needs_a_generator(self, calibrated_scenario, backend):
+        with pytest.raises(ValueError, match="rng"):
+            kernels(backend).learn_episode(
+                np.zeros((2, N_FEATURES)), 1.0, 0.99, 3e-3, 0.1, None, wind_params=np.zeros(8),
+                scales=calibrated_scenario.feature_scales, alert_penalty=0.05,
+                **_kernel_scenario_args(calibrated_scenario))
+
+    def test_read_only_arrays_are_accepted(self, calibrated_scenario, backend):
+        kwargs = batch_kwargs(calibrated_scenario, BATCH_POLICIES[-1], range(3))
+        frozen = {key: np.array(value, order="C") for key, value in kwargs.items()
+                  if isinstance(value, np.ndarray)}
+        for value in frozen.values():
+            value.flags.writeable = False
+        batch = kernels(backend).batch
+        assert batch(**{**kwargs, **frozen}).tobytes() == batch(**kwargs).tobytes()
 
     @pytest.mark.parametrize("ends", [[1], [3], [2, 1, 2], [-1, 2], [[2]]])
-    def test_replay_ends_must_cover_the_rows(self, ends):
+    def test_replay_ends_must_cover_the_rows(self, backend, ends):
         phi = np.zeros((2, N_FEATURES))
         with pytest.raises(ValueError, match="ends"):
-            replay_compiled(np.zeros((2, N_FEATURES)), phi, [0, 0], [0.0, 0.0], ends,
-                            np.ones(np.shape(ends), dtype=int), 3e-3, 0.99)
+            kernels(backend).replay(np.zeros((2, N_FEATURES)), phi, [0, 0], [0.0, 0.0], ends,
+                                    np.ones(np.shape(ends), dtype=int), 3e-3, 0.99)
 
 
-@pytest.mark.parametrize("mode", [3, 7, -1])
-def test_python_kernel_rejects_unknown_policy_mode(calibrated_scenario, mode):
-    with pytest.raises(ValueError, match="policy_mode"):
-        kernel_call(rollout_python, calibrated_scenario, 0, mode)
+def fuzzed(valid):
+    """``valid`` recast to another dtype, not numbers, or ones of a drawn shape."""
+    valid = np.asarray(valid, dtype=float)
+    return st.one_of(
+        st.sampled_from([np.float32, np.int64, np.bool_, np.str_, object]).map(valid.astype),
+        st.sampled_from([None, "x", np.full(valid.shape, "x")]),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4).map(np.ones),
+    )
+
+
+def _valid_result(entry, result, max_steps):
+    if entry == "batch":
+        steps, outcomes, deploy_steps = result[:, 0], result[:, 1], result[:, 2]
+        return (result.dtype == np.intc and result.ndim == 2 and result.shape[1] == 4
+                and np.all((steps >= 1) & (steps <= max_steps))
+                and np.all((outcomes >= 1) & (outcomes <= 4))
+                and np.all((deploy_steps >= -1) & (deploy_steps < steps)))
+    if entry == "rollout":
+        (_, outcome, deploy_step), steps = result, len(result[0]) - 1
+    else:
+        (_, outcome, deploy_step, _, steps, _), _, _ = result
+    return 1 <= steps <= max_steps and 1 <= outcome <= 4 and -1 <= deploy_step < steps
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_wrappers_give_a_result_or_value_error(calibrated_scenario, data):
+    # Bad shapes and dtypes of every array, and max_steps and policy modes
+    # around their bounds: each call returns a valid result or raises
+    # ValueError, never another exception, and both backends agree.
+    scenario = calibrated_scenario
+    entry = data.draw(st.sampled_from(["rollout", "batch", "learn_episode"]), label="entry")
+    wind_key = "wind" if entry == "batch" else "wind_params"
+    wind = wind_rows(wind_draws([5, 6]), scenario.sim)
+    args = dict(_kernel_scenario_args(scenario), scales=scenario.feature_scales,
+                alert_penalty=scenario.reward.alert_penalty,
+                max_steps=data.draw(st.sampled_from([-1, 0, 1, 2400, MAX_STEPS + 1, 2**40]),
+                                    label="max_steps"),
+                **{wind_key: wind if entry == "batch" else wind[0]})
+    if entry == "learn_episode":
+        args["theta"] = np.zeros((2, N_FEATURES))
+    else:
+        args.update(theta=random_weights(np.random.default_rng(3)), delta=8.0,
+                    policy_mode=data.draw(st.sampled_from([-1, 0, 1, 2, 3]),
+                                          label="policy_mode"))
+    keys = ["env_min", "env_max", "waypoints", "scales", "theta", wind_key]
+    for key in data.draw(st.sets(st.sampled_from(keys), max_size=2), label="fuzzed"):
+        args[key] = data.draw(fuzzed(args[key]), label=key)
+    theta = args.pop("theta") if entry == "learn_episode" else None
+
+    def call(backend):
+        kernel = getattr(kernels(backend), entry)
+        try:
+            if entry != "learn_episode":
+                return kernel(**args)
+            weights, rng = copy.deepcopy(theta), np.random.default_rng(4)
+            result = kernel(weights, 1.0, 0.99, 3e-3, 0.1, rng, **args)
+            return result, weights, rng.bit_generator.state
+        except ValueError:
+            return ValueError
+
+    results = [call(backend) for backend in
+               ["python"] + (["c"] if rollout_compiled is not None else [])]
+    for result in results:
+        assert result is ValueError or _valid_result(entry, result, args["max_steps"])
+    if len(results) == 2:
+        assert (results[0] is ValueError) == (results[1] is ValueError)
+        assert results[0] is ValueError or _same(results[0], results[1])
 
 
 class TestKernelMatchesPythonComposition:

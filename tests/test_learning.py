@@ -25,7 +25,7 @@ from rtsa.learning import (
 )
 from rtsa.evaluation import PolicySpec, run_batch, run_episode
 from rtsa.policy import N_FEATURES, Action, random_weights
-from rtsa.sim import Verdict, sample_wind_field
+from rtsa.sim import Verdict, wind_draws, wind_rows
 
 THETA_RTOL = 1e-9
 THETA_ATOL = 1e-12
@@ -304,6 +304,18 @@ class TestLearnConfig:
             warm_start(records, np.zeros((N_FEATURES, 2)), cfg, calibrated_scenario,
                        calibrated_scenario.reward)
 
+    @pytest.mark.parametrize("alert_penalty", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_train_and_warm_start_refuse_an_invalid_reward(self, calibrated_scenario,
+                                                           learning_backend, alert_penalty):
+        # -1 and 0 used to train without a word, and NaN to fail as divergence.
+        rc = replace(calibrated_scenario.reward, alert_penalty=alert_penalty)
+        with pytest.raises(ValueError, match="alert_penalty"):
+            train(calibrated_scenario, rc, LearnConfig(episodes=2), np.zeros((N_FEATURES, 2)),
+                  wind_seeds=range(2))
+        records = run_batch(PolicySpec.baseline(8.0), calibrated_scenario, [0, 1])
+        with pytest.raises(ValueError, match="alert_penalty"):
+            warm_start(records, np.zeros((N_FEATURES, 2)), LearnConfig(), calibrated_scenario, rc)
+
 
 class TestTrain:
     def test_zero_episodes_identity(self, calibrated_scenario):
@@ -408,8 +420,8 @@ class TestOracleParity:
     def test_frozen_greedy_episode_is_the_weights_rollout(self, calibrated_scenario, seed):
         scenario = calibrated_scenario
         theta = random_weights(np.random.default_rng(seed), 0.3)
-        field = sample_wind_field(np.random.default_rng(seed), scenario.sim)
-        args = dict(wind_params=fastpath.wind_params(field), scales=scenario.feature_scales,
+        args = dict(wind_params=wind_rows(wind_draws([seed]), scenario.sim)[0],
+                    scales=scenario.feature_scales,
                     alert_penalty=scenario.reward.alert_penalty,
                     **fastpath.scenario_args(scenario))
         traj, outcome, deploy_step = rollout(policy_mode=fastpath.POLICY_WEIGHTS, delta=0.0,
