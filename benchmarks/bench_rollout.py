@@ -9,12 +9,15 @@ per-training-step and per-replay-transition timing and the speedups.
 Then, on the loaded backend and for each policy mode, times one
 ``fastpath.batch`` call over the seeds against a loop of ``fastpath.rollout``
 calls, in episodes per second, and checks both give the same outcomes and
-deploy steps. Writes no file.
+deploy steps. On the C kernel, it also times one batch call on one worker
+thread against one on every worker ``fastpath.batch`` uses, and checks their
+summaries are byte-equal. Writes no file.
 
 Usage: python benchmarks/bench_rollout.py [--episodes N] [--policy SPEC]
 """
 
 import argparse
+import ctypes
 import statistics
 import time
 
@@ -122,6 +125,29 @@ def bench_batch(scenario, policy, seeds, repeats):
     return len(seeds) / best_batch, len(seeds) / best_loop, summaries, results
 
 
+def bench_workers(scenario, policy, seeds, workers, repeats):
+    """Best seconds of one C batch call over ``seeds`` on ``workers`` threads, and its
+    summaries. Calls ``rtsa_batch`` directly, as ``fastpath.batch_compiled`` does with
+    ``fastpath.batch_workers`` threads."""
+    theta = policy.theta if policy.theta is not None else np.zeros((N_FEATURES, len(Action)))
+    params, n_waypoints, steps = _rollout_py.pack(
+        policy._mode(), policy.delta, scales=scenario.feature_scales,
+        alert_penalty=scenario.reward.alert_penalty, **fastpath.scenario_args(scenario))
+    table = _rollout_py.checked_rows("wind", wind_rows(wind_draws(seeds), scenario.sim), 8)
+    columns = _rollout_py.weight_columns(theta)
+    out = np.empty((len(table), 4), dtype=np.intc)
+    p = fastpath._pointer
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        status = fastpath._lib.rtsa_batch(p(params), n_waypoints, policy._mode(), steps,
+                                          p(table), len(table), p(columns),
+                                          p(out, ctypes.c_int), workers)
+        best = min(best, time.perf_counter() - start)
+        fastpath._raise_for(status)
+    return best, out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--episodes", type=int, default=50)
@@ -195,6 +221,18 @@ def main():
     assert theta_py.tobytes() == theta_c.tobytes(), "trained weights disagree"
     assert rtheta_py.tobytes() == rtheta_c.tobytes(), "warm-start weights disagree"
     print("backends bit-identical over all episodes, training results and weights")
+
+    workers = fastpath.batch_workers(args.episodes)
+    print(f"batch workers: {workers} for {args.episodes} episodes")
+    for policy in (PolicySpec.nominal(), PolicySpec.baseline(8.0),
+                   PolicySpec.weights(random_weights(np.random.default_rng(1)))):
+        t_one, one = bench_workers(scenario, policy, seeds, 1, args.repeats)
+        t_all, every = bench_workers(scenario, policy, seeds, workers, args.repeats)
+        assert one.tobytes() == every.tobytes(), "worker counts disagree"
+        print(f"  {policy.policy_id:<11}: 1 worker {len(seeds) / t_one:9.0f} episodes/s"
+              f"  {workers} workers {len(seeds) / t_all:9.0f} episodes/s"
+              f"  ({t_one / t_all:4.1f}x)")
+    print(f"batch summaries byte-equal on 1 and {workers} workers")
 
 
 if __name__ == "__main__":

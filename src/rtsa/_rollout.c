@@ -11,7 +11,8 @@
  * rule (`td_update`):
  *   rtsa_rollout        one episode under a fixed policy, with its trajectory;
  *   rtsa_batch          n episodes under a fixed policy, one wind row each,
- *                       with per-episode summaries and no trajectories;
+ *                       with per-episode summaries and no trajectories,
+ *                       spread over a few worker threads;
  *   rtsa_learn_episode  one epsilon-greedy Q-learning episode, updating the
  *                       weights in place at every step;
  *   rtsa_replay         one warm-start TD pass over recorded episodes.
@@ -34,6 +35,8 @@
  */
 
 #include <math.h>
+#include <pthread.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -48,6 +51,9 @@
 
 #define GRAVITY 9.81
 #define N_FEATURES 9
+
+/* Ceiling on rtsa_batch's threads, whatever worker count it is asked for. */
+#define MAX_WORKERS 8
 
 /* numpy/random/bitgen.h */
 typedef struct bitgen {
@@ -116,39 +122,22 @@ static inline void td_update(double *th, const double *phi, int action, double r
 }
 
 /*
- * The episode loop behind rtsa_rollout and rtsa_batch (learn = 0) and
- * rtsa_learn_episode (learn = 1), in the wind of the 8 values at `wind`.
- * `theta` is read into a local copy; when learning, the updated copy is
- * written back to `theta_out`. Rows 0..out[0] of `traj`, if not NULL, get
- * (t, px, py, pz, vx, vy, vz, action, reward). On return
- * out = (steps, outcome, deploy_step, deploy_greedy) and, when learning,
- * dout = (discounted return, largest squared feature norm).
+ * The mission path's segments: segment i runs from waypoint i (`wps`) by
+ * seg_d[3i..3i+2], with squared length seg_len2[i] and length seg_len[i];
+ * cum[i] is the path length up to waypoint i, total_len = cum[n_seg]. Built
+ * once per entry-point call and then only read, so batch workers share it.
  */
-static inline __attribute__((always_inline)) int
-episode(const double *p, int n_waypoints, int policy_mode, int max_steps, const double *wind,
-        const double *theta, const int learn, double *theta_out, double exit_penalty,
-        double discount, double learning_rate, double epsilon, bitgen_t *bitgen, double *traj,
-        int *out, double *dout)
-{
-    const double *env_min = p + P_ENV_MIN, *env_max = p + P_ENV_MAX;
-    const double exn0 = env_min[0], exn1 = env_min[1], exn2 = env_min[2];
-    const double exx0 = env_max[0], exx1 = env_max[1], exx2 = env_max[2];
-    const double arrival_radius = p[P_ARRIVAL_RADIUS], dt = p[P_DT], a_max = p[P_A_MAX];
-    const double cruise_speed = p[P_CRUISE_SPEED], lookahead = p[P_LOOKAHEAD];
-    const double kp = p[P_KP], kd = p[P_KD], air_drag = p[P_AIR_DRAG];
-    const double drag_z = p[P_DRAG_Z], drag_xy = p[P_DRAG_XY];
-    const double delta = p[P_DELTA], alert_penalty = p[P_ALERT_PENALTY];
-    const double bw0 = wind[0], bw1 = wind[1], ga0 = wind[2], ga1 = wind[3];
-    const double gf0 = wind[4], gf1 = wind[5], gp0 = wind[6], gp1 = wind[7];
-    const double *sc = p + P_SCALES, *wps = p + P_WAYPOINTS;
-    const int weights_mode =
-        learn || (policy_mode != POLICY_NOMINAL && policy_mode != POLICY_BASELINE);
-    const int explore = learn && epsilon > 0.0;
-    double th[2 * N_FEATURES];
-    memcpy(th, theta, sizeof th);
-    const double *t0 = th, *t1 = th + N_FEATURES;
+typedef struct {
+    const double *wps;
+    int n_seg;
+    double total_len;
+    double *seg_d, *seg_len2, *seg_len, *cum;
+} path_t;
 
-    /* Path segments: start (wps), delta, squared length, length, cumulative length. */
+/* Returns 0, -1 for a zero-length (or NaN) segment or -2 for a failed
+ * allocation; path_free is needed only after 0. */
+static int path_init(path_t *path, const double *wps, int n_waypoints)
+{
     const int n_seg = n_waypoints - 1;
     double *seg_d = malloc(sizeof(double) * (size_t)(6 * n_seg + 1));
     if (seg_d == NULL)
@@ -167,7 +156,50 @@ episode(const double *p, int n_waypoints, int policy_mode, int max_steps, const 
         seg_len[i] = sqrt(seg_len2[i]);
         cum[i + 1] = cum[i] + seg_len[i];
     }
-    const double total_len = cum[n_seg];
+    *path = (path_t){wps, n_seg, cum[n_seg], seg_d, seg_len2, seg_len, cum};
+    return 0;
+}
+
+static void path_free(path_t *path) { free(path->seg_d); }
+
+/*
+ * The episode loop behind rtsa_rollout and rtsa_batch (learn = 0) and
+ * rtsa_learn_episode (learn = 1), along `path` in the wind of the 8 values at
+ * `wind`.
+ * `theta` is read into a local copy; when learning, the updated copy is
+ * written back to `theta_out`. Rows 0..out[0] of `traj`, if not NULL, get
+ * (t, px, py, pz, vx, vy, vz, action, reward). On return
+ * out = (steps, outcome, deploy_step, deploy_greedy) and, when learning,
+ * dout = (discounted return, largest squared feature norm).
+ */
+static inline __attribute__((always_inline)) void
+episode(const double *p, const path_t *path, int policy_mode, int max_steps, const double *wind,
+        const double *theta, const int learn, double *theta_out, double exit_penalty,
+        double discount, double learning_rate, double epsilon, bitgen_t *bitgen, double *traj,
+        int *out, double *dout)
+{
+    const double *env_min = p + P_ENV_MIN, *env_max = p + P_ENV_MAX;
+    const double exn0 = env_min[0], exn1 = env_min[1], exn2 = env_min[2];
+    const double exx0 = env_max[0], exx1 = env_max[1], exx2 = env_max[2];
+    const double arrival_radius = p[P_ARRIVAL_RADIUS], dt = p[P_DT], a_max = p[P_A_MAX];
+    const double cruise_speed = p[P_CRUISE_SPEED], lookahead = p[P_LOOKAHEAD];
+    const double kp = p[P_KP], kd = p[P_KD], air_drag = p[P_AIR_DRAG];
+    const double drag_z = p[P_DRAG_Z], drag_xy = p[P_DRAG_XY];
+    const double delta = p[P_DELTA], alert_penalty = p[P_ALERT_PENALTY];
+    const double bw0 = wind[0], bw1 = wind[1], ga0 = wind[2], ga1 = wind[3];
+    const double gf0 = wind[4], gf1 = wind[5], gp0 = wind[6], gp1 = wind[7];
+    const double *sc = p + P_SCALES, *wps = path->wps;
+    const int weights_mode =
+        learn || (policy_mode != POLICY_NOMINAL && policy_mode != POLICY_BASELINE);
+    const int explore = learn && epsilon > 0.0;
+    double th[2 * N_FEATURES];
+    memcpy(th, theta, sizeof th);
+    const double *t0 = th, *t1 = th + N_FEATURES;
+
+    const int n_seg = path->n_seg;
+    const double *seg_d = path->seg_d, *seg_len2 = path->seg_len2;
+    const double *seg_len = path->seg_len, *cum = path->cum;
+    const double total_len = path->total_len;
     const double wlx = wps[3 * n_seg], wly = wps[3 * n_seg + 1], wlz = wps[3 * n_seg + 2];
 
     double px = wps[0], py = wps[1], pz = wps[2];
@@ -386,7 +418,6 @@ episode(const double *p, int n_waypoints, int policy_mode, int max_steps, const 
         row[8] = 0.0;
     }
 
-    free(seg_d);
     if (learn) {
         memcpy(theta_out, th, sizeof th);
         dout[0] = ret;
@@ -396,7 +427,6 @@ episode(const double *p, int n_waypoints, int policy_mode, int max_steps, const 
     out[1] = outcome;
     out[2] = deploy_step;
     out[3] = deploy_greedy;
-    return 0;
 }
 
 /*
@@ -410,26 +440,68 @@ episode(const double *p, int n_waypoints, int policy_mode, int max_steps, const 
 int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_steps,
                  const double *wind, const double *theta, double *traj, int *out)
 {
-    return episode(p, n_waypoints, policy_mode, max_steps, wind, theta, 0, NULL, 1.0, 1.0, 0.0,
-                   0.0, NULL, traj, out, NULL);
+    path_t path;
+    const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
+    if (status)
+        return status;
+    episode(p, &path, policy_mode, max_steps, wind, theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL,
+            traj, out, NULL);
+    path_free(&path);
+    return 0;
+}
+
+/* One rtsa_batch call, shared by its workers; `next` is the next unclaimed row. */
+typedef struct {
+    const double *p;
+    const path_t *path;
+    int policy_mode, max_steps, n;
+    const double *wind, *theta;
+    int *out;
+    atomic_int next;
+} batch_job;
+
+static void *batch_worker(void *arg)
+{
+    batch_job *job = arg;
+    for (int i; (i = atomic_fetch_add_explicit(&job->next, 1, memory_order_relaxed)) < job->n;)
+        episode(job->p, job->path, job->policy_mode, job->max_steps, job->wind + 8 * (size_t)i,
+                job->theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL, NULL, job->out + 4 * (size_t)i,
+                NULL);
+    return NULL;
 }
 
 /*
  * Run n episodes under a fixed policy, as rtsa_rollout would one by one:
  * episode i flies in the wind of row i of `wind` (n x 8) and writes its
  * (steps, outcome, deploy_step, deploy_greedy) to row i of `out` (n x 4).
- * Returns as rtsa_rollout, stopping at the first episode that fails.
+ * The episodes are shared out, one row at a time, among `n_workers` threads
+ * (at least 1, at most MAX_WORKERS and n): the calling thread and threads
+ * started for this call and joined before it returns. A thread that cannot
+ * be started leaves its share to the others. Each episode writes only its
+ * own row, so `out` does not depend on the worker count. Returns as
+ * rtsa_rollout, before any episode runs when it fails.
  */
 int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
-               const double *wind, int n, const double *theta, int *out)
+               const double *wind, int n, const double *theta, int *out, int n_workers)
 {
-    for (int i = 0; i < n; i++) {
-        const int status = episode(p, n_waypoints, policy_mode, max_steps, wind + 8 * (size_t)i,
-                                   theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL, NULL,
-                                   out + 4 * (size_t)i, NULL);
-        if (status)
-            return status;
-    }
+    path_t path;
+    const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
+    if (status)
+        return status;
+    batch_job job = {p, &path, policy_mode, max_steps, n, wind, theta, out, 0};
+    if (n_workers > MAX_WORKERS)
+        n_workers = MAX_WORKERS;
+    if (n_workers > n)
+        n_workers = n;
+    pthread_t threads[MAX_WORKERS - 1];
+    int started = 0;
+    while (started < n_workers - 1
+           && pthread_create(&threads[started], NULL, batch_worker, &job) == 0)
+        started++;
+    batch_worker(&job);
+    for (int k = 0; k < started; k++)
+        pthread_join(threads[k], NULL);
+    path_free(&path);
     return 0;
 }
 
@@ -447,8 +519,14 @@ int rtsa_learn_episode(const double *p, int n_waypoints, int max_steps, const do
                        double learning_rate, double epsilon, bitgen_t *bitgen, int *out,
                        double *dout)
 {
-    return episode(p, n_waypoints, 0, max_steps, wind, theta, 1, theta, exit_penalty, discount,
-                   learning_rate, epsilon, bitgen, NULL, out, dout);
+    path_t path;
+    const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
+    if (status)
+        return status;
+    episode(p, &path, 0, max_steps, wind, theta, 1, theta, exit_penalty, discount, learning_rate,
+            epsilon, bitgen, NULL, out, dout);
+    path_free(&path);
+    return 0;
 }
 
 /*

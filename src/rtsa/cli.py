@@ -17,7 +17,6 @@ from importlib import resources
 import numpy as np
 
 from .evaluation import (
-    ConfusionMatrix,
     PolicySpec,
     calibrate_wind,
     confusion,
@@ -26,12 +25,10 @@ from .evaluation import (
     soc_point,
     sweep_baseline,
     sweep_learned,
-    train_policy,
 )
 from .learning import LearnConfig, train, warm_start
 from .policy import load_weights, save_weights, N_FEATURES, Action
 from .scenario import Scenario, ScenarioError, load_scenario, save_scenario
-from .sim import Verdict
 
 
 class CliError(Exception):
@@ -236,6 +233,13 @@ def cmd_soc(args) -> int:
         raise CliError("train and eval seed ranges overlap")
     cfg = _learn_config(seed=args.seed, episodes=args.episodes,
                         learning_rate=args.learning_rate)
+    # Refuse every threshold and penalty before the first episode runs.
+    for delta in deltas:
+        PolicySpec.baseline(delta)
+    for penalty in penalties:
+        problems = replace(scenario.reward, alert_penalty=penalty).validate()
+        if problems:
+            raise CliError("; ".join(problems))
 
     nominal_records = run_batch(PolicySpec.nominal(), scenario, seeds_eval)
     nominal_cm = confusion(nominal_records, scenario.envelope)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import fastpath
 from .geometry import Envelope
-from .learning import LearnConfig, recorded_trajectory, train, warm_start
+from .learning import LearnConfig, _checked_config, recorded_trajectory, train, warm_start
 from .policy import N_FEATURES, Action
 from .sim import Verdict, wind_draws, wind_rows
 from .scenario import Scenario
@@ -290,9 +290,13 @@ DEFAULT_WARMSTART_EPISODES = 500
 def train_policy(scenario: Scenario, alert_penalty: float, learn_cfg: LearnConfig,
                  seeds_train, warmstart_delta: float = DEFAULT_WARMSTART_DELTA,
                  warmstart_episodes: int = DEFAULT_WARMSTART_EPISODES):
-    """Warm start from baseline episodes, then train online; returns (theta, log)."""
+    """Warm start from baseline episodes, then train online; returns (theta, log).
+
+    Raises ValueError for an invalid ``learn_cfg`` or alert penalty before any
+    episode runs."""
     seeds_train = list(seeds_train)
     rc = replace(scenario.reward, alert_penalty=alert_penalty)
+    _checked_config(learn_cfg, rc)
     warm_policy = PolicySpec.baseline(warmstart_delta)
     warm_records = [run_episode(warm_policy, scenario, seed, alert_penalty)
                     for seed in _seed_list(seeds_train[:warmstart_episodes])]

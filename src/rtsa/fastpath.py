@@ -10,7 +10,9 @@ says why. Both backends take the same arguments, check them with the same
 ``_rollout_py`` functions (``pack`` states the argument format) and give
 bit-identical results (see tests/test_fastpath.py). ``rollout`` returns one
 episode's trajectory; ``batch`` runs one episode per row of an (n, 8) wind
-array and returns only their (n, 4) summaries. The learning kernels update a
+array and returns only their (n, 4) summaries; the C ``batch`` spreads the
+episodes over as many threads as the process may use CPUs (at most one per
+row), with the same result on any count. The learning kernels update a
 (2, 9) float64 array of weight columns in place; the compiled learner draws
 its exploration from the numpy Generator's bit generator through numpy's
 ``bitgen_t`` struct, so the Generator's state advances exactly as under the
@@ -55,7 +57,7 @@ _SOURCE = Path(__file__).with_name("_rollout.c")
 # -ffp-contract=off keeps every multiply and add separately rounded, as in
 # the Python twin; a contracted FMA would break bit-identity.
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
-_LDLIBS = ("-lm",)
+_LDLIBS = ("-lm", "-pthread")
 _Out = ctypes.c_int * 4  # (steps, outcome, deploy_step, deploy_greedy)
 _LearnOut = ctypes.c_double * 2  # (discounted return, largest squared feature norm)
 _DOUBLES = ctypes.POINTER(ctypes.c_double)
@@ -115,7 +117,7 @@ def _load_kernel():
                                  ctypes.POINTER(c_int))
     lib.rtsa_rollout.restype = c_int
     lib.rtsa_batch.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, c_int, _DOUBLES,
-                               ctypes.POINTER(c_int))
+                               ctypes.POINTER(c_int), c_int)
     lib.rtsa_batch.restype = c_int
     lib.rtsa_learn_episode.argtypes = (_DOUBLES, c_int, c_int, _DOUBLES, _DOUBLES, c_double,
                                        c_double, c_double, c_double, ctypes.c_void_p,
@@ -149,14 +151,27 @@ def rollout_compiled(*, wind_params, policy_mode, delta, theta, **scenario):
     return traj[: out[0] + 1].copy(), out[1], out[2]
 
 
+def batch_workers(n_rows: int) -> int:
+    """Threads for a C batch of ``n_rows`` episodes: one per CPU the process may
+    use, but no more than rows."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_rows)
+
+
 def batch_compiled(*, wind, policy_mode, delta, theta, **scenario):
-    """``_rollout_py.batch`` on the C kernel: same arguments, same result."""
+    """``_rollout_py.batch`` on the C kernel: same arguments, same result.
+
+    Runs on ``batch_workers`` threads."""
     params, n_waypoints, steps = pack(policy_mode, delta, **scenario)
     table, columns = checked_rows("wind", wind, 8, at_least=1), weight_columns(theta)
-    out = np.empty((table.shape[0], 4), dtype=np.intc)
+    n_rows = table.shape[0]
+    out = np.empty((n_rows, 4), dtype=np.intc)
     _raise_for(_lib.rtsa_batch(_pointer(params), n_waypoints, int(policy_mode), steps,
-                               _pointer(table), table.shape[0], _pointer(columns),
-                               _pointer(out, ctypes.c_int)))
+                               _pointer(table), n_rows, _pointer(columns),
+                               _pointer(out, ctypes.c_int), batch_workers(n_rows)))
     return out
 
 

@@ -224,8 +224,13 @@ class TestSoc:
             ("--alert-penalties", "0.05,0", "alert_penalty must be positive and finite"),
         ],
     )
-    def test_bad_delta_or_penalty_exits_2(self, scenario_path, tmp_path, capsys, option, value,
-                                          message):
+    def test_bad_delta_or_penalty_exits_2(self, scenario_path, tmp_path, capsys, monkeypatch,
+                                          option, value, message):
+        # Refused before the nominal run, the first episode batch of a sweep.
+        def no_episodes(*args, **kwargs):
+            raise AssertionError("an episode batch ran before the arguments were checked")
+
+        monkeypatch.setattr(cli, "run_batch", no_episodes)
         out = tmp_path / "soc.csv"
         rc = main(["soc", "--scenario", scenario_path, "--train-seeds", "0..10",
                    "--eval-seeds", "20..30", "--seed", "0", "--episodes", "2",

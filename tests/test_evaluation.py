@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rtsa import evaluation
 from rtsa.evaluation import (
     ConfusionMatrix,
     EpisodeRecord,
@@ -12,7 +13,9 @@ from rtsa.evaluation import (
     run_episode,
     soc_point,
     sweep_baseline,
+    train_policy,
 )
+from rtsa.learning import LearnConfig
 from rtsa.policy import random_weights
 from rtsa.sim import Verdict, sample_wind_field
 
@@ -233,3 +236,24 @@ class TestWeightsPolicy:
             Verdict.COMPLETED, Verdict.EXITED, Verdict.GROUNDED, Verdict.TIMEOUT
         )
         assert np.all(np.isfinite(r.trajectory))
+
+
+class TestTrainPolicy:
+    @pytest.mark.parametrize(
+        "alert_penalty,cfg,message",
+        [
+            (-1.0, LearnConfig(), "alert_penalty"),
+            (float("nan"), LearnConfig(), "alert_penalty"),
+            (0.05, LearnConfig(learning_rate=0.0), "learning_rate"),
+            (0.05, LearnConfig(epsilon0=2.0), "epsilon0"),
+        ],
+    )
+    def test_bad_config_is_refused_before_any_demo(self, calibrated_scenario, monkeypatch,
+                                                   alert_penalty, cfg, message):
+        def no_episodes(*args, **kwargs):
+            raise AssertionError("a demo episode ran before the configuration was checked")
+
+        monkeypatch.setattr(evaluation, "run_episode", no_episodes)
+        with pytest.raises(ValueError, match=message):
+            train_policy(calibrated_scenario, alert_penalty, cfg, range(4),
+                         warmstart_episodes=2)

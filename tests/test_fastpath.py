@@ -1,4 +1,5 @@
 import copy
+import ctypes
 import os
 import shutil
 import subprocess
@@ -141,6 +142,7 @@ def test_bench_rollout_script_finds_the_backends_bit_identical():
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert "backends bit-identical over all episodes" in run.stdout
+    assert "batch summaries byte-equal on 1 and" in run.stdout
 
 
 @needs_compiled
@@ -157,6 +159,98 @@ class TestBatchParity:
         # (steps, outcome, deploy step, deploy_greedy) of every episode.
         assert c.tobytes() == py.tobytes()
         assert np.all(c[:, 0] >= 1)
+
+
+def c_batch(kwargs, workers, out=None):
+    """``batch_kwargs``' batch through ``fastpath._lib.rtsa_batch`` on ``workers``
+    threads, written into ``out`` (if None, a new one of -7s, so a row no worker ran
+    shows); raises as ``batch_compiled``."""
+    kwargs = dict(kwargs)
+    table = _rollout_py.checked_rows("wind", kwargs.pop("wind"), 8, at_least=1)
+    theta = _rollout_py.weight_columns(kwargs.pop("theta"))
+    mode = kwargs.pop("policy_mode")
+    params, n_waypoints, steps = _rollout_py.pack(mode, kwargs.pop("delta"), **kwargs)
+    if out is None:
+        out = np.full((table.shape[0], 4), -7, dtype=np.intc)
+    p = fastpath._pointer
+    fastpath._raise_for(fastpath._lib.rtsa_batch(
+        p(params), n_waypoints, mode, steps, p(table), table.shape[0], p(theta),
+        p(out, ctypes.c_int), workers))
+    return out
+
+
+WORKER_POLICIES = [PolicySpec.nominal(), PolicySpec.baseline(1 / 16), BATCH_POLICIES[-1]]
+
+
+@needs_compiled
+class TestBatchWorkers:
+    # Each episode writes only its own row, so no worker count may change a byte.
+    @pytest.mark.parametrize("n_rows", [1, 2, 40])
+    @pytest.mark.parametrize("which", ["calibrated", "short"])
+    @pytest.mark.parametrize("policy", WORKER_POLICIES, ids=lambda p: p.policy_id)
+    def test_summaries_equal_for_every_worker_count(self, calibrated_scenario, short_scenario,
+                                                    n_rows, which, policy):
+        scenario = calibrated_scenario if which == "calibrated" else short_scenario
+        kwargs = batch_kwargs(scenario, policy, range(n_rows))
+        expected = _rollout_py.batch(**kwargs).tobytes()
+        for workers in (1, 2, 3, n_rows + 5):
+            assert c_batch(kwargs, workers).tobytes() == expected, workers
+        assert batch_compiled(**kwargs).tobytes() == expected
+
+    def test_repeated_calls_on_more_workers_than_cpus(self, short_scenario):
+        # A row lost or run twice by the shared counter would show in some call.
+        kwargs = batch_kwargs(short_scenario, PolicySpec.baseline(8.0), range(40))
+        expected = _rollout_py.batch(**kwargs).tobytes()
+        for _ in range(200):
+            assert c_batch(kwargs, 8).tobytes() == expected
+
+    def test_worker_count_follows_the_cpus_the_process_may_use(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else \
+            os.cpu_count()
+        assert [fastpath.batch_workers(n) for n in (1, 2, 40)] == \
+            [1, min(cpus, 2), min(cpus, 40)]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_one_cpu_gives_the_same_bytes(self, calibrated_scenario):
+        # A process pinned to one CPU runs each batch on one thread.
+        code = (
+            "import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from importlib import resources\n"
+            "from rtsa import fastpath\n"
+            "from rtsa.evaluation import _kernel_scenario_args\n"
+            "from rtsa.policy import random_weights\n"
+            "from rtsa.scenario import load_scenario\n"
+            "from rtsa.sim import wind_draws, wind_rows\n"
+            "import numpy as np\n"
+            "with resources.as_file(resources.files('rtsa.data')"
+            ".joinpath('demo_scenario.json')) as path:\n"
+            "    s = load_scenario(path)\n"
+            "theta = random_weights(np.random.default_rng(1))\n"
+            "out = fastpath.batch(wind=wind_rows(wind_draws(range(40)), s.sim),"
+            " policy_mode=fastpath.POLICY_WEIGHTS, delta=0.0, theta=theta,"
+            " scales=s.feature_scales, alert_penalty=s.reward.alert_penalty,"
+            " **_kernel_scenario_args(s))\n"
+            "print(fastpath.BACKEND, fastpath.batch_workers(40), out.tobytes().hex())\n"
+        )
+        src = str(Path(fastpath.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("RTSA_PURE_PYTHON", None)
+        backend, workers, pinned = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+            timeout=300).stdout.split()
+        unpinned = batch_compiled(**batch_kwargs(calibrated_scenario, BATCH_POLICIES[-1],
+                                                 range(40)))
+        assert (backend, workers) == ("c", "1")
+        assert pinned == unpinned.tobytes().hex()
+
+    def test_zero_length_segment_fails_before_any_episode(self, calibrated_scenario):
+        kwargs = batch_kwargs(calibrated_scenario, PolicySpec.nominal(), range(6))
+        kwargs["waypoints"] = [[0.0, 0.0, 12.0], [0.0, 0.0, 12.0], [60.0, 0.0, 0.0]]
+        out = np.full((6, 4), -7, dtype=np.intc)
+        with pytest.raises(ValueError, match="waypoints"):
+            c_batch(kwargs, 3, out)
+        assert np.all(out == -7)
 
 
 @pytest.mark.parametrize("policy", BATCH_POLICIES, ids=lambda p: p.policy_id)
