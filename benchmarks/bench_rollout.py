@@ -9,9 +9,13 @@ per-training-step and per-replay-transition timing and the speedups.
 Then, on the loaded backend and for each policy mode, times one
 ``fastpath.batch`` call over the seeds against a loop of ``fastpath.rollout``
 calls, in episodes per second, and checks both give the same outcomes and
-deploy steps. On the C kernel, it also times one batch call on one worker
-thread against one on every worker ``fastpath.batch`` uses, and checks their
-summaries are byte-equal. Writes no file.
+deploy steps. It times one baseline sweep call over several thresholds
+(``fastpath.batch`` with an array of deltas, one shared trunk per seed)
+against one single-threshold batch call per delta on the same seeds, and
+checks their summaries are byte-equal. On the C kernel, it also times one
+batch call on one worker thread against one on every worker
+``fastpath.batch`` uses, and checks their summaries are byte-equal. Writes no
+file.
 
 Usage: python benchmarks/bench_rollout.py [--episodes N] [--policy SPEC]
 """
@@ -33,6 +37,7 @@ from rtsa.sim import wind_draws, wind_rows
 
 TRAIN_EPSILON = 0.1
 LEARNING_RATE = 3e-3
+SWEEP_DELTAS = (1.0, 2.0, 4.0, 8.0, 16.0)  # the SOC sweep's baseline grid
 
 
 def seed_wind(scenario, seed):
@@ -40,10 +45,10 @@ def seed_wind(scenario, seed):
     return wind_rows(wind_draws([seed]), scenario.sim)[0]
 
 
-def episode_args(scenario, seed, policy):
+def policy_args(scenario, policy):
+    """The kernels' keyword arguments for ``policy``, all but the wind."""
     theta = policy.theta if policy.theta is not None else np.zeros((N_FEATURES, len(Action)))
     return dict(
-        wind_params=seed_wind(scenario, seed),
         policy_mode=policy._mode(),
         delta=policy.delta,
         theta=theta,
@@ -51,6 +56,10 @@ def episode_args(scenario, seed, policy):
         alert_penalty=scenario.reward.alert_penalty,
         **fastpath.scenario_args(scenario),
     )
+
+
+def episode_args(scenario, seed, policy):
+    return dict(wind_params=seed_wind(scenario, seed), **policy_args(scenario, policy))
 
 
 def learn_args(scenario, seed):
@@ -109,10 +118,7 @@ def bench_batch(scenario, policy, seeds, repeats):
     loop draws each seed's wind row, as ``run_batch`` and ``run_episode`` do.
     Returns (batch episodes/s, loop episodes/s, batch summaries, loop results).
     """
-    theta = policy.theta if policy.theta is not None else np.zeros((N_FEATURES, len(Action)))
-    fixed = dict(policy_mode=policy._mode(), delta=policy.delta, theta=theta,
-                 scales=scenario.feature_scales, alert_penalty=scenario.reward.alert_penalty,
-                 **fastpath.scenario_args(scenario))
+    fixed = policy_args(scenario, policy)
     best_batch = best_loop = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -125,14 +131,35 @@ def bench_batch(scenario, policy, seeds, repeats):
     return len(seeds) / best_batch, len(seeds) / best_loop, summaries, results
 
 
+def bench_sweep(scenario, seeds, repeats):
+    """Best seconds of one baseline ``fastpath.batch`` call over all ``SWEEP_DELTAS``
+    and of one single-threshold call per delta, on one wind table.
+
+    Returns (sweep seconds, per-delta seconds, sweep summaries, the per-delta
+    summaries stacked in the same (k, n, 4) layout).
+    """
+    fixed = policy_args(scenario, PolicySpec.baseline(SWEEP_DELTAS[0]))
+    del fixed["delta"]
+    wind = wind_rows(wind_draws(seeds), scenario.sim)
+    best_sweep = best_each = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        sweep = fastpath.batch(wind=wind, delta=SWEEP_DELTAS, **fixed)
+        best_sweep = min(best_sweep, time.perf_counter() - start)
+        start = time.perf_counter()
+        each = [fastpath.batch(wind=wind, delta=delta, **fixed) for delta in SWEEP_DELTAS]
+        best_each = min(best_each, time.perf_counter() - start)
+    return best_sweep, best_each, sweep, np.stack(each)
+
+
 def bench_workers(scenario, policy, seeds, workers, repeats):
     """Best seconds of one C batch call over ``seeds`` on ``workers`` threads, and its
     summaries. Calls ``rtsa_batch`` directly, as ``fastpath.batch_compiled`` does with
     ``fastpath.batch_workers`` threads."""
-    theta = policy.theta if policy.theta is not None else np.zeros((N_FEATURES, len(Action)))
-    params, n_waypoints, steps = _rollout_py.pack(
-        policy._mode(), policy.delta, scales=scenario.feature_scales,
-        alert_penalty=scenario.reward.alert_penalty, **fastpath.scenario_args(scenario))
+    args = policy_args(scenario, policy)
+    mode, delta, theta = args.pop("policy_mode"), args.pop("delta"), args.pop("theta")
+    params, n_waypoints, steps = _rollout_py.pack(mode, **args)
+    deltas = _rollout_py.thresholds(mode, delta)
     table = _rollout_py.checked_rows("wind", wind_rows(wind_draws(seeds), scenario.sim), 8)
     columns = _rollout_py.weight_columns(theta)
     out = np.empty((len(table), 4), dtype=np.intc)
@@ -140,8 +167,8 @@ def bench_workers(scenario, policy, seeds, workers, repeats):
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        status = fastpath._lib.rtsa_batch(p(params), n_waypoints, policy._mode(), steps,
-                                          p(table), len(table), p(columns),
+        status = fastpath._lib.rtsa_batch(p(params), n_waypoints, mode, steps, p(table),
+                                          len(table), p(deltas), deltas.size, p(columns),
                                           p(out, ctypes.c_int), workers)
         best = min(best, time.perf_counter() - start)
         fastpath._raise_for(status)
@@ -197,6 +224,13 @@ def main():
         print(f"  {policy.policy_id:<11}: batch {batch_rate:9.0f} episodes/s"
               f"  rollout loop {loop_rate:9.0f} episodes/s  ({batch_rate / loop_rate:4.1f}x)")
     print("batch outcomes and deploy steps equal the rollout loop's")
+
+    t_sweep, t_each, sweep, each = bench_sweep(scenario, seeds, args.repeats)
+    assert sweep.tobytes() == each.tobytes(), "sweep and per-delta batches disagree"
+    print(f"sweep       : baseline at {len(SWEEP_DELTAS)} deltas, one call"
+          f" {t_sweep * 1e3:8.3f} ms  one call per delta {t_each * 1e3:8.3f} ms"
+          f"  ({t_each / t_sweep:4.1f}x)")
+    print("sweep summaries byte-equal to one batch per delta")
 
     if fastpath.rollout_compiled is None:
         print(f"compiled    : C kernel not loaded ({fastpath.FALLBACK_REASON})")

@@ -12,13 +12,24 @@
  *   rtsa_rollout        one episode under a fixed policy, with its trajectory;
  *   rtsa_batch          n episodes under a fixed policy, one wind row each,
  *                       with per-episode summaries and no trajectories,
- *                       spread over a few worker threads;
+ *                       spread over a few worker threads; a baseline batch
+ *                       runs all of its thresholds at once (below);
  *   rtsa_learn_episode  one epsilon-greedy Q-learning episode, updating the
  *                       weights in place at every step;
  *   rtsa_replay         one warm-start TD pass over recorded episodes.
  * `episode` is always inlined with constant flags, so the rollout carries no
- * learning branches, and neither the batch nor the learner writes a
- * trajectory.
+ * learning branches, neither the batch nor the learner writes a trajectory,
+ * and only the baseline batch can stop at a deploy decision.
+ *
+ * The baseline switch flies the nominal path until it deploys, and a wider
+ * threshold deploys no later than a narrower one. So a baseline batch over
+ * ascending thresholds flies, per wind row, one nominal trunk under the
+ * widest threshold not yet deployed. Where that threshold deploys, the trunk
+ * stops; its parachute tail is flown from the trunk's exact state, and the
+ * trunk goes on, undeployed, under the next narrower threshold. Thresholds
+ * that deploy on the same step share one tail, and those still undeployed
+ * when the trunk ends get the trunk's summary. Every summary equals a
+ * one-threshold episode's, bit for bit.
  *
  * Exploration draws come from numpy's bit generator through its documented
  * C struct `bitgen_t` (declared below; no numpy header is needed):
@@ -31,7 +42,8 @@
  * outputs and calls these functions through ctypes. Each episode's wind is
  * 8 values (base, amplitude, frequency, phase, each x/y) and its weights two
  * contiguous columns of nine, (continue, deploy), both passed by pointer; the
- * learning kernels update the weights in place.
+ * learning kernels update the weights in place. The baseline's distance
+ * threshold(s) are passed beside them too.
  */
 
 #include <math.h>
@@ -79,10 +91,9 @@ enum {
     P_AIR_DRAG,
     P_DRAG_Z,
     P_DRAG_XY,
-    P_DELTA,
     P_ALERT_PENALTY,
-    P_SCALES = 18,   /* 8 feature scales */
-    P_WAYPOINTS = 26 /* n_waypoints x 3, row-major */
+    P_SCALES = 17,   /* 8 feature scales */
+    P_WAYPOINTS = 25 /* n_waypoints x 3, row-major */
 };
 
 /* Python's min(a, b): b only when strictly smaller. */
@@ -162,21 +173,36 @@ static int path_init(path_t *path, const double *wps, int n_waypoints)
 
 static void path_free(path_t *path) { free(path->seg_d); }
 
+/* Where an episode stands between steps: time, position, velocity, steps taken. */
+typedef struct {
+    double t, px, py, pz, vx, vy, vz;
+    int step;
+} state_t;
+
+/* At rest on the first waypoint, undeployed, at time 0. */
+static inline state_t start_state(const path_t *path)
+{
+    return (state_t){0.0, path->wps[0], path->wps[1], path->wps[2], 0.0, 0.0, 0.0, 0};
+}
+
 /*
  * The episode loop behind rtsa_rollout and rtsa_batch (learn = 0) and
  * rtsa_learn_episode (learn = 1), along `path` in the wind of the 8 values at
- * `wind`.
+ * `wind`, from the undeployed state `*state`. The baseline policy deploys
+ * outside the box or within `delta` of its boundary.
  * `theta` is read into a local copy; when learning, the updated copy is
  * written back to `theta_out`. Rows 0..out[0] of `traj`, if not NULL, get
- * (t, px, py, pz, vx, vy, vz, action, reward). On return
+ * (t, px, py, pz, vx, vy, vz, action, reward), row k for step k. On return
  * out = (steps, outcome, deploy_step, deploy_greedy) and, when learning,
- * dout = (discounted return, largest squared feature norm).
+ * dout = (discounted return, largest squared feature norm). With `fork`, the
+ * loop stops instead at its first deploy decision, before that step: it
+ * writes the state there to `*state` and out = (step, 0, step, 1).
  */
 static inline __attribute__((always_inline)) void
-episode(const double *p, const path_t *path, int policy_mode, int max_steps, const double *wind,
-        const double *theta, const int learn, double *theta_out, double exit_penalty,
-        double discount, double learning_rate, double epsilon, bitgen_t *bitgen, double *traj,
-        int *out, double *dout)
+episode(const double *p, const path_t *path, int policy_mode, int max_steps, double delta,
+        const double *wind, const double *theta, const int learn, double *theta_out,
+        double exit_penalty, double discount, double learning_rate, double epsilon,
+        bitgen_t *bitgen, state_t *state, const int fork, double *traj, int *out, double *dout)
 {
     const double *env_min = p + P_ENV_MIN, *env_max = p + P_ENV_MAX;
     const double exn0 = env_min[0], exn1 = env_min[1], exn2 = env_min[2];
@@ -185,7 +211,7 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, con
     const double cruise_speed = p[P_CRUISE_SPEED], lookahead = p[P_LOOKAHEAD];
     const double kp = p[P_KP], kd = p[P_KD], air_drag = p[P_AIR_DRAG];
     const double drag_z = p[P_DRAG_Z], drag_xy = p[P_DRAG_XY];
-    const double delta = p[P_DELTA], alert_penalty = p[P_ALERT_PENALTY];
+    const double alert_penalty = p[P_ALERT_PENALTY];
     const double bw0 = wind[0], bw1 = wind[1], ga0 = wind[2], ga1 = wind[3];
     const double gf0 = wind[4], gf1 = wind[5], gp0 = wind[6], gp1 = wind[7];
     const double *sc = p + P_SCALES, *wps = path->wps;
@@ -202,11 +228,11 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, con
     const double total_len = path->total_len;
     const double wlx = wps[3 * n_seg], wly = wps[3 * n_seg + 1], wlz = wps[3 * n_seg + 2];
 
-    double px = wps[0], py = wps[1], pz = wps[2];
-    double vx = 0.0, vy = 0.0, vz = 0.0;
-    double t = 0.0;
+    double px = state->px, py = state->py, pz = state->pz;
+    double vx = state->vx, vy = state->vy, vz = state->vz;
+    double t = state->t;
     int deployed = 0, deploy_step = -1, deploy_greedy = -1;
-    int step_idx = 0, outcome = 0; /* 0: still running */
+    int step_idx = state->step, outcome = 0; /* 0: still running */
     int action = 0, greedy = 0;
     double r = 0.0, ret = 0.0, disc = 1.0, norm2_max = 0.0;
     double phi[N_FEATURES], phi_prev[N_FEATURES];
@@ -281,6 +307,13 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, con
         }
 
         const int fresh_deploy = action == 1 && !deployed;
+        if (fork && fresh_deploy) {
+            *state = (state_t){t, px, py, pz, vx, vy, vz, step_idx};
+            out[0] = out[2] = step_idx;
+            out[1] = 0;
+            out[3] = 1;
+            return;
+        }
         if (fresh_deploy) {
             deploy_step = step_idx;
             deploy_greedy = !weights_mode || greedy == 1;
@@ -430,22 +463,23 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, con
 }
 
 /*
- * Run one episode under a fixed policy, in the wind at `wind` with the
- * weight columns at `theta`. `traj` holds (max_steps + 1) x 9 doubles; rows
- * 0..out[0] are written. On return out = (steps, outcome, deploy_step,
- * deploy_greedy), deploy_step -1 if never deployed. Returns 0; -1 for a
- * zero-length path segment or -2 for a failed allocation, writing nothing
- * then.
+ * Run one episode under a fixed policy with baseline threshold `delta`, in
+ * the wind at `wind` with the weight columns at `theta`. `traj` holds
+ * (max_steps + 1) x 9 doubles; rows 0..out[0] are written. On return
+ * out = (steps, outcome, deploy_step, deploy_greedy), deploy_step -1 if never
+ * deployed. Returns 0; -1 for a zero-length path segment or -2 for a failed
+ * allocation, writing nothing then.
  */
-int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_steps,
+int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_steps, double delta,
                  const double *wind, const double *theta, double *traj, int *out)
 {
     path_t path;
     const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
     if (status)
         return status;
-    episode(p, &path, policy_mode, max_steps, wind, theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL,
-            traj, out, NULL);
+    state_t start = start_state(&path);
+    episode(p, &path, policy_mode, max_steps, delta, wind, theta, 0, NULL, 1.0, 1.0, 0.0, 0.0,
+            NULL, &start, 0, traj, out, NULL);
     path_free(&path);
     return 0;
 }
@@ -455,40 +489,76 @@ typedef struct {
     const double *p;
     const path_t *path;
     int policy_mode, max_steps, n;
-    const double *wind, *theta;
+    const double *wind, *deltas, *theta;
+    int n_deltas;
     int *out;
     atomic_int next;
 } batch_job;
 
+/* Episode `row` of a baseline batch at every threshold (the shared trunk). */
+static void sweep_row(const batch_job *job, int row)
+{
+    const double *wind = job->wind + 8 * (size_t)row;
+    state_t trunk = start_state(job->path);
+    int stop[4], fork_step = -1, k = job->n_deltas - 1;
+    for (; k >= 0; k--) {
+        int *out = job->out + 4 * ((size_t)k * job->n + row);
+        episode(job->p, job->path, POLICY_BASELINE, job->max_steps, job->deltas[k], wind,
+                job->theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL, &trunk, 1, NULL, stop, NULL);
+        if (stop[1])
+            break; /* ended before deploying: so it does at every narrower threshold */
+        if (stop[2] == fork_step) {
+            memcpy(out, out + 4 * (size_t)job->n, sizeof stop);
+        } else {
+            episode(job->p, job->path, POLICY_BASELINE, job->max_steps, job->deltas[k], wind,
+                    job->theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL, &trunk, 0, NULL, out, NULL);
+            fork_step = stop[2];
+        }
+    }
+    for (; k >= 0; k--)
+        memcpy(job->out + 4 * ((size_t)k * job->n + row), stop, sizeof stop);
+}
+
 static void *batch_worker(void *arg)
 {
     batch_job *job = arg;
-    for (int i; (i = atomic_fetch_add_explicit(&job->next, 1, memory_order_relaxed)) < job->n;)
-        episode(job->p, job->path, job->policy_mode, job->max_steps, job->wind + 8 * (size_t)i,
-                job->theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL, NULL, job->out + 4 * (size_t)i,
-                NULL);
+    for (int i; (i = atomic_fetch_add_explicit(&job->next, 1, memory_order_relaxed)) < job->n;) {
+        if (job->policy_mode == POLICY_BASELINE) {
+            sweep_row(job, i);
+        } else {
+            state_t start = start_state(job->path);
+            episode(job->p, job->path, job->policy_mode, job->max_steps, 0.0,
+                    job->wind + 8 * (size_t)i, job->theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL,
+                    &start, 0, NULL, job->out + 4 * (size_t)i, NULL);
+        }
+    }
     return NULL;
 }
 
 /*
  * Run n episodes under a fixed policy, as rtsa_rollout would one by one:
  * episode i flies in the wind of row i of `wind` (n x 8) and writes its
- * (steps, outcome, deploy_step, deploy_greedy) to row i of `out` (n x 4).
- * The episodes are shared out, one row at a time, among `n_workers` threads
- * (at least 1, at most MAX_WORKERS and n): the calling thread and threads
- * started for this call and joined before it returns. A thread that cannot
- * be started leaves its share to the others. Each episode writes only its
- * own row, so `out` does not depend on the worker count. Returns as
- * rtsa_rollout, before any episode runs when it fails.
+ * (steps, outcome, deploy_step, deploy_greedy) to row i of `out`. Under the
+ * baseline policy it does so at each of the n_deltas ascending thresholds at
+ * `deltas`, into block k = 0..n_deltas-1 of `out` (n_deltas x n x 4) for
+ * threshold k, on one shared trunk per row (see the top of this file); the
+ * other policies have no threshold, and n_deltas must be 1. The rows are
+ * shared out, one at a time, among `n_workers` threads (at least 1, at most
+ * MAX_WORKERS and n): the calling thread and threads started for this call
+ * and joined before it returns. A thread that cannot be started leaves its
+ * share to the others. Each row writes only its own rows of `out`, so `out`
+ * does not depend on the worker count. Returns as rtsa_rollout, before any
+ * episode runs when it fails.
  */
 int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
-               const double *wind, int n, const double *theta, int *out, int n_workers)
+               const double *wind, int n, const double *deltas, int n_deltas,
+               const double *theta, int *out, int n_workers)
 {
     path_t path;
     const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
     if (status)
         return status;
-    batch_job job = {p, &path, policy_mode, max_steps, n, wind, theta, out, 0};
+    batch_job job = {p, &path, policy_mode, max_steps, n, wind, deltas, theta, n_deltas, out, 0};
     if (n_workers > MAX_WORKERS)
         n_workers = MAX_WORKERS;
     if (n_workers > n)
@@ -523,8 +593,9 @@ int rtsa_learn_episode(const double *p, int n_waypoints, int max_steps, const do
     const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
     if (status)
         return status;
-    episode(p, &path, 0, max_steps, wind, theta, 1, theta, exit_penalty, discount, learning_rate,
-            epsilon, bitgen, NULL, out, dout);
+    state_t start = start_state(&path);
+    episode(p, &path, 0, max_steps, 0.0, wind, theta, 1, theta, exit_penalty, discount,
+            learning_rate, epsilon, bitgen, &start, 0, NULL, out, dout);
     path_free(&path);
     return 0;
 }

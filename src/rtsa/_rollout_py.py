@@ -4,9 +4,10 @@
 arrays, ``max_steps`` and the policy mode, and packs the scenario into one
 float64 array laid out at the ``P_*`` offsets below, the enum of
 ``_rollout.c``. An episode's wind (8 values: base, gust amplitude, gust
-frequency, gust phase, each x then y) and its weight columns travel beside
-that array. The C wrappers in ``rtsa.fastpath`` check them, and the
-learners' arguments, with the same functions as the twins here.
+frequency, gust phase, each x then y), its weight columns and the baseline's
+distance threshold(s) (``thresholds``) travel beside that array. The C
+wrappers in ``rtsa.fastpath`` check them, and the learners' arguments, with
+the same functions as the twins here.
 
 ``_episode`` is the one scalar episode loop: wind, the one-way meta
 decision, pure pursuit with a PD command or the parachute, the
@@ -17,7 +18,12 @@ termination chain. It reads the packed array by the ``P_*`` offsets, as
 - ``rollout`` runs one episode under a fixed policy (never-deploy,
   distance-threshold, or greedy linear weights) and records its trajectory.
 - ``batch`` runs one such episode per wind row and keeps only each
-  episode's summary (steps, outcome, deploy step, deploy_greedy).
+  episode's summary (steps, outcome, deploy step, deploy_greedy). Under the
+  baseline policy it takes several ascending thresholds at once and, per
+  wind row, flies their shared nominal prefix once (``_sweep``): one trunk
+  that stops where the widest threshold not yet deployed deploys, forks
+  that threshold's parachute tail from its exact state, and goes on under
+  the next narrower threshold.
 - ``learn_episode`` runs one online epsilon-greedy Q-learning episode,
   applying ``td_update`` to the weights at every step.
 
@@ -73,22 +79,20 @@ P_KD = 12
 P_AIR_DRAG = 13
 P_DRAG_Z = 14
 P_DRAG_XY = 15
-P_DELTA = 16
-P_ALERT_PENALTY = 17
-P_SCALES = 18  # 8 feature scales
-P_WAYPOINTS = 26  # n_waypoints x 3, row-major
+P_ALERT_PENALTY = 16
+P_SCALES = 17  # 8 feature scales
+P_WAYPOINTS = 25  # n_waypoints x 3, row-major
 
 ZERO_SEGMENT = "waypoints hold a zero-length segment"
 
 
-def pack(policy_mode, delta, *, env_min, env_max, waypoints, arrival_radius, dt, a_max,
-         cruise_speed, lookahead, kp, kd, air_drag, drag_z, drag_xy, max_steps, scales,
-         alert_penalty):
+def pack(policy_mode, *, env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed,
+         lookahead, kp, kd, air_drag, drag_z, drag_xy, max_steps, scales, alert_penalty):
     """The episode kernels' scenario argument: (packed array, waypoint count, max_steps).
 
-    The new float64 array holds the scenario, the feature ``scales``,
-    ``alert_penalty`` and the distance-threshold ``delta`` at the ``P_*``
-    offsets. Raises ValueError for an unknown ``policy_mode``, a
+    The new float64 array holds the scenario, the feature ``scales`` and
+    ``alert_penalty`` at the ``P_*`` offsets. Raises ValueError for an
+    unknown ``policy_mode``, a
     ``max_steps`` that is not an integer in [1, MAX_STEPS], or an array of
     the wrong shape or not of numbers. A zero-length path segment is left to
     the episode loop, which raises ValueError for it.
@@ -99,7 +103,7 @@ def pack(policy_mode, delta, *, env_min, env_max, waypoints, arrival_radius, dt,
         raise ValueError(f"max_steps must be an integer in [1, {MAX_STEPS}], got {max_steps!r}")
     wps = checked_rows("waypoints", waypoints, 3, at_least=2)
     scalars = (arrival_radius, dt, a_max, cruise_speed, lookahead, kp, kd, air_drag, drag_z,
-               drag_xy, delta, alert_penalty)
+               drag_xy, alert_penalty)
     params = np.concatenate((
         checked("env_min", env_min, (3,)),
         checked("env_max", env_max, (3,)),
@@ -136,6 +140,28 @@ def checked_rows(name, value, width, at_least=0):
     if array.ndim != 2 or array.shape[0] < at_least or array.shape[1] != width:
         raise ValueError(f"{name} must have shape (n >= {at_least}, {width}), "
                          f"got {array.shape}")
+    return array
+
+
+def thresholds(policy_mode, delta):
+    """``delta`` as a writable C-contiguous float64 array of shape () or (k,), or ValueError.
+
+    The baseline policy takes one finite positive threshold or a non-empty
+    1-D array of them in ascending order (repeats allowed). The other
+    policies have no threshold: they take one number, which they ignore.
+    """
+    check_policy_mode(policy_mode)
+    baseline = policy_mode == POLICY_BASELINE
+    array = _array("delta", delta)
+    if array.ndim > 1 or array.size == 0 or (array.ndim == 1 and not baseline):
+        raise ValueError("delta must be one number" + (" or a non-empty 1-D array" if baseline
+                                                       else "") + f", got shape {array.shape}")
+    if baseline:
+        values = array.reshape(-1).tolist()  # a few numbers: quicker to check as floats
+        if not (all(0.0 < d < math.inf for d in values)
+                and all(a <= b for a, b in zip(values, values[1:]))):
+            raise ValueError(f"baseline delta must be finite positive thresholds in ascending "
+                             f"order, got {values}")
     return array
 
 
@@ -195,15 +221,17 @@ def rollout(*, wind_params, policy_mode, delta, theta, **scenario):
     (9, 2) weight matrix of the weights policy. The trajectory has one row
     per step plus a final state row: (t, px, py, pz, vx, vy, vz, action,
     reward). ``deploy_step`` is -1 if the recovery controller was never
-    deployed. Raises ValueError for an argument that ``pack``,
-    ``checked`` or ``weight_columns`` refuses, or a zero-length path segment.
+    deployed. ``delta`` is one number (see ``thresholds``). Raises ValueError
+    for an argument that ``pack``, ``thresholds``, ``checked`` or
+    ``weight_columns`` refuses, or a zero-length path segment.
     """
-    params, n_waypoints, steps = pack(policy_mode, delta, **scenario)
+    params, n_waypoints, steps = pack(policy_mode, **scenario)
+    threshold = float(thresholds(policy_mode, checked("delta", delta, ())))
     wind, columns = checked("wind_params", wind_params, (8,)), weight_columns(theta)
     rows = []
     _, outcome, deploy_step, _, _, _ = _episode(
-        params.tolist(), n_waypoints, policy_mode, steps, wind.tolist(), columns.tolist(),
-        traj=rows)
+        params.tolist(), n_waypoints, policy_mode, steps, threshold, wind.tolist(),
+        columns.tolist(), traj=rows)
     return np.array(rows, dtype=float), outcome, deploy_step
 
 
@@ -215,18 +243,64 @@ def batch(*, wind, policy_mode, delta, theta, **scenario):
     rows: ``deploy_step`` is -1 if the recovery controller was never
     deployed, and ``deploy_greedy`` is then -1 too, and otherwise 1 (a
     fixed policy's deployment is always its own choice). No trajectory is
-    kept. Raises ValueError as ``rollout`` does, and for a ``wind`` of
-    another shape.
+    kept. Under the baseline policy, ``delta`` may also be a 1-D array of k
+    ascending thresholds (see ``thresholds``); the result is then (k, n, 4),
+    block j holding the summaries at threshold j, and each wind row's
+    episodes share one trunk (``_sweep``). Raises ValueError as ``rollout``
+    does, and for a ``wind`` of another shape.
     """
-    params, n_waypoints, steps = pack(policy_mode, delta, **scenario)
+    params, n_waypoints, steps = pack(policy_mode, **scenario)
+    deltas = thresholds(policy_mode, delta)
     table = checked_rows("wind", wind, 8, at_least=1)
     p, columns = params.tolist(), weight_columns(theta).tolist()
-    rows = []
-    for wind_params in table.tolist():
-        _, outcome, deploy_step, deploy_greedy, n, _ = _episode(
-            p, n_waypoints, policy_mode, steps, wind_params, columns)
-        rows.append((n, outcome, deploy_step, -1 if deploy_greedy is None else deploy_greedy))
-    return np.array(rows, dtype=np.intc).reshape(-1, 4)
+    n = table.shape[0]
+    out = np.empty(deltas.shape + (n, 4), dtype=np.intc)
+    blocks, values = out.reshape(-1, n, 4), deltas.reshape(-1).tolist()  # one block per threshold
+    for i, wind_params in enumerate(table.tolist()):
+        if policy_mode == POLICY_BASELINE:
+            blocks[:, i] = _sweep(p, n_waypoints, steps, values, wind_params, columns)
+        else:
+            blocks[0, i] = _summary(_episode(p, n_waypoints, policy_mode, steps, 0.0,
+                                             wind_params, columns))
+    return out
+
+
+def _summary(result):
+    """An ``_episode`` result as a batch row: (steps, outcome, deploy_step, deploy_greedy)."""
+    _, outcome, deploy_step, deploy_greedy, steps, _ = result
+    return steps, outcome, deploy_step, -1 if deploy_greedy is None else deploy_greedy
+
+
+def _sweep(p, n_waypoints, max_steps, deltas, wind, theta):
+    """One wind row's baseline summaries at each of the ascending ``deltas``, in order.
+
+    One trunk flies the nominal prefix they share, under the widest
+    threshold not yet deployed, and stops where that one deploys. Its tail
+    is flown from the trunk's state there, and the trunk goes on under the
+    next narrower threshold. Thresholds that deploy on the same step share
+    one tail; those left when the trunk ends get the trunk's summary.
+    """
+    rows = [None] * len(deltas)
+    trunk = _start(p)
+    fork_step = -1
+    for k in reversed(range(len(deltas))):
+        stop = _summary(_episode(p, n_waypoints, POLICY_BASELINE, max_steps, deltas[k], wind,
+                                 theta, state=trunk, fork=True))
+        if stop[1]:  # ended before deploying: so it does at every narrower threshold
+            rows[:k + 1] = [stop] * (k + 1)
+            break
+        if stop[2] == fork_step:
+            rows[k] = rows[k + 1]
+        else:
+            rows[k] = _summary(_episode(p, n_waypoints, POLICY_BASELINE, max_steps, deltas[k],
+                                        wind, theta, state=trunk))
+            fork_step = stop[2]
+    return rows
+
+
+def _start(p):
+    """At rest on the first waypoint, undeployed: [t, px, py, pz, vx, vy, vz, step]."""
+    return [0.0, p[P_WAYPOINTS], p[P_WAYPOINTS + 1], p[P_WAYPOINTS + 2], 0.0, 0.0, 0.0, 0]
 
 
 def learn_episode(theta, exit_penalty, discount, learning_rate, epsilon, rng, *, wind_params,
@@ -248,28 +322,35 @@ def learn_episode(theta, exit_penalty, discount, learning_rate, epsilon, rng, *,
     """
     theta = weights_in_place(theta)
     check_generator(rng)
-    params, n_waypoints, steps = pack(POLICY_WEIGHTS, 0.0, **scenario)
+    params, n_waypoints, steps = pack(POLICY_WEIGHTS, **scenario)
     wind = checked("wind_params", wind_params, (8,))
     columns = theta.tolist()
-    result = _episode(params.tolist(), n_waypoints, POLICY_WEIGHTS, steps, wind.tolist(),
+    result = _episode(params.tolist(), n_waypoints, POLICY_WEIGHTS, steps, 0.0, wind.tolist(),
                       columns, exit_penalty=exit_penalty, discount=discount,
                       learning_rate=learning_rate, epsilon=epsilon, rng=rng)
     theta[...] = columns
     return result
 
 
-def _episode(p, n_waypoints, policy_mode, max_steps, wind, theta, *, exit_penalty=1.0,
-             discount=1.0, learning_rate=None, epsilon=0.0, rng=None, traj=None):
+def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, state=None,
+             fork=False, exit_penalty=1.0, discount=1.0, learning_rate=None, epsilon=0.0,
+             rng=None, traj=None):
     """The episode loop behind ``rollout``, ``batch`` and ``learn_episode``.
 
     ``p`` is ``pack``'s array as a float list, ``wind`` the 8 wind values
-    and ``theta`` (continue column, deploy column), all float lists. Unless
-    ``learning_rate`` is None, every step ends in a ``td_update`` of the
-    columns. In the weights mode, an ``epsilon`` > 0 makes each undeployed
-    step epsilon-greedy on ``rng``. ``traj``, if given, is a list that gets
-    the trajectory rows. Returns (discounted return, outcome, deploy_step,
-    deploy_greedy, steps, largest squared feature norm of a decision state,
-    0 unless learning). Raises ValueError for a zero-length path segment.
+    and ``theta`` (continue column, deploy column), all float lists. The
+    baseline policy deploys outside the box or within ``delta`` of its
+    boundary. The episode starts from the undeployed ``state``, a list
+    ``[t, px, py, pz, vx, vy, vz, steps taken]`` (``_start(p)`` if None).
+    Unless ``learning_rate`` is None, every step ends in a ``td_update`` of
+    the columns. In the weights mode, an ``epsilon`` > 0 makes each
+    undeployed step epsilon-greedy on ``rng``. ``traj``, if given, is a list
+    that gets the trajectory rows. Returns (discounted return, outcome,
+    deploy_step, deploy_greedy, steps, largest squared feature norm of a
+    decision state, 0 unless learning). With ``fork``, the loop stops
+    instead at its first deploy decision, before that step: it writes the
+    state there into ``state`` and returns outcome 0. Raises ValueError for
+    a zero-length path segment.
     """
     exn0, exn1, exn2 = p[P_ENV_MIN:P_ENV_MIN + 3]
     exx0, exx1, exx2 = p[P_ENV_MAX:P_ENV_MAX + 3]
@@ -277,7 +358,7 @@ def _episode(p, n_waypoints, policy_mode, max_steps, wind, theta, *, exit_penalt
     cruise_speed, lookahead = p[P_CRUISE_SPEED], p[P_LOOKAHEAD]
     kp, kd, air_drag = p[P_KP], p[P_KD], p[P_AIR_DRAG]
     drag_z, drag_xy = p[P_DRAG_Z], p[P_DRAG_XY]
-    delta, alert_penalty = p[P_DELTA], p[P_ALERT_PENALTY]
+    alert_penalty = p[P_ALERT_PENALTY]
     bw0, bw1, ga0, ga1, gf0, gf1, gp0, gp1 = wind
     t0, t1 = theta
     sc0, sc1, sc2, sc3, sc4, sc5, sc6, sc7 = p[P_SCALES:P_SCALES + 8]
@@ -303,16 +384,13 @@ def _episode(p, n_waypoints, policy_mode, max_steps, wind, theta, *, exit_penalt
     total_len = cum[n_seg]
     wlx, wly, wlz = wps[3 * n_seg:3 * n_seg + 3]
 
-    px, py, pz = wps[0], wps[1], wps[2]
-    vx = vy = vz = 0.0
-    t = 0.0
+    t, px, py, pz, vx, vy, vz, step_idx = _start(p) if state is None else state
     deployed = False
     deploy_step = -1
     deploy_greedy = None
     ret = 0.0
     disc = 1.0
     norm2_max = 0.0
-    step_idx = 0
     outcome = 0  # still running
 
     # Each pass first observes the current state (wind, features) and applies
@@ -386,6 +464,9 @@ def _episode(p, n_waypoints, policy_mode, max_steps, wind, theta, *, exit_penalt
                 action = 1 if d <= delta else 0
 
         fresh_deploy = action == 1 and not deployed
+        if fork and fresh_deploy:
+            state[:] = t, px, py, pz, vx, vy, vz, step_idx
+            return ret, 0, step_idx, True, step_idx, norm2_max
         if fresh_deploy:
             deploy_step = step_idx
             deploy_greedy = not weights_mode or greedy == 1

@@ -11,9 +11,11 @@ face identical wind realizations. Episodes run on the fastpath kernels
 - the summary path: ``run_batch``, ``sweep_baseline``, ``exit_rate`` and
   ``calibrate_wind`` run all of a policy's seeds in one ``fastpath.batch``
   call and keep only each episode's outcome and deploy step, which is all a
-  confusion matrix reads. Their wind comes from one table of unit draws per
-  seed list (``sim.wind_draws``), drawn once and rescaled to each policy's
-  or calibration step's wind (``sim.wind_rows``).
+  confusion matrix reads. ``sweep_baseline`` runs all of its thresholds in
+  that one call too: each seed's nominal prefix, which every threshold flies
+  until it deploys, is flown once. Their wind comes from one table of unit
+  draws per seed list (``sim.wind_draws``), drawn once and rescaled to each
+  policy's or calibration step's wind (``sim.wind_rows``).
 
 Both paths give the same outcomes and deploy steps for the same seeds.
 """
@@ -195,10 +197,8 @@ def _seed_list(seeds) -> list:
     return seeds
 
 
-def _summary_records(policy: PolicySpec, scenario: Scenario, seeds: list, wind: np.ndarray,
-                     alert_penalty: Optional[float] = None) -> list:
-    """One summary EpisodeRecord per seed, from one ``fastpath.batch`` call on its wind rows."""
-    summaries = fastpath.batch(wind=wind, **_kernel_args(policy, scenario, alert_penalty))
+def _summary_records(policy: PolicySpec, seeds: list, summaries: np.ndarray) -> list:
+    """One summary EpisodeRecord per seed, from its row of a ``fastpath.batch`` result."""
     return [
         EpisodeRecord(seed=seed, policy_id=policy.policy_id, trajectory=None,
                       outcome=fastpath.VERDICTS[outcome],
@@ -215,8 +215,9 @@ def run_batch(policy: PolicySpec, scenario: Scenario, seeds,
     and deploy step equal ``run_episode``'s for the same seed.
     """
     seeds = _seed_list(seeds)
-    wind = wind_rows(wind_draws(seeds), scenario.sim)
-    return _summary_records(policy, scenario, seeds, wind, alert_penalty)
+    summaries = fastpath.batch(wind=wind_rows(wind_draws(seeds), scenario.sim),
+                               **_kernel_args(policy, scenario, alert_penalty))
+    return _summary_records(policy, seeds, summaries)
 
 
 def _ever_exited(record: EpisodeRecord, env: Optional[Envelope]) -> bool:
@@ -269,18 +270,25 @@ def soc_point(cm: ConfusionMatrix, parameter: float, policy_family: str = "") ->
 
 
 def sweep_baseline(scenario: Scenario, deltas, seeds):
-    """One SOC point per threshold, all on the same seed list."""
-    deltas = list(deltas)
+    """One SOC point per threshold, all on the same seed list, from one kernel call.
+
+    Raises ValueError before any episode runs unless every threshold is
+    finite and positive and they ascend.
+    """
+    policies = [PolicySpec.baseline(delta) for delta in deltas]
+    deltas = [policy.delta for policy in policies]
     if deltas != sorted(deltas):
         raise ValueError("deltas must be sorted ascending")
     seeds = _seed_list(seeds)
-    wind = wind_rows(wind_draws(seeds), scenario.sim)
-    points = []
-    for delta in deltas:
-        records = _summary_records(PolicySpec.baseline(delta), scenario, seeds, wind)
-        cm = confusion(records, scenario.envelope)
-        points.append(soc_point(cm, delta, policy_family="baseline"))
-    return points
+    if not policies:
+        return []
+    blocks = fastpath.batch(wind=wind_rows(wind_draws(seeds), scenario.sim),
+                            **{**_kernel_args(policies[0], scenario, None), "delta": deltas})
+    return [
+        soc_point(confusion(_summary_records(policy, seeds, block), scenario.envelope),
+                  policy.delta, policy_family="baseline")
+        for policy, block in zip(policies, blocks)
+    ]
 
 
 DEFAULT_WARMSTART_DELTA = 16.0

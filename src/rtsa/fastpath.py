@@ -10,9 +10,12 @@ says why. Both backends take the same arguments, check them with the same
 ``_rollout_py`` functions (``pack`` states the argument format) and give
 bit-identical results (see tests/test_fastpath.py). ``rollout`` returns one
 episode's trajectory; ``batch`` runs one episode per row of an (n, 8) wind
-array and returns only their (n, 4) summaries; the C ``batch`` spreads the
-episodes over as many threads as the process may use CPUs (at most one per
-row), with the same result on any count. The learning kernels update a
+array and returns only their (n, 4) summaries. Given k ascending baseline
+thresholds, ``batch`` returns (k, n, 4) summaries from one call that flies
+each row's shared nominal prefix once, as one trunk that forks a parachute
+tail at each threshold's deploy step. The C ``batch`` spreads the rows over
+as many threads as the process may use CPUs (at most one per row), with the
+same result on any count. The learning kernels update a
 (2, 9) float64 array of weight columns in place; the compiled learner draws
 its exploration from the numpy Generator's bit generator through numpy's
 ``bitgen_t`` struct, so the Generator's state advances exactly as under the
@@ -44,6 +47,7 @@ from ._rollout_py import (
     checked_rows,
     pack,
     replay_arrays,
+    thresholds,
     weight_columns,
     weights_in_place,
 )
@@ -113,11 +117,11 @@ def _load_kernel():
         _compile(target)
     lib = ctypes.CDLL(str(target))
     c_int, c_double = ctypes.c_int, ctypes.c_double
-    lib.rtsa_rollout.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, _DOUBLES, _DOUBLES,
-                                 ctypes.POINTER(c_int))
+    lib.rtsa_rollout.argtypes = (_DOUBLES, c_int, c_int, c_int, c_double, _DOUBLES, _DOUBLES,
+                                 _DOUBLES, ctypes.POINTER(c_int))
     lib.rtsa_rollout.restype = c_int
-    lib.rtsa_batch.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, c_int, _DOUBLES,
-                               ctypes.POINTER(c_int), c_int)
+    lib.rtsa_batch.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, c_int, _DOUBLES, c_int,
+                               _DOUBLES, ctypes.POINTER(c_int), c_int)
     lib.rtsa_batch.restype = c_int
     lib.rtsa_learn_episode.argtypes = (_DOUBLES, c_int, c_int, _DOUBLES, _DOUBLES, c_double,
                                        c_double, c_double, c_double, ctypes.c_void_p,
@@ -142,12 +146,14 @@ def _raise_for(status):
 
 def rollout_compiled(*, wind_params, policy_mode, delta, theta, **scenario):
     """``_rollout_py.rollout`` on the C kernel: same arguments, same result."""
-    params, n_waypoints, steps = pack(policy_mode, delta, **scenario)
+    params, n_waypoints, steps = pack(policy_mode, **scenario)
+    threshold = float(thresholds(policy_mode, checked("delta", delta, ())))
     wind, columns = checked("wind_params", wind_params, (8,)), weight_columns(theta)
     traj = np.empty((steps + 1, 9))
     out = _Out()
     _raise_for(_lib.rtsa_rollout(_pointer(params), n_waypoints, int(policy_mode), steps,
-                                 _pointer(wind), _pointer(columns), _pointer(traj), out))
+                                 threshold, _pointer(wind), _pointer(columns), _pointer(traj),
+                                 out))
     return traj[: out[0] + 1].copy(), out[1], out[2]
 
 
@@ -165,13 +171,15 @@ def batch_compiled(*, wind, policy_mode, delta, theta, **scenario):
     """``_rollout_py.batch`` on the C kernel: same arguments, same result.
 
     Runs on ``batch_workers`` threads."""
-    params, n_waypoints, steps = pack(policy_mode, delta, **scenario)
+    params, n_waypoints, steps = pack(policy_mode, **scenario)
+    deltas = thresholds(policy_mode, delta)
     table, columns = checked_rows("wind", wind, 8, at_least=1), weight_columns(theta)
     n_rows = table.shape[0]
-    out = np.empty((n_rows, 4), dtype=np.intc)
+    out = np.empty(deltas.shape + (n_rows, 4), dtype=np.intc)
     _raise_for(_lib.rtsa_batch(_pointer(params), n_waypoints, int(policy_mode), steps,
-                               _pointer(table), n_rows, _pointer(columns),
-                               _pointer(out, ctypes.c_int), batch_workers(n_rows)))
+                               _pointer(table), n_rows, _pointer(deltas), deltas.size,
+                               _pointer(columns), _pointer(out, ctypes.c_int),
+                               batch_workers(n_rows)))
     return out
 
 
@@ -181,7 +189,7 @@ def learn_episode_compiled(theta, exit_penalty, discount, learning_rate, epsilon
     same updates to ``theta`` and the same draws from ``rng``."""
     theta = weights_in_place(theta)
     check_generator(rng)
-    params, n_waypoints, steps = pack(POLICY_WEIGHTS, 0.0, **scenario)
+    params, n_waypoints, steps = pack(POLICY_WEIGHTS, **scenario)
     wind = checked("wind_params", wind_params, (8,))
     out = _Out()
     learn_out = _LearnOut()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rtsa import evaluation
+from rtsa import evaluation, fastpath
 from rtsa.evaluation import (
     ConfusionMatrix,
     EpisodeRecord,
@@ -197,6 +197,40 @@ class TestSweepBaseline:
     def test_rejects_unsorted(self, calibrated_scenario):
         with pytest.raises(ValueError):
             sweep_baseline(calibrated_scenario, [4.0, 1.0], range(5))
+
+    @pytest.mark.parametrize(
+        "deltas,message",
+        [
+            ([1.0, 2.0, float("inf")], "positive and finite"),
+            ([1.0, float("nan")], "positive and finite"),
+            ([0.0, 1.0], "positive and finite"),
+            ([2.0, -1.0], "positive and finite"),
+            ([1.0, 4.0, 2.0], "sorted ascending"),
+        ],
+    )
+    def test_bad_threshold_is_refused_before_any_episode(self, calibrated_scenario,
+                                                         monkeypatch, deltas, message):
+        def no_batch(**kwargs):
+            raise AssertionError("a batch ran before every threshold was checked")
+
+        monkeypatch.setattr(fastpath, "batch", no_batch)
+        with pytest.raises(ValueError, match=message):
+            sweep_baseline(calibrated_scenario, deltas, range(5))
+
+    def test_one_kernel_call_gives_each_thresholds_batch(self, calibrated_scenario,
+                                                          monkeypatch):
+        deltas, seeds = [1.0, 2.0, 2.0, 8.0, 16.0], range(30)
+        expected = [soc_point(confusion(run_batch(PolicySpec.baseline(d), calibrated_scenario,
+                                                  seeds), calibrated_scenario.envelope),
+                              d, policy_family="baseline")
+                    for d in deltas]
+        calls = []
+        batch = fastpath.batch
+        monkeypatch.setattr(fastpath, "batch", lambda **kw: calls.append(kw) or batch(**kw))
+        assert sweep_baseline(calibrated_scenario, deltas, seeds) == expected
+        assert len(calls) == 1
+        assert sweep_baseline(calibrated_scenario, [], seeds) == []
+        assert len(calls) == 1
 
 
 class TestExitRateAndCalibration:

@@ -133,6 +133,40 @@ def batch_kwargs(scenario, policy, seeds):
                 alert_penalty=scenario.reward.alert_penalty, **_kernel_scenario_args(scenario))
 
 
+def sweep_kwargs(scenario, deltas, seeds):
+    """``batch_kwargs`` for one baseline batch over all of ``deltas``."""
+    return {**batch_kwargs(scenario, PolicySpec.baseline(deltas[0]), seeds), "delta": deltas}
+
+
+# Threshold grids for baseline sweeps. On the calibrated demo the start lies
+# 18 m from the box, so 18 and 30 deploy at step 0; 1e-3 never deploys before
+# the episode ends; 8 and 8.0001 deploy on the same step on every seed, and
+# 8, 8.05, 8.1 and 8.15 mostly one step apart.
+SWEEP_GRIDS = {
+    "soc": (1.0, 2.0, 4.0, 8.0, 16.0),
+    "duplicates": (2.0, 2.0, 8.0, 8.0, 8.0),
+    "single": (4.0,),
+    "step_0": (1.0, 18.0, 30.0),
+    "never_fires": (1e-3,),
+    "same_step": (8.0, 8.0001),
+    "next_step": (8.0, 8.05, 8.1, 8.15),
+}
+
+# Thresholds the baseline policy refuses, in a rollout and in a batch.
+BAD_DELTAS = {
+    "empty": [],
+    "2-D": [[1.0, 8.0]],
+    "unsorted": [8.0, 1.0],
+    "nan": np.nan,
+    "nan_in_array": [1.0, np.nan],
+    "inf": np.inf,
+    "zero": 0.0,
+    "negative": [-1.0, 8.0],
+    "object": np.array([1.0, None], dtype=object),
+}
+GOOD_DELTAS = {"one": 8.0, "sweep": [1.0, 8.0, 8.0, 16.0]}
+
+
 @pytest.mark.skipif(fastpath.BACKEND != "c", reason="the script compares C with Python")
 def test_bench_rollout_script_finds_the_backends_bit_identical():
     root = Path(__file__).resolve().parents[1]
@@ -143,6 +177,7 @@ def test_bench_rollout_script_finds_the_backends_bit_identical():
     assert run.returncode == 0, run.stderr
     assert "backends bit-identical over all episodes" in run.stdout
     assert "batch summaries byte-equal on 1 and" in run.stdout
+    assert "sweep summaries byte-equal to one batch per delta" in run.stdout
 
 
 @needs_compiled
@@ -161,21 +196,72 @@ class TestBatchParity:
         assert np.all(c[:, 0] >= 1)
 
 
+@needs_compiled
+class TestSweepParity:
+    # A baseline batch over several thresholds flies one trunk per wind row
+    # and forks each threshold's tail from it; every row must be the episode
+    # that threshold flies alone.
+    @pytest.mark.parametrize("which", ["calibrated", "short"])
+    @pytest.mark.parametrize("grid", SWEEP_GRIDS, ids=str)
+    def test_sweep_rows_equal_single_threshold_episodes(self, calibrated_scenario,
+                                                        short_scenario, which, grid):
+        scenario = calibrated_scenario if which == "calibrated" else short_scenario
+        deltas, seeds = SWEEP_GRIDS[grid], range(40)
+        kwargs = sweep_kwargs(scenario, deltas, seeds)
+        c, py = batch_compiled(**kwargs), _rollout_py.batch(**kwargs)
+        assert c.shape == py.shape == (len(deltas), len(seeds), 4)
+        assert c.dtype == py.dtype == np.intc
+        assert c.tobytes() == py.tobytes()
+        for delta, block in zip(deltas, c):
+            single = {**kwargs, "delta": delta}
+            assert block.tobytes() == batch_compiled(**single).tobytes()
+            assert block.tobytes() == _rollout_py.batch(**single).tobytes()
+            for seed, (steps, outcome, deploy_step, greedy) in zip(seeds, block.tolist()):
+                episode = run_episode(PolicySpec.baseline(delta), scenario, seed)
+                assert steps == len(episode.trajectory) - 1
+                assert fastpath.VERDICTS[outcome] == episode.outcome
+                assert (None if deploy_step < 0 else deploy_step) == episode.deploy_step
+                assert greedy == (-1 if deploy_step < 0 else 1)
+
+    def test_grids_reach_every_fork_case(self, calibrated_scenario, short_scenario):
+        # The grids above must hold each case the trunk treats apart.
+        calibrated = {grid: batch_compiled(**sweep_kwargs(calibrated_scenario, deltas,
+                                                          range(40)))
+                      for grid, deltas in SWEEP_GRIDS.items()}
+        short = batch_compiled(**sweep_kwargs(short_scenario, SWEEP_GRIDS["never_fires"],
+                                              range(40)))
+        step_0 = calibrated["step_0"][:, :, 2]
+        assert np.all(step_0[1:] == 0) and np.all(step_0[0] != 0)
+        never = calibrated["never_fires"][0]
+        assert np.all(never[:, 2] == -1) and set(never[:, 1]) == {fastpath.OUTCOME_COMPLETED,
+                                                                 fastpath.OUTCOME_EXITED}
+        assert np.all(short[0, :, 2] == -1)
+        assert fastpath.OUTCOME_TIMEOUT in short[0, :, 1]
+        same = calibrated["same_step"][:, :, 2]
+        assert np.all(same[0] == same[1]) and np.all(same[0] > 0)
+        next_step = calibrated["next_step"][:, :, 2]
+        assert np.all(next_step >= 0) and np.any(next_step[:-1] - next_step[1:] == 1)
+        soc = calibrated["soc"][:, :, 2]
+        assert np.any((soc[0] > soc[-1]) & (soc[-1] >= 0))  # distinct forks on one trunk
+        assert np.any(soc == -1) and np.any(soc >= 0)
+
+
 def c_batch(kwargs, workers, out=None):
-    """``batch_kwargs``' batch through ``fastpath._lib.rtsa_batch`` on ``workers``
-    threads, written into ``out`` (if None, a new one of -7s, so a row no worker ran
-    shows); raises as ``batch_compiled``."""
+    """``batch_kwargs``' or ``sweep_kwargs``' batch through ``fastpath._lib.rtsa_batch``
+    on ``workers`` threads, written into ``out`` (if None, a new one of -7s, so a row no
+    worker ran shows); raises as ``batch_compiled``."""
     kwargs = dict(kwargs)
     table = _rollout_py.checked_rows("wind", kwargs.pop("wind"), 8, at_least=1)
     theta = _rollout_py.weight_columns(kwargs.pop("theta"))
-    mode = kwargs.pop("policy_mode")
-    params, n_waypoints, steps = _rollout_py.pack(mode, kwargs.pop("delta"), **kwargs)
+    mode, delta = kwargs.pop("policy_mode"), kwargs.pop("delta")
+    params, n_waypoints, steps = _rollout_py.pack(mode, **kwargs)
+    deltas = _rollout_py.thresholds(mode, delta)
     if out is None:
-        out = np.full((table.shape[0], 4), -7, dtype=np.intc)
+        out = np.full(deltas.shape + (table.shape[0], 4), -7, dtype=np.intc)
     p = fastpath._pointer
     fastpath._raise_for(fastpath._lib.rtsa_batch(
-        p(params), n_waypoints, mode, steps, p(table), table.shape[0], p(theta),
-        p(out, ctypes.c_int), workers))
+        p(params), n_waypoints, mode, steps, p(table), table.shape[0], p(deltas), deltas.size,
+        p(theta), p(out, ctypes.c_int), workers))
     return out
 
 
@@ -197,12 +283,25 @@ class TestBatchWorkers:
             assert c_batch(kwargs, workers).tobytes() == expected, workers
         assert batch_compiled(**kwargs).tobytes() == expected
 
-    def test_repeated_calls_on_more_workers_than_cpus(self, short_scenario):
-        # A row lost or run twice by the shared counter would show in some call.
-        kwargs = batch_kwargs(short_scenario, PolicySpec.baseline(8.0), range(40))
+    @pytest.mark.parametrize("n_rows", [1, 2, 40])
+    @pytest.mark.parametrize("which", ["calibrated", "short"])
+    @pytest.mark.parametrize("grid", ["soc", "duplicates", "step_0", "same_step"])
+    def test_sweeps_equal_for_every_worker_count(self, calibrated_scenario, short_scenario,
+                                                 n_rows, which, grid):
+        scenario = calibrated_scenario if which == "calibrated" else short_scenario
+        kwargs = sweep_kwargs(scenario, SWEEP_GRIDS[grid], range(n_rows))
         expected = _rollout_py.batch(**kwargs).tobytes()
-        for _ in range(200):
-            assert c_batch(kwargs, 8).tobytes() == expected
+        for workers in (1, 2, 3, n_rows + 5):
+            assert c_batch(kwargs, workers).tobytes() == expected, workers
+        assert batch_compiled(**kwargs).tobytes() == expected
+
+    def test_repeated_calls_on_more_workers_than_cpus(self, calibrated_scenario, short_scenario):
+        # A row lost or run twice by the shared counter would show in some call.
+        for kwargs in (batch_kwargs(short_scenario, PolicySpec.baseline(8.0), range(40)),
+                       sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(40))):
+            expected = _rollout_py.batch(**kwargs).tobytes()
+            for _ in range(200):
+                assert c_batch(kwargs, 8).tobytes() == expected
 
     def test_worker_count_follows_the_cpus_the_process_may_use(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else \
@@ -492,6 +591,26 @@ class TestArgumentChecks:
         batch = kernels(backend).batch
         assert batch(**{**kwargs, **frozen}).tobytes() == batch(**kwargs).tobytes()
 
+    @pytest.mark.parametrize("delta", BAD_DELTAS.values(), ids=BAD_DELTAS.keys())
+    @pytest.mark.parametrize("entry", ["rollout", "batch"])
+    def test_bad_threshold_raises_value_error(self, calibrated_scenario, backend, entry, delta):
+        kwargs = sweep_kwargs(calibrated_scenario, (8.0,), range(3))
+        kwargs["delta"] = delta
+        if entry == "rollout":
+            kwargs["wind_params"] = kwargs.pop("wind")[0]
+        with pytest.raises(ValueError, match="delta"):
+            getattr(kernels(backend), entry)(**kwargs)
+
+    @pytest.mark.parametrize("entry", ["rollout", "batch"])
+    @pytest.mark.parametrize("mode", [fastpath.POLICY_NOMINAL, fastpath.POLICY_WEIGHTS])
+    def test_only_the_baseline_takes_several_thresholds(self, calibrated_scenario, backend,
+                                                        entry, mode):
+        kwargs = {**sweep_kwargs(calibrated_scenario, (1.0, 8.0), range(3)), "policy_mode": mode}
+        if entry == "rollout":
+            kwargs["wind_params"] = kwargs.pop("wind")[0]
+        with pytest.raises(ValueError, match="delta must .*shape"):
+            getattr(kernels(backend), entry)(**kwargs)
+
     @pytest.mark.parametrize("ends", [[1], [3], [2, 1, 2], [-1, 2], [[2]]])
     def test_replay_ends_must_cover_the_rows(self, backend, ends):
         phi = np.zeros((2, N_FEATURES))
@@ -510,10 +629,12 @@ def fuzzed(valid):
     )
 
 
-def _valid_result(entry, result, max_steps):
+def _valid_result(entry, result, max_steps, delta):
     if entry == "batch":
-        steps, outcomes, deploy_steps = result[:, 0], result[:, 1], result[:, 2]
-        return (result.dtype == np.intc and result.ndim == 2 and result.shape[1] == 4
+        rows = result.reshape(-1, 4)
+        steps, outcomes, deploy_steps = rows[:, 0], rows[:, 1], rows[:, 2]
+        return (result.dtype == np.intc and result.ndim == 2 + np.ndim(delta)
+                and result.shape[-1] == 4
                 and np.all((steps >= 1) & (steps <= max_steps))
                 and np.all((outcomes >= 1) & (outcomes <= 4))
                 and np.all((deploy_steps >= -1) & (deploy_steps < steps)))
@@ -535,9 +656,9 @@ def _same(a, b):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_kernel_wrappers_give_a_result_or_value_error(calibrated_scenario, data):
-    # Bad shapes and dtypes of every array, and max_steps and policy modes
-    # around their bounds: each call returns a valid result or raises
-    # ValueError, never another exception, and both backends agree.
+    # Bad shapes and dtypes of every array, bad thresholds, and max_steps and
+    # policy modes around their bounds: each call returns a valid result or
+    # raises ValueError, never another exception, and both backends agree.
     scenario = calibrated_scenario
     entry = data.draw(st.sampled_from(["rollout", "batch", "learn_episode"]), label="entry")
     wind_key = "wind" if entry == "batch" else "wind_params"
@@ -550,7 +671,9 @@ def test_kernel_wrappers_give_a_result_or_value_error(calibrated_scenario, data)
     if entry == "learn_episode":
         args["theta"] = np.zeros((2, N_FEATURES))
     else:
-        args.update(theta=random_weights(np.random.default_rng(3)), delta=8.0,
+        delta_key = data.draw(st.sampled_from([*GOOD_DELTAS, *BAD_DELTAS]), label="delta")
+        args.update(theta=random_weights(np.random.default_rng(3)),
+                    delta={**GOOD_DELTAS, **BAD_DELTAS}[delta_key],
                     policy_mode=data.draw(st.sampled_from([-1, 0, 1, 2, 3]),
                                           label="policy_mode"))
     keys = ["env_min", "env_max", "waypoints", "scales", "theta", wind_key]
@@ -571,8 +694,18 @@ def test_kernel_wrappers_give_a_result_or_value_error(calibrated_scenario, data)
 
     results = [call(backend) for backend in
                ["python"] + (["c"] if rollout_compiled is not None else [])]
+    if entry != "learn_episode":
+        # The baseline refuses every bad threshold; the other policies ignore
+        # their one number but refuse an array, as a rollout does.
+        delta = args["delta"]
+        several = np.ndim(delta) > 0 and (entry == "rollout"
+                                          or args["policy_mode"] != fastpath.POLICY_BASELINE)
+        bad = delta_key in BAD_DELTAS and args["policy_mode"] == fastpath.POLICY_BASELINE
+        if several or bad:
+            assert all(result is ValueError for result in results)
     for result in results:
-        assert result is ValueError or _valid_result(entry, result, args["max_steps"])
+        assert result is ValueError or _valid_result(entry, result, args["max_steps"],
+                                                     args.get("delta"))
     if len(results) == 2:
         assert (results[0] is ValueError) == (results[1] is ValueError)
         assert results[0] is ValueError or _same(results[0], results[1])
