@@ -26,10 +26,9 @@
  * ascending thresholds flies, per wind row, one nominal trunk under the
  * widest threshold not yet deployed. Where that threshold deploys, the trunk
  * stops; its parachute tail is flown from the trunk's exact state, and the
- * trunk goes on, undeployed, under the next narrower threshold. Thresholds
- * that deploy on the same step share one tail, and those still undeployed
- * when the trunk ends get the trunk's summary. Every summary equals a
- * one-threshold episode's, bit for bit.
+ * trunk goes on, undeployed, under the next narrower threshold. Those still
+ * undeployed when the trunk ends get the trunk's summary. Every summary
+ * equals a one-threshold episode's, bit for bit.
  *
  * Exploration draws come from numpy's bit generator through its documented
  * C struct `bitgen_t` (declared below; no numpy header is needed):
@@ -500,20 +499,15 @@ static void sweep_row(const batch_job *job, int row)
 {
     const double *wind = job->wind + 8 * (size_t)row;
     state_t trunk = start_state(job->path);
-    int stop[4], fork_step = -1, k = job->n_deltas - 1;
+    int stop[4], k = job->n_deltas - 1;
     for (; k >= 0; k--) {
-        int *out = job->out + 4 * ((size_t)k * job->n + row);
         episode(job->p, job->path, POLICY_BASELINE, job->max_steps, job->deltas[k], wind,
                 job->theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL, &trunk, 1, NULL, stop, NULL);
         if (stop[1])
             break; /* ended before deploying: so it does at every narrower threshold */
-        if (stop[2] == fork_step) {
-            memcpy(out, out + 4 * (size_t)job->n, sizeof stop);
-        } else {
-            episode(job->p, job->path, POLICY_BASELINE, job->max_steps, job->deltas[k], wind,
-                    job->theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL, &trunk, 0, NULL, out, NULL);
-            fork_step = stop[2];
-        }
+        episode(job->p, job->path, POLICY_BASELINE, job->max_steps, job->deltas[k], wind,
+                job->theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL, &trunk, 0, NULL,
+                job->out + 4 * ((size_t)k * job->n + row), NULL);
     }
     for (; k >= 0; k--)
         memcpy(job->out + 4 * ((size_t)k * job->n + row), stop, sizeof stop);

@@ -277,24 +277,19 @@ def _sweep(p, n_waypoints, max_steps, deltas, wind, theta):
     One trunk flies the nominal prefix they share, under the widest
     threshold not yet deployed, and stops where that one deploys. Its tail
     is flown from the trunk's state there, and the trunk goes on under the
-    next narrower threshold. Thresholds that deploy on the same step share
-    one tail; those left when the trunk ends get the trunk's summary.
+    next narrower threshold. Those left when the trunk ends get the trunk's
+    summary.
     """
     rows = [None] * len(deltas)
     trunk = _start(p)
-    fork_step = -1
     for k in reversed(range(len(deltas))):
         stop = _summary(_episode(p, n_waypoints, POLICY_BASELINE, max_steps, deltas[k], wind,
                                  theta, state=trunk, fork=True))
         if stop[1]:  # ended before deploying: so it does at every narrower threshold
             rows[:k + 1] = [stop] * (k + 1)
             break
-        if stop[2] == fork_step:
-            rows[k] = rows[k + 1]
-        else:
-            rows[k] = _summary(_episode(p, n_waypoints, POLICY_BASELINE, max_steps, deltas[k],
-                                        wind, theta, state=trunk))
-            fork_step = stop[2]
+        rows[k] = _summary(_episode(p, n_waypoints, POLICY_BASELINE, max_steps, deltas[k], wind,
+                                    theta, state=trunk))
     return rows
 
 
