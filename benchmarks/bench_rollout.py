@@ -2,9 +2,11 @@
 """Compare the compiled and pure-Python episode kernels, and the batch and per-episode paths.
 
 Runs the same seeded episode batch through both backends' rollout, online
-training episode and warm-start replay pass, checks the trajectories,
-training results and weights are bit-identical, and reports per-episode,
-per-training-step and per-replay-transition timing and the speedups.
+training (one ``train`` call over all episodes) and warm-start replay pass,
+checks the trajectories, training rows and weights are bit-identical, and
+reports per-episode, per-training-step and per-replay-transition timing and
+the speedups. On the C kernel it also times the seeds' wind draws against
+numpy's, in microseconds per seed, and checks the tables are byte-equal.
 
 Then, on the loaded backend and for each policy mode, times one
 ``fastpath.batch`` call over the seeds against a loop of ``fastpath.rollout``
@@ -62,13 +64,15 @@ def episode_args(scenario, seed, policy):
     return dict(wind_params=seed_wind(scenario, seed), **policy_args(scenario, policy))
 
 
-def learn_args(scenario, seed):
+def learn_args(scenario, seeds):
+    """``train``'s arguments but the weights: one episode per seed at TRAIN_EPSILON."""
     return dict(
         exit_penalty=scenario.reward.exit_penalty,
         discount=scenario.reward.discount,
         learning_rate=LEARNING_RATE,
-        epsilon=TRAIN_EPSILON,
-        wind_params=seed_wind(scenario, seed),
+        epsilons=[TRAIN_EPSILON] * len(seeds),
+        seed=0,
+        wind=wind_rows(wind_draws(seeds), scenario.sim),
         scales=scenario.feature_scales,
         alert_penalty=scenario.reward.alert_penalty,
         **fastpath.scenario_args(scenario),
@@ -85,19 +89,26 @@ def bench(backend, all_args, repeats):
     return min(times), results
 
 
-def bench_training(learn_episode, all_args, repeats):
-    """Best time of one online episode per argument set, weights carried forward.
-
-    Returns (seconds, final weights, per-episode results, generator states).
-    """
+def bench_training(train, args, repeats):
+    """Best time of one ``train`` call from zero weights; returns (seconds, final
+    weights, per-episode rows)."""
     best = float("inf")
     for _ in range(repeats):
-        rngs = [np.random.default_rng([0, i]) for i in range(len(all_args))]
         theta = np.zeros((2, N_FEATURES))
         start = time.perf_counter()
-        results = [learn_episode(theta, rng=rng, **args) for rng, args in zip(rngs, all_args)]
+        rows = train(theta, **args)
         best = min(best, time.perf_counter() - start)
-    return best, theta, results, [rng.bit_generator.state for rng in rngs]
+    return best, theta, rows
+
+
+def bench_wind_draws(draw, seeds, repeats):
+    """Best microseconds per seed of one ``draw(seeds)`` call, and its table."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        table = draw(seeds)
+        best = min(best, time.perf_counter() - start)
+    return best / len(seeds) * 1e6, table
 
 
 def bench_replay(replay, batch, discount, repeats):
@@ -200,10 +211,9 @@ def main():
 
     # Online training (epsilon TRAIN_EPSILON) over the same wind seeds, and one
     # warm-start pass over baseline:8 demos on them.
-    all_learn = [learn_args(scenario, seed) for seed in seeds]
-    lt_py, theta_py, lres_py, states_py = bench_training(_rollout_py.learn_episode, all_learn,
-                                                         args.repeats)
-    train_steps = sum(result[4] for result in lres_py)
+    learn = learn_args(scenario, seeds)
+    lt_py, theta_py, lrows_py = bench_training(_rollout_py.train, learn, args.repeats)
+    train_steps = int(lrows_py[:, _rollout_py.TRAIN_COLUMNS.index("steps")].sum())
     demos = [run_episode(PolicySpec.baseline(8.0), scenario, seed) for seed in seeds]
     batch = _replay_batch(demos, scenario)
     transitions = len(batch[0]) - len(batch[3])
@@ -239,22 +249,26 @@ def main():
     t_c, res_c = bench(fastpath.rollout_compiled, all_args, args.repeats)
     print(f"compiled    : {t_c * 1e3:8.3f} ms/episode")
     print(f"speedup     : {t_py / t_c:8.1f}x")
-    lt_c, theta_c, lres_c, states_c = bench_training(fastpath.learn_episode_compiled, all_learn,
-                                                     args.repeats)
+    lt_c, theta_c, lrows_c = bench_training(fastpath.train_compiled, learn, args.repeats)
     rt_c, rtheta_c = bench_replay(fastpath.replay_compiled, batch, scenario.reward.discount,
                                   args.repeats)
     print(f"training    : compiled {lt_c / train_steps * 1e6:8.3f} us/step"
           f"  speedup {lt_py / lt_c:6.1f}x")
     print(f"replay      : compiled {rt_c / transitions * 1e6:8.3f} us/transition"
           f"  speedup {rt_py / rt_c:6.1f}x")
+    wt_py, wind_py = bench_wind_draws(wind_draws, seeds, args.repeats)
+    wt_c, wind_c = bench_wind_draws(fastpath.wind_draws_compiled, seeds, args.repeats)
+    print(f"wind draws  : numpy {wt_py:8.3f} us/seed  compiled {wt_c:8.3f} us/seed"
+          f"  speedup {wt_py / wt_c:6.1f}x")
 
     for (a, oa, da), (b, ob, db) in zip(res_py, res_c):
         assert oa == ob and da == db and np.array_equal(np.asarray(a), np.asarray(b)), \
             "backends disagree"
-    assert lres_py == lres_c and states_py == states_c, "training episodes disagree"
+    assert lrows_py.tobytes() == lrows_c.tobytes(), "training episodes disagree"
     assert theta_py.tobytes() == theta_c.tobytes(), "trained weights disagree"
     assert rtheta_py.tobytes() == rtheta_c.tobytes(), "warm-start weights disagree"
-    print("backends bit-identical over all episodes, training results and weights")
+    assert wind_py.tobytes() == wind_c.tobytes(), "wind draws disagree"
+    print("backends bit-identical over all episodes, training results, wind draws and weights")
 
     workers = fastpath.batch_workers(args.episodes)
     print(f"batch workers: {workers} for {args.episodes} episodes")

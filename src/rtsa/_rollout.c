@@ -7,16 +7,17 @@
  * -ffp-contract=off: a fused multiply-add rounds once where the Python twin
  * rounds twice.
  *
- * Four entry points, all behind one episode loop (`episode`) and one TD
- * rule (`td_update`):
- *   rtsa_rollout        one episode under a fixed policy, with its trajectory;
- *   rtsa_batch          n episodes under a fixed policy, one wind row each,
- *                       with per-episode summaries and no trajectories,
- *                       spread over a few worker threads; a baseline batch
- *                       runs all of its thresholds at once (below);
- *   rtsa_learn_episode  one epsilon-greedy Q-learning episode, updating the
- *                       weights in place at every step;
- *   rtsa_replay         one warm-start TD pass over recorded episodes.
+ * Five entry points, four of them behind one episode loop (`episode`) and
+ * one TD rule (`td_update`):
+ *   rtsa_rollout     one episode under a fixed policy, with its trajectory;
+ *   rtsa_batch       n episodes under a fixed policy, one wind row each,
+ *                    with per-episode summaries and no trajectories, spread
+ *                    over a few worker threads; a baseline batch runs all of
+ *                    its thresholds at once (below);
+ *   rtsa_train       n online epsilon-greedy Q-learning episodes in a row,
+ *                    updating the weights in place at every step;
+ *   rtsa_replay      one warm-start TD pass over recorded episodes;
+ *   rtsa_wind_draws  the unit draws of each seed's wind field.
  * `episode` is always inlined with constant flags, so the rollout carries no
  * learning branches, neither the batch nor the learner writes a trajectory,
  * and only the baseline batch can stop at a deploy decision.
@@ -30,11 +31,14 @@
  * undeployed when the trunk ends get the trunk's summary. Every summary
  * equals a one-threshold episode's, bit for bit.
  *
- * Exploration draws come from numpy's bit generator through its documented
- * C struct `bitgen_t` (declared below; no numpy header is needed):
- * Generator.random() is next_double(state), and Generator.integers(2) is
- * next_uint32(state) >> 31, because Lemire's bounded draw over a range of
- * one never rejects.
+ * Random draws come from a copy of numpy's default seeding (below): the
+ * stream seeded here from a list of integers is np.random.default_rng's for
+ * that list, draw for draw. Generator.random() is next_double, and
+ * Generator.integers(2) is next_uint32 >> 31, because Lemire's bounded draw
+ * over a range of one never rejects. Generator.standard_normal() is numpy's
+ * own random_standard_normal, linked from its libnpyrandom.a, which draws
+ * through the documented C struct `bitgen_t` (declared below; no numpy header
+ * is needed).
  *
  * No Python or numpy headers: rtsa.fastpath packs the scenario into one
  * float64 array (layout below) with rtsa._rollout_py.pack, allocates the
@@ -75,6 +79,126 @@ typedef struct bitgen {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
+/* numpy/random/distributions.h, from libnpyrandom.a */
+double random_standard_normal(bitgen_t *bitgen_state);
+
+/*
+ * numpy's default seeding (numpy/random/bit_generator.pyx, _pcg64.pyx and
+ * src/pcg64/pcg64.h). A SeedSequence hashes its entropy words into a pool of
+ * four and stretches the pool into PCG64's 128-bit state and increment
+ * (generate_state(4, uint64)); PCG64 steps a 128-bit LCG and outputs XSL-RR.
+ */
+enum { SEED_POOL = 4, SEED_XSHIFT = 16 };
+#define SEED_INIT_A 0x43b0d7e5u
+#define SEED_MULT_A 0x931e8875u
+#define SEED_INIT_B 0x8b51f9ddu
+#define SEED_MULT_B 0x58f38dedu
+#define SEED_MIX_L 0xca01f9ddu
+#define SEED_MIX_R 0x4973f715u
+#define PCG64_MULT (((unsigned __int128)2549297995355413924ULL << 64) + 4865540595714422341ULL)
+
+static inline uint32_t seed_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= SEED_MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> SEED_XSHIFT);
+}
+
+static inline uint32_t seed_mix(uint32_t x, uint32_t y)
+{
+    const uint32_t result = SEED_MIX_L * x - SEED_MIX_R * y;
+    return result ^ (result >> SEED_XSHIFT);
+}
+
+/* The 32-bit words SeedSequence reads from the integer `value`, low word
+ * first, into `words`; returns their count (one for 0). */
+static inline int seed_words(uint64_t value, uint32_t *words)
+{
+    words[0] = (uint32_t)value;
+    if (value >> 32 == 0)
+        return 1;
+    words[1] = (uint32_t)(value >> 32);
+    return 2;
+}
+
+/* PCG64's state; a next_uint32 keeps the high half of its 64-bit draw for
+ * the next one. */
+typedef struct {
+    unsigned __int128 state, inc;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64_t;
+
+static inline void pcg64_step(pcg64_t *rng) { rng->state = rng->state * PCG64_MULT + rng->inc; }
+
+static uint64_t pcg64_next64(void *st)
+{
+    pcg64_t *rng = st;
+    pcg64_step(rng);
+    const uint64_t x = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
+    const unsigned rot = (unsigned)(rng->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63u));
+}
+
+static uint32_t pcg64_next32(void *st)
+{
+    pcg64_t *rng = st;
+    if (rng->has_uint32) {
+        rng->has_uint32 = 0;
+        return rng->uinteger;
+    }
+    const uint64_t next = pcg64_next64(st);
+    rng->has_uint32 = 1;
+    rng->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double pcg64_next_double(void *st)
+{
+    return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/*
+ * Seed `rng` from the n_words (at most SEED_POOL) entropy words at `words`,
+ * as np.random.default_rng does from a list of integers, each read by
+ * seed_words in turn, and point `bitgen` at it.
+ */
+static void seed_stream(pcg64_t *rng, bitgen_t *bitgen, const uint32_t *words, int n_words)
+{
+    uint32_t pool[SEED_POOL], hash_const = SEED_INIT_A;
+    for (int i = 0; i < SEED_POOL; i++)
+        pool[i] = seed_hashmix(i < n_words ? words[i] : 0, &hash_const);
+    for (int src = 0; src < SEED_POOL; src++)
+        for (int dst = 0; dst < SEED_POOL; dst++)
+            if (src != dst)
+                pool[dst] = seed_mix(pool[dst], seed_hashmix(pool[src], &hash_const));
+
+    /* generate_state(4, uint64): eight 32-bit words, read in pairs, low word first. */
+    uint64_t state[4] = {0};
+    hash_const = SEED_INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i % SEED_POOL] ^ hash_const;
+        hash_const *= SEED_MULT_B;
+        value *= hash_const;
+        value ^= value >> SEED_XSHIFT;
+        state[i / 2] |= (uint64_t)value << (32 * (i % 2));
+    }
+
+    /* pcg64_set_seed: (state[0], state[1]) and (state[2], state[3]) are
+     * (high, low) halves of the initial state and the stream. */
+    const unsigned __int128 initstate = ((unsigned __int128)state[0] << 64) | state[1];
+    const unsigned __int128 initseq = ((unsigned __int128)state[2] << 64) | state[3];
+    rng->state = 0;
+    rng->inc = (initseq << 1) | 1u;
+    pcg64_step(rng);
+    rng->state += initstate;
+    pcg64_step(rng);
+    rng->has_uint32 = 0;
+    rng->uinteger = 0;
+    *bitgen = (bitgen_t){rng, pcg64_next64, pcg64_next32, pcg64_next_double, pcg64_next64};
+}
+
 /* Offsets into the packed scenario array; mirrored by the P_* names of
  * rtsa._rollout_py, whose `pack` builds it. */
 enum {
@@ -112,8 +236,9 @@ static inline double dot9(const double *a, const double *b)
 /*
  * One linear TD update, in place, on the taken action's column of
  * th = (continue column, deploy column). Terminal transitions bootstrap 0.
+ * Returns the TD error, target - Q(s, a).
  */
-static inline void td_update(double *th, const double *phi, int action, double r,
+static inline double td_update(double *th, const double *phi, int action, double r,
                              const double *phi_next, int terminal, double learning_rate,
                              double discount)
 {
@@ -126,9 +251,11 @@ static inline void td_update(double *th, const double *phi, int action, double r
         const double q_cont = dot9(th, phi_next), q_dep = dot9(th + N_FEATURES, phi_next);
         target = r + discount * (q_dep > q_cont ? q_dep : q_cont);
     }
-    const double k = learning_rate * (target - q_sa);
+    const double error = target - q_sa;
+    const double k = learning_rate * error;
     for (int i = 0; i < N_FEATURES; i++)
         col[i] += k * phi[i];
+    return error;
 }
 
 /*
@@ -186,14 +313,15 @@ static inline state_t start_state(const path_t *path)
 
 /*
  * The episode loop behind rtsa_rollout and rtsa_batch (learn = 0) and
- * rtsa_learn_episode (learn = 1), along `path` in the wind of the 8 values at
+ * rtsa_train (learn = 1), along `path` in the wind of the 8 values at
  * `wind`, from the undeployed state `*state`. The baseline policy deploys
  * outside the box or within `delta` of its boundary.
  * `theta` is read into a local copy; when learning, the updated copy is
  * written back to `theta_out`. Rows 0..out[0] of `traj`, if not NULL, get
  * (t, px, py, pz, vx, vy, vz, action, reward), row k for step k. On return
  * out = (steps, outcome, deploy_step, deploy_greedy) and, when learning,
- * dout = (discounted return, largest squared feature norm). With `fork`, the
+ * dout = (discounted return, largest squared feature norm, largest absolute
+ * TD error). With `fork`, the
  * loop stops instead at its first deploy decision, before that step: it
  * writes the state there to `*state` and out = (step, 0, step, 1).
  */
@@ -233,7 +361,7 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
     int deployed = 0, deploy_step = -1, deploy_greedy = -1;
     int step_idx = state->step, outcome = 0; /* 0: still running */
     int action = 0, greedy = 0;
-    double r = 0.0, ret = 0.0, disc = 1.0, norm2_max = 0.0;
+    double r = 0.0, ret = 0.0, disc = 1.0, norm2_max = 0.0, error_max = 0.0;
     double phi[N_FEATURES], phi_prev[N_FEATURES];
 
     /* Each pass first observes the current state (wind, features) and applies
@@ -253,9 +381,13 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
             phi[7] = wy / sc[7];
             phi[8] = deployed ? 1.0 : 0.0;
             /* Timeout is truncation, not an absorbing state: keep the bootstrap. */
-            if (learn && step_idx)
-                td_update(th, phi_prev, action, r, phi,
-                          outcome != 0 && outcome != OUTCOME_TIMEOUT, learning_rate, discount);
+            if (learn && step_idx) {
+                const double error = fabs(td_update(th, phi_prev, action, r, phi,
+                                                    outcome != 0 && outcome != OUTCOME_TIMEOUT,
+                                                    learning_rate, discount));
+                if (error > error_max)
+                    error_max = error;
+            }
         }
         if (outcome)
             break;
@@ -454,6 +586,7 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
         memcpy(theta_out, th, sizeof th);
         dout[0] = ret;
         dout[1] = norm2_max;
+        dout[2] = error_max;
     }
     out[0] = step_idx;
     out[1] = outcome;
@@ -569,29 +702,71 @@ int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
     return 0;
 }
 
+/* Columns of rtsa_train's rows, one row per episode. */
+enum {
+    ROW_RETURN,        /* discounted return */
+    ROW_OUTCOME,
+    ROW_DEPLOY_STEP,   /* -1 if never deployed */
+    ROW_DEPLOY_GREEDY, /* -1 never deployed, 0 explored, 1 greedy */
+    ROW_STEPS,
+    ROW_NORM2_MAX,     /* largest squared feature norm of a decision state */
+    ROW_ERROR_MAX,     /* largest absolute TD error */
+    ROW_THETA_NORM,    /* Euclidean norm of the weights after the episode */
+    TRAIN_ROW
+};
+
 /*
- * Run one online epsilon-greedy Q-learning episode under the weights policy,
- * in the wind at `wind`, updating `theta` in place. Until the switch flips, each step draws
- * next_double (only when epsilon > 0) and, on an exploring step,
- * next_uint32 >> 31 from `bitgen`. On return out = (steps, outcome,
- * deploy_step, deploy_greedy: -1 never deployed, 0 explored, 1 greedy) and
- * dout = (discounted return, largest squared feature norm). Returns as
- * rtsa_rollout.
+ * Run n_episodes online epsilon-greedy Q-learning episodes in a row under the
+ * weights policy, updating `theta` in place. Episode ep flies in wind row
+ * ep % n_wind of `wind` (n_wind x 8) at exploration rate epsilons[ep], and
+ * draws from the stream np.random.default_rng([seed, ep]) would give: until
+ * the switch flips, each step draws next_double (only when its epsilon > 0)
+ * and, on an exploring step, next_uint32 >> 31. Row ep of `rows`
+ * (n_episodes x TRAIN_ROW) gets the episode's ROW_* values. Stops after the
+ * first episode that leaves a weight non-finite. Returns the number of
+ * episodes run, or as rtsa_rollout (-1, -2) before any episode runs.
  */
-int rtsa_learn_episode(const double *p, int n_waypoints, int max_steps, const double *wind,
-                       double *theta, double exit_penalty, double discount,
-                       double learning_rate, double epsilon, bitgen_t *bitgen, int *out,
-                       double *dout)
+int64_t rtsa_train(const double *p, int n_waypoints, int max_steps, const double *wind,
+                   int64_t n_wind, double *theta, double exit_penalty, double discount,
+                   double learning_rate, const double *epsilons, int64_t n_episodes,
+                   uint64_t seed, double *rows)
 {
     path_t path;
     const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
     if (status)
         return status;
-    state_t start = start_state(&path);
-    episode(p, &path, 0, max_steps, 0.0, wind, theta, 1, theta, exit_penalty, discount,
-            learning_rate, epsilon, bitgen, &start, 0, NULL, out, dout);
+    uint32_t words[SEED_POOL]; /* the seed's words, then the episode's: two each at most */
+    const int n_seed = seed_words(seed, words);
+    int64_t ep = 0;
+    int finite = 1;
+    while (finite && ep < n_episodes) {
+        pcg64_t rng;
+        bitgen_t bitgen;
+        seed_stream(&rng, &bitgen, words, n_seed + seed_words((uint64_t)ep, words + n_seed));
+        state_t start = start_state(&path);
+        int out[4];
+        double dout[3];
+        episode(p, &path, 0, max_steps, 0.0, wind + 8 * (size_t)(ep % n_wind), theta, 1, theta,
+                exit_penalty, discount, learning_rate, epsilons[ep], &bitgen, &start, 0, NULL,
+                out, dout);
+        double norm2 = 0.0;
+        for (int i = 0; i < 2 * N_FEATURES; i++) {
+            norm2 += theta[i] * theta[i];
+            finite &= isfinite(theta[i]) != 0;
+        }
+        double *row = rows + TRAIN_ROW * (size_t)ep;
+        row[ROW_RETURN] = dout[0];
+        row[ROW_OUTCOME] = out[1];
+        row[ROW_DEPLOY_STEP] = out[2];
+        row[ROW_DEPLOY_GREEDY] = out[3];
+        row[ROW_STEPS] = out[0];
+        row[ROW_NORM2_MAX] = dout[1];
+        row[ROW_ERROR_MAX] = dout[2];
+        row[ROW_THETA_NORM] = sqrt(norm2);
+        ep++;
+    }
     path_free(&path);
-    return 0;
+    return ep;
 }
 
 /*
@@ -613,5 +788,25 @@ void rtsa_replay(double *theta, const double *phi, const int64_t *actions,
                       phi + N_FEATURES * (i + 1), terminal[e] && i == last, learning_rate,
                       discount);
         start = ends[e];
+    }
+}
+
+/*
+ * The unit draws behind each seed's wind field: row i of `out` (n x 8) gets
+ * what np.random.default_rng(seeds[i]) draws first, two standard normals and
+ * then six uniforms on [0, 1).
+ */
+void rtsa_wind_draws(const uint64_t *seeds, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        pcg64_t rng;
+        bitgen_t bitgen;
+        uint32_t words[2];
+        seed_stream(&rng, &bitgen, words, seed_words(seeds[i], words));
+        double *row = out + 8 * (size_t)i;
+        row[0] = random_standard_normal(&bitgen);
+        row[1] = random_standard_normal(&bitgen);
+        for (int k = 2; k < 8; k++)
+            row[k] = pcg64_next_double(&rng);
     }
 }

@@ -24,21 +24,22 @@ termination chain. It reads the packed array by the ``P_*`` offsets, as
   that stops where the widest threshold not yet deployed deploys, forks
   that threshold's parachute tail from its exact state, and goes on under
   the next narrower threshold.
-- ``learn_episode`` runs one online epsilon-greedy Q-learning episode,
-  applying ``td_update`` to the weights at every step.
+- ``train`` runs online epsilon-greedy Q-learning episodes in a row, one
+  ``learn_episode`` each, applying ``td_update`` to the weights at every
+  step. Episode ep explores on ``np.random.default_rng([seed, ep])``.
 
 ``replay`` (one warm-start TD pass over recorded episodes) shares
 ``td_update``, the linear TD rule on weight columns held as float lists.
 
 Each entry point has a C twin in ``_rollout.c`` (``rtsa_rollout``,
-``rtsa_batch``, ``rtsa_learn_episode``, ``rtsa_replay``) that performs the
-same arithmetic in the same order and draws exploration from the same numpy
-bit generator, so the two backends give bit-identical trajectories,
-summaries, weights and generator states. ``rtsa.fastpath`` uses the C
-kernels when they build and load, these otherwise. ``learn_episode`` and
-``replay`` take the weights as a contiguous (2, 9) float64 array of columns
-(continue, deploy), updated in place; here it is converted to float lists
-and back once per call.
+``rtsa_batch``, ``rtsa_train``, ``rtsa_replay``) that performs the same
+arithmetic in the same order and seeds the same exploration streams, so the
+two backends give bit-identical trajectories, summaries, weights and
+training rows. ``rtsa.fastpath`` uses the C kernels when they build and
+load, these otherwise. ``train`` and ``replay`` take the weights as a
+contiguous (2, 9) float64 array of columns (continue, deploy), updated in
+place; here it is converted to float lists and back once per episode or
+call.
 
 Scalar math only in the loop body, so the compiled twin can mirror it
 operation for operation.
@@ -52,7 +53,7 @@ import numbers
 import numpy as np
 
 from .policy import N_FEATURES
-from .sim import MAX_STEPS
+from .sim import MAX_STEPS, is_seed
 
 POLICY_NOMINAL = 0
 POLICY_BASELINE = 1
@@ -84,6 +85,14 @@ P_SCALES = 17  # 8 feature scales
 P_WAYPOINTS = 25  # n_waypoints x 3, row-major
 
 ZERO_SEGMENT = "waypoints hold a zero-length segment"
+
+#: ``train``'s row of each episode, the ROW_* enum of ``_rollout.c``:
+#: deploy_greedy is -1 if never deployed, 0 explored, 1 greedy; norm2_max is
+#: the largest squared feature norm of a decision state, max_abs_td_error the
+#: largest absolute TD error of the episode's updates and theta_norm the
+#: Euclidean norm of the weights after it (inf once its square overflows).
+TRAIN_COLUMNS = ("return", "outcome", "deploy_step", "deploy_greedy", "steps", "norm2_max",
+                 "max_abs_td_error", "theta_norm")
 
 
 def pack(policy_mode, *, env_min, env_max, waypoints, arrival_radius, dt, a_max, cruise_speed,
@@ -186,9 +195,21 @@ def weights_in_place(theta):
     return theta
 
 
-def check_generator(rng):
-    if not isinstance(rng, np.random.Generator):
-        raise ValueError(f"rng must be a numpy Generator, got {type(rng).__name__}")
+def train_arrays(theta, wind, epsilons, seed):
+    """``train``'s arrays and seed, checked: (``theta`` itself, wind, epsilons, seed).
+
+    Raises ValueError unless ``theta`` passes ``weights_in_place``,
+    ``epsilons`` is 1-D with every value in [0, 1], ``wind`` is (n, 8) with
+    n >= 1 when there are episodes, and ``seed`` is an integer in [0, 2**64).
+    """
+    theta = weights_in_place(theta)
+    epsilons = _array("epsilons", epsilons)
+    if epsilons.ndim != 1 or not np.all((epsilons >= 0.0) & (epsilons <= 1.0)):
+        raise ValueError("epsilons must be a 1-D array of values in [0, 1]")
+    table = checked_rows("wind", wind, 8, at_least=1 if epsilons.size else 0)
+    if not is_seed(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return theta, table, epsilons, int(seed)
 
 
 def replay_arrays(theta, phi, actions, rewards, ends, terminal):
@@ -229,7 +250,7 @@ def rollout(*, wind_params, policy_mode, delta, theta, **scenario):
     threshold = float(thresholds(policy_mode, checked("delta", delta, ())))
     wind, columns = checked("wind_params", wind_params, (8,)), weight_columns(theta)
     rows = []
-    _, outcome, deploy_step, _, _, _ = _episode(
+    _, outcome, deploy_step, _, _, _, _ = _episode(
         params.tolist(), n_waypoints, policy_mode, steps, threshold, wind.tolist(),
         columns.tolist(), traj=rows)
     return np.array(rows, dtype=float), outcome, deploy_step
@@ -267,7 +288,7 @@ def batch(*, wind, policy_mode, delta, theta, **scenario):
 
 def _summary(result):
     """An ``_episode`` result as a batch row: (steps, outcome, deploy_step, deploy_greedy)."""
-    _, outcome, deploy_step, deploy_greedy, steps, _ = result
+    _, outcome, deploy_step, deploy_greedy, steps, _, _ = result
     return steps, outcome, deploy_step, -1 if deploy_greedy is None else deploy_greedy
 
 
@@ -298,6 +319,34 @@ def _start(p):
     return [0.0, p[P_WAYPOINTS], p[P_WAYPOINTS + 1], p[P_WAYPOINTS + 2], 0.0, 0.0, 0.0, 0]
 
 
+def train(theta, exit_penalty, discount, learning_rate, epsilons, seed, *, wind, **scenario):
+    """Run one ``learn_episode`` per value of ``epsilons``, in order, updating ``theta``.
+
+    Episode ep flies in row ep % n of ``wind`` (n, 8) at exploration rate
+    ``epsilons[ep]``, exploring on ``np.random.default_rng([seed, ep])``.
+    Returns a float64 array with one ``TRAIN_COLUMNS`` row per episode run:
+    it stops after the first episode that leaves a weight non-finite.
+    Raises ValueError for arguments that ``train_arrays`` or ``pack``
+    refuses, or a zero-length path segment, before any episode runs.
+    """
+    theta, table, epsilons, seed = train_arrays(theta, wind, epsilons, seed)
+    pack(POLICY_WEIGHTS, **scenario)  # checked even with no episode to run, as in C
+    rows = np.empty((epsilons.size, len(TRAIN_COLUMNS)))
+    for ep, epsilon in enumerate(epsilons.tolist()):
+        ret, outcome, deploy_step, deploy_greedy, steps, norm2_max, error_max = learn_episode(
+            theta, exit_penalty, discount, learning_rate, epsilon,
+            np.random.default_rng([seed, ep]), wind_params=table[ep % len(table)], **scenario)
+        weights = theta.ravel().tolist()
+        norm2 = 0.0
+        for w in weights:
+            norm2 += w * w
+        rows[ep] = (ret, outcome, deploy_step, -1 if deploy_greedy is None else deploy_greedy,
+                    steps, norm2_max, error_max, math.sqrt(norm2))
+        if not all(map(math.isfinite, weights)):
+            return rows[:ep + 1]
+    return rows
+
+
 def learn_episode(theta, exit_penalty, discount, learning_rate, epsilon, rng, *, wind_params,
                   **scenario):
     """Run one online epsilon-greedy Q-learning episode, updating ``theta`` in place.
@@ -305,18 +354,18 @@ def learn_episode(theta, exit_penalty, discount, learning_rate, epsilon, rng, *,
     ``theta`` is the (2, 9) array of weight columns (continue, deploy) and
     gets one ``td_update`` per step. ``wind_params`` and ``scenario`` are as
     for ``rollout``. Until the switch flips, each step draws ``rng.random()``
-    (only when epsilon > 0) and, on an exploring step, ``rng.integers(2)``:
-    the draws ``learning.epsilon_greedy`` makes.
+    (only when epsilon > 0) and, on an exploring step, ``rng.integers(2)``
+    from the numpy Generator ``rng``: the draws ``learning.epsilon_greedy``
+    makes.
 
     Returns (discounted return, outcome, deploy_step, deploy_greedy, steps,
-    largest squared feature norm of a decision state). ``deploy_step`` is -1
-    and ``deploy_greedy`` None if the switch never flipped; otherwise
-    ``deploy_greedy`` says whether deploying was the greedy action. Raises
-    ValueError as ``rollout`` does, and for a ``theta`` that
-    ``weights_in_place`` refuses or an ``rng`` that is no numpy Generator.
+    largest squared feature norm of a decision state, largest absolute TD
+    error). ``deploy_step`` is -1 and ``deploy_greedy`` None if the switch
+    never flipped; otherwise ``deploy_greedy`` says whether deploying was the
+    greedy action. Raises ValueError as ``rollout`` does, and for a
+    ``theta`` that ``weights_in_place`` refuses.
     """
     theta = weights_in_place(theta)
-    check_generator(rng)
     params, n_waypoints, steps = pack(POLICY_WEIGHTS, **scenario)
     wind = checked("wind_params", wind_params, (8,))
     columns = theta.tolist()
@@ -342,7 +391,8 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
     undeployed step epsilon-greedy on ``rng``. ``traj``, if given, is a list
     that gets the trajectory rows. Returns (discounted return, outcome,
     deploy_step, deploy_greedy, steps, largest squared feature norm of a
-    decision state, 0 unless learning). With ``fork``, the loop stops
+    decision state, largest absolute TD error), the last two 0 unless
+    learning. With ``fork``, the loop stops
     instead at its first deploy decision, before that step: it writes the
     state there into ``state`` and returns outcome 0. Raises ValueError for
     a zero-length path segment.
@@ -386,6 +436,7 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
     ret = 0.0
     disc = 1.0
     norm2_max = 0.0
+    error_max = 0.0
     outcome = 0  # still running
 
     # Each pass first observes the current state (wind, features) and applies
@@ -405,8 +456,11 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
             if learn and step_idx:
                 # The last step's transition. Timeout is truncation, not an
                 # absorbing state: keep the bootstrap.
-                td_update(t0, t1, phi_prev, action, r, phi,
-                          outcome != 0 and outcome != OUTCOME_TIMEOUT, learning_rate, discount)
+                error = abs(td_update(t0, t1, phi_prev, action, r, phi,
+                                      outcome != 0 and outcome != OUTCOME_TIMEOUT, learning_rate,
+                                      discount))
+                if error > error_max:
+                    error_max = error
         if outcome:
             break
         if learn:
@@ -461,7 +515,7 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
         fresh_deploy = action == 1 and not deployed
         if fork and fresh_deploy:
             state[:] = t, px, py, pz, vx, vy, vz, step_idx
-            return ret, 0, step_idx, True, step_idx, norm2_max
+            return ret, 0, step_idx, True, step_idx, norm2_max, error_max
         if fresh_deploy:
             deploy_step = step_idx
             deploy_greedy = not weights_mode or greedy == 1
@@ -570,7 +624,7 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
 
     if traj is not None:
         traj.append((t, px, py, pz, vx, vy, vz, 1.0 if deployed else 0.0, 0.0))
-    return ret, outcome, deploy_step, deploy_greedy, step_idx, norm2_max
+    return ret, outcome, deploy_step, deploy_greedy, step_idx, norm2_max, error_max
 
 
 def td_update(t0, t1, phi, action, r, phi_next, terminal, learning_rate, discount):
@@ -578,7 +632,8 @@ def td_update(t0, t1, phi, action, r, phi_next, terminal, learning_rate, discoun
 
     The scalar form of ``learning.linear_q_update``: ``t0``/``t1`` are the
     continue/deploy columns and ``phi``/``phi_next`` the feature vectors, all
-    lists of nine floats. Terminal transitions bootstrap 0.
+    lists of nine floats. Terminal transitions bootstrap 0. Returns the TD
+    error, target - Q(s, a).
     """
     f0, f1, f2, f3, f4, f5, f6, f7, f8 = phi
     col = t1 if action else t0
@@ -599,7 +654,8 @@ def td_update(t0, t1, phi, action, r, phi_next, terminal, learning_rate, discoun
             + t1[5] * g5 + t1[6] * g6 + t1[7] * g7 + t1[8] * g8
         )
         target = r + discount * (q_dep if q_dep > q_cont else q_cont)
-    k = learning_rate * (target - q_sa)
+    error = target - q_sa
+    k = learning_rate * error
     col[0] += k * f0
     col[1] += k * f1
     col[2] += k * f2
@@ -609,6 +665,7 @@ def td_update(t0, t1, phi, action, r, phi_next, terminal, learning_rate, discoun
     col[6] += k * f6
     col[7] += k * f7
     col[8] += k * f8
+    return error
 
 
 def replay(theta, phi, actions, rewards, ends, terminal, learning_rate, discount):

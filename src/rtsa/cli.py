@@ -201,6 +201,8 @@ def cmd_train(args) -> int:
                         f"{row['epsilon']:.4f}",
                         row["steps"],
                         "" if row["deploy_greedy"] is None else int(row["deploy_greedy"]),
+                        f"{row['max_abs_td_error']:.6g}",
+                        f"{row['theta_norm']:.6g}",
                     ]
                 )
     return 0

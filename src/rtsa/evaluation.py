@@ -14,10 +14,12 @@ face identical wind realizations. Episodes run on the fastpath kernels
   confusion matrix reads. ``sweep_baseline`` runs all of its thresholds in
   that one call too: each seed's nominal prefix, which every threshold flies
   until it deploys, is flown once. Their wind comes from one table of unit
-  draws per seed list (``sim.wind_draws``), drawn once and rescaled to each
-  policy's or calibration step's wind (``sim.wind_rows``).
+  draws per seed list (``fastpath.wind_draws``), drawn once and rescaled to
+  each policy's or calibration step's wind (``sim.wind_rows``).
 
-Both paths give the same outcomes and deploy steps for the same seeds.
+Both paths give the same outcomes and deploy steps for the same seeds. A
+seed is an integer in [0, 2**64) (``sim.seed_array``); any other raises
+ValueError before an episode runs.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from . import fastpath
 from .geometry import Envelope
 from .learning import LearnConfig, _checked_config, recorded_trajectory, train, warm_start
 from .policy import N_FEATURES, Action
-from .sim import Verdict, wind_draws, wind_rows
+from .sim import Verdict, seed_array, wind_rows
 from .scenario import Scenario
 
 # Not called here: run_episode takes its wind from the wind table. It stays a
@@ -177,7 +179,7 @@ def run_episode(policy: PolicySpec, scenario: Scenario, seed: int,
                 alert_penalty: Optional[float] = None) -> EpisodeRecord:
     """Run one seeded episode under the given policy, keeping its trajectory."""
     traj, outcome, deploy_step = fastpath.rollout(
-        wind_params=wind_rows(wind_draws([seed]), scenario.sim)[0],
+        wind_params=wind_rows(fastpath.wind_draws([seed]), scenario.sim)[0],
         **_kernel_args(policy, scenario, alert_penalty))
     return EpisodeRecord(
         seed=seed,
@@ -192,6 +194,7 @@ def _seed_list(seeds) -> list:
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seed list must be non-empty")
+    seed_array(seeds)
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
     return seeds
@@ -215,7 +218,7 @@ def run_batch(policy: PolicySpec, scenario: Scenario, seeds,
     and deploy step equal ``run_episode``'s for the same seed.
     """
     seeds = _seed_list(seeds)
-    summaries = fastpath.batch(wind=wind_rows(wind_draws(seeds), scenario.sim),
+    summaries = fastpath.batch(wind=wind_rows(fastpath.wind_draws(seeds), scenario.sim),
                                **_kernel_args(policy, scenario, alert_penalty))
     return _summary_records(policy, seeds, summaries)
 
@@ -282,7 +285,7 @@ def sweep_baseline(scenario: Scenario, deltas, seeds):
     seeds = _seed_list(seeds)
     if not policies:
         return []
-    blocks = fastpath.batch(wind=wind_rows(wind_draws(seeds), scenario.sim),
+    blocks = fastpath.batch(wind=wind_rows(fastpath.wind_draws(seeds), scenario.sim),
                             **{**_kernel_args(policies[0], scenario, None), "delta": deltas})
     return [
         soc_point(confusion(_summary_records(policy, seeds, block), scenario.envelope),
@@ -300,11 +303,12 @@ def train_policy(scenario: Scenario, alert_penalty: float, learn_cfg: LearnConfi
                  warmstart_episodes: int = DEFAULT_WARMSTART_EPISODES):
     """Warm start from baseline episodes, then train online; returns (theta, log).
 
-    Raises ValueError for an invalid ``learn_cfg`` or alert penalty before any
-    episode runs."""
+    Raises ValueError for an invalid ``learn_cfg``, alert penalty or training
+    seed before any episode runs."""
     seeds_train = list(seeds_train)
     rc = replace(scenario.reward, alert_penalty=alert_penalty)
     _checked_config(learn_cfg, rc)
+    seed_array(seeds_train)
     warm_policy = PolicySpec.baseline(warmstart_delta)
     warm_records = [run_episode(warm_policy, scenario, seed, alert_penalty)
                     for seed in _seed_list(seeds_train[:warmstart_episodes])]
@@ -342,7 +346,7 @@ def sweep_learned(scenario: Scenario, alert_penalties, learn_cfg: LearnConfig,
 
 def exit_rate(scenario: Scenario, seeds) -> float:
     """Envelope-exit frequency of the nominal controller alone."""
-    return _exit_rate(scenario, wind_draws(_seed_list(seeds)))
+    return _exit_rate(scenario, fastpath.wind_draws(_seed_list(seeds)))
 
 
 def _exit_rate(scenario: Scenario, draws: np.ndarray) -> float:
@@ -360,7 +364,7 @@ def calibrate_wind(scenario: Scenario, target_exit_rate: float, seeds,
     """
     if not 0.0 < target_exit_rate < 1.0:
         raise ValueError("target exit rate must lie in (0, 1)")
-    draws = wind_draws(_seed_list(seeds))
+    draws = fastpath.wind_draws(_seed_list(seeds))
     sim = scenario.sim
     gust_ratio = sim.gust_sigma / sim.wind_sigma if sim.wind_sigma > 0 else 0.25
 

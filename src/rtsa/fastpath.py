@@ -1,25 +1,26 @@
 """Backend selection for the episode kernels, and the ctypes calls into C.
 
 At import, loads the C kernels in ``_rollout.c`` through ctypes. They are
-compiled once per source and flags into ``__pycache__/_rollout-<sha12>.so``
-next to this file, so later imports only hash the source and load the
-library. When the build fails, or ``RTSA_PURE_PYTHON`` is set in the
-environment, ``rollout``, ``batch``, ``learn_episode`` and ``replay`` are
-the pure-Python twins in ``_rollout_py`` instead and ``FALLBACK_REASON``
-says why. Both backends take the same arguments, check them with the same
-``_rollout_py`` functions (``pack`` states the argument format) and give
-bit-identical results (see tests/test_fastpath.py). ``rollout`` returns one
-episode's trajectory; ``batch`` runs one episode per row of an (n, 8) wind
-array and returns only their (n, 4) summaries. Given k ascending baseline
-thresholds, ``batch`` returns (k, n, 4) summaries from one call that flies
-each row's shared nominal prefix once, as one trunk that forks a parachute
-tail at each threshold's deploy step. The C ``batch`` spreads the rows over
-as many threads as the process may use CPUs (at most one per row), with the
-same result on any count. The learning kernels update a
-(2, 9) float64 array of weight columns in place; the compiled learner draws
-its exploration from the numpy Generator's bit generator through numpy's
-``bitgen_t`` struct, so the Generator's state advances exactly as under the
-Python twin.
+compiled and linked with numpy's ``libnpyrandom.a`` once per source, archive
+and flags into ``__pycache__/_rollout-<sha12>.so`` next to this file, so
+later imports only hash the inputs and load the library. When the build
+fails (no compiler, no ``libnpyrandom.a``), or ``RTSA_PURE_PYTHON`` is set
+in the environment, ``rollout``, ``batch``, ``train``, ``replay`` and
+``wind_draws`` are the pure-Python twins in ``_rollout_py`` and ``sim``
+instead and ``FALLBACK_REASON`` says why. Both backends take the same
+arguments, check them with the same functions (``_rollout_py.pack`` states
+the argument format) and give bit-identical results (see
+tests/test_fastpath.py). ``rollout`` returns one episode's trajectory;
+``batch`` runs one episode per row of an (n, 8) wind array and returns only
+their (n, 4) summaries. Given k ascending baseline thresholds, ``batch``
+returns (k, n, 4) summaries from one call that flies each row's shared
+nominal prefix once, as one trunk that forks a parachute tail at each
+threshold's deploy step. The C ``batch`` spreads the rows over as many
+threads as the process may use CPUs (at most one per row), with the same
+result on any count. The learning kernels update a (2, 9) float64 array of
+weight columns in place; ``train`` runs all online episodes in one call.
+The C kernels seed their random streams as numpy's ``default_rng`` does, so
+``wind_draws`` and ``train`` draw exactly what their twins draw.
 """
 
 from __future__ import annotations
@@ -41,38 +42,41 @@ from ._rollout_py import (  # noqa: F401  (re-exported constants)
     POLICY_WEIGHTS,
 )
 from ._rollout_py import (
+    TRAIN_COLUMNS,
     ZERO_SEGMENT,
-    check_generator,
     checked,
     checked_rows,
     pack,
     replay_arrays,
     thresholds,
+    train_arrays,
     weight_columns,
-    weights_in_place,
 )
 from ._rollout_py import batch as batch_python
-from ._rollout_py import learn_episode as learn_episode_python
 from ._rollout_py import replay as replay_python
 from ._rollout_py import rollout as rollout_python
-from .sim import Verdict
+from ._rollout_py import train as train_python
+from .sim import Verdict, seed_array
+from .sim import wind_draws as wind_draws_python
 
 _SOURCE = Path(__file__).with_name("_rollout.c")
+# numpy's C distributions, for its standard normal draw.
+_NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
 # -ffp-contract=off keeps every multiply and add separately rounded, as in
 # the Python twin; a contracted FMA would break bit-identity.
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
-_LDLIBS = ("-lm", "-pthread")
+_LDLIBS = (str(_NPYRANDOM), "-lm", "-pthread")
 _Out = ctypes.c_int * 4  # (steps, outcome, deploy_step, deploy_greedy)
-_LearnOut = ctypes.c_double * 2  # (discounted return, largest squared feature norm)
 _DOUBLES = ctypes.POINTER(ctypes.c_double)
 _INT64S = ctypes.POINTER(ctypes.c_int64)
-_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
-_capsule_pointer.argtypes = (ctypes.py_object, ctypes.c_char_p)
-_capsule_pointer.restype = ctypes.c_void_p
+_UINT64S = ctypes.POINTER(ctypes.c_uint64)
 
 
 def _library_path() -> Path:
-    key = _SOURCE.read_bytes() + " ".join(_CFLAGS + _LDLIBS).encode()
+    """Where the build of this source, archive and flags is cached; OSError without
+    the archive."""
+    key = (_SOURCE.read_bytes() + _NPYRANDOM.read_bytes()
+           + " ".join(_CFLAGS + _LDLIBS).encode())
     digest = hashlib.sha256(key).hexdigest()[:12]
     return _SOURCE.parent / "__pycache__" / f"_rollout-{digest}.so"
 
@@ -123,10 +127,12 @@ def _load_kernel():
     lib.rtsa_batch.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, c_int, _DOUBLES, c_int,
                                _DOUBLES, ctypes.POINTER(c_int), c_int)
     lib.rtsa_batch.restype = c_int
-    lib.rtsa_learn_episode.argtypes = (_DOUBLES, c_int, c_int, _DOUBLES, _DOUBLES, c_double,
-                                       c_double, c_double, c_double, ctypes.c_void_p,
-                                       ctypes.POINTER(c_int), _DOUBLES)
-    lib.rtsa_learn_episode.restype = c_int
+    lib.rtsa_train.argtypes = (_DOUBLES, c_int, c_int, _DOUBLES, ctypes.c_int64, _DOUBLES,
+                               c_double, c_double, c_double, _DOUBLES, ctypes.c_int64,
+                               ctypes.c_uint64, _DOUBLES)
+    lib.rtsa_train.restype = ctypes.c_int64
+    lib.rtsa_wind_draws.argtypes = (_UINT64S, ctypes.c_int64, _DOUBLES)
+    lib.rtsa_wind_draws.restype = None
     lib.rtsa_replay.argtypes = (_DOUBLES, _DOUBLES, _INT64S, _DOUBLES, _INT64S, _INT64S,
                                 ctypes.c_int64, c_double, c_double)
     lib.rtsa_replay.restype = None
@@ -183,28 +189,31 @@ def batch_compiled(*, wind, policy_mode, delta, theta, **scenario):
     return out
 
 
-def learn_episode_compiled(theta, exit_penalty, discount, learning_rate, epsilon, rng, *,
-                           wind_params, **scenario):
-    """``_rollout_py.learn_episode`` on the C kernel: same arguments, same result,
-    same updates to ``theta`` and the same draws from ``rng``."""
-    theta = weights_in_place(theta)
-    check_generator(rng)
+def train_compiled(theta, exit_penalty, discount, learning_rate, epsilons, seed, *, wind,
+                   **scenario):
+    """``_rollout_py.train`` on the C kernel: same arguments, same rows, same updates
+    to ``theta``, in one call."""
+    theta, table, epsilons, seed = train_arrays(theta, wind, epsilons, seed)
     params, n_waypoints, steps = pack(POLICY_WEIGHTS, **scenario)
-    wind = checked("wind_params", wind_params, (8,))
-    out = _Out()
-    learn_out = _LearnOut()
-    bit_generator = rng.bit_generator
-    # The bitgen_t behind the Generator; the capsule is cheaper to reach than
-    # bit_generator.ctypes, which builds its ctypes view on first use.
-    bitgen = _capsule_pointer(bit_generator.capsule, b"BitGenerator")
-    with bit_generator.lock:
-        status = _lib.rtsa_learn_episode(
-            _pointer(params), n_waypoints, steps, _pointer(wind), _pointer(theta), exit_penalty,
-            discount, learning_rate, epsilon, bitgen, out, learn_out)
-    _raise_for(status)
-    n, outcome, deploy_step, deploy_greedy = out
-    return (learn_out[0], outcome, deploy_step, None if deploy_greedy < 0 else bool(deploy_greedy),
-            n, learn_out[1])
+    rows = np.empty((epsilons.size, len(TRAIN_COLUMNS)))
+    if not epsilons.size:  # ctypes cannot point into an empty array
+        return rows
+    done = _lib.rtsa_train(_pointer(params), n_waypoints, steps, _pointer(table),
+                           table.shape[0], _pointer(theta), exit_penalty, discount,
+                           learning_rate, _pointer(epsilons), epsilons.size, seed,
+                           _pointer(rows))
+    if done < 0:
+        _raise_for(done)
+    return rows[:done]
+
+
+def wind_draws_compiled(seeds):
+    """``sim.wind_draws`` on the C kernel: same seeds, same table, same checks."""
+    seeds = seed_array(seeds)
+    draws = np.empty((seeds.size, 8))
+    if seeds.size:
+        _lib.rtsa_wind_draws(_pointer(seeds, ctypes.c_uint64), seeds.size, _pointer(draws))
+    return draws
 
 
 def replay_compiled(theta, phi, actions, rewards, ends, terminal, learning_rate, discount):
@@ -225,13 +234,14 @@ else:
     except OSError as exc:
         FALLBACK_REASON = str(exc)
 if FALLBACK_REASON is None:
-    rollout, batch = rollout_compiled, batch_compiled
-    learn_episode, replay = learn_episode_compiled, replay_compiled
+    rollout, batch, replay = rollout_compiled, batch_compiled, replay_compiled
+    train, wind_draws = train_compiled, wind_draws_compiled
     BACKEND = "c"
 else:
-    rollout_compiled = batch_compiled = learn_episode_compiled = replay_compiled = None
-    rollout, batch = rollout_python, batch_python
-    learn_episode, replay = learn_episode_python, replay_python
+    rollout_compiled = batch_compiled = replay_compiled = None
+    train_compiled = wind_draws_compiled = None
+    rollout, batch, replay = rollout_python, batch_python, replay_python
+    train, wind_draws = train_python, wind_draws_python
     BACKEND = "python"
 
 #: Verdict name of each kernel outcome code.

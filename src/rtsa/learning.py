@@ -2,15 +2,16 @@
 
 One weight column per action, epsilon-greedy exploration with a persistent
 floor, and a batch warm start replaying distance-threshold episodes before
-any online learning. ``train`` runs each episode through
-``fastpath.learn_episode``, the episode loop that ``rollout`` also drives,
+any online learning. ``train`` runs all online episodes in one
+``fastpath.train`` call, on the episode loop that ``rollout`` also drives,
 so a policy trains on exactly the dynamics it is evaluated on. Each
 warm-start pass is one ``fastpath.replay`` call over all recorded episodes,
-sharing the loop's TD update. Both run on the C kernels (``rtsa_learn_episode``,
+sharing the loop's TD update. Both run on the C kernels (``rtsa_train``,
 ``rtsa_replay``) when they load, on their pure-Python twins otherwise, with
-bit-identical weights; the compiled learner draws its exploration from the
-same numpy Generator. ``linear_q_update`` and ``epsilon_greedy`` are the
-array-level statements of that update and of the exploration draws.
+bit-identical weights and logs; the compiled learner seeds each episode's
+exploration stream as numpy's ``default_rng`` does. ``linear_q_update`` and
+``epsilon_greedy`` are the array-level statements of that update and of the
+exploration draws.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import fastpath
 from .policy import N_FEATURES, Action, RewardConfig, greedy_action
-from .sim import Verdict, finite_fields, wind_draws, wind_rows
+from .sim import Verdict, finite_fields, is_seed, seed_array, wind_rows
 
 # Not called here: the learning loops run in the episode kernels, in wind from the
 # wind table. These stay module attributes because rtsabench/tracer.py wraps them by name.
@@ -79,6 +80,8 @@ class LearnConfig:
                 problems.append(f"learn.{name} must lie in [0, 1]")
         if "epsilon_decay" in finite and not 0.0 < self.epsilon_decay <= 1.0:
             problems.append("learn.epsilon_decay must lie in (0, 1]")
+        if not is_seed(self.seed):
+            problems.append("learn.seed must be an integer in [0, 2**64)")
         return problems
 
 
@@ -143,7 +146,7 @@ def _replay_batch(episodes, scenario):
     trajectories = [recorded_trajectory(record) for record in episodes]
     ends = np.cumsum([len(traj) for traj in trajectories])
     # (base x/y, amplitude x/y, frequency x/y, phase x/y) per episode.
-    winds = wind_rows(wind_draws([record.seed for record in episodes]), scenario.sim)
+    winds = wind_rows(fastpath.wind_draws([record.seed for record in episodes]), scenario.sim)
     phi = np.empty((ends[-1], N_FEATURES))
     actions = np.empty(ends[-1], dtype=np.int64)
     rewards = np.empty(ends[-1])
@@ -193,9 +196,10 @@ class TrainingLog:
     episodes: list = field(default_factory=list)
 
     COLUMNS = ("episode", "return", "outcome", "deploy_step", "epsilon", "steps",
-               "deploy_greedy")
+               "deploy_greedy", "max_abs_td_error", "theta_norm")
 
-    def append(self, episode, ret, outcome, deploy_step, epsilon, steps, deploy_greedy):
+    def append(self, episode, ret, outcome, deploy_step, epsilon, steps, deploy_greedy,
+               max_abs_td_error, theta_norm):
         self.episodes.append(
             {
                 "episode": episode,
@@ -207,6 +211,10 @@ class TrainingLog:
                 # Whether the first deployment was the greedy choice rather
                 # than an exploration draw; None when the switch never flipped.
                 "deploy_greedy": deploy_greedy,
+                # Divergence diagnostics: the episode's largest absolute TD
+                # error and the weights' Euclidean norm after it.
+                "max_abs_td_error": max_abs_td_error,
+                "theta_norm": theta_norm,
             }
         )
 
@@ -216,40 +224,39 @@ class TrainingLog:
 
 def train(scenario, rc: RewardConfig, cfg: LearnConfig, theta0: np.ndarray,
           wind_seeds=None):
-    """On-policy linear Q-learning over seeded episodes.
+    """On-policy linear Q-learning over seeded episodes, in one ``fastpath.train`` call.
 
     Wind fields come from ``wind_seeds`` (cycled; defaults to a range starting
     at ``cfg.seed``); exploration and update randomness comes from a separate
     stream, so the same wind seeds can be reused for evaluation comparisons
     elsewhere without touching exploration. Returns (theta, TrainingLog).
-    Raises ValueError for an invalid ``cfg`` or ``rc`` and RuntimeError as
-    soon as an episode leaves the weights non-finite.
+    Raises ValueError for an invalid ``cfg``, ``rc`` or wind seed before any
+    episode runs, and RuntimeError naming the first episode that left the
+    weights non-finite.
     """
     _checked_config(cfg, rc)
-    kernel_args = fastpath.scenario_args(scenario)
-    theta = _columns(theta0)
-    log = TrainingLog()
     if wind_seeds is None:
-        wind_seeds = [cfg.seed + i for i in range(max(cfg.episodes, 1))]
-    wind_seeds = list(wind_seeds)
-    # Episode ep flies seed ep % len(wind_seeds); the first cfg.episodes seeds cover them all.
-    winds = wind_rows(wind_draws(wind_seeds[:cfg.episodes]), scenario.sim)
-
+        wind_seeds = range(cfg.seed, cfg.seed + max(cfg.episodes, 1))
+    seeds = seed_array(wind_seeds)
+    if cfg.episodes and not seeds.size:
+        raise ValueError("training needs a non-empty wind seed list")
+    epsilons = []
     epsilon = cfg.epsilon0
+    for _ in range(cfg.episodes):
+        epsilons.append(epsilon)
+        epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
+    theta = _columns(theta0)
+    # Episode ep flies seed ep % len(seeds); the first cfg.episodes seeds cover them all.
+    rows = fastpath.train(
+        theta, rc.exit_penalty, rc.discount, cfg.learning_rate, epsilons, cfg.seed,
+        wind=wind_rows(fastpath.wind_draws(seeds[:cfg.episodes]), scenario.sim),
+        scales=scenario.feature_scales, alert_penalty=rc.alert_penalty,
+        **fastpath.scenario_args(scenario))
+
+    log = TrainingLog()
     lr_warned = False
-    for ep in range(cfg.episodes):
-        ret, outcome, deploy_step, deploy_greedy, steps, norm2_max = fastpath.learn_episode(
-            theta,
-            wind_params=winds[ep % len(wind_seeds)],
-            scales=scenario.feature_scales,
-            alert_penalty=rc.alert_penalty,
-            exit_penalty=rc.exit_penalty,
-            discount=rc.discount,
-            learning_rate=cfg.learning_rate,
-            epsilon=epsilon,
-            rng=np.random.default_rng([cfg.seed, ep]),
-            **kernel_args,
-        )
+    for ep, (epsilon, row) in enumerate(zip(epsilons, rows.tolist())):
+        ret, outcome, deploy_step, deploy_greedy, steps, norm2_max, error_max, norm = row
         if not lr_warned and cfg.learning_rate * norm2_max >= 1.0:
             warnings.warn(
                 "learning_rate times squared feature norm exceeds 1; "
@@ -257,8 +264,9 @@ def train(scenario, rc: RewardConfig, cfg: LearnConfig, theta0: np.ndarray,
                 stacklevel=2,
             )
             lr_warned = True
-        _check_finite(theta, f"training episode {ep}")
-        log.append(ep, ret, fastpath.VERDICTS[outcome],
-                   None if deploy_step < 0 else deploy_step, epsilon, steps, deploy_greedy)
-        epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
+        log.append(ep, ret, fastpath.VERDICTS[int(outcome)],
+                   None if deploy_step < 0 else int(deploy_step), epsilon, int(steps),
+                   None if deploy_greedy < 0 else bool(deploy_greedy), error_max, norm)
+    if len(rows):
+        _check_finite(theta, f"training episode {len(rows) - 1}")
     return theta.T.copy(), log

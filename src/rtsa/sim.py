@@ -24,6 +24,8 @@ __all__ = [
     "SimConfig",
     "Verdict",
     "sample_wind_field",
+    "is_seed",
+    "seed_array",
     "wind_draws",
     "wind_rows",
     "wind_at",
@@ -176,13 +178,44 @@ def _unit_draws(rng: np.random.Generator) -> np.ndarray:
     return np.concatenate((rng.standard_normal(2), rng.random(6)))
 
 
+#: Seeds are integers below this bound, the range of one 64-bit word.
+SEED_BOUND = 2**64
+
+
+def is_seed(value) -> bool:
+    """Whether ``value`` is an integer in [0, 2**64), bools excluded."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
+            and 0 <= value < SEED_BOUND)
+
+
+def seed_array(seeds) -> np.ndarray:
+    """``seeds`` as a new uint64 array, or ValueError naming the first that is not a seed.
+
+    A writable C-contiguous 1-D uint64 array, which can hold only seeds, is
+    returned as it is.
+    """
+    if (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1
+            and seeds.flags.c_contiguous and seeds.flags.writeable):
+        return seeds
+    seeds = list(seeds)
+    # Plain ints in range need no look at each one (and most seed lists are ranges).
+    if not (set(map(type, seeds)) <= {int}
+            and (not seeds or 0 <= min(seeds) and max(seeds) < SEED_BOUND)):
+        for seed in seeds:
+            if not is_seed(seed):
+                raise ValueError(f"seeds must be integers in [0, 2**64), got {seed!r}")
+    return np.array(seeds, dtype=np.uint64)
+
+
 def wind_draws(seeds) -> np.ndarray:
     """The unit draws of each seed's wind field, one (n, 8) row per seed.
 
     Row i is what ``sample_wind_field(np.random.default_rng(seeds[i]), cfg)``
     draws, for any ``cfg``: ``wind_rows`` scales the table to a config's wind.
+    Raises ValueError as ``seed_array`` does, before drawing. This is the
+    reference for ``fastpath.wind_draws``.
     """
-    seeds = list(seeds)
+    seeds = seed_array(seeds).tolist()
     draws = np.empty((len(seeds), 8))
     for i, seed in enumerate(seeds):
         draws[i] = _unit_draws(np.random.default_rng(seed))

@@ -114,12 +114,15 @@ class TestWarmstartAndTrain:
         assert load_weights(w1).shape == (9, 2)
         lines = log.read_text().splitlines()
         assert lines[0].startswith("# scenario_hash=")
-        assert lines[1] == "episode,return,outcome,deploy_step,epsilon,steps,deploy_greedy"
+        assert lines[1] == ("episode,return,outcome,deploy_step,epsilon,steps,deploy_greedy,"
+                            "max_abs_td_error,theta_norm")
         assert len(lines) == 2 + 5  # comment + header + one row per episode
         for line in lines[2:]:
             row = dict(zip(lines[1].split(","), line.split(",")))
             assert int(row["steps"]) >= 1
             assert (row["deploy_greedy"] == "") == (row["deploy_step"] == "")
+            assert float(row["max_abs_td_error"]) >= 0.0
+            assert float(row["theta_norm"]) > 0.0  # warm-started weights
 
     def test_train_diverging_learning_rate_exits_2(self, scenario_path, tmp_path, capsys):
         w0 = tmp_path / "w0.json"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from rtsa.evaluation import (
     sweep_baseline,
     train_policy,
 )
-from rtsa.learning import LearnConfig
-from rtsa.policy import random_weights
+from rtsa.learning import LearnConfig, train
+from rtsa.policy import N_FEATURES, random_weights
 from rtsa.sim import Verdict, sample_wind_field
 
 
@@ -291,3 +293,35 @@ class TestTrainPolicy:
         with pytest.raises(ValueError, match=message):
             train_policy(calibrated_scenario, alert_penalty, cfg, range(4),
                          warmstart_episodes=2)
+
+
+# Each entry point that takes wind seeds, called with one list of them.
+SEEDED_CALLS = {
+    "run_episode": lambda s, seeds: run_episode(PolicySpec.nominal(), s, seeds[-1]),
+    "run_batch": lambda s, seeds: run_batch(PolicySpec.nominal(), s, seeds),
+    "sweep_baseline": lambda s, seeds: sweep_baseline(s, [1.0, 8.0], seeds),
+    "exit_rate": lambda s, seeds: exit_rate(s, seeds),
+    "calibrate_wind": lambda s, seeds: calibrate_wind(s, 0.5, seeds, tol=0.5),
+    "train": lambda s, seeds: train(s, s.reward, LearnConfig(episodes=len(seeds)),
+                                    np.zeros((N_FEATURES, 2)), wind_seeds=seeds),
+    "train_policy": lambda s, seeds: train_policy(s, 0.05, LearnConfig(episodes=2), seeds,
+                                                  warmstart_episodes=1),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, 3.0, True, "4"], ids=repr)
+@pytest.mark.parametrize("call", SEEDED_CALLS, ids=str)
+def test_a_bad_seed_is_named_before_any_episode_runs(calibrated_scenario, monkeypatch, call,
+                                                     bad):
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran")
+
+    for kernel in ("rollout", "batch", "train"):
+        monkeypatch.setattr(fastpath, kernel, no_episode)
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        SEEDED_CALLS[call](calibrated_scenario, [7, bad])
+
+
+@pytest.mark.parametrize("call", SEEDED_CALLS, ids=str)
+def test_the_largest_seed_is_accepted(calibrated_scenario, call):
+    SEEDED_CALLS[call](calibrated_scenario, [2**64 - 1, 2**32])

@@ -1,10 +1,12 @@
 import copy
 import ctypes
 import os
+import re
 import shutil
 import subprocess
 import sys
 import sysconfig
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rtsa import _rollout_py, fastpath
+from rtsa import _rollout_py, fastpath, sim
 from rtsa._rollout_py import rollout as rollout_python
 from rtsa.evaluation import PolicySpec, run_batch, run_episode, _kernel_scenario_args
 from rtsa.geometry import build_path
-from rtsa.learning import _replay_batch
+from rtsa.learning import LearnConfig, _replay_batch, train
 from rtsa.policy import Action, N_FEATURES, compose_controller, random_weights, rtsa_action
 from rtsa.sim import (
     MAX_STEPS,
@@ -34,8 +36,9 @@ from rtsa.sim import (
 
 rollout_compiled = fastpath.rollout_compiled
 batch_compiled = fastpath.batch_compiled
-learn_episode_compiled = fastpath.learn_episode_compiled
+train_compiled = fastpath.train_compiled
 replay_compiled = fastpath.replay_compiled
+wind_draws_compiled = fastpath.wind_draws_compiled
 
 needs_compiled = pytest.mark.skipif(
     rollout_compiled is None, reason=f"C kernel not loaded: {fastpath.FALLBACK_REASON}"
@@ -115,6 +118,23 @@ class TestBackendParity:
         )
         assert (o_py, d_py) == (o_cy, d_cy)
         assert np.array_equal(np.asarray(t_py), np.asarray(t_cy))
+
+
+# One-word and two-word seeds on each side of the boundary, and the extremes.
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@needs_compiled
+@settings(max_examples=200, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=12),
+       dtype=st.sampled_from([None, np.uint64]))
+def test_compiled_wind_draws_equal_numpy_byte_for_byte(seeds, dtype):
+    seeds = EDGE_SEEDS + seeds
+    if dtype is not None:
+        seeds = np.array(seeds, dtype=dtype)
+    c = wind_draws_compiled(seeds)
+    assert c.shape == (len(seeds), 8)
+    assert c.tobytes() == wind_draws(seeds).tobytes()
 
 
 BATCH_POLICIES = [
@@ -371,16 +391,16 @@ def test_batch_summaries_match_single_episodes(calibrated_scenario, policy):
     assert len(outcomes) > 1
 
 
-def learn_call(backend, scenario, theta, seed, epsilon):
-    """One learning episode on ``backend``; returns its result and the exploration
-    generator's state after it."""
-    rng = np.random.default_rng([3, seed])
-    result = backend(theta, scenario.reward.exit_penalty, scenario.reward.discount, 3e-3,
-                     epsilon, rng, wind_params=wind_params_for(seed, scenario)[1],
-                     scales=scenario.feature_scales,
-                     alert_penalty=scenario.reward.alert_penalty,
-                     **fastpath.scenario_args(scenario))
-    return result, rng.bit_generator.state
+def train_call(backend, scenario, theta, epsilons, seeds=range(8), seed=3,
+               learning_rate=3e-3):
+    """Online episodes on ``backend``, one per epsilon: episode ep flies the wind of
+    ``seeds[ep]`` and explores on ``default_rng([seed, ep])``; returns the rows."""
+    return backend(theta, scenario.reward.exit_penalty, scenario.reward.discount,
+                   learning_rate, epsilons, seed,
+                   wind=wind_rows(wind_draws(seeds[:len(epsilons)]), scenario.sim),
+                   scales=scenario.feature_scales,
+                   alert_penalty=scenario.reward.alert_penalty,
+                   **fastpath.scenario_args(scenario))
 
 
 @needs_compiled
@@ -389,34 +409,73 @@ class TestLearningParity:
         "which,epsilon,verdicts,greedy",
         [
             ("calibrated", 0.0, {Verdict.COMPLETED, Verdict.EXITED, Verdict.GROUNDED},
-             {None, True}),
-            ("calibrated", 0.02, {Verdict.EXITED, Verdict.GROUNDED}, {None, True, False}),
-            ("calibrated", 1.0, {Verdict.GROUNDED}, {False}),
-            ("short", 0.0, {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED}, {None, True}),
-            ("short", 0.02, {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED},
-             {None, True, False}),
-            ("short", 1.0, {Verdict.GROUNDED}, {False}),
+             {-1, 1}),
+            ("calibrated", 0.02, {Verdict.EXITED, Verdict.GROUNDED}, {-1, 1, 0}),
+            ("calibrated", 1.0, {Verdict.GROUNDED}, {0}),
+            ("short", 0.0, {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED}, {-1, 1}),
+            ("short", 0.02, {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED}, {-1, 1, 0}),
+            ("short", 1.0, {Verdict.GROUNDED}, {0}),
         ],
     )
-    def test_learn_episode_bit_identical(self, calibrated_scenario, short_scenario, which,
-                                         epsilon, verdicts, greedy):
+    def test_train_bit_identical(self, calibrated_scenario, short_scenario, which, epsilon,
+                                 verdicts, greedy):
         # Eight episodes in a row, each backend carrying its own weights forward.
+        # Each episode's exploration stream is made for it and dropped after it,
+        # so what it drew shows only in the rows and the weights.
         scenario = calibrated_scenario if which == "calibrated" else short_scenario
         theta_c, theta_py = np.zeros((2, N_FEATURES)), np.zeros((2, N_FEATURES))
-        seen_verdicts, seen_greedy = set(), set()
-        for seed in range(8):
-            c, c_state = learn_call(learn_episode_compiled, scenario, theta_c, seed, epsilon)
-            py, py_state = learn_call(_rollout_py.learn_episode, scenario, theta_py, seed,
-                                      epsilon)
-            # (return, outcome, deploy step, deploy_greedy, steps, largest squared norm)
-            assert c == py
-            assert c_state == py_state
-            assert theta_c.tobytes() == theta_py.tobytes()
-            seen_verdicts.add(fastpath.VERDICTS[c[1]])
-            seen_greedy.add(c[3])
-        assert seen_verdicts == verdicts
-        assert seen_greedy == greedy
+        c = train_call(train_compiled, scenario, theta_c, [epsilon] * 8)
+        py = train_call(_rollout_py.train, scenario, theta_py, [epsilon] * 8)
+        assert c.shape == py.shape == (8, len(_rollout_py.TRAIN_COLUMNS))
+        assert c.tobytes() == py.tobytes()
+        assert theta_c.tobytes() == theta_py.tobytes()
+        columns = dict(zip(_rollout_py.TRAIN_COLUMNS, c.T))
+        assert {fastpath.VERDICTS[o] for o in columns["outcome"].tolist()} == verdicts
+        assert set(columns["deploy_greedy"].tolist()) == greedy
+        for name in ("max_abs_td_error", "theta_norm"):
+            assert np.all(columns[name] >= 0.0) and np.any(columns[name] > 0.0)
         assert np.any(theta_c != 0.0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+    def test_training_log_and_weights_equal_on_both_backends(self, calibrated_scenario,
+                                                            monkeypatch, epsilon):
+        cfg = LearnConfig(episodes=12, epsilon0=epsilon, epsilon_decay=1.0,
+                          epsilon_floor=epsilon, seed=2**40 + 3)
+        runs = {}
+        for name, kernel in (("c", train_compiled), ("python", _rollout_py.train)):
+            monkeypatch.setattr(fastpath, "train", kernel)
+            runs[name] = train(calibrated_scenario, calibrated_scenario.reward, cfg,
+                               np.zeros((N_FEATURES, 2)), wind_seeds=range(50, 60))
+        (theta_c, log_c), (theta_py, log_py) = runs["c"], runs["python"]
+        assert theta_c.tobytes() == theta_py.tobytes()
+        assert len(log_c) == 12 and log_c.episodes == log_py.episodes
+        assert all(row.keys() == set(log_c.COLUMNS) for row in log_c.episodes)
+
+    def test_diverging_training_stops_on_the_same_episode_with_the_same_warning(
+            self, calibrated_scenario, monkeypatch):
+        cfg = LearnConfig(episodes=40, learning_rate=1e3, seed=0)
+        messages = {}
+        for name, kernel in (("c", train_compiled), ("python", _rollout_py.train)):
+            monkeypatch.setattr(fastpath, "train", kernel)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(RuntimeError, match=r"training episode \d+") as error:
+                    train(calibrated_scenario, calibrated_scenario.reward, cfg,
+                          np.zeros((N_FEATURES, 2)), wind_seeds=range(40))
+            messages[name] = (str(error.value), [str(w.message) for w in caught])
+        assert messages["c"] == messages["python"]
+        assert len(messages["c"][1]) == 1 and "learning_rate" in messages["c"][1][0]
+        # The kernels stop on that episode: the rows end there on both backends.
+        theta_c, theta_py = np.zeros((2, N_FEATURES)), np.zeros((2, N_FEATURES))
+        c = train_call(train_compiled, calibrated_scenario, theta_c, [0.1] * 40,
+                       seeds=range(40), seed=0, learning_rate=1e3)
+        py = train_call(_rollout_py.train, calibrated_scenario, theta_py, [0.1] * 40,
+                        seeds=range(40), seed=0, learning_rate=1e3)
+        assert c.tobytes() == py.tobytes()
+        assert f"training episode {len(c) - 1}" in messages["c"][0]
+        assert len(c) < 40 and not np.isfinite(theta_c).all()
+        assert not np.isfinite(c[-1, _rollout_py.TRAIN_COLUMNS.index("theta_norm")])
+        assert theta_c.tobytes() == theta_py.tobytes()
 
     @pytest.mark.parametrize("which", ["calibrated", "short"])
     def test_replay_bit_identical(self, calibrated_scenario, short_scenario, which):
@@ -477,6 +536,13 @@ class TestBuild:
             fastpath._compile(target)
         assert list(target.parent.iterdir()) == []  # no temporary file left behind
 
+    def test_missing_numpy_random_library_raises_os_error(self, tmp_path, monkeypatch):
+        # The import turns this OSError into the Python fallback and its reason.
+        missing = tmp_path / "libnpyrandom.a"
+        monkeypatch.setattr(fastpath, "_NPYRANDOM", missing)
+        with pytest.raises(OSError, match="libnpyrandom.a"):
+            fastpath._load_kernel()
+
     def test_pure_python_variable_forces_the_python_kernel(self):
         src = str(Path(fastpath.__file__).resolve().parents[1])
         env = {**os.environ, "RTSA_PURE_PYTHON": "1", "PYTHONPATH": src}
@@ -490,11 +556,14 @@ BACKENDS = [pytest.param("c", marks=needs_compiled), "python"]
 
 
 def kernels(backend):
-    """One backend's ``rollout``, ``batch``, ``learn_episode`` and ``replay``."""
+    """One backend's ``rollout``, ``batch``, ``train``, ``replay`` and ``wind_draws``."""
     if backend == "c":
         return SimpleNamespace(rollout=rollout_compiled, batch=batch_compiled,
-                               learn_episode=learn_episode_compiled, replay=replay_compiled)
-    return _rollout_py
+                               train=train_compiled, replay=replay_compiled,
+                               wind_draws=wind_draws_compiled)
+    return SimpleNamespace(rollout=_rollout_py.rollout, batch=_rollout_py.batch,
+                           train=_rollout_py.train, replay=_rollout_py.replay,
+                           wind_draws=sim.wind_draws)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -570,16 +639,42 @@ class TestArgumentChecks:
     def test_learning_weights_must_be_updatable_in_place(self, calibrated_scenario, backend,
                                                          theta):
         with pytest.raises(ValueError, match="theta"):
-            learn_call(kernels(backend).learn_episode, calibrated_scenario, theta, 0, 0.0)
+            train_call(kernels(backend).train, calibrated_scenario, theta, [0.0])
         with pytest.raises(ValueError, match="theta"):
             kernels(backend).replay(theta, np.zeros((2, N_FEATURES)), [0, 0], [0.0, 0.0], [2], [1], 3e-3, 0.99)
 
-    def test_learning_needs_a_generator(self, calibrated_scenario, backend):
-        with pytest.raises(ValueError, match="rng"):
-            kernels(backend).learn_episode(
-                np.zeros((2, N_FEATURES)), 1.0, 0.99, 3e-3, 0.1, None, wind_params=np.zeros(8),
-                scales=calibrated_scenario.feature_scales, alert_penalty=0.05,
-                **_kernel_scenario_args(calibrated_scenario))
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", None])
+    def test_training_seed_must_be_a_64_bit_integer(self, calibrated_scenario, backend, seed):
+        theta = np.zeros((2, N_FEATURES))
+        with pytest.raises(ValueError, match="seed"):
+            train_call(kernels(backend).train, calibrated_scenario, theta, [0.1], seed=seed)
+        assert np.all(theta == 0.0)
+
+    @pytest.mark.parametrize("epsilons", [[1.5], [-0.1], [np.nan], [[0.1]], 0.1, ["x"]])
+    def test_training_epsilons_must_lie_in_the_unit_interval(self, calibrated_scenario, backend,
+                                                             epsilons):
+        theta = np.zeros((2, N_FEATURES))
+        with pytest.raises(ValueError, match="epsilons"):
+            kernels(backend).train(theta, 1.0, 0.99, 3e-3, epsilons, 0, wind=np.zeros((1, 8)),
+                                   scales=calibrated_scenario.feature_scales, alert_penalty=0.05,
+                                   **_kernel_scenario_args(calibrated_scenario))
+
+    def test_training_needs_wind_only_for_episodes(self, calibrated_scenario, backend):
+        args = dict(scales=calibrated_scenario.feature_scales, alert_penalty=0.05,
+                    **_kernel_scenario_args(calibrated_scenario))
+        theta = np.zeros((2, N_FEATURES))
+        assert kernels(backend).train(theta, 1.0, 0.99, 3e-3, [], 0, wind=np.zeros((0, 8)),
+                                      **args).shape == (0, len(_rollout_py.TRAIN_COLUMNS))
+        with pytest.raises(ValueError, match="wind"):
+            kernels(backend).train(theta, 1.0, 0.99, 3e-3, [0.1], 0, wind=np.zeros((0, 8)),
+                                   **args)
+
+    @pytest.mark.parametrize("seeds", [[-1], [0, 2**64], [1.5], [True], ["7"], [None],
+                                       np.array([3.0])])
+    def test_bad_wind_seed_raises_value_error_naming_it(self, backend, seeds):
+        bad = [s for s in list(seeds) if not sim.is_seed(s)][0]
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            kernels(backend).wind_draws(seeds)
 
     def test_read_only_arrays_are_accepted(self, calibrated_scenario, backend):
         kwargs = batch_kwargs(calibrated_scenario, BATCH_POLICIES[-1], range(3))
@@ -637,10 +732,16 @@ def _valid_result(entry, result, max_steps, delta):
                 and np.all((steps >= 1) & (steps <= max_steps))
                 and np.all((outcomes >= 1) & (outcomes <= 4))
                 and np.all((deploy_steps >= -1) & (deploy_steps < steps)))
-    if entry == "rollout":
-        (_, outcome, deploy_step), steps = result, len(result[0]) - 1
-    else:
-        (_, outcome, deploy_step, _, steps, _), _, _ = result
+    if entry == "train":
+        rows, _ = result
+        columns = dict(zip(_rollout_py.TRAIN_COLUMNS, rows.T))
+        steps = columns["steps"]
+        return (rows.dtype == np.float64 and rows.ndim == 2
+                and rows.shape[1] == len(_rollout_py.TRAIN_COLUMNS)
+                and np.all((steps >= 1) & (steps <= max_steps))
+                and np.all((columns["outcome"] >= 1) & (columns["outcome"] <= 4))
+                and np.all((columns["deploy_step"] >= -1) & (columns["deploy_step"] < steps)))
+    (_, outcome, deploy_step), steps = result, len(result[0]) - 1
     return 1 <= steps <= max_steps and 1 <= outcome <= 4 and -1 <= deploy_step < steps
 
 
@@ -663,17 +764,18 @@ def test_kernel_wrappers_give_a_result_or_value_error(calibrated_scenario, data)
     # reaching the array checks and the kernels are no fewer than with
     # 200 examples and no threshold fuzzing.
     scenario = calibrated_scenario
-    entry = data.draw(st.sampled_from(["rollout", "batch", "learn_episode"]), label="entry")
-    wind_key = "wind" if entry == "batch" else "wind_params"
+    entry = data.draw(st.sampled_from(["rollout", "batch", "train"]), label="entry")
+    wind_key = "wind_params" if entry == "rollout" else "wind"
     wind = wind_rows(wind_draws([5, 6]), scenario.sim)
     args = dict(_kernel_scenario_args(scenario), scales=scenario.feature_scales,
                 alert_penalty=scenario.reward.alert_penalty,
                 max_steps=data.draw(st.sampled_from([-1, 0, 1, 2400, MAX_STEPS + 1, 2**40]),
                                     label="max_steps"),
-                **{wind_key: wind if entry == "batch" else wind[0]})
+                **{wind_key: wind[0] if entry == "rollout" else wind})
     keys = ["env_min", "env_max", "waypoints", "scales", "theta", wind_key]
-    if entry == "learn_episode":
-        args["theta"] = np.zeros((2, N_FEATURES))
+    if entry == "train":
+        args.update(theta=np.zeros((2, N_FEATURES)), epsilons=[0.1, 0.3, 1.0])
+        keys.append("epsilons")
     else:
         args.update(theta=random_weights(np.random.default_rng(3)), delta=8.0,
                     policy_mode=data.draw(st.sampled_from([-1, 0, 1, 2, 3]),
@@ -686,22 +788,22 @@ def test_kernel_wrappers_give_a_result_or_value_error(calibrated_scenario, data)
             args["delta"] = {"sweep": [1.0, 8.0, 8.0, 16.0], **BAD_DELTAS}[delta_key]
         else:
             args[key] = data.draw(fuzzed(args[key]), label=key)
-    theta = args.pop("theta") if entry == "learn_episode" else None
+    if entry == "train":
+        theta, epsilons = args.pop("theta"), args.pop("epsilons")
 
     def call(backend):
         kernel = getattr(kernels(backend), entry)
         try:
-            if entry != "learn_episode":
+            if entry != "train":
                 return kernel(**args)
-            weights, rng = copy.deepcopy(theta), np.random.default_rng(4)
-            result = kernel(weights, 1.0, 0.99, 3e-3, 0.1, rng, **args)
-            return result, weights, rng.bit_generator.state
+            weights = copy.deepcopy(theta)
+            return kernel(weights, 1.0, 0.99, 3e-3, epsilons, 4, **args), weights
         except ValueError:
             return ValueError
 
     results = [call(backend) for backend in
                ["python"] + (["c"] if rollout_compiled is not None else [])]
-    if entry != "learn_episode":
+    if entry != "train":
         # The baseline refuses every bad threshold; the other policies ignore
         # their one number but refuse an array, as a rollout does.
         delta = args["delta"]

@@ -33,15 +33,15 @@ THETA_ATOL = 1e-12
 
 @pytest.fixture(params=["c", "python"])
 def learning_backend(request, monkeypatch):
-    """Route train and warm_start through one backend's learning kernels."""
+    """Route train and warm_start through one backend's learning and wind kernels."""
     if request.param == "c":
-        if fastpath.learn_episode_compiled is None:
+        if fastpath.train_compiled is None:
             pytest.skip(f"C kernel not loaded: {fastpath.FALLBACK_REASON}")
-        kernels = fastpath.learn_episode_compiled, fastpath.replay_compiled
+        kernels = fastpath.train_compiled, fastpath.replay_compiled, fastpath.wind_draws_compiled
     else:
-        kernels = _rollout_py.learn_episode, _rollout_py.replay
-    monkeypatch.setattr(fastpath, "learn_episode", kernels[0])
-    monkeypatch.setattr(fastpath, "replay", kernels[1])
+        kernels = _rollout_py.train, _rollout_py.replay, wind_draws
+    for name, kernel in zip(("train", "replay", "wind_draws"), kernels):
+        monkeypatch.setattr(fastpath, name, kernel)
     return request.param
 
 
@@ -265,6 +265,11 @@ class TestLearnConfig:
             ("warm_start_passes", 1.5),
             ("warm_start_passes", -3),
             ("warm_start_passes", True),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", 2**64),
+            ("seed", "0"),
         ],
     )
     def test_bad_field_reported(self, key, value):
@@ -281,6 +286,8 @@ class TestLearnConfig:
             (LearnConfig(learning_rate=-1.0, episodes=2), "learning_rate"),
             (LearnConfig(epsilon0=1.5, episodes=2), "epsilon0"),
             (LearnConfig(epsilon_decay=0.0, episodes=2), "epsilon_decay"),
+            (LearnConfig(seed=-1, episodes=2), "seed"),
+            (LearnConfig(seed=1.5, episodes=2), "seed"),
         ],
     )
     def test_train_refuses_an_invalid_config(self, calibrated_scenario, learning_backend,
@@ -427,7 +434,7 @@ class TestOracleParity:
         traj, outcome, deploy_step = rollout(policy_mode=fastpath.POLICY_WEIGHTS, delta=0.0,
                                              theta=theta, **args)
         columns = np.array(theta.T, order="C")
-        ret, l_outcome, l_deploy, deploy_greedy, steps, _ = learn_episode(
+        ret, l_outcome, l_deploy, deploy_greedy, steps, _, _ = learn_episode(
             theta=columns, exit_penalty=1.0, discount=scenario.reward.discount,
             learning_rate=0.0, epsilon=0.0, rng=np.random.default_rng(0), **args)
         assert (l_outcome, l_deploy, steps) == (outcome, deploy_step, len(traj) - 1)
