@@ -190,23 +190,26 @@ def run_episode(policy: PolicySpec, scenario: Scenario, seed: int,
     )
 
 
-def _seed_list(seeds) -> list:
-    seeds = list(seeds)
-    if not seeds:
+def _seed_list(seeds) -> np.ndarray:
+    """``seeds`` checked once, as ``seed_array`` returns them: non-empty and distinct.
+
+    The wind draws take the returned array without a second check.
+    """
+    seeds = seed_array(seeds)
+    if not seeds.size:
         raise ValueError("seed list must be non-empty")
-    seed_array(seeds)
-    if len(set(seeds)) != len(seeds):
+    if len(set(seeds.tolist())) != seeds.size:
         raise ValueError("seeds must be distinct")
     return seeds
 
 
-def _summary_records(policy: PolicySpec, seeds: list, summaries: np.ndarray) -> list:
+def _summary_records(policy: PolicySpec, seeds: np.ndarray, summaries: np.ndarray) -> list:
     """One summary EpisodeRecord per seed, from its row of a ``fastpath.batch`` result."""
     return [
         EpisodeRecord(seed=seed, policy_id=policy.policy_id, trajectory=None,
                       outcome=fastpath.VERDICTS[outcome],
                       deploy_step=None if deploy_step < 0 else deploy_step)
-        for seed, (_, outcome, deploy_step, _) in zip(seeds, summaries.tolist())
+        for seed, (_, outcome, deploy_step, _) in zip(seeds.tolist(), summaries.tolist())
     ]
 
 
@@ -305,13 +308,12 @@ def train_policy(scenario: Scenario, alert_penalty: float, learn_cfg: LearnConfi
 
     Raises ValueError for an invalid ``learn_cfg``, alert penalty or training
     seed before any episode runs."""
-    seeds_train = list(seeds_train)
     rc = replace(scenario.reward, alert_penalty=alert_penalty)
     _checked_config(learn_cfg, rc)
-    seed_array(seeds_train)
+    seeds_train = seed_array(seeds_train)
     warm_policy = PolicySpec.baseline(warmstart_delta)
     warm_records = [run_episode(warm_policy, scenario, seed, alert_penalty)
-                    for seed in _seed_list(seeds_train[:warmstart_episodes])]
+                    for seed in _seed_list(seeds_train[:warmstart_episodes]).tolist()]
     theta0 = np.zeros((N_FEATURES, len(Action)))
     theta = warm_start(warm_records, theta0, learn_cfg, scenario, rc)
     return train(scenario, rc, learn_cfg, theta, wind_seeds=seeds_train)
@@ -325,9 +327,9 @@ def sweep_learned(scenario: Scenario, alert_penalties, learn_cfg: LearnConfig,
 
     Evaluation is pure greedy (no exploration). Returns (soc_points, thetas).
     """
-    seeds_train = list(seeds_train)
-    seeds_eval = list(seeds_eval)
-    if set(seeds_train) & set(seeds_eval):
+    seeds_train = seed_array(seeds_train)
+    seeds_eval = _seed_list(seeds_eval)
+    if set(seeds_train.tolist()) & set(seeds_eval.tolist()):
         raise ValueError("train and eval seed lists must be disjoint")
     points = []
     thetas = {}

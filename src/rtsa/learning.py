@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fastpath
 from .policy import N_FEATURES, Action, RewardConfig, greedy_action
-from .sim import Verdict, finite_fields, is_seed, seed_array, wind_rows
+from .sim import SEED_BOUND, Verdict, finite_fields, is_seed, seed_array, wind_rows
 
 # Not called here: the learning loops run in the episode kernels, in wind from the
 # wind table. These stay module attributes because rtsabench/tracer.py wraps them by name.
@@ -65,10 +65,13 @@ class LearnConfig:
 
     def validate(self) -> list:
         problems = []
+        counts = set()
         for name in ("episodes", "warm_start_passes"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
                 problems.append(f"learn.{name}: counts must be non-negative integers")
+            else:
+                counts.add(name)
         finite = finite_fields(
             self, "learn", ("learning_rate", "epsilon0", "epsilon_decay", "epsilon_floor"),
             problems,
@@ -82,6 +85,9 @@ class LearnConfig:
             problems.append("learn.epsilon_decay must lie in (0, 1]")
         if not is_seed(self.seed):
             problems.append("learn.seed must be an integer in [0, 2**64)")
+        elif "episodes" in counts and self.seed + max(self.episodes, 1) > SEED_BOUND:
+            # train's default wind seeds run from seed to seed + episodes - 1.
+            problems.append("learn.seed plus learn.episodes must not exceed 2**64")
         return problems
 
 

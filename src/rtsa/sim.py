@@ -183,8 +183,10 @@ SEED_BOUND = 2**64
 
 
 def is_seed(value) -> bool:
-    """Whether ``value`` is an integer in [0, 2**64), bools excluded."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    """Whether ``value`` is a Python or numpy integer in [0, 2**64), bools excluded."""
+    # Concrete types, not numbers.Integral: an abstract-class check costs most of
+    # a seed list's check, and every seed of every list is checked.
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and 0 <= value < SEED_BOUND)
 
 
@@ -198,12 +200,9 @@ def seed_array(seeds) -> np.ndarray:
             and seeds.flags.c_contiguous and seeds.flags.writeable):
         return seeds
     seeds = list(seeds)
-    # Plain ints in range need no look at each one (and most seed lists are ranges).
-    if not (set(map(type, seeds)) <= {int}
-            and (not seeds or 0 <= min(seeds) and max(seeds) < SEED_BOUND)):
-        for seed in seeds:
-            if not is_seed(seed):
-                raise ValueError(f"seeds must be integers in [0, 2**64), got {seed!r}")
+    for seed in seeds:
+        if not is_seed(seed):
+            raise ValueError(f"seeds must be integers in [0, 2**64), got {seed!r}")
     return np.array(seeds, dtype=np.uint64)
 
 

@@ -163,6 +163,20 @@ class TestWarmstartAndTrain:
         assert "learning_rate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_train_seed_without_room_for_its_wind_seeds_exits_2(self, scenario_path, tmp_path,
+                                                               capsys):
+        # The default wind seeds run from --seed to --seed + --episodes - 1.
+        w0 = tmp_path / "w0.json"
+        save_weights(np.zeros((9, 2)), w0)
+        out = tmp_path / "w1.json"
+        rc = main(["train", "--scenario", scenario_path, "--init", str(w0),
+                   "--alert-penalty", "0.05", "--episodes", "2",
+                   "--seed", str(2**64 - 1), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "learn.seed" in err and str(2**64) not in err
+        assert not out.exists()
+
     def test_warmstart_negative_passes_exits_2(self, scenario_path, tmp_path, capsys):
         out = tmp_path / "w0.json"
         rc = main(["warmstart", "--scenario", scenario_path, "--delta", "16",

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from rtsa import evaluation, fastpath
+from rtsa import evaluation, fastpath, sim
 from rtsa.evaluation import (
     ConfusionMatrix,
     EpisodeRecord,
@@ -15,6 +15,7 @@ from rtsa.evaluation import (
     run_episode,
     soc_point,
     sweep_baseline,
+    sweep_learned,
     train_policy,
 )
 from rtsa.learning import LearnConfig, train
@@ -325,3 +326,28 @@ def test_a_bad_seed_is_named_before_any_episode_runs(calibrated_scenario, monkey
 @pytest.mark.parametrize("call", SEEDED_CALLS, ids=str)
 def test_the_largest_seed_is_accepted(calibrated_scenario, call):
     SEEDED_CALLS[call](calibrated_scenario, [2**64 - 1, 2**32])
+
+
+@pytest.mark.parametrize("call", [c for c in SEEDED_CALLS if c != "run_episode"], ids=str)
+def test_each_seed_is_checked_once(calibrated_scenario, monkeypatch, call):
+    # The checked array goes on to the wind draws, which take it without a second look.
+    looked_at = []
+    is_seed = sim.is_seed
+    monkeypatch.setattr(sim, "is_seed", lambda seed: looked_at.append(seed) or is_seed(seed))
+    seeds = [3, 2**64 - 1, 2**32]
+    SEEDED_CALLS[call](calibrated_scenario, seeds)
+    # train_policy also flies its one demo seed through run_episode, and the
+    # warm start re-derives that demo's wind from the record's seed.
+    assert looked_at == seeds + ([3, 3] if call == "train_policy" else [])
+
+
+def test_records_carry_plain_int_seeds(calibrated_scenario):
+    records = run_batch(PolicySpec.nominal(), calibrated_scenario, np.array([5, 2], np.int64))
+    assert [type(r.seed) for r in records] == [int, int]
+    assert [r.seed for r in records] == [5, 2]
+
+
+def test_sweep_learned_refuses_overlapping_seed_lists(calibrated_scenario, monkeypatch):
+    monkeypatch.setattr(evaluation, "train_policy", None)
+    with pytest.raises(ValueError, match="disjoint"):
+        sweep_learned(calibrated_scenario, [0.05], LearnConfig(episodes=2), range(4), [9, 3])

@@ -270,6 +270,9 @@ class TestLearnConfig:
             ("seed", True),
             ("seed", 2**64),
             ("seed", "0"),
+            # train's default wind seeds run from seed to seed + episodes - 1 (3000 here).
+            ("seed", 2**64 - 1),
+            ("seed", 2**64 - 2999),
         ],
     )
     def test_bad_field_reported(self, key, value):
@@ -280,6 +283,11 @@ class TestLearnConfig:
         cfg = LearnConfig(learning_rate=float("nan"), epsilon_floor=2.0, episodes=-1)
         assert len(cfg.validate()) == 3
 
+    @pytest.mark.parametrize("seed,episodes",
+                             [(2**64 - 1, 0), (2**64 - 1, 1), (2**64 - 3000, 3000)])
+    def test_top_seed_with_room_for_its_default_wind_seeds(self, seed, episodes):
+        assert LearnConfig(seed=seed, episodes=episodes).validate() == []
+
     @pytest.mark.parametrize(
         "cfg,field",
         [
@@ -288,6 +296,7 @@ class TestLearnConfig:
             (LearnConfig(epsilon_decay=0.0, episodes=2), "epsilon_decay"),
             (LearnConfig(seed=-1, episodes=2), "seed"),
             (LearnConfig(seed=1.5, episodes=2), "seed"),
+            (LearnConfig(seed=2**64 - 1, episodes=2), "learn.seed"),
         ],
     )
     def test_train_refuses_an_invalid_config(self, calibrated_scenario, learning_backend,
