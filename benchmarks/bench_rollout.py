@@ -2,10 +2,11 @@
 """Compare the compiled and pure-Python episode kernels, and the batch and per-episode paths.
 
 Runs the same seeded episode batch through both backends' rollout, online
-training (one ``train`` call over all episodes) and warm-start replay pass,
-checks the trajectories, training rows and weights are bit-identical, and
-reports per-episode, per-training-step and per-replay-transition timing and
-the speedups. On the C kernel it also times the seeds' wind draws against
+training (one ``train`` call over all episodes) and warm-start pass (one
+``train`` call flying a baseline demo per seed, with no exploration), checks
+the trajectories, training rows and weights are bit-identical, and reports
+per-episode, per-training-step and per-warm-start-step timing and the
+speedups. On the C kernel it also times the seeds' wind draws against
 numpy's, in microseconds per seed, and checks the tables are byte-equal.
 
 Then, on the loaded backend and for each policy mode, times one
@@ -31,14 +32,14 @@ import numpy as np
 
 from rtsa import _rollout_py, fastpath
 from rtsa._rollout_py import rollout as rollout_python
-from rtsa.evaluation import PolicySpec, run_episode
-from rtsa.learning import _replay_batch
+from rtsa.evaluation import PolicySpec
 from rtsa.policy import N_FEATURES, Action, random_weights
 from rtsa.scenario import default_scenario
 from rtsa.sim import wind_draws, wind_rows
 
 TRAIN_EPSILON = 0.1
 LEARNING_RATE = 3e-3
+WARM_START_DELTA = 8.0
 SWEEP_DELTAS = (1.0, 2.0, 4.0, 8.0, 16.0)  # the SOC sweep's baseline grid
 
 
@@ -73,6 +74,8 @@ def learn_args(scenario, seeds):
         epsilons=[TRAIN_EPSILON] * len(seeds),
         seed=0,
         wind=wind_rows(wind_draws(seeds), scenario.sim),
+        policy_mode=fastpath.POLICY_WEIGHTS,
+        delta=0.0,
         scales=scenario.feature_scales,
         alert_penalty=scenario.reward.alert_penalty,
         **fastpath.scenario_args(scenario),
@@ -109,17 +112,6 @@ def bench_wind_draws(draw, seeds, repeats):
         table = draw(seeds)
         best = min(best, time.perf_counter() - start)
     return best / len(seeds) * 1e6, table
-
-
-def bench_replay(replay, batch, discount, repeats):
-    """Best time of one warm-start pass over ``batch``; returns (seconds, weights)."""
-    best = float("inf")
-    for _ in range(repeats):
-        theta = np.zeros((2, N_FEATURES))
-        start = time.perf_counter()
-        replay(theta, *batch, LEARNING_RATE, discount)
-        best = min(best, time.perf_counter() - start)
-    return best, theta
 
 
 def bench_batch(scenario, policy, seeds, repeats):
@@ -210,19 +202,19 @@ def main():
     print(f"pure python : {t_py * 1e3:8.3f} ms/episode")
 
     # Online training (epsilon TRAIN_EPSILON) over the same wind seeds, and one
-    # warm-start pass over baseline:8 demos on them.
+    # warm-start pass: a baseline demo on each of them, with no exploration.
+    steps_column = _rollout_py.TRAIN_COLUMNS.index("steps")
     learn = learn_args(scenario, seeds)
     lt_py, theta_py, lrows_py = bench_training(_rollout_py.train, learn, args.repeats)
-    train_steps = int(lrows_py[:, _rollout_py.TRAIN_COLUMNS.index("steps")].sum())
-    demos = [run_episode(PolicySpec.baseline(8.0), scenario, seed) for seed in seeds]
-    batch = _replay_batch(demos, scenario)
-    transitions = len(batch[0]) - len(batch[3])
-    rt_py, rtheta_py = bench_replay(_rollout_py.replay, batch, scenario.reward.discount,
-                                    args.repeats)
+    train_steps = int(lrows_py[:, steps_column].sum())
+    warm = dict(learn, epsilons=[0.0] * len(seeds), policy_mode=fastpath.POLICY_BASELINE,
+                delta=WARM_START_DELTA)
+    ws_py, wstheta_py, wsrows_py = bench_training(_rollout_py.train, warm, args.repeats)
+    warm_steps = int(wsrows_py[:, steps_column].sum())
     print(f"training    : python   {lt_py / train_steps * 1e6:8.3f} us/step"
           f"  ({train_steps} steps, epsilon {TRAIN_EPSILON})")
-    print(f"replay      : python   {rt_py / transitions * 1e6:8.3f} us/transition"
-          f"  ({transitions} transitions)")
+    print(f"warm start  : python   {ws_py / warm_steps * 1e6:8.3f} us/step"
+          f"  ({warm_steps} steps, baseline:{WARM_START_DELTA:g} demos)")
 
     print(f"batch       : {fastpath.BACKEND} backend, {args.episodes} episodes per call")
     for policy in (PolicySpec.nominal(), PolicySpec.baseline(8.0),
@@ -250,12 +242,11 @@ def main():
     print(f"compiled    : {t_c * 1e3:8.3f} ms/episode")
     print(f"speedup     : {t_py / t_c:8.1f}x")
     lt_c, theta_c, lrows_c = bench_training(fastpath.train_compiled, learn, args.repeats)
-    rt_c, rtheta_c = bench_replay(fastpath.replay_compiled, batch, scenario.reward.discount,
-                                  args.repeats)
+    ws_c, wstheta_c, wsrows_c = bench_training(fastpath.train_compiled, warm, args.repeats)
     print(f"training    : compiled {lt_c / train_steps * 1e6:8.3f} us/step"
           f"  speedup {lt_py / lt_c:6.1f}x")
-    print(f"replay      : compiled {rt_c / transitions * 1e6:8.3f} us/transition"
-          f"  speedup {rt_py / rt_c:6.1f}x")
+    print(f"warm start  : compiled {ws_c / warm_steps * 1e6:8.3f} us/step"
+          f"  speedup {ws_py / ws_c:6.1f}x")
     wt_py, wind_py = bench_wind_draws(wind_draws, seeds, args.repeats)
     wt_c, wind_c = bench_wind_draws(fastpath.wind_draws_compiled, seeds, args.repeats)
     print(f"wind draws  : numpy {wt_py:8.3f} us/seed  compiled {wt_c:8.3f} us/seed"
@@ -266,7 +257,8 @@ def main():
             "backends disagree"
     assert lrows_py.tobytes() == lrows_c.tobytes(), "training episodes disagree"
     assert theta_py.tobytes() == theta_c.tobytes(), "trained weights disagree"
-    assert rtheta_py.tobytes() == rtheta_c.tobytes(), "warm-start weights disagree"
+    assert wsrows_py.tobytes() == wsrows_c.tobytes(), "warm-start episodes disagree"
+    assert wstheta_py.tobytes() == wstheta_c.tobytes(), "warm-start weights disagree"
     assert wind_py.tobytes() == wind_c.tobytes(), "wind draws disagree"
     print("backends bit-identical over all episodes, training results, wind draws and weights")
 

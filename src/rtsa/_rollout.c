@@ -7,16 +7,17 @@
  * -ffp-contract=off: a fused multiply-add rounds once where the Python twin
  * rounds twice.
  *
- * Five entry points, four of them behind one episode loop (`episode`) and
- * one TD rule (`td_update`):
+ * Four entry points, three of them behind one episode loop (`episode`):
  *   rtsa_rollout     one episode under a fixed policy, with its trajectory;
  *   rtsa_batch       n episodes under a fixed policy, one wind row each,
  *                    with per-episode summaries and no trajectories, spread
  *                    over a few worker threads; a baseline batch runs all of
  *                    its thresholds at once (below);
- *   rtsa_train       n online epsilon-greedy Q-learning episodes in a row,
- *                    updating the weights in place at every step;
- *   rtsa_replay      one warm-start TD pass over recorded episodes;
+ *   rtsa_train       n Q-learning episodes in a row under a given policy,
+ *                    updating the weights in place by `td_update` at every
+ *                    step: online epsilon-greedy training flies the weights
+ *                    policy, and each warm-start pass the baseline with no
+ *                    exploration;
  *   rtsa_wind_draws  the unit draws of each seed's wind field.
  * `episode` is always inlined with constant flags, so the rollout carries no
  * learning branches, neither the batch nor the learner writes a trajectory,
@@ -45,7 +46,7 @@
  * outputs and calls these functions through ctypes. Each episode's wind is
  * 8 values (base, amplitude, frequency, phase, each x/y) and its weights two
  * contiguous columns of nine, (continue, deploy), both passed by pointer; the
- * learning kernels update the weights in place. The baseline's distance
+ * learning kernel updates the weights in place. The baseline's distance
  * threshold(s) are passed beside them too.
  */
 
@@ -342,8 +343,7 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
     const double bw0 = wind[0], bw1 = wind[1], ga0 = wind[2], ga1 = wind[3];
     const double gf0 = wind[4], gf1 = wind[5], gp0 = wind[6], gp1 = wind[7];
     const double *sc = p + P_SCALES, *wps = path->wps;
-    const int weights_mode =
-        learn || (policy_mode != POLICY_NOMINAL && policy_mode != POLICY_BASELINE);
+    const int weights_mode = policy_mode != POLICY_NOMINAL && policy_mode != POLICY_BASELINE;
     const int explore = learn && epsilon > 0.0;
     double th[2 * N_FEATURES];
     memcpy(th, theta, sizeof th);
@@ -716,20 +716,49 @@ enum {
 };
 
 /*
- * Run n_episodes online epsilon-greedy Q-learning episodes in a row under the
- * weights policy, updating `theta` in place. Episode ep flies in wind row
- * ep % n_wind of `wind` (n_wind x 8) at exploration rate epsilons[ep], and
- * draws from the stream np.random.default_rng([seed, ep]) would give: until
- * the switch flips, each step draws next_double (only when its epsilon > 0)
- * and, on an exploring step, next_uint32 >> 31. Row ep of `rows`
- * (n_episodes x TRAIN_ROW) gets the episode's ROW_* values. Stops after the
- * first episode that leaves a weight non-finite. Returns the number of
- * episodes run, or as rtsa_rollout (-1, -2) before any episode runs.
+ * The Euclidean norm of the n values at w. Where their sum of squares
+ * overflows although every value is finite, it is taken again over the
+ * values scaled by the largest magnitude, which keeps it finite until the
+ * norm itself exceeds the largest double.
  */
-int64_t rtsa_train(const double *p, int n_waypoints, int max_steps, const double *wind,
-                   int64_t n_wind, double *theta, double exit_penalty, double discount,
-                   double learning_rate, const double *epsilons, int64_t n_episodes,
-                   uint64_t seed, double *rows)
+static double euclidean_norm(const double *w, int n)
+{
+    double norm2 = 0.0, largest = 0.0;
+    for (int i = 0; i < n; i++)
+        norm2 += w[i] * w[i];
+    if (isfinite(norm2))
+        return sqrt(norm2);
+    for (int i = 0; i < n; i++) {
+        if (!isfinite(w[i]))
+            return sqrt(norm2);
+        if (fabs(w[i]) > largest)
+            largest = fabs(w[i]);
+    }
+    double scaled2 = 0.0;
+    for (int i = 0; i < n; i++) {
+        const double s = w[i] / largest;
+        scaled2 += s * s;
+    }
+    return largest * sqrt(scaled2);
+}
+
+/*
+ * Run n_episodes Q-learning episodes in a row under the policy `policy_mode`
+ * (baseline threshold `delta`), updating `theta` in place at every step.
+ * Episode ep flies in wind row ep % n_wind of `wind` (n_wind x 8) at
+ * exploration rate epsilons[ep], and draws from the stream
+ * np.random.default_rng([seed, ep]) would give: under the weights policy,
+ * until the switch flips, each step draws next_double (only when its
+ * epsilon > 0) and, on an exploring step, next_uint32 >> 31. The other
+ * policies draw nothing. Row ep of `rows` (n_episodes x TRAIN_ROW) gets the
+ * episode's ROW_* values. Stops after the first episode that leaves a weight
+ * non-finite. Returns the number of episodes run, or as rtsa_rollout (-1, -2)
+ * before any episode runs.
+ */
+int64_t rtsa_train(const double *p, int n_waypoints, int policy_mode, int max_steps,
+                   double delta, const double *wind, int64_t n_wind, double *theta,
+                   double exit_penalty, double discount, double learning_rate,
+                   const double *epsilons, int64_t n_episodes, uint64_t seed, double *rows)
 {
     path_t path;
     const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
@@ -746,14 +775,11 @@ int64_t rtsa_train(const double *p, int n_waypoints, int max_steps, const double
         state_t start = start_state(&path);
         int out[4];
         double dout[3];
-        episode(p, &path, 0, max_steps, 0.0, wind + 8 * (size_t)(ep % n_wind), theta, 1, theta,
-                exit_penalty, discount, learning_rate, epsilons[ep], &bitgen, &start, 0, NULL,
-                out, dout);
-        double norm2 = 0.0;
-        for (int i = 0; i < 2 * N_FEATURES; i++) {
-            norm2 += theta[i] * theta[i];
+        episode(p, &path, policy_mode, max_steps, delta, wind + 8 * (size_t)(ep % n_wind), theta,
+                1, theta, exit_penalty, discount, learning_rate, epsilons[ep], &bitgen, &start, 0,
+                NULL, out, dout);
+        for (int i = 0; i < 2 * N_FEATURES; i++)
             finite &= isfinite(theta[i]) != 0;
-        }
         double *row = rows + TRAIN_ROW * (size_t)ep;
         row[ROW_RETURN] = dout[0];
         row[ROW_OUTCOME] = out[1];
@@ -762,33 +788,11 @@ int64_t rtsa_train(const double *p, int n_waypoints, int max_steps, const double
         row[ROW_STEPS] = out[0];
         row[ROW_NORM2_MAX] = dout[1];
         row[ROW_ERROR_MAX] = dout[2];
-        row[ROW_THETA_NORM] = sqrt(norm2);
+        row[ROW_THETA_NORM] = euclidean_norm(theta, 2 * N_FEATURES);
         ep++;
     }
     path_free(&path);
     return ep;
-}
-
-/*
- * One warm-start pass: TD-update `theta` in place over recorded episodes,
- * in order. Episode e owns rows ends[e-1]..ends[e]-1 (from 0 for e = 0) of
- * `phi` (n x 9 features), `actions` and `rewards`; transition i goes from row
- * i to row i + 1. Only an episode's last transition can be terminal, and is
- * when terminal[e] is nonzero.
- */
-void rtsa_replay(double *theta, const double *phi, const int64_t *actions,
-                 const double *rewards, const int64_t *ends, const int64_t *terminal,
-                 int64_t n_episodes, double learning_rate, double discount)
-{
-    int64_t start = 0;
-    for (int64_t e = 0; e < n_episodes; e++) {
-        const int64_t last = ends[e] - 2;
-        for (int64_t i = start; i <= last; i++)
-            td_update(theta, phi + N_FEATURES * i, (int)actions[i], rewards[i],
-                      phi + N_FEATURES * (i + 1), terminal[e] && i == last, learning_rate,
-                      discount);
-        start = ends[e];
-    }
 }
 
 /*

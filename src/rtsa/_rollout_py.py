@@ -6,7 +6,7 @@ float64 array laid out at the ``P_*`` offsets below, the enum of
 ``_rollout.c``. An episode's wind (8 values: base, gust amplitude, gust
 frequency, gust phase, each x then y), its weight columns and the baseline's
 distance threshold(s) (``thresholds``) travel beside that array. The C
-wrappers in ``rtsa.fastpath`` check them, and the learners' arguments, with
+wrappers in ``rtsa.fastpath`` check them, and the learner's arguments, with
 the same functions as the twins here.
 
 ``_episode`` is the one scalar episode loop: wind, the one-way meta
@@ -24,22 +24,22 @@ termination chain. It reads the packed array by the ``P_*`` offsets, as
   that stops where the widest threshold not yet deployed deploys, forks
   that threshold's parachute tail from its exact state, and goes on under
   the next narrower threshold.
-- ``train`` runs online epsilon-greedy Q-learning episodes in a row, one
-  ``learn_episode`` each, applying ``td_update`` to the weights at every
-  step. Episode ep explores on ``np.random.default_rng([seed, ep])``.
-
-``replay`` (one warm-start TD pass over recorded episodes) shares
-``td_update``, the linear TD rule on weight columns held as float lists.
+- ``train`` runs Q-learning episodes in a row under one of those policies,
+  applying ``td_update``, the linear TD rule on weight columns held as float
+  lists, to the weights at every step. Under the weights policy an episode
+  explores epsilon-greedily on ``np.random.default_rng([seed, ep])``: that
+  is online training. A warm-start pass is one call under the baseline,
+  which never explores: a baseline episode does not depend on the weights,
+  so each pass flies the same demos through the same updates.
 
 Each entry point has a C twin in ``_rollout.c`` (``rtsa_rollout``,
-``rtsa_batch``, ``rtsa_train``, ``rtsa_replay``) that performs the same
-arithmetic in the same order and seeds the same exploration streams, so the
-two backends give bit-identical trajectories, summaries, weights and
-training rows. ``rtsa.fastpath`` uses the C kernels when they build and
-load, these otherwise. ``train`` and ``replay`` take the weights as a
-contiguous (2, 9) float64 array of columns (continue, deploy), updated in
-place; here it is converted to float lists and back once per episode or
-call.
+``rtsa_batch``, ``rtsa_train``) that performs the same arithmetic in the
+same order and seeds the same exploration streams, so the two backends give
+bit-identical trajectories, summaries, weights and training rows.
+``rtsa.fastpath`` uses the C kernels when they build and load, these
+otherwise. ``train`` takes the weights as a contiguous (2, 9) float64 array
+of columns (continue, deploy), updated in place; here it is converted to
+float lists and back once per call.
 
 Scalar math only in the loop body, so the compiled twin can mirror it
 operation for operation.
@@ -90,7 +90,7 @@ ZERO_SEGMENT = "waypoints hold a zero-length segment"
 #: deploy_greedy is -1 if never deployed, 0 explored, 1 greedy; norm2_max is
 #: the largest squared feature norm of a decision state, max_abs_td_error the
 #: largest absolute TD error of the episode's updates and theta_norm the
-#: Euclidean norm of the weights after it (inf once its square overflows).
+#: Euclidean norm of the weights after it (``weights_norm``).
 TRAIN_COLUMNS = ("return", "outcome", "deploy_step", "deploy_greedy", "steps", "norm2_max",
                  "max_abs_td_error", "theta_norm")
 
@@ -123,20 +123,20 @@ def pack(policy_mode, *, env_min, env_max, waypoints, arrival_radius, dt, a_max,
     return params, wps.shape[0], int(max_steps)
 
 
-def _array(name, value, dtype=float):
-    """``value`` as a writable C-contiguous array of ``dtype``, copied only if it is not
-    one already; ValueError if it holds no numbers."""
+def _array(name, value):
+    """``value`` as a writable C-contiguous float64 array, copied only if it is not one
+    already; ValueError if it holds no numbers."""
     try:
-        array = np.asarray(value, dtype=dtype, order="C")
+        array = np.asarray(value, dtype=float, order="C")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
     # ctypes can point only into writable memory.
     return array if array.flags.writeable else array.copy()
 
 
-def checked(name, value, shape, dtype=float):
-    """``value`` as a writable C-contiguous array of ``dtype`` and ``shape``, or ValueError."""
-    array = _array(name, value, dtype)
+def checked(name, value, shape):
+    """``value`` as a writable C-contiguous float64 array of ``shape``, or ValueError."""
+    array = _array(name, value)
     if array.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
     return array
@@ -172,6 +172,11 @@ def thresholds(policy_mode, delta):
             raise ValueError(f"baseline delta must be finite positive thresholds in ascending "
                              f"order, got {values}")
     return array
+
+
+def one_threshold(policy_mode, delta):
+    """``delta`` as one float, checked by ``thresholds``; ValueError for an array."""
+    return float(thresholds(policy_mode, checked("delta", delta, ())))
 
 
 def check_policy_mode(policy_mode):
@@ -212,28 +217,6 @@ def train_arrays(theta, wind, epsilons, seed):
     return theta, table, epsilons, int(seed)
 
 
-def replay_arrays(theta, phi, actions, rewards, ends, terminal):
-    """``replay``'s arrays, checked and as ``checked`` returns them, ``theta`` itself.
-
-    Raises ValueError unless ``theta`` passes ``weights_in_place``, ``phi``
-    is (n, 9), ``actions`` and ``rewards`` hold n values, and ``ends`` are
-    non-decreasing episode ends, the last one n, with one ``terminal`` flag
-    each.
-    """
-    theta = weights_in_place(theta)
-    phi = checked_rows("phi", phi, N_FEATURES)
-    n = phi.shape[0]
-    actions = checked("actions", actions, (n,), np.int64)
-    rewards = checked("rewards", rewards, (n,))
-    ends = _array("ends", ends, np.int64)
-    if ends.ndim != 1:
-        raise ValueError(f"ends must be 1-D, got shape {ends.shape}")
-    terminal = checked("terminal", terminal, ends.shape, np.int64)
-    if ends.size and (ends[0] < 0 or ends[-1] != n or np.any(np.diff(ends) < 0)):
-        raise ValueError(f"ends must be non-decreasing episode ends, the last one {n}")
-    return theta, phi, actions, rewards, ends, terminal
-
-
 def rollout(*, wind_params, policy_mode, delta, theta, **scenario):
     """Run one episode; returns (trajectory, outcome, deploy_step).
 
@@ -247,7 +230,7 @@ def rollout(*, wind_params, policy_mode, delta, theta, **scenario):
     ``weight_columns`` refuses, or a zero-length path segment.
     """
     params, n_waypoints, steps = pack(policy_mode, **scenario)
-    threshold = float(thresholds(policy_mode, checked("delta", delta, ())))
+    threshold = one_threshold(policy_mode, delta)
     wind, columns = checked("wind_params", wind_params, (8,)), weight_columns(theta)
     rows = []
     _, outcome, deploy_step, _, _, _, _ = _episode(
@@ -319,67 +302,71 @@ def _start(p):
     return [0.0, p[P_WAYPOINTS], p[P_WAYPOINTS + 1], p[P_WAYPOINTS + 2], 0.0, 0.0, 0.0, 0]
 
 
-def train(theta, exit_penalty, discount, learning_rate, epsilons, seed, *, wind, **scenario):
-    """Run one ``learn_episode`` per value of ``epsilons``, in order, updating ``theta``.
+def train(theta, exit_penalty, discount, learning_rate, epsilons, seed, *, wind, policy_mode,
+          delta, **scenario):
+    """Run one Q-learning episode per value of ``epsilons``, in order, updating ``theta``.
 
-    Episode ep flies in row ep % n of ``wind`` (n, 8) at exploration rate
-    ``epsilons[ep]``, exploring on ``np.random.default_rng([seed, ep])``.
+    ``theta`` is the (2, 9) array of weight columns (continue, deploy) and
+    gets one ``td_update`` per step. Episode ep flies in row ep % n of
+    ``wind`` (n, 8) under the policy ``policy_mode`` with the one threshold
+    ``delta``, as ``rollout`` would. Under the weights policy it acts
+    epsilon-greedily at rate ``epsilons[ep]`` on
+    ``np.random.default_rng([seed, ep])``: until the switch flips, each step
+    draws ``rng.random()`` (only when epsilon > 0) and, on an exploring step,
+    ``rng.integers(2)``, the draws ``learning.epsilon_greedy`` makes. The
+    other policies draw nothing.
+
     Returns a float64 array with one ``TRAIN_COLUMNS`` row per episode run:
     it stops after the first episode that leaves a weight non-finite.
-    Raises ValueError for arguments that ``train_arrays`` or ``pack``
-    refuses, or a zero-length path segment, before any episode runs.
+    Raises ValueError for arguments that ``train_arrays``, ``pack`` or
+    ``one_threshold`` refuses, or a zero-length path segment, before any
+    episode runs.
     """
     theta, table, epsilons, seed = train_arrays(theta, wind, epsilons, seed)
-    pack(POLICY_WEIGHTS, **scenario)  # checked even with no episode to run, as in C
+    params, n_waypoints, max_steps = pack(policy_mode, **scenario)
+    threshold = one_threshold(policy_mode, delta)
+    p, winds, columns = params.tolist(), table.tolist(), theta.tolist()
     rows = np.empty((epsilons.size, len(TRAIN_COLUMNS)))
     for ep, epsilon in enumerate(epsilons.tolist()):
-        ret, outcome, deploy_step, deploy_greedy, steps, norm2_max, error_max = learn_episode(
-            theta, exit_penalty, discount, learning_rate, epsilon,
-            np.random.default_rng([seed, ep]), wind_params=table[ep % len(table)], **scenario)
-        weights = theta.ravel().tolist()
-        norm2 = 0.0
-        for w in weights:
-            norm2 += w * w
+        rng = np.random.default_rng([seed, ep]) if epsilon > 0.0 else None  # else never drawn
+        ret, outcome, deploy_step, deploy_greedy, steps, norm2_max, error_max = _episode(
+            p, n_waypoints, policy_mode, max_steps, threshold, winds[ep % len(winds)], columns,
+            exit_penalty=exit_penalty, discount=discount, learning_rate=learning_rate,
+            epsilon=epsilon, rng=rng)
+        weights = columns[0] + columns[1]
         rows[ep] = (ret, outcome, deploy_step, -1 if deploy_greedy is None else deploy_greedy,
-                    steps, norm2_max, error_max, math.sqrt(norm2))
+                    steps, norm2_max, error_max, weights_norm(weights))
         if not all(map(math.isfinite, weights)):
-            return rows[:ep + 1]
+            rows = rows[:ep + 1]
+            break
+    theta[...] = columns
     return rows
 
 
-def learn_episode(theta, exit_penalty, discount, learning_rate, epsilon, rng, *, wind_params,
-                  **scenario):
-    """Run one online epsilon-greedy Q-learning episode, updating ``theta`` in place.
+def weights_norm(weights):
+    """The Euclidean norm of the float list ``weights``.
 
-    ``theta`` is the (2, 9) array of weight columns (continue, deploy) and
-    gets one ``td_update`` per step. ``wind_params`` and ``scenario`` are as
-    for ``rollout``. Until the switch flips, each step draws ``rng.random()``
-    (only when epsilon > 0) and, on an exploring step, ``rng.integers(2)``
-    from the numpy Generator ``rng``: the draws ``learning.epsilon_greedy``
-    makes.
-
-    Returns (discounted return, outcome, deploy_step, deploy_greedy, steps,
-    largest squared feature norm of a decision state, largest absolute TD
-    error). ``deploy_step`` is -1 and ``deploy_greedy`` None if the switch
-    never flipped; otherwise ``deploy_greedy`` says whether deploying was the
-    greedy action. Raises ValueError as ``rollout`` does, and for a
-    ``theta`` that ``weights_in_place`` refuses.
+    Where their sum of squares overflows although every weight is finite, it
+    is taken again over the weights scaled by the largest magnitude, which
+    keeps it finite until the norm itself exceeds the largest float.
     """
-    theta = weights_in_place(theta)
-    params, n_waypoints, steps = pack(POLICY_WEIGHTS, **scenario)
-    wind = checked("wind_params", wind_params, (8,))
-    columns = theta.tolist()
-    result = _episode(params.tolist(), n_waypoints, POLICY_WEIGHTS, steps, 0.0, wind.tolist(),
-                      columns, exit_penalty=exit_penalty, discount=discount,
-                      learning_rate=learning_rate, epsilon=epsilon, rng=rng)
-    theta[...] = columns
-    return result
+    norm2 = 0.0
+    for w in weights:
+        norm2 += w * w
+    if math.isfinite(norm2) or not all(map(math.isfinite, weights)):
+        return math.sqrt(norm2)
+    largest = max(map(abs, weights))
+    scaled2 = 0.0
+    for w in weights:
+        s = w / largest
+        scaled2 += s * s
+    return largest * math.sqrt(scaled2)
 
 
 def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, state=None,
              fork=False, exit_penalty=1.0, discount=1.0, learning_rate=None, epsilon=0.0,
              rng=None, traj=None):
-    """The episode loop behind ``rollout``, ``batch`` and ``learn_episode``.
+    """The episode loop behind ``rollout``, ``batch`` and ``train``.
 
     ``p`` is ``pack``'s array as a float list, ``wind`` the 8 wind values
     and ``theta`` (continue column, deploy column), all float lists. The
@@ -666,32 +653,3 @@ def td_update(t0, t1, phi, action, r, phi_next, terminal, learning_rate, discoun
     col[7] += k * f7
     col[8] += k * f8
     return error
-
-
-def replay(theta, phi, actions, rewards, ends, terminal, learning_rate, discount):
-    """One warm-start pass: TD-update ``theta`` in place over recorded episodes, in order.
-
-    ``theta`` is the (2, 9) array of weight columns; the other arguments
-    but the rates are numpy arrays too. Episode e owns rows
-    ``ends[e-1]:ends[e]`` (from 0 for e = 0) of ``phi`` (features, n x 9),
-    ``actions`` and ``rewards``; transition i goes from row i to row i + 1.
-    Only an episode's last transition can be terminal, and is when
-    ``terminal[e]`` is true. Raises ValueError for arrays that
-    ``replay_arrays`` refuses.
-    """
-    theta, phi, actions, rewards, ends, terminal = replay_arrays(theta, phi, actions, rewards,
-                                                                 ends, terminal)
-    t0, t1 = theta.tolist()
-    start = 0
-    for end, final in zip(ends.tolist(), terminal.tolist()):
-        # Converted to lists per episode, not all up front: float lists
-        # take several times the memory of the arrays.
-        rows = phi[start:end].tolist()
-        acts = actions[start:end].tolist()
-        rews = rewards[start:end].tolist()
-        last = end - start - 2
-        for i in range(last + 1):
-            td_update(t0, t1, rows[i], acts[i], rews[i], rows[i + 1],
-                      final and i == last, learning_rate, discount)
-        start = end
-    theta[...] = (t0, t1)

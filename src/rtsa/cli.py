@@ -164,13 +164,11 @@ def cmd_warmstart(args) -> int:
     scenario = _load(args.scenario)
     cfg = _learn_config(seed=args.seed, warm_start_passes=args.passes,
                         learning_rate=args.learning_rate)
-    policy = PolicySpec.baseline(args.delta)
-    records = [run_episode(policy, scenario, seed)
-               for seed in range(args.seed, args.seed + args.episodes)]
+    seeds = range(args.seed, args.seed + args.episodes)
     theta0 = np.zeros((N_FEATURES, len(Action)))
-    theta = warm_start(records, theta0, cfg, scenario, scenario.reward)
+    theta = warm_start(seeds, args.delta, theta0, cfg, scenario, scenario.reward)
     save_weights(theta, args.out)
-    print(f"warm-started weights from {len(records)} baseline episodes -> {args.out}")
+    print(f"warm-started weights from {len(seeds)} baseline episodes -> {args.out}")
     return 0
 
 

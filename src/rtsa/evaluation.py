@@ -6,8 +6,7 @@ face identical wind realizations. Episodes run on the fastpath kernels
 (compiled when available) along one of two paths:
 
 - the trajectory path: ``run_episode`` runs one episode through
-  ``fastpath.rollout`` and keeps its trajectory, for ``rtsa run --trace``
-  and for the demos that warm start replays;
+  ``fastpath.rollout`` and keeps its trajectory, for ``rtsa run --trace``;
 - the summary path: ``run_batch``, ``sweep_baseline``, ``exit_rate`` and
   ``calibrate_wind`` run all of a policy's seeds in one ``fastpath.batch``
   call and keep only each episode's outcome and deploy step, which is all a
@@ -30,15 +29,17 @@ from typing import Optional
 
 import numpy as np
 
-from . import fastpath
+from . import fastpath, learning
 from .geometry import Envelope
-from .learning import LearnConfig, _checked_config, recorded_trajectory, train, warm_start
+from .learning import LearnConfig, _checked_config, train
 from .policy import N_FEATURES, Action
 from .sim import Verdict, seed_array, wind_rows
 from .scenario import Scenario
 
-# Not called here: run_episode takes its wind from the wind table. It stays a
-# module attribute because rtsabench/tracer.py wraps it by name.
+# Not called here: run_episode takes its wind from the wind table, and
+# train_policy calls learning.warm_start. They stay module attributes because
+# rtsabench/tracer.py wraps them by name.
+from .learning import warm_start  # noqa: F401
 from .sim import sample_wind_field  # noqa: F401
 
 __all__ = [
@@ -121,7 +122,10 @@ class EpisodeRecord:
 
     @property
     def episode_return(self) -> float:
-        return float(recorded_trajectory(self)[:-1, 8].sum())
+        if self.trajectory is None:
+            raise ValueError(f"the episode of seed {self.seed} has no trajectory: "
+                             "record it with run_episode, not run_batch")
+        return float(self.trajectory[:-1, 8].sum())
 
 
 @dataclass(frozen=True)
@@ -304,18 +308,17 @@ DEFAULT_WARMSTART_EPISODES = 500
 def train_policy(scenario: Scenario, alert_penalty: float, learn_cfg: LearnConfig,
                  seeds_train, warmstart_delta: float = DEFAULT_WARMSTART_DELTA,
                  warmstart_episodes: int = DEFAULT_WARMSTART_EPISODES):
-    """Warm start from baseline episodes, then train online; returns (theta, log).
+    """Warm start on baseline demos, then train online; returns (theta, log).
 
-    Raises ValueError for an invalid ``learn_cfg``, alert penalty or training
-    seed before any episode runs."""
+    The demos fly the first ``warmstart_episodes`` training seeds. Raises
+    ValueError for an invalid ``learn_cfg``, alert penalty, threshold or
+    training seed before any episode runs."""
     rc = replace(scenario.reward, alert_penalty=alert_penalty)
     _checked_config(learn_cfg, rc)
     seeds_train = seed_array(seeds_train)
-    warm_policy = PolicySpec.baseline(warmstart_delta)
-    warm_records = [run_episode(warm_policy, scenario, seed, alert_penalty)
-                    for seed in _seed_list(seeds_train[:warmstart_episodes]).tolist()]
+    demo_seeds = _seed_list(seeds_train[:warmstart_episodes])
     theta0 = np.zeros((N_FEATURES, len(Action)))
-    theta = warm_start(warm_records, theta0, learn_cfg, scenario, rc)
+    theta = learning.warm_start(demo_seeds, warmstart_delta, theta0, learn_cfg, scenario, rc)
     return train(scenario, rc, learn_cfg, theta, wind_seeds=seeds_train)
 
 

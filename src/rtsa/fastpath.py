@@ -3,28 +3,31 @@
 At import, loads the C kernels in ``_rollout.c`` through ctypes. They are
 compiled and linked with numpy's ``libnpyrandom.a`` once per source, archive
 and flags into ``__pycache__/_rollout-<sha12>.so`` next to this file, so
-later imports only hash the inputs and load the library. When the build
-fails (no compiler, no ``libnpyrandom.a``), or ``RTSA_PURE_PYTHON`` is set
-in the environment, ``rollout``, ``batch``, ``train``, ``replay`` and
-``wind_draws`` are the pure-Python twins in ``_rollout_py`` and ``sim``
-instead and ``FALLBACK_REASON`` says why. Both backends take the same
-arguments, check them with the same functions (``_rollout_py.pack`` states
-the argument format) and give bit-identical results (see
-tests/test_fastpath.py). ``rollout`` returns one episode's trajectory;
-``batch`` runs one episode per row of an (n, 8) wind array and returns only
-their (n, 4) summaries. Given k ascending baseline thresholds, ``batch``
-returns (k, n, 4) summaries from one call that flies each row's shared
-nominal prefix once, as one trunk that forks a parachute tail at each
-threshold's deploy step. The C ``batch`` spreads the rows over as many
-threads as the process may use CPUs (at most one per row), with the same
-result on any count. The learning kernels update a (2, 9) float64 array of
-weight columns in place; ``train`` runs all online episodes in one call.
-The C kernels seed their random streams as numpy's ``default_rng`` does, so
-``wind_draws`` and ``train`` draw exactly what their twins draw.
+later imports only hash the inputs and load the library; a new build
+deletes the older ones. When the build fails (no compiler, no
+``libnpyrandom.a``), or ``RTSA_PURE_PYTHON`` is set in the environment,
+``rollout``, ``batch``, ``train`` and ``wind_draws`` are the pure-Python
+twins in ``_rollout_py`` and ``sim`` instead and ``FALLBACK_REASON`` says
+why. Both backends take the same arguments, check them with the same
+functions (``_rollout_py.pack`` states the argument format) and give
+bit-identical results (see tests/test_fastpath.py). ``rollout`` returns one
+episode's trajectory; ``batch`` runs one episode per row of an (n, 8) wind
+array and returns only their (n, 4) summaries. Given k ascending baseline
+thresholds, ``batch`` returns (k, n, 4) summaries from one call that flies
+each row's shared nominal prefix once, as one trunk that forks a parachute
+tail at each threshold's deploy step. The C ``batch`` spreads the rows over
+as many threads as the process may use CPUs (at most one per row), with the
+same result on any count. ``train`` runs Q-learning episodes under a given
+policy in one call, updating a (2, 9) float64 array of weight columns in
+place: online training flies the weights policy, and a warm-start pass the
+baseline. The C kernels seed their random streams as numpy's
+``default_rng`` does, so ``wind_draws`` and ``train`` draw exactly what
+their twins draw.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -46,14 +49,13 @@ from ._rollout_py import (
     ZERO_SEGMENT,
     checked,
     checked_rows,
+    one_threshold,
     pack,
-    replay_arrays,
     thresholds,
     train_arrays,
     weight_columns,
 )
 from ._rollout_py import batch as batch_python
-from ._rollout_py import replay as replay_python
 from ._rollout_py import rollout as rollout_python
 from ._rollout_py import train as train_python
 from .sim import Verdict, seed_array
@@ -68,7 +70,6 @@ _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _LDLIBS = (str(_NPYRANDOM), "-lm", "-pthread")
 _Out = ctypes.c_int * 4  # (steps, outcome, deploy_step, deploy_greedy)
 _DOUBLES = ctypes.POINTER(ctypes.c_double)
-_INT64S = ctypes.POINTER(ctypes.c_int64)
 _UINT64S = ctypes.POINTER(ctypes.c_uint64)
 
 
@@ -85,7 +86,9 @@ def _compile(target: Path) -> None:
     """Build the kernel into ``target`` (via a temporary file, then a rename).
 
     Tries sysconfig's ``CC``, then ``cc``; raises OSError with each
-    compiler's complaint when none succeeds.
+    compiler's complaint when none succeeds. After the rename, deletes the
+    other cached builds, but no temporary file, which another build may be
+    writing.
     """
     import shlex
     import subprocess
@@ -103,6 +106,10 @@ def _compile(target: Path) -> None:
                            capture_output=True, text=True, errors="replace", timeout=300,
                            check=True)
             os.replace(tmp, target)
+            for stale in target.parent.glob("_rollout-*.so"):
+                if stale != target:
+                    with contextlib.suppress(OSError):  # another build may have deleted it
+                        stale.unlink()
             return
         except subprocess.CalledProcessError as exc:
             errors.append(f"{' '.join(cc)} exited {exc.returncode}: {exc.stderr.strip()}")
@@ -119,7 +126,14 @@ def _load_kernel():
     target = _library_path()
     if not target.exists():
         _compile(target)
-    lib = ctypes.CDLL(str(target))
+    try:
+        lib = ctypes.CDLL(str(target))
+    except OSError:
+        if target.exists():
+            raise
+        # Another process's build deleted this one after the check: build it again.
+        _compile(target)
+        lib = ctypes.CDLL(str(target))
     c_int, c_double = ctypes.c_int, ctypes.c_double
     lib.rtsa_rollout.argtypes = (_DOUBLES, c_int, c_int, c_int, c_double, _DOUBLES, _DOUBLES,
                                  _DOUBLES, ctypes.POINTER(c_int))
@@ -127,15 +141,12 @@ def _load_kernel():
     lib.rtsa_batch.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, c_int, _DOUBLES, c_int,
                                _DOUBLES, ctypes.POINTER(c_int), c_int)
     lib.rtsa_batch.restype = c_int
-    lib.rtsa_train.argtypes = (_DOUBLES, c_int, c_int, _DOUBLES, ctypes.c_int64, _DOUBLES,
-                               c_double, c_double, c_double, _DOUBLES, ctypes.c_int64,
-                               ctypes.c_uint64, _DOUBLES)
+    lib.rtsa_train.argtypes = (_DOUBLES, c_int, c_int, c_int, c_double, _DOUBLES,
+                               ctypes.c_int64, _DOUBLES, c_double, c_double, c_double, _DOUBLES,
+                               ctypes.c_int64, ctypes.c_uint64, _DOUBLES)
     lib.rtsa_train.restype = ctypes.c_int64
     lib.rtsa_wind_draws.argtypes = (_UINT64S, ctypes.c_int64, _DOUBLES)
     lib.rtsa_wind_draws.restype = None
-    lib.rtsa_replay.argtypes = (_DOUBLES, _DOUBLES, _INT64S, _DOUBLES, _INT64S, _INT64S,
-                                ctypes.c_int64, c_double, c_double)
-    lib.rtsa_replay.restype = None
     return lib
 
 
@@ -153,7 +164,7 @@ def _raise_for(status):
 def rollout_compiled(*, wind_params, policy_mode, delta, theta, **scenario):
     """``_rollout_py.rollout`` on the C kernel: same arguments, same result."""
     params, n_waypoints, steps = pack(policy_mode, **scenario)
-    threshold = float(thresholds(policy_mode, checked("delta", delta, ())))
+    threshold = one_threshold(policy_mode, delta)
     wind, columns = checked("wind_params", wind_params, (8,)), weight_columns(theta)
     traj = np.empty((steps + 1, 9))
     out = _Out()
@@ -190,17 +201,18 @@ def batch_compiled(*, wind, policy_mode, delta, theta, **scenario):
 
 
 def train_compiled(theta, exit_penalty, discount, learning_rate, epsilons, seed, *, wind,
-                   **scenario):
+                   policy_mode, delta, **scenario):
     """``_rollout_py.train`` on the C kernel: same arguments, same rows, same updates
     to ``theta``, in one call."""
     theta, table, epsilons, seed = train_arrays(theta, wind, epsilons, seed)
-    params, n_waypoints, steps = pack(POLICY_WEIGHTS, **scenario)
+    params, n_waypoints, steps = pack(policy_mode, **scenario)
+    threshold = one_threshold(policy_mode, delta)
     rows = np.empty((epsilons.size, len(TRAIN_COLUMNS)))
     if not epsilons.size:  # ctypes cannot point into an empty array
         return rows
-    done = _lib.rtsa_train(_pointer(params), n_waypoints, steps, _pointer(table),
-                           table.shape[0], _pointer(theta), exit_penalty, discount,
-                           learning_rate, _pointer(epsilons), epsilons.size, seed,
+    done = _lib.rtsa_train(_pointer(params), n_waypoints, int(policy_mode), steps, threshold,
+                           _pointer(table), table.shape[0], _pointer(theta), exit_penalty,
+                           discount, learning_rate, _pointer(epsilons), epsilons.size, seed,
                            _pointer(rows))
     if done < 0:
         _raise_for(done)
@@ -216,15 +228,6 @@ def wind_draws_compiled(seeds):
     return draws
 
 
-def replay_compiled(theta, phi, actions, rewards, ends, terminal, learning_rate, discount):
-    """``_rollout_py.replay`` on the C kernel: same arguments, same updates to ``theta``."""
-    theta, phi, actions, rewards, ends, terminal = replay_arrays(theta, phi, actions, rewards,
-                                                                 ends, terminal)
-    _lib.rtsa_replay(_pointer(theta), _pointer(phi), _pointer(actions, ctypes.c_int64),
-                     _pointer(rewards), _pointer(ends, ctypes.c_int64),
-                     _pointer(terminal, ctypes.c_int64), ends.size, learning_rate, discount)
-
-
 FALLBACK_REASON = None
 if os.environ.get("RTSA_PURE_PYTHON"):
     FALLBACK_REASON = "RTSA_PURE_PYTHON is set"
@@ -234,13 +237,12 @@ else:
     except OSError as exc:
         FALLBACK_REASON = str(exc)
 if FALLBACK_REASON is None:
-    rollout, batch, replay = rollout_compiled, batch_compiled, replay_compiled
+    rollout, batch = rollout_compiled, batch_compiled
     train, wind_draws = train_compiled, wind_draws_compiled
     BACKEND = "c"
 else:
-    rollout_compiled = batch_compiled = replay_compiled = None
-    train_compiled = wind_draws_compiled = None
-    rollout, batch, replay = rollout_python, batch_python, replay_python
+    rollout_compiled = batch_compiled = train_compiled = wind_draws_compiled = None
+    rollout, batch = rollout_python, batch_python
     train, wind_draws = train_python, wind_draws_python
     BACKEND = "python"
 

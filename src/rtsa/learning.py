@@ -1,17 +1,18 @@
 """Linear Q-learning for the switching policy.
 
 One weight column per action, epsilon-greedy exploration with a persistent
-floor, and a batch warm start replaying distance-threshold episodes before
-any online learning. ``train`` runs all online episodes in one
-``fastpath.train`` call, on the episode loop that ``rollout`` also drives,
-so a policy trains on exactly the dynamics it is evaluated on. Each
-warm-start pass is one ``fastpath.replay`` call over all recorded episodes,
-sharing the loop's TD update. Both run on the C kernels (``rtsa_train``,
-``rtsa_replay``) when they load, on their pure-Python twins otherwise, with
-bit-identical weights and logs; the compiled learner seeds each episode's
-exploration stream as numpy's ``default_rng`` does. ``linear_q_update`` and
-``epsilon_greedy`` are the array-level statements of that update and of the
-exploration draws.
+floor, and a warm start that fits the weights on distance-threshold demos
+before any online learning. Both run in ``fastpath.train``, on the episode
+loop that ``rollout`` also drives, so a policy trains on exactly the
+dynamics it is evaluated on. ``train`` runs all online episodes in one call
+under the weights policy. ``warm_start`` makes one call per pass that flies
+every demo under the baseline switch, with no exploration, through the same
+TD update; a baseline episode does not depend on the weights, so each pass
+learns from the same demos. Both run on the C kernel (``rtsa_train``) when
+it loads, on its pure-Python twin otherwise, with bit-identical weights and
+logs; the compiled learner seeds each episode's exploration stream as
+numpy's ``default_rng`` does. ``linear_q_update`` and ``epsilon_greedy``
+are the array-level statements of that update and of the exploration draws.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fastpath
-from .policy import N_FEATURES, Action, RewardConfig, greedy_action
-from .sim import SEED_BOUND, Verdict, finite_fields, is_seed, seed_array, wind_rows
+from .policy import Action, RewardConfig, greedy_action
+from .sim import SEED_BOUND, finite_fields, is_seed, seed_array, wind_rows
 
 # Not called here: the learning loops run in the episode kernels, in wind from the
 # wind table. These stay module attributes because rtsabench/tracer.py wraps them by name.
@@ -130,67 +131,33 @@ def _check_finite(columns: np.ndarray, where: str) -> None:
         )
 
 
-def recorded_trajectory(record) -> np.ndarray:
-    """An episode record's trajectory; ValueError for a summary record, which has none."""
-    if record.trajectory is None:
-        raise ValueError(f"the episode of seed {record.seed} has no trajectory: "
-                         "record it with run_episode, not run_batch")
-    return np.asarray(record.trajectory)
-
-
-def _replay_batch(episodes, scenario):
-    """Recorded episodes as one replay batch: (features, actions, rewards, ends, terminal).
-
-    Episode e owns rows ``ends[e-1]:ends[e]``, one per trajectory row. Row i
-    of the features is the state of trajectory row i, with the wind
-    re-derived from the record's seed so it matches what a policy would have
-    observed live, and the deployment indicator set once an earlier row
-    deployed.
-    """
-    env = scenario.envelope
-    scales = np.asarray(scenario.feature_scales, dtype=float)
-    trajectories = [recorded_trajectory(record) for record in episodes]
-    ends = np.cumsum([len(traj) for traj in trajectories])
-    # (base x/y, amplitude x/y, frequency x/y, phase x/y) per episode.
-    winds = wind_rows(fastpath.wind_draws([record.seed for record in episodes]), scenario.sim)
-    phi = np.empty((ends[-1], N_FEATURES))
-    actions = np.empty(ends[-1], dtype=np.int64)
-    rewards = np.empty(ends[-1])
-    start = 0
-    for traj, wind, end in zip(trajectories, winds, ends):
-        pos = traj[:, 1:4]
-        gusts = np.sin(wind[4:6] * traj[:, 0:1] + wind[6:8])
-        rows = phi[start:end]
-        rows[:, 0:3] = np.minimum(pos - env.min_corner, env.max_corner - pos) / scales[0:3]
-        rows[:, 3:6] = traj[:, 4:7] / scales[3:6]
-        rows[:, 6:8] = (wind[0:2] + wind[2:4] * gusts) / scales[6:8]
-        rows[0, 8] = 0.0
-        rows[1:, 8] = np.maximum.accumulate(traj[:-1, 7])
-        actions[start:end] = traj[:, 7]
-        rewards[start:end] = traj[:, 8]
-        start = end
-    terminal = np.array([record.outcome != Verdict.TIMEOUT for record in episodes],
-                        dtype=np.int64)
-    return phi, actions, rewards, ends, terminal
-
-
-def warm_start(episodes, theta0: np.ndarray, cfg: LearnConfig, scenario,
+def warm_start(seeds, delta: float, theta0: np.ndarray, cfg: LearnConfig, scenario,
                rc: RewardConfig) -> np.ndarray:
-    """Batch-fit the weights by replaying recorded episodes through the TD update.
+    """Batch-fit the weights on distance-threshold demos through the TD update.
 
-    The episodes must carry trajectories (``run_episode`` records). Raises
-    ValueError for an invalid ``cfg`` or ``rc`` or an episode without a
-    trajectory, and RuntimeError as soon as a pass leaves the weights
-    non-finite.
+    Each of ``cfg.warm_start_passes`` passes is one ``fastpath.train`` call
+    that flies one demo per seed of ``seeds`` under the baseline switch at
+    ``delta``, with no exploration, updating the weights at every step. The
+    demos' wind is drawn once for all passes. Raises ValueError for an
+    invalid ``cfg`` or ``rc``, an empty or invalid seed list or a threshold
+    that is not finite and positive, and RuntimeError as soon as a pass
+    leaves the weights non-finite.
     """
     _checked_config(cfg, rc)
-    episodes = list(episodes)
-    if not episodes:
-        raise ValueError("warm start needs a non-empty episode batch")
+    seeds = seed_array(seeds)
+    if not seeds.size:
+        raise ValueError("warm start needs a non-empty demo seed list")
+    delta = fastpath.one_threshold(fastpath.POLICY_BASELINE, delta)
     theta = _columns(theta0)
-    batch = _replay_batch(episodes, scenario)
+    demos = dict(wind=wind_rows(fastpath.wind_draws(seeds), scenario.sim),
+                 policy_mode=fastpath.POLICY_BASELINE, delta=delta,
+                 scales=scenario.feature_scales, alert_penalty=rc.alert_penalty,
+                 **fastpath.scenario_args(scenario))
+    no_exploration = np.zeros(seeds.size)
     for n in range(cfg.warm_start_passes):
-        fastpath.replay(theta, *batch, cfg.learning_rate, rc.discount)
+        # The baseline never explores, so the exploration seed is never drawn from.
+        fastpath.train(theta, rc.exit_penalty, rc.discount, cfg.learning_rate, no_exploration,
+                       0, **demos)
         _check_finite(theta, f"warm-start pass {n}")
     return theta.T.copy()
 
@@ -256,6 +223,7 @@ def train(scenario, rc: RewardConfig, cfg: LearnConfig, theta0: np.ndarray,
     rows = fastpath.train(
         theta, rc.exit_penalty, rc.discount, cfg.learning_rate, epsilons, cfg.seed,
         wind=wind_rows(fastpath.wind_draws(seeds[:cfg.episodes]), scenario.sim),
+        policy_mode=fastpath.POLICY_WEIGHTS, delta=0.0,
         scales=scenario.feature_scales, alert_penalty=rc.alert_penalty,
         **fastpath.scenario_args(scenario))
 

@@ -127,10 +127,7 @@ def test_criterion_4_warm_start_efficacy(scenario):
     random_frac = float(np.mean(fracs))
 
     cfg = LearnConfig(seed=1, episodes=200, learning_rate=3e-3, warm_start_passes=5)
-    warm_records = [run_episode(PolicySpec.baseline(16.0), scenario, s) for s in range(200)]
-    theta = warm_start(
-        warm_records, np.zeros((N_FEATURES, len(Action))), cfg, scenario, rc
-    )
+    theta = warm_start(range(200), 16.0, np.zeros((N_FEATURES, len(Action))), cfg, scenario, rc)
     _, log = train(scenario, rc, cfg, theta, wind_seeds=range(200, 400))
     warm_frac = float(early_greedy_frac(log))
     report(

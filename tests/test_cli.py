@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rtsa import cli
+from rtsa import cli, fastpath
 from rtsa.cli import CliError, _parse_policy, _parse_seed_range, main
 from rtsa.policy import load_weights, random_weights, save_weights
 from rtsa.scenario import default_scenario, save_scenario
@@ -187,7 +187,7 @@ class TestWarmstartAndTrain:
 
     def test_warmstart_nan_learning_rate_exits_2_before_any_demo(self, scenario_path, tmp_path,
                                                                   capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run_episode", lambda *a, **k: pytest.fail("ran the demos"))
+        monkeypatch.setattr(fastpath, "train", lambda *a, **k: pytest.fail("ran the demos"))
         out = tmp_path / "w0.json"
         rc = main(["warmstart", "--scenario", scenario_path, "--delta", "16",
                    "--episodes", "2", "--seed", "0", "--learning-rate", "nan",

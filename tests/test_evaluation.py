@@ -336,9 +336,7 @@ def test_each_seed_is_checked_once(calibrated_scenario, monkeypatch, call):
     monkeypatch.setattr(sim, "is_seed", lambda seed: looked_at.append(seed) or is_seed(seed))
     seeds = [3, 2**64 - 1, 2**32]
     SEEDED_CALLS[call](calibrated_scenario, seeds)
-    # train_policy also flies its one demo seed through run_episode, and the
-    # warm start re-derives that demo's wind from the record's seed.
-    assert looked_at == seeds + ([3, 3] if call == "train_policy" else [])
+    assert looked_at == seeds
 
 
 def test_records_carry_plain_int_seeds(calibrated_scenario):

@@ -20,7 +20,7 @@ from rtsa import _rollout_py, fastpath, sim
 from rtsa._rollout_py import rollout as rollout_python
 from rtsa.evaluation import PolicySpec, run_batch, run_episode, _kernel_scenario_args
 from rtsa.geometry import build_path
-from rtsa.learning import LearnConfig, _replay_batch, train
+from rtsa.learning import LearnConfig, train
 from rtsa.policy import Action, N_FEATURES, compose_controller, random_weights, rtsa_action
 from rtsa.sim import (
     MAX_STEPS,
@@ -37,7 +37,6 @@ from rtsa.sim import (
 rollout_compiled = fastpath.rollout_compiled
 batch_compiled = fastpath.batch_compiled
 train_compiled = fastpath.train_compiled
-replay_compiled = fastpath.replay_compiled
 wind_draws_compiled = fastpath.wind_draws_compiled
 
 needs_compiled = pytest.mark.skipif(
@@ -392,13 +391,14 @@ def test_batch_summaries_match_single_episodes(calibrated_scenario, policy):
 
 
 def train_call(backend, scenario, theta, epsilons, seeds=range(8), seed=3,
-               learning_rate=3e-3):
-    """Online episodes on ``backend``, one per epsilon: episode ep flies the wind of
-    ``seeds[ep]`` and explores on ``default_rng([seed, ep])``; returns the rows."""
+               learning_rate=3e-3, policy_mode=fastpath.POLICY_WEIGHTS, delta=0.0):
+    """Learning episodes on ``backend``, one per epsilon: episode ep flies the wind of
+    ``seeds[ep]`` under ``policy_mode`` and, under the weights policy, explores on
+    ``default_rng([seed, ep])``; returns the rows."""
     return backend(theta, scenario.reward.exit_penalty, scenario.reward.discount,
                    learning_rate, epsilons, seed,
                    wind=wind_rows(wind_draws(seeds[:len(epsilons)]), scenario.sim),
-                   scales=scenario.feature_scales,
+                   policy_mode=policy_mode, delta=delta, scales=scenario.feature_scales,
                    alert_penalty=scenario.reward.alert_penalty,
                    **fastpath.scenario_args(scenario))
 
@@ -406,26 +406,33 @@ def train_call(backend, scenario, theta, epsilons, seeds=range(8), seed=3,
 @needs_compiled
 class TestLearningParity:
     @pytest.mark.parametrize(
-        "which,epsilon,verdicts,greedy",
+        "which,delta,epsilon,verdicts,greedy",
         [
-            ("calibrated", 0.0, {Verdict.COMPLETED, Verdict.EXITED, Verdict.GROUNDED},
+            ("calibrated", None, 0.0, {Verdict.COMPLETED, Verdict.EXITED, Verdict.GROUNDED},
              {-1, 1}),
-            ("calibrated", 0.02, {Verdict.EXITED, Verdict.GROUNDED}, {-1, 1, 0}),
-            ("calibrated", 1.0, {Verdict.GROUNDED}, {0}),
-            ("short", 0.0, {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED}, {-1, 1}),
-            ("short", 0.02, {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED}, {-1, 1, 0}),
-            ("short", 1.0, {Verdict.GROUNDED}, {0}),
+            ("calibrated", None, 0.02, {Verdict.EXITED, Verdict.GROUNDED}, {-1, 1, 0}),
+            ("calibrated", None, 1.0, {Verdict.GROUNDED}, {0}),
+            ("short", None, 0.0, {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED}, {-1, 1}),
+            ("short", None, 0.02, {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED},
+             {-1, 1, 0}),
+            ("short", None, 1.0, {Verdict.GROUNDED}, {0}),
+            # Warm start: the baseline switch, which never explores.
+            ("calibrated", 4.0, 0.0, {Verdict.COMPLETED, Verdict.EXITED}, {-1, 1}),
+            ("calibrated", 8.0, 0.0, {Verdict.EXITED, Verdict.GROUNDED}, {1}),
+            ("short", 8.0, 0.0, {Verdict.TIMEOUT, Verdict.EXITED}, {-1, 1}),
         ],
     )
-    def test_train_bit_identical(self, calibrated_scenario, short_scenario, which, epsilon,
-                                 verdicts, greedy):
+    def test_train_bit_identical(self, calibrated_scenario, short_scenario, which, delta,
+                                 epsilon, verdicts, greedy):
         # Eight episodes in a row, each backend carrying its own weights forward.
         # Each episode's exploration stream is made for it and dropped after it,
         # so what it drew shows only in the rows and the weights.
         scenario = calibrated_scenario if which == "calibrated" else short_scenario
+        policy = ({} if delta is None
+                  else dict(policy_mode=fastpath.POLICY_BASELINE, delta=delta))
         theta_c, theta_py = np.zeros((2, N_FEATURES)), np.zeros((2, N_FEATURES))
-        c = train_call(train_compiled, scenario, theta_c, [epsilon] * 8)
-        py = train_call(_rollout_py.train, scenario, theta_py, [epsilon] * 8)
+        c = train_call(train_compiled, scenario, theta_c, [epsilon] * 8, **policy)
+        py = train_call(_rollout_py.train, scenario, theta_py, [epsilon] * 8, **policy)
         assert c.shape == py.shape == (8, len(_rollout_py.TRAIN_COLUMNS))
         assert c.tobytes() == py.tobytes()
         assert theta_c.tobytes() == theta_py.tobytes()
@@ -474,21 +481,13 @@ class TestLearningParity:
         assert c.tobytes() == py.tobytes()
         assert f"training episode {len(c) - 1}" in messages["c"][0]
         assert len(c) < 40 and not np.isfinite(theta_c).all()
-        assert not np.isfinite(c[-1, _rollout_py.TRAIN_COLUMNS.index("theta_norm")])
+        # Only the last episode left a weight non-finite, and only its norm is:
+        # the earlier ones stay finite past the square root of the largest double.
+        norms = c[:, _rollout_py.TRAIN_COLUMNS.index("theta_norm")]
+        assert np.isfinite(norms[:-1]).all()
+        assert norms[:-1].max() > np.sqrt(np.finfo(float).max)
+        assert not np.isfinite(norms[-1])
         assert theta_c.tobytes() == theta_py.tobytes()
-
-    @pytest.mark.parametrize("which", ["calibrated", "short"])
-    def test_replay_bit_identical(self, calibrated_scenario, short_scenario, which):
-        scenario = calibrated_scenario if which == "calibrated" else short_scenario
-        records = [run_episode(PolicySpec.baseline(8.0), scenario, s) for s in range(6)]
-        batch = _replay_batch(records, scenario)
-        theta0 = np.random.default_rng(17).normal(scale=1e-3, size=(2, N_FEATURES))
-        theta_c, theta_py = theta0.copy(), theta0.copy()
-        for _ in range(2):
-            replay_compiled(theta_c, *batch, 3e-3, scenario.reward.discount)
-            _rollout_py.replay(theta_py, *batch, 3e-3, scenario.reward.discount)
-            assert theta_c.tobytes() == theta_py.tobytes()
-        assert not np.array_equal(theta_c, theta0)
 
     def test_train_policy_same_weights_on_both_backends(self):
         # The whole training path (demos, warm start, online episodes) in a
@@ -536,6 +535,48 @@ class TestBuild:
             fastpath._compile(target)
         assert list(target.parent.iterdir()) == []  # no temporary file left behind
 
+    def test_a_build_deletes_the_stale_builds_but_no_temporary_file(self, tmp_path,
+                                                                      monkeypatch):
+        def compiler(command, **kwargs):
+            Path(command[command.index("-o") + 1]).write_bytes(b"built")
+
+        monkeypatch.setattr(subprocess, "run", compiler)
+        cache = tmp_path / "__pycache__"
+        cache.mkdir()
+        kept = [cache / "_rollout-111111111111.a1b2.tmp", cache / "learning.cpython-311.pyc"]
+        for path in kept + [cache / "_rollout-000000000000.so"]:
+            path.write_bytes(b"")
+        target = cache / "_rollout-222222222222.so"
+        fastpath._compile(target)
+        assert sorted(cache.iterdir()) == sorted(kept + [target])
+        assert target.read_bytes() == b"built"
+
+    @needs_compiled
+    def test_a_build_deleted_before_it_loads_is_built_again(self, tmp_path, monkeypatch):
+        # Another process's build deletes this one between the check and the load.
+        cached = fastpath._library_path()
+        target = tmp_path / "__pycache__" / cached.name
+        target.parent.mkdir()
+        shutil.copy(cached, target)
+        built = []
+
+        def build(path):
+            built.append(path)
+            shutil.copy(cached, path)
+
+        load = ctypes.CDLL
+
+        def racing_load(path):
+            if not built:
+                target.unlink()
+            return load(path)
+
+        monkeypatch.setattr(fastpath, "_library_path", lambda: target)
+        monkeypatch.setattr(fastpath, "_compile", build)
+        monkeypatch.setattr(ctypes, "CDLL", racing_load)
+        assert fastpath._load_kernel().rtsa_train is not None
+        assert built == [target]
+
     def test_missing_numpy_random_library_raises_os_error(self, tmp_path, monkeypatch):
         # The import turns this OSError into the Python fallback and its reason.
         missing = tmp_path / "libnpyrandom.a"
@@ -556,14 +597,12 @@ BACKENDS = [pytest.param("c", marks=needs_compiled), "python"]
 
 
 def kernels(backend):
-    """One backend's ``rollout``, ``batch``, ``train``, ``replay`` and ``wind_draws``."""
+    """One backend's ``rollout``, ``batch``, ``train`` and ``wind_draws``."""
     if backend == "c":
         return SimpleNamespace(rollout=rollout_compiled, batch=batch_compiled,
-                               train=train_compiled, replay=replay_compiled,
-                               wind_draws=wind_draws_compiled)
+                               train=train_compiled, wind_draws=wind_draws_compiled)
     return SimpleNamespace(rollout=_rollout_py.rollout, batch=_rollout_py.batch,
-                           train=_rollout_py.train, replay=_rollout_py.replay,
-                           wind_draws=sim.wind_draws)
+                           train=_rollout_py.train, wind_draws=sim.wind_draws)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -640,8 +679,6 @@ class TestArgumentChecks:
                                                          theta):
         with pytest.raises(ValueError, match="theta"):
             train_call(kernels(backend).train, calibrated_scenario, theta, [0.0])
-        with pytest.raises(ValueError, match="theta"):
-            kernels(backend).replay(theta, np.zeros((2, N_FEATURES)), [0, 0], [0.0, 0.0], [2], [1], 3e-3, 0.99)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "3", None])
     def test_training_seed_must_be_a_64_bit_integer(self, calibrated_scenario, backend, seed):
@@ -656,11 +693,13 @@ class TestArgumentChecks:
         theta = np.zeros((2, N_FEATURES))
         with pytest.raises(ValueError, match="epsilons"):
             kernels(backend).train(theta, 1.0, 0.99, 3e-3, epsilons, 0, wind=np.zeros((1, 8)),
+                                   policy_mode=fastpath.POLICY_WEIGHTS, delta=0.0,
                                    scales=calibrated_scenario.feature_scales, alert_penalty=0.05,
                                    **_kernel_scenario_args(calibrated_scenario))
 
     def test_training_needs_wind_only_for_episodes(self, calibrated_scenario, backend):
-        args = dict(scales=calibrated_scenario.feature_scales, alert_penalty=0.05,
+        args = dict(policy_mode=fastpath.POLICY_WEIGHTS, delta=0.0,
+                    scales=calibrated_scenario.feature_scales, alert_penalty=0.05,
                     **_kernel_scenario_args(calibrated_scenario))
         theta = np.zeros((2, N_FEATURES))
         assert kernels(backend).train(theta, 1.0, 0.99, 3e-3, [], 0, wind=np.zeros((0, 8)),
@@ -704,13 +743,6 @@ class TestArgumentChecks:
             kwargs["wind_params"] = kwargs.pop("wind")[0]
         with pytest.raises(ValueError, match="delta must .*shape"):
             getattr(kernels(backend), entry)(**kwargs)
-
-    @pytest.mark.parametrize("ends", [[1], [3], [2, 1, 2], [-1, 2], [[2]]])
-    def test_replay_ends_must_cover_the_rows(self, backend, ends):
-        phi = np.zeros((2, N_FEATURES))
-        with pytest.raises(ValueError, match="ends"):
-            kernels(backend).replay(np.zeros((2, N_FEATURES)), phi, [0, 0], [0.0, 0.0], ends,
-                                    np.ones(np.shape(ends), dtype=int), 3e-3, 0.99)
 
 
 def fuzzed(valid):
@@ -771,16 +803,14 @@ def test_kernel_wrappers_give_a_result_or_value_error(calibrated_scenario, data)
                 alert_penalty=scenario.reward.alert_penalty,
                 max_steps=data.draw(st.sampled_from([-1, 0, 1, 2400, MAX_STEPS + 1, 2**40]),
                                     label="max_steps"),
-                **{wind_key: wind[0] if entry == "rollout" else wind})
-    keys = ["env_min", "env_max", "waypoints", "scales", "theta", wind_key]
+                policy_mode=data.draw(st.sampled_from([-1, 0, 1, 2, 3]), label="policy_mode"),
+                delta=8.0, **{wind_key: wind[0] if entry == "rollout" else wind})
+    keys = ["env_min", "env_max", "waypoints", "scales", "theta", wind_key, "delta"]
     if entry == "train":
         args.update(theta=np.zeros((2, N_FEATURES)), epsilons=[0.1, 0.3, 1.0])
         keys.append("epsilons")
     else:
-        args.update(theta=random_weights(np.random.default_rng(3)), delta=8.0,
-                    policy_mode=data.draw(st.sampled_from([-1, 0, 1, 2, 3]),
-                                          label="policy_mode"))
-        keys.append("delta")
+        args.update(theta=random_weights(np.random.default_rng(3)))
     delta_key = None
     for key in data.draw(st.sets(st.sampled_from(keys), max_size=2), label="fuzzed"):
         if key == "delta":
@@ -803,15 +833,14 @@ def test_kernel_wrappers_give_a_result_or_value_error(calibrated_scenario, data)
 
     results = [call(backend) for backend in
                ["python"] + (["c"] if rollout_compiled is not None else [])]
-    if entry != "train":
-        # The baseline refuses every bad threshold; the other policies ignore
-        # their one number but refuse an array, as a rollout does.
-        delta = args["delta"]
-        several = np.ndim(delta) > 0 and (entry == "rollout"
-                                          or args["policy_mode"] != fastpath.POLICY_BASELINE)
-        bad = delta_key in BAD_DELTAS and args["policy_mode"] == fastpath.POLICY_BASELINE
-        if several or bad:
-            assert all(result is ValueError for result in results)
+    # The baseline refuses every bad threshold; the other policies ignore their
+    # one number but refuse an array, as a rollout and a learner do.
+    delta = args["delta"]
+    several = np.ndim(delta) > 0 and (entry != "batch"
+                                      or args["policy_mode"] != fastpath.POLICY_BASELINE)
+    bad = delta_key in BAD_DELTAS and args["policy_mode"] == fastpath.POLICY_BASELINE
+    if several or bad:
+        assert all(result is ValueError for result in results)
     for result in results:
         assert result is ValueError or _valid_result(entry, result, args["max_steps"],
                                                      args.get("delta"))

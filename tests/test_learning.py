@@ -14,7 +14,7 @@ from toy_mdp import (
     value_iteration,
 )
 from rtsa import _rollout_py, fastpath
-from rtsa._rollout_py import learn_episode, rollout
+from rtsa._rollout_py import rollout
 from rtsa.learning import (
     LearnConfig,
     Transition,
@@ -23,7 +23,7 @@ from rtsa.learning import (
     train,
     warm_start,
 )
-from rtsa.evaluation import PolicySpec, run_batch, run_episode
+from rtsa.evaluation import PolicySpec, run_episode
 from rtsa.policy import N_FEATURES, Action, random_weights
 from rtsa.sim import Verdict, wind_draws, wind_rows
 
@@ -37,10 +37,10 @@ def learning_backend(request, monkeypatch):
     if request.param == "c":
         if fastpath.train_compiled is None:
             pytest.skip(f"C kernel not loaded: {fastpath.FALLBACK_REASON}")
-        kernels = fastpath.train_compiled, fastpath.replay_compiled, fastpath.wind_draws_compiled
+        kernels = fastpath.train_compiled, fastpath.wind_draws_compiled
     else:
-        kernels = _rollout_py.train, _rollout_py.replay, wind_draws
-    for name, kernel in zip(("train", "replay", "wind_draws"), kernels):
+        kernels = _rollout_py.train, wind_draws
+    for name, kernel in zip(("train", "wind_draws"), kernels):
         monkeypatch.setattr(fastpath, name, kernel)
     return request.param
 
@@ -206,21 +206,21 @@ class TestEpsilonGreedy:
 class TestWarmStart:
     def test_rejects_empty_batch(self, calm_scenario):
         with pytest.raises(ValueError):
-            warm_start([], np.zeros((N_FEATURES, 2)), LearnConfig(), calm_scenario,
+            warm_start([], 8.0, np.zeros((N_FEATURES, 2)), LearnConfig(), calm_scenario,
                        calm_scenario.reward)
 
     def test_zero_passes_identity(self, calibrated_scenario):
-        records = [run_episode(PolicySpec.baseline(8.0), calibrated_scenario, s) for s in [0, 1]]
         theta0 = np.random.default_rng(15).normal(size=(N_FEATURES, 2))
         cfg = LearnConfig(warm_start_passes=0)
-        theta = warm_start(records, theta0, cfg, calibrated_scenario,
+        theta = warm_start([0, 1], 8.0, theta0, cfg, calibrated_scenario,
                            calibrated_scenario.reward)
         assert np.array_equal(theta, theta0)
 
-    def test_rejects_summary_records(self, calibrated_scenario):
-        records = run_batch(PolicySpec.baseline(8.0), calibrated_scenario, [0, 1])
-        with pytest.raises(ValueError, match="run_episode"):
-            warm_start(records, np.zeros((N_FEATURES, 2)), LearnConfig(), calibrated_scenario,
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf"), [8.0]])
+    def test_rejects_a_bad_threshold_even_with_zero_passes(self, calibrated_scenario, delta):
+        with pytest.raises(ValueError, match="delta"):
+            warm_start([0, 1], delta, np.zeros((N_FEATURES, 2)),
+                       LearnConfig(warm_start_passes=0), calibrated_scenario,
                        calibrated_scenario.reward)
 
     def test_single_exit_transition_sign(self, calm_scenario):
@@ -231,10 +231,8 @@ class TestWarmStart:
         assert np.all(theta[:, Action.CONTINUE] < 0)
 
     def test_deterministic(self, calibrated_scenario):
-        records = [run_episode(PolicySpec.baseline(8.0), calibrated_scenario, s)
-                   for s in [0, 1, 2]]
         cfg = LearnConfig()
-        args = (records, np.zeros((N_FEATURES, 2)), cfg, calibrated_scenario,
+        args = ([0, 1, 2], 8.0, np.zeros((N_FEATURES, 2)), cfg, calibrated_scenario,
                 calibrated_scenario.reward)
         assert np.array_equal(warm_start(*args), warm_start(*args))
 
@@ -315,9 +313,8 @@ class TestLearnConfig:
     )
     def test_warm_start_refuses_an_invalid_config(self, calibrated_scenario,
                                                   learning_backend, cfg, field):
-        records = run_batch(PolicySpec.baseline(8.0), calibrated_scenario, [0, 1])
         with pytest.raises(ValueError, match=field):
-            warm_start(records, np.zeros((N_FEATURES, 2)), cfg, calibrated_scenario,
+            warm_start([0, 1], 8.0, np.zeros((N_FEATURES, 2)), cfg, calibrated_scenario,
                        calibrated_scenario.reward)
 
     @pytest.mark.parametrize("alert_penalty", [-1.0, 0.0, float("nan"), float("inf")])
@@ -328,9 +325,9 @@ class TestLearnConfig:
         with pytest.raises(ValueError, match="alert_penalty"):
             train(calibrated_scenario, rc, LearnConfig(episodes=2), np.zeros((N_FEATURES, 2)),
                   wind_seeds=range(2))
-        records = run_batch(PolicySpec.baseline(8.0), calibrated_scenario, [0, 1])
         with pytest.raises(ValueError, match="alert_penalty"):
-            warm_start(records, np.zeros((N_FEATURES, 2)), LearnConfig(), calibrated_scenario, rc)
+            warm_start([0, 1], 8.0, np.zeros((N_FEATURES, 2)), LearnConfig(),
+                       calibrated_scenario, rc)
 
 
 class TestTrain:
@@ -422,13 +419,15 @@ class TestOracleParity:
 
     @pytest.mark.parametrize("which", ["calibrated", "short"])
     def test_warm_start_matches_object_replay(self, calibrated_scenario, short_scenario,
-                                              which):
+                                              learning_backend, which):
+        # The kernel flies the demos itself; the oracle replays run_episode's
+        # records of the same seeds.
         scenario = calibrated_scenario if which == "calibrated" else short_scenario
         records = [run_episode(PolicySpec.baseline(8.0), scenario, s) for s in range(4)]
         assert len({r.outcome for r in records}) > 1
         theta0 = np.random.default_rng(17).normal(scale=1e-3, size=(N_FEATURES, 2))
         cfg = LearnConfig(warm_start_passes=2)
-        theta = warm_start(records, theta0, cfg, scenario, scenario.reward)
+        theta = warm_start(range(4), 8.0, theta0, cfg, scenario, scenario.reward)
         ref = learning_oracle.warm_start(records, theta0, cfg, scenario, scenario.reward)
         np.testing.assert_allclose(theta, ref, rtol=THETA_RTOL, atol=THETA_ATOL)
 
@@ -443,11 +442,14 @@ class TestOracleParity:
         traj, outcome, deploy_step = rollout(policy_mode=fastpath.POLICY_WEIGHTS, delta=0.0,
                                              theta=theta, **args)
         columns = np.array(theta.T, order="C")
-        ret, l_outcome, l_deploy, deploy_greedy, steps, _, _ = learn_episode(
-            theta=columns, exit_penalty=1.0, discount=scenario.reward.discount,
-            learning_rate=0.0, epsilon=0.0, rng=np.random.default_rng(0), **args)
-        assert (l_outcome, l_deploy, steps) == (outcome, deploy_step, len(traj) - 1)
-        assert deploy_greedy is (None if deploy_step < 0 else True)
+        wind = args.pop("wind_params")[None]
+        (row,) = _rollout_py.train(columns, 1.0, scenario.reward.discount, 0.0, [0.0], 0,
+                                   wind=wind, policy_mode=fastpath.POLICY_WEIGHTS, delta=0.0,
+                                   **args)
+        row = dict(zip(_rollout_py.TRAIN_COLUMNS, row.tolist()))
+        assert (row["outcome"], row["deploy_step"], row["steps"]) == (outcome, deploy_step,
+                                                                       len(traj) - 1)
+        assert row["deploy_greedy"] == (-1 if deploy_step < 0 else 1)
         assert np.array_equal(columns.T, theta)
 
 
@@ -469,8 +471,7 @@ class TestDivergence:
 
     def test_warm_start_raises_on_non_finite_weights(self, calibrated_scenario,
                                                      learning_backend):
-        records = [run_episode(PolicySpec.baseline(8.0), calibrated_scenario, s) for s in [0, 1]]
         cfg = LearnConfig(learning_rate=1e6)
         with pytest.raises(RuntimeError, match=r"warm-start pass \d+"):
-            warm_start(records, np.zeros((N_FEATURES, 2)), cfg, calibrated_scenario,
+            warm_start([0, 1], 8.0, np.zeros((N_FEATURES, 2)), cfg, calibrated_scenario,
                        calibrated_scenario.reward)
