@@ -405,31 +405,9 @@ def train_call(backend, scenario, theta, epsilons, seeds=range(8), seed=3,
 
 @needs_compiled
 class TestLearningParity:
-    @pytest.mark.parametrize(
-        "which,delta,epsilon,verdicts,greedy",
-        [
-            ("calibrated", None, 0.0, {Verdict.COMPLETED, Verdict.EXITED, Verdict.GROUNDED},
-             {-1, 1}),
-            ("calibrated", None, 0.02, {Verdict.EXITED, Verdict.GROUNDED}, {-1, 1, 0}),
-            ("calibrated", None, 1.0, {Verdict.GROUNDED}, {0}),
-            ("short", None, 0.0, {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED}, {-1, 1}),
-            ("short", None, 0.02, {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED},
-             {-1, 1, 0}),
-            ("short", None, 1.0, {Verdict.GROUNDED}, {0}),
-            # Warm start: the baseline switch, which never explores.
-            ("calibrated", 4.0, 0.0, {Verdict.COMPLETED, Verdict.EXITED}, {-1, 1}),
-            ("calibrated", 8.0, 0.0, {Verdict.EXITED, Verdict.GROUNDED}, {1}),
-            ("short", 8.0, 0.0, {Verdict.TIMEOUT, Verdict.EXITED}, {-1, 1}),
-        ],
-    )
-    def test_train_bit_identical(self, calibrated_scenario, short_scenario, which, delta,
-                                 epsilon, verdicts, greedy):
+    @staticmethod
+    def assert_bit_identical(scenario, epsilon, verdicts, greedy, **policy):
         # Eight episodes in a row, each backend carrying its own weights forward.
-        # Each episode's exploration stream is made for it and dropped after it,
-        # so what it drew shows only in the rows and the weights.
-        scenario = calibrated_scenario if which == "calibrated" else short_scenario
-        policy = ({} if delta is None
-                  else dict(policy_mode=fastpath.POLICY_BASELINE, delta=delta))
         theta_c, theta_py = np.zeros((2, N_FEATURES)), np.zeros((2, N_FEATURES))
         c = train_call(train_compiled, scenario, theta_c, [epsilon] * 8, **policy)
         py = train_call(_rollout_py.train, scenario, theta_py, [epsilon] * 8, **policy)
@@ -442,6 +420,39 @@ class TestLearningParity:
         for name in ("max_abs_td_error", "theta_norm"):
             assert np.all(columns[name] >= 0.0) and np.any(columns[name] > 0.0)
         assert np.any(theta_c != 0.0)
+
+    @pytest.mark.parametrize(
+        "which,epsilon,verdicts,greedy",
+        [
+            ("calibrated", 0.0, {Verdict.COMPLETED, Verdict.EXITED, Verdict.GROUNDED}, {-1, 1}),
+            ("calibrated", 0.02, {Verdict.EXITED, Verdict.GROUNDED}, {-1, 1, 0}),
+            ("calibrated", 1.0, {Verdict.GROUNDED}, {0}),
+            ("short", 0.0, {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED}, {-1, 1}),
+            ("short", 0.02, {Verdict.TIMEOUT, Verdict.EXITED, Verdict.GROUNDED}, {-1, 1, 0}),
+            ("short", 1.0, {Verdict.GROUNDED}, {0}),
+        ],
+    )
+    def test_train_bit_identical(self, calibrated_scenario, short_scenario, which, epsilon,
+                                 verdicts, greedy):
+        # Each episode's exploration stream is made for it and dropped after it,
+        # so what it drew shows only in the rows and the weights.
+        scenario = calibrated_scenario if which == "calibrated" else short_scenario
+        self.assert_bit_identical(scenario, epsilon, verdicts, greedy)
+
+    @pytest.mark.parametrize(
+        "which,delta,verdicts,greedy",
+        [
+            ("calibrated", 4.0, {Verdict.COMPLETED, Verdict.EXITED}, {-1, 1}),
+            ("calibrated", 8.0, {Verdict.EXITED, Verdict.GROUNDED}, {1}),
+            ("short", 8.0, {Verdict.TIMEOUT, Verdict.EXITED}, {-1, 1}),
+        ],
+    )
+    def test_warm_start_bit_identical(self, calibrated_scenario, short_scenario, which, delta,
+                                      verdicts, greedy):
+        # Warm start: the baseline switch, which never explores.
+        scenario = calibrated_scenario if which == "calibrated" else short_scenario
+        self.assert_bit_identical(scenario, 0.0, verdicts, greedy,
+                                  policy_mode=fastpath.POLICY_BASELINE, delta=delta)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
     def test_training_log_and_weights_equal_on_both_backends(self, calibrated_scenario,
@@ -724,25 +735,43 @@ class TestArgumentChecks:
         batch = kernels(backend).batch
         assert batch(**{**kwargs, **frozen}).tobytes() == batch(**kwargs).tobytes()
 
-    @pytest.mark.parametrize("delta", BAD_DELTAS.values(), ids=BAD_DELTAS.keys())
-    @pytest.mark.parametrize("entry", ["rollout", "batch"])
-    def test_bad_threshold_raises_value_error(self, calibrated_scenario, backend, entry, delta):
-        kwargs = sweep_kwargs(calibrated_scenario, (8.0,), range(3))
-        kwargs["delta"] = delta
+    @staticmethod
+    def call_entry(scenario, backend, entry, policy_mode, delta):
+        """``entry`` of ``backend`` on three seeds of ``scenario`` under the given policy."""
+        if entry == "train":
+            return train_call(kernels(backend).train, scenario, np.zeros((2, N_FEATURES)),
+                              [0.0] * 3, policy_mode=policy_mode, delta=delta)
+        kwargs = {**sweep_kwargs(scenario, (8.0,), range(3)), "policy_mode": policy_mode,
+                  "delta": delta}
         if entry == "rollout":
             kwargs["wind_params"] = kwargs.pop("wind")[0]
-        with pytest.raises(ValueError, match="delta"):
-            getattr(kernels(backend), entry)(**kwargs)
+        return getattr(kernels(backend), entry)(**kwargs)
 
-    @pytest.mark.parametrize("entry", ["rollout", "batch"])
+    @pytest.mark.parametrize("delta", BAD_DELTAS.values(), ids=BAD_DELTAS.keys())
+    @pytest.mark.parametrize("entry", ["rollout", "batch", "train"])
+    def test_bad_threshold_raises_value_error(self, calibrated_scenario, backend, entry, delta):
+        with pytest.raises(ValueError, match="delta"):
+            self.call_entry(calibrated_scenario, backend, entry, fastpath.POLICY_BASELINE, delta)
+
+    @pytest.mark.parametrize("entry", ["rollout", "batch", "train"])
     @pytest.mark.parametrize("mode", [fastpath.POLICY_NOMINAL, fastpath.POLICY_WEIGHTS])
     def test_only_the_baseline_takes_several_thresholds(self, calibrated_scenario, backend,
                                                         entry, mode):
-        kwargs = {**sweep_kwargs(calibrated_scenario, (1.0, 8.0), range(3)), "policy_mode": mode}
-        if entry == "rollout":
-            kwargs["wind_params"] = kwargs.pop("wind")[0]
         with pytest.raises(ValueError, match="delta must .*shape"):
-            getattr(kernels(backend), entry)(**kwargs)
+            self.call_entry(calibrated_scenario, backend, entry, mode, (1.0, 8.0))
+
+    def test_the_learner_flies_the_baseline_on_one_threshold_only(self, calibrated_scenario,
+                                                                  backend):
+        # A warm-start pass flies one switch; a sweep of several is the batch's job.
+        with pytest.raises(ValueError, match="delta must .*shape"):
+            self.call_entry(calibrated_scenario, backend, "train", fastpath.POLICY_BASELINE,
+                            (1.0, 8.0))
+
+    @pytest.mark.parametrize("mode", [3, 7, -1])
+    def test_the_learner_refuses_an_unknown_policy_mode(self, calibrated_scenario, backend,
+                                                        mode):
+        with pytest.raises(ValueError, match="policy_mode"):
+            self.call_entry(calibrated_scenario, backend, "train", mode, 8.0)
 
 
 def fuzzed(valid):
