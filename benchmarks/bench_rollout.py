@@ -32,8 +32,8 @@ import numpy as np
 
 from rtsa import _rollout_py, fastpath
 from rtsa._rollout_py import rollout as rollout_python
-from rtsa.evaluation import PolicySpec
-from rtsa.policy import N_FEATURES, Action, random_weights
+from rtsa.evaluation import PolicySpec, _kernel_args
+from rtsa.policy import N_FEATURES, random_weights
 from rtsa.scenario import default_scenario
 from rtsa.sim import wind_draws, wind_rows
 
@@ -48,27 +48,13 @@ def seed_wind(scenario, seed):
     return wind_rows(wind_draws([seed]), scenario.sim)[0]
 
 
-def policy_args(scenario, policy):
-    """The kernels' keyword arguments for ``policy``, all but the wind."""
-    theta = policy.theta if policy.theta is not None else np.zeros((N_FEATURES, len(Action)))
-    return dict(
-        policy_mode=policy._mode(),
-        delta=policy.delta,
-        theta=theta,
-        scales=scenario.feature_scales,
-        alert_penalty=scenario.reward.alert_penalty,
-        **fastpath.scenario_args(scenario),
-    )
-
-
 def episode_args(scenario, seed, policy):
-    return dict(wind_params=seed_wind(scenario, seed), **policy_args(scenario, policy))
+    return dict(wind_params=seed_wind(scenario, seed), **_kernel_args(policy, scenario))
 
 
 def learn_args(scenario, seeds):
     """``train``'s arguments but the weights: one episode per seed at TRAIN_EPSILON."""
     return dict(
-        exit_penalty=scenario.reward.exit_penalty,
         discount=scenario.reward.discount,
         learning_rate=LEARNING_RATE,
         epsilons=[TRAIN_EPSILON] * len(seeds),
@@ -121,7 +107,7 @@ def bench_batch(scenario, policy, seeds, repeats):
     loop draws each seed's wind row, as ``run_batch`` and ``run_episode`` do.
     Returns (batch episodes/s, loop episodes/s, batch summaries, loop results).
     """
-    fixed = policy_args(scenario, policy)
+    fixed = _kernel_args(policy, scenario)
     best_batch = best_loop = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -141,7 +127,7 @@ def bench_sweep(scenario, seeds, repeats):
     Returns (sweep seconds, per-delta seconds, sweep summaries, the per-delta
     summaries stacked in the same (k, n, 4) layout).
     """
-    fixed = policy_args(scenario, PolicySpec.baseline(SWEEP_DELTAS[0]))
+    fixed = _kernel_args(PolicySpec.baseline(SWEEP_DELTAS[0]), scenario)
     del fixed["delta"]
     wind = wind_rows(wind_draws(seeds), scenario.sim)
     best_sweep = best_each = float("inf")
@@ -159,7 +145,7 @@ def bench_workers(scenario, policy, seeds, workers, repeats):
     """Best seconds of one C batch call over ``seeds`` on ``workers`` threads, and its
     summaries. Calls ``rtsa_batch`` directly, as ``fastpath.batch_compiled`` does with
     ``fastpath.batch_workers`` threads."""
-    args = policy_args(scenario, policy)
+    args = _kernel_args(policy, scenario)
     mode, delta, theta = args.pop("policy_mode"), args.pop("delta"), args.pop("theta")
     params, n_waypoints, steps = _rollout_py.pack(mode, **args)
     deltas = _rollout_py.thresholds(mode, delta)

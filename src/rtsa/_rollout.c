@@ -316,7 +316,9 @@ static inline state_t start_state(const path_t *path)
  * The episode loop behind rtsa_rollout and rtsa_batch (learn = 0) and
  * rtsa_train (learn = 1), along `path` in the wind of the 8 values at
  * `wind`, from the undeployed state `*state`. The baseline policy deploys
- * outside the box or within `delta` of its boundary.
+ * outside the box or within `delta` of its boundary. A step that leaves the
+ * box earns -1 (the exit penalty, which a scenario fixes at 1), else the
+ * first deployment earns -alert_penalty, else a step earns 0.
  * `theta` is read into a local copy; when learning, the updated copy is
  * written back to `theta_out`. Rows 0..out[0] of `traj`, if not NULL, get
  * (t, px, py, pz, vx, vy, vz, action, reward), row k for step k. On return
@@ -329,8 +331,8 @@ static inline state_t start_state(const path_t *path)
 static inline __attribute__((always_inline)) void
 episode(const double *p, const path_t *path, int policy_mode, int max_steps, double delta,
         const double *wind, const double *theta, const int learn, double *theta_out,
-        double exit_penalty, double discount, double learning_rate, double epsilon,
-        bitgen_t *bitgen, state_t *state, const int fork, double *traj, int *out, double *dout)
+        double discount, double learning_rate, double epsilon, bitgen_t *bitgen,
+        state_t *state, const int fork, double *traj, int *out, double *dout)
 {
     const double *env_min = p + P_ENV_MIN, *env_max = p + P_ENV_MAX;
     const double exn0 = env_min[0], exn1 = env_min[1], exn2 = env_min[2];
@@ -524,7 +526,7 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
 
         const int outside = !inside_box(env_min, env_max, npx, npy, npz);
         if (outside)
-            r = -exit_penalty;
+            r = -1.0;
         else if (fresh_deploy)
             r = -alert_penalty;
         else
@@ -610,7 +612,7 @@ int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_step
     if (status)
         return status;
     state_t start = start_state(&path);
-    episode(p, &path, policy_mode, max_steps, delta, wind, theta, 0, NULL, 1.0, 1.0, 0.0, 0.0,
+    episode(p, &path, policy_mode, max_steps, delta, wind, theta, 0, NULL, 1.0, 0.0, 0.0,
             NULL, &start, 0, traj, out, NULL);
     path_free(&path);
     return 0;
@@ -635,11 +637,11 @@ static void sweep_row(const batch_job *job, int row)
     int stop[4], k = job->n_deltas - 1;
     for (; k >= 0; k--) {
         episode(job->p, job->path, POLICY_BASELINE, job->max_steps, job->deltas[k], wind,
-                job->theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL, &trunk, 1, NULL, stop, NULL);
+                job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, &trunk, 1, NULL, stop, NULL);
         if (stop[1])
             break; /* ended before deploying: so it does at every narrower threshold */
         episode(job->p, job->path, POLICY_BASELINE, job->max_steps, job->deltas[k], wind,
-                job->theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL, &trunk, 0, NULL,
+                job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, &trunk, 0, NULL,
                 job->out + 4 * ((size_t)k * job->n + row), NULL);
     }
     for (; k >= 0; k--)
@@ -655,7 +657,7 @@ static void *batch_worker(void *arg)
         } else {
             state_t start = start_state(job->path);
             episode(job->p, job->path, job->policy_mode, job->max_steps, 0.0,
-                    job->wind + 8 * (size_t)i, job->theta, 0, NULL, 1.0, 1.0, 0.0, 0.0, NULL,
+                    job->wind + 8 * (size_t)i, job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL,
                     &start, 0, NULL, job->out + 4 * (size_t)i, NULL);
         }
     }
@@ -744,7 +746,8 @@ static double euclidean_norm(const double *w, int n)
 
 /*
  * Run n_episodes Q-learning episodes in a row under the policy `policy_mode`
- * (baseline threshold `delta`), updating `theta` in place at every step.
+ * (baseline threshold `delta`), updating `theta` in place by a TD update at
+ * `discount` and `learning_rate` at every step.
  * Episode ep flies in wind row ep % n_wind of `wind` (n_wind x 8) at
  * exploration rate epsilons[ep], and draws from the stream
  * np.random.default_rng([seed, ep]) would give: under the weights policy,
@@ -757,8 +760,8 @@ static double euclidean_norm(const double *w, int n)
  */
 int64_t rtsa_train(const double *p, int n_waypoints, int policy_mode, int max_steps,
                    double delta, const double *wind, int64_t n_wind, double *theta,
-                   double exit_penalty, double discount, double learning_rate,
-                   const double *epsilons, int64_t n_episodes, uint64_t seed, double *rows)
+                   double discount, double learning_rate, const double *epsilons,
+                   int64_t n_episodes, uint64_t seed, double *rows)
 {
     path_t path;
     const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
@@ -776,8 +779,8 @@ int64_t rtsa_train(const double *p, int n_waypoints, int policy_mode, int max_st
         int out[4];
         double dout[3];
         episode(p, &path, policy_mode, max_steps, delta, wind + 8 * (size_t)(ep % n_wind), theta,
-                1, theta, exit_penalty, discount, learning_rate, epsilons[ep], &bitgen, &start, 0,
-                NULL, out, dout);
+                1, theta, discount, learning_rate, epsilons[ep], &bitgen, &start, 0, NULL, out,
+                dout);
         for (int i = 0; i < 2 * N_FEATURES; i++)
             finite &= isfinite(theta[i]) != 0;
         double *row = rows + TRAIN_ROW * (size_t)ep;

@@ -11,9 +11,10 @@ the same functions as the twins here.
 
 ``_episode`` is the one scalar episode loop: wind, the one-way meta
 decision, pure pursuit with a PD command or the parachute, the
-semi-implicit Euler step with its ground clamp, the reward and the
-termination chain. It reads the packed array by the ``P_*`` offsets, as
-``episode`` in ``_rollout.c`` does. Three entry points drive it:
+semi-implicit Euler step with its ground clamp, the reward (an exit costs
+-1, as a scenario fixes the exit penalty at 1) and the termination chain.
+It reads the packed array by the ``P_*`` offsets, as ``episode`` in
+``_rollout.c`` does. Three entry points drive it:
 
 - ``rollout`` runs one episode under a fixed policy (never-deploy,
   distance-threshold, or greedy linear weights) and records its trajectory.
@@ -26,11 +27,12 @@ termination chain. It reads the packed array by the ``P_*`` offsets, as
   the next narrower threshold.
 - ``train`` runs Q-learning episodes in a row under one of those policies,
   applying ``td_update``, the linear TD rule on weight columns held as float
-  lists, to the weights at every step. Under the weights policy an episode
-  explores epsilon-greedily on ``np.random.default_rng([seed, ep])``: that
-  is online training. A warm-start pass is one call under the baseline,
-  which never explores: a baseline episode does not depend on the weights,
-  so each pass flies the same demos through the same updates.
+  lists, to the weights at every step at the given discount and learning
+  rate. Under the weights policy an episode explores epsilon-greedily on
+  ``np.random.default_rng([seed, ep])``: that is online training. A
+  warm-start pass is one call under the baseline, which never explores: a
+  baseline episode does not depend on the weights, so each pass flies the
+  same demos through the same updates.
 
 Each entry point has a C twin in ``_rollout.c`` (``rtsa_rollout``,
 ``rtsa_batch``, ``rtsa_train``) that performs the same arithmetic in the
@@ -302,19 +304,19 @@ def _start(p):
     return [0.0, p[P_WAYPOINTS], p[P_WAYPOINTS + 1], p[P_WAYPOINTS + 2], 0.0, 0.0, 0.0, 0]
 
 
-def train(theta, exit_penalty, discount, learning_rate, epsilons, seed, *, wind, policy_mode,
-          delta, **scenario):
+def train(theta, discount, learning_rate, epsilons, seed, *, wind, policy_mode, delta,
+          **scenario):
     """Run one Q-learning episode per value of ``epsilons``, in order, updating ``theta``.
 
     ``theta`` is the (2, 9) array of weight columns (continue, deploy) and
-    gets one ``td_update`` per step. Episode ep flies in row ep % n of
-    ``wind`` (n, 8) under the policy ``policy_mode`` with the one threshold
-    ``delta``, as ``rollout`` would. Under the weights policy it acts
-    epsilon-greedily at rate ``epsilons[ep]`` on
-    ``np.random.default_rng([seed, ep])``: until the switch flips, each step
-    draws ``rng.random()`` (only when epsilon > 0) and, on an exploring step,
-    ``rng.integers(2)``, the draws ``learning.epsilon_greedy`` makes. The
-    other policies draw nothing.
+    gets one ``td_update`` at ``discount`` and ``learning_rate`` per step.
+    Episode ep flies in row ep % n of ``wind`` (n, 8) under the policy
+    ``policy_mode`` with the one threshold ``delta``, as ``rollout`` would.
+    Under the weights policy it acts epsilon-greedily at rate
+    ``epsilons[ep]`` on ``np.random.default_rng([seed, ep])``: until the
+    switch flips, each step draws ``rng.random()`` (only when epsilon > 0)
+    and, on an exploring step, ``rng.integers(2)``, the draws
+    ``learning.epsilon_greedy`` makes. The other policies draw nothing.
 
     Returns a float64 array with one ``TRAIN_COLUMNS`` row per episode run:
     it stops after the first episode that leaves a weight non-finite.
@@ -331,8 +333,7 @@ def train(theta, exit_penalty, discount, learning_rate, epsilons, seed, *, wind,
         rng = np.random.default_rng([seed, ep]) if epsilon > 0.0 else None  # else never drawn
         ret, outcome, deploy_step, deploy_greedy, steps, norm2_max, error_max = _episode(
             p, n_waypoints, policy_mode, max_steps, threshold, winds[ep % len(winds)], columns,
-            exit_penalty=exit_penalty, discount=discount, learning_rate=learning_rate,
-            epsilon=epsilon, rng=rng)
+            discount=discount, learning_rate=learning_rate, epsilon=epsilon, rng=rng)
         weights = columns[0] + columns[1]
         rows[ep] = (ret, outcome, deploy_step, -1 if deploy_greedy is None else deploy_greedy,
                     steps, norm2_max, error_max, weights_norm(weights))
@@ -364,14 +365,15 @@ def weights_norm(weights):
 
 
 def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, state=None,
-             fork=False, exit_penalty=1.0, discount=1.0, learning_rate=None, epsilon=0.0,
-             rng=None, traj=None):
+             fork=False, discount=1.0, learning_rate=None, epsilon=0.0, rng=None, traj=None):
     """The episode loop behind ``rollout``, ``batch`` and ``train``.
 
     ``p`` is ``pack``'s array as a float list, ``wind`` the 8 wind values
     and ``theta`` (continue column, deploy column), all float lists. The
     baseline policy deploys outside the box or within ``delta`` of its
-    boundary. The episode starts from the undeployed ``state``, a list
+    boundary. A step that leaves the box earns -1 (the exit penalty, which
+    a scenario fixes at 1), else the first deployment earns -alert_penalty,
+    else 0. The episode starts from the undeployed ``state``, a list
     ``[t, px, py, pz, vx, vy, vz, steps taken]`` (``_start(p)`` if None).
     Unless ``learning_rate`` is None, every step ends in a ``td_update`` of
     the columns. In the weights mode, an ``epsilon`` > 0 makes each
@@ -581,7 +583,7 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
 
         outside = not (exn0 <= npx <= exx0 and exn1 <= npy <= exx1 and exn2 <= npz <= exx2)
         if outside:
-            r = -exit_penalty
+            r = -1.0
         elif fresh_deploy:
             r = -alert_penalty
         else:

@@ -3,7 +3,10 @@
 Artifacts are JSON (scenario, weights) and CSV (logs, confusion matrices,
 SOC sweeps). Every CSV starts with a comment row recording the scenario hash
 and the seeds that produced it, so artifacts are self-describing. All
-randomness flows from explicit seeds; there is no wall-clock entropy.
+randomness flows from explicit seeds; there is no wall-clock entropy. Bad
+input ends in exit code 2 and one ``error:`` line on stderr: ``main`` maps
+every ``CliError``, ``ValueError`` (``ScenarioError`` among them),
+``RuntimeError`` and ``OSError`` to it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from .evaluation import (
 )
 from .learning import LearnConfig, train, warm_start
 from .policy import load_weights, save_weights, N_FEATURES, Action
-from .scenario import Scenario, ScenarioError, load_scenario, save_scenario
+from .scenario import Scenario, load_scenario, save_scenario
+from .sim import MAX_EPISODES
 
 
 class CliError(Exception):
@@ -39,7 +43,7 @@ def _default_scenario_path() -> str:
     return str(resources.files("rtsa").joinpath("data/demo_scenario.json"))
 
 
-def _parse_policy(spec: str, required_shape=(N_FEATURES, len(Action))) -> PolicySpec:
+def _parse_policy(spec: str) -> PolicySpec:
     if spec == "nominal":
         return PolicySpec.nominal()
     if spec.startswith("baseline:"):
@@ -48,26 +52,31 @@ def _parse_policy(spec: str, required_shape=(N_FEATURES, len(Action))) -> Policy
         except ValueError as exc:
             raise CliError(f"bad baseline threshold in policy spec {spec!r}: {exc}") from exc
     if spec.startswith("weights:"):
-        path = spec.split(":", 1)[1]
-        try:
-            return PolicySpec.weights(load_weights(path))
-        except FileNotFoundError as exc:
-            raise CliError(f"weights file not found: {path}") from exc
+        return PolicySpec.weights(load_weights(spec.split(":", 1)[1]))
     raise CliError(
         f"unknown policy spec {spec!r}; expected nominal, baseline:<delta> or weights:<path>"
     )
 
 
-def _parse_seed_range(text: str):
-    """Parse 'A..B' as the half-open integer range [A, B)."""
+def _parse_seed_range(option: str, text: str):
+    """Parse the ``option`` value 'A..B' as the half-open integer range [A, B)."""
     try:
         a, b = text.split("..")
         a, b = int(a), int(b)
     except ValueError as exc:
-        raise CliError(f"bad seed range {text!r}; expected START..STOP") from exc
+        raise CliError(f"{option}: bad seed range {text!r}; expected START..STOP") from exc
     if b <= a:
-        raise CliError(f"empty seed range {text!r}")
+        raise CliError(f"{option}: empty seed range {text!r}")
+    if b - a > MAX_EPISODES:
+        raise CliError(f"{option}: seed range {text!r} holds more than {MAX_EPISODES} seeds")
     return list(range(a, b))
+
+
+def _episode_count(episodes: int) -> int:
+    """``--episodes``, refused above MAX_EPISODES before any seed list is built."""
+    if episodes > MAX_EPISODES:
+        raise CliError(f"--episodes must be at most {MAX_EPISODES}, got {episodes}")
+    return episodes
 
 
 def _parse_float_list(text: str):
@@ -75,15 +84,6 @@ def _parse_float_list(text: str):
         return [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise CliError(f"bad numeric list {text!r}") from exc
-
-
-def _load(path: str) -> Scenario:
-    try:
-        return load_scenario(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"scenario file not found: {path}") from exc
-    except ScenarioError as exc:
-        raise CliError(str(exc)) from exc
 
 
 def _learn_config(**kwargs) -> LearnConfig:
@@ -129,8 +129,8 @@ def _write_confusion(path, scenario: Scenario, seeds_note: str, rows):
 
 
 def cmd_calibrate(args) -> int:
-    scenario = _load(args.scenario)
-    seeds = list(range(args.seed, args.seed + args.episodes))
+    scenario = load_scenario(args.scenario)
+    seeds = list(range(args.seed, args.seed + _episode_count(args.episodes)))
     result = calibrate_wind(scenario, args.target, seeds)
     print(
         f"calibrated wind_sigma={result.wind_sigma:.4f} gust_sigma={result.gust_sigma:.4f} "
@@ -144,7 +144,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     policy = _parse_policy(args.policy)
     record = run_episode(policy, scenario, args.seed)
     print(
@@ -161,10 +161,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_warmstart(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     cfg = _learn_config(seed=args.seed, warm_start_passes=args.passes,
                         learning_rate=args.learning_rate)
-    seeds = range(args.seed, args.seed + args.episodes)
+    seeds = range(args.seed, args.seed + _episode_count(args.episodes))
     theta0 = np.zeros((N_FEATURES, len(Action)))
     theta = warm_start(seeds, args.delta, theta0, cfg, scenario, scenario.reward)
     save_weights(theta, args.out)
@@ -173,14 +173,11 @@ def cmd_warmstart(args) -> int:
 
 
 def cmd_train(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     rc = replace(scenario.reward, alert_penalty=args.alert_penalty)
     cfg = _learn_config(seed=args.seed, episodes=args.episodes,
                         learning_rate=args.learning_rate)
-    try:
-        theta0 = load_weights(args.init)
-    except FileNotFoundError:
-        raise CliError(f"initial weights file not found: {args.init}")
+    theta0 = load_weights(args.init)
     theta, log = train(scenario, rc, cfg, theta0)
     save_weights(theta, args.out)
     print(f"trained {len(log)} episodes -> {args.out}")
@@ -207,9 +204,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     policy = _parse_policy(args.policy)
-    seeds = _parse_seed_range(args.seeds)
+    seeds = _parse_seed_range("--seeds", args.seeds)
     records = run_batch(policy, scenario, seeds)
     cm = confusion(records, scenario.envelope)
     print(
@@ -224,11 +221,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_soc(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     deltas = sorted(_parse_float_list(args.baseline_deltas))
     penalties = _parse_float_list(args.alert_penalties)
-    seeds_train = _parse_seed_range(args.train_seeds)
-    seeds_eval = _parse_seed_range(args.eval_seeds)
+    seeds_train = _parse_seed_range("--train-seeds", args.train_seeds)
+    seeds_eval = _parse_seed_range("--eval-seeds", args.eval_seeds)
     if set(seeds_train) & set(seeds_eval):
         raise CliError("train and eval seed ranges overlap")
     cfg = _learn_config(seed=args.seed, episodes=args.episodes,
@@ -342,7 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, RuntimeError) as exc:
+    except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

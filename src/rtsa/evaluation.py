@@ -18,7 +18,10 @@ face identical wind realizations. Episodes run on the fastpath kernels
 
 Both paths give the same outcomes and deploy steps for the same seeds. A
 seed is an integer in [0, 2**64) (``sim.seed_array``); any other raises
-ValueError before an episode runs.
+ValueError before an episode runs. Episodes are charged the scenario's own
+``reward.alert_penalty``. Only a trajectory's reward column shows it: no
+outcome or deploy step depends on it, so a summary carries no reward.
+``train_policy`` alone takes an alert penalty of its own, to learn at.
 """
 
 from __future__ import annotations
@@ -168,23 +171,19 @@ class CalibrationResult:
 _kernel_scenario_args = fastpath.scenario_args
 
 
-def _kernel_args(policy: PolicySpec, scenario: Scenario,
-                 alert_penalty: Optional[float]) -> dict:
+def _kernel_args(policy: PolicySpec, scenario: Scenario) -> dict:
     """The episode kernels' keyword arguments for ``policy``, all but the wind."""
     theta = policy.theta if policy.theta is not None else np.zeros((N_FEATURES, len(Action)))
-    if alert_penalty is None:
-        alert_penalty = scenario.reward.alert_penalty
     return dict(policy_mode=policy._mode(), delta=policy.delta, theta=theta,
-                scales=scenario.feature_scales, alert_penalty=alert_penalty,
+                scales=scenario.feature_scales, alert_penalty=scenario.reward.alert_penalty,
                 **fastpath.scenario_args(scenario))
 
 
-def run_episode(policy: PolicySpec, scenario: Scenario, seed: int,
-                alert_penalty: Optional[float] = None) -> EpisodeRecord:
+def run_episode(policy: PolicySpec, scenario: Scenario, seed: int) -> EpisodeRecord:
     """Run one seeded episode under the given policy, keeping its trajectory."""
     traj, outcome, deploy_step = fastpath.rollout(
         wind_params=wind_rows(fastpath.wind_draws([seed]), scenario.sim)[0],
-        **_kernel_args(policy, scenario, alert_penalty))
+        **_kernel_args(policy, scenario))
     return EpisodeRecord(
         seed=seed,
         policy_id=policy.policy_id,
@@ -217,8 +216,7 @@ def _summary_records(policy: PolicySpec, seeds: np.ndarray, summaries: np.ndarra
     ]
 
 
-def run_batch(policy: PolicySpec, scenario: Scenario, seeds,
-              alert_penalty: Optional[float] = None):
+def run_batch(policy: PolicySpec, scenario: Scenario, seeds):
     """One summary EpisodeRecord per seed, in seed order, from one kernel call.
 
     The records carry no trajectory (``trajectory`` is None); their outcome
@@ -226,7 +224,7 @@ def run_batch(policy: PolicySpec, scenario: Scenario, seeds,
     """
     seeds = _seed_list(seeds)
     summaries = fastpath.batch(wind=wind_rows(fastpath.wind_draws(seeds), scenario.sim),
-                               **_kernel_args(policy, scenario, alert_penalty))
+                               **_kernel_args(policy, scenario))
     return _summary_records(policy, seeds, summaries)
 
 
@@ -293,7 +291,7 @@ def sweep_baseline(scenario: Scenario, deltas, seeds):
     if not policies:
         return []
     blocks = fastpath.batch(wind=wind_rows(fastpath.wind_draws(seeds), scenario.sim),
-                            **{**_kernel_args(policies[0], scenario, None), "delta": deltas})
+                            **{**_kernel_args(policies[0], scenario), "delta": deltas})
     return [
         soc_point(confusion(_summary_records(policy, seeds, block), scenario.envelope),
                   policy.delta, policy_family="baseline")
@@ -323,9 +321,7 @@ def train_policy(scenario: Scenario, alert_penalty: float, learn_cfg: LearnConfi
 
 
 def sweep_learned(scenario: Scenario, alert_penalties, learn_cfg: LearnConfig,
-                  seeds_train, seeds_eval,
-                  warmstart_delta: float = DEFAULT_WARMSTART_DELTA,
-                  warmstart_episodes: int = DEFAULT_WARMSTART_EPISODES):
+                  seeds_train, seeds_eval):
     """Train one weight matrix per alert penalty and score each on the eval seeds.
 
     Evaluation is pure greedy (no exploration). Returns (soc_points, thetas).
@@ -337,12 +333,8 @@ def sweep_learned(scenario: Scenario, alert_penalties, learn_cfg: LearnConfig,
     points = []
     thetas = {}
     for alert_penalty in alert_penalties:
-        theta, _ = train_policy(
-            scenario, alert_penalty, learn_cfg, seeds_train,
-            warmstart_delta=warmstart_delta, warmstart_episodes=warmstart_episodes,
-        )
-        records = run_batch(PolicySpec.weights(theta), scenario, seeds_eval,
-                            alert_penalty=alert_penalty)
+        theta, _ = train_policy(scenario, alert_penalty, learn_cfg, seeds_train)
+        records = run_batch(PolicySpec.weights(theta), scenario, seeds_eval)
         cm = confusion(records, scenario.envelope)
         points.append(soc_point(cm, alert_penalty, policy_family="learned"))
         thetas[alert_penalty] = theta
@@ -356,16 +348,22 @@ def exit_rate(scenario: Scenario, seeds) -> float:
 
 def _exit_rate(scenario: Scenario, draws: np.ndarray) -> float:
     summaries = fastpath.batch(wind=wind_rows(draws, scenario.sim),
-                               **_kernel_args(PolicySpec.nominal(), scenario, None))
+                               **_kernel_args(PolicySpec.nominal(), scenario))
     return int(np.count_nonzero(summaries[:, 1] == fastpath.OUTCOME_EXITED)) / len(summaries)
 
 
+#: How many exit rates ``calibrate_wind`` may evaluate before it gives up.
+CALIBRATION_BUDGET = 40
+
+
 def calibrate_wind(scenario: Scenario, target_exit_rate: float, seeds,
-                   tol: float = 0.02, max_steps: int = 40) -> CalibrationResult:
+                   tol: float = 0.02) -> CalibrationResult:
     """Bisect the base-wind standard deviation to hit a nominal-only exit rate.
 
     Gust strength is scaled proportionally to the base wind throughout. The
     seeds' wind draws are made once and rescaled at every evaluated sigma.
+    Raises RuntimeError when ``CALIBRATION_BUDGET`` evaluations do not bring
+    the exit rate within ``tol`` of the target.
     """
     if not 0.0 < target_exit_rate < 1.0:
         raise ValueError("target exit rate must lie in (0, 1)")
@@ -385,11 +383,11 @@ def calibrate_wind(scenario: Scenario, target_exit_rate: float, seeds,
         hi *= 2.0
         hi_rate = rate(hi)
         iterations += 1
-        if iterations >= max_steps:
+        if iterations >= CALIBRATION_BUDGET:
             raise RuntimeError("wind calibration failed to bracket the target exit rate")
 
     best = (abs(hi_rate - target_exit_rate), hi, hi_rate)
-    while iterations < max_steps:
+    while iterations < CALIBRATION_BUDGET:
         mid = 0.5 * (lo + hi)
         mid_rate = rate(mid)
         iterations += 1
@@ -403,7 +401,7 @@ def calibrate_wind(scenario: Scenario, target_exit_rate: float, seeds,
             hi = mid
     if best[0] > tol:
         raise RuntimeError(
-            f"wind calibration did not reach the target within {max_steps} evaluations"
+            f"wind calibration did not reach the target within {CALIBRATION_BUDGET} evaluations"
         )
     sigma = best[1]
     return CalibrationResult(

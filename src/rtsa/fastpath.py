@@ -142,7 +142,7 @@ def _load_kernel():
                                _DOUBLES, ctypes.POINTER(c_int), c_int)
     lib.rtsa_batch.restype = c_int
     lib.rtsa_train.argtypes = (_DOUBLES, c_int, c_int, c_int, c_double, _DOUBLES,
-                               ctypes.c_int64, _DOUBLES, c_double, c_double, c_double, _DOUBLES,
+                               ctypes.c_int64, _DOUBLES, c_double, c_double, _DOUBLES,
                                ctypes.c_int64, ctypes.c_uint64, _DOUBLES)
     lib.rtsa_train.restype = ctypes.c_int64
     lib.rtsa_wind_draws.argtypes = (_UINT64S, ctypes.c_int64, _DOUBLES)
@@ -200,8 +200,8 @@ def batch_compiled(*, wind, policy_mode, delta, theta, **scenario):
     return out
 
 
-def train_compiled(theta, exit_penalty, discount, learning_rate, epsilons, seed, *, wind,
-                   policy_mode, delta, **scenario):
+def train_compiled(theta, discount, learning_rate, epsilons, seed, *, wind, policy_mode, delta,
+                   **scenario):
     """``_rollout_py.train`` on the C kernel: same arguments, same rows, same updates
     to ``theta``, in one call."""
     theta, table, epsilons, seed = train_arrays(theta, wind, epsilons, seed)
@@ -211,8 +211,8 @@ def train_compiled(theta, exit_penalty, discount, learning_rate, epsilons, seed,
     if not epsilons.size:  # ctypes cannot point into an empty array
         return rows
     done = _lib.rtsa_train(_pointer(params), n_waypoints, int(policy_mode), steps, threshold,
-                           _pointer(table), table.shape[0], _pointer(theta), exit_penalty,
-                           discount, learning_rate, _pointer(epsilons), epsilons.size, seed,
+                           _pointer(table), table.shape[0], _pointer(theta), discount,
+                           learning_rate, _pointer(epsilons), epsilons.size, seed,
                            _pointer(rows))
     if done < 0:
         _raise_for(done)

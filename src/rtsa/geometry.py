@@ -24,20 +24,6 @@ __all__ = [
     "path_target",
 ]
 
-# Outward unit normals of the six faces, in tie-break order:
-# x-, x+, y-, y+, z-, z+.
-_FACE_NORMALS = np.array(
-    [
-        [-1.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0],
-    ]
-)
-
-
 @dataclass(frozen=True)
 class Envelope:
     """Axis-aligned box geofence, [min_corner, max_corner] per axis (meters)."""
@@ -54,16 +40,8 @@ class Envelope:
             raise ValueError("min_corner must be strictly below max_corner on every axis")
 
     @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.min_corner + self.max_corner)
-
-    @property
     def half_extent(self) -> np.ndarray:
         return 0.5 * (self.max_corner - self.min_corner)
-
-    @property
-    def diagonal(self) -> float:
-        return float(np.linalg.norm(self.max_corner - self.min_corner))
 
 
 @dataclass(frozen=True)
@@ -91,10 +69,9 @@ class Mission:
 
 @dataclass(frozen=True)
 class BoundaryQuery:
-    """Distance to the nearest boundary point, the direction toward it, and containment."""
+    """Distance to the nearest boundary point, and containment."""
 
     distance: float
-    direction: np.ndarray
     inside: bool
 
 
@@ -107,32 +84,16 @@ def contains(p, env: Envelope) -> bool:
 def boundary_query(p, env: Envelope) -> BoundaryQuery:
     """Closest-approach query against the box boundary.
 
-    Inside the box the nearest boundary point lies on one of the six faces;
-    face ties are broken in the fixed order x-, x+, y-, y+, z-, z+. Outside,
-    the nearest boundary point is the clamp of p onto the box.
+    Inside the box the nearest boundary point lies on the nearest face, so
+    the distance is the smallest of ``per_axis_boundary_distances``.
+    Outside, the nearest boundary point is the clamp of p onto the box.
     """
     p = np.asarray(p, dtype=float)
     if contains(p, env):
-        face_dists = np.empty(6)
-        face_dists[0::2] = p - env.min_corner
-        face_dists[1::2] = env.max_corner - p
-        k = int(np.argmin(face_dists))
-        return BoundaryQuery(
-            distance=float(face_dists[k]),
-            direction=_FACE_NORMALS[k].copy(),
-            inside=True,
-        )
-    closest = np.clip(p, env.min_corner, env.max_corner)
-    offset = closest - p
-    # Outside, some offset component is nonzero. Normalise the offset by its
-    # largest component first: squaring a tiny offset (below ~1e-154) would
-    # underflow and leave offset / norm(offset) short of unit length.
-    unit = offset / np.max(np.abs(offset))
-    return BoundaryQuery(
-        distance=float(np.linalg.norm(offset)),
-        direction=unit / np.linalg.norm(unit),
-        inside=False,
-    )
+        return BoundaryQuery(distance=float(np.min(per_axis_boundary_distances(p, env))),
+                             inside=True)
+    offset = np.clip(p, env.min_corner, env.max_corner) - p
+    return BoundaryQuery(distance=float(np.linalg.norm(offset)), inside=False)
 
 
 def per_axis_boundary_distances(p, env: Envelope) -> np.ndarray:
@@ -151,10 +112,6 @@ class Path:
     @property
     def length(self) -> float:
         return float(self.cumulative[-1])
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.points[-1]
 
     def point_at(self, s: float) -> np.ndarray:
         """Point at arc length s, clamped to [0, length]."""

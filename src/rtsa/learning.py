@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fastpath
 from .policy import Action, RewardConfig, greedy_action
-from .sim import SEED_BOUND, finite_fields, is_seed, seed_array, wind_rows
+from .sim import MAX_EPISODES, SEED_BOUND, finite_fields, is_seed, seed_array, wind_rows
 
 # Not called here: the learning loops run in the episode kernels, in wind from the
 # wind table. These stay module attributes because rtsabench/tracer.py wraps them by name.
@@ -73,6 +73,8 @@ class LearnConfig:
                 problems.append(f"learn.{name}: counts must be non-negative integers")
             else:
                 counts.add(name)
+        if "episodes" in counts and self.episodes > MAX_EPISODES:
+            problems.append(f"learn.episodes must be at most {MAX_EPISODES}")
         finite = finite_fields(
             self, "learn", ("learning_rate", "epsilon0", "epsilon_decay", "epsilon_floor"),
             problems,
@@ -156,8 +158,7 @@ def warm_start(seeds, delta: float, theta0: np.ndarray, cfg: LearnConfig, scenar
     no_exploration = np.zeros(seeds.size)
     for n in range(cfg.warm_start_passes):
         # The baseline never explores, so the exploration seed is never drawn from.
-        fastpath.train(theta, rc.exit_penalty, rc.discount, cfg.learning_rate, no_exploration,
-                       0, **demos)
+        fastpath.train(theta, rc.discount, cfg.learning_rate, no_exploration, 0, **demos)
         _check_finite(theta, f"warm-start pass {n}")
     return theta.T.copy()
 
@@ -221,7 +222,7 @@ def train(scenario, rc: RewardConfig, cfg: LearnConfig, theta0: np.ndarray,
     theta = _columns(theta0)
     # Episode ep flies seed ep % len(seeds); the first cfg.episodes seeds cover them all.
     rows = fastpath.train(
-        theta, rc.exit_penalty, rc.discount, cfg.learning_rate, epsilons, cfg.seed,
+        theta, rc.discount, cfg.learning_rate, epsilons, cfg.seed,
         wind=wind_rows(fastpath.wind_draws(seeds[:cfg.episodes]), scenario.sim),
         policy_mode=fastpath.POLICY_WEIGHTS, delta=0.0,
         scales=scenario.feature_scales, alert_penalty=rc.alert_penalty,

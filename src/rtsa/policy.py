@@ -1,10 +1,11 @@
-"""Switching policies: feature extraction, linear Q, baseline, reward, composition.
+"""Switching policies: feature extraction, linear Q, reward, composition.
 
 The meta-controller observes a 9-dimensional feature vector (signed per-axis
 geofence distances, velocity, horizontal wind, deployment indicator) and
-scores the two actions with one weight column each. The baseline deploys on
-a raw distance threshold. Both are one-way switches: once the recovery
-controller is deployed it keeps control until the episode ends.
+scores the two actions with one weight column each. The baseline, which
+only the episode kernels fly, deploys on a raw distance threshold. Both
+are one-way switches: once the recovery controller is deployed it keeps
+control until the episode ends.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .geometry import Envelope, Path, boundary_query, contains, per_axis_boundary_distances
+from .geometry import Envelope, Path, contains, per_axis_boundary_distances
 from .sim import ControlInput, SimConfig, VehicleState, nominal_control, recovery_control
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "q_values",
     "greedy_action",
     "rtsa_action",
-    "baseline_action",
     "reward",
     "compose_controller",
     "random_weights",
@@ -110,19 +110,6 @@ def rtsa_action(theta: np.ndarray, s: VehicleState, env: Envelope, wind_now, sca
     return greedy_action(theta, extract_features(s, env, wind_now, scales))
 
 
-def baseline_action(s: VehicleState, env: Envelope, delta: float) -> Action:
-    """Distance-threshold policy: deploy within delta of the boundary (inclusive)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if s.deployed:
-        return Action.DEPLOY
-    if not contains(s.position, env):
-        return Action.DEPLOY
-    if boundary_query(s.position, env).distance <= delta:
-        return Action.DEPLOY
-    return Action.CONTINUE
-
-
 def reward(
     s: VehicleState,
     a: Action,
@@ -176,7 +163,12 @@ def save_weights(theta: np.ndarray, path) -> None:
 def load_weights(path) -> np.ndarray:
     with open(path) as fh:
         payload = json.load(fh)
-    flat = np.asarray(payload["weights"], dtype=float)
+    if not isinstance(payload, dict) or not isinstance(payload.get("weights"), list):
+        raise ValueError("weight file must be a JSON object holding a \"weights\" list")
+    try:
+        flat = np.asarray(payload["weights"], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"weight file holds a weight that is not a number: {exc}") from None
     if flat.shape != (N_FEATURES * len(Action),):
         raise ValueError(f"weight file must hold {N_FEATURES * len(Action)} values")
     if not np.all(np.isfinite(flat)):

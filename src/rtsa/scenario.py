@@ -88,6 +88,8 @@ class Scenario:
 
 
 def _build(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise ScenarioError([f"a scenario must be a JSON object, not {type(data).__name__}"])
     problems = []
 
     def grab(section, key, path):

@@ -41,6 +41,10 @@ GRAVITY = 9.81
 #: (max_steps + 1) x 9 float64 trajectory rows, 72 MB at this bound.
 MAX_STEPS = 1_000_000
 
+#: Largest accepted episode count (a seed range, ``learn.episodes``): each
+#: episode takes a row of the wind table, 64 bytes, and a training row, 64 more.
+MAX_EPISODES = 1_000_000
+
 
 @dataclass(frozen=True)
 class VehicleState:

@@ -29,15 +29,16 @@ class TestParsers:
             _parse_policy("bogus")
         with pytest.raises(CliError):
             _parse_policy("baseline:zero")
-        with pytest.raises(CliError):
+        # A missing file is an OSError, which main maps to exit 2.
+        with pytest.raises(FileNotFoundError):
             _parse_policy("weights:/nonexistent/file.json")
 
     def test_seed_range(self):
-        assert _parse_seed_range("3..6") == [3, 4, 5]
-        with pytest.raises(CliError):
-            _parse_seed_range("6..3")
-        with pytest.raises(CliError):
-            _parse_seed_range("abc")
+        assert _parse_seed_range("--seeds", "3..6") == [3, 4, 5]
+        with pytest.raises(CliError, match="--seeds"):
+            _parse_seed_range("--seeds", "6..3")
+        with pytest.raises(CliError, match="--seeds"):
+            _parse_seed_range("--seeds", "abc")
 
 
 class TestRun:
@@ -285,3 +286,110 @@ class TestCalibrate:
         assert rc == 0
         assert "calibrated wind_sigma=" in capsys.readouterr().out
         assert out.exists()
+
+
+def assert_exit_2(argv, capsys, message="error:"):
+    """``main(argv)`` returns 2 with one error line naming ``message`` and no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+class TestBadInputExits2:
+    # Each of these input files used to end in a traceback and exit 1.
+    @pytest.fixture
+    def weights_without_key(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"order": "x", "theta": [0.0] * 18}))
+        return str(path)
+
+    def test_weights_file_without_weights_key_on_run(self, weights_without_key, scenario_path,
+                                                     capsys):
+        assert_exit_2(["run", "--scenario", scenario_path, "--policy",
+                       f"weights:{weights_without_key}", "--seed", "0"], capsys, "weights")
+
+    def test_weights_file_without_weights_key_on_train_init(self, weights_without_key,
+                                                            scenario_path, tmp_path, capsys):
+        out = tmp_path / "w1.json"
+        assert_exit_2(["train", "--scenario", scenario_path, "--init", weights_without_key,
+                       "--alert-penalty", "0.05", "--episodes", "1", "--seed", "0",
+                       "--out", str(out)], capsys, "weights")
+        assert not out.exists()
+
+    def test_weights_file_holding_a_list(self, scenario_path, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps([0.0] * 18))
+        assert_exit_2(["evaluate", "--scenario", scenario_path, "--policy", f"weights:{path}",
+                       "--seeds", "0..2"], capsys, "JSON object")
+
+    @pytest.mark.parametrize("weight", [{}, [0.0], 10**400], ids=["object", "list", "huge"])
+    def test_weights_file_holding_a_non_number(self, scenario_path, tmp_path, capsys, weight):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"weights": [weight] + [0.0] * 17}))
+        assert_exit_2(["evaluate", "--scenario", scenario_path, "--policy", f"weights:{path}",
+                       "--seeds", "0..2"], capsys, "weight")
+
+    def test_scenario_file_holding_a_list(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text("[]")
+        assert_exit_2(["run", "--scenario", str(path), "--policy", "nominal", "--seed", "0"],
+                      capsys, "JSON object")
+
+    def test_missing_weights_file(self, scenario_path, capsys):
+        assert_exit_2(["run", "--scenario", scenario_path, "--policy",
+                       "weights:/nonexistent/file.json", "--seed", "0"], capsys,
+                      "/nonexistent/file.json")
+
+    def test_directory_as_weights(self, scenario_path, tmp_path, capsys):
+        assert_exit_2(["run", "--scenario", scenario_path, "--policy", f"weights:{tmp_path}",
+                       "--seed", "0"], capsys, str(tmp_path))
+
+    def test_directory_as_scenario(self, tmp_path, capsys):
+        assert_exit_2(["run", "--scenario", str(tmp_path), "--policy", "nominal",
+                       "--seed", "0"], capsys, str(tmp_path))
+
+    def test_directory_as_out(self, scenario_path, tmp_path, capsys):
+        assert_exit_2(["evaluate", "--scenario", scenario_path, "--policy", "nominal",
+                       "--seeds", "0..2", "--out", str(tmp_path)], capsys, str(tmp_path))
+
+
+class TestEpisodeCountBound:
+    # 10**12 episodes would need terabytes: each count is refused before any
+    # seed list, range set or wind table is built, by a message naming it.
+    HUGE = str(10**12)
+
+    @pytest.fixture(autouse=True)
+    def no_episodes(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "wind_draws",
+                            lambda *a, **k: pytest.fail("drew a wind table"))
+
+    def test_seed_range(self, scenario_path, capsys):
+        assert_exit_2(["evaluate", "--scenario", scenario_path, "--policy", "nominal",
+                       "--seeds", f"0..{self.HUGE}"], capsys, "--seeds")
+
+    @pytest.mark.parametrize("option", ["--train-seeds", "--eval-seeds"])
+    def test_soc_seed_ranges(self, scenario_path, tmp_path, capsys, option):
+        ranges = {"--train-seeds": "0..10", "--eval-seeds": "20..30",
+                  option: f"{10**13}..{10**13 + 10**12}"}
+        assert_exit_2(["soc", "--scenario", scenario_path, "--seed", "0",
+                       "--out", str(tmp_path / "soc.csv"),
+                       *[arg for pair in ranges.items() for arg in pair]], capsys, option)
+
+    @pytest.mark.parametrize("command", ["calibrate", "warmstart"])
+    def test_episodes(self, scenario_path, tmp_path, capsys, command):
+        extra = ["--delta", "16", "--out", str(tmp_path / "w.json")] if command == "warmstart" \
+            else []
+        assert_exit_2([command, "--scenario", scenario_path, "--episodes", self.HUGE,
+                       "--seed", "0", *extra], capsys, "--episodes")
+
+    def test_learn_episodes(self, scenario_path, tmp_path, capsys):
+        w0 = tmp_path / "w0.json"
+        save_weights(np.zeros((9, 2)), w0)
+        assert_exit_2(["train", "--scenario", scenario_path, "--init", str(w0),
+                       "--alert-penalty", "0.05", "--episodes", self.HUGE, "--seed", "0",
+                       "--out", str(tmp_path / "w1.json")], capsys, "learn.episodes")
+
+
+def test_calibration_out_of_budget_exits_2(capsys):
+    # Three seeds give exit rates in thirds only: none lies within 0.02 of 0.25.
+    assert_exit_2(["calibrate", "--episodes", "3", "--seed", "0"], capsys, "40 evaluations")

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,7 +89,10 @@ class TestRunEpisode:
             assert rewards <= {0.0, -alpha, -1.0}
 
     def test_alert_penalty_override(self, calibrated_scenario):
-        r = run_episode(PolicySpec.baseline(16.0), calibrated_scenario, 0, alert_penalty=0.25)
+        # An episode is charged its scenario's alert penalty.
+        scenario = replace(calibrated_scenario,
+                           reward=replace(calibrated_scenario.reward, alert_penalty=0.25))
+        r = run_episode(PolicySpec.baseline(16.0), scenario, 0)
         assert -0.25 in np.round(r.trajectory[:-1, 8], 12)
 
 
@@ -257,6 +261,11 @@ class TestExitRateAndCalibration:
     def test_rejects_bad_target(self, demo_scenario):
         with pytest.raises(ValueError):
             calibrate_wind(demo_scenario, 0.0, range(10))
+
+    def test_gives_up_after_its_evaluation_budget(self, demo_scenario):
+        # Three seeds give exit rates in thirds only: none lies within 0.01 of 0.25.
+        with pytest.raises(RuntimeError, match="did not reach the target within 40 evaluations"):
+            calibrate_wind(demo_scenario, 0.25, range(3), tol=0.01)
 
     def test_matched_wind_fields(self, calibrated_scenario):
         f1 = sample_wind_field(np.random.default_rng(42), calibrated_scenario.sim)

@@ -395,8 +395,7 @@ def train_call(backend, scenario, theta, epsilons, seeds=range(8), seed=3,
     """Learning episodes on ``backend``, one per epsilon: episode ep flies the wind of
     ``seeds[ep]`` under ``policy_mode`` and, under the weights policy, explores on
     ``default_rng([seed, ep])``; returns the rows."""
-    return backend(theta, scenario.reward.exit_penalty, scenario.reward.discount,
-                   learning_rate, epsilons, seed,
+    return backend(theta, scenario.reward.discount, learning_rate, epsilons, seed,
                    wind=wind_rows(wind_draws(seeds[:len(epsilons)]), scenario.sim),
                    policy_mode=policy_mode, delta=delta, scales=scenario.feature_scales,
                    alert_penalty=scenario.reward.alert_penalty,
@@ -617,6 +616,44 @@ def kernels(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+class TestBaselineSwitch:
+    # The kernels are the only statement of the distance-threshold switch:
+    # it deploys outside the box or within delta of its boundary, inclusive.
+    @staticmethod
+    def deploy_steps(scenario, backend, delta, **overrides):
+        """Seed 0's deploy step at ``delta`` from ``rollout`` and from ``batch``."""
+        kwargs = {**batch_kwargs(scenario, PolicySpec.baseline(1.0), [0]), "delta": delta,
+                  **overrides}
+        batched = kernels(backend).batch(**kwargs)[0, 2]
+        kwargs["wind_params"] = kwargs.pop("wind")[0]
+        _, _, rolled = kernels(backend).rollout(**kwargs)
+        return rolled, batched
+
+    @staticmethod
+    def start_distance(scenario):
+        start = scenario.mission.waypoints[0]
+        return float(np.min(np.minimum(start - scenario.envelope.min_corner,
+                                       scenario.envelope.max_corner - start)))
+
+    def test_a_start_exactly_delta_from_a_face_deploys_at_step_0(self, calibrated_scenario,
+                                                                 backend):
+        delta = self.start_distance(calibrated_scenario)
+        assert self.deploy_steps(calibrated_scenario, backend, delta) == (0, 0)
+
+    def test_a_start_one_ulp_beyond_delta_does_not_deploy_at_step_0(self, calibrated_scenario,
+                                                                    backend):
+        delta = np.nextafter(self.start_distance(calibrated_scenario), 0.0)
+        rolled, batched = self.deploy_steps(calibrated_scenario, backend, delta)
+        assert rolled == batched != 0
+
+    def test_a_start_outside_the_box_deploys_at_step_0(self, calibrated_scenario, backend):
+        # Scenario validation refuses such a start, but the kernels take any packed scenario.
+        env_min = calibrated_scenario.envelope.min_corner.copy()
+        env_min[0] = calibrated_scenario.mission.waypoints[0][0] + 1.0
+        assert self.deploy_steps(calibrated_scenario, backend, 1.0, env_min=env_min) == (0, 0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestArgumentChecks:
     # Each case would make C read or write out of bounds, overflow an int or
     # divide by a zero-length segment, and make the Python loop crash or run
@@ -703,7 +740,7 @@ class TestArgumentChecks:
                                                              epsilons):
         theta = np.zeros((2, N_FEATURES))
         with pytest.raises(ValueError, match="epsilons"):
-            kernels(backend).train(theta, 1.0, 0.99, 3e-3, epsilons, 0, wind=np.zeros((1, 8)),
+            kernels(backend).train(theta, 0.99, 3e-3, epsilons, 0, wind=np.zeros((1, 8)),
                                    policy_mode=fastpath.POLICY_WEIGHTS, delta=0.0,
                                    scales=calibrated_scenario.feature_scales, alert_penalty=0.05,
                                    **_kernel_scenario_args(calibrated_scenario))
@@ -713,10 +750,10 @@ class TestArgumentChecks:
                     scales=calibrated_scenario.feature_scales, alert_penalty=0.05,
                     **_kernel_scenario_args(calibrated_scenario))
         theta = np.zeros((2, N_FEATURES))
-        assert kernels(backend).train(theta, 1.0, 0.99, 3e-3, [], 0, wind=np.zeros((0, 8)),
+        assert kernels(backend).train(theta, 0.99, 3e-3, [], 0, wind=np.zeros((0, 8)),
                                       **args).shape == (0, len(_rollout_py.TRAIN_COLUMNS))
         with pytest.raises(ValueError, match="wind"):
-            kernels(backend).train(theta, 1.0, 0.99, 3e-3, [0.1], 0, wind=np.zeros((0, 8)),
+            kernels(backend).train(theta, 0.99, 3e-3, [0.1], 0, wind=np.zeros((0, 8)),
                                    **args)
 
     @pytest.mark.parametrize("seeds", [[-1], [0, 2**64], [1.5], [True], ["7"], [None],
@@ -856,7 +893,7 @@ def test_kernel_wrappers_give_a_result_or_value_error(calibrated_scenario, data)
             if entry != "train":
                 return kernel(**args)
             weights = copy.deepcopy(theta)
-            return kernel(weights, 1.0, 0.99, 3e-3, epsilons, 4, **args), weights
+            return kernel(weights, 0.99, 3e-3, epsilons, 4, **args), weights
         except ValueError:
             return ValueError
 

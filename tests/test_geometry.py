@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rtsa.geometry import (
     Envelope,
@@ -65,9 +63,7 @@ class TestEnvelope:
             Envelope(min_corner=[0, 0], max_corner=[1, 1])
 
     def test_derived_properties(self, unit_cube):
-        assert np.allclose(unit_cube.center, [0.5, 0.5, 0.5])
         assert np.allclose(unit_cube.half_extent, [0.5, 0.5, 0.5])
-        assert unit_cube.diagonal == pytest.approx(math.sqrt(3.0))
 
 
 class TestMission:
@@ -99,12 +95,10 @@ class TestBoundaryQuery:
         q = boundary_query([0.5, 0.5, 0.5], unit_cube)
         assert q.inside
         assert q.distance == pytest.approx(0.5)
-        assert np.allclose(q.direction, [-1.0, 0.0, 0.0])
 
     def test_nearest_face(self, unit_cube):
         q = boundary_query([0.9, 0.5, 0.5], unit_cube)
         assert q.distance == pytest.approx(0.1)
-        assert np.allclose(q.direction, [1.0, 0.0, 0.0])
 
     def test_exterior_corner(self, unit_cube):
         q = boundary_query([2.0, 2.0, 0.5], unit_cube)
@@ -129,7 +123,7 @@ class TestBoundaryQuery:
             lo = rng.uniform(-10.0, 0.0, size=3)
             hi = lo + rng.uniform(1.0, 20.0, size=3)
             env = Envelope(min_corner=lo, max_corner=hi)
-            tol = 1e-3 * env.diagonal
+            tol = 1e-3 * np.linalg.norm(hi - lo)
             for p in rng.uniform(lo - 5.0, hi + 5.0, size=(20, 3)):
                 q = boundary_query(p, env)
                 brute = brute_force_boundary_distance(p, env)
@@ -143,15 +137,6 @@ class TestBoundaryQuery:
             d0 = boundary_query(p, unit_cube).distance
             d1 = boundary_query(p + eps, unit_cube).distance
             assert abs(d1 - d0) <= float(np.linalg.norm(eps)) + 1e-12
-
-    @given(
-        p=st.tuples(*[st.floats(-3.0, 4.0) for _ in range(3)]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_direction_is_unit_norm(self, p):
-        env = Envelope(min_corner=[0.0, 0.0, 0.0], max_corner=[1.0, 2.0, 3.0])
-        q = boundary_query(np.array(p), env)
-        assert np.linalg.norm(q.direction) == pytest.approx(1.0)
 
 
 class TestPerAxisDistances:

@@ -260,6 +260,7 @@ class TestLearnConfig:
             ("episodes", 2.5),
             ("episodes", -1),
             ("episodes", "10"),
+            ("episodes", 10**12),  # refused before anything is sized by it
             ("warm_start_passes", 1.5),
             ("warm_start_passes", -3),
             ("warm_start_passes", True),
@@ -295,6 +296,7 @@ class TestLearnConfig:
             (LearnConfig(seed=-1, episodes=2), "seed"),
             (LearnConfig(seed=1.5, episodes=2), "seed"),
             (LearnConfig(seed=2**64 - 1, episodes=2), "learn.seed"),
+            (LearnConfig(episodes=10**12), "learn.episodes"),
         ],
     )
     def test_train_refuses_an_invalid_config(self, calibrated_scenario, learning_backend,
@@ -443,7 +445,7 @@ class TestOracleParity:
                                              theta=theta, **args)
         columns = np.array(theta.T, order="C")
         wind = args.pop("wind_params")[None]
-        (row,) = _rollout_py.train(columns, 1.0, scenario.reward.discount, 0.0, [0.0], 0,
+        (row,) = _rollout_py.train(columns, scenario.reward.discount, 0.0, [0.0], 0,
                                    wind=wind, policy_mode=fastpath.POLICY_WEIGHTS, delta=0.0,
                                    **args)
         row = dict(zip(_rollout_py.TRAIN_COLUMNS, row.tolist()))

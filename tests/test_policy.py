@@ -8,7 +8,6 @@ from rtsa.policy import (
     N_FEATURES,
     Action,
     RewardConfig,
-    baseline_action,
     compose_controller,
     extract_features,
     greedy_action,
@@ -140,46 +139,6 @@ class TestRtsaAction:
         assert q_values(theta, phi)[1] == pytest.approx(-0.05)
         theta[1, Action.DEPLOY] = 0.2
         assert rtsa_action(theta, s, unit_cube, np.zeros(3), UNIT_SCALES) == Action.DEPLOY
-
-
-class TestBaselineAction:
-    def test_center_far_from_boundary(self):
-        env = Envelope(min_corner=[0, 0, 0], max_corner=[100, 100, 100])
-        s = make_state([50, 50, 50])
-        assert baseline_action(s, env, 1.0) == Action.CONTINUE
-
-    def test_near_face_deploys(self):
-        env = Envelope(min_corner=[0, 0, 0], max_corner=[100, 100, 100])
-        s = make_state([0.5, 50, 50])
-        assert baseline_action(s, env, 1.0) == Action.DEPLOY
-
-    def test_threshold_inclusive(self):
-        env = Envelope(min_corner=[0, 0, 0], max_corner=[100, 100, 100])
-        s = make_state([1.0, 50.0, 50.0])
-        assert baseline_action(s, env, 1.0) == Action.DEPLOY
-
-    def test_outside_deploys(self):
-        env = Envelope(min_corner=[0, 0, 0], max_corner=[100, 100, 100])
-        s = make_state([-5.0, 50.0, 50.0])
-        assert baseline_action(s, env, 1.0) == Action.DEPLOY
-
-    def test_deployed_latch(self):
-        env = Envelope(min_corner=[0, 0, 0], max_corner=[100, 100, 100])
-        s = make_state([50, 50, 50], deployed=True)
-        assert baseline_action(s, env, 1.0) == Action.DEPLOY
-
-    def test_rejects_nonpositive_delta(self):
-        env = Envelope(min_corner=[0, 0, 0], max_corner=[100, 100, 100])
-        with pytest.raises(ValueError):
-            baseline_action(make_state([50, 50, 50]), env, 0.0)
-
-    def test_monotone_in_delta(self):
-        env = Envelope(min_corner=[0, 0, 0], max_corner=[100, 100, 100])
-        rng = np.random.default_rng(4)
-        for _ in range(300):
-            s = make_state(rng.uniform(-10, 110, 3))
-            if baseline_action(s, env, 2.0) == Action.DEPLOY:
-                assert baseline_action(s, env, 5.0) == Action.DEPLOY
 
 
 class TestReward:
