@@ -9,6 +9,14 @@ per-episode, per-training-step and per-warm-start-step timing and the
 speedups. On the C kernel it also times the seeds' wind draws against
 numpy's, in microseconds per seed, and checks the tables are byte-equal.
 
+For each backend it times a whole warm start, ``LearnConfig``'s default
+passes over the demos, as one ``train`` call (each demo flown once, the
+later passes replayed from its recorded transitions) against one call per
+pass (every demo flown on every pass). It checks both leave byte-equal
+weights and reports microseconds per replayed step: the one call's time
+beyond the one-pass warm start timed above, recording included, over the
+replayed steps.
+
 Then, on the loaded backend and for each policy mode, times one
 ``fastpath.batch`` call over the seeds against a loop of ``fastpath.rollout``
 calls, in episodes per second, and checks both give the same outcomes and
@@ -33,6 +41,7 @@ import numpy as np
 from rtsa import _rollout_py, fastpath
 from rtsa._rollout_py import rollout as rollout_python
 from rtsa.evaluation import PolicySpec, _kernel_args
+from rtsa.learning import LearnConfig
 from rtsa.policy import N_FEATURES, random_weights
 from rtsa.scenario import default_scenario
 from rtsa.sim import wind_draws, wind_rows
@@ -40,6 +49,8 @@ from rtsa.sim import wind_draws, wind_rows
 TRAIN_EPSILON = 0.1
 LEARNING_RATE = 3e-3
 WARM_START_DELTA = 8.0
+WARM_START_PASSES = LearnConfig().warm_start_passes
+STEPS_COLUMN = _rollout_py.TRAIN_COLUMNS.index("steps")
 SWEEP_DELTAS = (1.0, 2.0, 4.0, 8.0, 16.0)  # the SOC sweep's baseline grid
 
 
@@ -88,6 +99,35 @@ def bench_training(train, args, repeats):
         rows = train(theta, **args)
         best = min(best, time.perf_counter() - start)
     return best, theta, rows
+
+
+def bench_warm_start(name, train, args, t_pass, repeats):
+    """Time a ``WARM_START_PASSES``-pass warm start from zero weights as one ``train``
+    call against one call per pass, check both leave the same weights, and print the
+    times and the microseconds per replayed step.
+
+    ``args`` are one pass's arguments and ``t_pass`` the best seconds of one pass.
+    """
+    passes = WARM_START_PASSES
+    all_passes = dict(args, epsilons=np.tile(args["epsilons"], passes))
+    best_one = best_each = float("inf")
+    for _ in range(repeats):
+        theta_one = np.zeros((2, N_FEATURES))
+        start = time.perf_counter()
+        rows = train(theta_one, **all_passes)
+        best_one = min(best_one, time.perf_counter() - start)
+        theta_each = np.zeros((2, N_FEATURES))
+        start = time.perf_counter()
+        for _ in range(passes):
+            train(theta_each, **args)
+        best_each = min(best_each, time.perf_counter() - start)
+    assert theta_one.tobytes() == theta_each.tobytes(), \
+        "one-call and per-pass warm starts disagree"
+    replayed = int(rows[len(args["epsilons"]):, STEPS_COLUMN].sum())
+    print(f"warm start  : {name:<8} {passes} passes, one call {best_one * 1e3:8.3f} ms"
+          f"  one call per pass {best_each * 1e3:8.3f} ms  ({best_each / best_one:4.1f}x)"
+          + (f"  replayed {(best_one - t_pass) / replayed * 1e6:8.3f} us/step"
+             if replayed else ""))
 
 
 def bench_wind_draws(draw, seeds, repeats):
@@ -189,18 +229,19 @@ def main():
 
     # Online training (epsilon TRAIN_EPSILON) over the same wind seeds, and one
     # warm-start pass: a baseline demo on each of them, with no exploration.
-    steps_column = _rollout_py.TRAIN_COLUMNS.index("steps")
     learn = learn_args(scenario, seeds)
     lt_py, theta_py, lrows_py = bench_training(_rollout_py.train, learn, args.repeats)
-    train_steps = int(lrows_py[:, steps_column].sum())
+    train_steps = int(lrows_py[:, STEPS_COLUMN].sum())
     warm = dict(learn, epsilons=[0.0] * len(seeds), policy_mode=fastpath.POLICY_BASELINE,
                 delta=WARM_START_DELTA)
     ws_py, wstheta_py, wsrows_py = bench_training(_rollout_py.train, warm, args.repeats)
-    warm_steps = int(wsrows_py[:, steps_column].sum())
+    warm_steps = int(wsrows_py[:, STEPS_COLUMN].sum())
     print(f"training    : python   {lt_py / train_steps * 1e6:8.3f} us/step"
           f"  ({train_steps} steps, epsilon {TRAIN_EPSILON})")
     print(f"warm start  : python   {ws_py / warm_steps * 1e6:8.3f} us/step"
           f"  ({warm_steps} steps, baseline:{WARM_START_DELTA:g} demos)")
+
+    bench_warm_start("python", _rollout_py.train, warm, ws_py, args.repeats)
 
     print(f"batch       : {fastpath.BACKEND} backend, {args.episodes} episodes per call")
     for policy in (PolicySpec.nominal(), PolicySpec.baseline(8.0),
@@ -233,6 +274,8 @@ def main():
           f"  speedup {lt_py / lt_c:6.1f}x")
     print(f"warm start  : compiled {ws_c / warm_steps * 1e6:8.3f} us/step"
           f"  speedup {ws_py / ws_c:6.1f}x")
+    bench_warm_start("compiled", fastpath.train_compiled, warm, ws_c, args.repeats)
+    print("one-call warm start weights byte-equal to one call per pass on both backends")
     wt_py, wind_py = bench_wind_draws(wind_draws, seeds, args.repeats)
     wt_c, wind_c = bench_wind_draws(fastpath.wind_draws_compiled, seeds, args.repeats)
     print(f"wind draws  : numpy {wt_py:8.3f} us/seed  compiled {wt_c:8.3f} us/seed"

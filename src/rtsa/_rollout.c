@@ -16,8 +16,8 @@
  *   rtsa_train       n Q-learning episodes in a row under a given policy,
  *                    updating the weights in place by `td_update` at every
  *                    step: online epsilon-greedy training flies the weights
- *                    policy, and each warm-start pass the baseline with no
- *                    exploration;
+ *                    policy, and warm start the baseline with no exploration,
+ *                    all of its passes in one call (below);
  *   rtsa_wind_draws  the unit draws of each seed's wind field.
  * `episode` is always inlined with constant flags, so the rollout carries no
  * learning branches, neither the batch nor the learner writes a trajectory,
@@ -31,6 +31,15 @@
  * trunk goes on, undeployed, under the next narrower threshold. Those still
  * undeployed when the trunk ends get the trunk's summary. Every summary
  * equals a one-threshold episode's, bit for bit.
+ *
+ * A baseline (or nominal) episode does not depend on the weights, so a
+ * training call under either that has more episodes than wind rows flies
+ * each row once and records its observed features. Every later episode on
+ * that row replays the recorded transitions through the same `td_update`,
+ * in the same order, which leaves the weights and rows bit-identical to
+ * flying it again. The record holds at most a cap of states that the caller
+ * passes; rows beyond the cap, or all of them when it cannot be allocated,
+ * are flown on every pass.
  *
  * Random draws come from a copy of numpy's default seeding (below): the
  * stream seeded here from a list of integers is np.random.default_rng's for
@@ -313,18 +322,45 @@ static inline state_t start_state(const path_t *path)
 }
 
 /*
+ * The observed features phi[0..7] of the states a training call recorded,
+ * N_RECORDED per state: `used` states, in room for `capacity`.
+ */
+#define N_RECORDED 8
+typedef struct {
+    double *phi;
+    int64_t used, capacity;
+} record_t;
+
+/* Append phi[0..7] to `rec`, unless it is full. */
+static inline void record_push(record_t *rec, const double *phi)
+{
+    if (rec->used < rec->capacity)
+        memcpy(rec->phi + N_RECORDED * (size_t)rec->used++, phi, sizeof(double) * N_RECORDED);
+}
+
+/*
+ * A step's reward: a step that leaves the box earns -1 (the exit penalty,
+ * which a scenario fixes at 1), else the first deployment earns
+ * -alert_penalty, else a step earns 0. `episode` and `replay` both read it.
+ */
+static inline double step_reward(int outside, int fresh_deploy, double alert_penalty)
+{
+    return outside ? -1.0 : fresh_deploy ? -alert_penalty : 0.0;
+}
+
+/*
  * The episode loop behind rtsa_rollout and rtsa_batch (learn = 0) and
  * rtsa_train (learn = 1), along `path` in the wind of the 8 values at
  * `wind`, from the undeployed state `*state`. The baseline policy deploys
- * outside the box or within `delta` of its boundary. A step that leaves the
- * box earns -1 (the exit penalty, which a scenario fixes at 1), else the
- * first deployment earns -alert_penalty, else a step earns 0.
+ * outside the box or within `delta` of its boundary. Each step earns
+ * `step_reward`.
  * `theta` is read into a local copy; when learning, the updated copy is
  * written back to `theta_out`. Rows 0..out[0] of `traj`, if not NULL, get
  * (t, px, py, pz, vx, vy, vz, action, reward), row k for step k. On return
  * out = (steps, outcome, deploy_step, deploy_greedy) and, when learning,
  * dout = (discounted return, largest squared feature norm, largest absolute
- * TD error). With `fork`, the
+ * TD error). When learning, `rec`, if not NULL, gets each observed state's
+ * phi[0..7] while it has room (`replay` reads them back). With `fork`, the
  * loop stops instead at its first deploy decision, before that step: it
  * writes the state there to `*state` and out = (step, 0, step, 1).
  */
@@ -332,7 +368,7 @@ static inline __attribute__((always_inline)) void
 episode(const double *p, const path_t *path, int policy_mode, int max_steps, double delta,
         const double *wind, const double *theta, const int learn, double *theta_out,
         double discount, double learning_rate, double epsilon, bitgen_t *bitgen,
-        state_t *state, const int fork, double *traj, int *out, double *dout)
+        record_t *rec, state_t *state, const int fork, double *traj, int *out, double *dout)
 {
     const double *env_min = p + P_ENV_MIN, *env_max = p + P_ENV_MAX;
     const double exn0 = env_min[0], exn1 = env_min[1], exn2 = env_min[2];
@@ -382,6 +418,8 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
             phi[6] = wx / sc[6];
             phi[7] = wy / sc[7];
             phi[8] = deployed ? 1.0 : 0.0;
+            if (rec)
+                record_push(rec, phi);
             /* Timeout is truncation, not an absorbing state: keep the bootstrap. */
             if (learn && step_idx) {
                 const double error = fabs(td_update(th, phi_prev, action, r, phi,
@@ -525,12 +563,7 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
         }
 
         const int outside = !inside_box(env_min, env_max, npx, npy, npz);
-        if (outside)
-            r = -1.0;
-        else if (fresh_deploy)
-            r = -alert_penalty;
-        else
-            r = 0.0;
+        r = step_reward(outside, fresh_deploy, alert_penalty);
         if (traj) {
             double *row = traj + 9 * (size_t)step_idx;
             row[0] = t;
@@ -613,7 +646,7 @@ int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_step
         return status;
     state_t start = start_state(&path);
     episode(p, &path, policy_mode, max_steps, delta, wind, theta, 0, NULL, 1.0, 0.0, 0.0,
-            NULL, &start, 0, traj, out, NULL);
+            NULL, NULL, &start, 0, traj, out, NULL);
     path_free(&path);
     return 0;
 }
@@ -637,11 +670,11 @@ static void sweep_row(const batch_job *job, int row)
     int stop[4], k = job->n_deltas - 1;
     for (; k >= 0; k--) {
         episode(job->p, job->path, POLICY_BASELINE, job->max_steps, job->deltas[k], wind,
-                job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, &trunk, 1, NULL, stop, NULL);
+                job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, NULL, &trunk, 1, NULL, stop, NULL);
         if (stop[1])
             break; /* ended before deploying: so it does at every narrower threshold */
         episode(job->p, job->path, POLICY_BASELINE, job->max_steps, job->deltas[k], wind,
-                job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, &trunk, 0, NULL,
+                job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, NULL, &trunk, 0, NULL,
                 job->out + 4 * ((size_t)k * job->n + row), NULL);
     }
     for (; k >= 0; k--)
@@ -658,7 +691,7 @@ static void *batch_worker(void *arg)
             state_t start = start_state(job->path);
             episode(job->p, job->path, job->policy_mode, job->max_steps, 0.0,
                     job->wind + 8 * (size_t)i, job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL,
-                    &start, 0, NULL, job->out + 4 * (size_t)i, NULL);
+                    NULL, &start, 0, NULL, job->out + 4 * (size_t)i, NULL);
         }
     }
     return NULL;
@@ -745,6 +778,37 @@ static double euclidean_norm(const double *w, int n)
 }
 
 /*
+ * Replay a recorded episode under a policy that does not read the weights:
+ * the TD updates of its flight, on the same transitions, in the same order,
+ * applied to `theta` in place. `phi` holds its states' phi[0..7], states
+ * 0..steps. The deployed flag, each action and each reward follow from the
+ * episode's deploy step and outcome as they did in flight: only an exit's
+ * last step leaves the box, and only the last transition of an episode that
+ * did not time out is terminal. Returns the largest absolute TD error.
+ */
+static double replay(double *theta, const double *phi, int steps, int outcome, int deploy_step,
+                     double alert_penalty, double discount, double learning_rate)
+{
+    double prev[N_FEATURES], next[N_FEATURES], error_max = 0.0;
+    memcpy(prev, phi, sizeof(double) * N_RECORDED);
+    prev[8] = 0.0;
+    for (int k = 1; k <= steps; k++) {
+        const int deployed = deploy_step >= 0 && deploy_step < k; /* after step k - 1 */
+        memcpy(next, phi + N_RECORDED * (size_t)k, sizeof(double) * N_RECORDED);
+        next[8] = deployed ? 1.0 : 0.0;
+        const double r = step_reward(k == steps && outcome == OUTCOME_EXITED,
+                                     k - 1 == deploy_step, alert_penalty);
+        const double error = fabs(td_update(theta, prev, deployed, r, next,
+                                             k == steps && outcome != OUTCOME_TIMEOUT,
+                                             learning_rate, discount));
+        if (error > error_max)
+            error_max = error;
+        memcpy(prev, next, sizeof prev);
+    }
+    return error_max;
+}
+
+/*
  * Run n_episodes Q-learning episodes in a row under the policy `policy_mode`
  * (baseline threshold `delta`), updating `theta` in place by a TD update at
  * `discount` and `learning_rate` at every step.
@@ -753,15 +817,19 @@ static double euclidean_norm(const double *w, int n)
  * np.random.default_rng([seed, ep]) would give: under the weights policy,
  * until the switch flips, each step draws next_double (only when its
  * epsilon > 0) and, on an exploring step, next_uint32 >> 31. The other
- * policies draw nothing. Row ep of `rows` (n_episodes x TRAIN_ROW) gets the
- * episode's ROW_* values. Stops after the first episode that leaves a weight
- * non-finite. Returns the number of episodes run, or as rtsa_rollout (-1, -2)
- * before any episode runs.
+ * policies draw nothing and do not read the weights: with more episodes than
+ * wind rows, each row's first episode records its states' features, up to
+ * `record_cap` states in all, and every later episode on a recorded row is
+ * that row's `replay` (see the top of this file). Row ep of `rows`
+ * (n_episodes x TRAIN_ROW) gets the episode's ROW_* values; a replay copies
+ * its row's first episode's but for ROW_ERROR_MAX and ROW_THETA_NORM. Stops
+ * after the first episode that leaves a weight non-finite. Returns the number
+ * of episodes run, or as rtsa_rollout (-1, -2) before any episode runs.
  */
 int64_t rtsa_train(const double *p, int n_waypoints, int policy_mode, int max_steps,
                    double delta, const double *wind, int64_t n_wind, double *theta,
                    double discount, double learning_rate, const double *epsilons,
-                   int64_t n_episodes, uint64_t seed, double *rows)
+                   int64_t n_episodes, uint64_t seed, int64_t record_cap, double *rows)
 {
     path_t path;
     const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
@@ -769,31 +837,68 @@ int64_t rtsa_train(const double *p, int n_waypoints, int policy_mode, int max_st
         return status;
     uint32_t words[SEED_POOL]; /* the seed's words, then the episode's: two each at most */
     const int n_seed = seed_words(seed, words);
-    int64_t ep = 0;
+    /* Room for every state the rows' first flights can observe, up to the cap,
+     * allocated at once: only the pages written take memory. Rows
+     * 0..n_recorded-1 are recorded, one after another; `offset` is the first
+     * state of the next one to replay. */
+    int recording = (policy_mode == POLICY_NOMINAL || policy_mode == POLICY_BASELINE)
+                    && n_episodes > n_wind;
+    int64_t room = ((int64_t)max_steps + 1) * n_wind;
+    if (room > record_cap)
+        room = record_cap;
+    record_t rec = {NULL, 0, 0};
+    if (recording && room > 0)
+        rec.phi = malloc(sizeof(double) * N_RECORDED * (size_t)room);
+    if (rec.phi == NULL)
+        recording = 0;
+    else
+        rec.capacity = room;
+    int64_t n_recorded = 0, offset = 0, ep = 0;
     int finite = 1;
     while (finite && ep < n_episodes) {
-        pcg64_t rng;
-        bitgen_t bitgen;
-        seed_stream(&rng, &bitgen, words, n_seed + seed_words((uint64_t)ep, words + n_seed));
-        state_t start = start_state(&path);
-        int out[4];
-        double dout[3];
-        episode(p, &path, policy_mode, max_steps, delta, wind + 8 * (size_t)(ep % n_wind), theta,
-                1, theta, discount, learning_rate, epsilons[ep], &bitgen, &start, 0, NULL, out,
-                dout);
-        for (int i = 0; i < 2 * N_FEATURES; i++)
-            finite &= isfinite(theta[i]) != 0;
+        const int64_t i = ep % n_wind;
         double *row = rows + TRAIN_ROW * (size_t)ep;
-        row[ROW_RETURN] = dout[0];
-        row[ROW_OUTCOME] = out[1];
-        row[ROW_DEPLOY_STEP] = out[2];
-        row[ROW_DEPLOY_GREEDY] = out[3];
-        row[ROW_STEPS] = out[0];
-        row[ROW_NORM2_MAX] = dout[1];
-        row[ROW_ERROR_MAX] = dout[2];
+        if (ep >= n_wind && i < n_recorded) {
+            const double *first = rows + TRAIN_ROW * (size_t)i;
+            const int steps = (int)first[ROW_STEPS];
+            if (i == 0)
+                offset = 0;
+            memcpy(row, first, sizeof(double) * ROW_ERROR_MAX); /* the weight-free columns */
+            row[ROW_ERROR_MAX] = replay(theta, rec.phi + N_RECORDED * (size_t)offset, steps,
+                                        (int)first[ROW_OUTCOME], (int)first[ROW_DEPLOY_STEP],
+                                        p[P_ALERT_PENALTY], discount, learning_rate);
+            offset += steps + 1;
+        } else {
+            pcg64_t rng;
+            bitgen_t bitgen;
+            seed_stream(&rng, &bitgen, words,
+                        n_seed + seed_words((uint64_t)ep, words + n_seed));
+            state_t start = start_state(&path);
+            const int64_t rec_start = rec.used;
+            record_t *record = recording && ep < n_wind ? &rec : NULL;
+            int out[4];
+            double dout[3];
+            episode(p, &path, policy_mode, max_steps, delta, wind + 8 * (size_t)i, theta, 1,
+                    theta, discount, learning_rate, epsilons[ep], &bitgen, record, &start, 0,
+                    NULL, out, dout);
+            if (record && rec.used - rec_start == out[0] + 1)
+                n_recorded++;
+            else if (record) /* out of room: this row and the later ones fly every pass */
+                recording = 0;
+            row[ROW_RETURN] = dout[0];
+            row[ROW_OUTCOME] = out[1];
+            row[ROW_DEPLOY_STEP] = out[2];
+            row[ROW_DEPLOY_GREEDY] = out[3];
+            row[ROW_STEPS] = out[0];
+            row[ROW_NORM2_MAX] = dout[1];
+            row[ROW_ERROR_MAX] = dout[2];
+        }
+        for (int k = 0; k < 2 * N_FEATURES; k++)
+            finite &= isfinite(theta[k]) != 0;
         row[ROW_THETA_NORM] = euclidean_norm(theta, 2 * N_FEATURES);
         ep++;
     }
+    free(rec.phi);
     path_free(&path);
     return ep;
 }

@@ -29,10 +29,13 @@ It reads the packed array by the ``P_*`` offsets, as ``episode`` in
   applying ``td_update``, the linear TD rule on weight columns held as float
   lists, to the weights at every step at the given discount and learning
   rate. Under the weights policy an episode explores epsilon-greedily on
-  ``np.random.default_rng([seed, ep])``: that is online training. A
-  warm-start pass is one call under the baseline, which never explores: a
-  baseline episode does not depend on the weights, so each pass flies the
-  same demos through the same updates.
+  ``np.random.default_rng([seed, ep])``: that is online training. Warm
+  start is one call under the baseline, which never explores, with one
+  episode per demo and pass. A baseline episode does not depend on the
+  weights, so every pass would fly the same demos through the same updates:
+  ``train`` flies each wind row once, records the features of the states it
+  observes (at most ``RECORD_CAP`` states in all), and ``_replay``s those
+  transitions on every later pass, with bit-identical weights and rows.
 
 Each entry point has a C twin in ``_rollout.c`` (``rtsa_rollout``,
 ``rtsa_batch``, ``rtsa_train``) that performs the same arithmetic in the
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 
 import numpy as np
 
@@ -87,6 +91,11 @@ P_SCALES = 17  # 8 feature scales
 P_WAYPOINTS = 25  # n_waypoints x 3, row-major
 
 ZERO_SEGMENT = "waypoints hold a zero-length segment"
+
+#: Most states whose features one ``train`` call records for replay: 64 MB at
+#: 8 float64 values per state. Rows beyond it are flown on every pass.
+RECORD_CAP = 2**20
+_N_RECORDED = 8  # phi[0..7] per state; phi[8] follows from the deploy step
 
 #: ``train``'s row of each episode, the ROW_* enum of ``_rollout.c``:
 #: deploy_greedy is -1 if never deployed, 0 explored, 1 greedy; norm2_max is
@@ -318,6 +327,12 @@ def train(theta, discount, learning_rate, epsilons, seed, *, wind, policy_mode, 
     and, on an exploring step, ``rng.integers(2)``, the draws
     ``learning.epsilon_greedy`` makes. The other policies draw nothing.
 
+    The other policies do not read the weights. With more episodes than
+    wind rows, each row's first episode records the features of the states
+    it observes, up to ``RECORD_CAP`` states in all, and every later
+    episode on a recorded row is that row's ``_replay``; its row copies the
+    first episode's but for max_abs_td_error and theta_norm.
+
     Returns a float64 array with one ``TRAIN_COLUMNS`` row per episode run:
     it stops after the first episode that leaves a weight non-finite.
     Raises ValueError for arguments that ``train_arrays``, ``pack`` or
@@ -329,14 +344,35 @@ def train(theta, discount, learning_rate, epsilons, seed, *, wind, policy_mode, 
     threshold = one_threshold(policy_mode, delta)
     p, winds, columns = params.tolist(), table.tolist(), theta.tolist()
     rows = np.empty((epsilons.size, len(TRAIN_COLUMNS)))
+    # Rows firsts[0..] are recorded, one after another, in ``record``; ``offset``
+    # is where the next one to replay starts.
+    record, firsts, offset = array("d"), [], 0
+    recording = policy_mode != POLICY_WEIGHTS and epsilons.size > len(winds)
     for ep, epsilon in enumerate(epsilons.tolist()):
-        rng = np.random.default_rng([seed, ep]) if epsilon > 0.0 else None  # else never drawn
-        ret, outcome, deploy_step, deploy_greedy, steps, norm2_max, error_max = _episode(
-            p, n_waypoints, policy_mode, max_steps, threshold, winds[ep % len(winds)], columns,
-            discount=discount, learning_rate=learning_rate, epsilon=epsilon, rng=rng)
+        i = ep % len(winds)
+        if ep >= len(winds) and i < len(firsts):
+            if i == 0:
+                offset = 0
+            ret, outcome, deploy_step, deploy_greedy, steps, norm2_max = firsts[i]
+            error_max = _replay(columns, record, offset, steps, outcome, deploy_step,
+                                p[P_ALERT_PENALTY], discount, learning_rate)
+            offset += _N_RECORDED * (steps + 1)
+        else:
+            rng = np.random.default_rng([seed, ep]) if epsilon > 0.0 else None  # else never drawn
+            start, records = len(record), recording and ep < len(winds)
+            ret, outcome, deploy_step, deploy_greedy, steps, norm2_max, error_max = _episode(
+                p, n_waypoints, policy_mode, max_steps, threshold, winds[i], columns,
+                discount=discount, learning_rate=learning_rate, epsilon=epsilon, rng=rng,
+                record=record if records else None)
+            deploy_greedy = -1 if deploy_greedy is None else deploy_greedy
+            if records:
+                if len(record) - start == _N_RECORDED * (steps + 1):
+                    firsts.append((ret, outcome, deploy_step, deploy_greedy, steps, norm2_max))
+                else:  # out of room: this row and the later ones fly every pass
+                    recording = False
         weights = columns[0] + columns[1]
-        rows[ep] = (ret, outcome, deploy_step, -1 if deploy_greedy is None else deploy_greedy,
-                    steps, norm2_max, error_max, weights_norm(weights))
+        rows[ep] = (ret, outcome, deploy_step, deploy_greedy, steps, norm2_max, error_max,
+                    weights_norm(weights))
         if not all(map(math.isfinite, weights)):
             rows = rows[:ep + 1]
             break
@@ -364,23 +400,64 @@ def weights_norm(weights):
     return largest * math.sqrt(scaled2)
 
 
+def _step_reward(outside, fresh_deploy, alert_penalty):
+    """A step's reward: a step that leaves the box earns -1 (the exit penalty,
+    which a scenario fixes at 1), else the first deployment earns
+    -``alert_penalty``, else 0. ``_episode`` and ``_replay`` both read it."""
+    return -1.0 if outside else -alert_penalty if fresh_deploy else 0.0
+
+
+def _replay(columns, record, offset, steps, outcome, deploy_step, alert_penalty, discount,
+            learning_rate):
+    """Replay a recorded episode of a policy that does not read the weights.
+
+    Applies the TD updates of its flight to the float-list ``columns``, on
+    the same transitions in the same order. ``record[offset:]`` holds its
+    states' phi[0..7], states 0..``steps``. The deployed flag, each action
+    and each reward follow from ``deploy_step`` and ``outcome`` as they did
+    in flight: only an exit's last step leaves the box, and only the last
+    transition of an episode that did not time out is terminal. Returns the
+    largest absolute TD error.
+    """
+    t0, t1 = columns
+    error_max = 0.0
+    values = record[offset:offset + _N_RECORDED * (steps + 1)].tolist()
+    prev = values[:_N_RECORDED]
+    prev.append(0.0)
+    for k in range(1, steps + 1):
+        deployed = 0 <= deploy_step < k  # after step k - 1
+        phi = values[_N_RECORDED * k:_N_RECORDED * (k + 1)]
+        phi.append(1.0 if deployed else 0.0)
+        r = _step_reward(k == steps and outcome == OUTCOME_EXITED, k - 1 == deploy_step,
+                         alert_penalty)
+        error = abs(td_update(t0, t1, prev, 1 if deployed else 0, r, phi,
+                              k == steps and outcome != OUTCOME_TIMEOUT, learning_rate,
+                              discount))
+        if error > error_max:
+            error_max = error
+        prev = phi
+    return error_max
+
+
 def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, state=None,
-             fork=False, discount=1.0, learning_rate=None, epsilon=0.0, rng=None, traj=None):
+             fork=False, discount=1.0, learning_rate=None, epsilon=0.0, rng=None, traj=None,
+             record=None):
     """The episode loop behind ``rollout``, ``batch`` and ``train``.
 
     ``p`` is ``pack``'s array as a float list, ``wind`` the 8 wind values
     and ``theta`` (continue column, deploy column), all float lists. The
     baseline policy deploys outside the box or within ``delta`` of its
-    boundary. A step that leaves the box earns -1 (the exit penalty, which
-    a scenario fixes at 1), else the first deployment earns -alert_penalty,
-    else 0. The episode starts from the undeployed ``state``, a list
-    ``[t, px, py, pz, vx, vy, vz, steps taken]`` (``_start(p)`` if None).
+    boundary. Each step earns ``_step_reward``. The episode starts from the
+    undeployed ``state``, a list ``[t, px, py, pz, vx, vy, vz, steps
+    taken]`` (``_start(p)`` if None).
     Unless ``learning_rate`` is None, every step ends in a ``td_update`` of
     the columns. In the weights mode, an ``epsilon`` > 0 makes each
     undeployed step epsilon-greedy on ``rng``. ``traj``, if given, is a list
-    that gets the trajectory rows. Returns (discounted return, outcome,
-    deploy_step, deploy_greedy, steps, largest squared feature norm of a
-    decision state, largest absolute TD error), the last two 0 unless
+    that gets the trajectory rows. When learning, ``record``, if given, is
+    an ``array("d")`` that gets each observed state's phi[0..7] while it
+    holds fewer than ``RECORD_CAP`` states. Returns (discounted return,
+    outcome, deploy_step, deploy_greedy, steps, largest squared feature norm
+    of a decision state, largest absolute TD error), the last two 0 unless
     learning. With ``fork``, the loop stops
     instead at its first deploy decision, before that step: it writes the
     state there into ``state`` and returns outcome 0. Raises ValueError for
@@ -400,6 +477,7 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
     weights_mode = policy_mode == POLICY_WEIGHTS
     learn = learning_rate is not None
     explore = epsilon > 0.0
+    record_room = _N_RECORDED * RECORD_CAP
 
     # The path as scalars: segment starts, deltas, squared and cumulative lengths.
     n_seg = n_waypoints - 1
@@ -442,6 +520,8 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
                 vx / sc3, vy / sc4, vz / sc5, wx / sc6, wy / sc7,
                 1.0 if deployed else 0.0,
             ]
+            if record is not None and len(record) < record_room:
+                record.extend(phi[:_N_RECORDED])
             if learn and step_idx:
                 # The last step's transition. Timeout is truncation, not an
                 # absorbing state: keep the bootstrap.
@@ -582,12 +662,7 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
             nvx = nvy = nvz = 0.0
 
         outside = not (exn0 <= npx <= exx0 and exn1 <= npy <= exx1 and exn2 <= npz <= exx2)
-        if outside:
-            r = -1.0
-        elif fresh_deploy:
-            r = -alert_penalty
-        else:
-            r = 0.0
+        r = _step_reward(outside, fresh_deploy, alert_penalty)
         if traj is not None:
             traj.append((t, px, py, pz, vx, vy, vz, action, r))
         ret += disc * r

@@ -19,10 +19,13 @@ tail at each threshold's deploy step. The C ``batch`` spreads the rows over
 as many threads as the process may use CPUs (at most one per row), with the
 same result on any count. ``train`` runs Q-learning episodes under a given
 policy in one call, updating a (2, 9) float64 array of weight columns in
-place: online training flies the weights policy, and a warm-start pass the
-baseline. The C kernels seed their random streams as numpy's
-``default_rng`` does, so ``wind_draws`` and ``train`` draw exactly what
-their twins draw.
+place: online training flies the weights policy, and warm start the
+baseline, every pass in one call. Under a policy that does not read the
+weights, ``train`` flies each wind row once and replays the recorded
+transitions of that flight on every later pass over the rows, with the
+weights and rows that flying it again would give. The C kernels seed their
+random streams as numpy's ``default_rng`` does, so ``wind_draws`` and
+``train`` draw exactly what their twins draw.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _rollout_py
 from ._rollout_py import (  # noqa: F401  (re-exported constants)
     OUTCOME_COMPLETED,
     OUTCOME_EXITED,
@@ -143,7 +147,7 @@ def _load_kernel():
     lib.rtsa_batch.restype = c_int
     lib.rtsa_train.argtypes = (_DOUBLES, c_int, c_int, c_int, c_double, _DOUBLES,
                                ctypes.c_int64, _DOUBLES, c_double, c_double, _DOUBLES,
-                               ctypes.c_int64, ctypes.c_uint64, _DOUBLES)
+                               ctypes.c_int64, ctypes.c_uint64, ctypes.c_int64, _DOUBLES)
     lib.rtsa_train.restype = ctypes.c_int64
     lib.rtsa_wind_draws.argtypes = (_UINT64S, ctypes.c_int64, _DOUBLES)
     lib.rtsa_wind_draws.restype = None
@@ -203,7 +207,7 @@ def batch_compiled(*, wind, policy_mode, delta, theta, **scenario):
 def train_compiled(theta, discount, learning_rate, epsilons, seed, *, wind, policy_mode, delta,
                    **scenario):
     """``_rollout_py.train`` on the C kernel: same arguments, same rows, same updates
-    to ``theta``, in one call."""
+    to ``theta``, in one call that records at most ``_rollout_py.RECORD_CAP`` states."""
     theta, table, epsilons, seed = train_arrays(theta, wind, epsilons, seed)
     params, n_waypoints, steps = pack(policy_mode, **scenario)
     threshold = one_threshold(policy_mode, delta)
@@ -213,7 +217,7 @@ def train_compiled(theta, discount, learning_rate, epsilons, seed, *, wind, poli
     done = _lib.rtsa_train(_pointer(params), n_waypoints, int(policy_mode), steps, threshold,
                            _pointer(table), table.shape[0], _pointer(theta), discount,
                            learning_rate, _pointer(epsilons), epsilons.size, seed,
-                           _pointer(rows))
+                           _rollout_py.RECORD_CAP, _pointer(rows))
     if done < 0:
         _raise_for(done)
     return rows[:done]

@@ -5,14 +5,18 @@ floor, and a warm start that fits the weights on distance-threshold demos
 before any online learning. Both run in ``fastpath.train``, on the episode
 loop that ``rollout`` also drives, so a policy trains on exactly the
 dynamics it is evaluated on. ``train`` runs all online episodes in one call
-under the weights policy. ``warm_start`` makes one call per pass that flies
-every demo under the baseline switch, with no exploration, through the same
-TD update; a baseline episode does not depend on the weights, so each pass
-learns from the same demos. Both run on the C kernel (``rtsa_train``) when
-it loads, on its pure-Python twin otherwise, with bit-identical weights and
-logs; the compiled learner seeds each episode's exploration stream as
-numpy's ``default_rng`` does. ``linear_q_update`` and ``epsilon_greedy``
-are the array-level statements of that update and of the exploration draws.
+under the weights policy. ``warm_start`` runs its passes in one call (more
+only past ``MAX_EPISODES`` episodes) under the baseline switch, with no
+exploration, through the same TD update.
+A baseline episode does not depend on the weights, so each pass learns from
+the same demos: the kernel flies each demo once and replays its recorded
+transitions on the later passes (experience replay, Lin 1992), which gives
+the weights that flying it on every pass gives, bit for bit. Both run on the
+C kernel (``rtsa_train``) when it loads, on its pure-Python twin otherwise,
+with bit-identical weights and logs; the compiled learner seeds each
+episode's exploration stream as numpy's ``default_rng`` does.
+``linear_q_update`` and ``epsilon_greedy`` are the array-level statements of
+that update and of the exploration draws.
 """
 
 from __future__ import annotations
@@ -137,13 +141,16 @@ def warm_start(seeds, delta: float, theta0: np.ndarray, cfg: LearnConfig, scenar
                rc: RewardConfig) -> np.ndarray:
     """Batch-fit the weights on distance-threshold demos through the TD update.
 
-    Each of ``cfg.warm_start_passes`` passes is one ``fastpath.train`` call
-    that flies one demo per seed of ``seeds`` under the baseline switch at
-    ``delta``, with no exploration, updating the weights at every step. The
+    The ``cfg.warm_start_passes`` passes fly the demos under the baseline
+    switch at ``delta``, with no exploration, updating the weights at every
+    step. Each pass takes one demo per seed of ``seeds``, in order. The
+    passes run in as few ``fastpath.train`` calls as keep each call within
+    ``MAX_EPISODES`` episodes (one call at the defaults); each call flies
+    every demo once and replays its transitions on its later passes. The
     demos' wind is drawn once for all passes. Raises ValueError for an
     invalid ``cfg`` or ``rc``, an empty or invalid seed list or a threshold
-    that is not finite and positive, and RuntimeError as soon as a pass
-    leaves the weights non-finite.
+    that is not finite and positive, and RuntimeError naming the first pass
+    that left the weights non-finite.
     """
     _checked_config(cfg, rc)
     seeds = seed_array(seeds)
@@ -155,11 +162,14 @@ def warm_start(seeds, delta: float, theta0: np.ndarray, cfg: LearnConfig, scenar
                  policy_mode=fastpath.POLICY_BASELINE, delta=delta,
                  scales=scenario.feature_scales, alert_penalty=rc.alert_penalty,
                  **fastpath.scenario_args(scenario))
-    no_exploration = np.zeros(seeds.size)
-    for n in range(cfg.warm_start_passes):
-        # The baseline never explores, so the exploration seed is never drawn from.
-        fastpath.train(theta, rc.discount, cfg.learning_rate, no_exploration, 0, **demos)
-        _check_finite(theta, f"warm-start pass {n}")
+    per_call = max(1, MAX_EPISODES // seeds.size)
+    for first in range(0, cfg.warm_start_passes, per_call):
+        passes = min(per_call, cfg.warm_start_passes - first)
+        # Episode ep flies demo ep % len(seeds). The baseline never explores, so
+        # the exploration seed is never drawn from.
+        rows = fastpath.train(theta, rc.discount, cfg.learning_rate,
+                              np.zeros(passes * seeds.size), 0, **demos)
+        _check_finite(theta, f"warm-start pass {first + (len(rows) - 1) // seeds.size}")
     return theta.T.copy()
 
 

@@ -103,7 +103,7 @@ def _build(data: dict) -> Scenario:
     if env_data is not None:
         try:
             env = Envelope(np.asarray(env_data["min_corner"]), np.asarray(env_data["max_corner"]))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             problems.append(f"envelope: {exc}")
 
     mission = None
@@ -114,7 +114,7 @@ def _build(data: dict) -> Scenario:
                 waypoints=np.asarray(mission_data["waypoints"]),
                 arrival_radius=float(mission_data["arrival_radius"]),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             problems.append(f"mission: {exc}")
 
     try:
@@ -130,7 +130,7 @@ def _build(data: dict) -> Scenario:
 
     try:
         scales = np.asarray(data.get("feature_scales", []), dtype=float)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         problems.append(f"feature_scales: {exc}")
 
     if problems:

@@ -101,11 +101,20 @@ def finite_fields(config, section: str, names, problems: list) -> set:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             problems.append(f"{section}.{name} must be a number")
-        elif not math.isfinite(value):
+        elif not _finite(value):
             problems.append(f"{section}.{name} must be finite")
         else:
             finite.add(name)
     return finite
+
+
+def _finite(value) -> bool:
+    """Whether the real number ``value`` is finite as a float: an integer too large
+    for one is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)

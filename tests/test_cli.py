@@ -335,6 +335,20 @@ class TestBadInputExits2:
         assert_exit_2(["run", "--scenario", str(path), "--policy", "nominal", "--seed", "0"],
                       capsys, "JSON object")
 
+    @pytest.mark.parametrize("section,key,index", [("sim", "dt", None),
+                                                   ("envelope", "min_corner", 0)])
+    def test_scenario_holding_an_integer_too_large_for_a_float(self, tmp_path, capsys,
+                                                               section, key, index):
+        d = default_scenario().to_dict()
+        if index is None:
+            d[section][key] = 10**400
+        else:
+            d[section][key][index] = -10**400
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        assert_exit_2(["run", "--scenario", str(path), "--policy", "nominal", "--seed", "0"],
+                      capsys, section)
+
     def test_missing_weights_file(self, scenario_path, capsys):
         assert_exit_2(["run", "--scenario", scenario_path, "--policy",
                        "weights:/nonexistent/file.json", "--seed", "0"], capsys,
@@ -388,6 +402,22 @@ class TestEpisodeCountBound:
         assert_exit_2(["train", "--scenario", scenario_path, "--init", str(w0),
                        "--alert-penalty", "0.05", "--episodes", self.HUGE, "--seed", "0",
                        "--out", str(tmp_path / "w1.json")], capsys, "learn.episodes")
+
+
+def test_warmstart_passes_over_many_demos_run_within_the_episode_bound(
+        scenario_path, tmp_path, monkeypatch):
+    # 5 passes of 200001 demos exceed MAX_EPISODES in all; they run as calls of
+    # whole passes, each within the bound. The stub stands in for the flights.
+    calls = []
+
+    def train(theta, discount, learning_rate, epsilons, seed, **kwargs):
+        calls.append(len(epsilons))
+        return np.zeros((len(epsilons), 9))
+
+    monkeypatch.setattr(fastpath, "train", train)
+    assert main(["warmstart", "--scenario", scenario_path, "--delta", "8", "--episodes",
+                 "200001", "--seed", "0", "--out", str(tmp_path / "w.json")]) == 0
+    assert calls == [4 * 200001, 200001]
 
 
 def test_calibration_out_of_budget_exits_2(capsys):

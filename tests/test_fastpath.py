@@ -7,6 +7,7 @@ import subprocess
 import sys
 import sysconfig
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -196,6 +197,7 @@ def test_bench_rollout_script_finds_the_backends_bit_identical():
     assert "backends bit-identical over all episodes" in run.stdout
     assert "batch summaries byte-equal on 1 and" in run.stdout
     assert "sweep summaries byte-equal to one batch per delta" in run.stdout
+    assert "one-call warm start weights byte-equal to one call per pass" in run.stdout
 
 
 @needs_compiled
@@ -651,6 +653,131 @@ class TestBaselineSwitch:
         env_min = calibrated_scenario.envelope.min_corner.copy()
         env_min[0] = calibrated_scenario.mission.waypoints[0][0] + 1.0
         assert self.deploy_steps(calibrated_scenario, backend, 1.0, env_min=env_min) == (0, 0)
+
+
+# Warm-start demos: (scenario, policy mode, threshold, the outcomes they reach).
+# On the calibrated demo the start lies 18 m from the box, so 18 deploys at
+# step 0; the short scenario times out nominal flight after 150 steps and the
+# tiny one after 20.
+DEMO_CASES = {
+    "exit_and_ground": ("calibrated", fastpath.POLICY_BASELINE, 8.0,
+                        {Verdict.EXITED, Verdict.GROUNDED}),
+    "complete_and_exit": ("calibrated", fastpath.POLICY_BASELINE, 4.0,
+                          {Verdict.COMPLETED, Verdict.EXITED}),
+    "timeout_and_exit": ("short", fastpath.POLICY_BASELINE, 8.0,
+                         {Verdict.TIMEOUT, Verdict.EXITED}),
+    "all_timeout": ("tiny", fastpath.POLICY_BASELINE, 8.0, {Verdict.TIMEOUT}),
+    "deploy_at_step_0": ("calibrated", fastpath.POLICY_BASELINE, 18.0, {Verdict.GROUNDED}),
+    "nominal": ("calibrated", fastpath.POLICY_NOMINAL, 0.0,
+                {Verdict.COMPLETED, Verdict.EXITED}),
+}
+N_DEMOS, PASSES = 5, 3
+
+
+@pytest.fixture
+def demo_case(request, calibrated_scenario, short_scenario):
+    """(``train`` keywords but the learner's, outcomes) for the DEMO_CASES entry named by
+    the test's ``case``, on the first N_DEMOS wind seeds."""
+    which, mode, delta, verdicts = DEMO_CASES[request.node.callspec.params["case"]]
+    scenario = {"calibrated": calibrated_scenario, "short": short_scenario,
+                "tiny": replace(calibrated_scenario,
+                                sim=replace(calibrated_scenario.sim, max_steps=20))}[which]
+    return dict(wind=wind_rows(wind_draws(range(N_DEMOS)), scenario.sim), policy_mode=mode,
+                delta=delta, scales=scenario.feature_scales,
+                alert_penalty=scenario.reward.alert_penalty,
+                **fastpath.scenario_args(scenario)), verdicts
+
+
+def warm_start_call(train, kwargs, n_episodes, learning_rate=3e-3):
+    """``n_episodes`` no-exploration learning episodes in one ``train`` call, from small
+    random weights; returns (rows, weights)."""
+    theta = np.random.default_rng(17).normal(scale=1e-3, size=(2, N_FEATURES))
+    rows = train(theta, 0.99, learning_rate, np.zeros(n_episodes), 0, **kwargs)
+    return rows, theta
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", DEMO_CASES)
+class TestWarmStartReplay:
+    # A policy that does not read the weights flies each wind row once in a
+    # call with more episodes than rows; the later passes replay the first
+    # one's transitions, which must leave every byte as flying them does.
+    def test_one_call_equals_one_call_per_pass(self, demo_case, backend, case):
+        kwargs, verdicts = demo_case
+        train = kernels(backend).train
+        # Three passes and two episodes of a fourth: episode ep flies row ep % N_DEMOS.
+        rows, theta = warm_start_call(train, kwargs, PASSES * N_DEMOS + 2)
+        ref_theta = np.random.default_rng(17).normal(scale=1e-3, size=(2, N_FEATURES))
+        ref_rows = [train(ref_theta, 0.99, 3e-3, np.zeros(N_DEMOS), 0, **kwargs)
+                    for _ in range(PASSES)]
+        ref_rows.append(train(ref_theta, 0.99, 3e-3, np.zeros(2), 0,
+                              **{**kwargs, "wind": kwargs["wind"][:2]}))
+        assert rows.tobytes() == np.concatenate(ref_rows).tobytes()
+        assert theta.tobytes() == ref_theta.tobytes()
+        assert {fastpath.VERDICTS[o] for o in rows[:, 1].tolist()} == verdicts
+        if case == "deploy_at_step_0":
+            assert set(rows[:, 2].tolist()) == {0.0}
+        # Each replay learns something: its largest TD error is its own.
+        errors = rows[:, _rollout_py.TRAIN_COLUMNS.index("max_abs_td_error")]
+        assert np.all(errors > 0.0) and len(set(errors.tolist())) > N_DEMOS
+
+    def test_a_small_record_cap_gives_the_same_bytes(self, demo_case, backend, case,
+                                                     monkeypatch):
+        # Rows beyond the cap are flown on every pass instead of replayed.
+        kwargs, _ = demo_case
+        train = kernels(backend).train
+        expected = warm_start_call(train, kwargs, PASSES * N_DEMOS)
+        states = expected[0][:N_DEMOS, _rollout_py.TRAIN_COLUMNS.index("steps")] + 1
+        first_two = int(states[0] + states[1])
+        for cap in (0, 1, int(states[0]), first_two - 1, first_two, first_two + 1):
+            monkeypatch.setattr(_rollout_py, "RECORD_CAP", cap)
+            rows, theta = warm_start_call(train, kwargs, PASSES * N_DEMOS)
+            assert rows.tobytes() == expected[0].tobytes(), cap
+            assert theta.tobytes() == expected[1].tobytes(), cap
+
+
+@pytest.mark.parametrize("case", ["exit_and_ground", "all_timeout"])
+def test_only_rows_beyond_the_record_cap_are_flown_again(demo_case, case, monkeypatch):
+    # Counted on the Python twin: a recorded row is flown once, the others on
+    # every pass, and a row that does not fit stops the recording.
+    kwargs, _ = demo_case
+    flown = []
+    episode = _rollout_py._episode
+
+    def counting(*args, **kw):
+        flown.append(kw["record"] is not None)
+        return episode(*args, **kw)
+
+    monkeypatch.setattr(_rollout_py, "_episode", counting)
+    rows, _ = warm_start_call(_rollout_py.train, kwargs, PASSES * N_DEMOS)
+    assert flown == [True] * N_DEMOS
+    states = rows[:N_DEMOS, _rollout_py.TRAIN_COLUMNS.index("steps")].astype(int) + 1
+    monkeypatch.setattr(_rollout_py, "RECORD_CAP", int(states[0] + states[1]))
+    flown.clear()
+    warm_start_call(_rollout_py.train, kwargs, PASSES * N_DEMOS)
+    # Rows 0 and 1 fit; row 2 does not, so it and the later rows are not recorded.
+    assert flown == [True] * 3 + [False] * 2 + [False] * 3 * (PASSES - 1)
+    monkeypatch.setattr(_rollout_py, "RECORD_CAP", 0)
+    flown.clear()
+    warm_start_call(_rollout_py.train, kwargs, PASSES * N_DEMOS)
+    assert len(flown) == PASSES * N_DEMOS
+    # Online training reads the weights, so it never replays.
+    monkeypatch.undo()
+    monkeypatch.setattr(_rollout_py, "_episode", counting)
+    flown.clear()
+    warm_start_call(_rollout_py.train, {**kwargs, "policy_mode": fastpath.POLICY_WEIGHTS},
+                    PASSES * N_DEMOS)
+    assert flown == [False] * PASSES * N_DEMOS
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", DEMO_CASES)
+def test_one_call_warm_start_equal_on_both_backends(demo_case, case):
+    kwargs, _ = demo_case
+    c_rows, c_theta = warm_start_call(train_compiled, kwargs, PASSES * N_DEMOS + 1)
+    py_rows, py_theta = warm_start_call(_rollout_py.train, kwargs, PASSES * N_DEMOS + 1)
+    assert c_rows.tobytes() == py_rows.tobytes()
+    assert c_theta.tobytes() == py_theta.tobytes()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -13,7 +13,7 @@ from toy_mdp import (
     tabular_q_update,
     value_iteration,
 )
-from rtsa import _rollout_py, fastpath
+from rtsa import _rollout_py, fastpath, learning
 from rtsa._rollout_py import rollout
 from rtsa.learning import (
     LearnConfig,
@@ -236,6 +236,75 @@ class TestWarmStart:
                 calibrated_scenario.reward)
         assert np.array_equal(warm_start(*args), warm_start(*args))
 
+    def test_zero_passes_return_theta0_on_both_backends(self, calibrated_scenario,
+                                                        learning_backend):
+        theta0 = np.random.default_rng(15).normal(size=(N_FEATURES, 2))
+        theta = warm_start([0, 1], 8.0, theta0, LearnConfig(warm_start_passes=0),
+                           calibrated_scenario, calibrated_scenario.reward)
+        assert theta.tobytes() == theta0.tobytes()
+
+    # On the calibrated demo the start lies 18 m from the box, so 18 deploys at
+    # step 0; the short scenario's demos time out or exit.
+    @pytest.mark.parametrize("which,delta", [("calibrated", 8.0), ("calibrated", 18.0),
+                                             ("short", 8.0)])
+    def test_one_call_equals_one_call_per_pass(self, calibrated_scenario, short_scenario,
+                                               learning_backend, which, delta):
+        scenario = calibrated_scenario if which == "calibrated" else short_scenario
+        theta0 = np.random.default_rng(17).normal(scale=1e-3, size=(N_FEATURES, 2))
+        cfg = LearnConfig(warm_start_passes=4)
+        theta = warm_start(range(4), delta, theta0, cfg, scenario, scenario.reward)
+        ref = per_pass_warm_start(range(4), delta, theta0, cfg, scenario)
+        assert theta.tobytes() == ref.tobytes()
+
+    # Two demos and a bound of five episodes give calls of two, two and one
+    # passes: each call flies the demos again, and pass numbers run across calls.
+    def test_passes_beyond_the_episode_bound_run_in_further_calls(
+            self, calibrated_scenario, learning_backend, monkeypatch):
+        calls = []
+        monkeypatch.setattr(learning, "MAX_EPISODES", 5)
+        monkeypatch.setattr(fastpath, "train", spy(fastpath.train, calls))
+        theta0 = np.random.default_rng(19).normal(scale=1e-3, size=(N_FEATURES, 2))
+        cfg = LearnConfig(warm_start_passes=5, episodes=0)
+        theta = warm_start([0, 1], 8.0, theta0, cfg, calibrated_scenario,
+                           calibrated_scenario.reward)
+        assert calls == [4, 4, 2]
+        ref = per_pass_warm_start([0, 1], 8.0, theta0, cfg, calibrated_scenario)
+        assert theta.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("learning_rate,k", [(45.0, 1), (40.0, 2), (38.0, 3)])
+    def test_divergence_past_the_first_call_names_its_pass(
+            self, calibrated_scenario, learning_backend, monkeypatch, learning_rate, k):
+        monkeypatch.setattr(learning, "MAX_EPISODES", 5)
+        cfg = LearnConfig(learning_rate=learning_rate, warm_start_passes=8, episodes=0)
+        with pytest.raises(RuntimeError, match=rf"non-finite in warm-start pass {k}\b"):
+            warm_start([0, 1], 8.0, np.zeros((N_FEATURES, 2)), cfg, calibrated_scenario,
+                       calibrated_scenario.reward)
+
+
+def spy(train, calls):
+    """``train`` that appends each call's episode count to ``calls``."""
+    def counted(theta, discount, learning_rate, epsilons, *args, **kwargs):
+        calls.append(len(epsilons))
+        return train(theta, discount, learning_rate, epsilons, *args, **kwargs)
+    return counted
+
+
+def per_pass_warm_start(seeds, delta, theta0, cfg, scenario):
+    """Warm start as one ``fastpath.train`` call per pass, each flying every demo: the
+    reference for the one call that replays the later passes. Raises RuntimeError
+    naming the first pass that leaves a weight non-finite."""
+    theta = np.array(theta0.T, order="C")
+    demos = dict(wind=wind_rows(fastpath.wind_draws(seeds), scenario.sim),
+                 policy_mode=fastpath.POLICY_BASELINE, delta=delta,
+                 scales=scenario.feature_scales, alert_penalty=scenario.reward.alert_penalty,
+                 **fastpath.scenario_args(scenario))
+    for n in range(cfg.warm_start_passes):
+        fastpath.train(theta, scenario.reward.discount, cfg.learning_rate,
+                       np.zeros(len(seeds)), 0, **demos)
+        if not np.isfinite(theta).all():
+            raise RuntimeError(f"weights became non-finite in warm-start pass {n}")
+    return theta.T.copy()
+
 
 class TestLearnConfig:
     def test_defaults_valid(self):
@@ -264,6 +333,7 @@ class TestLearnConfig:
             ("warm_start_passes", 1.5),
             ("warm_start_passes", -3),
             ("warm_start_passes", True),
+            ("learning_rate", 10**400),  # an int no float holds
             ("seed", -1),
             ("seed", 1.5),
             ("seed", True),
@@ -433,6 +503,23 @@ class TestOracleParity:
         ref = learning_oracle.warm_start(records, theta0, cfg, scenario, scenario.reward)
         np.testing.assert_allclose(theta, ref, rtol=THETA_RTOL, atol=THETA_ATOL)
 
+    @pytest.mark.parametrize("which,delta", [("calibrated", 18.0), ("tiny", 8.0)])
+    def test_replayed_warm_start_matches_object_replay(self, calibrated_scenario,
+                                                       learning_backend, which, delta):
+        # Demos that deploy at step 0, or all time out, over three passes.
+        scenario = calibrated_scenario
+        if which == "tiny":
+            scenario = replace(scenario, sim=replace(scenario.sim, max_steps=20))
+        records = [run_episode(PolicySpec.baseline(delta), scenario, s) for s in range(4)]
+        expected = Verdict.GROUNDED if which == "calibrated" else Verdict.TIMEOUT
+        assert {(r.outcome, r.deploy_step if which == "calibrated" else None)
+                for r in records} == {(expected, 0 if which == "calibrated" else None)}
+        theta0 = np.random.default_rng(17).normal(scale=1e-3, size=(N_FEATURES, 2))
+        cfg = LearnConfig(warm_start_passes=3)
+        theta = warm_start(range(4), delta, theta0, cfg, scenario, scenario.reward)
+        ref = learning_oracle.warm_start(records, theta0, cfg, scenario, scenario.reward)
+        np.testing.assert_allclose(theta, ref, rtol=THETA_RTOL, atol=THETA_ATOL)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_frozen_greedy_episode_is_the_weights_rollout(self, calibrated_scenario, seed):
         scenario = calibrated_scenario
@@ -477,3 +564,16 @@ class TestDivergence:
         with pytest.raises(RuntimeError, match=r"warm-start pass \d+"):
             warm_start([0, 1], 8.0, np.zeros((N_FEATURES, 2)), cfg, calibrated_scenario,
                        calibrated_scenario.reward)
+
+    # Learning rates at which two demos leave the weights non-finite in pass k,
+    # from zero weights: the later passes diverge on replayed transitions.
+    @pytest.mark.parametrize("learning_rate,k", [(120.0, 0), (45.0, 1), (40.0, 2), (38.0, 3)])
+    def test_warm_start_divergence_names_its_pass(self, calibrated_scenario, learning_backend,
+                                                  learning_rate, k):
+        cfg = LearnConfig(learning_rate=learning_rate, warm_start_passes=8)
+        args = ([0, 1], 8.0, np.zeros((N_FEATURES, 2)), cfg, calibrated_scenario)
+        message = rf"non-finite in warm-start pass {k}\b"
+        with pytest.raises(RuntimeError, match=message):
+            warm_start(*args, calibrated_scenario.reward)
+        with pytest.raises(RuntimeError, match=message):
+            per_pass_warm_start(*args)

@@ -138,6 +138,30 @@ class TestValidationErrors:
             load_scenario(self.dump(tmp_path, d))
         assert any("feature_scales" in p for p in exc.value.problems)
 
+    @pytest.mark.parametrize(
+        "path,value,problem",
+        [
+            (("sim", "dt"), 10**400, "sim.dt must be finite"),
+            (("sim", "wind_sigma"), -10**400, "sim.wind_sigma must be finite"),
+            (("envelope", "min_corner", 0), -10**400, "envelope:"),
+            (("envelope", "max_corner", 2), 10**400, "envelope:"),
+            (("mission", "waypoints", 1, 0), 10**400, "mission:"),
+            (("mission", "arrival_radius"), 10**400, "mission:"),
+            (("feature_scales", 0), 10**400, "feature_scales:"),
+        ],
+        ids=["dt", "wind_sigma", "env_min", "env_max", "waypoint", "arrival_radius", "scale"],
+    )
+    def test_integer_too_large_for_a_float_reported(self, tmp_path, path, value, problem):
+        # json reads such a number as an int that no float holds.
+        d = default_scenario().to_dict()
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(self.dump(tmp_path, d))
+        assert any(p.startswith(problem) for p in exc.value.problems)
+
     def test_direct_validate_reports_bad_discount(self):
         s = default_scenario()
         bad = dataclasses.replace(s, reward=dataclasses.replace(s.reward, discount=1.5))
