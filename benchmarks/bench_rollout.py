@@ -22,8 +22,11 @@ Then, on the loaded backend and for each policy mode, times one
 calls, in episodes per second, and checks both give the same outcomes and
 deploy steps. It times one baseline sweep call over several thresholds
 (``fastpath.batch`` with an array of deltas, one shared trunk per seed)
-against one single-threshold batch call per delta on the same seeds, and
-checks their summaries are byte-equal. On the C kernel, it also times one
+against one single-threshold batch call per delta on the same seeds, both
+cold (the last nominal batch flew other wind), and the same sweep warm:
+right after a nominal batch on the same wind, whose checkpoints spare it
+flying the trunks. It checks all their summaries are byte-equal. On the C
+kernel, it also times one
 batch call on one worker thread against one on every worker
 ``fastpath.batch`` uses, and checks their summaries are byte-equal. Writes no
 file.
@@ -161,24 +164,33 @@ def bench_batch(scenario, policy, seeds, repeats):
 
 
 def bench_sweep(scenario, seeds, repeats):
-    """Best seconds of one baseline ``fastpath.batch`` call over all ``SWEEP_DELTAS``
-    and of one single-threshold call per delta, on one wind table.
+    """Best seconds of one baseline ``fastpath.batch`` call over all ``SWEEP_DELTAS``,
+    cold and warm, and of one cold single-threshold call per delta, on one wind table.
 
-    Returns (sweep seconds, per-delta seconds, sweep summaries, the per-delta
-    summaries stacked in the same (k, n, 4) layout).
+    Cold calls follow an untimed nominal batch on other wind, warm ones an
+    untimed nominal batch on the same wind. Returns (cold sweep seconds, warm
+    sweep seconds, per-delta seconds, cold sweep summaries, warm sweep
+    summaries, the per-delta summaries stacked in the same (k, n, 4) layout).
     """
     fixed = _kernel_args(PolicySpec.baseline(SWEEP_DELTAS[0]), scenario)
     del fixed["delta"]
+    nominal = _kernel_args(PolicySpec.nominal(), scenario)
     wind = wind_rows(wind_draws(seeds), scenario.sim)
-    best_sweep = best_each = float("inf")
+    best_cold = best_warm = best_each = float("inf")
     for _ in range(repeats):
+        fastpath.batch(wind=wind[:1], **nominal)
         start = time.perf_counter()
-        sweep = fastpath.batch(wind=wind, delta=SWEEP_DELTAS, **fixed)
-        best_sweep = min(best_sweep, time.perf_counter() - start)
+        cold = fastpath.batch(wind=wind, delta=SWEEP_DELTAS, **fixed)
+        best_cold = min(best_cold, time.perf_counter() - start)
+        fastpath.batch(wind=wind, **nominal)
+        start = time.perf_counter()
+        warm = fastpath.batch(wind=wind, delta=SWEEP_DELTAS, **fixed)
+        best_warm = min(best_warm, time.perf_counter() - start)
+        fastpath.batch(wind=wind[:1], **nominal)
         start = time.perf_counter()
         each = [fastpath.batch(wind=wind, delta=delta, **fixed) for delta in SWEEP_DELTAS]
         best_each = min(best_each, time.perf_counter() - start)
-    return best_sweep, best_each, sweep, np.stack(each)
+    return best_cold, best_warm, best_each, cold, warm, np.stack(each)
 
 
 def bench_workers(scenario, policy, seeds, workers, repeats):
@@ -198,7 +210,7 @@ def bench_workers(scenario, policy, seeds, workers, repeats):
         start = time.perf_counter()
         status = fastpath._lib.rtsa_batch(p(params), n_waypoints, mode, steps, p(table),
                                           len(table), p(deltas), deltas.size, p(columns),
-                                          p(out, ctypes.c_int), workers)
+                                          p(out, ctypes.c_int), workers, None, 0, 0, None)
         best = min(best, time.perf_counter() - start)
         fastpath._raise_for(status)
     return best, out
@@ -254,12 +266,16 @@ def main():
               f"  rollout loop {loop_rate:9.0f} episodes/s  ({batch_rate / loop_rate:4.1f}x)")
     print("batch outcomes and deploy steps equal the rollout loop's")
 
-    t_sweep, t_each, sweep, each = bench_sweep(scenario, seeds, args.repeats)
-    assert sweep.tobytes() == each.tobytes(), "sweep and per-delta batches disagree"
+    t_cold, t_warm, t_each, cold, hot, each = bench_sweep(scenario, seeds, args.repeats)
+    assert cold.tobytes() == each.tobytes(), "sweep and per-delta batches disagree"
+    assert hot.tobytes() == cold.tobytes(), "warm and cold sweeps disagree"
     print(f"sweep       : baseline at {len(SWEEP_DELTAS)} deltas, one call"
-          f" {t_sweep * 1e3:8.3f} ms  one call per delta {t_each * 1e3:8.3f} ms"
-          f"  ({t_each / t_sweep:4.1f}x)")
+          f" {t_cold * 1e3:8.3f} ms  one call per delta {t_each * 1e3:8.3f} ms"
+          f"  ({t_each / t_cold:4.1f}x)")
+    print(f"warm sweep  : after a nominal batch on the same wind {t_warm * 1e3:8.3f} ms"
+          f"  cold {t_cold * 1e3:8.3f} ms  ({t_cold / t_warm:4.1f}x)")
     print("sweep summaries byte-equal to one batch per delta")
+    print("warm sweep summaries byte-equal to a cold sweep")
 
     if fastpath.rollout_compiled is None:
         print(f"compiled    : C kernel not loaded ({fastpath.FALLBACK_REASON})")

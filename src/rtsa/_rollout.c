@@ -21,7 +21,8 @@
  *   rtsa_wind_draws  the unit draws of each seed's wind field.
  * `episode` is always inlined with constant flags, so the rollout carries no
  * learning branches, neither the batch nor the learner writes a trajectory,
- * and only the baseline batch can stop at a deploy decision.
+ * only the baseline batch can stop at a deploy decision and only the nominal
+ * batch records checkpoints.
  *
  * The baseline switch flies the nominal path until it deploys, and a wider
  * threshold deploys no later than a narrower one. So a baseline batch over
@@ -31,6 +32,20 @@
  * trunk goes on, undeployed, under the next narrower threshold. Those still
  * undeployed when the trunk ends get the trunk's summary. Every summary
  * equals a one-threshold episode's, bit for bit.
+ *
+ * The trunk is the nominal flight. The baseline at threshold delta deploys
+ * at the first state whose boundary distance (`boundary_distance`) is at most
+ * delta, and that is a state where the running minimum of that distance
+ * falls: a fork state. So a nominal batch records, per row, checkpoints in a
+ * caller's buffer: fork states at least FORK_GAP steps apart (fork states
+ * come in long runs of consecutive steps), each with the running minimum
+ * before it, then the row's final state and running minimum. A baseline
+ * batch handed that record flies each threshold's trunk only from the last
+ * checkpoint whose running minimum exceeds the threshold, fewer than
+ * FORK_GAP steps before its fork, and a row whose final running minimum
+ * exceeds it gets the nominal summary. The caller (rtsa.fastpath) hands a
+ * record only to a batch on the same scenario and wind; rows that do not fit
+ * in the buffer fly the whole trunk.
  *
  * A baseline (or nominal) episode does not depend on the weights, so a
  * training call under either that has more episodes than wind rows flies
@@ -237,6 +252,30 @@ static inline int inside_box(const double *lo, const double *hi, double x, doubl
     return lo[0] <= x && x <= hi[0] && lo[1] <= y && y <= hi[1] && lo[2] <= z && z <= hi[2];
 }
 
+/*
+ * The baseline switch's distance to the box boundary: inside the box the
+ * smallest of the six offsets to its faces, outside it -infinity. The
+ * switch deploys where it is at most its threshold.
+ */
+static inline double boundary_distance(const double *lo, const double *hi, double x, double y,
+                                       double z)
+{
+    if (!inside_box(lo, hi, x, y, z))
+        return -INFINITY;
+    double d = x - lo[0];
+    if (hi[0] - x < d)
+        d = hi[0] - x;
+    if (y - lo[1] < d)
+        d = y - lo[1];
+    if (hi[1] - y < d)
+        d = hi[1] - y;
+    if (z - lo[2] < d)
+        d = z - lo[2];
+    if (hi[2] - z < d)
+        d = hi[2] - z;
+    return d;
+}
+
 static inline double dot9(const double *a, const double *b)
 {
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] + a[4] * b[4] + a[5] * b[5]
@@ -339,6 +378,41 @@ static inline void record_push(record_t *rec, const double *phi)
 }
 
 /*
+ * One row's checkpoints as a nominal episode records them: N_FORK values
+ * (t, px, py, pz, vx, vy, vz, step, smallest boundary distance before it)
+ * for each decision state whose boundary distance falls below every earlier
+ * one's and that lies FORK_GAP or more steps after the latest checkpoint;
+ * then the final state, with the episode's smallest distance. `used` of them
+ * at `states`, which has room for `capacity`; `full` once one found no room.
+ */
+#define N_FORK 9
+#define FORK_GAP 8
+typedef struct {
+    double *states;
+    int64_t used, capacity;
+    int full;
+} forks_t;
+
+static void forks_push(forks_t *forks, double t, double px, double py, double pz, double vx,
+                       double vy, double vz, int step, double floor)
+{
+    if (forks->full || forks->used == forks->capacity) {
+        forks->full = 1;
+        return;
+    }
+    double *s = forks->states + N_FORK * (size_t)forks->used++;
+    s[0] = t;
+    s[1] = px;
+    s[2] = py;
+    s[3] = pz;
+    s[4] = vx;
+    s[5] = vy;
+    s[6] = vz;
+    s[7] = step;
+    s[8] = floor;
+}
+
+/*
  * A step's reward: a step that leaves the box earns -1 (the exit penalty,
  * which a scenario fixes at 1), else the first deployment earns
  * -alert_penalty, else a step earns 0. `episode` and `replay` both read it.
@@ -360,7 +434,8 @@ static inline double step_reward(int outside, int fresh_deploy, double alert_pen
  * out = (steps, outcome, deploy_step, deploy_greedy) and, when learning,
  * dout = (discounted return, largest squared feature norm, largest absolute
  * TD error). When learning, `rec`, if not NULL, gets each observed state's
- * phi[0..7] while it has room (`replay` reads them back). With `fork`, the
+ * phi[0..7] while it has room (`replay` reads them back). `forks`, if not
+ * NULL, gets the checkpoints (see forks_t). With `fork`, the
  * loop stops instead at its first deploy decision, before that step: it
  * writes the state there to `*state` and out = (step, 0, step, 1).
  */
@@ -368,7 +443,8 @@ static inline __attribute__((always_inline)) void
 episode(const double *p, const path_t *path, int policy_mode, int max_steps, double delta,
         const double *wind, const double *theta, const int learn, double *theta_out,
         double discount, double learning_rate, double epsilon, bitgen_t *bitgen,
-        record_t *rec, state_t *state, const int fork, double *traj, int *out, double *dout)
+        record_t *rec, forks_t *forks, state_t *state, const int fork, double *traj, int *out,
+        double *dout)
 {
     const double *env_min = p + P_ENV_MIN, *env_max = p + P_ENV_MAX;
     const double exn0 = env_min[0], exn1 = env_min[1], exn2 = env_min[2];
@@ -401,6 +477,8 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
     int action = 0, greedy = 0;
     double r = 0.0, ret = 0.0, disc = 1.0, norm2_max = 0.0, error_max = 0.0;
     double phi[N_FEATURES], phi_prev[N_FEATURES];
+    double fork_floor = INFINITY; /* for `forks`: the smallest distance so far */
+    int fork_last = -FORK_GAP;   /* and the latest checkpoint's step */
 
     /* Each pass first observes the current state (wind, features) and applies
      * the TD update of the step that led to it, then stops if that step ended
@@ -439,6 +517,16 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
                 norm2_max = norm2;
             memcpy(phi_prev, phi, sizeof phi);
         }
+        if (forks) {
+            const double d = boundary_distance(env_min, env_max, px, py, pz);
+            if (d < fork_floor) {
+                if (step_idx - fork_last >= FORK_GAP) {
+                    forks_push(forks, t, px, py, pz, vx, vy, vz, step_idx, fork_floor);
+                    fork_last = step_idx;
+                }
+                fork_floor = d;
+            }
+        }
 
         /* Meta decision (one-way switch). */
         if (deployed) {
@@ -459,22 +547,7 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
         } else if (policy_mode == POLICY_NOMINAL) {
             action = 0;
         } else { /* POLICY_BASELINE */
-            if (!inside_box(env_min, env_max, px, py, pz)) {
-                action = 1;
-            } else {
-                double d = px - exn0;
-                if (exx0 - px < d)
-                    d = exx0 - px;
-                if (py - exn1 < d)
-                    d = py - exn1;
-                if (exx1 - py < d)
-                    d = exx1 - py;
-                if (pz - exn2 < d)
-                    d = pz - exn2;
-                if (exx2 - pz < d)
-                    d = exx2 - pz;
-                action = d <= delta ? 1 : 0;
-            }
+            action = boundary_distance(env_min, env_max, px, py, pz) <= delta ? 1 : 0;
         }
 
         const int fresh_deploy = action == 1 && !deployed;
@@ -617,6 +690,8 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
         row[8] = 0.0;
     }
 
+    if (forks)
+        forks_push(forks, t, px, py, pz, vx, vy, vz, step_idx, fork_floor);
     if (learn) {
         memcpy(theta_out, th, sizeof th);
         dout[0] = ret;
@@ -646,12 +721,18 @@ int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_step
         return status;
     state_t start = start_state(&path);
     episode(p, &path, policy_mode, max_steps, delta, wind, theta, 0, NULL, 1.0, 0.0, 0.0,
-            NULL, NULL, &start, 0, traj, out, NULL);
+            NULL, NULL, NULL, &start, 0, traj, out, NULL);
     path_free(&path);
     return 0;
 }
 
-/* One rtsa_batch call, shared by its workers; `next` is the next unclaimed row. */
+/*
+ * One rtsa_batch call, shared by its workers; `next` is the next unclaimed
+ * row and `worker` the next worker's index. `fork_states`, `fork_capacity`
+ * and `fork_rows` are the fork record (see rtsa_batch), NULL without one;
+ * `fork_used` counts the checkpoints claimed in it and `fork_scratch` is
+ * each worker's room for one row's.
+ */
 typedef struct {
     const double *p;
     const path_t *path;
@@ -659,22 +740,75 @@ typedef struct {
     const double *wind, *deltas, *theta;
     int n_deltas;
     int *out;
-    atomic_int next;
+    double *fork_states;
+    int64_t fork_capacity, fork_scratch, *fork_rows;
+    atomic_int next, worker;
+    atomic_llong fork_used;
 } batch_job;
 
-/* Episode `row` of a baseline batch at every threshold (the shared trunk). */
+/* Episode `row` of a nominal batch. Its checkpoints go to the worker's
+ * scratch `forks`, and from there to the record if they fit, after those
+ * of the rows that claimed room before it. */
+static void nominal_row(batch_job *job, int row, forks_t *forks)
+{
+    int *out = job->out + 4 * (size_t)row;
+    state_t start = start_state(job->path);
+    forks->used = 0;
+    episode(job->p, job->path, POLICY_NOMINAL, job->max_steps, 0.0, job->wind + 8 * (size_t)row,
+            job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, NULL, forks, &start, 0, NULL, out, NULL);
+    int64_t *rec = job->fork_rows + 4 * (size_t)row;
+    rec[0] = 0;
+    rec[1] = -1;
+    rec[2] = out[0];
+    rec[3] = out[1];
+    /* A row out of room claims more than all of it, so no later row fits either. */
+    const int64_t claim = forks->full ? job->fork_capacity + 1 : forks->used;
+    const int64_t first = atomic_fetch_add_explicit(&job->fork_used, claim, memory_order_relaxed);
+    if (first + claim > job->fork_capacity)
+        return;
+    memcpy(job->fork_states + N_FORK * (size_t)first, forks->states,
+           sizeof(double) * N_FORK * (size_t)forks->used);
+    rec[0] = first;
+    rec[1] = forks->used;
+}
+
+/*
+ * Episode `row` of a baseline batch at every threshold, on the shared trunk.
+ * With the nominal batch's checkpoints of the row, each threshold's trunk
+ * starts at the last checkpoint whose smallest earlier distance exceeds the
+ * threshold, if that lies ahead of it.
+ */
 static void sweep_row(const batch_job *job, int row)
 {
     const double *wind = job->wind + 8 * (size_t)row;
+    const int64_t *rec = job->fork_rows ? job->fork_rows + 4 * (size_t)row : NULL;
+    if (rec && rec[1] < 0)
+        rec = NULL; /* the row did not fit in the record */
+    const double *checkpoint = rec ? job->fork_states + N_FORK * (size_t)rec[0] : NULL;
+    const double *end = rec ? checkpoint + N_FORK * (size_t)(rec[1] - 1) : NULL;
     state_t trunk = start_state(job->path);
     int stop[4], k = job->n_deltas - 1;
     for (; k >= 0; k--) {
-        episode(job->p, job->path, POLICY_BASELINE, job->max_steps, job->deltas[k], wind,
-                job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, NULL, &trunk, 1, NULL, stop, NULL);
+        const double delta = job->deltas[k];
+        if (rec) {
+            while (checkpoint < end && checkpoint[N_FORK + 8] > delta)
+                checkpoint += N_FORK;
+            if (checkpoint == end) { /* never deploys: nor does any narrower threshold */
+                stop[0] = (int)rec[2];
+                stop[1] = (int)rec[3];
+                stop[2] = stop[3] = -1;
+                break;
+            }
+            const double *c = checkpoint;
+            if (c[7] > trunk.step)
+                trunk = (state_t){c[0], c[1], c[2], c[3], c[4], c[5], c[6], (int)c[7]};
+        }
+        episode(job->p, job->path, POLICY_BASELINE, job->max_steps, delta, wind, job->theta, 0,
+                NULL, 1.0, 0.0, 0.0, NULL, NULL, NULL, &trunk, 1, NULL, stop, NULL);
         if (stop[1])
             break; /* ended before deploying: so it does at every narrower threshold */
-        episode(job->p, job->path, POLICY_BASELINE, job->max_steps, job->deltas[k], wind,
-                job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, NULL, &trunk, 0, NULL,
+        episode(job->p, job->path, POLICY_BASELINE, job->max_steps, delta, wind, job->theta, 0,
+                NULL, 1.0, 0.0, 0.0, NULL, NULL, NULL, &trunk, 0, NULL,
                 job->out + 4 * ((size_t)k * job->n + row), NULL);
     }
     for (; k >= 0; k--)
@@ -684,14 +818,21 @@ static void sweep_row(const batch_job *job, int row)
 static void *batch_worker(void *arg)
 {
     batch_job *job = arg;
+    const int w = atomic_fetch_add_explicit(&job->worker, 1, memory_order_relaxed);
+    forks_t forks = {NULL, 0, job->fork_scratch, 0};
+    if (job->fork_rows)
+        forks.states = job->fork_states
+                       + N_FORK * (size_t)(job->fork_capacity + w * job->fork_scratch);
     for (int i; (i = atomic_fetch_add_explicit(&job->next, 1, memory_order_relaxed)) < job->n;) {
         if (job->policy_mode == POLICY_BASELINE) {
             sweep_row(job, i);
+        } else if (job->policy_mode == POLICY_NOMINAL && job->fork_rows) {
+            nominal_row(job, i, &forks);
         } else {
             state_t start = start_state(job->path);
             episode(job->p, job->path, job->policy_mode, job->max_steps, 0.0,
                     job->wind + 8 * (size_t)i, job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL,
-                    NULL, &start, 0, NULL, job->out + 4 * (size_t)i, NULL);
+                    NULL, NULL, &start, 0, NULL, job->out + 4 * (size_t)i, NULL);
         }
     }
     return NULL;
@@ -704,7 +845,21 @@ static void *batch_worker(void *arg)
  * baseline policy it does so at each of the n_deltas ascending thresholds at
  * `deltas`, into block k = 0..n_deltas-1 of `out` (n_deltas x n x 4) for
  * threshold k, on one shared trunk per row (see the top of this file); the
- * other policies have no threshold, and n_deltas must be 1. The rows are
+ * other policies have no threshold, and n_deltas must be 1.
+ *
+ * `fork_rows` (n x 4), if not NULL, is the fork record: `fork_states` holds
+ * room for `fork_capacity` checkpoints of N_FORK values (see forks_t), and
+ * row i of `fork_rows` is (first checkpoint, checkpoint count or -1 if not
+ * recorded, steps, outcome) of wind row i's nominal episode. A nominal batch
+ * writes it: each row's checkpoints go one after another into `fork_states`
+ * in the order the rows finish, until a row's do not fit. Beyond those,
+ * `fork_states` must hold room for n_workers x `fork_scratch` more, each
+ * worker's scratch for one row's; a row with more checkpoints than that is
+ * not recorded either (it has at most max_steps / FORK_GAP + 2). A baseline
+ * batch reads the record, and must be given one only from a nominal batch on
+ * the same scenario, max_steps and wind. A weights batch ignores it.
+ *
+ * The rows are
  * shared out, one at a time, among `n_workers` threads (at least 1, at most
  * MAX_WORKERS and n): the calling thread and threads started for this call
  * and joined before it returns. A thread that cannot be started leaves its
@@ -714,17 +869,19 @@ static void *batch_worker(void *arg)
  */
 int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
                const double *wind, int n, const double *deltas, int n_deltas,
-               const double *theta, int *out, int n_workers)
+               const double *theta, int *out, int n_workers, double *fork_states,
+               int64_t fork_capacity, int64_t fork_scratch, int64_t *fork_rows)
 {
     path_t path;
     const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
     if (status)
         return status;
-    batch_job job = {p, &path, policy_mode, max_steps, n, wind, deltas, theta, n_deltas, out, 0};
     if (n_workers > MAX_WORKERS)
         n_workers = MAX_WORKERS;
     if (n_workers > n)
         n_workers = n;
+    batch_job job = {p, &path, policy_mode, max_steps, n, wind, deltas, theta, n_deltas, out,
+                     fork_states, fork_capacity, fork_scratch, fork_rows, 0, 0, 0};
     pthread_t threads[MAX_WORKERS - 1];
     int started = 0;
     while (started < n_workers - 1
@@ -879,8 +1036,8 @@ int64_t rtsa_train(const double *p, int n_waypoints, int policy_mode, int max_st
             int out[4];
             double dout[3];
             episode(p, &path, policy_mode, max_steps, delta, wind + 8 * (size_t)i, theta, 1,
-                    theta, discount, learning_rate, epsilons[ep], &bitgen, record, &start, 0,
-                    NULL, out, dout);
+                    theta, discount, learning_rate, epsilons[ep], &bitgen, record, NULL, &start,
+                    0, NULL, out, dout);
             if (record && rec.used - rec_start == out[0] + 1)
                 n_recorded++;
             else if (record) /* out of room: this row and the later ones fly every pass */

@@ -24,7 +24,13 @@ It reads the packed array by the ``P_*`` offsets, as ``episode`` in
   wind row, flies their shared nominal prefix once (``_sweep``): one trunk
   that stops where the widest threshold not yet deployed deploys, forks
   that threshold's parachute tail from its exact state, and goes on under
-  the next narrower threshold.
+  the next narrower threshold. That trunk is the nominal flight, and a
+  threshold deploys at a state where the running minimum of the boundary
+  distance falls (a fork state). So a nominal batch records checkpoints of
+  each row's fork states and keeps them as ``_fork_record``: a baseline
+  batch on the same scenario and wind flies each threshold's trunk only
+  from the last checkpoint before its fork, fewer than ``FORK_GAP`` steps,
+  and then its tail.
 - ``train`` runs Q-learning episodes in a row under one of those policies,
   applying ``td_update``, the linear TD rule on weight columns held as float
   lists, to the weights at every step at the given discount and learning
@@ -92,10 +98,18 @@ P_WAYPOINTS = 25  # n_waypoints x 3, row-major
 
 ZERO_SEGMENT = "waypoints hold a zero-length segment"
 
-#: Most states whose features one ``train`` call records for replay: 64 MB at
-#: 8 float64 values per state. Rows beyond it are flown on every pass.
+#: Most states whose features one ``train`` call records for replay (64 MB at
+#: 8 float64 values per state), and most checkpoints one nominal ``batch``
+#: records. Rows beyond it are flown on every pass, or their whole trunk on a
+#: sweep.
 RECORD_CAP = 2**20
 _N_RECORDED = 8  # phi[0..7] per state; phi[8] follows from the deploy step
+#: A checkpoint's values: t, px, py, pz, vx, vy, vz, step and the smallest
+#: boundary distance of the decision states before it.
+N_FORK = 9
+#: Fewest steps between two checkpoints of a row, as in ``_rollout.c``; so a
+#: row records at most ``max_steps // FORK_GAP + 2``, its end included.
+FORK_GAP = 8
 
 #: ``train``'s row of each episode, the ROW_* enum of ``_rollout.c``:
 #: deploy_greedy is -1 if never deployed, 0 explored, 1 greedy; norm2_max is
@@ -228,6 +242,18 @@ def train_arrays(theta, wind, epsilons, seed):
     return theta, table, epsilons, int(seed)
 
 
+def batch_key(params, n_waypoints, max_steps, table):
+    """What a batch's episodes depend on but the policy: the exact bytes of the packed
+    scenario and of the wind table, the waypoint count and ``max_steps``."""
+    return params.tobytes(), n_waypoints, max_steps, table.tobytes()
+
+
+#: The last nominal ``batch``'s record, (``batch_key``, checkpoint values, rows), or
+#: None. Row i of rows is (first checkpoint, checkpoint count or -1 if the row was
+#: not recorded, steps, outcome) of wind row i's episode. Replaced, never changed.
+_fork_record = None
+
+
 def rollout(*, wind_params, policy_mode, delta, theta, **scenario):
     """Run one episode; returns (trajectory, outcome, deploy_step).
 
@@ -263,7 +289,12 @@ def batch(*, wind, policy_mode, delta, theta, **scenario):
     block j holding the summaries at threshold j, and each wind row's
     episodes share one trunk (``_sweep``). Raises ValueError as ``rollout``
     does, and for a ``wind`` of another shape.
+
+    A nominal batch records its rows' checkpoints, up to ``RECORD_CAP`` in
+    all, as ``_fork_record``; a baseline batch with the same ``batch_key``
+    flies its recorded rows' trunks from them.
     """
+    global _fork_record
     params, n_waypoints, steps = pack(policy_mode, **scenario)
     deltas = thresholds(policy_mode, delta)
     table = checked_rows("wind", wind, 8, at_least=1)
@@ -271,10 +302,33 @@ def batch(*, wind, policy_mode, delta, theta, **scenario):
     n = table.shape[0]
     out = np.empty(deltas.shape + (n, 4), dtype=np.intc)
     blocks, values = out.reshape(-1, n, 4), deltas.reshape(-1).tolist()  # one block per threshold
-    for i, wind_params in enumerate(table.tolist()):
-        if policy_mode == POLICY_BASELINE:
-            blocks[:, i] = _sweep(p, n_waypoints, steps, values, wind_params, columns)
-        else:
+    winds = table.tolist()
+    if policy_mode == POLICY_BASELINE:
+        key, states, rows = _fork_record or (None, None, None)
+        if key != batch_key(params, n_waypoints, steps, table):
+            rows = [(0, -1, 0, 0)] * n
+        for i, wind_params in enumerate(winds):
+            first, count, nominal_steps, outcome = rows[i]
+            checkpoints = None if count < 0 else (
+                states[N_FORK * first:N_FORK * (first + count)].tolist(),
+                (nominal_steps, outcome, -1, -1))
+            blocks[:, i] = _sweep(p, n_waypoints, steps, values, wind_params, columns,
+                                  checkpoints)
+    elif policy_mode == POLICY_NOMINAL:
+        states, rows, recording = array("d"), [], True
+        for i, wind_params in enumerate(winds):
+            start = len(states)
+            blocks[0, i] = row = _summary(_episode(
+                p, n_waypoints, policy_mode, steps, 0.0, wind_params, columns,
+                forks=states if recording else None))
+            recording = recording and len(states) <= N_FORK * RECORD_CAP
+            if not recording:  # out of room: this row and the later ones are not recorded
+                del states[start:]
+            count = (len(states) - start) // N_FORK if recording else -1
+            rows.append((start // N_FORK, count, row[0], row[1]))
+        _fork_record = batch_key(params, n_waypoints, steps, table), states, rows
+    else:
+        for i, wind_params in enumerate(winds):
             blocks[0, i] = _summary(_episode(p, n_waypoints, policy_mode, steps, 0.0,
                                              wind_params, columns))
     return out
@@ -286,18 +340,34 @@ def _summary(result):
     return steps, outcome, deploy_step, -1 if deploy_greedy is None else deploy_greedy
 
 
-def _sweep(p, n_waypoints, max_steps, deltas, wind, theta):
+def _sweep(p, n_waypoints, max_steps, deltas, wind, theta, checkpoints=None):
     """One wind row's baseline summaries at each of the ascending ``deltas``, in order.
 
     One trunk flies the nominal prefix they share, under the widest
     threshold not yet deployed, and stops where that one deploys. Its tail
     is flown from the trunk's state there, and the trunk goes on under the
     next narrower threshold. Those left when the trunk ends get the trunk's
-    summary.
+    summary. ``checkpoints``, if given, is the row's record from a nominal
+    batch on the same inputs, (its checkpoints as a flat float list, the
+    nominal summary): then each threshold's trunk starts at the last
+    checkpoint whose smallest earlier distance exceeds the threshold, if that
+    lies ahead of it, and if that is the row's end, the threshold and the
+    narrower ones get the nominal summary.
     """
     rows = [None] * len(deltas)
     trunk = _start(p)
+    c = 0  # the checkpoint reached
     for k in reversed(range(len(deltas))):
+        if checkpoints is not None:
+            states, nominal = checkpoints
+            end = len(states) - N_FORK
+            while c < end and states[c + N_FORK + 8] > deltas[k]:
+                c += N_FORK
+            if c == end:  # never deploys: nor does any narrower threshold
+                rows[:k + 1] = [nominal] * (k + 1)
+                break
+            if states[c + 7] > trunk[7]:
+                trunk = states[c:c + 7] + [int(states[c + 7])]
         stop = _summary(_episode(p, n_waypoints, POLICY_BASELINE, max_steps, deltas[k], wind,
                                  theta, state=trunk, fork=True))
         if stop[1]:  # ended before deploying: so it does at every narrower threshold
@@ -400,6 +470,28 @@ def weights_norm(weights):
     return largest * math.sqrt(scaled2)
 
 
+def boundary_distance(lo, hi, px, py, pz):
+    """The baseline switch's distance to the box ``lo``-``hi`` (float lists): inside
+    it the smallest of the six offsets to its faces, outside it -inf. The switch
+    deploys where it is at most its threshold."""
+    exn0, exn1, exn2 = lo
+    exx0, exx1, exx2 = hi
+    if not (exn0 <= px <= exx0 and exn1 <= py <= exx1 and exn2 <= pz <= exx2):
+        return -math.inf
+    d = px - exn0
+    if exx0 - px < d:
+        d = exx0 - px
+    if py - exn1 < d:
+        d = py - exn1
+    if exx1 - py < d:
+        d = exx1 - py
+    if pz - exn2 < d:
+        d = pz - exn2
+    if exx2 - pz < d:
+        d = exx2 - pz
+    return d
+
+
 def _step_reward(outside, fresh_deploy, alert_penalty):
     """A step's reward: a step that leaves the box earns -1 (the exit penalty,
     which a scenario fixes at 1), else the first deployment earns
@@ -441,7 +533,7 @@ def _replay(columns, record, offset, steps, outcome, deploy_step, alert_penalty,
 
 def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, state=None,
              fork=False, discount=1.0, learning_rate=None, epsilon=0.0, rng=None, traj=None,
-             record=None):
+             record=None, forks=None):
     """The episode loop behind ``rollout``, ``batch`` and ``train``.
 
     ``p`` is ``pack``'s array as a float list, ``wind`` the 8 wind values
@@ -455,7 +547,13 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
     undeployed step epsilon-greedy on ``rng``. ``traj``, if given, is a list
     that gets the trajectory rows. When learning, ``record``, if given, is
     an ``array("d")`` that gets each observed state's phi[0..7] while it
-    holds fewer than ``RECORD_CAP`` states. Returns (discounted return,
+    holds fewer than ``RECORD_CAP`` states. ``forks``, if given, is an
+    ``array("d")`` that gets checkpoints of ``N_FORK`` values, [t, px, py,
+    pz, vx, vy, vz, step, smallest ``boundary_distance`` before it]: each
+    decision state whose distance falls below every earlier one's and that
+    lies ``FORK_GAP`` or more steps after the latest checkpoint, then the
+    final state with the episode's smallest distance. Returns (discounted
+    return,
     outcome, deploy_step, deploy_greedy, steps, largest squared feature norm
     of a decision state, largest absolute TD error), the last two 0 unless
     learning. With ``fork``, the loop stops
@@ -463,8 +561,9 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
     state there into ``state`` and returns outcome 0. Raises ValueError for
     a zero-length path segment.
     """
-    exn0, exn1, exn2 = p[P_ENV_MIN:P_ENV_MIN + 3]
-    exx0, exx1, exx2 = p[P_ENV_MAX:P_ENV_MAX + 3]
+    lo, hi = p[P_ENV_MIN:P_ENV_MIN + 3], p[P_ENV_MAX:P_ENV_MAX + 3]
+    exn0, exn1, exn2 = lo
+    exx0, exx1, exx2 = hi
     arrival_radius, dt, a_max = p[P_ARRIVAL_RADIUS], p[P_DT], p[P_A_MAX]
     cruise_speed, lookahead = p[P_CRUISE_SPEED], p[P_LOOKAHEAD]
     kp, kd, air_drag = p[P_KP], p[P_KD], p[P_AIR_DRAG]
@@ -504,6 +603,7 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
     disc = 1.0
     norm2_max = 0.0
     error_max = 0.0
+    floor, last = math.inf, -FORK_GAP  # for ``forks``: the smallest distance, latest step
     outcome = 0  # still running
 
     # Each pass first observes the current state (wind, features) and applies
@@ -541,6 +641,13 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
             if norm2 > norm2_max:
                 norm2_max = norm2
             phi_prev = phi
+        if forks is not None:
+            d = boundary_distance(lo, hi, px, py, pz)
+            if d < floor:
+                if step_idx - last >= FORK_GAP:
+                    forks.extend((t, px, py, pz, vx, vy, vz, step_idx, floor))
+                    last = step_idx
+                floor = d
 
         # Meta decision (one-way switch).
         if deployed:
@@ -564,22 +671,7 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
         elif policy_mode == POLICY_NOMINAL:
             action = 0
         else:  # POLICY_BASELINE
-            inside = exn0 <= px <= exx0 and exn1 <= py <= exx1 and exn2 <= pz <= exx2
-            if not inside:
-                action = 1
-            else:
-                d = px - exn0
-                if exx0 - px < d:
-                    d = exx0 - px
-                if py - exn1 < d:
-                    d = py - exn1
-                if exx1 - py < d:
-                    d = exx1 - py
-                if pz - exn2 < d:
-                    d = pz - exn2
-                if exx2 - pz < d:
-                    d = exx2 - pz
-                action = 1 if d <= delta else 0
+            action = 1 if boundary_distance(lo, hi, px, py, pz) <= delta else 0
 
         fresh_deploy = action == 1 and not deployed
         if fork and fresh_deploy:
@@ -688,6 +780,8 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
 
     if traj is not None:
         traj.append((t, px, py, pz, vx, vy, vz, 1.0 if deployed else 0.0, 0.0))
+    if forks is not None:
+        forks.extend((t, px, py, pz, vx, vy, vz, step_idx, floor))
     return ret, outcome, deploy_step, deploy_greedy, step_idx, norm2_max, error_max
 
 

@@ -12,9 +12,12 @@ face identical wind realizations. Episodes run on the fastpath kernels
   call and keep only each episode's outcome and deploy step, which is all a
   confusion matrix reads. ``sweep_baseline`` runs all of its thresholds in
   that one call too: each seed's nominal prefix, which every threshold flies
-  until it deploys, is flown once. Their wind comes from one table of unit
-  draws per seed list (``fastpath.wind_draws``), drawn once and rescaled to
-  each policy's or calibration step's wind (``sim.wind_rows``).
+  until it deploys, is flown once; right after a nominal ``run_batch`` on
+  the same seeds, only its last few steps before each deploy are (see
+  ``fastpath``). It counts each threshold's confusion matrix from the
+  summaries. Their wind comes from one table of unit draws per seed list
+  (``fastpath.wind_draws``), drawn once and rescaled to each policy's or
+  calibration step's wind (``sim.wind_rows``).
 
 Both paths give the same outcomes and deploy steps for the same seeds. A
 seed is an integer in [0, 2**64) (``sim.seed_array``); any other raises
@@ -292,11 +295,15 @@ def sweep_baseline(scenario: Scenario, deltas, seeds):
         return []
     blocks = fastpath.batch(wind=wind_rows(fastpath.wind_draws(seeds), scenario.sim),
                             **{**_kernel_args(policies[0], scenario), "delta": deltas})
-    return [
-        soc_point(confusion(_summary_records(policy, seeds, block), scenario.envelope),
-                  policy.delta, policy_family="baseline")
-        for policy, block in zip(policies, blocks)
-    ]
+    points = []
+    for delta, block in zip(deltas, blocks.tolist()):
+        # ConfusionMatrix's counts, as ``confusion`` judges summary records:
+        # deployed if it has a deploy step, unsafe if it exited.
+        counts = [0, 0, 0, 0]
+        for _, outcome, deploy_step, _ in block:
+            counts[2 * (deploy_step >= 0) + (outcome == fastpath.OUTCOME_EXITED)] += 1
+        points.append(soc_point(ConfusionMatrix(*counts), delta, policy_family="baseline"))
+    return points
 
 
 DEFAULT_WARMSTART_DELTA = 16.0

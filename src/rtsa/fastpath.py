@@ -15,7 +15,14 @@ episode's trajectory; ``batch`` runs one episode per row of an (n, 8) wind
 array and returns only their (n, 4) summaries. Given k ascending baseline
 thresholds, ``batch`` returns (k, n, 4) summaries from one call that flies
 each row's shared nominal prefix once, as one trunk that forks a parachute
-tail at each threshold's deploy step. The C ``batch`` spreads the rows over
+tail at each threshold's deploy step. That trunk is the nominal flight: a
+nominal ``batch`` records checkpoints of each row's fork states, the states
+where the running minimum of the baseline's boundary distance falls, and a
+baseline ``batch`` on the same scenario and wind as the last nominal one
+(``_rollout_py.batch_key``) flies each threshold's trunk only from the last
+checkpoint before its fork, fewer than ``_rollout_py.FORK_GAP`` steps (each
+backend keeps its own record: ``ForkMemo`` here, ``_rollout_py._fork_record``
+for the twin). The C ``batch`` spreads the rows over
 as many threads as the process may use CPUs (at most one per row), with the
 same result on any count. ``train`` runs Q-learning episodes under a given
 policy in one call, updating a (2, 9) float64 array of weight columns in
@@ -33,7 +40,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import mmap
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +58,11 @@ from ._rollout_py import (  # noqa: F401  (re-exported constants)
     POLICY_WEIGHTS,
 )
 from ._rollout_py import (
+    FORK_GAP,
+    N_FORK,
     TRAIN_COLUMNS,
     ZERO_SEGMENT,
+    batch_key,
     checked,
     checked_rows,
     one_threshold,
@@ -74,6 +86,7 @@ _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _LDLIBS = (str(_NPYRANDOM), "-lm", "-pthread")
 _Out = ctypes.c_int * 4  # (steps, outcome, deploy_step, deploy_greedy)
 _DOUBLES = ctypes.POINTER(ctypes.c_double)
+_INT64S = ctypes.POINTER(ctypes.c_int64)
 _UINT64S = ctypes.POINTER(ctypes.c_uint64)
 
 
@@ -143,7 +156,8 @@ def _load_kernel():
                                  _DOUBLES, ctypes.POINTER(c_int))
     lib.rtsa_rollout.restype = c_int
     lib.rtsa_batch.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, c_int, _DOUBLES, c_int,
-                               _DOUBLES, ctypes.POINTER(c_int), c_int)
+                               _DOUBLES, ctypes.POINTER(c_int), c_int, _DOUBLES, ctypes.c_int64,
+                               ctypes.c_int64, _INT64S)
     lib.rtsa_batch.restype = c_int
     lib.rtsa_train.argtypes = (_DOUBLES, c_int, c_int, c_int, c_double, _DOUBLES,
                                ctypes.c_int64, _DOUBLES, c_double, c_double, _DOUBLES,
@@ -188,20 +202,112 @@ def batch_workers(n_rows: int) -> int:
     return min(cpus, n_rows)
 
 
+class ForkRecord:
+    """A C nominal batch's checkpoints, the record its baseline batches read.
+
+    ``states`` holds ``N_FORK`` float64 values per checkpoint, after which
+    each worker's scratch follows, and ``rows`` (n, 4) is ``rtsa_batch``'s
+    ``fork_rows``. ``key`` is the batch's ``batch_key``, and ``readers``
+    counts the batches reading the record.
+    """
+
+    __slots__ = ("key", "states", "rows", "readers")
+
+    def __init__(self, states, rows):
+        self.key, self.states, self.rows, self.readers = None, states, rows, 0
+
+
+class ForkMemo:
+    """The last C nominal batch's ``ForkRecord``, for baseline batches on the same inputs.
+
+    Safe for threads whose batches interleave (ctypes releases the GIL): a
+    batch that reads the record counts itself among its ``readers`` while it
+    reads, and a record is written again only once unpublished and unread
+    (``take``).
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._record = None
+
+    def take(self):
+        """Unpublish the record; return it if no batch reads it, to be written again."""
+        with self._lock:
+            record, self._record = self._record, None
+            return record if record is not None and not record.readers else None
+
+    def publish(self, record, key):
+        with self._lock:
+            record.key, self._record = key, record
+
+    @contextlib.contextmanager
+    def reading(self, key):
+        """The record if its key is ``key``, else None, kept from reuse while in use."""
+        with self._lock:
+            record = self._record
+            if record is not None and record.key == key:
+                record.readers += 1
+            else:
+                record = None
+        try:
+            yield record
+        finally:
+            if record is not None:
+                with self._lock:
+                    record.readers -= 1
+
+
+_MEMO = ForkMemo()
+
+
+def _fork_record(n_rows, size):
+    """A ``ForkRecord`` for a nominal batch of ``n_rows`` with room for ``size`` checkpoints:
+    the memo's own, unpublished, if no batch reads it and it is large enough, else a
+    new one."""
+    record = _MEMO.take()
+    if record is None or len(record.rows) != n_rows or len(record.states) < size:
+        # An anonymous private mapping: only the pages written take memory,
+        # where numpy would ask for huge pages for an array of 4 MiB or more.
+        states = mmap.mmap(-1, 8 * N_FORK * max(size, 1), flags=mmap.MAP_PRIVATE)
+        record = ForkRecord(np.frombuffer(states).reshape(-1, N_FORK),
+                            np.empty((n_rows, 4), dtype=np.int64))
+    return record
+
+
 def batch_compiled(*, wind, policy_mode, delta, theta, **scenario):
     """``_rollout_py.batch`` on the C kernel: same arguments, same result.
 
-    Runs on ``batch_workers`` threads."""
+    Runs on ``batch_workers`` threads. A nominal batch records its rows'
+    checkpoints, at most ``_rollout_py.RECORD_CAP``, and publishes them in
+    ``_MEMO``; a baseline batch with the same ``batch_key`` reads them."""
     params, n_waypoints, steps = pack(policy_mode, **scenario)
     deltas = thresholds(policy_mode, delta)
     table, columns = checked_rows("wind", wind, 8, at_least=1), weight_columns(theta)
-    n_rows = table.shape[0]
+    n_rows, workers = table.shape[0], batch_workers(table.shape[0])
     out = np.empty(deltas.shape + (n_rows, 4), dtype=np.intc)
-    _raise_for(_lib.rtsa_batch(_pointer(params), n_waypoints, int(policy_mode), steps,
-                               _pointer(table), n_rows, _pointer(deltas), deltas.size,
-                               _pointer(columns), _pointer(out, ctypes.c_int),
-                               batch_workers(n_rows)))
+    args = (_pointer(params), n_waypoints, int(policy_mode), steps, _pointer(table), n_rows,
+            _pointer(deltas), deltas.size, _pointer(columns), _pointer(out, ctypes.c_int),
+            workers)
+    if policy_mode == POLICY_WEIGHTS:
+        _raise_for(_lib.rtsa_batch(*args, *_fork_args(None)))
+    elif policy_mode == POLICY_NOMINAL:
+        # The record, and each worker's scratch for the most checkpoints a row has.
+        scratch = steps // FORK_GAP + 2
+        capacity = min(_rollout_py.RECORD_CAP, n_rows * scratch)
+        record = _fork_record(n_rows, capacity + workers * scratch)
+        _raise_for(_lib.rtsa_batch(*args, *_fork_args(record, capacity, scratch)))
+        _MEMO.publish(record, batch_key(params, n_waypoints, steps, table))
+    else:
+        with _MEMO.reading(batch_key(params, n_waypoints, steps, table)) as record:
+            _raise_for(_lib.rtsa_batch(*args, *_fork_args(record)))
     return out
+
+
+def _fork_args(record, capacity=0, scratch=0):
+    """``rtsa_batch``'s fork record arguments for ``record``, or for none if it is None."""
+    if record is None:
+        return None, 0, 0, None
+    return _pointer(record.states), capacity, scratch, _pointer(record.rows, ctypes.c_int64)
 
 
 def train_compiled(theta, discount, learning_rate, epsilons, seed, *, wind, policy_mode, delta,

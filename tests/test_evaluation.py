@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rtsa import evaluation, fastpath, sim
+from rtsa import _rollout_py, evaluation, fastpath, sim
 from rtsa.evaluation import (
     ConfusionMatrix,
     EpisodeRecord,
@@ -238,6 +238,28 @@ class TestSweepBaseline:
         assert len(calls) == 1
         assert sweep_baseline(calibrated_scenario, [], seeds) == []
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("c", marks=pytest.mark.skipif(fastpath.batch_compiled is None,
+                                               reason="C kernel not loaded")),
+    "python"])
+@pytest.mark.parametrize("deltas", [(1.0, 2.0, 4.0, 8.0, 16.0), (2.0, 2.0, 8.0), (1.0, 18.0, 30.0),
+                                    (1e-3,)], ids=["soc", "repeats", "step_0", "never_fires"])
+def test_sweep_points_equal_the_records_path(calibrated_scenario, short_scenario, monkeypatch,
+                                             backend, deltas):
+    # sweep_baseline counts each block's quadrants from the summaries; the
+    # records path builds one summary EpisodeRecord per seed and asks confusion.
+    monkeypatch.setattr(fastpath, "batch", fastpath.batch_compiled if backend == "c"
+                        else _rollout_py.batch)
+    seeds = range(40)
+    for scenario in (calibrated_scenario, short_scenario):
+        expected = [soc_point(confusion(run_batch(PolicySpec.baseline(d), scenario, seeds),
+                                        scenario.envelope), d, policy_family="baseline")
+                    for d in deltas]
+        assert sweep_baseline(scenario, deltas, seeds) == expected
+        run_batch(PolicySpec.nominal(), scenario, seeds)  # and the same from the checkpoints
+        assert sweep_baseline(scenario, deltas, seeds) == expected
 
 
 class TestExitRateAndCalibration:

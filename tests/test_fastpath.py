@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import ctypes
 import os
@@ -6,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +21,8 @@ from hypothesis.extra import numpy as hnp
 
 from rtsa import _rollout_py, fastpath, sim
 from rtsa._rollout_py import rollout as rollout_python
-from rtsa.evaluation import PolicySpec, run_batch, run_episode, _kernel_scenario_args
+from rtsa.evaluation import (PolicySpec, run_batch, run_episode, sweep_baseline,
+                             _kernel_scenario_args)
 from rtsa.geometry import build_path
 from rtsa.learning import LearnConfig, train
 from rtsa.policy import Action, N_FEATURES, compose_controller, random_weights, rtsa_action
@@ -197,6 +200,7 @@ def test_bench_rollout_script_finds_the_backends_bit_identical():
     assert "backends bit-identical over all episodes" in run.stdout
     assert "batch summaries byte-equal on 1 and" in run.stdout
     assert "sweep summaries byte-equal to one batch per delta" in run.stdout
+    assert "warm sweep summaries byte-equal to a cold sweep" in run.stdout
     assert "one-call warm start weights byte-equal to one call per pass" in run.stdout
 
 
@@ -268,8 +272,8 @@ class TestSweepParity:
 
 def c_batch(kwargs, workers, out=None):
     """``batch_kwargs``' or ``sweep_kwargs``' batch through ``fastpath._lib.rtsa_batch``
-    on ``workers`` threads, written into ``out`` (if None, a new one of -7s, so a row no
-    worker ran shows); raises as ``batch_compiled``."""
+    on ``workers`` threads with no fork record, written into ``out`` (if None, a new one
+    of -7s, so a row no worker ran shows); raises as ``batch_compiled``."""
     kwargs = dict(kwargs)
     table = _rollout_py.checked_rows("wind", kwargs.pop("wind"), 8, at_least=1)
     theta = _rollout_py.weight_columns(kwargs.pop("theta"))
@@ -281,7 +285,7 @@ def c_batch(kwargs, workers, out=None):
     p = fastpath._pointer
     fastpath._raise_for(fastpath._lib.rtsa_batch(
         p(params), n_waypoints, mode, steps, p(table), table.shape[0], p(deltas), deltas.size,
-        p(theta), p(out, ctypes.c_int), workers))
+        p(theta), p(out, ctypes.c_int), workers, None, 0, 0, None))
     return out
 
 
@@ -653,6 +657,285 @@ class TestBaselineSwitch:
         env_min = calibrated_scenario.envelope.min_corner.copy()
         env_min[0] = calibrated_scenario.mission.waypoints[0][0] + 1.0
         assert self.deploy_steps(calibrated_scenario, backend, 1.0, env_min=env_min) == (0, 0)
+
+
+# Grids for warm sweeps: SWEEP_GRIDS' repeats, step-0 deploys and a threshold
+# that never fires, and one so wide that it deploys at step 0 on every seed.
+WARM_GRIDS = {grid: SWEEP_GRIDS[grid] for grid in ("soc", "duplicates", "step_0",
+                                                    "never_fires", "same_step")}
+WARM_GRIDS["wide"] = (1.0, 8.0, 1e6)
+
+
+def forget(backend, monkeypatch):
+    """Give ``backend`` an empty fork memo, so its next sweep is cold."""
+    if backend == "c":
+        monkeypatch.setattr(fastpath, "_MEMO", fastpath.ForkMemo())
+    else:
+        monkeypatch.setattr(_rollout_py, "_fork_record", None)
+
+
+_READING, _SWEEP = fastpath.ForkMemo.reading, _rollout_py._sweep
+
+
+def count_hits(backend, monkeypatch):
+    """A list that gets, for each later sweep on ``backend``, whether it read a
+    nominal batch's checkpoints (Python: for each of its rows)."""
+    hits = []
+    if backend == "c":
+        @contextlib.contextmanager
+        def counted(memo, key):
+            with _READING(memo, key) as record:
+                hits.append(record is not None)
+                yield record
+
+        monkeypatch.setattr(fastpath.ForkMemo, "reading", counted)
+    else:
+        monkeypatch.setattr(_rollout_py, "_sweep", lambda *args: hits.append(
+            args[-1] is not None) or _SWEEP(*args))
+    return hits
+
+
+def nominal(kwargs):
+    """``sweep_kwargs``' nominal batch."""
+    return {**kwargs, "policy_mode": fastpath.POLICY_NOMINAL, "delta": 0.0}
+
+
+def warm_and_cold(backend, monkeypatch, kwargs, read=True):
+    """``kwargs``' sweep on ``backend`` right after a nominal batch on the same
+    inputs, and again from an empty memo; asserts that only the first read the
+    nominal batch's checkpoints if ``read``."""
+    batch = kernels(backend).batch
+    hits = count_hits(backend, monkeypatch)
+    forget(backend, monkeypatch)
+    batch(**nominal(kwargs))
+    warm = batch(**kwargs)
+    warm_hits = hits[:]
+    hits.clear()
+    forget(backend, monkeypatch)
+    cold = batch(**kwargs)
+    assert hits and not any(hits)
+    assert warm_hits and (all(warm_hits) or not read)
+    return warm, cold
+
+
+def outside_start(scenario, kwargs):
+    """``kwargs`` with the box moved so that the first waypoint lies outside it."""
+    env_min = scenario.envelope.min_corner.copy()
+    env_min[0] = scenario.mission.waypoints[0][0] + 1.0
+    return {**kwargs, "env_min": env_min}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestForkMemo:
+    # A baseline batch right after a nominal batch on the same scenario and
+    # wind flies each threshold's trunk from the nominal batch's checkpoints;
+    # every byte must be what the whole trunk gives.
+    @pytest.mark.parametrize("which", ["calibrated", "short", "outside"])
+    @pytest.mark.parametrize("grid", WARM_GRIDS, ids=str)
+    def test_a_warm_sweep_equals_a_cold_one_and_the_single_threshold_batches(
+            self, calibrated_scenario, short_scenario, monkeypatch, backend, which, grid):
+        scenario = short_scenario if which == "short" else calibrated_scenario
+        deltas, n_rows = WARM_GRIDS[grid], 40
+        kwargs = sweep_kwargs(scenario, deltas, range(n_rows))
+        if which == "outside":
+            kwargs = outside_start(scenario, kwargs)
+        batch = kernels(backend).batch
+        singles = np.stack([batch(**{**kwargs, "delta": delta}) for delta in deltas])
+        for workers in (1, 2, 3, n_rows + 5) if backend == "c" else (1,):
+            monkeypatch.setattr(fastpath, "batch_workers", lambda n, w=workers: w)
+            warm, cold = warm_and_cold(backend, monkeypatch, kwargs)
+            assert warm.tobytes() == cold.tobytes() == singles.tobytes(), workers
+        if which == "outside":
+            assert np.all(warm[:, :, 2] == 0)
+
+    def test_the_memo_misses_on_other_inputs(self, calibrated_scenario, monkeypatch, backend):
+        batch = kernels(backend).batch
+        seeds = list(range(30))
+        kwargs = sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], seeds)
+        windy = calibrated_scenario.with_wind(2 * calibrated_scenario.sim.wind_sigma,
+                                              2 * calibrated_scenario.sim.gust_sigma)
+        others = {
+            "with_wind": sweep_kwargs(windy, SWEEP_GRIDS["soc"], seeds),
+            "other_seeds": sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"],
+                                        range(100, 130)),
+            "reordered": sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], seeds[::-1]),
+        }
+        for name, other in others.items():
+            forget(backend, monkeypatch)
+            expected = batch(**other)
+            batch(**nominal(kwargs))
+            hits = count_hits(backend, monkeypatch)
+            assert batch(**other).tobytes() == expected.tobytes(), name
+            assert hits and not any(hits), name
+        # The nominal batch's own wind table, changed in place after it ran.
+        wind = kwargs["wind"].copy()
+        changed = wind.copy()
+        changed[3, 0] += 0.5
+        forget(backend, monkeypatch)
+        expected = batch(**{**kwargs, "wind": changed})
+        batch(**nominal({**kwargs, "wind": wind}))
+        wind[...] = changed
+        hits = count_hits(backend, monkeypatch)
+        assert batch(**{**kwargs, "wind": wind}).tobytes() == expected.tobytes()
+        assert hits and not any(hits)
+
+    def test_record_caps_give_the_same_bytes(self, calibrated_scenario, monkeypatch, backend):
+        # Rows whose checkpoints do not fit fly their whole trunk.
+        kwargs = sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(12))
+        batch = kernels(backend).batch
+        forget(backend, monkeypatch)
+        expected = batch(**kwargs)
+        batch(**nominal(kwargs))
+        rows = (fastpath._MEMO._record.rows if backend == "c"
+                else np.array(_rollout_py._fork_record[2]))
+        row = int(rows[0, 1])  # the first row's checkpoints
+        assert row > 2
+        for cap in (0, 1, row - 1, row, row + 1):
+            monkeypatch.setattr(_rollout_py, "RECORD_CAP", cap)
+            for workers in (1, 2) if backend == "c" else (1,):
+                monkeypatch.setattr(fastpath, "batch_workers", lambda n, w=workers: w)
+                warm, cold = warm_and_cold(backend, monkeypatch, kwargs, read=False)
+                assert warm.tobytes() == cold.tobytes() == expected.tobytes(), (cap, workers)
+
+    def test_threads_interleaving_batches_on_different_winds(self, calibrated_scenario,
+                                                              monkeypatch, backend):
+        # Thread 0 sweeps right after each of its nominal batches; the others,
+        # one more than the CPUs in all, run nominal batches of as many rows
+        # on other wind, often while a sweep of thread 0 reads the record.
+        # Every sweep must equal its cold sweep.
+        batch = kernels(backend).batch
+        forget(backend, monkeypatch)
+        n_threads = (os.cpu_count() or 1) + 1
+        sweeps = [sweep_kwargs(calibrated_scenario.with_wind(sigma, sigma / 4),
+                               SWEEP_GRIDS["soc"], range(12))
+                  for sigma in np.linspace(4.0, 6.0, n_threads)]
+        expected = [batch(**kwargs).tobytes() for kwargs in sweeps]
+        rounds, done, errors = 100 if backend == "c" else 3, threading.Event(), []
+
+        def sweeper():
+            for _ in range(rounds):
+                batch(**nominal(sweeps[0]))
+                if batch(**sweeps[0]).tobytes() != expected[0]:
+                    errors.append(0)
+            done.set()
+
+        def nominal_runner(i):
+            while not done.is_set():
+                batch(**nominal(sweeps[i]))
+            if batch(**sweeps[i]).tobytes() != expected[i]:
+                errors.append(i)
+
+        threads = [threading.Thread(target=sweeper)]
+        threads += [threading.Thread(target=nominal_runner, args=(i,))
+                    for i in range(1, n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+
+    def test_a_nominal_batch_while_a_sweep_reads_leaves_its_record_alone(
+            self, calibrated_scenario, monkeypatch, backend):
+        # What another thread may do while a sweep reads the record, made
+        # deterministic: a nominal batch on other wind of as many rows runs
+        # once the sweep holds the record, and must not write into it.
+        batch = kernels(backend).batch
+        first, other = (sweep_kwargs(calibrated_scenario.with_wind(sigma, sigma / 4),
+                                     SWEEP_GRIDS["soc"], range(12)) for sigma in (4.0, 6.0))
+        forget(backend, monkeypatch)
+        expected = batch(**first)
+        batch(**nominal(first))
+        interruptions = []
+        if backend == "c":
+            @contextlib.contextmanager
+            def interrupted(memo, key):
+                with _READING(memo, key) as record:
+                    assert record is not None
+                    interruptions.append(batch(**nominal(other)))
+                    yield record
+
+            monkeypatch.setattr(fastpath.ForkMemo, "reading", interrupted)
+        else:
+            def interrupted(*args):
+                assert args[-1] is not None
+                if not interruptions:
+                    interruptions.append(batch(**nominal(other)))
+                return _SWEEP(*args)
+
+            monkeypatch.setattr(_rollout_py, "_sweep", interrupted)
+        assert batch(**first).tobytes() == expected.tobytes()
+        assert len(interruptions) == 1
+
+
+@needs_compiled
+def test_a_seed_with_more_checkpoints_than_its_scratch_is_not_recorded(calibrated_scenario):
+    # rtsa_batch bounds each seed's checkpoints by the scratch it is given; a
+    # seed that runs out is not recorded, nor any seed after it, and a sweep
+    # handed that record flies their whole trunks.
+    kwargs = sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(6))
+    expected = c_batch(kwargs, 1)
+    table = _rollout_py.checked_rows("wind", kwargs["wind"], 8)
+    theta = _rollout_py.weight_columns(kwargs["theta"])
+    scenario = {k: v for k, v in kwargs.items()
+                if k not in ("wind", "theta", "policy_mode", "delta")}
+    params, n_waypoints, steps = _rollout_py.pack(fastpath.POLICY_NOMINAL, **scenario)
+    p, n = fastpath._pointer, table.shape[0]
+    capacity, scratch = 1000, 3
+    states = np.zeros((capacity + scratch, _rollout_py.N_FORK))
+    rows = np.full((n, 4), -7, dtype=np.int64)
+    out = np.empty((n, 4), dtype=np.intc)
+    for mode, deltas, out in ((fastpath.POLICY_NOMINAL, np.zeros(()), out),
+                              (fastpath.POLICY_BASELINE, _rollout_py.thresholds(
+                                  fastpath.POLICY_BASELINE, kwargs["delta"]),
+                               np.empty(expected.shape, dtype=np.intc))):
+        fastpath._raise_for(fastpath._lib.rtsa_batch(
+            p(params), n_waypoints, mode, steps, p(table), n, p(deltas), deltas.size,
+            p(theta), p(out, ctypes.c_int), 1, p(states), capacity, scratch,
+            p(rows, ctypes.c_int64)))
+        if mode == fastpath.POLICY_NOMINAL:
+            assert np.all(rows[:, 1] == -1)
+            assert rows[:, 2:].tolist() == out[:, :2].tolist()
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_a_sweep_after_a_nominal_batch_flies_only_its_tails(calibrated_scenario, monkeypatch):
+    # Counted on the Python twin: right after run_batch(nominal), each trunk
+    # that sweep_baseline flies starts at a checkpoint fewer than FORK_GAP
+    # steps before its fork, so it flies little beyond the tails; without the
+    # memo, a trunk flies the whole nominal prefix.
+    scenario, deltas, seeds = calibrated_scenario, SWEEP_GRIDS["soc"], range(30)
+    monkeypatch.setattr(fastpath, "batch", _rollout_py.batch)
+    monkeypatch.setattr(_rollout_py, "_fork_record", None)
+    flown = {True: [], False: []}  # steps flown by each trunk and each tail
+    episode = _rollout_py._episode
+
+    def counting(*args, **kw):
+        start = kw["state"][7] if kw.get("state") else 0  # a fork overwrites the state
+        result = episode(*args, **kw)
+        flown[kw.get("fork", False)].append(result[4] - start)
+        return result
+
+    monkeypatch.setattr(_rollout_py, "_episode", counting)
+    blocks = _rollout_py.batch(**sweep_kwargs(scenario, deltas, seeds))
+    # Each seed flies its tails widest threshold first.
+    tails = [steps - deploy for row in blocks.transpose(1, 0, 2)[:, ::-1].tolist()
+             for steps, _, deploy, _ in row if deploy >= 0]
+    cold_trunks = sum(flown[True])
+    run_batch(PolicySpec.nominal(), scenario, seeds)
+    flown[True].clear()
+    flown[False].clear()
+    sweep_baseline(scenario, deltas, seeds)
+    assert flown[False] == tails
+    assert len(flown[True]) == len(tails)
+    assert all(0 <= steps < _rollout_py.FORK_GAP for steps in flown[True])
+    assert sum(flown[True]) < cold_trunks / 20
 
 
 # Warm-start demos: (scenario, policy mode, threshold, the outcomes they reach).
