@@ -83,6 +83,7 @@
 
 #define POLICY_NOMINAL 0
 #define POLICY_BASELINE 1
+#define POLICY_WEIGHTS 2
 
 #define OUTCOME_COMPLETED 1
 #define OUTCOME_EXITED 2
@@ -815,6 +816,18 @@ static void sweep_row(const batch_job *job, int row)
         memcpy(job->out + 4 * ((size_t)k * job->n + row), stop, sizeof stop);
 }
 
+/* Episode `row` of a nominal or weights batch that records nothing; each
+ * call passes `policy_mode` as a constant, so `episode` keeps one policy's
+ * branches. */
+static inline __attribute__((always_inline)) void
+plain_row(const batch_job *job, int row, int policy_mode)
+{
+    state_t start = start_state(job->path);
+    episode(job->p, job->path, policy_mode, job->max_steps, 0.0, job->wind + 8 * (size_t)row,
+            job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, NULL, NULL, &start, 0, NULL,
+            job->out + 4 * (size_t)row, NULL);
+}
+
 static void *batch_worker(void *arg)
 {
     batch_job *job = arg;
@@ -826,13 +839,12 @@ static void *batch_worker(void *arg)
     for (int i; (i = atomic_fetch_add_explicit(&job->next, 1, memory_order_relaxed)) < job->n;) {
         if (job->policy_mode == POLICY_BASELINE) {
             sweep_row(job, i);
-        } else if (job->policy_mode == POLICY_NOMINAL && job->fork_rows) {
+        } else if (job->policy_mode != POLICY_NOMINAL) {
+            plain_row(job, i, POLICY_WEIGHTS);
+        } else if (job->fork_rows) {
             nominal_row(job, i, &forks);
         } else {
-            state_t start = start_state(job->path);
-            episode(job->p, job->path, job->policy_mode, job->max_steps, 0.0,
-                    job->wind + 8 * (size_t)i, job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL,
-                    NULL, NULL, &start, 0, NULL, job->out + 4 * (size_t)i, NULL);
+            plain_row(job, i, POLICY_NOMINAL);
         }
     }
     return NULL;

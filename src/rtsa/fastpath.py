@@ -21,10 +21,10 @@ where the running minimum of the baseline's boundary distance falls, and a
 baseline ``batch`` on the same scenario and wind as the last nominal one
 (``_rollout_py.batch_key``) flies each threshold's trunk only from the last
 checkpoint before its fork, fewer than ``_rollout_py.FORK_GAP`` steps (each
-backend keeps its own record: ``ForkMemo`` here, ``_rollout_py._fork_record``
-for the twin). The C ``batch`` spreads the rows over
-as many threads as the process may use CPUs (at most one per row), with the
-same result on any count. ``train`` runs Q-learning episodes under a given
+backend keeps its own record: ``_FORKS`` here, one slot that a batch owns
+while it uses it, and ``_rollout_py._fork_record`` for the twin). The C
+``batch`` spreads the rows over as many threads as the process may use CPUs
+(at most one per row), with the same result on any count. ``train`` runs Q-learning episodes under a given
 policy in one call, updating a (2, 9) float64 array of weight columns in
 place: online training flies the weights policy, and warm start the
 baseline, every pass in one call. Under a policy that does not read the
@@ -42,7 +42,6 @@ import ctypes
 import hashlib
 import mmap
 import os
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -202,84 +201,24 @@ def batch_workers(n_rows: int) -> int:
     return min(cpus, n_rows)
 
 
-class ForkRecord:
-    """A C nominal batch's checkpoints, the record its baseline batches read.
-
-    ``states`` holds ``N_FORK`` float64 values per checkpoint, after which
-    each worker's scratch follows, and ``rows`` (n, 4) is ``rtsa_batch``'s
-    ``fork_rows``. ``key`` is the batch's ``batch_key``, and ``readers``
-    counts the batches reading the record.
-    """
-
-    __slots__ = ("key", "states", "rows", "readers")
-
-    def __init__(self, states, rows):
-        self.key, self.states, self.rows, self.readers = None, states, rows, 0
-
-
-class ForkMemo:
-    """The last C nominal batch's ``ForkRecord``, for baseline batches on the same inputs.
-
-    Safe for threads whose batches interleave (ctypes releases the GIL): a
-    batch that reads the record counts itself among its ``readers`` while it
-    reads, and a record is written again only once unpublished and unread
-    (``take``).
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._record = None
-
-    def take(self):
-        """Unpublish the record; return it if no batch reads it, to be written again."""
-        with self._lock:
-            record, self._record = self._record, None
-            return record if record is not None and not record.readers else None
-
-    def publish(self, record, key):
-        with self._lock:
-            record.key, self._record = key, record
-
-    @contextlib.contextmanager
-    def reading(self, key):
-        """The record if its key is ``key``, else None, kept from reuse while in use."""
-        with self._lock:
-            record = self._record
-            if record is not None and record.key == key:
-                record.readers += 1
-            else:
-                record = None
-        try:
-            yield record
-        finally:
-            if record is not None:
-                with self._lock:
-                    record.readers -= 1
-
-
-_MEMO = ForkMemo()
-
-
-def _fork_record(n_rows, size):
-    """A ``ForkRecord`` for a nominal batch of ``n_rows`` with room for ``size`` checkpoints:
-    the memo's own, unpublished, if no batch reads it and it is large enough, else a
-    new one."""
-    record = _MEMO.take()
-    if record is None or len(record.rows) != n_rows or len(record.states) < size:
-        # An anonymous private mapping: only the pages written take memory,
-        # where numpy would ask for huge pages for an array of 4 MiB or more.
-        states = mmap.mmap(-1, 8 * N_FORK * max(size, 1), flags=mmap.MAP_PRIVATE)
-        record = ForkRecord(np.frombuffer(states).reshape(-1, N_FORK),
-                            np.empty((n_rows, 4), dtype=np.int64))
-    return record
+#: The last C nominal batch's fork record, ``(batch_key, states, rows)``, under
+#: "last": ``states`` holds ``N_FORK`` float64 values per checkpoint, after
+#: which each worker's scratch follows, and ``rows`` (n, 4) is ``rtsa_batch``'s
+#: ``fork_rows``. Batches may interleave in threads (ctypes releases the GIL),
+#: so each takes the record with one ``pop`` and owns it while it uses it: a
+#: nominal batch writes into its buffer and then stores it, and a baseline
+#: batch reads it and puts it back with ``setdefault``, unless a nominal batch
+#: has stored a newer one meanwhile. A batch that finds the slot empty goes
+#: without.
+_FORKS = {}
 
 
 def batch_compiled(*, wind, policy_mode, delta, theta, **scenario):
     """``_rollout_py.batch`` on the C kernel: same arguments, same result.
 
     Runs on ``batch_workers`` threads. A nominal batch records its rows'
-    checkpoints, at most ``_rollout_py.RECORD_CAP``, and publishes them in
-    ``_MEMO``; a baseline batch with the same ``batch_key`` reads them."""
+    checkpoints, at most ``_rollout_py.RECORD_CAP``, in ``_FORKS``; a
+    baseline batch with the same ``batch_key`` reads them."""
     params, n_waypoints, steps = pack(policy_mode, **scenario)
     deltas = thresholds(policy_mode, delta)
     table, columns = checked_rows("wind", wind, 8, at_least=1), weight_columns(theta)
@@ -289,25 +228,33 @@ def batch_compiled(*, wind, policy_mode, delta, theta, **scenario):
             _pointer(deltas), deltas.size, _pointer(columns), _pointer(out, ctypes.c_int),
             workers)
     if policy_mode == POLICY_WEIGHTS:
-        _raise_for(_lib.rtsa_batch(*args, *_fork_args(None)))
+        _raise_for(_lib.rtsa_batch(*args, None, 0, 0, None))
     elif policy_mode == POLICY_NOMINAL:
         # The record, and each worker's scratch for the most checkpoints a row has.
         scratch = steps // FORK_GAP + 2
         capacity = min(_rollout_py.RECORD_CAP, n_rows * scratch)
-        record = _fork_record(n_rows, capacity + workers * scratch)
-        _raise_for(_lib.rtsa_batch(*args, *_fork_args(record, capacity, scratch)))
-        _MEMO.publish(record, batch_key(params, n_waypoints, steps, table))
+        size = capacity + workers * scratch
+        _, states, _ = _FORKS.pop("last", (None, None, None))
+        if states is None or len(states) < size:
+            # An anonymous private mapping: only the pages written take memory,
+            # where numpy would ask for huge pages for an array of 4 MiB or more.
+            buffer = mmap.mmap(-1, 8 * N_FORK * max(size, 1), flags=mmap.MAP_PRIVATE)
+            states = np.frombuffer(buffer).reshape(-1, N_FORK)
+        rows = np.empty((n_rows, 4), dtype=np.int64)
+        _raise_for(_lib.rtsa_batch(*args, _pointer(states), capacity, scratch,
+                                   _pointer(rows, ctypes.c_int64)))
+        _FORKS["last"] = batch_key(params, n_waypoints, steps, table), states, rows
     else:
-        with _MEMO.reading(batch_key(params, n_waypoints, steps, table)) as record:
-            _raise_for(_lib.rtsa_batch(*args, *_fork_args(record)))
+        record = _FORKS.pop("last", None)
+        try:
+            fork = None, 0, 0, None
+            if record is not None and record[0] == batch_key(params, n_waypoints, steps, table):
+                fork = _pointer(record[1]), 0, 0, _pointer(record[2], ctypes.c_int64)
+            _raise_for(_lib.rtsa_batch(*args, *fork))
+        finally:
+            if record is not None:
+                _FORKS.setdefault("last", record)
     return out
-
-
-def _fork_args(record, capacity=0, scratch=0):
-    """``rtsa_batch``'s fork record arguments for ``record``, or for none if it is None."""
-    if record is None:
-        return None, 0, 0, None
-    return _pointer(record.states), capacity, scratch, _pointer(record.rows, ctypes.c_int64)
 
 
 def train_compiled(theta, discount, learning_rate, epsilons, seed, *, wind, policy_mode, delta,

@@ -1,4 +1,3 @@
-import contextlib
 import copy
 import ctypes
 import os
@@ -667,31 +666,60 @@ WARM_GRIDS["wide"] = (1.0, 8.0, 1e6)
 
 
 def forget(backend, monkeypatch):
-    """Give ``backend`` an empty fork memo, so its next sweep is cold."""
+    """Give ``backend`` an empty fork record slot, so its next sweep is cold."""
     if backend == "c":
-        monkeypatch.setattr(fastpath, "_MEMO", fastpath.ForkMemo())
+        monkeypatch.setattr(fastpath, "_FORKS", {})
     else:
         monkeypatch.setattr(_rollout_py, "_fork_record", None)
 
 
-_READING, _SWEEP = fastpath.ForkMemo.reading, _rollout_py._sweep
+_KERNEL, _SWEEP = getattr(fastpath, "_lib", None), _rollout_py._sweep
+
+
+class KernelSpy:
+    """A stand-in for ``fastpath._lib`` whose ``rtsa_batch`` calls the kernel's.
+
+    Before each baseline call it appends to ``hits`` whether the call was
+    handed a fork record and passes that to ``on_sweep``, if set; after each
+    nominal call that records, it keeps a copy of the ``fork_rows`` it wrote
+    as ``rows``.
+    """
+
+    def __init__(self):
+        self.hits, self.rows, self.on_sweep = [], None, None
+
+    def __getattr__(self, name):
+        return getattr(_KERNEL, name)
+
+    def rtsa_batch(self, *args):
+        mode, n_rows, fork_rows = args[2], args[5], args[14]
+        if mode == fastpath.POLICY_BASELINE:
+            self.hits.append(fork_rows is not None)
+            if self.on_sweep is not None:
+                self.on_sweep(fork_rows is not None)
+        status = _KERNEL.rtsa_batch(*args)
+        if mode == fastpath.POLICY_NOMINAL and fork_rows is not None:
+            address = ctypes.cast(ctypes.addressof(fork_rows._obj),
+                                  ctypes.POINTER(ctypes.c_int64))
+            self.rows = np.ctypeslib.as_array(address, (n_rows, 4)).copy()
+        return status
+
+
+def spy_kernel(monkeypatch):
+    """Put a new ``KernelSpy`` in place of ``fastpath._lib``; returns it."""
+    kernel = KernelSpy()
+    monkeypatch.setattr(fastpath, "_lib", kernel)
+    return kernel
 
 
 def count_hits(backend, monkeypatch):
     """A list that gets, for each later sweep on ``backend``, whether it read a
     nominal batch's checkpoints (Python: for each of its rows)."""
-    hits = []
     if backend == "c":
-        @contextlib.contextmanager
-        def counted(memo, key):
-            with _READING(memo, key) as record:
-                hits.append(record is not None)
-                yield record
-
-        monkeypatch.setattr(fastpath.ForkMemo, "reading", counted)
-    else:
-        monkeypatch.setattr(_rollout_py, "_sweep", lambda *args: hits.append(
-            args[-1] is not None) or _SWEEP(*args))
+        return spy_kernel(monkeypatch).hits
+    hits = []
+    monkeypatch.setattr(_rollout_py, "_sweep", lambda *args: hits.append(
+        args[-1] is not None) or _SWEEP(*args))
     return hits
 
 
@@ -785,9 +813,9 @@ class TestForkMemo:
         batch = kernels(backend).batch
         forget(backend, monkeypatch)
         expected = batch(**kwargs)
+        kernel = spy_kernel(monkeypatch) if backend == "c" else None
         batch(**nominal(kwargs))
-        rows = (fastpath._MEMO._record.rows if backend == "c"
-                else np.array(_rollout_py._fork_record[2]))
+        rows = kernel.rows if backend == "c" else np.array(_rollout_py._fork_record[2])
         row = int(rows[0, 1])  # the first row's checkpoints
         assert row > 2
         for cap in (0, 1, row - 1, row, row + 1):
@@ -850,18 +878,15 @@ class TestForkMemo:
         first, other = (sweep_kwargs(calibrated_scenario.with_wind(sigma, sigma / 4),
                                      SWEEP_GRIDS["soc"], range(12)) for sigma in (4.0, 6.0))
         forget(backend, monkeypatch)
-        expected = batch(**first)
+        expected, expected_other = batch(**first), batch(**other)
         batch(**nominal(first))
         interruptions = []
         if backend == "c":
-            @contextlib.contextmanager
-            def interrupted(memo, key):
-                with _READING(memo, key) as record:
-                    assert record is not None
-                    interruptions.append(batch(**nominal(other)))
-                    yield record
+            def interrupted(handed):
+                assert handed
+                interruptions.append(batch(**nominal(other)))
 
-            monkeypatch.setattr(fastpath.ForkMemo, "reading", interrupted)
+            spy_kernel(monkeypatch).on_sweep = interrupted
         else:
             def interrupted(*args):
                 assert args[-1] is not None
@@ -872,6 +897,52 @@ class TestForkMemo:
             monkeypatch.setattr(_rollout_py, "_sweep", interrupted)
         assert batch(**first).tobytes() == expected.tobytes()
         assert len(interruptions) == 1
+        # The interrupting batch's record is the newer, and it stands.
+        hits = count_hits(backend, monkeypatch)
+        assert batch(**other).tobytes() == expected_other.tobytes()
+        assert hits and all(hits)
+
+    def test_a_baseline_batch_on_other_wind_leaves_the_record_in_place(
+            self, calibrated_scenario, monkeypatch, backend):
+        # A baseline batch that misses the record, run between a nominal batch
+        # and its sweep, must leave the record for that sweep.
+        batch = kernels(backend).batch
+        first, other = (sweep_kwargs(calibrated_scenario.with_wind(sigma, sigma / 4),
+                                     SWEEP_GRIDS["soc"], range(12)) for sigma in (4.0, 6.0))
+        forget(backend, monkeypatch)
+        expected, expected_other = batch(**first), batch(**other)
+        batch(**nominal(first))
+        hits = count_hits(backend, monkeypatch)
+        assert batch(**other).tobytes() == expected_other.tobytes()
+        assert hits and not any(hits)
+        hits.clear()
+        assert batch(**first).tobytes() == expected.tobytes()
+        assert hits and all(hits)
+
+
+@needs_compiled
+def test_a_second_sweep_while_the_first_holds_the_record_flies_whole_trunks(
+        calibrated_scenario, monkeypatch):
+    # The record has one owner at a time: a sweep on the same inputs that
+    # starts while another holds it is handed none and flies its whole
+    # trunks; once both are done, the record is back for the next sweep.
+    kwargs = sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(12))
+    forget("c", monkeypatch)
+    expected = batch_compiled(**kwargs)
+    batch_compiled(**nominal(kwargs))
+    kernel, second = spy_kernel(monkeypatch), []
+
+    def sweep_again(handed):
+        kernel.on_sweep = None
+        second.append(batch_compiled(**kwargs))
+
+    kernel.on_sweep = sweep_again
+    first = batch_compiled(**kwargs)
+    assert kernel.hits == [True, False]
+    assert first.tobytes() == second[0].tobytes() == expected.tobytes()
+    kernel.hits.clear()
+    assert batch_compiled(**kwargs).tobytes() == expected.tobytes()
+    assert kernel.hits == [True]
 
 
 @needs_compiled
