@@ -26,10 +26,12 @@ against one single-threshold batch call per delta on the same seeds, both
 cold (the last nominal batch flew other wind), and the same sweep warm:
 right after a nominal batch on the same wind, whose checkpoints spare it
 flying the trunks. It checks all their summaries are byte-equal. On the C
-kernel, it also times one
-batch call on one worker thread against one on every worker
-``fastpath.batch`` uses, and checks their summaries are byte-equal. Writes no
-file.
+kernel, it also makes ``WORKER_CALLS`` back-to-back batch calls on one
+worker thread, then as many on every worker ``fastpath.batch`` uses, prints
+the best and the median microseconds per call of each and their ratios, and
+checks their summaries are byte-equal. The median shows a batch whose
+started threads wait behind the calling one, which a best-of hides. Writes
+no file.
 
 Usage: python benchmarks/bench_rollout.py [--episodes N] [--policy SPEC]
 """
@@ -55,6 +57,7 @@ WARM_START_DELTA = 8.0
 WARM_START_PASSES = LearnConfig().warm_start_passes
 STEPS_COLUMN = _rollout_py.TRAIN_COLUMNS.index("steps")
 SWEEP_DELTAS = (1.0, 2.0, 4.0, 8.0, 16.0)  # the SOC sweep's baseline grid
+WORKER_CALLS = 200  # back-to-back batch calls timed on each worker count
 
 
 def seed_wind(scenario, seed):
@@ -193,10 +196,11 @@ def bench_sweep(scenario, seeds, repeats):
     return best_cold, best_warm, best_each, cold, warm, np.stack(each)
 
 
-def bench_workers(scenario, policy, seeds, workers, repeats):
-    """Best seconds of one C batch call over ``seeds`` on ``workers`` threads, and its
-    summaries. Calls ``rtsa_batch`` directly, as ``fastpath.batch_compiled`` does with
-    ``fastpath.batch_workers`` threads."""
+def bench_workers(scenario, policy, seeds, workers):
+    """Best and median seconds of ``WORKER_CALLS`` back-to-back C batch calls over
+    ``seeds`` on ``workers`` threads, and the summaries. Calls ``rtsa_batch``
+    directly, as ``fastpath.batch_compiled`` does with ``fastpath.batch_workers``
+    threads."""
     args = _kernel_args(policy, scenario)
     mode, delta, theta = args.pop("policy_mode"), args.pop("delta"), args.pop("theta")
     params, n_waypoints, steps = _rollout_py.pack(mode, **args)
@@ -205,15 +209,15 @@ def bench_workers(scenario, policy, seeds, workers, repeats):
     columns = _rollout_py.weight_columns(theta)
     out = np.empty((len(table), 4), dtype=np.intc)
     p = fastpath._pointer
-    best = float("inf")
-    for _ in range(repeats):
+    times = []
+    for _ in range(WORKER_CALLS):
         start = time.perf_counter()
         status = fastpath._lib.rtsa_batch(p(params), n_waypoints, mode, steps, p(table),
                                           len(table), p(deltas), deltas.size, p(columns),
                                           p(out, ctypes.c_int), workers, None, 0, 0, None)
-        best = min(best, time.perf_counter() - start)
+        times.append(time.perf_counter() - start)
         fastpath._raise_for(status)
-    return best, out
+    return min(times), statistics.median(times), out
 
 
 def main():
@@ -308,15 +312,18 @@ def main():
     print("backends bit-identical over all episodes, training results, wind draws and weights")
 
     workers = fastpath.batch_workers(args.episodes)
-    print(f"batch workers: {workers} for {args.episodes} episodes")
+    print(f"batch workers: {workers} for {args.episodes} episodes,"
+          f" {WORKER_CALLS} calls in a row on each count, us per call")
     for policy in (PolicySpec.nominal(), PolicySpec.baseline(8.0),
                    PolicySpec.weights(random_weights(np.random.default_rng(1)))):
-        t_one, one = bench_workers(scenario, policy, seeds, 1, args.repeats)
-        t_all, every = bench_workers(scenario, policy, seeds, workers, args.repeats)
+        best_one, median_one, one = bench_workers(scenario, policy, seeds, 1)
+        best_all, median_all, every = bench_workers(scenario, policy, seeds, workers)
         assert one.tobytes() == every.tobytes(), "worker counts disagree"
-        print(f"  {policy.policy_id:<11}: 1 worker {len(seeds) / t_one:9.0f} episodes/s"
-              f"  {workers} workers {len(seeds) / t_all:9.0f} episodes/s"
-              f"  ({t_one / t_all:4.1f}x)")
+        for label, t_one, t_all in (("best", best_one, best_all),
+                                    ("median", median_one, median_all)):
+            print(f"  {policy.policy_id if label == 'best' else '':<11} {label:<6}:"
+                  f" 1 worker {t_one * 1e6:9.1f}  {workers} workers {t_all * 1e6:9.1f}"
+                  f"  ({t_one / t_all:4.2f}x)")
     print(f"batch summaries byte-equal on 1 and {workers} workers")
 
 

@@ -74,8 +74,12 @@
  * threshold(s) are passed beside them too.
  */
 
+#ifdef __linux__
+#define _GNU_SOURCE /* sched_getcpu, pthread_attr_setaffinity_np */
+#endif
 #include <math.h>
 #include <pthread.h>
+#include <sched.h>
 #include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -851,6 +855,50 @@ static void *batch_worker(void *arg)
 }
 
 /*
+ * Where rtsa_batch's started workers run. Left to itself, a started thread
+ * is often queued on its caller's CPU and begins only after the caller has
+ * claimed every row, so the batch runs serially. So, on Linux, worker k is
+ * pinned to cpus[k % n], where `cpus` holds the first n CPUs of the caller's
+ * own affinity set other than the one the caller runs on now. Elsewhere, or
+ * when there is no such CPU or a call fails, n is 0 and the workers start
+ * where the system puts them. The caller's own affinity never changes.
+ */
+static int other_cpus(int cpus[MAX_WORKERS - 1])
+{
+    int n = 0;
+#if defined(__linux__) && defined(__GLIBC__)
+    cpu_set_t allowed;
+    const int here = sched_getcpu();
+    if (here >= 0 && sched_getaffinity(0, sizeof allowed, &allowed) == 0)
+        for (int c = 0; c < CPU_SETSIZE && n < MAX_WORKERS - 1; c++)
+            if (c != here && CPU_ISSET(c, &allowed))
+                cpus[n++] = c;
+#endif
+    return n;
+}
+
+/* Starts a worker pinned to `cpu`, or unpinned when `cpu` is -1 or pinning
+ * fails; returns pthread_create's status. */
+static int start_worker(pthread_t *thread, batch_job *job, int cpu)
+{
+#if defined(__linux__) && defined(__GLIBC__)
+    pthread_attr_t attr;
+    if (cpu >= 0 && pthread_attr_init(&attr) == 0) {
+        cpu_set_t mask;
+        CPU_ZERO(&mask);
+        CPU_SET(cpu, &mask);
+        int status = pthread_attr_setaffinity_np(&attr, sizeof mask, &mask);
+        if (status == 0)
+            status = pthread_create(thread, &attr, batch_worker, job);
+        pthread_attr_destroy(&attr);
+        if (status == 0)
+            return 0;
+    }
+#endif
+    return pthread_create(thread, NULL, batch_worker, job);
+}
+
+/*
  * Run n episodes under a fixed policy, as rtsa_rollout would one by one:
  * episode i flies in the wind of row i of `wind` (n x 8) and writes its
  * (steps, outcome, deploy_step, deploy_greedy) to row i of `out`. Under the
@@ -874,7 +922,8 @@ static void *batch_worker(void *arg)
  * The rows are
  * shared out, one at a time, among `n_workers` threads (at least 1, at most
  * MAX_WORKERS and n): the calling thread and threads started for this call
- * and joined before it returns. A thread that cannot be started leaves its
+ * and joined before it returns. On Linux each started thread is kept off the
+ * caller's CPU (other_cpus). A thread that cannot be started leaves its
  * share to the others. Each row writes only its own rows of `out`, so `out`
  * does not depend on the worker count. Returns as rtsa_rollout, before any
  * episode runs when it fails.
@@ -896,8 +945,10 @@ int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
                      fork_states, fork_capacity, fork_scratch, fork_rows, 0, 0, 0};
     pthread_t threads[MAX_WORKERS - 1];
     int started = 0;
+    int cpus[MAX_WORKERS - 1];
+    const int n_cpus = n_workers > 1 ? other_cpus(cpus) : 0;
     while (started < n_workers - 1
-           && pthread_create(&threads[started], NULL, batch_worker, &job) == 0)
+           && start_worker(&threads[started], &job, n_cpus ? cpus[started % n_cpus] : -1) == 0)
         started++;
     batch_worker(&job);
     for (int k = 0; k < started; k++)

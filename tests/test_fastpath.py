@@ -366,6 +366,49 @@ class TestBatchWorkers:
         assert (backend, workers) == ("c", "1")
         assert pinned == unpinned.tobytes().hex()
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_workers_on_one_cpu_give_the_same_bytes(self, calibrated_scenario):
+        # With no CPU but the caller's to place them on, the started workers run
+        # unplaced, beside the caller.
+        code = (
+            "import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from importlib import resources\n"
+            "from rtsa.scenario import load_scenario\n"
+            "from test_fastpath import SWEEP_GRIDS, PolicySpec, batch_kwargs, c_batch,"
+            " sweep_kwargs\n"
+            "with resources.as_file(resources.files('rtsa.data')"
+            ".joinpath('demo_scenario.json')) as path:\n"
+            "    s = load_scenario(path)\n"
+            "for kwargs in (batch_kwargs(s, PolicySpec.nominal(), range(40)),"
+            " sweep_kwargs(s, SWEEP_GRIDS['soc'], range(40))):\n"
+            "    print(*(c_batch(kwargs, w).tobytes().hex() for w in (1, 2, 8)))\n"
+        )
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(fastpath.__file__).resolve().parents[1]), str(tests)])}
+        env.pop("RTSA_PURE_PYTHON", None)
+        lines = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True, timeout=300).stdout.splitlines()
+        expected = [batch_kwargs(calibrated_scenario, PolicySpec.nominal(), range(40)),
+                    sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(40))]
+        assert len(lines) == 2
+        for line, kwargs in zip(lines, expected):
+            one, two, eight = line.split()
+            assert one == two == eight == _rollout_py.batch(**kwargs).tobytes().hex()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
+    def test_caller_affinity_never_changes(self, calibrated_scenario):
+        # Placement sets only the started workers' CPUs, never the caller's.
+        kwargs = sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(40))
+        for workers in (1, 2, 3, 45):
+            before = os.sched_getaffinity(0)
+            c_batch(kwargs, workers)
+            assert os.sched_getaffinity(0) == before, workers
+        before = os.sched_getaffinity(0)
+        batch_compiled(**batch_kwargs(calibrated_scenario, PolicySpec.nominal(), range(40)))
+        assert os.sched_getaffinity(0) == before
+
     def test_zero_length_segment_fails_before_any_episode(self, calibrated_scenario):
         kwargs = batch_kwargs(calibrated_scenario, PolicySpec.nominal(), range(6))
         kwargs["waypoints"] = [[0.0, 0.0, 12.0], [0.0, 0.0, 12.0], [60.0, 0.0, 0.0]]

@@ -1,4 +1,5 @@
 import warnings
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import learning_oracle
 from toy_mdp import (
     ToyMDP,
     bellman_residual,
+    choice_cdf,
     random_mdp,
     tabular_q_learning,
     tabular_q_update,
@@ -104,6 +106,27 @@ class TestTabularQUpdate:
         q = np.ones((2, 2))
         q2 = tabular_q_update(q, (0, 0, 1.0, 1), lr=1.0, gamma=0.9, terminal=True)
         assert q2[0, 0] == 1.0
+
+
+class TestChoiceCdf:
+    # tabular_q_learning draws its next states through choice_cdf; a numpy whose
+    # rng.choice(n, p=row) stops being one rng.random() searched in these sums
+    # must fail here, not shift the criterion-2 tables.
+    @pytest.mark.parametrize("row", [
+        *random_mdp(np.random.default_rng(0), 5, 2).transitions.reshape(-1, 5),
+        [0.1] * 10,  # sums to 1 - 2**-53
+        [0.5, 0.0, 0.5],
+        [0.0, 1.0, 0.0],
+        [1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0],
+        [1e-300, 1.0 - 1e-16, 1e-16],
+    ])
+    def test_bisect_draws_what_rng_choice_draws(self, row):
+        choice, bisect = np.random.default_rng(42), np.random.default_rng(42)
+        cdf = choice_cdf(row)
+        for _ in range(2000):
+            assert bisect_right(cdf, bisect.random()) == choice.choice(len(row), p=row)
+        assert bisect.random() == choice.random()  # the same number of draws
 
 
 class TestTabularQLearning:

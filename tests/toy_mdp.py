@@ -6,7 +6,9 @@ TD rule that the linear learner builds on (acceptance criterion 2).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -71,6 +73,18 @@ def tabular_q_update(q: np.ndarray, transition, lr: float, gamma: float,
     return q
 
 
+def choice_cdf(row) -> list[float]:
+    """The cumulative sums of ``row`` over their total, as floats.
+
+    ``rng.choice(len(row), p=row)`` draws one ``rng.random()`` and searches it
+    in these sums (``side="right"``), so ``bisect_right(choice_cdf(row),
+    rng.random())`` draws the same index from the same stream.
+    """
+    cdf = np.asarray(row, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def tabular_q_learning(mdp: ToyMDP, steps: int, epsilon: float,
                        rng: np.random.Generator) -> np.ndarray:
     """Tabular Q-learning with exploring starts and averaged iterates.
@@ -79,24 +93,33 @@ def tabular_q_learning(mdp: ToyMDP, steps: int, epsilon: float,
     picks the action epsilon-greedily, and applies a TD update with a
     1/sqrt(visit-count) learning rate. The returned table is the average of
     the iterates over the last 80% of the run, which suppresses the residual
-    sampling noise of the final iterate.
+    sampling noise of the final iterate. The tables are flat lists of floats
+    (entry s * n_actions + a) and the next state is drawn through
+    ``choice_cdf``: the values of ``tabular_q_update`` on arrays and of
+    ``rng.choice``, bit for bit, without an array per step.
     """
-    q = np.zeros((mdp.n_states, mdp.n_actions))
-    visits = np.zeros((mdp.n_states, mdp.n_actions), dtype=int)
-    acc = np.zeros_like(q)
+    n_states, n_actions = mdp.n_states, mdp.n_actions
+    cdfs = [choice_cdf(row) for row in mdp.transitions.reshape(-1, n_states)]
+    rewards = mdp.rewards.ravel().tolist()
+    q = [0.0] * (n_states * n_actions)
+    visits = [0] * len(q)
+    acc = [0.0] * len(q)
     acc_n = 0
     burn_in = steps - int(0.8 * steps)
     for t in range(steps):
-        s = int(rng.integers(mdp.n_states))
+        s = int(rng.integers(n_states))
         if rng.random() < epsilon:
-            a = int(rng.integers(mdp.n_actions))
+            a = int(rng.integers(n_actions))
         else:
-            a = int(np.argmax(q[s]))
-        s_next = int(rng.choice(mdp.n_states, p=mdp.transitions[s, a]))
-        r = mdp.rewards[s, a]
-        visits[s, a] += 1
-        q = tabular_q_update(q, (s, a, r, s_next), visits[s, a] ** -0.5, mdp.discount)
+            row = q[s * n_actions:(s + 1) * n_actions]
+            a = row.index(max(row))
+        sa = s * n_actions + a
+        s_next = bisect_right(cdfs[sa], rng.random())
+        visits[sa] += 1
+        bootstrap = mdp.discount * max(q[s_next * n_actions:(s_next + 1) * n_actions])
+        q[sa] += visits[sa] ** -0.5 * (rewards[sa] + bootstrap - q[sa])
         if t >= burn_in:
-            acc += q
+            acc = list(map(add, acc, q))
             acc_n += 1
-    return acc / acc_n if acc_n else q
+    table = np.array(acc if acc_n else q).reshape(n_states, n_actions)
+    return table / acc_n if acc_n else table
