@@ -855,47 +855,31 @@ static void *batch_worker(void *arg)
 }
 
 /*
- * Where rtsa_batch's started workers run. Left to itself, a started thread
+ * Where rtsa_batch's started workers may run. Left to itself, a started thread
  * is often queued on its caller's CPU and begins only after the caller has
- * claimed every row, so the batch runs serially. So, on Linux, worker k is
- * pinned to cpus[k % n], where `cpus` holds the first n CPUs of the caller's
- * own affinity set other than the one the caller runs on now. Elsewhere, or
- * when there is no such CPU or a call fails, n is 0 and the workers start
- * where the system puts them. The caller's own affinity never changes.
+ * claimed every row, so the batch runs serially. So, on Linux, `attr` is set
+ * to start threads on the caller's own affinity set less the CPU the caller
+ * runs on now, and the system places them within it. Returns 1 when it is;
+ * returns 0, with `attr` not left initialised, elsewhere, when there is no
+ * such CPU or when a call fails. The caller's own affinity never changes.
  */
-static int other_cpus(int cpus[MAX_WORKERS - 1])
+static int off_caller_attr(pthread_attr_t *attr)
 {
-    int n = 0;
 #if defined(__linux__) && defined(__GLIBC__)
-    cpu_set_t allowed;
+    cpu_set_t mask;
     const int here = sched_getcpu();
-    if (here >= 0 && sched_getaffinity(0, sizeof allowed, &allowed) == 0)
-        for (int c = 0; c < CPU_SETSIZE && n < MAX_WORKERS - 1; c++)
-            if (c != here && CPU_ISSET(c, &allowed))
-                cpus[n++] = c;
+    if (here < 0 || sched_getaffinity(0, sizeof mask, &mask) != 0)
+        return 0;
+    CPU_CLR(here, &mask);
+    if (CPU_COUNT(&mask) == 0 || pthread_attr_init(attr) != 0)
+        return 0;
+    if (pthread_attr_setaffinity_np(attr, sizeof mask, &mask) == 0)
+        return 1;
+    pthread_attr_destroy(attr);
+#else
+    (void)attr;
 #endif
-    return n;
-}
-
-/* Starts a worker pinned to `cpu`, or unpinned when `cpu` is -1 or pinning
- * fails; returns pthread_create's status. */
-static int start_worker(pthread_t *thread, batch_job *job, int cpu)
-{
-#if defined(__linux__) && defined(__GLIBC__)
-    pthread_attr_t attr;
-    if (cpu >= 0 && pthread_attr_init(&attr) == 0) {
-        cpu_set_t mask;
-        CPU_ZERO(&mask);
-        CPU_SET(cpu, &mask);
-        int status = pthread_attr_setaffinity_np(&attr, sizeof mask, &mask);
-        if (status == 0)
-            status = pthread_create(thread, &attr, batch_worker, job);
-        pthread_attr_destroy(&attr);
-        if (status == 0)
-            return 0;
-    }
-#endif
-    return pthread_create(thread, NULL, batch_worker, job);
+    return 0;
 }
 
 /*
@@ -923,7 +907,7 @@ static int start_worker(pthread_t *thread, batch_job *job, int cpu)
  * shared out, one at a time, among `n_workers` threads (at least 1, at most
  * MAX_WORKERS and n): the calling thread and threads started for this call
  * and joined before it returns. On Linux each started thread is kept off the
- * caller's CPU (other_cpus). A thread that cannot be started leaves its
+ * caller's CPU (off_caller_attr). A thread that cannot be started leaves its
  * share to the others. Each row writes only its own rows of `out`, so `out`
  * does not depend on the worker count. Returns as rtsa_rollout, before any
  * episode runs when it fails.
@@ -945,11 +929,14 @@ int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
                      fork_states, fork_capacity, fork_scratch, fork_rows, 0, 0, 0};
     pthread_t threads[MAX_WORKERS - 1];
     int started = 0;
-    int cpus[MAX_WORKERS - 1];
-    const int n_cpus = n_workers > 1 ? other_cpus(cpus) : 0;
+    pthread_attr_t off_caller;
+    const pthread_attr_t *attr = n_workers > 1 && off_caller_attr(&off_caller) ? &off_caller : NULL;
     while (started < n_workers - 1
-           && start_worker(&threads[started], &job, n_cpus ? cpus[started % n_cpus] : -1) == 0)
+           && ((attr && pthread_create(&threads[started], attr, batch_worker, &job) == 0)
+               || pthread_create(&threads[started], NULL, batch_worker, &job) == 0))
         started++;
+    if (attr)
+        pthread_attr_destroy(&off_caller);
     batch_worker(&job);
     for (int k = 0; k < started; k++)
         pthread_join(threads[k], NULL);

@@ -334,7 +334,9 @@ class TestBatchWorkers:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
     def test_one_cpu_gives_the_same_bytes(self, calibrated_scenario):
-        # A process pinned to one CPU runs each batch on one thread.
+        # A process pinned to one CPU runs each batch on one thread; asked for
+        # more, the kernel has no CPU but the caller's to place the started
+        # workers on, so they run unplaced, beside the caller.
         code = (
             "import os\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
@@ -344,6 +346,8 @@ class TestBatchWorkers:
             "from rtsa.policy import random_weights\n"
             "from rtsa.scenario import load_scenario\n"
             "from rtsa.sim import wind_draws, wind_rows\n"
+            "from test_fastpath import SWEEP_GRIDS, PolicySpec, batch_kwargs, c_batch,"
+            " sweep_kwargs\n"
             "import numpy as np\n"
             "with resources.as_file(resources.files('rtsa.data')"
             ".joinpath('demo_scenario.json')) as path:\n"
@@ -354,32 +358,6 @@ class TestBatchWorkers:
             " scales=s.feature_scales, alert_penalty=s.reward.alert_penalty,"
             " **_kernel_scenario_args(s))\n"
             "print(fastpath.BACKEND, fastpath.batch_workers(40), out.tobytes().hex())\n"
-        )
-        src = str(Path(fastpath.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        env.pop("RTSA_PURE_PYTHON", None)
-        backend, workers, pinned = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
-            timeout=300).stdout.split()
-        unpinned = batch_compiled(**batch_kwargs(calibrated_scenario, BATCH_POLICIES[-1],
-                                                 range(40)))
-        assert (backend, workers) == ("c", "1")
-        assert pinned == unpinned.tobytes().hex()
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
-    def test_workers_on_one_cpu_give_the_same_bytes(self, calibrated_scenario):
-        # With no CPU but the caller's to place them on, the started workers run
-        # unplaced, beside the caller.
-        code = (
-            "import os\n"
-            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "from importlib import resources\n"
-            "from rtsa.scenario import load_scenario\n"
-            "from test_fastpath import SWEEP_GRIDS, PolicySpec, batch_kwargs, c_batch,"
-            " sweep_kwargs\n"
-            "with resources.as_file(resources.files('rtsa.data')"
-            ".joinpath('demo_scenario.json')) as path:\n"
-            "    s = load_scenario(path)\n"
             "for kwargs in (batch_kwargs(s, PolicySpec.nominal(), range(40)),"
             " sweep_kwargs(s, SWEEP_GRIDS['soc'], range(40))):\n"
             "    print(*(c_batch(kwargs, w).tobytes().hex() for w in (1, 2, 8)))\n"
@@ -390,10 +368,15 @@ class TestBatchWorkers:
         env.pop("RTSA_PURE_PYTHON", None)
         lines = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                text=True, check=True, timeout=300).stdout.splitlines()
+        assert len(lines) == 3
+        backend, workers, pinned = lines[0].split()
+        unpinned = batch_compiled(**batch_kwargs(calibrated_scenario, BATCH_POLICIES[-1],
+                                                 range(40)))
+        assert (backend, workers) == ("c", "1")
+        assert pinned == unpinned.tobytes().hex()
         expected = [batch_kwargs(calibrated_scenario, PolicySpec.nominal(), range(40)),
                     sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(40))]
-        assert len(lines) == 2
-        for line, kwargs in zip(lines, expected):
+        for line, kwargs in zip(lines[1:], expected):
             one, two, eight = line.split()
             assert one == two == eight == _rollout_py.batch(**kwargs).tobytes().hex()
 

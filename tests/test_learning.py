@@ -83,15 +83,14 @@ class TestValueIteration:
 
 
 class TestTabularQUpdate:
+    # tabular_q_learning applies this update at every step (criterion 2).
     def test_zero_lr_no_change(self):
         q = np.arange(4.0).reshape(2, 2)
-        q2 = tabular_q_update(q, (0, 0, 1.0, 1), lr=0.0, gamma=0.9)
-        assert np.array_equal(q, q2)
+        assert tabular_q_update(q[0, 0], 1.0, q[1], lr=0.0, gamma=0.9) == q[0, 0]
 
     def test_full_step_gamma_zero(self):
         q = np.zeros((2, 2))
-        q2 = tabular_q_update(q, (0, 1, 1.0, 1), lr=1.0, gamma=0.0)
-        assert q2[0, 1] == 1.0
+        assert tabular_q_update(q[0, 1], 1.0, q[1], lr=1.0, gamma=0.0) == 1.0
 
     def test_matches_hand_formula(self):
         rng = np.random.default_rng(4)
@@ -99,13 +98,11 @@ class TestTabularQUpdate:
         s, a, r, s2 = 1, 0, 0.7, 2
         lr, gamma = 0.3, 0.9
         expected = q[s, a] + lr * (r + gamma * q[s2].max() - q[s, a])
-        q2 = tabular_q_update(q, (s, a, r, s2), lr, gamma)
-        assert q2[s, a] == pytest.approx(expected, abs=1e-12)
+        assert tabular_q_update(q[s, a], r, q[s2], lr, gamma) == pytest.approx(expected, abs=1e-12)
 
     def test_terminal_bootstrap_zero(self):
         q = np.ones((2, 2))
-        q2 = tabular_q_update(q, (0, 0, 1.0, 1), lr=1.0, gamma=0.9, terminal=True)
-        assert q2[0, 0] == 1.0
+        assert tabular_q_update(q[0, 0], 1.0, q[1], lr=1.0, gamma=0.9, terminal=True) == 1.0
 
 
 class TestChoiceCdf:

@@ -63,14 +63,12 @@ def value_iteration(mdp: ToyMDP, tol: float = 1e-10) -> np.ndarray:
         q = backup
 
 
-def tabular_q_update(q: np.ndarray, transition, lr: float, gamma: float,
-                     terminal: bool = False) -> np.ndarray:
-    """One tabular TD update; returns a new table. Terminal next states bootstrap 0."""
-    s, a, r, s_next = transition
-    q = q.copy()
-    bootstrap = 0.0 if terminal else gamma * q[s_next].max()
-    q[s, a] += lr * (r + bootstrap - q[s, a])
-    return q
+def tabular_q_update(q_sa: float, r: float, next_values, lr: float, gamma: float,
+                     terminal: bool = False) -> float:
+    """One tabular TD update of the entry ``q_sa``, given the next state's action
+    values; returns the new entry. Terminal next states bootstrap 0."""
+    bootstrap = 0.0 if terminal else gamma * max(next_values)
+    return q_sa + lr * (r + bootstrap - q_sa)
 
 
 def choice_cdf(row) -> list[float]:
@@ -95,8 +93,8 @@ def tabular_q_learning(mdp: ToyMDP, steps: int, epsilon: float,
     the iterates over the last 80% of the run, which suppresses the residual
     sampling noise of the final iterate. The tables are flat lists of floats
     (entry s * n_actions + a) and the next state is drawn through
-    ``choice_cdf``: the values of ``tabular_q_update`` on arrays and of
-    ``rng.choice``, bit for bit, without an array per step.
+    ``choice_cdf``: the values of ``rng.choice``, bit for bit, without an
+    array per step.
     """
     n_states, n_actions = mdp.n_states, mdp.n_actions
     cdfs = [choice_cdf(row) for row in mdp.transitions.reshape(-1, n_states)]
@@ -116,8 +114,9 @@ def tabular_q_learning(mdp: ToyMDP, steps: int, epsilon: float,
         sa = s * n_actions + a
         s_next = bisect_right(cdfs[sa], rng.random())
         visits[sa] += 1
-        bootstrap = mdp.discount * max(q[s_next * n_actions:(s_next + 1) * n_actions])
-        q[sa] += visits[sa] ** -0.5 * (rewards[sa] + bootstrap - q[sa])
+        q[sa] = tabular_q_update(q[sa], rewards[sa],
+                                 q[s_next * n_actions:(s_next + 1) * n_actions],
+                                 visits[sa] ** -0.5, mdp.discount)
         if t >= burn_in:
             acc = list(map(add, acc, q))
             acc_n += 1
