@@ -882,6 +882,43 @@ static int off_caller_attr(pthread_attr_t *attr)
     return 0;
 }
 
+/* A thread started by rtsa_batch: it marks that it has begun, then works. */
+typedef struct {
+    batch_job *job;
+    atomic_int begun;
+} started_t;
+
+static void *started_worker(void *arg)
+{
+    started_t *s = arg;
+    atomic_store_explicit(&s->begun, 1, memory_order_relaxed);
+    return batch_worker(s->job);
+}
+
+/*
+ * Once the caller has claimed every row, a started thread that has not begun
+ * has none left to fly, but the caller still waits for it to run and end.
+ * Kept off the caller's CPU, it may wait behind other work on its own CPU for
+ * milliseconds, so each such thread is moved to the caller's CPU, which the
+ * caller leaves free while it waits. A thread that has begun stays put.
+ */
+static void late_to_caller(const pthread_t *threads, started_t *starts, int started)
+{
+#if defined(__linux__) && defined(__GLIBC__)
+    cpu_set_t here;
+    const int cpu = sched_getcpu();
+    if (cpu < 0)
+        return;
+    CPU_ZERO(&here);
+    CPU_SET(cpu, &here);
+    for (int k = 0; k < started; k++)
+        if (!atomic_load_explicit(&starts[k].begun, memory_order_relaxed))
+            pthread_setaffinity_np(threads[k], sizeof here, &here);
+#else
+    (void)threads, (void)starts, (void)started;
+#endif
+}
+
 /*
  * Run n episodes under a fixed policy, as rtsa_rollout would one by one:
  * episode i flies in the wind of row i of `wind` (n x 8) and writes its
@@ -907,7 +944,8 @@ static int off_caller_attr(pthread_attr_t *attr)
  * shared out, one at a time, among `n_workers` threads (at least 1, at most
  * MAX_WORKERS and n): the calling thread and threads started for this call
  * and joined before it returns. On Linux each started thread is kept off the
- * caller's CPU (off_caller_attr). A thread that cannot be started leaves its
+ * caller's CPU (off_caller_attr) until the caller has claimed every row
+ * (late_to_caller). A thread that cannot be started leaves its
  * share to the others. Each row writes only its own rows of `out`, so `out`
  * does not depend on the worker count. Returns as rtsa_rollout, before any
  * episode runs when it fails.
@@ -928,16 +966,24 @@ int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
     batch_job job = {p, &path, policy_mode, max_steps, n, wind, deltas, theta, n_deltas, out,
                      fork_states, fork_capacity, fork_scratch, fork_rows, 0, 0, 0};
     pthread_t threads[MAX_WORKERS - 1];
+    started_t starts[MAX_WORKERS - 1];
     int started = 0;
     pthread_attr_t off_caller;
     const pthread_attr_t *attr = n_workers > 1 && off_caller_attr(&off_caller) ? &off_caller : NULL;
-    while (started < n_workers - 1
-           && ((attr && pthread_create(&threads[started], attr, batch_worker, &job) == 0)
-               || pthread_create(&threads[started], NULL, batch_worker, &job) == 0))
+    while (started < n_workers - 1) {
+        started_t *s = &starts[started];
+        s->job = &job;
+        atomic_init(&s->begun, 0);
+        if (!(attr && pthread_create(&threads[started], attr, started_worker, s) == 0)
+            && pthread_create(&threads[started], NULL, started_worker, s) != 0)
+            break;
         started++;
-    if (attr)
-        pthread_attr_destroy(&off_caller);
+    }
     batch_worker(&job);
+    if (attr) {
+        pthread_attr_destroy(&off_caller);
+        late_to_caller(threads, starts, started);
+    }
     for (int k = 0; k < started; k++)
         pthread_join(threads[k], NULL);
     path_free(&path);
