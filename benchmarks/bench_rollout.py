@@ -214,7 +214,7 @@ def bench_workers(scenario, policy, seeds, workers):
         start = time.perf_counter()
         status = fastpath._lib.rtsa_batch(p(params), n_waypoints, mode, steps, p(table),
                                           len(table), p(deltas), deltas.size, p(columns),
-                                          p(out, ctypes.c_int), workers, None, 0, 0, None)
+                                          p(out, ctypes.c_int), workers, None, 0, None)
         times.append(time.perf_counter() - start)
         fastpath._raise_for(status)
     return min(times), statistics.median(times), out

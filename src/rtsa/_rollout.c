@@ -39,13 +39,15 @@
  * falls: a fork state. So a nominal batch records, per row, checkpoints in a
  * caller's buffer: fork states at least FORK_GAP steps apart (fork states
  * come in long runs of consecutive steps), each with the running minimum
- * before it, then the row's final state and running minimum. A baseline
- * batch handed that record flies each threshold's trunk only from the last
- * checkpoint whose running minimum exceeds the threshold, fewer than
- * FORK_GAP steps before its fork, and a row whose final running minimum
- * exceeds it gets the nominal summary. The caller (rtsa.fastpath) hands a
- * record only to a batch on the same scenario and wind; rows that do not fit
- * in the buffer fly the whole trunk.
+ * before it, then the row's final state and running minimum. Row i writes
+ * them into its own slot of fork_slot(max_steps) checkpoints, the most one
+ * episode makes, at checkpoint i * slot; the rows whose slot lies wholly in
+ * the buffer are recorded, the others not. A baseline batch handed that
+ * record flies each threshold's trunk only from the last checkpoint whose
+ * running minimum exceeds the threshold, fewer than FORK_GAP steps before its
+ * fork, and a row whose final running minimum exceeds it gets the nominal
+ * summary. The caller (rtsa.fastpath) hands a record only to a batch on the
+ * same scenario and wind; rows not recorded fly the whole trunk.
  *
  * A baseline (or nominal) episode does not depend on the weights, so a
  * training call under either that has more episodes than wind rows flies
@@ -388,23 +390,26 @@ static inline void record_push(record_t *rec, const double *phi)
  * for each decision state whose boundary distance falls below every earlier
  * one's and that lies FORK_GAP or more steps after the latest checkpoint;
  * then the final state, with the episode's smallest distance. `used` of them
- * at `states`, which has room for `capacity`; `full` once one found no room.
+ * at `states`, which has room for `capacity`; a checkpoint beyond that is
+ * dropped, which a row's slot (fork_slot) never needs.
  */
 #define N_FORK 9
 #define FORK_GAP 8
 typedef struct {
     double *states;
     int64_t used, capacity;
-    int full;
 } forks_t;
+
+/* Checkpoints in each row's slot of the fork record: decision states lie at
+ * steps 0..max_steps - 1, so at most max_steps / FORK_GAP + 1 of them are
+ * checkpoints, and the final state is one more. rtsa._rollout_py.fork_slot. */
+static inline int64_t fork_slot(int max_steps) { return max_steps / FORK_GAP + 2; }
 
 static void forks_push(forks_t *forks, double t, double px, double py, double pz, double vx,
                        double vy, double vz, int step, double floor)
 {
-    if (forks->full || forks->used == forks->capacity) {
-        forks->full = 1;
+    if (forks->used == forks->capacity)
         return;
-    }
     double *s = forks->states + N_FORK * (size_t)forks->used++;
     s[0] = t;
     s[1] = px;
@@ -733,10 +738,8 @@ int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_step
 
 /*
  * One rtsa_batch call, shared by its workers; `next` is the next unclaimed
- * row and `worker` the next worker's index. `fork_states`, `fork_capacity`
- * and `fork_rows` are the fork record (see rtsa_batch), NULL without one;
- * `fork_used` counts the checkpoints claimed in it and `fork_scratch` is
- * each worker's room for one row's.
+ * row. `fork_states`, `fork_capacity` and `fork_rows` are the fork record
+ * (see rtsa_batch), NULL without one, and `fork_slot` is fork_slot(max_steps).
  */
 typedef struct {
     const double *p;
@@ -746,35 +749,42 @@ typedef struct {
     int n_deltas;
     int *out;
     double *fork_states;
-    int64_t fork_capacity, fork_scratch, *fork_rows;
-    atomic_int next, worker;
-    atomic_llong fork_used;
+    int64_t fork_capacity, fork_slot, *fork_rows;
+    atomic_int next;
 } batch_job;
 
-/* Episode `row` of a nominal batch. Its checkpoints go to the worker's
- * scratch `forks`, and from there to the record if they fit, after those
- * of the rows that claimed room before it. */
-static void nominal_row(batch_job *job, int row, forks_t *forks)
+/* Episode `row` of a nominal or weights batch that records nothing; each
+ * call passes `policy_mode` as a constant, so `episode` keeps one policy's
+ * branches. */
+static inline __attribute__((always_inline)) void
+plain_row(const batch_job *job, int row, int policy_mode)
+{
+    state_t start = start_state(job->path);
+    episode(job->p, job->path, policy_mode, job->max_steps, 0.0, job->wind + 8 * (size_t)row,
+            job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, NULL, NULL, &start, 0, NULL,
+            job->out + 4 * (size_t)row, NULL);
+}
+
+/* Episode `row` of a nominal batch, with its fork record row. A row whose slot
+ * lies in the record writes its checkpoints there; the others record none. */
+static void nominal_row(const batch_job *job, int row)
 {
     int *out = job->out + 4 * (size_t)row;
-    state_t start = start_state(job->path);
-    forks->used = 0;
-    episode(job->p, job->path, POLICY_NOMINAL, job->max_steps, 0.0, job->wind + 8 * (size_t)row,
-            job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, NULL, forks, &start, 0, NULL, out, NULL);
-    int64_t *rec = job->fork_rows + 4 * (size_t)row;
-    rec[0] = 0;
-    rec[1] = -1;
-    rec[2] = out[0];
-    rec[3] = out[1];
-    /* A row out of room claims more than all of it, so no later row fits either. */
-    const int64_t claim = forks->full ? job->fork_capacity + 1 : forks->used;
-    const int64_t first = atomic_fetch_add_explicit(&job->fork_used, claim, memory_order_relaxed);
-    if (first + claim > job->fork_capacity)
-        return;
-    memcpy(job->fork_states + N_FORK * (size_t)first, forks->states,
-           sizeof(double) * N_FORK * (size_t)forks->used);
-    rec[0] = first;
-    rec[1] = forks->used;
+    int64_t *rec = job->fork_rows + 3 * (size_t)row;
+    if ((row + 1) * job->fork_slot <= job->fork_capacity) {
+        forks_t forks = {job->fork_states + N_FORK * (size_t)(row * job->fork_slot), 0,
+                         job->fork_slot};
+        state_t start = start_state(job->path);
+        episode(job->p, job->path, POLICY_NOMINAL, job->max_steps, 0.0,
+                job->wind + 8 * (size_t)row, job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, NULL,
+                &forks, &start, 0, NULL, out, NULL);
+        rec[0] = forks.used;
+    } else {
+        plain_row(job, row, POLICY_NOMINAL);
+        rec[0] = -1;
+    }
+    rec[1] = out[0];
+    rec[2] = out[1];
 }
 
 /*
@@ -786,11 +796,12 @@ static void nominal_row(batch_job *job, int row, forks_t *forks)
 static void sweep_row(const batch_job *job, int row)
 {
     const double *wind = job->wind + 8 * (size_t)row;
-    const int64_t *rec = job->fork_rows ? job->fork_rows + 4 * (size_t)row : NULL;
-    if (rec && rec[1] < 0)
-        rec = NULL; /* the row did not fit in the record */
-    const double *checkpoint = rec ? job->fork_states + N_FORK * (size_t)rec[0] : NULL;
-    const double *end = rec ? checkpoint + N_FORK * (size_t)(rec[1] - 1) : NULL;
+    const int64_t *rec = job->fork_rows ? job->fork_rows + 3 * (size_t)row : NULL;
+    if (rec && rec[0] < 0)
+        rec = NULL; /* the row was not recorded */
+    const double *checkpoint =
+        rec ? job->fork_states + N_FORK * (size_t)(row * job->fork_slot) : NULL;
+    const double *end = rec ? checkpoint + N_FORK * (size_t)(rec[0] - 1) : NULL;
     state_t trunk = start_state(job->path);
     int stop[4], k = job->n_deltas - 1;
     for (; k >= 0; k--) {
@@ -799,8 +810,8 @@ static void sweep_row(const batch_job *job, int row)
             while (checkpoint < end && checkpoint[N_FORK + 8] > delta)
                 checkpoint += N_FORK;
             if (checkpoint == end) { /* never deploys: nor does any narrower threshold */
-                stop[0] = (int)rec[2];
-                stop[1] = (int)rec[3];
+                stop[0] = (int)rec[1];
+                stop[1] = (int)rec[2];
                 stop[2] = stop[3] = -1;
                 break;
             }
@@ -820,33 +831,16 @@ static void sweep_row(const batch_job *job, int row)
         memcpy(job->out + 4 * ((size_t)k * job->n + row), stop, sizeof stop);
 }
 
-/* Episode `row` of a nominal or weights batch that records nothing; each
- * call passes `policy_mode` as a constant, so `episode` keeps one policy's
- * branches. */
-static inline __attribute__((always_inline)) void
-plain_row(const batch_job *job, int row, int policy_mode)
-{
-    state_t start = start_state(job->path);
-    episode(job->p, job->path, policy_mode, job->max_steps, 0.0, job->wind + 8 * (size_t)row,
-            job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, NULL, NULL, &start, 0, NULL,
-            job->out + 4 * (size_t)row, NULL);
-}
-
 static void *batch_worker(void *arg)
 {
     batch_job *job = arg;
-    const int w = atomic_fetch_add_explicit(&job->worker, 1, memory_order_relaxed);
-    forks_t forks = {NULL, 0, job->fork_scratch, 0};
-    if (job->fork_rows)
-        forks.states = job->fork_states
-                       + N_FORK * (size_t)(job->fork_capacity + w * job->fork_scratch);
     for (int i; (i = atomic_fetch_add_explicit(&job->next, 1, memory_order_relaxed)) < job->n;) {
         if (job->policy_mode == POLICY_BASELINE) {
             sweep_row(job, i);
         } else if (job->policy_mode != POLICY_NOMINAL) {
             plain_row(job, i, POLICY_WEIGHTS);
         } else if (job->fork_rows) {
-            nominal_row(job, i, &forks);
+            nominal_row(job, i);
         } else {
             plain_row(job, i, POLICY_NOMINAL);
         }
@@ -928,17 +922,16 @@ static void late_to_caller(const pthread_t *threads, started_t *starts, int star
  * threshold k, on one shared trunk per row (see the top of this file); the
  * other policies have no threshold, and n_deltas must be 1.
  *
- * `fork_rows` (n x 4), if not NULL, is the fork record: `fork_states` holds
+ * `fork_rows` (n x 3), if not NULL, is the fork record: `fork_states` holds
  * room for `fork_capacity` checkpoints of N_FORK values (see forks_t), and
- * row i of `fork_rows` is (first checkpoint, checkpoint count or -1 if not
- * recorded, steps, outcome) of wind row i's nominal episode. A nominal batch
- * writes it: each row's checkpoints go one after another into `fork_states`
- * in the order the rows finish, until a row's do not fit. Beyond those,
- * `fork_states` must hold room for n_workers x `fork_scratch` more, each
- * worker's scratch for one row's; a row with more checkpoints than that is
- * not recorded either (it has at most max_steps / FORK_GAP + 2). A baseline
- * batch reads the record, and must be given one only from a nominal batch on
- * the same scenario, max_steps and wind. A weights batch ignores it.
+ * row i of `fork_rows` is (checkpoint count or -1 if not recorded, steps,
+ * outcome) of wind row i's nominal episode, whose checkpoints start at
+ * checkpoint i * fork_slot(max_steps) of `fork_states`. A nominal batch
+ * writes it: the rows i < fork_capacity / fork_slot(max_steps) are recorded,
+ * each into its own slot, so the record does not depend on the worker count.
+ * A baseline batch reads the record, and must be given one only from a
+ * nominal batch on the same scenario, max_steps and wind. A weights batch
+ * ignores it.
  *
  * The rows are
  * shared out, one at a time, among `n_workers` threads (at least 1, at most
@@ -953,7 +946,7 @@ static void late_to_caller(const pthread_t *threads, started_t *starts, int star
 int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
                const double *wind, int n, const double *deltas, int n_deltas,
                const double *theta, int *out, int n_workers, double *fork_states,
-               int64_t fork_capacity, int64_t fork_scratch, int64_t *fork_rows)
+               int64_t fork_capacity, int64_t *fork_rows)
 {
     path_t path;
     const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
@@ -964,7 +957,7 @@ int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
     if (n_workers > n)
         n_workers = n;
     batch_job job = {p, &path, policy_mode, max_steps, n, wind, deltas, theta, n_deltas, out,
-                     fork_states, fork_capacity, fork_scratch, fork_rows, 0, 0, 0};
+                     fork_states, fork_capacity, fork_slot(max_steps), fork_rows, 0};
     pthread_t threads[MAX_WORKERS - 1];
     started_t starts[MAX_WORKERS - 1];
     int started = 0;

@@ -27,10 +27,11 @@ It reads the packed array by the ``P_*`` offsets, as ``episode`` in
   the next narrower threshold. That trunk is the nominal flight, and a
   threshold deploys at a state where the running minimum of the boundary
   distance falls (a fork state). So a nominal batch records checkpoints of
-  each row's fork states and keeps them as ``_fork_record``: a baseline
-  batch on the same scenario and wind flies each threshold's trunk only
-  from the last checkpoint before its fork, fewer than ``FORK_GAP`` steps,
-  and then its tail.
+  each row's fork states, each row in its own slot of ``fork_slot``
+  checkpoints and only the rows ``i < RECORD_CAP // fork_slot(max_steps)``,
+  and keeps them as ``_fork_record``: a baseline batch on the same scenario
+  and wind flies each threshold's trunk only from the last checkpoint before
+  its fork, fewer than ``FORK_GAP`` steps, and then its tail.
 - ``train`` runs Q-learning episodes in a row under one of those policies,
   applying ``td_update``, the linear TD rule on weight columns held as float
   lists, to the weights at every step at the given discount and learning
@@ -99,17 +100,25 @@ P_WAYPOINTS = 25  # n_waypoints x 3, row-major
 ZERO_SEGMENT = "waypoints hold a zero-length segment"
 
 #: Most states whose features one ``train`` call records for replay (64 MB at
-#: 8 float64 values per state), and most checkpoints one nominal ``batch``
-#: records. Rows beyond it are flown on every pass, or their whole trunk on a
-#: sweep.
+#: 8 float64 values per state); rows beyond it are flown on every pass. And
+#: most checkpoints one nominal ``batch`` records (72 MB): row i records only
+#: if its slot, checkpoints ``i * fork_slot(max_steps)`` onward, lies within
+#: it; a sweep flies the other rows' whole trunks.
 RECORD_CAP = 2**20
 _N_RECORDED = 8  # phi[0..7] per state; phi[8] follows from the deploy step
 #: A checkpoint's values: t, px, py, pz, vx, vy, vz, step and the smallest
 #: boundary distance of the decision states before it.
 N_FORK = 9
-#: Fewest steps between two checkpoints of a row, as in ``_rollout.c``; so a
-#: row records at most ``max_steps // FORK_GAP + 2``, its end included.
+#: Fewest steps between two checkpoints of a row, as in ``_rollout.c``.
 FORK_GAP = 8
+
+
+def fork_slot(max_steps):
+    """Checkpoints in each row's slot of a nominal batch's record: the most one episode
+    of ``max_steps`` records, as decision states lie at steps 0..max_steps - 1 and the
+    final state is one more. Row i's slot starts at checkpoint ``i * fork_slot``, and
+    the rows ``i < RECORD_CAP // fork_slot`` are recorded."""
+    return max_steps // FORK_GAP + 2
 
 #: ``train``'s row of each episode, the ROW_* enum of ``_rollout.c``:
 #: deploy_greedy is -1 if never deployed, 0 explored, 1 greedy; norm2_max is
@@ -248,9 +257,10 @@ def batch_key(params, n_waypoints, max_steps, table):
     return params.tobytes(), n_waypoints, max_steps, table.tobytes()
 
 
-#: The last nominal ``batch``'s record, (``batch_key``, checkpoint values, rows), or
-#: None. Row i of rows is (first checkpoint, checkpoint count or -1 if the row was
-#: not recorded, steps, outcome) of wind row i's episode. Replaced, never changed.
+#: The last nominal ``batch``'s record, (``batch_key``, checkpoints, rows), or None.
+#: Row i of rows is (checkpoint count or -1 if the row was not recorded, steps,
+#: outcome) of wind row i's episode, and checkpoints[i] its checkpoint values, an
+#: ``array("d")``, or None. Replaced, never changed.
 _fork_record = None
 
 
@@ -290,9 +300,9 @@ def batch(*, wind, policy_mode, delta, theta, **scenario):
     episodes share one trunk (``_sweep``). Raises ValueError as ``rollout``
     does, and for a ``wind`` of another shape.
 
-    A nominal batch records its rows' checkpoints, up to ``RECORD_CAP`` in
-    all, as ``_fork_record``; a baseline batch with the same ``batch_key``
-    flies its recorded rows' trunks from them.
+    A nominal batch records the checkpoints of its rows ``i < RECORD_CAP //
+    fork_slot(max_steps)`` as ``_fork_record``; a baseline batch with the
+    same ``batch_key`` flies its recorded rows' trunks from them.
     """
     global _fork_record
     params, n_waypoints, steps = pack(policy_mode, **scenario)
@@ -306,26 +316,20 @@ def batch(*, wind, policy_mode, delta, theta, **scenario):
     if policy_mode == POLICY_BASELINE:
         key, states, rows = _fork_record or (None, None, None)
         if key != batch_key(params, n_waypoints, steps, table):
-            rows = [(0, -1, 0, 0)] * n
+            states = [None] * n
         for i, wind_params in enumerate(winds):
-            first, count, nominal_steps, outcome = rows[i]
-            checkpoints = None if count < 0 else (
-                states[N_FORK * first:N_FORK * (first + count)].tolist(),
-                (nominal_steps, outcome, -1, -1))
+            checkpoints = None if states[i] is None else (
+                states[i].tolist(), (rows[i][1], rows[i][2], -1, -1))
             blocks[:, i] = _sweep(p, n_waypoints, steps, values, wind_params, columns,
                                   checkpoints)
     elif policy_mode == POLICY_NOMINAL:
-        states, rows, recording = array("d"), [], True
+        recorded, states, rows = RECORD_CAP // fork_slot(steps), [], []
         for i, wind_params in enumerate(winds):
-            start = len(states)
-            blocks[0, i] = row = _summary(_episode(
-                p, n_waypoints, policy_mode, steps, 0.0, wind_params, columns,
-                forks=states if recording else None))
-            recording = recording and len(states) <= N_FORK * RECORD_CAP
-            if not recording:  # out of room: this row and the later ones are not recorded
-                del states[start:]
-            count = (len(states) - start) // N_FORK if recording else -1
-            rows.append((start // N_FORK, count, row[0], row[1]))
+            forks = array("d") if i < recorded else None
+            blocks[0, i] = row = _summary(_episode(p, n_waypoints, policy_mode, steps, 0.0,
+                                                   wind_params, columns, forks=forks))
+            states.append(forks)
+            rows.append((-1 if forks is None else len(forks) // N_FORK, row[0], row[1]))
         _fork_record = batch_key(params, n_waypoints, steps, table), states, rows
     else:
         for i, wind_params in enumerate(winds):

@@ -17,14 +17,17 @@ thresholds, ``batch`` returns (k, n, 4) summaries from one call that flies
 each row's shared nominal prefix once, as one trunk that forks a parachute
 tail at each threshold's deploy step. That trunk is the nominal flight: a
 nominal ``batch`` records checkpoints of each row's fork states, the states
-where the running minimum of the baseline's boundary distance falls, and a
-baseline ``batch`` on the same scenario and wind as the last nominal one
-(``_rollout_py.batch_key``) flies each threshold's trunk only from the last
-checkpoint before its fork, fewer than ``_rollout_py.FORK_GAP`` steps (each
-backend keeps its own record: ``_FORKS`` here, one slot that a batch owns
-while it uses it, and ``_rollout_py._fork_record`` for the twin). The C
-``batch`` spreads the rows over as many threads as the process may use CPUs
-(at most one per row), with the same result on any count. ``train`` runs Q-learning episodes under a given
+where the running minimum of the baseline's boundary distance falls, each
+row ``i < RECORD_CAP // fork_slot(max_steps)`` in its own slot of
+``_rollout_py.fork_slot`` checkpoints, and a baseline ``batch`` on the same
+scenario and wind as the last nominal one (``_rollout_py.batch_key``) flies
+each threshold's trunk only from the last checkpoint before its fork, fewer
+than ``_rollout_py.FORK_GAP`` steps (each backend keeps its own record:
+``_FORKS`` here, one slot that a batch owns while it uses it, and
+``_rollout_py._fork_record`` for the twin). The C ``batch`` spreads the rows
+over as many threads as the process may use CPUs, at most one per row and at
+most 8 (``MAX_WORKERS`` in ``_rollout.c``), with the same result and the
+same record on any count. ``train`` runs Q-learning episodes under a given
 policy in one call, updating a (2, 9) float64 array of weight columns in
 place: online training flies the weights policy, and warm start the
 baseline, every pass in one call. Under a policy that does not read the
@@ -57,13 +60,13 @@ from ._rollout_py import (  # noqa: F401  (re-exported constants)
     POLICY_WEIGHTS,
 )
 from ._rollout_py import (
-    FORK_GAP,
     N_FORK,
     TRAIN_COLUMNS,
     ZERO_SEGMENT,
     batch_key,
     checked,
     checked_rows,
+    fork_slot,
     one_threshold,
     pack,
     thresholds,
@@ -156,7 +159,7 @@ def _load_kernel():
     lib.rtsa_rollout.restype = c_int
     lib.rtsa_batch.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, c_int, _DOUBLES, c_int,
                                _DOUBLES, ctypes.POINTER(c_int), c_int, _DOUBLES, ctypes.c_int64,
-                               ctypes.c_int64, _INT64S)
+                               _INT64S)
     lib.rtsa_batch.restype = c_int
     lib.rtsa_train.argtypes = (_DOUBLES, c_int, c_int, c_int, c_double, _DOUBLES,
                                ctypes.c_int64, _DOUBLES, c_double, c_double, _DOUBLES,
@@ -193,7 +196,7 @@ def rollout_compiled(*, wind_params, policy_mode, delta, theta, **scenario):
 
 def batch_workers(n_rows: int) -> int:
     """Threads for a C batch of ``n_rows`` episodes: one per CPU the process may
-    use, but no more than rows."""
+    use, but no more than rows; the kernel runs at most 8 (``MAX_WORKERS``) of them."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -202,54 +205,53 @@ def batch_workers(n_rows: int) -> int:
 
 
 #: The last C nominal batch's fork record, ``(batch_key, states, rows)``, under
-#: "last": ``states`` holds ``N_FORK`` float64 values per checkpoint, after
-#: which each worker's scratch follows, and ``rows`` (n, 4) is ``rtsa_batch``'s
-#: ``fork_rows``. Batches may interleave in threads (ctypes releases the GIL),
-#: so each takes the record with one ``pop`` and owns it while it uses it: a
-#: nominal batch writes into its buffer and then stores it, and a baseline
-#: batch reads it and puts it back with ``setdefault``, unless a nominal batch
-#: has stored a newer one meanwhile. A batch that finds the slot empty goes
-#: without.
+#: "last": ``states`` holds ``N_FORK`` float64 values per checkpoint, row i's
+#: from checkpoint ``i * fork_slot(max_steps)`` on, and ``rows`` (n, 3) is
+#: ``rtsa_batch``'s ``fork_rows``: (checkpoint count or -1, steps, outcome). A
+#: nominal batch reuses the last record's buffer when it is large enough.
+#: Batches may interleave in threads (ctypes releases the GIL), so each takes
+#: the record with one ``pop`` and owns it while it uses it: a nominal batch
+#: writes into its buffer and then stores it, and a baseline batch reads it
+#: and puts it back with ``setdefault``, unless a nominal batch has stored a
+#: newer one meanwhile. A batch that finds the slot empty goes without.
 _FORKS = {}
 
 
 def batch_compiled(*, wind, policy_mode, delta, theta, **scenario):
     """``_rollout_py.batch`` on the C kernel: same arguments, same result.
 
-    Runs on ``batch_workers`` threads. A nominal batch records its rows'
-    checkpoints, at most ``_rollout_py.RECORD_CAP``, in ``_FORKS``; a
+    Runs on ``batch_workers`` threads. A nominal batch records the checkpoints
+    of its rows ``i < RECORD_CAP // fork_slot(max_steps)`` in ``_FORKS``; a
     baseline batch with the same ``batch_key`` reads them."""
     params, n_waypoints, steps = pack(policy_mode, **scenario)
     deltas = thresholds(policy_mode, delta)
     table, columns = checked_rows("wind", wind, 8, at_least=1), weight_columns(theta)
-    n_rows, workers = table.shape[0], batch_workers(table.shape[0])
+    n_rows = table.shape[0]
     out = np.empty(deltas.shape + (n_rows, 4), dtype=np.intc)
     args = (_pointer(params), n_waypoints, int(policy_mode), steps, _pointer(table), n_rows,
             _pointer(deltas), deltas.size, _pointer(columns), _pointer(out, ctypes.c_int),
-            workers)
+            batch_workers(n_rows))
     if policy_mode == POLICY_WEIGHTS:
-        _raise_for(_lib.rtsa_batch(*args, None, 0, 0, None))
+        _raise_for(_lib.rtsa_batch(*args, None, 0, None))
     elif policy_mode == POLICY_NOMINAL:
-        # The record, and each worker's scratch for the most checkpoints a row has.
-        scratch = steps // FORK_GAP + 2
-        capacity = min(_rollout_py.RECORD_CAP, n_rows * scratch)
-        size = capacity + workers * scratch
+        slot = fork_slot(steps)
+        capacity = min(_rollout_py.RECORD_CAP // slot, n_rows) * slot
         _, states, _ = _FORKS.pop("last", (None, None, None))
-        if states is None or len(states) < size:
+        if states is None or len(states) < capacity:
             # An anonymous private mapping: only the pages written take memory,
             # where numpy would ask for huge pages for an array of 4 MiB or more.
-            buffer = mmap.mmap(-1, 8 * N_FORK * max(size, 1), flags=mmap.MAP_PRIVATE)
+            buffer = mmap.mmap(-1, 8 * N_FORK * max(capacity, 1), flags=mmap.MAP_PRIVATE)
             states = np.frombuffer(buffer).reshape(-1, N_FORK)
-        rows = np.empty((n_rows, 4), dtype=np.int64)
-        _raise_for(_lib.rtsa_batch(*args, _pointer(states), capacity, scratch,
+        rows = np.empty((n_rows, 3), dtype=np.int64)
+        _raise_for(_lib.rtsa_batch(*args, _pointer(states), capacity,
                                    _pointer(rows, ctypes.c_int64)))
         _FORKS["last"] = batch_key(params, n_waypoints, steps, table), states, rows
     else:
         record = _FORKS.pop("last", None)
         try:
-            fork = None, 0, 0, None
+            fork = None, 0, None
             if record is not None and record[0] == batch_key(params, n_waypoints, steps, table):
-                fork = _pointer(record[1]), 0, 0, _pointer(record[2], ctypes.c_int64)
+                fork = _pointer(record[1]), 0, _pointer(record[2], ctypes.c_int64)
             _raise_for(_lib.rtsa_batch(*args, *fork))
         finally:
             if record is not None:

@@ -125,11 +125,6 @@ def _checked_config(cfg: LearnConfig, rc: RewardConfig) -> None:
         raise ValueError("invalid learning configuration: " + "; ".join(problems))
 
 
-def _columns(theta: np.ndarray) -> np.ndarray:
-    """The (9, 2) weight matrix as the kernels' contiguous (2, 9) array of columns."""
-    return np.array(np.asarray(theta, dtype=float).T, order="C")
-
-
 def _check_finite(columns: np.ndarray, where: str) -> None:
     if not np.isfinite(columns).all():
         raise RuntimeError(
@@ -148,16 +143,17 @@ def warm_start(seeds, delta: float, theta0: np.ndarray, cfg: LearnConfig, scenar
     ``MAX_EPISODES`` episodes (one call at the defaults); each call flies
     every demo once and replays its transitions on its later passes. The
     demos' wind is drawn once for all passes. Raises ValueError for an
-    invalid ``cfg`` or ``rc``, an empty or invalid seed list or a threshold
-    that is not finite and positive, and RuntimeError naming the first pass
-    that left the weights non-finite.
+    invalid ``cfg`` or ``rc``, an empty or invalid seed list, a threshold
+    that is not finite and positive or a ``theta0`` that is not a (9, 2)
+    array of numbers, and RuntimeError naming the first pass that left the
+    weights non-finite.
     """
     _checked_config(cfg, rc)
     seeds = seed_array(seeds)
     if not seeds.size:
         raise ValueError("warm start needs a non-empty demo seed list")
     delta = fastpath.one_threshold(fastpath.POLICY_BASELINE, delta)
-    theta = _columns(theta0)
+    theta = fastpath.weight_columns(theta0)
     demos = dict(wind=wind_rows(fastpath.wind_draws(seeds), scenario.sim),
                  policy_mode=fastpath.POLICY_BASELINE, delta=delta,
                  scales=scenario.feature_scales, alert_penalty=rc.alert_penalty,
@@ -214,9 +210,9 @@ def train(scenario, rc: RewardConfig, cfg: LearnConfig, theta0: np.ndarray,
     at ``cfg.seed``); exploration and update randomness comes from a separate
     stream, so the same wind seeds can be reused for evaluation comparisons
     elsewhere without touching exploration. Returns (theta, TrainingLog).
-    Raises ValueError for an invalid ``cfg``, ``rc`` or wind seed before any
-    episode runs, and RuntimeError naming the first episode that left the
-    weights non-finite.
+    Raises ValueError for an invalid ``cfg``, ``rc`` or wind seed, or a
+    ``theta0`` that is not (9, 2), before any episode runs, and RuntimeError
+    naming the first episode that left the weights non-finite.
     """
     _checked_config(cfg, rc)
     if wind_seeds is None:
@@ -229,7 +225,7 @@ def train(scenario, rc: RewardConfig, cfg: LearnConfig, theta0: np.ndarray,
     for _ in range(cfg.episodes):
         epsilons.append(epsilon)
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
-    theta = _columns(theta0)
+    theta = fastpath.weight_columns(theta0)
     # Episode ep flies seed ep % len(seeds); the first cfg.episodes seeds cover them all.
     rows = fastpath.train(
         theta, rc.discount, cfg.learning_rate, epsilons, cfg.seed,

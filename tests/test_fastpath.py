@@ -284,7 +284,7 @@ def c_batch(kwargs, workers, out=None):
     p = fastpath._pointer
     fastpath._raise_for(fastpath._lib.rtsa_batch(
         p(params), n_waypoints, mode, steps, p(table), table.shape[0], p(deltas), deltas.size,
-        p(theta), p(out, ctypes.c_int), workers, None, 0, 0, None))
+        p(theta), p(out, ctypes.c_int), workers, None, 0, None))
     return out
 
 
@@ -702,32 +702,39 @@ def forget(backend, monkeypatch):
 _KERNEL, _SWEEP = getattr(fastpath, "_lib", None), _rollout_py._sweep
 
 
+def pointed_at(pointer, ctype, shape):
+    """A copy of the array of ``shape`` that the ``fastpath._pointer`` result
+    ``pointer`` points into."""
+    address = ctypes.cast(ctypes.addressof(pointer._obj), ctypes.POINTER(ctype))
+    return np.ctypeslib.as_array(address, shape).copy()
+
+
 class KernelSpy:
     """A stand-in for ``fastpath._lib`` whose ``rtsa_batch`` calls the kernel's.
 
     Before each baseline call it appends to ``hits`` whether the call was
     handed a fork record and passes that to ``on_sweep``, if set; after each
-    nominal call that records, it keeps a copy of the ``fork_rows`` it wrote
-    as ``rows``.
+    nominal call that records, it keeps copies of the ``fork_rows`` it wrote
+    as ``rows`` and of its ``fork_capacity`` checkpoints as ``states``.
     """
 
     def __init__(self):
-        self.hits, self.rows, self.on_sweep = [], None, None
+        self.hits, self.rows, self.states, self.on_sweep = [], None, None, None
 
     def __getattr__(self, name):
         return getattr(_KERNEL, name)
 
     def rtsa_batch(self, *args):
-        mode, n_rows, fork_rows = args[2], args[5], args[14]
+        mode, n_rows, (fork_states, capacity, fork_rows) = args[2], args[5], args[11:]
         if mode == fastpath.POLICY_BASELINE:
             self.hits.append(fork_rows is not None)
             if self.on_sweep is not None:
                 self.on_sweep(fork_rows is not None)
         status = _KERNEL.rtsa_batch(*args)
         if mode == fastpath.POLICY_NOMINAL and fork_rows is not None:
-            address = ctypes.cast(ctypes.addressof(fork_rows._obj),
-                                  ctypes.POINTER(ctypes.c_int64))
-            self.rows = np.ctypeslib.as_array(address, (n_rows, 4)).copy()
+            self.rows = pointed_at(fork_rows, ctypes.c_int64, (n_rows, 3))
+            self.states = pointed_at(fork_states, ctypes.c_double,
+                                     (capacity, _rollout_py.N_FORK))
         return status
 
 
@@ -834,7 +841,7 @@ class TestForkMemo:
         assert hits and not any(hits)
 
     def test_record_caps_give_the_same_bytes(self, calibrated_scenario, monkeypatch, backend):
-        # Rows whose checkpoints do not fit fly their whole trunk.
+        # Rows without a slot in the record fly their whole trunk.
         kwargs = sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(12))
         batch = kernels(backend).batch
         forget(backend, monkeypatch)
@@ -842,9 +849,11 @@ class TestForkMemo:
         kernel = spy_kernel(monkeypatch) if backend == "c" else None
         batch(**nominal(kwargs))
         rows = kernel.rows if backend == "c" else np.array(_rollout_py._fork_record[2])
-        row = int(rows[0, 1])  # the first row's checkpoints
-        assert row > 2
-        for cap in (0, 1, row - 1, row, row + 1):
+        row = int(rows[0, 0])  # the first row's checkpoints
+        slot = _rollout_py.fork_slot(calibrated_scenario.sim.max_steps)
+        assert 2 < row < slot
+        for cap in (0, 1, row - 1, row, row + 1, slot - 1, slot, slot + 1, 5 * slot,
+                    12 * slot - 1, 12 * slot):
             monkeypatch.setattr(_rollout_py, "RECORD_CAP", cap)
             for workers in (1, 2) if backend == "c" else (1,):
                 monkeypatch.setattr(fastpath, "batch_workers", lambda n, w=workers: w)
@@ -972,34 +981,62 @@ def test_a_second_sweep_while_the_first_holds_the_record_flies_whole_trunks(
 
 
 @needs_compiled
-def test_a_seed_with_more_checkpoints_than_its_scratch_is_not_recorded(calibrated_scenario):
-    # rtsa_batch bounds each seed's checkpoints by the scratch it is given; a
-    # seed that runs out is not recorded, nor any seed after it, and a sweep
-    # handed that record flies their whole trunks.
+def test_the_c_fork_record_equals_the_twins_byte_for_byte(calibrated_scenario, monkeypatch):
+    # Each row records into its own slot, so on any worker count the C record
+    # is the twin's, and exactly the rows below RECORD_CAP // slot are recorded.
+    n = 12
+    kwargs = nominal(sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(n)))
+    slot = _rollout_py.fork_slot(calibrated_scenario.sim.max_steps)
+    kernel = spy_kernel(monkeypatch)
+    for cap in (0, slot - 1, slot, 7 * slot, _rollout_py.RECORD_CAP):
+        monkeypatch.setattr(_rollout_py, "RECORD_CAP", cap)
+        _rollout_py.batch(**kwargs)
+        _, states, rows = _rollout_py._fork_record
+        recorded = [i for i, row in enumerate(rows) if row[0] >= 0]
+        assert recorded == list(range(min(cap // slot, n))), cap
+        assert all((states[i] is None) == (i not in recorded) for i in range(n))
+        for workers in (1, 2, 3, n + 5):
+            monkeypatch.setattr(fastpath, "batch_workers", lambda n, w=workers: w)
+            batch_compiled(**kwargs)
+            assert kernel.rows.tobytes() == np.array(rows, dtype=np.int64).tobytes(), \
+                (cap, workers)
+            for i in recorded:
+                checkpoints = kernel.states[i * slot:i * slot + rows[i][0]]
+                assert checkpoints.tobytes() == states[i].tobytes(), (cap, workers, i)
+
+
+@needs_compiled
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_a_record_of_k_slots_holds_the_rows_below_k(calibrated_scenario, k):
+    # rtsa_batch records row i only where its slot, checkpoints i * slot
+    # onward, lies within fork_capacity, and writes nothing beyond the slots;
+    # a sweep handed that record flies the other rows' whole trunks.
     kwargs = sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(6))
     expected = c_batch(kwargs, 1)
     table = _rollout_py.checked_rows("wind", kwargs["wind"], 8)
     theta = _rollout_py.weight_columns(kwargs["theta"])
-    scenario = {k: v for k, v in kwargs.items()
-                if k not in ("wind", "theta", "policy_mode", "delta")}
+    scenario = {key: value for key, value in kwargs.items()
+                if key not in ("wind", "theta", "policy_mode", "delta")}
     params, n_waypoints, steps = _rollout_py.pack(fastpath.POLICY_NOMINAL, **scenario)
-    p, n = fastpath._pointer, table.shape[0]
-    capacity, scratch = 1000, 3
-    states = np.zeros((capacity + scratch, _rollout_py.N_FORK))
-    rows = np.full((n, 4), -7, dtype=np.int64)
-    out = np.empty((n, 4), dtype=np.intc)
-    for mode, deltas, out in ((fastpath.POLICY_NOMINAL, np.zeros(()), out),
-                              (fastpath.POLICY_BASELINE, _rollout_py.thresholds(
-                                  fastpath.POLICY_BASELINE, kwargs["delta"]),
-                               np.empty(expected.shape, dtype=np.intc))):
-        fastpath._raise_for(fastpath._lib.rtsa_batch(
-            p(params), n_waypoints, mode, steps, p(table), n, p(deltas), deltas.size,
-            p(theta), p(out, ctypes.c_int), 1, p(states), capacity, scratch,
-            p(rows, ctypes.c_int64)))
-        if mode == fastpath.POLICY_NOMINAL:
-            assert np.all(rows[:, 1] == -1)
-            assert rows[:, 2:].tolist() == out[:, :2].tolist()
-    assert out.tobytes() == expected.tobytes()
+    p, n, slot = fastpath._pointer, table.shape[0], _rollout_py.fork_slot(steps)
+    capacity = (k + 1) * slot - 1  # room for k slots, not k + 1
+    deltas = _rollout_py.thresholds(fastpath.POLICY_BASELINE, kwargs["delta"])
+    for workers in (1, 3):
+        states = np.zeros((capacity, _rollout_py.N_FORK))
+        rows = np.full((n, 3), -7, dtype=np.int64)
+        nominal_out = np.empty((n, 4), dtype=np.intc)
+        out = np.empty(expected.shape, dtype=np.intc)
+        for mode, thresholds, summaries in ((fastpath.POLICY_NOMINAL, np.zeros(()), nominal_out),
+                                            (fastpath.POLICY_BASELINE, deltas, out)):
+            fastpath._raise_for(fastpath._lib.rtsa_batch(
+                p(params), n_waypoints, mode, steps, p(table), n, p(thresholds),
+                thresholds.size, p(theta), p(summaries, ctypes.c_int), workers, p(states),
+                capacity, p(rows, ctypes.c_int64)))
+        assert [i for i in range(n) if rows[i, 0] >= 0] == list(range(k)), workers
+        assert np.all(rows[k:, 0] == -1) and np.all(rows[:k, 0] > 2)
+        assert rows[:, 1:].tolist() == nominal_out[:, :2].tolist()
+        assert not states[k * slot:].any()
+        assert out.tobytes() == expected.tobytes(), workers
 
 
 def test_a_sweep_after_a_nominal_batch_flies_only_its_tails(calibrated_scenario, monkeypatch):
