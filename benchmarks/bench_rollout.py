@@ -25,7 +25,11 @@ deploy steps. It times one baseline sweep call over several thresholds
 against one single-threshold batch call per delta on the same seeds, both
 cold (the last nominal batch flew other wind), and the same sweep warm:
 right after a nominal batch on the same wind, whose checkpoints spare it
-flying the trunks. It checks all their summaries are byte-equal. On the C
+flying the trunks. It checks all their summaries are byte-equal. It times
+one ``calibrate_wind`` call, every evaluation in one ``fastpath.calibrate``
+call, against the reference loop of one nominal batch per evaluation
+(``tests/calibration_oracle.py``) on the same seeds, in microseconds per
+call, and checks their results are byte-equal. On the C
 kernel, it also makes ``WORKER_CALLS`` back-to-back batch calls on one
 worker thread, then as many on every worker ``fastpath.batch`` uses, prints
 the best and the median microseconds per call of each and their ratios, and
@@ -39,13 +43,15 @@ Usage: python benchmarks/bench_rollout.py [--episodes N] [--policy SPEC]
 import argparse
 import ctypes
 import statistics
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from rtsa import _rollout_py, fastpath
 from rtsa._rollout_py import rollout as rollout_python
-from rtsa.evaluation import PolicySpec, _kernel_args
+from rtsa.evaluation import PolicySpec, _kernel_args, calibrate_wind
 from rtsa.learning import LearnConfig
 from rtsa.policy import N_FEATURES, random_weights
 from rtsa.scenario import default_scenario
@@ -58,6 +64,10 @@ WARM_START_PASSES = LearnConfig().warm_start_passes
 STEPS_COLUMN = _rollout_py.TRAIN_COLUMNS.index("steps")
 SWEEP_DELTAS = (1.0, 2.0, 4.0, 8.0, 16.0)  # the SOC sweep's baseline grid
 WORKER_CALLS = 200  # back-to-back batch calls timed on each worker count
+CALIBRATION_TARGET = 0.25  # the exit rate the paper's testbed calibrates to
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import calibration_oracle  # noqa: E402  (the reference calibration loop)
 
 
 def seed_wind(scenario, seed):
@@ -196,6 +206,22 @@ def bench_sweep(scenario, seeds, repeats):
     return best_cold, best_warm, best_each, cold, warm, np.stack(each)
 
 
+def bench_calibration(scenario, seeds, repeats):
+    """Best seconds of one ``calibrate_wind`` call and of the reference loop, one nominal
+    batch per evaluation, on ``seeds``; returns (call seconds, loop seconds, call
+    result, loop result)."""
+    tol = max(0.02, 1.0 / len(seeds))  # exit rates over n seeds come in steps of 1/n
+    best_call = best_loop = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call = calibrate_wind(scenario, CALIBRATION_TARGET, seeds, tol=tol)
+        best_call = min(best_call, time.perf_counter() - start)
+        start = time.perf_counter()
+        loop = calibration_oracle.calibrate_wind(scenario, CALIBRATION_TARGET, seeds, tol=tol)
+        best_loop = min(best_loop, time.perf_counter() - start)
+    return best_call, best_loop, call, loop
+
+
 def bench_workers(scenario, policy, seeds, workers):
     """Best and median seconds of ``WORKER_CALLS`` back-to-back C batch calls over
     ``seeds`` on ``workers`` threads, and the summaries. Calls ``rtsa_batch``
@@ -280,6 +306,15 @@ def main():
           f"  cold {t_cold * 1e3:8.3f} ms  ({t_cold / t_warm:4.1f}x)")
     print("sweep summaries byte-equal to one batch per delta")
     print("warm sweep summaries byte-equal to a cold sweep")
+
+    t_call, t_loop, call, loop = bench_calibration(scenario, seeds, args.repeats)
+    assert (np.array([call.wind_sigma, call.gust_sigma, call.exit_rate]).tobytes(),
+            call.iterations) == \
+        (np.array([loop.wind_sigma, loop.gust_sigma, loop.exit_rate]).tobytes(),
+         loop.iterations), "calibration call and batch loop disagree"
+    print(f"calibration : {call.iterations} evaluations, one call {t_call * 1e6:9.1f} us"
+          f"  one batch per evaluation {t_loop * 1e6:9.1f} us  ({t_loop / t_call:4.2f}x)")
+    print("calibration results byte-equal to one batch per evaluation")
 
     if fastpath.rollout_compiled is None:
         print(f"compiled    : C kernel not loaded ({fastpath.FALLBACK_REASON})")

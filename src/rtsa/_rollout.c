@@ -7,12 +7,16 @@
  * -ffp-contract=off: a fused multiply-add rounds once where the Python twin
  * rounds twice.
  *
- * Four entry points, three of them behind one episode loop (`episode`):
+ * Five entry points, four of them behind one episode loop (`episode`):
  *   rtsa_rollout     one episode under a fixed policy, with its trajectory;
  *   rtsa_batch       n episodes under a fixed policy, one wind row each,
  *                    with per-episode summaries and no trajectories, spread
- *                    over a few worker threads; a baseline batch runs all of
- *                    its thresholds at once (below);
+ *                    over a few worker threads (run_workers); a baseline
+ *                    batch runs all of its thresholds at once (below);
+ *   rtsa_calibrate   the whole wind calibration: a bracket and bisection of
+ *                    the wind strength to a target nominal exit rate, each
+ *                    evaluation one nominal batch on the same workers, with
+ *                    the wind rows rescaled in place and no fork record;
  *   rtsa_train       n Q-learning episodes in a row under a given policy,
  *                    updating the weights in place by `td_update` at every
  *                    step: online epsilon-greedy training flies the weights
@@ -21,8 +25,8 @@
  *   rtsa_wind_draws  the unit draws of each seed's wind field.
  * `episode` is always inlined with constant flags, so the rollout carries no
  * learning branches, neither the batch nor the learner writes a trajectory,
- * only the baseline batch can stop at a deploy decision and only the nominal
- * batch records checkpoints.
+ * only the baseline batch can stop at a deploy decision and only a nominal
+ * rtsa_batch records checkpoints.
  *
  * The baseline switch flies the nominal path until it deploys, and a wider
  * threshold deploys no later than a narrower one. So a baseline batch over
@@ -99,7 +103,7 @@
 #define GRAVITY 9.81
 #define N_FEATURES 9
 
-/* Ceiling on rtsa_batch's threads, whatever worker count it is asked for. */
+/* Ceiling on run_workers' threads, whatever worker count it is asked for. */
 #define MAX_WORKERS 8
 
 /* numpy/random/bitgen.h */
@@ -486,7 +490,9 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
     int step_idx = state->step, outcome = 0; /* 0: still running */
     int action = 0, greedy = 0;
     double r = 0.0, ret = 0.0, disc = 1.0, norm2_max = 0.0, error_max = 0.0;
-    double phi[N_FEATURES], phi_prev[N_FEATURES];
+    /* Zeroed only so that a compiler need not prove that the weights decision,
+     * which reads phi, runs only on a pass that computed it. */
+    double phi[N_FEATURES] = {0.0}, phi_prev[N_FEATURES];
     double fork_floor = INFINITY; /* for `forks`: the smallest distance so far */
     int fork_last = -FORK_GAP;   /* and the latest checkpoint's step */
 
@@ -914,6 +920,44 @@ static void late_to_caller(const pthread_t *threads, started_t *starts, int star
 }
 
 /*
+ * Fly every row of `job` from row 0, shared out, one at a time, among
+ * `n_workers` threads (at least 1, at most MAX_WORKERS and job->n): the
+ * calling thread and threads started here and joined before it returns. On
+ * Linux each started thread is kept off the caller's CPU (off_caller_attr)
+ * until the caller has claimed every row (late_to_caller). A thread that
+ * cannot be started leaves its share to the others.
+ */
+static void run_workers(batch_job *job, int n_workers)
+{
+    if (n_workers > MAX_WORKERS)
+        n_workers = MAX_WORKERS;
+    if (n_workers > job->n)
+        n_workers = job->n;
+    atomic_store_explicit(&job->next, 0, memory_order_relaxed);
+    pthread_t threads[MAX_WORKERS - 1];
+    started_t starts[MAX_WORKERS - 1];
+    int started = 0;
+    pthread_attr_t off_caller;
+    const pthread_attr_t *attr = n_workers > 1 && off_caller_attr(&off_caller) ? &off_caller : NULL;
+    while (started < n_workers - 1) {
+        started_t *s = &starts[started];
+        s->job = job;
+        atomic_init(&s->begun, 0);
+        if (!(attr && pthread_create(&threads[started], attr, started_worker, s) == 0)
+            && pthread_create(&threads[started], NULL, started_worker, s) != 0)
+            break;
+        started++;
+    }
+    batch_worker(job);
+    if (attr) {
+        pthread_attr_destroy(&off_caller);
+        late_to_caller(threads, starts, started);
+    }
+    for (int k = 0; k < started; k++)
+        pthread_join(threads[k], NULL);
+}
+
+/*
  * Run n episodes under a fixed policy, as rtsa_rollout would one by one:
  * episode i flies in the wind of row i of `wind` (n x 8) and writes its
  * (steps, outcome, deploy_step, deploy_greedy) to row i of `out`. Under the
@@ -933,15 +977,9 @@ static void late_to_caller(const pthread_t *threads, started_t *starts, int star
  * nominal batch on the same scenario, max_steps and wind. A weights batch
  * ignores it.
  *
- * The rows are
- * shared out, one at a time, among `n_workers` threads (at least 1, at most
- * MAX_WORKERS and n): the calling thread and threads started for this call
- * and joined before it returns. On Linux each started thread is kept off the
- * caller's CPU (off_caller_attr) until the caller has claimed every row
- * (late_to_caller). A thread that cannot be started leaves its
- * share to the others. Each row writes only its own rows of `out`, so `out`
- * does not depend on the worker count. Returns as rtsa_rollout, before any
- * episode runs when it fails.
+ * The rows are shared out among `n_workers` threads (run_workers). Each row
+ * writes only its own rows of `out`, so `out` does not depend on the worker
+ * count. Returns as rtsa_rollout, before any episode runs when it fails.
  */
 int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
                const double *wind, int n, const double *deltas, int n_deltas,
@@ -952,35 +990,119 @@ int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
     const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
     if (status)
         return status;
-    if (n_workers > MAX_WORKERS)
-        n_workers = MAX_WORKERS;
-    if (n_workers > n)
-        n_workers = n;
     batch_job job = {p, &path, policy_mode, max_steps, n, wind, deltas, theta, n_deltas, out,
                      fork_states, fork_capacity, fork_slot(max_steps), fork_rows, 0};
-    pthread_t threads[MAX_WORKERS - 1];
-    started_t starts[MAX_WORKERS - 1];
-    int started = 0;
-    pthread_attr_t off_caller;
-    const pthread_attr_t *attr = n_workers > 1 && off_caller_attr(&off_caller) ? &off_caller : NULL;
-    while (started < n_workers - 1) {
-        started_t *s = &starts[started];
-        s->job = &job;
-        atomic_init(&s->begun, 0);
-        if (!(attr && pthread_create(&threads[started], attr, started_worker, s) == 0)
-            && pthread_create(&threads[started], NULL, started_worker, s) != 0)
-            break;
-        started++;
-    }
-    batch_worker(&job);
-    if (attr) {
-        pthread_attr_destroy(&off_caller);
-        late_to_caller(threads, starts, started);
-    }
-    for (int k = 0; k < started; k++)
-        pthread_join(threads[k], NULL);
+    run_workers(&job, n_workers);
     path_free(&path);
     return 0;
+}
+
+/* rtsa_calibrate's statuses beside rtsa_rollout's; rtsa._rollout_py's names. */
+#define CALIBRATED 0
+#define NOT_BRACKETED 1
+#define OUT_OF_BUDGET 2
+
+/*
+ * The exit rate of the nominal batch `job` at wind strength `sigma`: first
+ * the base and amplitude columns of each of its wind rows are rewritten from
+ * the row's unit draws (a row of rtsa_wind_draws) as rtsa.sim.wind_rows
+ * scales them for a wind of `mean`, `sigma` and gust strength
+ * gust_ratio * sigma; its frequency and phase columns do not depend on them.
+ */
+static double exit_rate(batch_job *job, double *wind, const double *draws, const double *mean,
+                        double sigma, double gust_ratio, int n_workers)
+{
+    const double amplitude = 2.0 * (gust_ratio * sigma) - 0.0; /* uniform on [0, 2 gust) */
+    for (int i = 0; i < job->n; i++) {
+        double *w = wind + 8 * (size_t)i;
+        const double *d = draws + 8 * (size_t)i; /* z_x, z_y, then per axis amplitude, ... */
+        w[0] = mean[0] + sigma * d[0];
+        w[1] = mean[1] + sigma * d[1];
+        w[2] = 0.0 + amplitude * d[2];
+        w[3] = 0.0 + amplitude * d[5];
+    }
+    run_workers(job, n_workers);
+    int exits = 0;
+    for (int i = 0; i < job->n; i++)
+        exits += job->out[4 * (size_t)i + 1] == OUTCOME_EXITED;
+    return (double)exits / job->n;
+}
+
+/*
+ * Find the wind strength sigma at which the nominal controller's exit rate
+ * over the n wind rows at `wind` comes within `tol` of `target`, evaluating
+ * at most `budget` rates, each a nominal batch (run_workers, no fork record)
+ * at the rewritten wind of `exit_rate` from row i of `draws` (n x 8) and the
+ * frequency and phase columns of row i of `wind` (n x 8).
+ *
+ * Bracket: from lo = 0 and hi = max(wind_sigma, 1), hi doubles (lo taking
+ * its old value) while its rate is below the target; the evaluation that
+ * uses up the budget there ends the call with NOT_BRACKETED. Bisect: each
+ * midpoint's rate replaces the best so far if strictly closer to the target,
+ * and the search stops once the best is within `tol`, or the budget is used
+ * up (OUT_OF_BUDGET). On return result = (best sigma, gust_ratio * sigma, its
+ * exit rate, evaluations). Returns CALIBRATED, NOT_BRACKETED, OUT_OF_BUDGET,
+ * or as rtsa_rollout (-1, -2) before any episode runs.
+ */
+int rtsa_calibrate(const double *p, int n_waypoints, int max_steps, const double *draws,
+                   const double *wind, int n, const double *mean, double wind_sigma,
+                   double gust_ratio, double target, double tol, int budget, int n_workers,
+                   double *result)
+{
+    path_t path;
+    int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
+    if (status)
+        return status;
+    double *rows = malloc(sizeof(double) * 8 * (size_t)n + sizeof(int) * 4 * (size_t)n);
+    if (rows == NULL) {
+        path_free(&path);
+        return -2;
+    }
+    memcpy(rows, wind, sizeof(double) * 8 * (size_t)n);
+    const double theta[2 * N_FEATURES] = {0.0};
+    batch_job job = {p, &path, POLICY_NOMINAL, max_steps, n, rows, NULL, theta, 1,
+                     (int *)(rows + 8 * (size_t)n), NULL, 0, fork_slot(max_steps), NULL, 0};
+
+    int iterations = 0;
+    double lo = 0.0, hi = 1.0 > wind_sigma ? 1.0 : wind_sigma;
+    double hi_rate = exit_rate(&job, rows, draws, mean, hi, gust_ratio, n_workers);
+    iterations++;
+    while (hi_rate < target) {
+        lo = hi;
+        hi *= 2.0;
+        hi_rate = exit_rate(&job, rows, draws, mean, hi, gust_ratio, n_workers);
+        iterations++;
+        if (iterations >= budget) {
+            status = NOT_BRACKETED;
+            break;
+        }
+    }
+    double best = fabs(hi_rate - target), best_sigma = hi, best_rate = hi_rate;
+    while (status == CALIBRATED && iterations < budget) {
+        const double mid = 0.5 * (lo + hi);
+        const double mid_rate = exit_rate(&job, rows, draws, mean, mid, gust_ratio, n_workers);
+        iterations++;
+        if (fabs(mid_rate - target) < best) {
+            best = fabs(mid_rate - target);
+            best_sigma = mid;
+            best_rate = mid_rate;
+        }
+        if (best <= tol)
+            break;
+        if (mid_rate < target)
+            lo = mid;
+        else
+            hi = mid;
+    }
+    if (status == CALIBRATED && best > tol)
+        status = OUT_OF_BUDGET;
+    result[0] = best_sigma;
+    result[1] = gust_ratio * best_sigma;
+    result[2] = best_rate;
+    result[3] = iterations;
+    free(rows);
+    path_free(&path);
+    return status;
 }
 
 /* Columns of rtsa_train's rows, one row per episode. */

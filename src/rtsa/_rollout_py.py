@@ -14,7 +14,7 @@ decision, pure pursuit with a PD command or the parachute, the
 semi-implicit Euler step with its ground clamp, the reward (an exit costs
 -1, as a scenario fixes the exit penalty at 1) and the termination chain.
 It reads the packed array by the ``P_*`` offsets, as ``episode`` in
-``_rollout.c`` does. Three entry points drive it:
+``_rollout.c`` does. Four entry points drive it:
 
 - ``rollout`` runs one episode under a fixed policy (never-deploy,
   distance-threshold, or greedy linear weights) and records its trajectory.
@@ -32,6 +32,9 @@ It reads the packed array by the ``P_*`` offsets, as ``episode`` in
   and keeps them as ``_fork_record``: a baseline batch on the same scenario
   and wind flies each threshold's trunk only from the last checkpoint before
   its fork, fewer than ``FORK_GAP`` steps, and then its tail.
+- ``calibrate`` runs a whole wind calibration: it brackets and bisects the
+  wind strength to a target nominal exit rate, each evaluation one nominal
+  episode per wind row at that strength, with no fork record.
 - ``train`` runs Q-learning episodes in a row under one of those policies,
   applying ``td_update``, the linear TD rule on weight columns held as float
   lists, to the weights at every step at the given discount and learning
@@ -45,9 +48,10 @@ It reads the packed array by the ``P_*`` offsets, as ``episode`` in
   transitions on every later pass, with bit-identical weights and rows.
 
 Each entry point has a C twin in ``_rollout.c`` (``rtsa_rollout``,
-``rtsa_batch``, ``rtsa_train``) that performs the same arithmetic in the
-same order and seeds the same exploration streams, so the two backends give
-bit-identical trajectories, summaries, weights and training rows.
+``rtsa_batch``, ``rtsa_calibrate``, ``rtsa_train``) that performs the same
+arithmetic in the same order and seeds the same exploration streams, so the
+two backends give bit-identical trajectories, summaries, calibrations,
+weights and training rows.
 ``rtsa.fastpath`` uses the C kernels when they build and load, these
 otherwise. ``train`` takes the weights as a contiguous (2, 9) float64 array
 of columns (continue, deploy), updated in place; here it is converted to
@@ -336,6 +340,84 @@ def batch(*, wind, policy_mode, delta, theta, **scenario):
             blocks[0, i] = _summary(_episode(p, n_waypoints, policy_mode, steps, 0.0,
                                              wind_params, columns))
     return out
+
+
+#: ``calibrate``'s statuses: the exit rate came within ``tol`` of the target, the
+#: bracket used up the budget before its rate reached the target, or the
+#: bisection did before coming within ``tol``.
+CALIBRATED, NOT_BRACKETED, OUT_OF_BUDGET = 0, 1, 2
+
+
+def calibration_arrays(draws, wind, wind_mean):
+    """``calibrate``'s arrays, checked: (draws, wind, wind_mean), or ValueError unless
+    ``draws`` and ``wind`` are (n >= 1, 8) of the same n and ``wind_mean`` has 2 values."""
+    draws = checked_rows("draws", draws, 8, at_least=1)
+    wind = checked_rows("wind", wind, 8, at_least=1)
+    if wind.shape != draws.shape:
+        raise ValueError(f"wind must have the shape of draws {draws.shape}, got {wind.shape}")
+    return draws, wind, checked("wind_mean", wind_mean, (2,))
+
+
+def calibrate(draws, target, tol, budget, *, wind, wind_mean, wind_sigma, gust_ratio,
+              **scenario):
+    """Bisect the wind strength sigma to a nominal exit rate within ``tol`` of ``target``.
+
+    ``draws`` are the seeds' unit draws (``sim.wind_draws``) and ``wind`` their
+    kernel wind rows (``sim.wind_rows``) at any strength: their frequency and
+    phase columns do not depend on it. At each sigma evaluated, the base and
+    amplitude columns are rewritten as ``sim.wind_rows`` scales them for the
+    mean ``wind_mean``, ``sigma`` and gust strength ``gust_ratio * sigma``,
+    and one nominal episode per row is flown; no fork record is kept. The
+    bracket starts at ``max(wind_sigma, 1.0)`` and doubles while its exit rate
+    is below the target; then bisection keeps the midpoint closest to the
+    target, at most ``budget`` evaluations in all. ``scenario`` holds
+    ``pack``'s keywords. Returns (status, sigma, gust_ratio * sigma, its exit
+    rate, evaluations), the status one of ``CALIBRATED``, ``NOT_BRACKETED`` and
+    ``OUT_OF_BUDGET``. Raises ValueError as ``pack`` and ``calibration_arrays``
+    do, or for a zero-length path segment, before any episode runs.
+    """
+    params, n_waypoints, steps = pack(POLICY_NOMINAL, **scenario)
+    draws, wind, mean = calibration_arrays(draws, wind, wind_mean)
+    p, columns = params.tolist(), [[0.0] * N_FEATURES, [0.0] * N_FEATURES]
+    rows = wind.copy()
+    base, amplitude = draws[:, :2], draws[:, [2, 5]]  # z_x, z_y; per axis amplitude, ...
+
+    def rate(sigma):
+        rows[:, :2] = mean + sigma * base
+        rows[:, 2:4] = 0.0 + (2.0 * (gust_ratio * sigma) - 0.0) * amplitude
+        exits = sum(_episode(p, n_waypoints, POLICY_NOMINAL, steps, 0.0, row, columns)[1]
+                    == OUTCOME_EXITED for row in rows.tolist())
+        return exits / len(rows)
+
+    status, iterations = CALIBRATED, 0
+    lo, hi = 0.0, max(float(wind_sigma), 1.0)
+    hi_rate = rate(hi)
+    iterations += 1
+    while hi_rate < target:
+        lo = hi
+        hi *= 2.0
+        hi_rate = rate(hi)
+        iterations += 1
+        if iterations >= budget:
+            status = NOT_BRACKETED
+            break
+    best = (abs(hi_rate - target), hi, hi_rate)
+    while status == CALIBRATED and iterations < budget:
+        mid = 0.5 * (lo + hi)
+        mid_rate = rate(mid)
+        iterations += 1
+        if abs(mid_rate - target) < best[0]:
+            best = (abs(mid_rate - target), mid, mid_rate)
+        if best[0] <= tol:
+            break
+        if mid_rate < target:
+            lo = mid
+        else:
+            hi = mid
+    if status == CALIBRATED and best[0] > tol:
+        status = OUT_OF_BUDGET
+    _, sigma, sigma_rate = best
+    return status, sigma, gust_ratio * sigma, sigma_rate, iterations
 
 
 def _summary(result):

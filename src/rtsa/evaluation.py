@@ -7,17 +7,20 @@ face identical wind realizations. Episodes run on the fastpath kernels
 
 - the trajectory path: ``run_episode`` runs one episode through
   ``fastpath.rollout`` and keeps its trajectory, for ``rtsa run --trace``;
-- the summary path: ``run_batch``, ``sweep_baseline``, ``exit_rate`` and
-  ``calibrate_wind`` run all of a policy's seeds in one ``fastpath.batch``
-  call and keep only each episode's outcome and deploy step, which is all a
-  confusion matrix reads. ``sweep_baseline`` runs all of its thresholds in
-  that one call too: each seed's nominal prefix, which every threshold flies
-  until it deploys, is flown once; right after a nominal ``run_batch`` on
-  the same seeds, only its last few steps before each deploy are (see
+- the summary path: ``run_batch``, ``sweep_baseline`` and ``exit_rate``
+  run all of a policy's seeds in one ``fastpath.batch`` call and keep only
+  each episode's outcome and deploy step, which is all a confusion matrix
+  reads. ``sweep_baseline`` runs all of its thresholds in that one call
+  too: each seed's nominal prefix, which every threshold flies until it
+  deploys, is flown once; right after a nominal ``run_batch`` on the same
+  seeds, only its last few steps before each deploy are (see
   ``fastpath``). It counts each threshold's confusion matrix from the
-  summaries. Their wind comes from one table of unit draws per seed list
+  summaries. ``calibrate_wind`` runs every nominal batch of its bracket and
+  bisection in one ``fastpath.calibrate`` call, which keeps no fork record.
+  Their wind comes from one table of unit draws per seed list
   (``fastpath.wind_draws``), drawn once and rescaled to each policy's or
-  calibration step's wind (``sim.wind_rows``).
+  calibration step's wind (``sim.wind_rows``, whose arithmetic
+  ``fastpath.calibrate`` repeats in place).
 
 Both paths give the same outcomes and deploy steps for the same seeds. A
 seed is an integer in [0, 2**64) (``sim.seed_array``); any other raises
@@ -350,11 +353,8 @@ def sweep_learned(scenario: Scenario, alert_penalties, learn_cfg: LearnConfig,
 
 def exit_rate(scenario: Scenario, seeds) -> float:
     """Envelope-exit frequency of the nominal controller alone."""
-    return _exit_rate(scenario, fastpath.wind_draws(_seed_list(seeds)))
-
-
-def _exit_rate(scenario: Scenario, draws: np.ndarray) -> float:
-    summaries = fastpath.batch(wind=wind_rows(draws, scenario.sim),
+    summaries = fastpath.batch(wind=wind_rows(fastpath.wind_draws(_seed_list(seeds)),
+                                              scenario.sim),
                                **_kernel_args(PolicySpec.nominal(), scenario))
     return int(np.count_nonzero(summaries[:, 1] == fastpath.OUTCOME_EXITED)) / len(summaries)
 
@@ -368,7 +368,8 @@ def calibrate_wind(scenario: Scenario, target_exit_rate: float, seeds,
     """Bisect the base-wind standard deviation to hit a nominal-only exit rate.
 
     Gust strength is scaled proportionally to the base wind throughout. The
-    seeds' wind draws are made once and rescaled at every evaluated sigma.
+    seeds' wind draws are made once, and every evaluation runs in one
+    ``fastpath.calibrate`` call, which rescales them at each evaluated sigma.
     Raises RuntimeError when ``CALIBRATION_BUDGET`` evaluations do not bring
     the exit rate within ``tol`` of the target.
     """
@@ -377,43 +378,16 @@ def calibrate_wind(scenario: Scenario, target_exit_rate: float, seeds,
     draws = fastpath.wind_draws(_seed_list(seeds))
     sim = scenario.sim
     gust_ratio = sim.gust_sigma / sim.wind_sigma if sim.wind_sigma > 0 else 0.25
-
-    def rate(sigma: float) -> float:
-        return _exit_rate(scenario.with_wind(sigma, gust_ratio * sigma), draws)
-
-    iterations = 0
-    lo, hi = 0.0, max(sim.wind_sigma, 1.0)
-    hi_rate = rate(hi)
-    iterations += 1
-    while hi_rate < target_exit_rate:
-        lo = hi
-        hi *= 2.0
-        hi_rate = rate(hi)
-        iterations += 1
-        if iterations >= CALIBRATION_BUDGET:
-            raise RuntimeError("wind calibration failed to bracket the target exit rate")
-
-    best = (abs(hi_rate - target_exit_rate), hi, hi_rate)
-    while iterations < CALIBRATION_BUDGET:
-        mid = 0.5 * (lo + hi)
-        mid_rate = rate(mid)
-        iterations += 1
-        if abs(mid_rate - target_exit_rate) < best[0]:
-            best = (abs(mid_rate - target_exit_rate), mid, mid_rate)
-        if best[0] <= tol:
-            break
-        if mid_rate < target_exit_rate:
-            lo = mid
-        else:
-            hi = mid
-    if best[0] > tol:
+    status, sigma, gust, rate, iterations = fastpath.calibrate(
+        draws, target_exit_rate, tol, CALIBRATION_BUDGET, wind=wind_rows(draws, sim),
+        wind_mean=(sim.wind_mean_x, sim.wind_mean_y), wind_sigma=sim.wind_sigma,
+        gust_ratio=gust_ratio, scales=scenario.feature_scales,
+        alert_penalty=scenario.reward.alert_penalty, **fastpath.scenario_args(scenario))
+    if status == fastpath.NOT_BRACKETED:
+        raise RuntimeError("wind calibration failed to bracket the target exit rate")
+    if status == fastpath.OUT_OF_BUDGET:
         raise RuntimeError(
             f"wind calibration did not reach the target within {CALIBRATION_BUDGET} evaluations"
         )
-    sigma = best[1]
-    return CalibrationResult(
-        wind_sigma=sigma,
-        gust_sigma=gust_ratio * sigma,
-        exit_rate=best[2],
-        iterations=iterations,
-    )
+    return CalibrationResult(wind_sigma=sigma, gust_sigma=gust, exit_rate=rate,
+                             iterations=iterations)

@@ -3,22 +3,22 @@
 At import, loads the C kernels in ``_rollout.c`` through ctypes. They are
 compiled and linked with numpy's ``libnpyrandom.a`` once per source, archive
 and flags into ``__pycache__/_rollout-<sha12>.so`` next to this file, so
-later imports only hash the inputs and load the library; a new build
-deletes the older ones. When the build fails (no compiler, no
-``libnpyrandom.a``), or ``RTSA_PURE_PYTHON`` is set in the environment,
-``rollout``, ``batch``, ``train`` and ``wind_draws`` are the pure-Python
-twins in ``_rollout_py`` and ``sim`` instead and ``FALLBACK_REASON`` says
-why. Both backends take the same arguments, check them with the same
-functions (``_rollout_py.pack`` states the argument format) and give
-bit-identical results (see tests/test_fastpath.py). ``rollout`` returns one
-episode's trajectory; ``batch`` runs one episode per row of an (n, 8) wind
-array and returns only their (n, 4) summaries. Given k ascending baseline
-thresholds, ``batch`` returns (k, n, 4) summaries from one call that flies
-each row's shared nominal prefix once, as one trunk that forks a parachute
-tail at each threshold's deploy step. That trunk is the nominal flight: a
-nominal ``batch`` records checkpoints of each row's fork states, the states
-where the running minimum of the baseline's boundary distance falls, each
-row ``i < RECORD_CAP // fork_slot(max_steps)`` in its own slot of
+later imports only hash the inputs and load the library; a new build deletes
+the older ones. When the build fails (no compiler, no ``libnpyrandom.a``),
+or ``RTSA_PURE_PYTHON`` is set in the environment, ``rollout``, ``batch``,
+``calibrate``, ``train`` and ``wind_draws`` are the pure-Python twins in
+``_rollout_py`` and ``sim`` instead and ``FALLBACK_REASON`` says why. Both
+backends take the same arguments, check them with the same functions
+(``_rollout_py.pack`` states the argument format) and give bit-identical
+results (see tests/test_fastpath.py). ``rollout`` returns one episode's
+trajectory; ``batch`` runs one episode per row of an (n, 8) wind array and
+returns only their (n, 4) summaries. Given k ascending baseline thresholds,
+``batch`` returns (k, n, 4) summaries from one call that flies each row's
+shared nominal prefix once, as one trunk that forks a parachute tail at each
+threshold's deploy step. That trunk is the nominal flight: a nominal
+``batch`` records checkpoints of each row's fork states, the states where
+the running minimum of the baseline's boundary distance falls, each row
+``i < RECORD_CAP // fork_slot(max_steps)`` in its own slot of
 ``_rollout_py.fork_slot`` checkpoints, and a baseline ``batch`` on the same
 scenario and wind as the last nominal one (``_rollout_py.batch_key``) flies
 each threshold's trunk only from the last checkpoint before its fork, fewer
@@ -27,9 +27,13 @@ than ``_rollout_py.FORK_GAP`` steps (each backend keeps its own record:
 ``_rollout_py._fork_record`` for the twin). The C ``batch`` spreads the rows
 over as many threads as the process may use CPUs, at most one per row and at
 most 8 (``MAX_WORKERS`` in ``_rollout.c``), with the same result and the
-same record on any count. ``train`` runs Q-learning episodes under a given
-policy in one call, updating a (2, 9) float64 array of weight columns in
-place: online training flies the weights policy, and warm start the
+same record on any count. ``calibrate`` runs a whole wind calibration, the
+bracket and bisection of the wind strength to a target nominal exit rate, in
+one call: each evaluation rescales the seeds' wind rows in place and flies
+them as a nominal batch on the same threads, which records no checkpoints
+and so leaves ``_FORKS`` alone. ``train`` runs Q-learning episodes under a
+given policy in one call, updating a (2, 9) float64 array of weight columns
+in place: online training flies the weights policy, and warm start the
 baseline, every pass in one call. Under a policy that does not read the
 weights, ``train`` flies each wind row once and replays the recorded
 transitions of that flight on every later pass over the rows, with the
@@ -51,6 +55,9 @@ import numpy as np
 
 from . import _rollout_py
 from ._rollout_py import (  # noqa: F401  (re-exported constants)
+    CALIBRATED,
+    NOT_BRACKETED,
+    OUT_OF_BUDGET,
     OUTCOME_COMPLETED,
     OUTCOME_EXITED,
     OUTCOME_GROUNDED,
@@ -64,6 +71,7 @@ from ._rollout_py import (
     TRAIN_COLUMNS,
     ZERO_SEGMENT,
     batch_key,
+    calibration_arrays,
     checked,
     checked_rows,
     fork_slot,
@@ -74,6 +82,7 @@ from ._rollout_py import (
     weight_columns,
 )
 from ._rollout_py import batch as batch_python
+from ._rollout_py import calibrate as calibrate_python
 from ._rollout_py import rollout as rollout_python
 from ._rollout_py import train as train_python
 from .sim import Verdict, seed_array
@@ -167,6 +176,10 @@ def _load_kernel():
     lib.rtsa_train.restype = ctypes.c_int64
     lib.rtsa_wind_draws.argtypes = (_UINT64S, ctypes.c_int64, _DOUBLES)
     lib.rtsa_wind_draws.restype = None
+    lib.rtsa_calibrate.argtypes = (_DOUBLES, c_int, c_int, _DOUBLES, _DOUBLES, c_int, _DOUBLES,
+                                   c_double, c_double, c_double, c_double, c_int, c_int,
+                                   _DOUBLES)
+    lib.rtsa_calibrate.restype = c_int
     return lib
 
 
@@ -178,7 +191,7 @@ def _raise_for(status):
     if status == -1:
         raise ValueError(ZERO_SEGMENT)
     if status != 0:
-        raise MemoryError("the episode kernel could not allocate its path segments")
+        raise MemoryError("the episode kernel could not allocate its working memory")
 
 
 def rollout_compiled(*, wind_params, policy_mode, delta, theta, **scenario):
@@ -278,6 +291,23 @@ def train_compiled(theta, discount, learning_rate, epsilons, seed, *, wind, poli
     return rows[:done]
 
 
+def calibrate_compiled(draws, target, tol, budget, *, wind, wind_mean, wind_sigma, gust_ratio,
+                       **scenario):
+    """``_rollout_py.calibrate`` on the C kernel: same arguments, same result, in one
+    call whose nominal batches run on ``batch_workers`` threads."""
+    params, n_waypoints, steps = pack(POLICY_NOMINAL, **scenario)
+    draws, wind, mean = calibration_arrays(draws, wind, wind_mean)
+    result = np.empty(4)
+    status = _lib.rtsa_calibrate(_pointer(params), n_waypoints, steps, _pointer(draws),
+                                 _pointer(wind), len(wind), _pointer(mean), wind_sigma,
+                                 gust_ratio, target, tol, budget, batch_workers(len(wind)),
+                                 _pointer(result))
+    if status < 0:
+        _raise_for(status)
+    sigma, gust, rate, iterations = result.tolist()
+    return status, sigma, gust, rate, int(iterations)
+
+
 def wind_draws_compiled(seeds):
     """``sim.wind_draws`` on the C kernel: same seeds, same table, same checks."""
     seeds = seed_array(seeds)
@@ -296,12 +326,13 @@ else:
     except OSError as exc:
         FALLBACK_REASON = str(exc)
 if FALLBACK_REASON is None:
-    rollout, batch = rollout_compiled, batch_compiled
+    rollout, batch, calibrate = rollout_compiled, batch_compiled, calibrate_compiled
     train, wind_draws = train_compiled, wind_draws_compiled
     BACKEND = "c"
 else:
-    rollout_compiled = batch_compiled = train_compiled = wind_draws_compiled = None
-    rollout, batch = rollout_python, batch_python
+    rollout_compiled = batch_compiled = calibrate_compiled = None
+    train_compiled = wind_draws_compiled = None
+    rollout, batch, calibrate = rollout_python, batch_python, calibrate_python
     train, wind_draws = train_python, wind_draws_python
     BACKEND = "python"
 

@@ -2,6 +2,7 @@ import copy
 import ctypes
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -18,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rtsa import _rollout_py, fastpath, sim
+import calibration_oracle
+from rtsa import _rollout_py, evaluation, fastpath, sim
 from rtsa._rollout_py import rollout as rollout_python
-from rtsa.evaluation import (PolicySpec, run_batch, run_episode, sweep_baseline,
-                             _kernel_scenario_args)
+from rtsa.evaluation import (PolicySpec, calibrate_wind, run_batch, run_episode,
+                             sweep_baseline, _kernel_scenario_args)
 from rtsa.geometry import build_path
 from rtsa.learning import LearnConfig, train
 from rtsa.policy import Action, N_FEATURES, compose_controller, random_weights, rtsa_action
@@ -200,6 +202,7 @@ def test_bench_rollout_script_finds_the_backends_bit_identical():
     assert "batch summaries byte-equal on 1 and" in run.stdout
     assert "sweep summaries byte-equal to one batch per delta" in run.stdout
     assert "warm sweep summaries byte-equal to a cold sweep" in run.stdout
+    assert "calibration results byte-equal to one batch per evaluation" in run.stdout
     assert "one-call warm start weights byte-equal to one call per pass" in run.stdout
 
 
@@ -638,12 +641,14 @@ BACKENDS = [pytest.param("c", marks=needs_compiled), "python"]
 
 
 def kernels(backend):
-    """One backend's ``rollout``, ``batch``, ``train`` and ``wind_draws``."""
+    """One backend's ``rollout``, ``batch``, ``train``, ``wind_draws`` and ``calibrate``."""
     if backend == "c":
         return SimpleNamespace(rollout=rollout_compiled, batch=batch_compiled,
-                               train=train_compiled, wind_draws=wind_draws_compiled)
+                               train=train_compiled, wind_draws=wind_draws_compiled,
+                               calibrate=fastpath.calibrate_compiled)
     return SimpleNamespace(rollout=_rollout_py.rollout, batch=_rollout_py.batch,
-                           train=_rollout_py.train, wind_draws=sim.wind_draws)
+                           train=_rollout_py.train, wind_draws=sim.wind_draws,
+                           calibrate=_rollout_py.calibrate)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -1538,3 +1543,110 @@ class TestKernelInvariants:
                 s.envelope, s.mission, len(record.trajectory) - 1, s.sim,
             )
             assert verdict == record.outcome
+
+
+@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+@pytest.mark.skipif(not fastpath._NPYRANDOM.exists(), reason="no numpy libnpyrandom.a")
+def test_the_kernel_builds_without_warnings(tmp_path):
+    # A warning the build flags hide is still a warning: -Wall -Wextra must stay quiet.
+    cc = next(c for c in (sysconfig.get_config_var("CC"), "cc") if c and shutil.which(c.split()[0]))
+    run = subprocess.run([*shlex.split(cc), *fastpath._CFLAGS, "-Wall", "-Wextra", "-Werror",
+                          "-o", str(tmp_path / "kernel.so"), str(fastpath._SOURCE),
+                          *fastpath._LDLIBS], capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+
+
+def calibration_bytes(result):
+    """A ``CalibrationResult`` as (sigma, gust, rate) float64 bytes and iterations."""
+    return (np.array([result.wind_sigma, result.gust_sigma, result.exit_rate]).tobytes(),
+            result.iterations)
+
+
+def on_backend(backend, monkeypatch, workers=None):
+    """Route ``evaluation``'s batches and calibrations to ``backend``, on ``workers``
+    threads if given."""
+    monkeypatch.setattr(fastpath, "batch", kernels(backend).batch)
+    monkeypatch.setattr(fastpath, "calibrate", kernels(backend).calibrate)
+    if workers is not None:
+        monkeypatch.setattr(fastpath, "batch_workers", lambda n: workers)
+
+
+# (target, tolerance, seeds) for calibrations: a few evaluations, many, and a
+# target the first bracket point already exceeds.
+CALIBRATIONS = [(0.25, 0.02, range(30)), (0.5, 0.05, range(100, 140)),
+                (0.1, 0.03, range(7, 47)), (0.75, 0.01, range(200, 260))]
+PY_CALIBRATIONS = [(0.25, 0.05, range(10)), (0.5, 0.1, range(40, 50))]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("which", ["calibrated", "default", "windless"])
+def test_calibration_equals_one_batch_per_evaluation(calibrated_scenario, demo_scenario,
+                                                     monkeypatch, backend, which):
+    # The windless scenario has no gust ratio of its own and takes 0.25.
+    scenario = {"calibrated": calibrated_scenario, "default": demo_scenario,
+                "windless": calibrated_scenario.with_wind(0.0, 0.0)}[which]
+    batch = kernels(backend).batch
+    cases = CALIBRATIONS if backend == "c" else PY_CALIBRATIONS
+    iterations = set()
+    for target, tol, seeds in cases:
+        expected = calibration_bytes(calibration_oracle.calibrate_wind(
+            scenario, target, seeds, tol=tol, batch=batch))
+        iterations.add(expected[1])
+        for workers in (1, 2, 3, len(seeds) + 5) if backend == "c" else (None,):
+            on_backend(backend, monkeypatch, workers)
+            got = calibration_bytes(calibrate_wind(scenario, target, seeds, tol=tol))
+            assert got == expected, (target, tol, workers)
+    assert len(iterations) > 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_calibration_out_of_budget_raises_as_the_batch_loop(demo_scenario, monkeypatch,
+                                                            backend):
+    # Three seeds give exit rates in thirds only: none lies within 0.01 of 0.25.
+    on_backend(backend, monkeypatch)
+    with pytest.raises(RuntimeError) as expected:
+        calibration_oracle.calibrate_wind(demo_scenario, 0.25, range(3), tol=0.01,
+                                          batch=kernels(backend).batch)
+    with pytest.raises(RuntimeError) as got:
+        calibrate_wind(demo_scenario, 0.25, range(3), tol=0.01)
+    assert str(got.value) == str(expected.value)
+    assert "within 40 evaluations" in str(got.value)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("budget", [1, 2, 3, 4])
+def test_a_bracket_that_uses_up_the_budget_is_not_bracketed(calibrated_scenario, monkeypatch,
+                                                            backend, budget):
+    # On these seeds the rate doubles from 0.25 at sigma 7.5 to 1.0 at 60, past
+    # the target only at the fourth evaluation, which still uses up a budget of 4.
+    scenario, seeds = calibrated_scenario, range(12)
+    with pytest.raises(RuntimeError, match="failed to bracket"):
+        calibration_oracle.calibrate_wind(scenario, 0.9, seeds, budget=budget,
+                                          batch=kernels(backend).batch)
+    sim = scenario.sim
+    draws = fastpath.wind_draws(seeds)
+    status, *_, evaluations = kernels(backend).calibrate(
+        draws, 0.9, 0.02, budget, wind=wind_rows(draws, sim),
+        wind_mean=(sim.wind_mean_x, sim.wind_mean_y), wind_sigma=sim.wind_sigma,
+        gust_ratio=sim.gust_sigma / sim.wind_sigma, scales=scenario.feature_scales,
+        alert_penalty=scenario.reward.alert_penalty, **fastpath.scenario_args(scenario))
+    assert (status, evaluations) == (fastpath.NOT_BRACKETED, max(budget, 2))
+    on_backend(backend, monkeypatch)
+    monkeypatch.setattr(evaluation, "CALIBRATION_BUDGET", budget)
+    with pytest.raises(RuntimeError, match="failed to bracket"):
+        calibrate_wind(scenario, 0.9, seeds)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_calibration_leaves_the_fork_record_alone(calibrated_scenario, monkeypatch, backend):
+    # A calibration between a nominal batch and its sweep keeps no record of
+    # its own, so the sweep still reads the nominal batch's checkpoints.
+    scenario, deltas, seeds = calibrated_scenario, SWEEP_GRIDS["soc"], range(12)
+    on_backend(backend, monkeypatch)
+    forget(backend, monkeypatch)
+    cold = sweep_baseline(scenario, deltas, seeds)
+    run_batch(PolicySpec.nominal(), scenario, seeds)
+    hits = count_hits(backend, monkeypatch)
+    calibrate_wind(scenario, 0.25, range(100, 112), tol=0.05)
+    assert sweep_baseline(scenario, deltas, seeds) == cold
+    assert hits and all(hits)
