@@ -25,7 +25,9 @@ deploy steps. It times one baseline sweep call over several thresholds
 against one single-threshold batch call per delta on the same seeds, both
 cold (the last nominal batch flew other wind), and the same sweep warm:
 right after a nominal batch on the same wind, whose checkpoints spare it
-flying the trunks. It checks all their summaries are byte-equal. It times
+flying the trunks. It checks all their summaries are byte-equal, and that
+the twin's sweep of the first 3 seeds, right after a C nominal batch on
+them, reads that batch's record to the cold sweep's bytes. It times
 one ``calibrate_wind`` call, every evaluation in one ``fastpath.calibrate``
 call, against the reference loop of one nominal batch per evaluation
 (``tests/calibration_oracle.py``) on the same seeds, in microseconds per
@@ -206,6 +208,16 @@ def bench_sweep(scenario, seeds, repeats):
     return best_cold, best_warm, best_each, cold, warm, np.stack(each)
 
 
+def twin_sweep_on_c_record(scenario, seeds):
+    """The twin's baseline sweep over ``SWEEP_DELTAS`` on ``seeds``, right after a C
+    nominal batch on the same wind, whose fork record it reads."""
+    fixed = _kernel_args(PolicySpec.baseline(SWEEP_DELTAS[0]), scenario)
+    del fixed["delta"]
+    wind = wind_rows(wind_draws(seeds), scenario.sim)
+    fastpath.batch_compiled(wind=wind, **_kernel_args(PolicySpec.nominal(), scenario))
+    return _rollout_py.batch(wind=wind, delta=SWEEP_DELTAS, **fixed)
+
+
 def bench_calibration(scenario, seeds, repeats):
     """Best seconds of one ``calibrate_wind`` call and of the reference loop, one nominal
     batch per evaluation, on ``seeds``; returns (call seconds, loop seconds, call
@@ -306,6 +318,11 @@ def main():
           f"  cold {t_cold * 1e3:8.3f} ms  ({t_cold / t_warm:4.1f}x)")
     print("sweep summaries byte-equal to one batch per delta")
     print("warm sweep summaries byte-equal to a cold sweep")
+    if fastpath.batch_compiled is not None:
+        twin = twin_sweep_on_c_record(scenario, seeds[:3])
+        assert twin.tobytes() == cold[:, :3].tobytes(), \
+            "twin sweep on the C record and cold sweep disagree"
+        print("twin sweep on a C nominal batch's record byte-equal to a cold sweep")
 
     t_call, t_loop, call, loop = bench_calibration(scenario, seeds, args.repeats)
     assert (np.array([call.wind_sigma, call.gust_sigma, call.exit_rate]).tobytes(),

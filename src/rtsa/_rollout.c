@@ -50,7 +50,8 @@
  * record flies each threshold's trunk only from the last checkpoint whose
  * running minimum exceeds the threshold, fewer than FORK_GAP steps before its
  * fork, and a row whose final running minimum exceeds it gets the nominal
- * summary. The caller (rtsa.fastpath) hands a record only to a batch on the
+ * summary. The caller (rtsa._rollout_py.fork_record, which keeps one record
+ * for both backends in this layout) hands a record only to a batch on the
  * same scenario and wind; rows not recorded fly the whole trunk.
  *
  * A baseline (or nominal) episode does not depend on the weights, so a

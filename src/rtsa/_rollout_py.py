@@ -27,11 +27,10 @@ It reads the packed array by the ``P_*`` offsets, as ``episode`` in
   the next narrower threshold. That trunk is the nominal flight, and a
   threshold deploys at a state where the running minimum of the boundary
   distance falls (a fork state). So a nominal batch records checkpoints of
-  each row's fork states, each row in its own slot of ``fork_slot``
-  checkpoints and only the rows ``i < RECORD_CAP // fork_slot(max_steps)``,
-  and keeps them as ``_fork_record``: a baseline batch on the same scenario
-  and wind flies each threshold's trunk only from the last checkpoint before
-  its fork, fewer than ``FORK_GAP`` steps, and then its tail.
+  each row's fork states, and a baseline batch on the same scenario and wind
+  flies each threshold's trunk only from the last checkpoint before its
+  fork, fewer than ``FORK_GAP`` steps, and then its tail. ``fork_record``
+  keeps that record, one for both backends.
 - ``calibrate`` runs a whole wind calibration: it brackets and bisects the
   wind strength to a target nominal exit rate, each evaluation one nominal
   episode per wind row at that strength, with no fork record.
@@ -64,6 +63,7 @@ operation for operation.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 from array import array
 
@@ -255,17 +255,56 @@ def train_arrays(theta, wind, epsilons, seed):
     return theta, table, epsilons, int(seed)
 
 
-def batch_key(params, n_waypoints, max_steps, table):
-    """What a batch's episodes depend on but the policy: the exact bytes of the packed
-    scenario and of the wind table, the waypoint count and ``max_steps``."""
-    return params.tobytes(), n_waypoints, max_steps, table.tobytes()
+#: The last nominal batch's fork record, ``(key, states, rows)``, under "last".
+_FORKS = {}
 
 
-#: The last nominal ``batch``'s record, (``batch_key``, checkpoints, rows), or None.
-#: Row i of rows is (checkpoint count or -1 if the row was not recorded, steps,
-#: outcome) of wind row i's episode, and checkpoints[i] its checkpoint values, an
-#: ``array("d")``, or None. Replaced, never changed.
-_fork_record = None
+class fork_record:  # noqa: N801  (a context manager, named as contextlib's are)
+    """Take a ``batch``'s fork record, on either backend: ``with`` gives (states,
+    capacity, rows).
+
+    The layout is ``rtsa_batch``'s: ``states`` holds checkpoints of ``N_FORK``
+    float64 values, row i's from checkpoint ``i * fork_slot(max_steps)`` on,
+    and ``rows`` (n, 3) int64 (checkpoint count or -1, steps, outcome). A
+    nominal batch gets room for ``capacity`` checkpoints, in the last record's
+    buffer if large enough, to store once it is done. A baseline batch gets the
+    last record if its key, what the episodes depend on but the policy (the
+    exact bytes of ``params`` and ``table``, ``n_waypoints``, ``max_steps``),
+    is the batch's; any other batch gets (None, 0, None). Batches may
+    interleave in threads (ctypes releases the GIL), so each takes the record
+    with one ``pop`` and owns it while it uses it; a baseline batch puts it
+    back with ``setdefault``, unless a newer one was stored meanwhile. A plain
+    class, not a generator: it is entered on every batch.
+    """
+
+    def __init__(self, policy_mode, params, n_waypoints, max_steps, table):
+        self.nominal, self.record = policy_mode == POLICY_NOMINAL, None
+        self.taken = None, 0, None
+        if policy_mode == POLICY_WEIGHTS:
+            return
+        self.key = params.tobytes(), n_waypoints, max_steps, table.tobytes()
+        self.record = record = _FORKS.pop("last", None)
+        if self.nominal:
+            slot = fork_slot(max_steps)
+            capacity = min(RECORD_CAP // slot, len(table)) * slot
+            states = None if record is None else record[1]
+            if states is None or len(states) < capacity:
+                # An anonymous private mapping: only the pages written take memory,
+                # where numpy would ask for huge pages for an array of 4 MiB or more.
+                buffer = mmap.mmap(-1, 8 * N_FORK * max(capacity, 1), flags=mmap.MAP_PRIVATE)
+                states = np.frombuffer(buffer).reshape(-1, N_FORK)
+            self.taken = states, capacity, np.empty((len(table), 3), dtype=np.int64)
+        elif record is not None and record[0] == self.key:
+            self.taken = record[1], 0, record[2]
+
+    def __enter__(self):
+        return self.taken
+
+    def __exit__(self, error, *_):
+        if self.nominal and error is None:
+            _FORKS["last"] = self.key, self.taken[0], self.taken[2]
+        elif not self.nominal and self.record is not None:
+            _FORKS.setdefault("last", self.record)
 
 
 def rollout(*, wind_params, policy_mode, delta, theta, **scenario):
@@ -304,41 +343,32 @@ def batch(*, wind, policy_mode, delta, theta, **scenario):
     episodes share one trunk (``_sweep``). Raises ValueError as ``rollout``
     does, and for a ``wind`` of another shape.
 
-    A nominal batch records the checkpoints of its rows ``i < RECORD_CAP //
-    fork_slot(max_steps)`` as ``_fork_record``; a baseline batch with the
-    same ``batch_key`` flies its recorded rows' trunks from them.
+    A nominal batch records its rows' checkpoints, and a baseline batch reads
+    them, through ``fork_record``.
     """
-    global _fork_record
     params, n_waypoints, steps = pack(policy_mode, **scenario)
     deltas = thresholds(policy_mode, delta)
     table = checked_rows("wind", wind, 8, at_least=1)
     p, columns = params.tolist(), weight_columns(theta).tolist()
-    n = table.shape[0]
+    n, slot = table.shape[0], fork_slot(steps)
     out = np.empty(deltas.shape + (n, 4), dtype=np.intc)
     blocks, values = out.reshape(-1, n, 4), deltas.reshape(-1).tolist()  # one block per threshold
-    winds = table.tolist()
-    if policy_mode == POLICY_BASELINE:
-        key, states, rows = _fork_record or (None, None, None)
-        if key != batch_key(params, n_waypoints, steps, table):
-            states = [None] * n
-        for i, wind_params in enumerate(winds):
-            checkpoints = None if states[i] is None else (
-                states[i].tolist(), (rows[i][1], rows[i][2], -1, -1))
-            blocks[:, i] = _sweep(p, n_waypoints, steps, values, wind_params, columns,
-                                  checkpoints)
-    elif policy_mode == POLICY_NOMINAL:
-        recorded, states, rows = RECORD_CAP // fork_slot(steps), [], []
-        for i, wind_params in enumerate(winds):
-            forks = array("d") if i < recorded else None
+    with fork_record(policy_mode, params, n_waypoints, steps, table) as (states, capacity, rows):
+        if policy_mode == POLICY_BASELINE:
+            for i, wind_params in enumerate(table.tolist()):
+                count, *nominal = (-1,) if rows is None else rows[i].tolist()
+                forks = None if count < 0 else states[i * slot:i * slot + count].ravel().tolist()
+                blocks[:, i] = _sweep(p, n_waypoints, steps, values, wind_params, columns, forks,
+                                      (*nominal, -1, -1))
+            return out
+        for i, wind_params in enumerate(table.tolist()):
+            forks = [] if (i + 1) * slot <= capacity else None
             blocks[0, i] = row = _summary(_episode(p, n_waypoints, policy_mode, steps, 0.0,
                                                    wind_params, columns, forks=forks))
-            states.append(forks)
-            rows.append((-1 if forks is None else len(forks) // N_FORK, row[0], row[1]))
-        _fork_record = batch_key(params, n_waypoints, steps, table), states, rows
-    else:
-        for i, wind_params in enumerate(winds):
-            blocks[0, i] = _summary(_episode(p, n_waypoints, policy_mode, steps, 0.0,
-                                             wind_params, columns))
+            if forks is not None:
+                states.flat[i * slot * N_FORK:i * slot * N_FORK + len(forks)] = forks
+            if rows is not None:
+                rows[i] = -1 if forks is None else len(forks) // N_FORK, row[0], row[1]
     return out
 
 
@@ -426,26 +456,25 @@ def _summary(result):
     return steps, outcome, deploy_step, -1 if deploy_greedy is None else deploy_greedy
 
 
-def _sweep(p, n_waypoints, max_steps, deltas, wind, theta, checkpoints=None):
+def _sweep(p, n_waypoints, max_steps, deltas, wind, theta, states=None, nominal=None):
     """One wind row's baseline summaries at each of the ascending ``deltas``, in order.
 
     One trunk flies the nominal prefix they share, under the widest
     threshold not yet deployed, and stops where that one deploys. Its tail
     is flown from the trunk's state there, and the trunk goes on under the
     next narrower threshold. Those left when the trunk ends get the trunk's
-    summary. ``checkpoints``, if given, is the row's record from a nominal
-    batch on the same inputs, (its checkpoints as a flat float list, the
-    nominal summary): then each threshold's trunk starts at the last
-    checkpoint whose smallest earlier distance exceeds the threshold, if that
-    lies ahead of it, and if that is the row's end, the threshold and the
-    narrower ones get the nominal summary.
+    summary. ``states``, if given, is the row's checkpoints from a nominal
+    batch on the same inputs, as a flat float list, and ``nominal`` that
+    batch's summary of the row: then each threshold's trunk starts at the
+    last checkpoint whose smallest earlier distance exceeds the threshold, if
+    that lies ahead of it, and if that is the row's end, the threshold and
+    the narrower ones get the nominal summary.
     """
     rows = [None] * len(deltas)
     trunk = _start(p)
     c = 0  # the checkpoint reached
     for k in reversed(range(len(deltas))):
-        if checkpoints is not None:
-            states, nominal = checkpoints
+        if states is not None:
             end = len(states) - N_FORK
             while c < end and states[c + N_FORK + 8] > deltas[k]:
                 c += N_FORK
@@ -633,8 +662,8 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
     undeployed step epsilon-greedy on ``rng``. ``traj``, if given, is a list
     that gets the trajectory rows. When learning, ``record``, if given, is
     an ``array("d")`` that gets each observed state's phi[0..7] while it
-    holds fewer than ``RECORD_CAP`` states. ``forks``, if given, is an
-    ``array("d")`` that gets checkpoints of ``N_FORK`` values, [t, px, py,
+    holds fewer than ``RECORD_CAP`` states. ``forks``, if given, is a
+    list that gets checkpoints of ``N_FORK`` values, [t, px, py,
     pz, vx, vy, vz, step, smallest ``boundary_distance`` before it]: each
     decision state whose distance falls below every earlier one's and that
     lies ``FORK_GAP`` or more steps after the latest checkpoint, then the

@@ -33,6 +33,7 @@ outcome or deploy step depends on it, so a summary carries no reward.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -42,7 +43,7 @@ from . import fastpath, learning
 from .geometry import Envelope
 from .learning import LearnConfig, _checked_config, train
 from .policy import N_FEATURES, Action
-from .sim import Verdict, seed_array, wind_rows
+from .sim import Verdict, _finite, seed_array, wind_rows
 from .scenario import Scenario
 
 # Not called here: run_episode takes its wind from the wind table, and
@@ -197,6 +198,11 @@ def run_episode(policy: PolicySpec, scenario: Scenario, seed: int) -> EpisodeRec
         outcome=fastpath.VERDICTS[outcome],
         deploy_step=None if deploy_step < 0 else int(deploy_step),
     )
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _seed_list(seeds) -> np.ndarray:
@@ -370,16 +376,21 @@ def calibrate_wind(scenario: Scenario, target_exit_rate: float, seeds,
     Gust strength is scaled proportionally to the base wind throughout. The
     seeds' wind draws are made once, and every evaluation runs in one
     ``fastpath.calibrate`` call, which rescales them at each evaluated sigma.
-    Raises RuntimeError when ``CALIBRATION_BUDGET`` evaluations do not bring
-    the exit rate within ``tol`` of the target.
+    Raises ValueError, before any wind is drawn, unless ``target_exit_rate``
+    is a real number in (0, 1), ``tol`` a finite real number >= 0 (neither a
+    bool) and ``seeds`` a valid seed list. Raises RuntimeError when
+    ``CALIBRATION_BUDGET`` evaluations do not bring the exit rate within
+    ``tol`` of the target.
     """
-    if not 0.0 < target_exit_rate < 1.0:
-        raise ValueError("target exit rate must lie in (0, 1)")
+    if not (_real(target_exit_rate) and 0.0 < target_exit_rate < 1.0):
+        raise ValueError(f"target exit rate must lie in (0, 1), got {target_exit_rate!r}")
+    if not (_real(tol) and _finite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     draws = fastpath.wind_draws(_seed_list(seeds))
     sim = scenario.sim
     gust_ratio = sim.gust_sigma / sim.wind_sigma if sim.wind_sigma > 0 else 0.25
     status, sigma, gust, rate, iterations = fastpath.calibrate(
-        draws, target_exit_rate, tol, CALIBRATION_BUDGET, wind=wind_rows(draws, sim),
+        draws, float(target_exit_rate), float(tol), CALIBRATION_BUDGET, wind=wind_rows(draws, sim),
         wind_mean=(sim.wind_mean_x, sim.wind_mean_y), wind_sigma=sim.wind_sigma,
         gust_ratio=gust_ratio, scales=scenario.feature_scales,
         alert_penalty=scenario.reward.alert_penalty, **fastpath.scenario_args(scenario))

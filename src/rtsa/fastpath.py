@@ -4,8 +4,8 @@ At import, loads the C kernels in ``_rollout.c`` through ctypes. They are
 compiled and linked with numpy's ``libnpyrandom.a`` once per source, archive
 and flags into ``__pycache__/_rollout-<sha12>.so`` next to this file, so
 later imports only hash the inputs and load the library; a new build deletes
-the older ones. When the build fails (no compiler, no ``libnpyrandom.a``),
-or ``RTSA_PURE_PYTHON`` is set in the environment, ``rollout``, ``batch``,
+the older ones. When the build fails (no compiler, no ``libnpyrandom.a``), or
+``RTSA_PURE_PYTHON`` is set in the environment, ``rollout``, ``batch``,
 ``calibrate``, ``train`` and ``wind_draws`` are the pure-Python twins in
 ``_rollout_py`` and ``sim`` instead and ``FALLBACK_REASON`` says why. Both
 backends take the same arguments, check them with the same functions
@@ -16,22 +16,20 @@ returns only their (n, 4) summaries. Given k ascending baseline thresholds,
 ``batch`` returns (k, n, 4) summaries from one call that flies each row's
 shared nominal prefix once, as one trunk that forks a parachute tail at each
 threshold's deploy step. That trunk is the nominal flight: a nominal
-``batch`` records checkpoints of each row's fork states, the states where
-the running minimum of the baseline's boundary distance falls, each row
-``i < RECORD_CAP // fork_slot(max_steps)`` in its own slot of
-``_rollout_py.fork_slot`` checkpoints, and a baseline ``batch`` on the same
-scenario and wind as the last nominal one (``_rollout_py.batch_key``) flies
-each threshold's trunk only from the last checkpoint before its fork, fewer
-than ``_rollout_py.FORK_GAP`` steps (each backend keeps its own record:
-``_FORKS`` here, one slot that a batch owns while it uses it, and
-``_rollout_py._fork_record`` for the twin). The C ``batch`` spreads the rows
-over as many threads as the process may use CPUs, at most one per row and at
-most 8 (``MAX_WORKERS`` in ``_rollout.c``), with the same result and the
-same record on any count. ``calibrate`` runs a whole wind calibration, the
-bracket and bisection of the wind strength to a target nominal exit rate, in
-one call: each evaluation rescales the seeds' wind rows in place and flies
-them as a nominal batch on the same threads, which records no checkpoints
-and so leaves ``_FORKS`` alone. ``train`` runs Q-learning episodes under a
+``batch`` records checkpoints of each row's fork states, the states where the
+running minimum of the baseline's boundary distance falls, and a baseline
+``batch`` on the same scenario and wind as the last nominal one flies each
+threshold's trunk only from the last checkpoint before its fork, fewer than
+``_rollout_py.FORK_GAP`` steps. Both backends take and store that record
+through ``_rollout_py.fork_record``, one slot in one layout, so a record made
+by either serves a sweep on the other. The C ``batch`` spreads the rows over
+as many threads as the process may use CPUs, at most one per row and at most
+8 (``MAX_WORKERS`` in ``_rollout.c``), with the same result and the same
+record on any count. ``calibrate`` runs a whole wind calibration, the bracket
+and bisection of the wind strength to a target nominal exit rate, in one
+call: each evaluation rescales the seeds' wind rows in place and flies them
+as a nominal batch on the same threads, which records no checkpoints and so
+leaves the fork record alone. ``train`` runs Q-learning episodes under a
 given policy in one call, updating a (2, 9) float64 array of weight columns
 in place: online training flies the weights policy, and warm start the
 baseline, every pass in one call. Under a policy that does not read the
@@ -47,7 +45,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
-import mmap
 import os
 from pathlib import Path
 
@@ -67,14 +64,11 @@ from ._rollout_py import (  # noqa: F401  (re-exported constants)
     POLICY_WEIGHTS,
 )
 from ._rollout_py import (
-    N_FORK,
     TRAIN_COLUMNS,
     ZERO_SEGMENT,
-    batch_key,
     calibration_arrays,
     checked,
     checked_rows,
-    fork_slot,
     one_threshold,
     pack,
     thresholds,
@@ -184,7 +178,7 @@ def _load_kernel():
 
 
 def _pointer(array, ctype=ctypes.c_double):
-    return ctypes.byref(ctype.from_buffer(array))
+    return None if array is None else ctypes.byref(ctype.from_buffer(array))
 
 
 def _raise_for(status):
@@ -217,58 +211,20 @@ def batch_workers(n_rows: int) -> int:
     return min(cpus, n_rows)
 
 
-#: The last C nominal batch's fork record, ``(batch_key, states, rows)``, under
-#: "last": ``states`` holds ``N_FORK`` float64 values per checkpoint, row i's
-#: from checkpoint ``i * fork_slot(max_steps)`` on, and ``rows`` (n, 3) is
-#: ``rtsa_batch``'s ``fork_rows``: (checkpoint count or -1, steps, outcome). A
-#: nominal batch reuses the last record's buffer when it is large enough.
-#: Batches may interleave in threads (ctypes releases the GIL), so each takes
-#: the record with one ``pop`` and owns it while it uses it: a nominal batch
-#: writes into its buffer and then stores it, and a baseline batch reads it
-#: and puts it back with ``setdefault``, unless a nominal batch has stored a
-#: newer one meanwhile. A batch that finds the slot empty goes without.
-_FORKS = {}
-
-
 def batch_compiled(*, wind, policy_mode, delta, theta, **scenario):
-    """``_rollout_py.batch`` on the C kernel: same arguments, same result.
-
-    Runs on ``batch_workers`` threads. A nominal batch records the checkpoints
-    of its rows ``i < RECORD_CAP // fork_slot(max_steps)`` in ``_FORKS``; a
-    baseline batch with the same ``batch_key`` reads them."""
+    """``_rollout_py.batch`` on the C kernel: same arguments, same result, the same fork
+    record (``_rollout_py.fork_record``), on ``batch_workers`` threads."""
     params, n_waypoints, steps = pack(policy_mode, **scenario)
     deltas = thresholds(policy_mode, delta)
     table, columns = checked_rows("wind", wind, 8, at_least=1), weight_columns(theta)
     n_rows = table.shape[0]
     out = np.empty(deltas.shape + (n_rows, 4), dtype=np.intc)
-    args = (_pointer(params), n_waypoints, int(policy_mode), steps, _pointer(table), n_rows,
+    with _rollout_py.fork_record(policy_mode, params, n_waypoints, steps, table) as (
+            states, capacity, rows):
+        _raise_for(_lib.rtsa_batch(
+            _pointer(params), n_waypoints, int(policy_mode), steps, _pointer(table), n_rows,
             _pointer(deltas), deltas.size, _pointer(columns), _pointer(out, ctypes.c_int),
-            batch_workers(n_rows))
-    if policy_mode == POLICY_WEIGHTS:
-        _raise_for(_lib.rtsa_batch(*args, None, 0, None))
-    elif policy_mode == POLICY_NOMINAL:
-        slot = fork_slot(steps)
-        capacity = min(_rollout_py.RECORD_CAP // slot, n_rows) * slot
-        _, states, _ = _FORKS.pop("last", (None, None, None))
-        if states is None or len(states) < capacity:
-            # An anonymous private mapping: only the pages written take memory,
-            # where numpy would ask for huge pages for an array of 4 MiB or more.
-            buffer = mmap.mmap(-1, 8 * N_FORK * max(capacity, 1), flags=mmap.MAP_PRIVATE)
-            states = np.frombuffer(buffer).reshape(-1, N_FORK)
-        rows = np.empty((n_rows, 3), dtype=np.int64)
-        _raise_for(_lib.rtsa_batch(*args, _pointer(states), capacity,
-                                   _pointer(rows, ctypes.c_int64)))
-        _FORKS["last"] = batch_key(params, n_waypoints, steps, table), states, rows
-    else:
-        record = _FORKS.pop("last", None)
-        try:
-            fork = None, 0, None
-            if record is not None and record[0] == batch_key(params, n_waypoints, steps, table):
-                fork = _pointer(record[1]), 0, _pointer(record[2], ctypes.c_int64)
-            _raise_for(_lib.rtsa_batch(*args, *fork))
-        finally:
-            if record is not None:
-                _FORKS.setdefault("last", record)
+            batch_workers(n_rows), _pointer(states), capacity, _pointer(rows, ctypes.c_int64)))
     return out
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import ctypes
 import os
@@ -10,6 +11,7 @@ import sysconfig
 import threading
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -202,6 +204,7 @@ def test_bench_rollout_script_finds_the_backends_bit_identical():
     assert "batch summaries byte-equal on 1 and" in run.stdout
     assert "sweep summaries byte-equal to one batch per delta" in run.stdout
     assert "warm sweep summaries byte-equal to a cold sweep" in run.stdout
+    assert "twin sweep on a C nominal batch's record byte-equal to a cold sweep" in run.stdout
     assert "calibration results byte-equal to one batch per evaluation" in run.stdout
     assert "one-call warm start weights byte-equal to one call per pass" in run.stdout
 
@@ -696,69 +699,53 @@ WARM_GRIDS = {grid: SWEEP_GRIDS[grid] for grid in ("soc", "duplicates", "step_0"
 WARM_GRIDS["wide"] = (1.0, 8.0, 1e6)
 
 
-def forget(backend, monkeypatch):
-    """Give ``backend`` an empty fork record slot, so its next sweep is cold."""
-    if backend == "c":
-        monkeypatch.setattr(fastpath, "_FORKS", {})
-    else:
-        monkeypatch.setattr(_rollout_py, "_fork_record", None)
+def forget(monkeypatch):
+    """Empty the one fork record slot, so the next sweep on either backend is cold."""
+    monkeypatch.setattr(_rollout_py, "_FORKS", {})
 
 
-_KERNEL, _SWEEP = getattr(fastpath, "_lib", None), _rollout_py._sweep
+def last_record():
+    """The last nominal batch's fork record on either backend: (states, rows)."""
+    _, states, rows = _rollout_py._FORKS["last"]
+    return states, rows
 
 
-def pointed_at(pointer, ctype, shape):
-    """A copy of the array of ``shape`` that the ``fastpath._pointer`` result
-    ``pointer`` points into."""
-    address = ctypes.cast(ctypes.addressof(pointer._obj), ctypes.POINTER(ctype))
-    return np.ctypeslib.as_array(address, shape).copy()
+_TAKE = _rollout_py.fork_record
 
 
-class KernelSpy:
-    """A stand-in for ``fastpath._lib`` whose ``rtsa_batch`` calls the kernel's.
+class RecordSpy:
+    """A stand-in for ``_rollout_py.fork_record``, which both backends' batches take
+    the fork record through.
 
-    Before each baseline call it appends to ``hits`` whether the call was
-    handed a fork record and passes that to ``on_sweep``, if set; after each
-    nominal call that records, it keeps copies of the ``fork_rows`` it wrote
-    as ``rows`` and of its ``fork_capacity`` checkpoints as ``states``.
+    For each baseline batch it appends to ``hits`` whether the batch was
+    handed a record and passes that to ``on_sweep``, if set, while the batch
+    holds the record.
     """
 
     def __init__(self):
-        self.hits, self.rows, self.states, self.on_sweep = [], None, None, None
+        self.hits, self.on_sweep = [], None
 
-    def __getattr__(self, name):
-        return getattr(_KERNEL, name)
-
-    def rtsa_batch(self, *args):
-        mode, n_rows, (fork_states, capacity, fork_rows) = args[2], args[5], args[11:]
-        if mode == fastpath.POLICY_BASELINE:
-            self.hits.append(fork_rows is not None)
-            if self.on_sweep is not None:
-                self.on_sweep(fork_rows is not None)
-        status = _KERNEL.rtsa_batch(*args)
-        if mode == fastpath.POLICY_NOMINAL and fork_rows is not None:
-            self.rows = pointed_at(fork_rows, ctypes.c_int64, (n_rows, 3))
-            self.states = pointed_at(fork_states, ctypes.c_double,
-                                     (capacity, _rollout_py.N_FORK))
-        return status
+    @contextlib.contextmanager
+    def take(self, policy_mode, *args):
+        with _TAKE(policy_mode, *args) as record:
+            if policy_mode == fastpath.POLICY_BASELINE:
+                self.hits.append(record[0] is not None)
+                if self.on_sweep is not None:
+                    self.on_sweep(record[0] is not None)
+            yield record
 
 
-def spy_kernel(monkeypatch):
-    """Put a new ``KernelSpy`` in place of ``fastpath._lib``; returns it."""
-    kernel = KernelSpy()
-    monkeypatch.setattr(fastpath, "_lib", kernel)
-    return kernel
+def spy_records(monkeypatch):
+    """Put a new ``RecordSpy`` in place of ``_rollout_py.fork_record``; returns it."""
+    spy = RecordSpy()
+    monkeypatch.setattr(_rollout_py, "fork_record", spy.take)
+    return spy
 
 
-def count_hits(backend, monkeypatch):
-    """A list that gets, for each later sweep on ``backend``, whether it read a
-    nominal batch's checkpoints (Python: for each of its rows)."""
-    if backend == "c":
-        return spy_kernel(monkeypatch).hits
-    hits = []
-    monkeypatch.setattr(_rollout_py, "_sweep", lambda *args: hits.append(
-        args[-1] is not None) or _SWEEP(*args))
-    return hits
+def count_hits(monkeypatch):
+    """A list that gets, for each later sweep, whether it was handed a nominal batch's
+    checkpoints."""
+    return spy_records(monkeypatch).hits
 
 
 def nominal(kwargs):
@@ -771,13 +758,13 @@ def warm_and_cold(backend, monkeypatch, kwargs, read=True):
     inputs, and again from an empty memo; asserts that only the first read the
     nominal batch's checkpoints if ``read``."""
     batch = kernels(backend).batch
-    hits = count_hits(backend, monkeypatch)
-    forget(backend, monkeypatch)
+    hits = count_hits(monkeypatch)
+    forget(monkeypatch)
     batch(**nominal(kwargs))
     warm = batch(**kwargs)
     warm_hits = hits[:]
     hits.clear()
-    forget(backend, monkeypatch)
+    forget(monkeypatch)
     cold = batch(**kwargs)
     assert hits and not any(hits)
     assert warm_hits and (all(warm_hits) or not read)
@@ -827,21 +814,21 @@ class TestForkMemo:
             "reordered": sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], seeds[::-1]),
         }
         for name, other in others.items():
-            forget(backend, monkeypatch)
+            forget(monkeypatch)
             expected = batch(**other)
             batch(**nominal(kwargs))
-            hits = count_hits(backend, monkeypatch)
+            hits = count_hits(monkeypatch)
             assert batch(**other).tobytes() == expected.tobytes(), name
             assert hits and not any(hits), name
         # The nominal batch's own wind table, changed in place after it ran.
         wind = kwargs["wind"].copy()
         changed = wind.copy()
         changed[3, 0] += 0.5
-        forget(backend, monkeypatch)
+        forget(monkeypatch)
         expected = batch(**{**kwargs, "wind": changed})
         batch(**nominal({**kwargs, "wind": wind}))
         wind[...] = changed
-        hits = count_hits(backend, monkeypatch)
+        hits = count_hits(monkeypatch)
         assert batch(**{**kwargs, "wind": wind}).tobytes() == expected.tobytes()
         assert hits and not any(hits)
 
@@ -849,12 +836,10 @@ class TestForkMemo:
         # Rows without a slot in the record fly their whole trunk.
         kwargs = sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(12))
         batch = kernels(backend).batch
-        forget(backend, monkeypatch)
+        forget(monkeypatch)
         expected = batch(**kwargs)
-        kernel = spy_kernel(monkeypatch) if backend == "c" else None
         batch(**nominal(kwargs))
-        rows = kernel.rows if backend == "c" else np.array(_rollout_py._fork_record[2])
-        row = int(rows[0, 0])  # the first row's checkpoints
+        row = int(last_record()[1][0, 0])  # the first row's checkpoints
         slot = _rollout_py.fork_slot(calibrated_scenario.sim.max_steps)
         assert 2 < row < slot
         for cap in (0, 1, row - 1, row, row + 1, slot - 1, slot, slot + 1, 5 * slot,
@@ -872,7 +857,7 @@ class TestForkMemo:
         # on other wind, often while a sweep of thread 0 reads the record.
         # Every sweep must equal its cold sweep.
         batch = kernels(backend).batch
-        forget(backend, monkeypatch)
+        forget(monkeypatch)
         n_threads = (os.cpu_count() or 1) + 1
         sweeps = [sweep_kwargs(calibrated_scenario.with_wind(sigma, sigma / 4),
                                SWEEP_GRIDS["soc"], range(12))
@@ -917,28 +902,20 @@ class TestForkMemo:
         batch = kernels(backend).batch
         first, other = (sweep_kwargs(calibrated_scenario.with_wind(sigma, sigma / 4),
                                      SWEEP_GRIDS["soc"], range(12)) for sigma in (4.0, 6.0))
-        forget(backend, monkeypatch)
+        forget(monkeypatch)
         expected, expected_other = batch(**first), batch(**other)
         batch(**nominal(first))
         interruptions = []
-        if backend == "c":
-            def interrupted(handed):
-                assert handed
-                interruptions.append(batch(**nominal(other)))
 
-            spy_kernel(monkeypatch).on_sweep = interrupted
-        else:
-            def interrupted(*args):
-                assert args[-1] is not None
-                if not interruptions:
-                    interruptions.append(batch(**nominal(other)))
-                return _SWEEP(*args)
+        def interrupted(handed):
+            assert handed
+            interruptions.append(batch(**nominal(other)))
 
-            monkeypatch.setattr(_rollout_py, "_sweep", interrupted)
+        spy_records(monkeypatch).on_sweep = interrupted
         assert batch(**first).tobytes() == expected.tobytes()
         assert len(interruptions) == 1
         # The interrupting batch's record is the newer, and it stands.
-        hits = count_hits(backend, monkeypatch)
+        hits = count_hits(monkeypatch)
         assert batch(**other).tobytes() == expected_other.tobytes()
         assert hits and all(hits)
 
@@ -949,10 +926,10 @@ class TestForkMemo:
         batch = kernels(backend).batch
         first, other = (sweep_kwargs(calibrated_scenario.with_wind(sigma, sigma / 4),
                                      SWEEP_GRIDS["soc"], range(12)) for sigma in (4.0, 6.0))
-        forget(backend, monkeypatch)
+        forget(monkeypatch)
         expected, expected_other = batch(**first), batch(**other)
         batch(**nominal(first))
-        hits = count_hits(backend, monkeypatch)
+        hits = count_hits(monkeypatch)
         assert batch(**other).tobytes() == expected_other.tobytes()
         assert hits and not any(hits)
         hits.clear()
@@ -960,54 +937,87 @@ class TestForkMemo:
         assert hits and all(hits)
 
 
-@needs_compiled
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_a_second_sweep_while_the_first_holds_the_record_flies_whole_trunks(
-        calibrated_scenario, monkeypatch):
+        calibrated_scenario, monkeypatch, backend):
     # The record has one owner at a time: a sweep on the same inputs that
     # starts while another holds it is handed none and flies its whole
     # trunks; once both are done, the record is back for the next sweep.
+    batch = kernels(backend).batch
     kwargs = sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(12))
-    forget("c", monkeypatch)
-    expected = batch_compiled(**kwargs)
-    batch_compiled(**nominal(kwargs))
-    kernel, second = spy_kernel(monkeypatch), []
+    forget(monkeypatch)
+    expected = batch(**kwargs)
+    batch(**nominal(kwargs))
+    spy, second = spy_records(monkeypatch), []
 
     def sweep_again(handed):
-        kernel.on_sweep = None
-        second.append(batch_compiled(**kwargs))
+        spy.on_sweep = None
+        second.append(batch(**kwargs))
 
-    kernel.on_sweep = sweep_again
-    first = batch_compiled(**kwargs)
-    assert kernel.hits == [True, False]
+    spy.on_sweep = sweep_again
+    first = batch(**kwargs)
+    assert spy.hits == [True, False]
     assert first.tobytes() == second[0].tobytes() == expected.tobytes()
-    kernel.hits.clear()
-    assert batch_compiled(**kwargs).tobytes() == expected.tobytes()
-    assert kernel.hits == [True]
+    spy.hits.clear()
+    assert batch(**kwargs).tobytes() == expected.tobytes()
+    assert spy.hits == [True]
 
 
 @needs_compiled
 def test_the_c_fork_record_equals_the_twins_byte_for_byte(calibrated_scenario, monkeypatch):
     # Each row records into its own slot, so on any worker count the C record
-    # is the twin's, and exactly the rows below RECORD_CAP // slot are recorded.
+    # is the twin's, array for array, and exactly the rows below
+    # RECORD_CAP // slot are recorded.
     n = 12
     kwargs = nominal(sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(n)))
     slot = _rollout_py.fork_slot(calibrated_scenario.sim.max_steps)
-    kernel = spy_kernel(monkeypatch)
     for cap in (0, slot - 1, slot, 7 * slot, _rollout_py.RECORD_CAP):
         monkeypatch.setattr(_rollout_py, "RECORD_CAP", cap)
+        forget(monkeypatch)
         _rollout_py.batch(**kwargs)
-        _, states, rows = _rollout_py._fork_record
-        recorded = [i for i, row in enumerate(rows) if row[0] >= 0]
-        assert recorded == list(range(min(cap // slot, n))), cap
-        assert all((states[i] is None) == (i not in recorded) for i in range(n))
+        states, rows = last_record()
+        assert [i for i in range(n) if rows[i, 0] >= 0] == list(range(min(cap // slot, n))), cap
         for workers in (1, 2, 3, n + 5):
             monkeypatch.setattr(fastpath, "batch_workers", lambda n, w=workers: w)
+            forget(monkeypatch)
             batch_compiled(**kwargs)
-            assert kernel.rows.tobytes() == np.array(rows, dtype=np.int64).tobytes(), \
+            c_states, c_rows = last_record()
+            assert c_rows.dtype == rows.dtype and c_rows.tobytes() == rows.tobytes(), \
                 (cap, workers)
-            for i in recorded:
-                checkpoints = kernel.states[i * slot:i * slot + rows[i][0]]
-                assert checkpoints.tobytes() == states[i].tobytes(), (cap, workers, i)
+            assert c_states.shape == states.shape and c_states.tobytes() == states.tobytes(), \
+                (cap, workers)
+
+
+@needs_compiled
+@pytest.mark.parametrize("which", ["calibrated", "outside"])
+def test_a_record_serves_a_sweep_on_the_other_backend(calibrated_scenario, monkeypatch, which):
+    # Both backends keep one record in one layout: a C nominal batch's record
+    # serves a twin sweep and a twin's a C sweep, with the cold bytes.
+    kwargs = sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(12))
+    if which == "outside":
+        kwargs = outside_start(calibrated_scenario, kwargs)
+    forget(monkeypatch)
+    cold = batch_compiled(**kwargs)
+    assert _rollout_py.batch(**kwargs).tobytes() == cold.tobytes()
+    for record, sweep in ((batch_compiled, _rollout_py.batch),
+                          (_rollout_py.batch, batch_compiled)):
+        forget(monkeypatch)
+        record(**nominal(kwargs))
+        hits = count_hits(monkeypatch)
+        assert sweep(**kwargs).tobytes() == cold.tobytes(), record
+        assert hits == [True], record
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_sweep_reads_the_record_it_is_handed(calibrated_scenario, monkeypatch, backend):
+    # Shown with a doctored record: 1e-3 never deploys, so on every recorded
+    # row the sweep copies the nominal summary from the record, not from a flight.
+    batch = kernels(backend).batch
+    kwargs = sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["never_fires"], range(6))
+    forget(monkeypatch)
+    batch(**nominal(kwargs))
+    last_record()[1][:, 1] = 7777  # each row's nominal steps
+    assert batch(**kwargs)[0, :, 0].tolist() == [7777] * 6
 
 
 @needs_compiled
@@ -1051,7 +1061,7 @@ def test_a_sweep_after_a_nominal_batch_flies_only_its_tails(calibrated_scenario,
     # memo, a trunk flies the whole nominal prefix.
     scenario, deltas, seeds = calibrated_scenario, SWEEP_GRIDS["soc"], range(30)
     monkeypatch.setattr(fastpath, "batch", _rollout_py.batch)
-    monkeypatch.setattr(_rollout_py, "_fork_record", None)
+    forget(monkeypatch)
     flown = {True: [], False: []}  # steps flown by each trunk and each tail
     episode = _rollout_py._episode
 
@@ -1643,10 +1653,37 @@ def test_calibration_leaves_the_fork_record_alone(calibrated_scenario, monkeypat
     # its own, so the sweep still reads the nominal batch's checkpoints.
     scenario, deltas, seeds = calibrated_scenario, SWEEP_GRIDS["soc"], range(12)
     on_backend(backend, monkeypatch)
-    forget(backend, monkeypatch)
+    forget(monkeypatch)
     cold = sweep_baseline(scenario, deltas, seeds)
     run_batch(PolicySpec.nominal(), scenario, seeds)
-    hits = count_hits(backend, monkeypatch)
+    hits = count_hits(monkeypatch)
     calibrate_wind(scenario, 0.25, range(100, 112), tol=0.05)
     assert sweep_baseline(scenario, deltas, seeds) == cold
     assert hits and all(hits)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_calibration_refuses_a_bad_target_or_tol_before_drawing_wind(calibrated_scenario,
+                                                                     monkeypatch, backend):
+    # A NaN tol passes no comparison, so it would run the whole budget and call
+    # its closest point calibrated; a string or a bool would reach the kernel.
+    on_backend(backend, monkeypatch)
+    monkeypatch.setattr(fastpath, "wind_draws", lambda seeds: pytest.fail("wind drawn"))
+    for target in ("x", None, True, np.True_, float("nan"), 0.0, 1.0, -0.5, 10**400):
+        with pytest.raises(ValueError) as info:
+            calibrate_wind(calibrated_scenario, target, range(12))
+        assert str(info.value) == f"target exit rate must lie in (0, 1), got {target!r}"
+    for tol in ("x", None, True, float("nan"), np.float64("nan"), float("inf"), -float("inf"),
+                -0.01, 10**400):
+        with pytest.raises(ValueError) as info:
+            calibrate_wind(calibrated_scenario, 0.25, range(12), tol=tol)
+        assert str(info.value) == f"tol must be a finite number >= 0, got {tol!r}"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_calibration_takes_any_real_target_and_tol(calibrated_scenario, monkeypatch, backend):
+    on_backend(backend, monkeypatch)
+    expected = calibration_bytes(calibrate_wind(calibrated_scenario, 0.25, range(12), tol=0.05))
+    for target, tol in ((np.float64(0.25), np.float64(0.05)), (Fraction(1, 4), Fraction(1, 20))):
+        got = calibrate_wind(calibrated_scenario, target, range(12), tol=tol)
+        assert calibration_bytes(got) == expected, (target, tol)
