@@ -28,10 +28,11 @@ right after a nominal batch on the same wind, whose checkpoints spare it
 flying the trunks. It checks all their summaries are byte-equal, and that
 the twin's sweep of the first 3 seeds, right after a C nominal batch on
 them, reads that batch's record to the cold sweep's bytes. It times
-one ``calibrate_wind`` call, every evaluation in one ``fastpath.calibrate``
-call, against the reference loop of one nominal batch per evaluation
-(``tests/calibration_oracle.py``) on the same seeds, in microseconds per
-call, and checks their results are byte-equal. On the C
+one ``calibrate_wind`` call, each evaluation one count of
+``fastpath.exit_counter`` on arguments checked once, against the reference
+loop of one nominal batch per evaluation, each on a rescaled scenario
+(``tests/calibration_oracle.py``), on the same seeds, in microseconds per
+calibration, and checks their results are byte-equal. On the C
 kernel, it also makes ``WORKER_CALLS`` back-to-back batch calls on one
 worker thread, then as many on every worker ``fastpath.batch`` uses, prints
 the best and the median microseconds per call of each and their ratios, and
@@ -329,7 +330,7 @@ def main():
             call.iterations) == \
         (np.array([loop.wind_sigma, loop.gust_sigma, loop.exit_rate]).tobytes(),
          loop.iterations), "calibration call and batch loop disagree"
-    print(f"calibration : {call.iterations} evaluations, one call {t_call * 1e6:9.1f} us"
+    print(f"calibration : {call.iterations} evaluations, exit counts {t_call * 1e6:9.1f} us"
           f"  one batch per evaluation {t_loop * 1e6:9.1f} us  ({t_loop / t_call:4.2f}x)")
     print("calibration results byte-equal to one batch per evaluation")
 

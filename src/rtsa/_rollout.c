@@ -13,10 +13,11 @@
  *                    with per-episode summaries and no trajectories, spread
  *                    over a few worker threads (run_workers); a baseline
  *                    batch runs all of its thresholds at once (below);
- *   rtsa_calibrate   the whole wind calibration: a bracket and bisection of
- *                    the wind strength to a target nominal exit rate, each
- *                    evaluation one nominal batch on the same workers, with
- *                    the wind rows rescaled in place and no fork record;
+ *   rtsa_exit_count  how many episodes of a nominal batch leave the
+ *                    envelope, on the same workers and with no fork record,
+ *                    in wind rows rescaled from their unit draws to a given
+ *                    wind strength: one evaluation of a wind calibration,
+ *                    whose bracket and bisection rtsa.evaluation states;
  *   rtsa_train       n Q-learning episodes in a row under a given policy,
  *                    updating the weights in place by `td_update` at every
  *                    step: online epsilon-greedy training flies the weights
@@ -856,7 +857,7 @@ static void *batch_worker(void *arg)
 }
 
 /*
- * Where rtsa_batch's started workers may run. Left to itself, a started thread
+ * Where run_workers' started threads may run. Left to itself, a started thread
  * is often queued on its caller's CPU and begins only after the caller has
  * claimed every row, so the batch runs serially. So, on Linux, `attr` is set
  * to start threads on the caller's own affinity set less the CPU the caller
@@ -883,7 +884,7 @@ static int off_caller_attr(pthread_attr_t *attr)
     return 0;
 }
 
-/* A thread started by rtsa_batch: it marks that it has begun, then works. */
+/* A thread started by run_workers: it marks that it has begun, then works. */
 typedef struct {
     batch_job *job;
     atomic_int begun;
@@ -998,60 +999,22 @@ int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
     return 0;
 }
 
-/* rtsa_calibrate's statuses beside rtsa_rollout's; rtsa._rollout_py's names. */
-#define CALIBRATED 0
-#define NOT_BRACKETED 1
-#define OUT_OF_BUDGET 2
-
 /*
- * The exit rate of the nominal batch `job` at wind strength `sigma`: first
- * the base and amplitude columns of each of its wind rows are rewritten from
- * the row's unit draws (a row of rtsa_wind_draws) as rtsa.sim.wind_rows
- * scales them for a wind of `mean`, `sigma` and gust strength
- * gust_ratio * sigma; its frequency and phase columns do not depend on them.
+ * The number of the n nominal episodes that leave the envelope, flown as a
+ * nominal rtsa_batch with no fork record flies them (run_workers, plain_row),
+ * in the wind rows at `wind` (n x 8) with their base and amplitude columns
+ * rewritten from row i of `draws` (a row of rtsa_wind_draws) as
+ * rtsa.sim.wind_rows scales them for a wind of `mean`, `sigma` and gust
+ * strength `gust`; the frequency and phase columns do not depend on them, and
+ * `wind` itself is not written. Returns the count, or as rtsa_rollout (-1, -2)
+ * before any episode runs.
  */
-static double exit_rate(batch_job *job, double *wind, const double *draws, const double *mean,
-                        double sigma, double gust_ratio, int n_workers)
-{
-    const double amplitude = 2.0 * (gust_ratio * sigma) - 0.0; /* uniform on [0, 2 gust) */
-    for (int i = 0; i < job->n; i++) {
-        double *w = wind + 8 * (size_t)i;
-        const double *d = draws + 8 * (size_t)i; /* z_x, z_y, then per axis amplitude, ... */
-        w[0] = mean[0] + sigma * d[0];
-        w[1] = mean[1] + sigma * d[1];
-        w[2] = 0.0 + amplitude * d[2];
-        w[3] = 0.0 + amplitude * d[5];
-    }
-    run_workers(job, n_workers);
-    int exits = 0;
-    for (int i = 0; i < job->n; i++)
-        exits += job->out[4 * (size_t)i + 1] == OUTCOME_EXITED;
-    return (double)exits / job->n;
-}
-
-/*
- * Find the wind strength sigma at which the nominal controller's exit rate
- * over the n wind rows at `wind` comes within `tol` of `target`, evaluating
- * at most `budget` rates, each a nominal batch (run_workers, no fork record)
- * at the rewritten wind of `exit_rate` from row i of `draws` (n x 8) and the
- * frequency and phase columns of row i of `wind` (n x 8).
- *
- * Bracket: from lo = 0 and hi = max(wind_sigma, 1), hi doubles (lo taking
- * its old value) while its rate is below the target; the evaluation that
- * uses up the budget there ends the call with NOT_BRACKETED. Bisect: each
- * midpoint's rate replaces the best so far if strictly closer to the target,
- * and the search stops once the best is within `tol`, or the budget is used
- * up (OUT_OF_BUDGET). On return result = (best sigma, gust_ratio * sigma, its
- * exit rate, evaluations). Returns CALIBRATED, NOT_BRACKETED, OUT_OF_BUDGET,
- * or as rtsa_rollout (-1, -2) before any episode runs.
- */
-int rtsa_calibrate(const double *p, int n_waypoints, int max_steps, const double *draws,
-                   const double *wind, int n, const double *mean, double wind_sigma,
-                   double gust_ratio, double target, double tol, int budget, int n_workers,
-                   double *result)
+int rtsa_exit_count(const double *p, int n_waypoints, int max_steps, const double *draws,
+                    const double *wind, int n, const double *mean, double sigma, double gust,
+                    int n_workers)
 {
     path_t path;
-    int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
+    const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
     if (status)
         return status;
     double *rows = malloc(sizeof(double) * 8 * (size_t)n + sizeof(int) * 4 * (size_t)n);
@@ -1059,51 +1022,27 @@ int rtsa_calibrate(const double *p, int n_waypoints, int max_steps, const double
         path_free(&path);
         return -2;
     }
-    memcpy(rows, wind, sizeof(double) * 8 * (size_t)n);
+    const double amplitude = 2.0 * gust - 0.0; /* uniform on [0, 2 gust) */
+    for (int i = 0; i < n; i++) {
+        double *w = rows + 8 * (size_t)i;
+        const double *d = draws + 8 * (size_t)i; /* z_x, z_y, then per axis amplitude, ... */
+        w[0] = mean[0] + sigma * d[0];
+        w[1] = mean[1] + sigma * d[1];
+        w[2] = 0.0 + amplitude * d[2];
+        w[3] = 0.0 + amplitude * d[5];
+        memcpy(w + 4, wind + 8 * (size_t)i + 4, 4 * sizeof(double));
+    }
     const double theta[2 * N_FEATURES] = {0.0};
-    batch_job job = {p, &path, POLICY_NOMINAL, max_steps, n, rows, NULL, theta, 1,
-                     (int *)(rows + 8 * (size_t)n), NULL, 0, fork_slot(max_steps), NULL, 0};
-
-    int iterations = 0;
-    double lo = 0.0, hi = 1.0 > wind_sigma ? 1.0 : wind_sigma;
-    double hi_rate = exit_rate(&job, rows, draws, mean, hi, gust_ratio, n_workers);
-    iterations++;
-    while (hi_rate < target) {
-        lo = hi;
-        hi *= 2.0;
-        hi_rate = exit_rate(&job, rows, draws, mean, hi, gust_ratio, n_workers);
-        iterations++;
-        if (iterations >= budget) {
-            status = NOT_BRACKETED;
-            break;
-        }
-    }
-    double best = fabs(hi_rate - target), best_sigma = hi, best_rate = hi_rate;
-    while (status == CALIBRATED && iterations < budget) {
-        const double mid = 0.5 * (lo + hi);
-        const double mid_rate = exit_rate(&job, rows, draws, mean, mid, gust_ratio, n_workers);
-        iterations++;
-        if (fabs(mid_rate - target) < best) {
-            best = fabs(mid_rate - target);
-            best_sigma = mid;
-            best_rate = mid_rate;
-        }
-        if (best <= tol)
-            break;
-        if (mid_rate < target)
-            lo = mid;
-        else
-            hi = mid;
-    }
-    if (status == CALIBRATED && best > tol)
-        status = OUT_OF_BUDGET;
-    result[0] = best_sigma;
-    result[1] = gust_ratio * best_sigma;
-    result[2] = best_rate;
-    result[3] = iterations;
+    int *out = (int *)(rows + 8 * (size_t)n);
+    batch_job job = {p, &path, POLICY_NOMINAL, max_steps, n, rows, NULL, theta, 1, out,
+                     NULL, 0, fork_slot(max_steps), NULL, 0};
+    run_workers(&job, n_workers);
+    int exits = 0;
+    for (int i = 0; i < n; i++)
+        exits += out[4 * (size_t)i + 1] == OUTCOME_EXITED;
     free(rows);
     path_free(&path);
-    return status;
+    return exits;
 }
 
 /* Columns of rtsa_train's rows, one row per episode. */

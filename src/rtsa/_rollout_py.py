@@ -31,9 +31,10 @@ It reads the packed array by the ``P_*`` offsets, as ``episode`` in
   flies each threshold's trunk only from the last checkpoint before its
   fork, fewer than ``FORK_GAP`` steps, and then its tail. ``fork_record``
   keeps that record, one for both backends.
-- ``calibrate`` runs a whole wind calibration: it brackets and bisects the
-  wind strength to a target nominal exit rate, each evaluation one nominal
-  episode per wind row at that strength, with no fork record.
+- ``exit_counter`` checks a nominal batch's arguments once and returns a
+  counter of its exits: each count rescales the wind rows to a given wind
+  strength and flies one nominal episode per row, with no fork record. It
+  is one evaluation of ``evaluation.calibrate_wind`` and ``exit_rate``.
 - ``train`` runs Q-learning episodes in a row under one of those policies,
   applying ``td_update``, the linear TD rule on weight columns held as float
   lists, to the weights at every step at the given discount and learning
@@ -47,9 +48,9 @@ It reads the packed array by the ``P_*`` offsets, as ``episode`` in
   transitions on every later pass, with bit-identical weights and rows.
 
 Each entry point has a C twin in ``_rollout.c`` (``rtsa_rollout``,
-``rtsa_batch``, ``rtsa_calibrate``, ``rtsa_train``) that performs the same
+``rtsa_batch``, ``rtsa_exit_count``, ``rtsa_train``) that performs the same
 arithmetic in the same order and seeds the same exploration streams, so the
-two backends give bit-identical trajectories, summaries, calibrations,
+two backends give bit-identical trajectories, summaries, exit counts,
 weights and training rows.
 ``rtsa.fastpath`` uses the C kernels when they build and load, these
 otherwise. ``train`` takes the weights as a contiguous (2, 9) float64 array
@@ -372,14 +373,8 @@ def batch(*, wind, policy_mode, delta, theta, **scenario):
     return out
 
 
-#: ``calibrate``'s statuses: the exit rate came within ``tol`` of the target, the
-#: bracket used up the budget before its rate reached the target, or the
-#: bisection did before coming within ``tol``.
-CALIBRATED, NOT_BRACKETED, OUT_OF_BUDGET = 0, 1, 2
-
-
 def calibration_arrays(draws, wind, wind_mean):
-    """``calibrate``'s arrays, checked: (draws, wind, wind_mean), or ValueError unless
+    """``exit_counter``'s arrays, checked: (draws, wind, wind_mean), or ValueError unless
     ``draws`` and ``wind`` are (n >= 1, 8) of the same n and ``wind_mean`` has 2 values."""
     draws = checked_rows("draws", draws, 8, at_least=1)
     wind = checked_rows("wind", wind, 8, at_least=1)
@@ -388,23 +383,19 @@ def calibration_arrays(draws, wind, wind_mean):
     return draws, wind, checked("wind_mean", wind_mean, (2,))
 
 
-def calibrate(draws, target, tol, budget, *, wind, wind_mean, wind_sigma, gust_ratio,
-              **scenario):
-    """Bisect the wind strength sigma to a nominal exit rate within ``tol`` of ``target``.
+def exit_counter(draws, *, wind, wind_mean, **scenario):
+    """``count(sigma, gust)``: how many nominal episodes, one per wind row, leave the
+    envelope in a wind of strength ``sigma`` and gust strength ``gust``.
 
     ``draws`` are the seeds' unit draws (``sim.wind_draws``) and ``wind`` their
     kernel wind rows (``sim.wind_rows``) at any strength: their frequency and
-    phase columns do not depend on it. At each sigma evaluated, the base and
-    amplitude columns are rewritten as ``sim.wind_rows`` scales them for the
-    mean ``wind_mean``, ``sigma`` and gust strength ``gust_ratio * sigma``,
-    and one nominal episode per row is flown; no fork record is kept. The
-    bracket starts at ``max(wind_sigma, 1.0)`` and doubles while its exit rate
-    is below the target; then bisection keeps the midpoint closest to the
-    target, at most ``budget`` evaluations in all. ``scenario`` holds
-    ``pack``'s keywords. Returns (status, sigma, gust_ratio * sigma, its exit
-    rate, evaluations), the status one of ``CALIBRATED``, ``NOT_BRACKETED`` and
-    ``OUT_OF_BUDGET``. Raises ValueError as ``pack`` and ``calibration_arrays``
-    do, or for a zero-length path segment, before any episode runs.
+    phase columns do not depend on it. Each count rewrites the base and
+    amplitude columns of a copy of ``wind`` as ``sim.wind_rows`` scales them
+    for the mean ``wind_mean``, ``sigma`` and ``gust``, and flies one nominal
+    episode per row; no fork record is kept. ``scenario`` holds ``pack``'s
+    keywords, which are checked once, here: this raises ValueError as
+    ``pack`` and ``calibration_arrays`` do, and a count raises it for a
+    zero-length path segment, before any episode runs.
     """
     params, n_waypoints, steps = pack(POLICY_NOMINAL, **scenario)
     draws, wind, mean = calibration_arrays(draws, wind, wind_mean)
@@ -412,42 +403,13 @@ def calibrate(draws, target, tol, budget, *, wind, wind_mean, wind_sigma, gust_r
     rows = wind.copy()
     base, amplitude = draws[:, :2], draws[:, [2, 5]]  # z_x, z_y; per axis amplitude, ...
 
-    def rate(sigma):
-        rows[:, :2] = mean + sigma * base
-        rows[:, 2:4] = 0.0 + (2.0 * (gust_ratio * sigma) - 0.0) * amplitude
-        exits = sum(_episode(p, n_waypoints, POLICY_NOMINAL, steps, 0.0, row, columns)[1]
-                    == OUTCOME_EXITED for row in rows.tolist())
-        return exits / len(rows)
+    def count(sigma, gust):
+        rows[:, :2] = mean + float(sigma) * base
+        rows[:, 2:4] = 0.0 + (2.0 * float(gust) - 0.0) * amplitude
+        return sum(_episode(p, n_waypoints, POLICY_NOMINAL, steps, 0.0, row, columns)[1]
+                   == OUTCOME_EXITED for row in rows.tolist())
 
-    status, iterations = CALIBRATED, 0
-    lo, hi = 0.0, max(float(wind_sigma), 1.0)
-    hi_rate = rate(hi)
-    iterations += 1
-    while hi_rate < target:
-        lo = hi
-        hi *= 2.0
-        hi_rate = rate(hi)
-        iterations += 1
-        if iterations >= budget:
-            status = NOT_BRACKETED
-            break
-    best = (abs(hi_rate - target), hi, hi_rate)
-    while status == CALIBRATED and iterations < budget:
-        mid = 0.5 * (lo + hi)
-        mid_rate = rate(mid)
-        iterations += 1
-        if abs(mid_rate - target) < best[0]:
-            best = (abs(mid_rate - target), mid, mid_rate)
-        if best[0] <= tol:
-            break
-        if mid_rate < target:
-            lo = mid
-        else:
-            hi = mid
-    if status == CALIBRATED and best[0] > tol:
-        status = OUT_OF_BUDGET
-    _, sigma, sigma_rate = best
-    return status, sigma, gust_ratio * sigma, sigma_rate, iterations
+    return count
 
 
 def _summary(result):

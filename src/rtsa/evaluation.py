@@ -8,19 +8,19 @@ face identical wind realizations. Episodes run on the fastpath kernels
 - the trajectory path: ``run_episode`` runs one episode through
   ``fastpath.rollout`` and keeps its trajectory, for ``rtsa run --trace``;
 - the summary path: ``run_batch``, ``sweep_baseline`` and ``exit_rate``
-  run all of a policy's seeds in one ``fastpath.batch`` call and keep only
-  each episode's outcome and deploy step, which is all a confusion matrix
-  reads. ``sweep_baseline`` runs all of its thresholds in that one call
-  too: each seed's nominal prefix, which every threshold flies until it
+  run all of a policy's seeds in one kernel call and keep only each
+  episode's outcome and deploy step, which is all a confusion matrix reads.
+  ``sweep_baseline`` runs all of its thresholds in one ``fastpath.batch``
+  call: each seed's nominal prefix, which every threshold flies until it
   deploys, is flown once; right after a nominal ``run_batch`` on the same
   seeds, only its last few steps before each deploy are (see
   ``fastpath``). It counts each threshold's confusion matrix from the
-  summaries. ``calibrate_wind`` runs every nominal batch of its bracket and
-  bisection in one ``fastpath.calibrate`` call, which keeps no fork record.
-  Their wind comes from one table of unit draws per seed list
-  (``fastpath.wind_draws``), drawn once and rescaled to each policy's or
-  calibration step's wind (``sim.wind_rows``, whose arithmetic
-  ``fastpath.calibrate`` repeats in place).
+  summaries. ``exit_rate`` is one count of ``fastpath.exit_counter``, and
+  ``calibrate_wind`` brackets and bisects the wind strength with one count
+  per evaluation; neither keeps a fork record. Their wind comes from one
+  table of unit draws per seed list (``fastpath.wind_draws``), drawn once
+  and rescaled to each policy's or evaluation's wind (``sim.wind_rows``,
+  whose arithmetic ``fastpath.exit_counter`` repeats).
 
 Both paths give the same outcomes and deploy steps for the same seeds. A
 seed is an integer in [0, 2**64) (``sim.seed_array``); any other raises
@@ -357,12 +357,24 @@ def sweep_learned(scenario: Scenario, alert_penalties, learn_cfg: LearnConfig,
     return points, thetas
 
 
+def _exit_counter(scenario: Scenario, draws: np.ndarray):
+    """``fastpath.exit_counter`` on ``scenario`` and the unit draws of its seeds."""
+    sim = scenario.sim
+    return fastpath.exit_counter(draws, wind=wind_rows(draws, sim),
+                                 wind_mean=(sim.wind_mean_x, sim.wind_mean_y),
+                                 scales=scenario.feature_scales,
+                                 alert_penalty=scenario.reward.alert_penalty,
+                                 **fastpath.scenario_args(scenario))
+
+
 def exit_rate(scenario: Scenario, seeds) -> float:
-    """Envelope-exit frequency of the nominal controller alone."""
-    summaries = fastpath.batch(wind=wind_rows(fastpath.wind_draws(_seed_list(seeds)),
-                                              scenario.sim),
-                               **_kernel_args(PolicySpec.nominal(), scenario))
-    return int(np.count_nonzero(summaries[:, 1] == fastpath.OUTCOME_EXITED)) / len(summaries)
+    """Envelope-exit frequency of the nominal controller alone.
+
+    One count of ``fastpath.exit_counter`` at the scenario's own wind, which
+    leaves the fork record alone."""
+    draws = fastpath.wind_draws(_seed_list(seeds))
+    sim = scenario.sim
+    return _exit_counter(scenario, draws)(sim.wind_sigma, sim.gust_sigma) / len(draws)
 
 
 #: How many exit rates ``calibrate_wind`` may evaluate before it gives up.
@@ -374,31 +386,54 @@ def calibrate_wind(scenario: Scenario, target_exit_rate: float, seeds,
     """Bisect the base-wind standard deviation to hit a nominal-only exit rate.
 
     Gust strength is scaled proportionally to the base wind throughout. The
-    seeds' wind draws are made once, and every evaluation runs in one
-    ``fastpath.calibrate`` call, which rescales them at each evaluated sigma.
-    Raises ValueError, before any wind is drawn, unless ``target_exit_rate``
-    is a real number in (0, 1), ``tol`` a finite real number >= 0 (neither a
-    bool) and ``seeds`` a valid seed list. Raises RuntimeError when
-    ``CALIBRATION_BUDGET`` evaluations do not bring the exit rate within
-    ``tol`` of the target.
+    seeds' wind draws are made once, and each evaluation is one count of
+    ``fastpath.exit_counter``, which rescales them to the evaluated sigma. The
+    bracket starts at ``max(wind_sigma, 1.0)`` and doubles while its exit rate
+    is below the target; bisection then keeps the midpoint closest to the
+    target and stops once that is within ``tol``. Raises ValueError, before
+    any wind is drawn, unless ``target_exit_rate`` is a real number in (0, 1),
+    ``tol`` a finite real number >= 0 (neither a bool) and ``seeds`` a valid
+    seed list. Raises RuntimeError when ``CALIBRATION_BUDGET`` evaluations do
+    not bring the exit rate within ``tol`` of the target.
     """
     if not (_real(target_exit_rate) and 0.0 < target_exit_rate < 1.0):
         raise ValueError(f"target exit rate must lie in (0, 1), got {target_exit_rate!r}")
     if not (_real(tol) and _finite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    target, tol, budget = float(target_exit_rate), float(tol), CALIBRATION_BUDGET
     draws = fastpath.wind_draws(_seed_list(seeds))
     sim = scenario.sim
     gust_ratio = sim.gust_sigma / sim.wind_sigma if sim.wind_sigma > 0 else 0.25
-    status, sigma, gust, rate, iterations = fastpath.calibrate(
-        draws, float(target_exit_rate), float(tol), CALIBRATION_BUDGET, wind=wind_rows(draws, sim),
-        wind_mean=(sim.wind_mean_x, sim.wind_mean_y), wind_sigma=sim.wind_sigma,
-        gust_ratio=gust_ratio, scales=scenario.feature_scales,
-        alert_penalty=scenario.reward.alert_penalty, **fastpath.scenario_args(scenario))
-    if status == fastpath.NOT_BRACKETED:
-        raise RuntimeError("wind calibration failed to bracket the target exit rate")
-    if status == fastpath.OUT_OF_BUDGET:
+    count = _exit_counter(scenario, draws)
+
+    def rate(sigma):
+        return count(sigma, gust_ratio * sigma) / len(draws)
+
+    lo, hi = 0.0, max(float(sim.wind_sigma), 1.0)
+    hi_rate, iterations = rate(hi), 1
+    while hi_rate < target:
+        lo = hi
+        hi *= 2.0
+        hi_rate = rate(hi)
+        iterations += 1
+        if iterations >= budget:
+            raise RuntimeError("wind calibration failed to bracket the target exit rate")
+    best, best_sigma, best_rate = abs(hi_rate - target), hi, hi_rate
+    while iterations < budget:
+        mid = 0.5 * (lo + hi)
+        mid_rate = rate(mid)
+        iterations += 1
+        if abs(mid_rate - target) < best:
+            best, best_sigma, best_rate = abs(mid_rate - target), mid, mid_rate
+        if best <= tol:
+            break
+        if mid_rate < target:
+            lo = mid
+        else:
+            hi = mid
+    if best > tol:
         raise RuntimeError(
-            f"wind calibration did not reach the target within {CALIBRATION_BUDGET} evaluations"
+            f"wind calibration did not reach the target within {budget} evaluations"
         )
-    return CalibrationResult(wind_sigma=sigma, gust_sigma=gust, exit_rate=rate,
-                             iterations=iterations)
+    return CalibrationResult(wind_sigma=best_sigma, gust_sigma=gust_ratio * best_sigma,
+                             exit_rate=best_rate, iterations=iterations)

@@ -6,7 +6,7 @@ and flags into ``__pycache__/_rollout-<sha12>.so`` next to this file, so
 later imports only hash the inputs and load the library; a new build deletes
 the older ones. When the build fails (no compiler, no ``libnpyrandom.a``), or
 ``RTSA_PURE_PYTHON`` is set in the environment, ``rollout``, ``batch``,
-``calibrate``, ``train`` and ``wind_draws`` are the pure-Python twins in
+``exit_counter``, ``train`` and ``wind_draws`` are the pure-Python twins in
 ``_rollout_py`` and ``sim`` instead and ``FALLBACK_REASON`` says why. Both
 backends take the same arguments, check them with the same functions
 (``_rollout_py.pack`` states the argument format) and give bit-identical
@@ -25,14 +25,16 @@ through ``_rollout_py.fork_record``, one slot in one layout, so a record made
 by either serves a sweep on the other. The C ``batch`` spreads the rows over
 as many threads as the process may use CPUs, at most one per row and at most
 8 (``MAX_WORKERS`` in ``_rollout.c``), with the same result and the same
-record on any count. ``calibrate`` runs a whole wind calibration, the bracket
-and bisection of the wind strength to a target nominal exit rate, in one
-call: each evaluation rescales the seeds' wind rows in place and flies them
-as a nominal batch on the same threads, which records no checkpoints and so
-leaves the fork record alone. ``train`` runs Q-learning episodes under a
-given policy in one call, updating a (2, 9) float64 array of weight columns
-in place: online training flies the weights policy, and warm start the
-baseline, every pass in one call. Under a policy that does not read the
+record on any count. ``exit_counter`` checks a nominal batch's arguments
+once and returns a counter of its exits at a given wind strength: each count
+is one call that rescales the seeds' wind rows from their unit draws and
+flies them as a nominal batch on the same threads, which records no
+checkpoints and so leaves the fork record alone. It holds no calibration
+policy: ``evaluation.calibrate_wind`` brackets and bisects with it, and
+``evaluation.exit_rate`` makes one count. ``train`` runs Q-learning episodes
+under a given policy in one call, updating a (2, 9) float64 array of weight
+columns in place: online training flies the weights policy, and warm start
+the baseline, every pass in one call. Under a policy that does not read the
 weights, ``train`` flies each wind row once and replays the recorded
 transitions of that flight on every later pass over the rows, with the
 weights and rows that flying it again would give. The C kernels seed their
@@ -52,9 +54,6 @@ import numpy as np
 
 from . import _rollout_py
 from ._rollout_py import (  # noqa: F401  (re-exported constants)
-    CALIBRATED,
-    NOT_BRACKETED,
-    OUT_OF_BUDGET,
     OUTCOME_COMPLETED,
     OUTCOME_EXITED,
     OUTCOME_GROUNDED,
@@ -76,7 +75,7 @@ from ._rollout_py import (
     weight_columns,
 )
 from ._rollout_py import batch as batch_python
-from ._rollout_py import calibrate as calibrate_python
+from ._rollout_py import exit_counter as exit_counter_python
 from ._rollout_py import rollout as rollout_python
 from ._rollout_py import train as train_python
 from .sim import Verdict, seed_array
@@ -170,10 +169,9 @@ def _load_kernel():
     lib.rtsa_train.restype = ctypes.c_int64
     lib.rtsa_wind_draws.argtypes = (_UINT64S, ctypes.c_int64, _DOUBLES)
     lib.rtsa_wind_draws.restype = None
-    lib.rtsa_calibrate.argtypes = (_DOUBLES, c_int, c_int, _DOUBLES, _DOUBLES, c_int, _DOUBLES,
-                                   c_double, c_double, c_double, c_double, c_int, c_int,
-                                   _DOUBLES)
-    lib.rtsa_calibrate.restype = c_int
+    lib.rtsa_exit_count.argtypes = (_DOUBLES, c_int, c_int, _DOUBLES, _DOUBLES, c_int, _DOUBLES,
+                                    c_double, c_double, c_int)
+    lib.rtsa_exit_count.restype = c_int
     return lib
 
 
@@ -247,21 +245,22 @@ def train_compiled(theta, discount, learning_rate, epsilons, seed, *, wind, poli
     return rows[:done]
 
 
-def calibrate_compiled(draws, target, tol, budget, *, wind, wind_mean, wind_sigma, gust_ratio,
-                       **scenario):
-    """``_rollout_py.calibrate`` on the C kernel: same arguments, same result, in one
-    call whose nominal batches run on ``batch_workers`` threads."""
+def exit_counter_compiled(draws, *, wind, wind_mean, **scenario):
+    """``_rollout_py.exit_counter`` on the C kernel: same arguments, same counts, each
+    count one call whose nominal batch runs on ``batch_workers`` threads."""
     params, n_waypoints, steps = pack(POLICY_NOMINAL, **scenario)
     draws, wind, mean = calibration_arrays(draws, wind, wind_mean)
-    result = np.empty(4)
-    status = _lib.rtsa_calibrate(_pointer(params), n_waypoints, steps, _pointer(draws),
-                                 _pointer(wind), len(wind), _pointer(mean), wind_sigma,
-                                 gust_ratio, target, tol, budget, batch_workers(len(wind)),
-                                 _pointer(result))
-    if status < 0:
-        _raise_for(status)
-    sigma, gust, rate, iterations = result.tolist()
-    return status, sigma, gust, rate, int(iterations)
+    args = (_pointer(params), n_waypoints, steps, _pointer(draws), _pointer(wind), len(wind),
+            _pointer(mean))
+    workers = batch_workers(len(wind))
+
+    def count(sigma, gust):
+        exits = _lib.rtsa_exit_count(*args, sigma, gust, workers)
+        if exits < 0:
+            _raise_for(exits)
+        return exits
+
+    return count
 
 
 def wind_draws_compiled(seeds):
@@ -282,13 +281,13 @@ else:
     except OSError as exc:
         FALLBACK_REASON = str(exc)
 if FALLBACK_REASON is None:
-    rollout, batch, calibrate = rollout_compiled, batch_compiled, calibrate_compiled
+    rollout, batch, exit_counter = rollout_compiled, batch_compiled, exit_counter_compiled
     train, wind_draws = train_compiled, wind_draws_compiled
     BACKEND = "c"
 else:
-    rollout_compiled = batch_compiled = calibrate_compiled = None
+    rollout_compiled = batch_compiled = exit_counter_compiled = None
     train_compiled = wind_draws_compiled = None
-    rollout, batch, calibrate = rollout_python, batch_python, calibrate_python
+    rollout, batch, exit_counter = rollout_python, batch_python, exit_counter_python
     train, wind_draws = train_python, wind_draws_python
     BACKEND = "python"
 

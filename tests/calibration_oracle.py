@@ -1,8 +1,8 @@
 """Reference wind calibration: one nominal batch per evaluated wind strength.
 
-The loop ``evaluation.calibrate_wind`` ran before ``fastpath.calibrate`` took
-all of its evaluations into one kernel call: at each sigma, the scenario is
-rescaled with ``Scenario.with_wind``, the seeds' wind rows are scaled with
+The loop ``evaluation.calibrate_wind`` ran before its evaluations became
+counts of ``fastpath.exit_counter``: at each sigma, the scenario is rescaled
+with ``Scenario.with_wind``, the seeds' wind rows are scaled with
 ``sim.wind_rows`` and one nominal ``batch`` call counts the exits. Tests and
 ``benchmarks/bench_rollout.py`` compare ``calibrate_wind`` with it byte for
 byte.

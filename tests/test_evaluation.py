@@ -348,7 +348,7 @@ def test_a_bad_seed_is_named_before_any_episode_runs(calibrated_scenario, monkey
     def no_episode(*args, **kwargs):
         raise AssertionError("an episode ran")
 
-    for kernel in ("rollout", "batch", "train", "calibrate"):
+    for kernel in ("rollout", "batch", "train", "exit_counter"):
         monkeypatch.setattr(fastpath, kernel, no_episode)
     with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
         SEEDED_CALLS[call](calibrated_scenario, [7, bad])

@@ -24,7 +24,7 @@ from hypothesis.extra import numpy as hnp
 import calibration_oracle
 from rtsa import _rollout_py, evaluation, fastpath, sim
 from rtsa._rollout_py import rollout as rollout_python
-from rtsa.evaluation import (PolicySpec, calibrate_wind, run_batch, run_episode,
+from rtsa.evaluation import (PolicySpec, calibrate_wind, exit_rate, run_batch, run_episode,
                              sweep_baseline, _kernel_scenario_args)
 from rtsa.geometry import build_path
 from rtsa.learning import LearnConfig, train
@@ -644,14 +644,15 @@ BACKENDS = [pytest.param("c", marks=needs_compiled), "python"]
 
 
 def kernels(backend):
-    """One backend's ``rollout``, ``batch``, ``train``, ``wind_draws`` and ``calibrate``."""
+    """One backend's ``rollout``, ``batch``, ``train``, ``wind_draws`` and
+    ``exit_counter``."""
     if backend == "c":
         return SimpleNamespace(rollout=rollout_compiled, batch=batch_compiled,
                                train=train_compiled, wind_draws=wind_draws_compiled,
-                               calibrate=fastpath.calibrate_compiled)
+                               exit_counter=fastpath.exit_counter_compiled)
     return SimpleNamespace(rollout=_rollout_py.rollout, batch=_rollout_py.batch,
                            train=_rollout_py.train, wind_draws=sim.wind_draws,
-                           calibrate=_rollout_py.calibrate)
+                           exit_counter=_rollout_py.exit_counter)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -1276,6 +1277,55 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match=key):
             kernels(backend).batch(**kwargs)
 
+    @staticmethod
+    def counter_kwargs(scenario, seeds=range(3)):
+        """``exit_counter``'s arguments on ``scenario`` and ``seeds``."""
+        draws, sim = wind_draws(seeds), scenario.sim
+        return dict(draws=draws, wind=wind_rows(draws, sim),
+                    wind_mean=(sim.wind_mean_x, sim.wind_mean_y), scales=scenario.feature_scales,
+                    alert_penalty=scenario.reward.alert_penalty,
+                    **_kernel_scenario_args(scenario))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("draws", np.zeros((4, 8))),  # another n than the wind's
+            ("wind", np.zeros((2, 8))),
+            ("draws", np.zeros((0, 8))),
+            ("draws", np.zeros(8)),
+            ("wind", np.zeros((3, 7))),
+            ("wind_mean", np.zeros(3)),
+            ("wind_mean", ["a", "b"]),
+            ("wind_mean", None),
+            ("waypoints", np.zeros((1, 3))),
+            ("scales", np.ones(7)),
+            ("max_steps", 0),
+            ("max_steps", MAX_STEPS + 1),
+            ("max_steps", 2.5),
+        ],
+    )
+    def test_bad_exit_counter_argument_raises_value_error(self, calibrated_scenario, backend,
+                                                          key, value):
+        # Checked once, when the counter is made, before any count.
+        kwargs = self.counter_kwargs(calibrated_scenario)
+        kwargs[key] = value
+        with pytest.raises(ValueError, match=key):
+            kernels(backend).exit_counter(**kwargs)
+
+    def test_an_exit_count_refuses_a_zero_length_segment(self, calibrated_scenario, backend):
+        kwargs = self.counter_kwargs(calibrated_scenario)
+        kwargs["waypoints"] = [[0.0, 0.0, 12.0], [0.0, 0.0, 12.0], [60.0, 0.0, 0.0]]
+        count = kernels(backend).exit_counter(**kwargs)
+        with pytest.raises(ValueError, match=re.escape(_rollout_py.ZERO_SEGMENT)):
+            count(8.0, 2.0)
+
+    @pytest.mark.parametrize("max_steps", [1, MAX_STEPS])
+    def test_an_exit_count_takes_max_steps_at_its_bounds(self, calibrated_scenario, backend,
+                                                         max_steps):
+        kwargs = {**self.counter_kwargs(calibrated_scenario), "max_steps": max_steps}
+        exits = kernels(backend).exit_counter(**kwargs)(60.0, 15.0)
+        assert exits == (0 if max_steps == 1 else 3)
+
     @pytest.mark.parametrize(
         "theta",
         [np.zeros((N_FEATURES, 2)), np.zeros((2, N_FEATURES), dtype=np.float32),
@@ -1380,11 +1430,14 @@ def fuzzed(valid):
     )
 
 
-def _valid_result(entry, result, max_steps, delta):
+def _valid_result(entry, result, args):
+    max_steps = args["max_steps"]
+    if entry == "exit_counter":
+        return type(result) is int and 0 <= result <= len(args["wind"])
     if entry == "batch":
         rows = result.reshape(-1, 4)
         steps, outcomes, deploy_steps = rows[:, 0], rows[:, 1], rows[:, 2]
-        return (result.dtype == np.intc and result.ndim == 2 + np.ndim(delta)
+        return (result.dtype == np.intc and result.ndim == 2 + np.ndim(args["delta"])
                 and result.shape[-1] == 4
                 and np.all((steps >= 1) & (steps <= max_steps))
                 and np.all((outcomes >= 1) & (outcomes <= 4))
@@ -1410,31 +1463,41 @@ def _same(a, b):
     return a == b
 
 
-@settings(max_examples=350, deadline=None)
+@settings(max_examples=467, deadline=None)
 @given(data=st.data())
 def test_kernel_wrappers_give_a_result_or_value_error(calibrated_scenario, data):
     # Bad shapes and dtypes of every array, bad thresholds, and max_steps and
     # policy modes around their bounds: each call returns a valid result or
     # raises ValueError, never another exception, and both backends agree.
     # The threshold is fuzzed like any array; as a bad one is refused before
-    # the arrays are checked, the example count is set so that the draws
-    # reaching the array checks and the kernels are no fewer than with
-    # 200 examples and no threshold fuzzing.
-    scenario = calibrated_scenario
-    entry = data.draw(st.sampled_from(["rollout", "batch", "train"]), label="entry")
+    # the arrays are checked, the example count is set so that the draws of
+    # each of rollout, batch and train reaching the array checks and the
+    # kernels are no fewer than with 200 examples over those three entries
+    # and no threshold fuzzing. The exit counter, which takes no policy or
+    # threshold, is a fourth entry, and the count is 4/3 of what three took.
+    scenario, sim = calibrated_scenario, calibrated_scenario.sim
+    entry = data.draw(st.sampled_from(["rollout", "batch", "train", "exit_counter"]),
+                      label="entry")
     wind_key = "wind_params" if entry == "rollout" else "wind"
-    wind = wind_rows(wind_draws([5, 6]), scenario.sim)
+    draws = wind_draws([5, 6])
+    wind = wind_rows(draws, sim)
     args = dict(_kernel_scenario_args(scenario), scales=scenario.feature_scales,
                 alert_penalty=scenario.reward.alert_penalty,
                 max_steps=data.draw(st.sampled_from([-1, 0, 1, 2400, MAX_STEPS + 1, 2**40]),
                                     label="max_steps"),
-                policy_mode=data.draw(st.sampled_from([-1, 0, 1, 2, 3]), label="policy_mode"),
-                delta=8.0, **{wind_key: wind[0] if entry == "rollout" else wind})
-    keys = ["env_min", "env_max", "waypoints", "scales", "theta", wind_key, "delta"]
+                **{wind_key: wind[0] if entry == "rollout" else wind})
+    keys = ["env_min", "env_max", "waypoints", "scales", wind_key]
+    if entry == "exit_counter":
+        args.update(draws=draws, wind_mean=(sim.wind_mean_x, sim.wind_mean_y))
+        keys += ["draws", "wind_mean"]
+    else:
+        args.update(policy_mode=data.draw(st.sampled_from([-1, 0, 1, 2, 3]), label="policy_mode"),
+                    delta=8.0)
+        keys += ["theta", "delta"]
     if entry == "train":
         args.update(theta=np.zeros((2, N_FEATURES)), epsilons=[0.1, 0.3, 1.0])
         keys.append("epsilons")
-    else:
+    elif entry != "exit_counter":
         args.update(theta=random_weights(np.random.default_rng(3)))
     delta_key = None
     for key in data.draw(st.sets(st.sampled_from(keys), max_size=2), label="fuzzed"):
@@ -1449,6 +1512,8 @@ def test_kernel_wrappers_give_a_result_or_value_error(calibrated_scenario, data)
     def call(backend):
         kernel = getattr(kernels(backend), entry)
         try:
+            if entry == "exit_counter":
+                return kernel(**args)(sim.wind_sigma, sim.gust_sigma)
             if entry != "train":
                 return kernel(**args)
             weights = copy.deepcopy(theta)
@@ -1460,15 +1525,15 @@ def test_kernel_wrappers_give_a_result_or_value_error(calibrated_scenario, data)
                ["python"] + (["c"] if rollout_compiled is not None else [])]
     # The baseline refuses every bad threshold; the other policies ignore their
     # one number but refuse an array, as a rollout and a learner do.
-    delta = args["delta"]
-    several = np.ndim(delta) > 0 and (entry != "batch"
-                                      or args["policy_mode"] != fastpath.POLICY_BASELINE)
-    bad = delta_key in BAD_DELTAS and args["policy_mode"] == fastpath.POLICY_BASELINE
-    if several or bad:
-        assert all(result is ValueError for result in results)
+    if entry != "exit_counter":
+        delta = args["delta"]
+        several = np.ndim(delta) > 0 and (entry != "batch"
+                                          or args["policy_mode"] != fastpath.POLICY_BASELINE)
+        bad = delta_key in BAD_DELTAS and args["policy_mode"] == fastpath.POLICY_BASELINE
+        if several or bad:
+            assert all(result is ValueError for result in results)
     for result in results:
-        assert result is ValueError or _valid_result(entry, result, args["max_steps"],
-                                                     args.get("delta"))
+        assert result is ValueError or _valid_result(entry, result, args)
     if len(results) == 2:
         assert (results[0] is ValueError) == (results[1] is ValueError)
         assert results[0] is ValueError or _same(results[0], results[1])
@@ -1566,6 +1631,27 @@ def test_the_kernel_builds_without_warnings(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
+def test_the_c_entry_points_are_exactly_the_bound_functions(monkeypatch):
+    # An entry point left without a caller, or a binding to a deleted one,
+    # fails here. Needs no build: _load_kernel binds into a stand-in library.
+    defined = set(re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(rtsa_\w+)\s*\(",
+                             fastpath._SOURCE.read_text(), re.M))
+
+    class Library:
+        def __init__(self, path):
+            self.functions = {}
+
+        def __getattr__(self, name):
+            return self.functions.setdefault(name, SimpleNamespace())
+
+    monkeypatch.setattr(fastpath, "_library_path", lambda: fastpath._SOURCE)
+    monkeypatch.setattr(fastpath.ctypes, "CDLL", Library)
+    bound = {name for name, function in fastpath._load_kernel().functions.items()
+             if hasattr(function, "argtypes")}
+    assert "rtsa_batch" in defined
+    assert defined == bound
+
+
 def calibration_bytes(result):
     """A ``CalibrationResult`` as (sigma, gust, rate) float64 bytes and iterations."""
     return (np.array([result.wind_sigma, result.gust_sigma, result.exit_rate]).tobytes(),
@@ -1573,10 +1659,10 @@ def calibration_bytes(result):
 
 
 def on_backend(backend, monkeypatch, workers=None):
-    """Route ``evaluation``'s batches and calibrations to ``backend``, on ``workers``
+    """Route ``evaluation``'s batches and exit counts to ``backend``, on ``workers``
     threads if given."""
     monkeypatch.setattr(fastpath, "batch", kernels(backend).batch)
-    monkeypatch.setattr(fastpath, "calibrate", kernels(backend).calibrate)
+    monkeypatch.setattr(fastpath, "exit_counter", kernels(backend).exit_counter)
     if workers is not None:
         monkeypatch.setattr(fastpath, "batch_workers", lambda n: workers)
 
@@ -1623,6 +1709,19 @@ def test_calibration_out_of_budget_raises_as_the_batch_loop(demo_scenario, monke
     assert "within 40 evaluations" in str(got.value)
 
 
+def count_exit_counts(backend, monkeypatch):
+    """Route ``evaluation``'s exit counts to ``backend``; returns the list each count
+    appends its (sigma, gust) to."""
+    counts = []
+
+    def exit_counter(*args, **kwargs):
+        count = kernels(backend).exit_counter(*args, **kwargs)
+        return lambda sigma, gust: counts.append((sigma, gust)) or count(sigma, gust)
+
+    monkeypatch.setattr(fastpath, "exit_counter", exit_counter)
+    return counts
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("budget", [1, 2, 3, 4])
 def test_a_bracket_that_uses_up_the_budget_is_not_bracketed(calibrated_scenario, monkeypatch,
@@ -1633,24 +1732,19 @@ def test_a_bracket_that_uses_up_the_budget_is_not_bracketed(calibrated_scenario,
     with pytest.raises(RuntimeError, match="failed to bracket"):
         calibration_oracle.calibrate_wind(scenario, 0.9, seeds, budget=budget,
                                           batch=kernels(backend).batch)
-    sim = scenario.sim
-    draws = fastpath.wind_draws(seeds)
-    status, *_, evaluations = kernels(backend).calibrate(
-        draws, 0.9, 0.02, budget, wind=wind_rows(draws, sim),
-        wind_mean=(sim.wind_mean_x, sim.wind_mean_y), wind_sigma=sim.wind_sigma,
-        gust_ratio=sim.gust_sigma / sim.wind_sigma, scales=scenario.feature_scales,
-        alert_penalty=scenario.reward.alert_penalty, **fastpath.scenario_args(scenario))
-    assert (status, evaluations) == (fastpath.NOT_BRACKETED, max(budget, 2))
     on_backend(backend, monkeypatch)
+    counts = count_exit_counts(backend, monkeypatch)
     monkeypatch.setattr(evaluation, "CALIBRATION_BUDGET", budget)
     with pytest.raises(RuntimeError, match="failed to bracket"):
         calibrate_wind(scenario, 0.9, seeds)
+    assert len(counts) == max(budget, 2)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_calibration_leaves_the_fork_record_alone(calibrated_scenario, monkeypatch, backend):
-    # A calibration between a nominal batch and its sweep keeps no record of
-    # its own, so the sweep still reads the nominal batch's checkpoints.
+    # A calibration or an exit rate between a nominal batch and its sweep keeps
+    # no record of its own, so the sweep still reads the nominal batch's
+    # checkpoints.
     scenario, deltas, seeds = calibrated_scenario, SWEEP_GRIDS["soc"], range(12)
     on_backend(backend, monkeypatch)
     forget(monkeypatch)
@@ -1658,8 +1752,21 @@ def test_calibration_leaves_the_fork_record_alone(calibrated_scenario, monkeypat
     run_batch(PolicySpec.nominal(), scenario, seeds)
     hits = count_hits(monkeypatch)
     calibrate_wind(scenario, 0.25, range(100, 112), tol=0.05)
+    exit_rate(scenario, range(100, 112))
     assert sweep_baseline(scenario, deltas, seeds) == cold
     assert hits and all(hits)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("target,tol,seeds", CALIBRATIONS)
+def test_exit_rate_reproduces_the_calibrated_rate(calibrated_scenario, monkeypatch, backend,
+                                                  target, tol, seeds):
+    # exit_rate counts at the scenario's own wind, the rows sim.wind_rows scales;
+    # the calibration counts at each sigma it tries. Both must be one count.
+    on_backend(backend, monkeypatch)
+    result = calibrate_wind(calibrated_scenario, target, seeds, tol=tol)
+    windy = calibrated_scenario.with_wind(result.wind_sigma, result.gust_sigma)
+    assert exit_rate(windy, seeds) == result.exit_rate
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
