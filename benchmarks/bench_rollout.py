@@ -211,11 +211,17 @@ def bench_sweep(scenario, seeds, repeats):
 
 def twin_sweep_on_c_record(scenario, seeds):
     """The twin's baseline sweep over ``SWEEP_DELTAS`` on ``seeds``, right after a C
-    nominal batch on the same wind, whose fork record it reads."""
+    nominal batch on the same wind, whose fork record it reads: a slot of
+    checkpoints per seed and a copy of the batch's summaries
+    (``_rollout_py.fork_record``)."""
     fixed = _kernel_args(PolicySpec.baseline(SWEEP_DELTAS[0]), scenario)
     del fixed["delta"]
     wind = wind_rows(wind_draws(seeds), scenario.sim)
-    fastpath.batch_compiled(wind=wind, **_kernel_args(PolicySpec.nominal(), scenario))
+    summaries = fastpath.batch_compiled(wind=wind, **_kernel_args(PolicySpec.nominal(), scenario))
+    _, _, capacity, recorded = _rollout_py._FORKS["last"]
+    assert capacity == len(seeds) * _rollout_py.fork_slot(scenario.sim.max_steps), \
+        "the C nominal batch recorded too few seeds"
+    assert recorded.tobytes() == summaries.tobytes(), "the record's summaries are not the batch's"
     return _rollout_py.batch(wind=wind, delta=SWEEP_DELTAS, **fixed)
 
 

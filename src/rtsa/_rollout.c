@@ -38,22 +38,28 @@
  * undeployed when the trunk ends get the trunk's summary. Every summary
  * equals a one-threshold episode's, bit for bit.
  *
- * The trunk is the nominal flight. The baseline at threshold delta deploys
+ * The trunk is the nominal flight, and the baseline at threshold delta deploys
  * at the first state whose boundary distance (`boundary_distance`) is at most
- * delta, and that is a state where the running minimum of that distance
- * falls: a fork state. So a nominal batch records, per row, checkpoints in a
- * caller's buffer: fork states at least FORK_GAP steps apart (fork states
- * come in long runs of consecutive steps), each with the running minimum
- * before it, then the row's final state and running minimum. Row i writes
- * them into its own slot of fork_slot(max_steps) checkpoints, the most one
- * episode makes, at checkpoint i * slot; the rows whose slot lies wholly in
- * the buffer are recorded, the others not. A baseline batch handed that
- * record flies each threshold's trunk only from the last checkpoint whose
- * running minimum exceeds the threshold, fewer than FORK_GAP steps before its
- * fork, and a row whose final running minimum exceeds it gets the nominal
- * summary. The caller (rtsa._rollout_py.fork_record, which keeps one record
- * for both backends in this layout) hands a record only to a batch on the
- * same scenario and wind; rows not recorded fly the whole trunk.
+ * delta. So a nominal batch records checkpoints of each row's flight, the
+ * fork record, and a baseline batch on the same scenario and wind resumes
+ * its trunks from them. The record's layout, the same on both backends:
+ *   - a checkpoint is N_RECORDED values: t, px, py, pz, vx, vy, vz and the
+ *     smallest boundary distance of the row's decision states before it;
+ *   - checkpoint j is the decision state at step j * FORK_GAP, for each such
+ *     step below the row's steps, and checkpoint (steps - 1) / FORK_GAP + 1
+ *     is the final state, with the smallest distance of all decision states;
+ *   - row i writes them into its own slot of fork_slot(max_steps)
+ *     checkpoints, from checkpoint i * slot on, and is recorded iff that slot
+ *     lies wholly in the buffer, (i + 1) * slot <= capacity;
+ *   - each row's steps and outcome are the nominal batch's own summary,
+ *     which the caller keeps beside the buffer.
+ * A baseline batch handed that record flies each threshold's trunk only from
+ * the last checkpoint whose smallest earlier distance exceeds the threshold,
+ * fewer than FORK_GAP steps before it deploys, and a row whose final
+ * checkpoint's distance exceeds it gets the nominal summary. The caller
+ * (rtsa._rollout_py.fork_record, which keeps one record for both backends)
+ * hands a record only to a batch on the same scenario and wind; rows not
+ * recorded fly the whole trunk.
  *
  * A baseline (or nominal) episode does not depend on the weights, so a
  * training call under either that has more episodes than wind rows flies
@@ -374,59 +380,29 @@ static inline state_t start_state(const path_t *path)
 }
 
 /*
- * The observed features phi[0..7] of the states a training call recorded,
- * N_RECORDED per state: `used` states, in room for `capacity`.
+ * Rows of N_RECORDED values that an episode records: `used` rows, in room for
+ * `capacity`. A training call records its observed states' phi[0..7], which
+ * `replay` reads back, and a nominal batch a row's checkpoints (see the top of
+ * this file), FORK_GAP steps apart.
  */
 #define N_RECORDED 8
+#define FORK_GAP 8
 typedef struct {
-    double *phi;
+    double *rows;
     int64_t used, capacity;
 } record_t;
 
-/* Append phi[0..7] to `rec`, unless it is full. */
-static inline void record_push(record_t *rec, const double *phi)
+/* Append the N_RECORDED values at `values` to `rec`, unless it is full. */
+static inline void record_push(record_t *rec, const double *values)
 {
     if (rec->used < rec->capacity)
-        memcpy(rec->phi + N_RECORDED * (size_t)rec->used++, phi, sizeof(double) * N_RECORDED);
+        memcpy(rec->rows + N_RECORDED * (size_t)rec->used++, values, sizeof(double) * N_RECORDED);
 }
-
-/*
- * One row's checkpoints as a nominal episode records them: N_FORK values
- * (t, px, py, pz, vx, vy, vz, step, smallest boundary distance before it)
- * for each decision state whose boundary distance falls below every earlier
- * one's and that lies FORK_GAP or more steps after the latest checkpoint;
- * then the final state, with the episode's smallest distance. `used` of them
- * at `states`, which has room for `capacity`; a checkpoint beyond that is
- * dropped, which a row's slot (fork_slot) never needs.
- */
-#define N_FORK 9
-#define FORK_GAP 8
-typedef struct {
-    double *states;
-    int64_t used, capacity;
-} forks_t;
 
 /* Checkpoints in each row's slot of the fork record: decision states lie at
  * steps 0..max_steps - 1, so at most max_steps / FORK_GAP + 1 of them are
  * checkpoints, and the final state is one more. rtsa._rollout_py.fork_slot. */
 static inline int64_t fork_slot(int max_steps) { return max_steps / FORK_GAP + 2; }
-
-static void forks_push(forks_t *forks, double t, double px, double py, double pz, double vx,
-                       double vy, double vz, int step, double floor)
-{
-    if (forks->used == forks->capacity)
-        return;
-    double *s = forks->states + N_FORK * (size_t)forks->used++;
-    s[0] = t;
-    s[1] = px;
-    s[2] = py;
-    s[3] = pz;
-    s[4] = vx;
-    s[5] = vy;
-    s[6] = vz;
-    s[7] = step;
-    s[8] = floor;
-}
 
 /*
  * A step's reward: a step that leaves the box earns -1 (the exit penalty,
@@ -450,17 +426,18 @@ static inline double step_reward(int outside, int fresh_deploy, double alert_pen
  * out = (steps, outcome, deploy_step, deploy_greedy) and, when learning,
  * dout = (discounted return, largest squared feature norm, largest absolute
  * TD error). When learning, `rec`, if not NULL, gets each observed state's
- * phi[0..7] while it has room (`replay` reads them back). `forks`, if not
- * NULL, gets the checkpoints (see forks_t). With `fork`, the
- * loop stops instead at its first deploy decision, before that step: it
- * writes the state there to `*state` and out = (step, 0, step, 1).
+ * phi[0..7] while it has room (`replay` reads them back). `checkpoints`, if
+ * not NULL, gets the checkpoints of an episode from step 0 (see the top of this
+ * file). With `fork`, the loop stops instead at its first deploy decision,
+ * before that step: it writes the state there to `*state` and
+ * out = (step, 0, step, 1).
  */
 static inline __attribute__((always_inline)) void
 episode(const double *p, const path_t *path, int policy_mode, int max_steps, double delta,
         const double *wind, const double *theta, const int learn, double *theta_out,
         double discount, double learning_rate, double epsilon, bitgen_t *bitgen,
-        record_t *rec, forks_t *forks, state_t *state, const int fork, double *traj, int *out,
-        double *dout)
+        record_t *rec, record_t *checkpoints, state_t *state, const int fork, double *traj,
+        int *out, double *dout)
 {
     const double *env_min = p + P_ENV_MIN, *env_max = p + P_ENV_MAX;
     const double exn0 = env_min[0], exn1 = env_min[1], exn2 = env_min[2];
@@ -495,8 +472,7 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
     /* Zeroed only so that a compiler need not prove that the weights decision,
      * which reads phi, runs only on a pass that computed it. */
     double phi[N_FEATURES] = {0.0}, phi_prev[N_FEATURES];
-    double fork_floor = INFINITY; /* for `forks`: the smallest distance so far */
-    int fork_last = -FORK_GAP;   /* and the latest checkpoint's step */
+    double min_dist = INFINITY; /* for `checkpoints`: the smallest distance so far */
 
     /* Each pass first observes the current state (wind, features) and applies
      * the TD update of the step that led to it, then stops if that step ended
@@ -535,15 +511,12 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
                 norm2_max = norm2;
             memcpy(phi_prev, phi, sizeof phi);
         }
-        if (forks) {
-            const double d = boundary_distance(env_min, env_max, px, py, pz);
-            if (d < fork_floor) {
-                if (step_idx - fork_last >= FORK_GAP) {
-                    forks_push(forks, t, px, py, pz, vx, vy, vz, step_idx, fork_floor);
-                    fork_last = step_idx;
-                }
-                fork_floor = d;
+        if (checkpoints) {
+            if (step_idx % FORK_GAP == 0) {
+                const double c[N_RECORDED] = {t, px, py, pz, vx, vy, vz, min_dist};
+                record_push(checkpoints, c);
             }
+            min_dist = min2(min_dist, boundary_distance(env_min, env_max, px, py, pz));
         }
 
         /* Meta decision (one-way switch). */
@@ -708,8 +681,10 @@ episode(const double *p, const path_t *path, int policy_mode, int max_steps, dou
         row[8] = 0.0;
     }
 
-    if (forks)
-        forks_push(forks, t, px, py, pz, vx, vy, vz, step_idx, fork_floor);
+    if (checkpoints) {
+        const double c[N_RECORDED] = {t, px, py, pz, vx, vy, vz, min_dist};
+        record_push(checkpoints, c);
+    }
     if (learn) {
         memcpy(theta_out, th, sizeof th);
         dout[0] = ret;
@@ -746,8 +721,9 @@ int rtsa_rollout(const double *p, int n_waypoints, int policy_mode, int max_step
 
 /*
  * One rtsa_batch call, shared by its workers; `next` is the next unclaimed
- * row. `fork_states`, `fork_capacity` and `fork_rows` are the fork record
- * (see rtsa_batch), NULL without one, and `fork_slot` is fork_slot(max_steps).
+ * row. `fork_states`, `fork_capacity` and `fork_nominal` are the fork record
+ * (see rtsa_batch), NULL, 0 and NULL without one, and `fork_slot` is
+ * fork_slot(max_steps).
  */
 typedef struct {
     const double *p;
@@ -757,7 +733,8 @@ typedef struct {
     int n_deltas;
     int *out;
     double *fork_states;
-    int64_t fork_capacity, fork_slot, *fork_rows;
+    int64_t fork_capacity, fork_slot;
+    const int *fork_nominal;
     atomic_int next;
 } batch_job;
 
@@ -773,26 +750,20 @@ plain_row(const batch_job *job, int row, int policy_mode)
             job->out + 4 * (size_t)row, NULL);
 }
 
-/* Episode `row` of a nominal batch, with its fork record row. A row whose slot
- * lies in the record writes its checkpoints there; the others record none. */
+/* Episode `row` of a nominal batch. A row whose slot lies in the fork record
+ * writes its checkpoints there; the others record none. */
 static void nominal_row(const batch_job *job, int row)
 {
-    int *out = job->out + 4 * (size_t)row;
-    int64_t *rec = job->fork_rows + 3 * (size_t)row;
-    if ((row + 1) * job->fork_slot <= job->fork_capacity) {
-        forks_t forks = {job->fork_states + N_FORK * (size_t)(row * job->fork_slot), 0,
-                         job->fork_slot};
-        state_t start = start_state(job->path);
-        episode(job->p, job->path, POLICY_NOMINAL, job->max_steps, 0.0,
-                job->wind + 8 * (size_t)row, job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, NULL,
-                &forks, &start, 0, NULL, out, NULL);
-        rec[0] = forks.used;
-    } else {
+    if ((row + 1) * job->fork_slot > job->fork_capacity) {
         plain_row(job, row, POLICY_NOMINAL);
-        rec[0] = -1;
+        return;
     }
-    rec[1] = out[0];
-    rec[2] = out[1];
+    record_t checkpoints = {job->fork_states + N_RECORDED * (size_t)(row * job->fork_slot), 0,
+                            job->fork_slot};
+    state_t start = start_state(job->path);
+    episode(job->p, job->path, POLICY_NOMINAL, job->max_steps, 0.0, job->wind + 8 * (size_t)row,
+            job->theta, 0, NULL, 1.0, 0.0, 0.0, NULL, NULL, &checkpoints, &start, 0, NULL,
+            job->out + 4 * (size_t)row, NULL);
 }
 
 /*
@@ -804,28 +775,28 @@ static void nominal_row(const batch_job *job, int row)
 static void sweep_row(const batch_job *job, int row)
 {
     const double *wind = job->wind + 8 * (size_t)row;
-    const int64_t *rec = job->fork_rows ? job->fork_rows + 3 * (size_t)row : NULL;
-    if (rec && rec[0] < 0)
-        rec = NULL; /* the row was not recorded */
-    const double *checkpoint =
-        rec ? job->fork_states + N_FORK * (size_t)(row * job->fork_slot) : NULL;
-    const double *end = rec ? checkpoint + N_FORK * (size_t)(rec[0] - 1) : NULL;
+    const int *nominal = NULL; /* the row's nominal summary, if recorded */
+    const double *first = NULL, *checkpoint = NULL, *end = NULL; /* and its checkpoints */
+    if ((row + 1) * job->fork_slot <= job->fork_capacity) {
+        nominal = job->fork_nominal + 4 * (size_t)row;
+        first = checkpoint = job->fork_states + N_RECORDED * (size_t)(row * job->fork_slot);
+        end = first + N_RECORDED * (size_t)((nominal[0] - 1) / FORK_GAP + 1);
+    }
     state_t trunk = start_state(job->path);
     int stop[4], k = job->n_deltas - 1;
     for (; k >= 0; k--) {
         const double delta = job->deltas[k];
-        if (rec) {
-            while (checkpoint < end && checkpoint[N_FORK + 8] > delta)
-                checkpoint += N_FORK;
+        if (nominal) {
+            while (checkpoint < end && checkpoint[N_RECORDED + 7] > delta)
+                checkpoint += N_RECORDED;
             if (checkpoint == end) { /* never deploys: nor does any narrower threshold */
-                stop[0] = (int)rec[1];
-                stop[1] = (int)rec[2];
-                stop[2] = stop[3] = -1;
+                memcpy(stop, nominal, sizeof stop);
                 break;
             }
             const double *c = checkpoint;
-            if (c[7] > trunk.step)
-                trunk = (state_t){c[0], c[1], c[2], c[3], c[4], c[5], c[6], (int)c[7]};
+            const int step = (int)(c - first) / N_RECORDED * FORK_GAP;
+            if (step > trunk.step)
+                trunk = (state_t){c[0], c[1], c[2], c[3], c[4], c[5], c[6], step};
         }
         episode(job->p, job->path, POLICY_BASELINE, job->max_steps, delta, wind, job->theta, 0,
                 NULL, 1.0, 0.0, 0.0, NULL, NULL, NULL, &trunk, 1, NULL, stop, NULL);
@@ -847,10 +818,8 @@ static void *batch_worker(void *arg)
             sweep_row(job, i);
         } else if (job->policy_mode != POLICY_NOMINAL) {
             plain_row(job, i, POLICY_WEIGHTS);
-        } else if (job->fork_rows) {
-            nominal_row(job, i);
         } else {
-            plain_row(job, i, POLICY_NOMINAL);
+            nominal_row(job, i);
         }
     }
     return NULL;
@@ -968,16 +937,15 @@ static void run_workers(batch_job *job, int n_workers)
  * threshold k, on one shared trunk per row (see the top of this file); the
  * other policies have no threshold, and n_deltas must be 1.
  *
- * `fork_rows` (n x 3), if not NULL, is the fork record: `fork_states` holds
- * room for `fork_capacity` checkpoints of N_FORK values (see forks_t), and
- * row i of `fork_rows` is (checkpoint count or -1 if not recorded, steps,
- * outcome) of wind row i's nominal episode, whose checkpoints start at
- * checkpoint i * fork_slot(max_steps) of `fork_states`. A nominal batch
- * writes it: the rows i < fork_capacity / fork_slot(max_steps) are recorded,
- * each into its own slot, so the record does not depend on the worker count.
- * A baseline batch reads the record, and must be given one only from a
- * nominal batch on the same scenario, max_steps and wind. A weights batch
- * ignores it.
+ * `fork_states`, room for `fork_capacity` checkpoints, is the fork record in
+ * the layout at the top of this file, row i's slot from checkpoint
+ * i * fork_slot(max_steps) on. A nominal batch writes the checkpoints of the
+ * rows whose slot lies in it, each into its own slot, so the record does not
+ * depend on the worker count. A baseline batch reads them, and the steps and
+ * outcome of those rows from `fork_nominal`, the n x 4 summaries of that
+ * nominal batch; it must be given a record only from a nominal batch on the
+ * same scenario, max_steps and wind. Without a record, they are NULL, 0 and
+ * NULL. A weights batch ignores them.
  *
  * The rows are shared out among `n_workers` threads (run_workers). Each row
  * writes only its own rows of `out`, so `out` does not depend on the worker
@@ -986,14 +954,14 @@ static void run_workers(batch_job *job, int n_workers)
 int rtsa_batch(const double *p, int n_waypoints, int policy_mode, int max_steps,
                const double *wind, int n, const double *deltas, int n_deltas,
                const double *theta, int *out, int n_workers, double *fork_states,
-               int64_t fork_capacity, int64_t *fork_rows)
+               int64_t fork_capacity, const int *fork_nominal)
 {
     path_t path;
     const int status = path_init(&path, p + P_WAYPOINTS, n_waypoints);
     if (status)
         return status;
     batch_job job = {p, &path, policy_mode, max_steps, n, wind, deltas, theta, n_deltas, out,
-                     fork_states, fork_capacity, fork_slot(max_steps), fork_rows, 0};
+                     fork_states, fork_capacity, fork_slot(max_steps), fork_nominal, 0};
     run_workers(&job, n_workers);
     path_free(&path);
     return 0;
@@ -1156,8 +1124,8 @@ int64_t rtsa_train(const double *p, int n_waypoints, int policy_mode, int max_st
         room = record_cap;
     record_t rec = {NULL, 0, 0};
     if (recording && room > 0)
-        rec.phi = malloc(sizeof(double) * N_RECORDED * (size_t)room);
-    if (rec.phi == NULL)
+        rec.rows = malloc(sizeof(double) * N_RECORDED * (size_t)room);
+    if (rec.rows == NULL)
         recording = 0;
     else
         rec.capacity = room;
@@ -1172,7 +1140,7 @@ int64_t rtsa_train(const double *p, int n_waypoints, int policy_mode, int max_st
             if (i == 0)
                 offset = 0;
             memcpy(row, first, sizeof(double) * ROW_ERROR_MAX); /* the weight-free columns */
-            row[ROW_ERROR_MAX] = replay(theta, rec.phi + N_RECORDED * (size_t)offset, steps,
+            row[ROW_ERROR_MAX] = replay(theta, rec.rows + N_RECORDED * (size_t)offset, steps,
                                         (int)first[ROW_OUTCOME], (int)first[ROW_DEPLOY_STEP],
                                         p[P_ALERT_PENALTY], discount, learning_rate);
             offset += steps + 1;
@@ -1206,7 +1174,7 @@ int64_t rtsa_train(const double *p, int n_waypoints, int policy_mode, int max_st
         row[ROW_THETA_NORM] = euclidean_norm(theta, 2 * N_FEATURES);
         ep++;
     }
-    free(rec.phi);
+    free(rec.rows);
     path_free(&path);
     return ep;
 }

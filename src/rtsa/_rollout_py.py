@@ -24,13 +24,12 @@ It reads the packed array by the ``P_*`` offsets, as ``episode`` in
   wind row, flies their shared nominal prefix once (``_sweep``): one trunk
   that stops where the widest threshold not yet deployed deploys, forks
   that threshold's parachute tail from its exact state, and goes on under
-  the next narrower threshold. That trunk is the nominal flight, and a
-  threshold deploys at a state where the running minimum of the boundary
-  distance falls (a fork state). So a nominal batch records checkpoints of
-  each row's fork states, and a baseline batch on the same scenario and wind
-  flies each threshold's trunk only from the last checkpoint before its
-  fork, fewer than ``FORK_GAP`` steps, and then its tail. ``fork_record``
-  keeps that record, one for both backends.
+  the next narrower threshold. That trunk is the nominal flight, so a
+  nominal batch records checkpoints of each row's flight, and a baseline
+  batch on the same scenario and wind resumes each threshold's trunk from
+  them, fewer than ``FORK_GAP`` steps before it deploys, and then flies its
+  tail. ``fork_record`` keeps that record, one for both backends, and
+  states its layout.
 - ``exit_counter`` checks a nominal batch's arguments once and returns a
   counter of its exits: each count rescales the wind rows to a given wind
   strength and flies one nominal episode per row, with no fork record. It
@@ -104,25 +103,23 @@ P_WAYPOINTS = 25  # n_waypoints x 3, row-major
 
 ZERO_SEGMENT = "waypoints hold a zero-length segment"
 
-#: Most states whose features one ``train`` call records for replay (64 MB at
-#: 8 float64 values per state); rows beyond it are flown on every pass. And
-#: most checkpoints one nominal ``batch`` records (72 MB): row i records only
-#: if its slot, checkpoints ``i * fork_slot(max_steps)`` onward, lies within
-#: it; a sweep flies the other rows' whole trunks.
+#: Most rows of ``N_RECORDED`` float64 values (64 MB) that one call records:
+#: the states whose features one ``train`` call records for replay, rows
+#: beyond it flown on every pass; and the checkpoints of one nominal ``batch``
+#: (``fork_record``), rows beyond it not recorded.
 RECORD_CAP = 2**20
-_N_RECORDED = 8  # phi[0..7] per state; phi[8] follows from the deploy step
-#: A checkpoint's values: t, px, py, pz, vx, vy, vz, step and the smallest
-#: boundary distance of the decision states before it.
-N_FORK = 9
-#: Fewest steps between two checkpoints of a row, as in ``_rollout.c``.
+#: A recorded row's values: a state's phi[0..7] (phi[8] follows from the deploy
+#: step), or a checkpoint's t, px, py, pz, vx, vy, vz and smallest boundary
+#: distance before it.
+N_RECORDED = 8
+#: Steps between two checkpoints of a row, as in ``_rollout.c``.
 FORK_GAP = 8
 
 
 def fork_slot(max_steps):
-    """Checkpoints in each row's slot of a nominal batch's record: the most one episode
-    of ``max_steps`` records, as decision states lie at steps 0..max_steps - 1 and the
-    final state is one more. Row i's slot starts at checkpoint ``i * fork_slot``, and
-    the rows ``i < RECORD_CAP // fork_slot`` are recorded."""
+    """Checkpoints in each row's slot of the fork record (``fork_record``): the most
+    one episode of ``max_steps`` records, as decision states lie at steps
+    0..max_steps - 1 and the final state is one more."""
     return max_steps // FORK_GAP + 2
 
 #: ``train``'s row of each episode, the ROW_* enum of ``_rollout.c``:
@@ -256,30 +253,39 @@ def train_arrays(theta, wind, epsilons, seed):
     return theta, table, epsilons, int(seed)
 
 
-#: The last nominal batch's fork record, ``(key, states, rows)``, under "last".
+#: The last nominal batch's fork record, ``(key, states, capacity, summaries)``,
+#: under "last".
 _FORKS = {}
 
 
 class fork_record:  # noqa: N801  (a context manager, named as contextlib's are)
     """Take a ``batch``'s fork record, on either backend: ``with`` gives (states,
-    capacity, rows).
+    capacity, summaries).
 
-    The layout is ``rtsa_batch``'s: ``states`` holds checkpoints of ``N_FORK``
-    float64 values, row i's from checkpoint ``i * fork_slot(max_steps)`` on,
-    and ``rows`` (n, 3) int64 (checkpoint count or -1, steps, outcome). A
-    nominal batch gets room for ``capacity`` checkpoints, in the last record's
-    buffer if large enough, to store once it is done. A baseline batch gets the
-    last record if its key, what the episodes depend on but the policy (the
-    exact bytes of ``params`` and ``table``, ``n_waypoints``, ``max_steps``),
-    is the batch's; any other batch gets (None, 0, None). Batches may
-    interleave in threads (ctypes releases the GIL), so each takes the record
-    with one ``pop`` and owns it while it uses it; a baseline batch puts it
-    back with ``setdefault``, unless a newer one was stored meanwhile. A plain
-    class, not a generator: it is entered on every batch.
+    The layout, ``rtsa_batch``'s (top of ``_rollout.c``): ``states`` holds rows
+    of ``N_RECORDED`` float64 values. Checkpoint j of row i, at
+    ``i * fork_slot(max_steps) + j``, is the row's decision state at step
+    ``j * FORK_GAP``: t, px, py, pz, vx, vy, vz and the smallest boundary
+    distance of the decision states before it. The final state, with the
+    smallest distance of all, follows the last of them. Row i is recorded iff
+    ``(i + 1) * fork_slot(max_steps) <= capacity``. ``summaries`` is a copy of
+    the nominal batch's (n, 4) result ``out``, each row's steps and outcome.
+
+    A nominal batch gets room for ``capacity`` checkpoints, in the last
+    record's buffer if large enough, and no summaries; once it is done, the
+    record is stored with a copy of ``out``.
+    A baseline batch gets the last record if its key, what the episodes
+    depend on but the policy (the exact bytes of ``params`` and ``table``,
+    ``n_waypoints``, ``max_steps``), is the batch's; any other batch gets
+    (None, 0, None). Batches may interleave in threads (ctypes releases the
+    GIL), so each takes the record with one ``pop`` and owns it while it uses
+    it; a baseline batch puts it back with ``setdefault``, unless a newer one
+    was stored meanwhile. A plain class, not a generator: it is entered on
+    every batch.
     """
 
-    def __init__(self, policy_mode, params, n_waypoints, max_steps, table):
-        self.nominal, self.record = policy_mode == POLICY_NOMINAL, None
+    def __init__(self, policy_mode, params, n_waypoints, max_steps, table, out):
+        self.nominal, self.record, self.out = policy_mode == POLICY_NOMINAL, None, out
         self.taken = None, 0, None
         if policy_mode == POLICY_WEIGHTS:
             return
@@ -292,18 +298,19 @@ class fork_record:  # noqa: N801  (a context manager, named as contextlib's are)
             if states is None or len(states) < capacity:
                 # An anonymous private mapping: only the pages written take memory,
                 # where numpy would ask for huge pages for an array of 4 MiB or more.
-                buffer = mmap.mmap(-1, 8 * N_FORK * max(capacity, 1), flags=mmap.MAP_PRIVATE)
-                states = np.frombuffer(buffer).reshape(-1, N_FORK)
-            self.taken = states, capacity, np.empty((len(table), 3), dtype=np.int64)
+                buffer = mmap.mmap(-1, 8 * N_RECORDED * max(capacity, 1),
+                                   flags=mmap.MAP_PRIVATE)
+                states = np.frombuffer(buffer).reshape(-1, N_RECORDED)
+            self.taken = states, capacity, None
         elif record is not None and record[0] == self.key:
-            self.taken = record[1], 0, record[2]
+            self.taken = record[1:]
 
     def __enter__(self):
         return self.taken
 
     def __exit__(self, error, *_):
         if self.nominal and error is None:
-            _FORKS["last"] = self.key, self.taken[0], self.taken[2]
+            _FORKS["last"] = self.key, *self.taken[:2], self.out.copy()
         elif not self.nominal and self.record is not None:
             _FORKS.setdefault("last", self.record)
 
@@ -354,22 +361,24 @@ def batch(*, wind, policy_mode, delta, theta, **scenario):
     n, slot = table.shape[0], fork_slot(steps)
     out = np.empty(deltas.shape + (n, 4), dtype=np.intc)
     blocks, values = out.reshape(-1, n, 4), deltas.reshape(-1).tolist()  # one block per threshold
-    with fork_record(policy_mode, params, n_waypoints, steps, table) as (states, capacity, rows):
-        if policy_mode == POLICY_BASELINE:
-            for i, wind_params in enumerate(table.tolist()):
-                count, *nominal = (-1,) if rows is None else rows[i].tolist()
-                forks = None if count < 0 else states[i * slot:i * slot + count].ravel().tolist()
-                blocks[:, i] = _sweep(p, n_waypoints, steps, values, wind_params, columns, forks,
-                                      (*nominal, -1, -1))
-            return out
+    with fork_record(policy_mode, params, n_waypoints, steps, table, out) as (
+            states, capacity, summaries):
         for i, wind_params in enumerate(table.tolist()):
-            forks = [] if (i + 1) * slot <= capacity else None
-            blocks[0, i] = row = _summary(_episode(p, n_waypoints, policy_mode, steps, 0.0,
-                                                   wind_params, columns, forks=forks))
-            if forks is not None:
-                states.flat[i * slot * N_FORK:i * slot * N_FORK + len(forks)] = forks
-            if rows is not None:
-                rows[i] = -1 if forks is None else len(forks) // N_FORK, row[0], row[1]
+            recorded = (i + 1) * slot <= capacity
+            if policy_mode == POLICY_BASELINE:
+                nominal = checkpoints = None
+                if recorded:
+                    nominal = summaries[i].tolist()
+                    last = i * slot + (nominal[0] - 1) // FORK_GAP + 1  # the final state
+                    checkpoints = states[i * slot:last + 1].tolist()
+                blocks[:, i] = _sweep(p, n_waypoints, steps, values, wind_params, columns,
+                                      checkpoints, nominal)
+            else:
+                checkpoints = [] if recorded else None
+                blocks[0, i] = _summary(_episode(p, n_waypoints, policy_mode, steps, 0.0,
+                                                 wind_params, columns, checkpoints=checkpoints))
+                if recorded:
+                    states[i * slot:i * slot + len(checkpoints)] = checkpoints
     return out
 
 
@@ -418,33 +427,34 @@ def _summary(result):
     return steps, outcome, deploy_step, -1 if deploy_greedy is None else deploy_greedy
 
 
-def _sweep(p, n_waypoints, max_steps, deltas, wind, theta, states=None, nominal=None):
+def _sweep(p, n_waypoints, max_steps, deltas, wind, theta, checkpoints=None, nominal=None):
     """One wind row's baseline summaries at each of the ascending ``deltas``, in order.
 
     One trunk flies the nominal prefix they share, under the widest
     threshold not yet deployed, and stops where that one deploys. Its tail
     is flown from the trunk's state there, and the trunk goes on under the
     next narrower threshold. Those left when the trunk ends get the trunk's
-    summary. ``states``, if given, is the row's checkpoints from a nominal
-    batch on the same inputs, as a flat float list, and ``nominal`` that
-    batch's summary of the row: then each threshold's trunk starts at the
-    last checkpoint whose smallest earlier distance exceeds the threshold, if
-    that lies ahead of it, and if that is the row's end, the threshold and
-    the narrower ones get the nominal summary.
+    summary. ``checkpoints``, if given, is the row's checkpoints from a
+    nominal batch on the same inputs, as lists of ``N_RECORDED`` floats (see
+    ``fork_record``), and ``nominal`` that batch's summary of the row: then
+    each threshold's trunk starts at the last checkpoint whose smallest
+    earlier distance exceeds the threshold, if that lies ahead of it, and if
+    that is the row's final state, the threshold and the narrower ones get
+    the nominal summary.
     """
     rows = [None] * len(deltas)
     trunk = _start(p)
     c = 0  # the checkpoint reached
     for k in reversed(range(len(deltas))):
-        if states is not None:
-            end = len(states) - N_FORK
-            while c < end and states[c + N_FORK + 8] > deltas[k]:
-                c += N_FORK
+        if checkpoints is not None:
+            end = len(checkpoints) - 1
+            while c < end and checkpoints[c + 1][7] > deltas[k]:
+                c += 1
             if c == end:  # never deploys: nor does any narrower threshold
                 rows[:k + 1] = [nominal] * (k + 1)
                 break
-            if states[c + 7] > trunk[7]:
-                trunk = states[c:c + 7] + [int(states[c + 7])]
+            if c * FORK_GAP > trunk[7]:
+                trunk = checkpoints[c][:7] + [c * FORK_GAP]
         stop = _summary(_episode(p, n_waypoints, POLICY_BASELINE, max_steps, deltas[k], wind,
                                  theta, state=trunk, fork=True))
         if stop[1]:  # ended before deploying: so it does at every narrower threshold
@@ -491,19 +501,20 @@ def train(theta, discount, learning_rate, epsilons, seed, *, wind, policy_mode, 
     threshold = one_threshold(policy_mode, delta)
     p, winds, columns = params.tolist(), table.tolist(), theta.tolist()
     rows = np.empty((epsilons.size, len(TRAIN_COLUMNS)))
-    # Rows firsts[0..] are recorded, one after another, in ``record``; ``offset``
-    # is where the next one to replay starts.
-    record, firsts, offset = array("d"), [], 0
+    # Rows 0..n_recorded - 1 are recorded, one after another, in ``record``;
+    # ``offset`` is where the next one to replay starts.
+    record, n_recorded, offset = array("d"), 0, 0
     recording = policy_mode != POLICY_WEIGHTS and epsilons.size > len(winds)
     for ep, epsilon in enumerate(epsilons.tolist()):
         i = ep % len(winds)
-        if ep >= len(winds) and i < len(firsts):
+        if ep >= len(winds) and i < n_recorded:
             if i == 0:
                 offset = 0
-            ret, outcome, deploy_step, deploy_greedy, steps, norm2_max = firsts[i]
-            error_max = _replay(columns, record, offset, steps, outcome, deploy_step,
+            first = rows[i, :6].tolist()  # the weight-free columns
+            steps = int(first[4])
+            error_max = _replay(columns, record, offset, steps, int(first[1]), int(first[2]),
                                 p[P_ALERT_PENALTY], discount, learning_rate)
-            offset += _N_RECORDED * (steps + 1)
+            offset += N_RECORDED * (steps + 1)
         else:
             rng = np.random.default_rng([seed, ep]) if epsilon > 0.0 else None  # else never drawn
             start, records = len(record), recording and ep < len(winds)
@@ -511,15 +522,15 @@ def train(theta, discount, learning_rate, epsilons, seed, *, wind, policy_mode, 
                 p, n_waypoints, policy_mode, max_steps, threshold, winds[i], columns,
                 discount=discount, learning_rate=learning_rate, epsilon=epsilon, rng=rng,
                 record=record if records else None)
-            deploy_greedy = -1 if deploy_greedy is None else deploy_greedy
+            first = [ret, outcome, deploy_step, -1 if deploy_greedy is None else deploy_greedy,
+                     steps, norm2_max]
             if records:
-                if len(record) - start == _N_RECORDED * (steps + 1):
-                    firsts.append((ret, outcome, deploy_step, deploy_greedy, steps, norm2_max))
+                if len(record) - start == N_RECORDED * (steps + 1):
+                    n_recorded += 1
                 else:  # out of room: this row and the later ones fly every pass
                     recording = False
         weights = columns[0] + columns[1]
-        rows[ep] = (ret, outcome, deploy_step, deploy_greedy, steps, norm2_max, error_max,
-                    weights_norm(weights))
+        rows[ep] = (*first, error_max, weights_norm(weights))
         if not all(map(math.isfinite, weights)):
             rows = rows[:ep + 1]
             break
@@ -590,12 +601,12 @@ def _replay(columns, record, offset, steps, outcome, deploy_step, alert_penalty,
     """
     t0, t1 = columns
     error_max = 0.0
-    values = record[offset:offset + _N_RECORDED * (steps + 1)].tolist()
-    prev = values[:_N_RECORDED]
+    values = record[offset:offset + N_RECORDED * (steps + 1)].tolist()
+    prev = values[:N_RECORDED]
     prev.append(0.0)
     for k in range(1, steps + 1):
         deployed = 0 <= deploy_step < k  # after step k - 1
-        phi = values[_N_RECORDED * k:_N_RECORDED * (k + 1)]
+        phi = values[N_RECORDED * k:N_RECORDED * (k + 1)]
         phi.append(1.0 if deployed else 0.0)
         r = _step_reward(k == steps and outcome == OUTCOME_EXITED, k - 1 == deploy_step,
                          alert_penalty)
@@ -610,7 +621,7 @@ def _replay(columns, record, offset, steps, outcome, deploy_step, alert_penalty,
 
 def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, state=None,
              fork=False, discount=1.0, learning_rate=None, epsilon=0.0, rng=None, traj=None,
-             record=None, forks=None):
+             record=None, checkpoints=None):
     """The episode loop behind ``rollout``, ``batch`` and ``train``.
 
     ``p`` is ``pack``'s array as a float list, ``wind`` the 8 wind values
@@ -624,13 +635,9 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
     undeployed step epsilon-greedy on ``rng``. ``traj``, if given, is a list
     that gets the trajectory rows. When learning, ``record``, if given, is
     an ``array("d")`` that gets each observed state's phi[0..7] while it
-    holds fewer than ``RECORD_CAP`` states. ``forks``, if given, is a
-    list that gets checkpoints of ``N_FORK`` values, [t, px, py,
-    pz, vx, vy, vz, step, smallest ``boundary_distance`` before it]: each
-    decision state whose distance falls below every earlier one's and that
-    lies ``FORK_GAP`` or more steps after the latest checkpoint, then the
-    final state with the episode's smallest distance. Returns (discounted
-    return,
+    holds fewer than ``RECORD_CAP`` states. ``checkpoints``, if given, is a
+    list that gets the checkpoints of an episode from step 0, tuples of
+    ``N_RECORDED`` floats (see ``fork_record``). Returns (discounted return,
     outcome, deploy_step, deploy_greedy, steps, largest squared feature norm
     of a decision state, largest absolute TD error), the last two 0 unless
     learning. With ``fork``, the loop stops
@@ -653,7 +660,7 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
     weights_mode = policy_mode == POLICY_WEIGHTS
     learn = learning_rate is not None
     explore = epsilon > 0.0
-    record_room = _N_RECORDED * RECORD_CAP
+    record_room = N_RECORDED * RECORD_CAP
 
     # The path as scalars: segment starts, deltas, squared and cumulative lengths.
     n_seg = n_waypoints - 1
@@ -680,7 +687,7 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
     disc = 1.0
     norm2_max = 0.0
     error_max = 0.0
-    floor, last = math.inf, -FORK_GAP  # for ``forks``: the smallest distance, latest step
+    min_dist = math.inf  # for ``checkpoints``: the smallest distance so far
     outcome = 0  # still running
 
     # Each pass first observes the current state (wind, features) and applies
@@ -698,7 +705,7 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
                 1.0 if deployed else 0.0,
             ]
             if record is not None and len(record) < record_room:
-                record.extend(phi[:_N_RECORDED])
+                record.extend(phi[:N_RECORDED])
             if learn and step_idx:
                 # The last step's transition. Timeout is truncation, not an
                 # absorbing state: keep the bootstrap.
@@ -718,13 +725,10 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
             if norm2 > norm2_max:
                 norm2_max = norm2
             phi_prev = phi
-        if forks is not None:
-            d = boundary_distance(lo, hi, px, py, pz)
-            if d < floor:
-                if step_idx - last >= FORK_GAP:
-                    forks.extend((t, px, py, pz, vx, vy, vz, step_idx, floor))
-                    last = step_idx
-                floor = d
+        if checkpoints is not None:
+            if step_idx % FORK_GAP == 0:
+                checkpoints.append((t, px, py, pz, vx, vy, vz, min_dist))
+            min_dist = min(min_dist, boundary_distance(lo, hi, px, py, pz))
 
         # Meta decision (one-way switch).
         if deployed:
@@ -857,8 +861,8 @@ def _episode(p, n_waypoints, policy_mode, max_steps, delta, wind, theta, *, stat
 
     if traj is not None:
         traj.append((t, px, py, pz, vx, vy, vz, 1.0 if deployed else 0.0, 0.0))
-    if forks is not None:
-        forks.extend((t, px, py, pz, vx, vy, vz, step_idx, floor))
+    if checkpoints is not None:
+        checkpoints.append((t, px, py, pz, vx, vy, vz, min_dist))
     return ret, outcome, deploy_step, deploy_greedy, step_idx, norm2_max, error_max
 
 

@@ -93,6 +93,8 @@ class PolicySpec:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (N_FEATURES, len(Action)):
             raise ValueError("weight matrix must have one column per action")
+        if not np.isfinite(theta).all():
+            raise ValueError("weight matrix holds non-finite values")
         return PolicySpec(kind="weights", theta=theta)
 
     @property

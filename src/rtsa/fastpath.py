@@ -16,13 +16,12 @@ returns only their (n, 4) summaries. Given k ascending baseline thresholds,
 ``batch`` returns (k, n, 4) summaries from one call that flies each row's
 shared nominal prefix once, as one trunk that forks a parachute tail at each
 threshold's deploy step. That trunk is the nominal flight: a nominal
-``batch`` records checkpoints of each row's fork states, the states where the
-running minimum of the baseline's boundary distance falls, and a baseline
-``batch`` on the same scenario and wind as the last nominal one flies each
-threshold's trunk only from the last checkpoint before its fork, fewer than
-``_rollout_py.FORK_GAP`` steps. Both backends take and store that record
-through ``_rollout_py.fork_record``, one slot in one layout, so a record made
-by either serves a sweep on the other. The C ``batch`` spreads the rows over
+``batch`` records checkpoints of each row's flight, and a baseline ``batch``
+on the same scenario and wind as the last nominal one resumes each
+threshold's trunk from them, fewer than ``_rollout_py.FORK_GAP`` steps
+before it deploys. Both backends take and store that record through
+``_rollout_py.fork_record``, which states its layout, so a record made by
+either serves a sweep on the other. The C ``batch`` spreads the rows over
 as many threads as the process may use CPUs, at most one per row and at most
 8 (``MAX_WORKERS`` in ``_rollout.c``), with the same result and the same
 record on any count. ``exit_counter`` checks a nominal batch's arguments
@@ -90,7 +89,6 @@ _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _LDLIBS = (str(_NPYRANDOM), "-lm", "-pthread")
 _Out = ctypes.c_int * 4  # (steps, outcome, deploy_step, deploy_greedy)
 _DOUBLES = ctypes.POINTER(ctypes.c_double)
-_INT64S = ctypes.POINTER(ctypes.c_int64)
 _UINT64S = ctypes.POINTER(ctypes.c_uint64)
 
 
@@ -161,7 +159,7 @@ def _load_kernel():
     lib.rtsa_rollout.restype = c_int
     lib.rtsa_batch.argtypes = (_DOUBLES, c_int, c_int, c_int, _DOUBLES, c_int, _DOUBLES, c_int,
                                _DOUBLES, ctypes.POINTER(c_int), c_int, _DOUBLES, ctypes.c_int64,
-                               _INT64S)
+                               ctypes.POINTER(c_int))
     lib.rtsa_batch.restype = c_int
     lib.rtsa_train.argtypes = (_DOUBLES, c_int, c_int, c_int, c_double, _DOUBLES,
                                ctypes.c_int64, _DOUBLES, c_double, c_double, _DOUBLES,
@@ -217,12 +215,13 @@ def batch_compiled(*, wind, policy_mode, delta, theta, **scenario):
     table, columns = checked_rows("wind", wind, 8, at_least=1), weight_columns(theta)
     n_rows = table.shape[0]
     out = np.empty(deltas.shape + (n_rows, 4), dtype=np.intc)
-    with _rollout_py.fork_record(policy_mode, params, n_waypoints, steps, table) as (
-            states, capacity, rows):
+    with _rollout_py.fork_record(policy_mode, params, n_waypoints, steps, table, out) as (
+            states, capacity, summaries):
         _raise_for(_lib.rtsa_batch(
             _pointer(params), n_waypoints, int(policy_mode), steps, _pointer(table), n_rows,
             _pointer(deltas), deltas.size, _pointer(columns), _pointer(out, ctypes.c_int),
-            batch_workers(n_rows), _pointer(states), capacity, _pointer(rows, ctypes.c_int64)))
+            batch_workers(n_rows), _pointer(states), capacity,
+            _pointer(summaries, ctypes.c_int)))
     return out
 
 

@@ -35,9 +35,13 @@ class TestPolicySpec:
         with pytest.raises(ValueError, match="positive and finite"):
             PolicySpec.baseline(delta)
 
-    def test_weights_rejects_bad_shape(self):
+    @pytest.mark.parametrize("value", [None, float("nan"), float("inf"), -float("inf")],
+                             ids=["shape", "nan", "+inf", "-inf"])
+    def test_weights_rejects_bad_shape(self, value):
+        # A non-finite weight used to give a switch that never deploys.
+        theta = np.zeros((4, 2)) if value is None else np.full((N_FEATURES, 2), value)
         with pytest.raises(ValueError):
-            PolicySpec.weights(np.zeros((4, 2)))
+            PolicySpec.weights(theta)
 
 
 class TestRunEpisode:

@@ -706,9 +706,10 @@ def forget(monkeypatch):
 
 
 def last_record():
-    """The last nominal batch's fork record on either backend: (states, rows)."""
-    _, states, rows = _rollout_py._FORKS["last"]
-    return states, rows
+    """The last nominal batch's fork record on either backend: (states, capacity,
+    summaries)."""
+    _, *record = _rollout_py._FORKS["last"]
+    return record
 
 
 _TAKE = _rollout_py.fork_record
@@ -840,7 +841,7 @@ class TestForkMemo:
         forget(monkeypatch)
         expected = batch(**kwargs)
         batch(**nominal(kwargs))
-        row = int(last_record()[1][0, 0])  # the first row's checkpoints
+        row = (int(last_record()[2][0, 0]) - 1) // _rollout_py.FORK_GAP + 2  # row 0's checkpoints
         slot = _rollout_py.fork_slot(calibrated_scenario.sim.max_steps)
         assert 2 < row < slot
         for cap in (0, 1, row - 1, row, row + 1, slot - 1, slot, slot + 1, 5 * slot,
@@ -976,15 +977,17 @@ def test_the_c_fork_record_equals_the_twins_byte_for_byte(calibrated_scenario, m
         monkeypatch.setattr(_rollout_py, "RECORD_CAP", cap)
         forget(monkeypatch)
         _rollout_py.batch(**kwargs)
-        states, rows = last_record()
-        assert [i for i in range(n) if rows[i, 0] >= 0] == list(range(min(cap // slot, n))), cap
+        states, capacity, summaries = last_record()
+        assert capacity == min(cap // slot, n) * slot, cap
+        assert states[capacity:].size <= _rollout_py.N_RECORDED and not states[capacity:].any()
         for workers in (1, 2, 3, n + 5):
             monkeypatch.setattr(fastpath, "batch_workers", lambda n, w=workers: w)
             forget(monkeypatch)
             batch_compiled(**kwargs)
-            c_states, c_rows = last_record()
-            assert c_rows.dtype == rows.dtype and c_rows.tobytes() == rows.tobytes(), \
-                (cap, workers)
+            c_states, c_capacity, c_summaries = last_record()
+            assert c_capacity == capacity, (cap, workers)
+            assert c_summaries.dtype == summaries.dtype, (cap, workers)
+            assert c_summaries.tobytes() == summaries.tobytes(), (cap, workers)
             assert c_states.shape == states.shape and c_states.tobytes() == states.tobytes(), \
                 (cap, workers)
 
@@ -1017,8 +1020,59 @@ def test_a_sweep_reads_the_record_it_is_handed(calibrated_scenario, monkeypatch,
     kwargs = sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["never_fires"], range(6))
     forget(monkeypatch)
     batch(**nominal(kwargs))
-    last_record()[1][:, 1] = 7777  # each row's nominal steps
-    assert batch(**kwargs)[0, :, 0].tolist() == [7777] * 6
+    last_record()[2][:, 1] = 7777  # each row's nominal outcome
+    assert batch(**kwargs)[0, :, 1].tolist() == [7777] * 6
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_the_record_keeps_its_own_copy_of_the_summaries(calibrated_scenario, monkeypatch,
+                                                        backend):
+    # A caller may write into the summaries a nominal batch returned; the
+    # record reads each row's steps and outcome from a copy of its own.
+    batch = kernels(backend).batch
+    kwargs = sweep_kwargs(calibrated_scenario, SWEEP_GRIDS["soc"], range(12))
+    forget(monkeypatch)
+    cold = batch(**kwargs)
+    summaries = batch(**nominal(kwargs))
+    summaries[:] = -7
+    hits = count_hits(monkeypatch)
+    assert batch(**kwargs).tobytes() == cold.tobytes()
+    assert hits == [True]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("which", ["calibrated", "short", "outside"])
+def test_the_record_holds_every_eighth_state_of_the_flight(
+        calibrated_scenario, short_scenario, monkeypatch, backend, which):
+    # Checked against the trajectory that fastpath.rollout flies on the same
+    # wind, not against the other backend's record: checkpoint j is its row
+    # FORK_GAP * j, bit for bit, with the smallest boundary distance of the
+    # rows before it, and the last checkpoint is its final row, with the
+    # smallest distance of all the rows before that.
+    scenario, n_rows = short_scenario if which == "short" else calibrated_scenario, 8
+    kwargs = nominal(sweep_kwargs(scenario, SWEEP_GRIDS["soc"], range(n_rows)))
+    if which == "outside":
+        kwargs = outside_start(scenario, kwargs)
+    forget(monkeypatch)
+    kernels(backend).batch(**kwargs)
+    states, capacity, summaries = last_record()
+    gap, slot = _rollout_py.FORK_GAP, _rollout_py.fork_slot(scenario.sim.max_steps)
+    assert capacity == n_rows * slot
+    lo, hi = np.asarray(kwargs["env_min"]).tolist(), np.asarray(kwargs["env_max"]).tolist()
+    flight = {key: value for key, value in kwargs.items() if key != "wind"}
+    for i, wind_params in enumerate(kwargs["wind"]):
+        traj, outcome, _ = fastpath.rollout(wind_params=wind_params, **flight)
+        steps = len(traj) - 1
+        assert summaries[i, :2].tolist() == [steps, outcome], i
+        distances = [_rollout_py.boundary_distance(lo, hi, *row[1:4])
+                     for row in traj[:-1].tolist()]
+        last = (steps - 1) // gap + 1
+        expected = [(*traj[gap * j, :7], min(distances[:gap * j], default=np.inf))
+                    for j in range(last)]
+        expected.append((*traj[-1, :7], min(distances)))
+        checkpoints = states[i * slot:(i + 1) * slot]
+        assert checkpoints[:last + 1].tobytes() == np.array(expected).tobytes(), i
+        assert not checkpoints[last + 1:].any(), i
 
 
 @needs_compiled
@@ -1038,20 +1092,19 @@ def test_a_record_of_k_slots_holds_the_rows_below_k(calibrated_scenario, k):
     capacity = (k + 1) * slot - 1  # room for k slots, not k + 1
     deltas = _rollout_py.thresholds(fastpath.POLICY_BASELINE, kwargs["delta"])
     for workers in (1, 3):
-        states = np.zeros((capacity, _rollout_py.N_FORK))
-        rows = np.full((n, 3), -7, dtype=np.int64)
+        states = np.zeros((capacity, _rollout_py.N_RECORDED))
         nominal_out = np.empty((n, 4), dtype=np.intc)
         out = np.empty(expected.shape, dtype=np.intc)
-        for mode, thresholds, summaries in ((fastpath.POLICY_NOMINAL, np.zeros(()), nominal_out),
-                                            (fastpath.POLICY_BASELINE, deltas, out)):
+        for mode, thresholds, summaries, record in (
+                (fastpath.POLICY_NOMINAL, np.zeros(()), nominal_out, None),
+                (fastpath.POLICY_BASELINE, deltas, out, nominal_out)):
             fastpath._raise_for(fastpath._lib.rtsa_batch(
                 p(params), n_waypoints, mode, steps, p(table), n, p(thresholds),
                 thresholds.size, p(theta), p(summaries, ctypes.c_int), workers, p(states),
-                capacity, p(rows, ctypes.c_int64)))
-        assert [i for i in range(n) if rows[i, 0] >= 0] == list(range(k)), workers
-        assert np.all(rows[k:, 0] == -1) and np.all(rows[:k, 0] > 2)
-        assert rows[:, 1:].tolist() == nominal_out[:, :2].tolist()
-        assert not states[k * slot:].any()
+                capacity, p(record, ctypes.c_int)))
+        # A recorded row's checkpoint 0 is its start, with no distance before it.
+        assert np.all(states[:k * slot:slot, 7] == np.inf), workers
+        assert not states[k * slot:].any(), workers
         assert out.tobytes() == expected.tobytes(), workers
 
 
