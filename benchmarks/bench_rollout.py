@@ -37,8 +37,11 @@ kernel, it also makes ``WORKER_CALLS`` back-to-back batch calls on one
 worker thread, then as many on every worker ``fastpath.batch`` uses, prints
 the best and the median microseconds per call of each and their ratios, and
 checks their summaries are byte-equal. The median shows a batch whose
-started threads wait behind the calling one, which a best-of hides. Writes
-no file.
+workers wait behind the calling one, which a best-of hides. Last, it prints
+the fixed cost of a call: the median of ``WORKER_CALLS`` back-to-back calls
+of a ``PER_CALL_ROWS``-episode nominal batch cut to one step, on one worker
+and on every worker ``fastpath.batch`` uses for it, and checks their
+summaries are byte-equal. Writes no file.
 
 Usage: python benchmarks/bench_rollout.py [--episodes N] [--policy SPEC]
 """
@@ -67,6 +70,7 @@ WARM_START_PASSES = LearnConfig().warm_start_passes
 STEPS_COLUMN = _rollout_py.TRAIN_COLUMNS.index("steps")
 SWEEP_DELTAS = (1.0, 2.0, 4.0, 8.0, 16.0)  # the SOC sweep's baseline grid
 WORKER_CALLS = 200  # back-to-back batch calls timed on each worker count
+PER_CALL_ROWS = 10  # episodes per batch of evaluate's SOC sweep
 CALIBRATION_TARGET = 0.25  # the exit rate the paper's testbed calibrates to
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -241,12 +245,14 @@ def bench_calibration(scenario, seeds, repeats):
     return best_call, best_loop, call, loop
 
 
-def bench_workers(scenario, policy, seeds, workers):
+def bench_workers(scenario, policy, seeds, workers, max_steps=None):
     """Best and median seconds of ``WORKER_CALLS`` back-to-back C batch calls over
-    ``seeds`` on ``workers`` threads, and the summaries. Calls ``rtsa_batch``
-    directly, as ``fastpath.batch_compiled`` does with ``fastpath.batch_workers``
-    threads."""
+    ``seeds`` on ``workers`` threads, and the summaries; each episode is cut to
+    ``max_steps`` steps if given. Calls ``rtsa_batch`` directly, as
+    ``fastpath.batch_compiled`` does with ``fastpath.batch_workers`` threads."""
     args = _kernel_args(policy, scenario)
+    if max_steps is not None:
+        args["max_steps"] = max_steps
     mode, delta, theta = args.pop("policy_mode"), args.pop("delta"), args.pop("theta")
     params, n_waypoints, steps = _rollout_py.pack(mode, **args)
     deltas = _rollout_py.thresholds(mode, delta)
@@ -384,6 +390,17 @@ def main():
                   f" 1 worker {t_one * 1e6:9.1f}  {workers} workers {t_all * 1e6:9.1f}"
                   f"  ({t_one / t_all:4.2f}x)")
     print(f"batch summaries byte-equal on 1 and {workers} workers")
+
+    seeds = range(PER_CALL_ROWS)
+    workers = fastpath.batch_workers(PER_CALL_ROWS)
+    _, median_one, one = bench_workers(scenario, PolicySpec.nominal(), seeds, 1, max_steps=1)
+    _, median_all, every = bench_workers(scenario, PolicySpec.nominal(), seeds, workers,
+                                         max_steps=1)
+    assert one.tobytes() == every.tobytes(), "worker counts disagree on one-step batches"
+    print(f"per-call cost: {PER_CALL_ROWS} episodes of 1 step, median of {WORKER_CALLS} calls:"
+          f" 1 worker {median_one * 1e6:7.1f} us  {workers} workers {median_all * 1e6:7.1f} us"
+          f"  ({median_all / median_one:4.2f}x)")
+    print(f"one-step summaries byte-equal on 1 and {workers} workers")
 
 
 if __name__ == "__main__":

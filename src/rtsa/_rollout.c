@@ -10,11 +10,12 @@
  * Five entry points, four of them behind one episode loop (`episode`):
  *   rtsa_rollout     one episode under a fixed policy, with its trajectory;
  *   rtsa_batch       n episodes under a fixed policy, one wind row each,
- *                    with per-episode summaries and no trajectories, spread
- *                    over a few worker threads (run_workers); a baseline
+ *                    with per-episode summaries and no trajectories, shared
+ *                    out between the caller and the threads of one
+ *                    process-wide worker pool (run_workers); a baseline
  *                    batch runs all of its thresholds at once (below);
  *   rtsa_exit_count  how many episodes of a nominal batch leave the
- *                    envelope, on the same workers and with no fork record,
+ *                    envelope, on the same pool and with no fork record,
  *                    in wind rows rescaled from their unit draws to a given
  *                    wind strength: one evaluation of a wind calibration,
  *                    whose bracket and bisection rtsa.evaluation states;
@@ -89,7 +90,7 @@
  */
 
 #ifdef __linux__
-#define _GNU_SOURCE /* sched_getcpu, pthread_attr_setaffinity_np */
+#define _GNU_SOURCE /* sched_getcpu, pthread_setaffinity_np */
 #endif
 #include <math.h>
 #include <pthread.h>
@@ -98,6 +99,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 #define POLICY_NOMINAL 0
 #define POLICY_BASELINE 1
@@ -111,7 +113,8 @@
 #define GRAVITY 9.81
 #define N_FEATURES 9
 
-/* Ceiling on run_workers' threads, whatever worker count it is asked for. */
+/* Ceiling on run_workers' threads, the caller's and the pool's, whatever worker
+ * count it is asked for. */
 #define MAX_WORKERS 8
 
 /* numpy/random/bitgen.h */
@@ -810,9 +813,9 @@ static void sweep_row(const batch_job *job, int row)
         memcpy(job->out + 4 * ((size_t)k * job->n + row), stop, sizeof stop);
 }
 
-static void *batch_worker(void *arg)
+/* Fly the unclaimed rows of `job`, one at a time, until none is left. */
+static void batch_worker(batch_job *job)
 {
-    batch_job *job = arg;
     for (int i; (i = atomic_fetch_add_explicit(&job->next, 1, memory_order_relaxed)) < job->n;) {
         if (job->policy_mode == POLICY_BASELINE) {
             sweep_row(job, i);
@@ -822,81 +825,169 @@ static void *batch_worker(void *arg)
             nominal_row(job, i);
         }
     }
+}
+
+/*
+ * The worker pool behind run_workers: up to MAX_WORKERS - 1 threads, started
+ * on the first call that asks for more than one worker and kept for the life
+ * of the process, which rtsa_batch and rtsa_exit_count share. One caller at a
+ * time uses them (`use`, taken with a trylock); a concurrent caller, such as a
+ * second Python thread, flies its rows alone.
+ *
+ * A call opens `slots`, at most n_workers - 1 joins. A worker joins by taking
+ * one, flies rows beside the caller and then counts itself in `finished`.
+ * When the caller has claimed every row, it closes the joins, learns from the
+ * slots left how many workers joined and waits for those alone. A worker that
+ * comes later finds no slot and never touches the call's job, which lives on
+ * the caller's stack and is read only between a join and its count.
+ *
+ * Between calls a worker waits as OpenMP's spin-then-block policy does
+ * (`await`): it spins for SPIN_NS, then sleeps on a condition variable until a
+ * call wakes it (`notify`). A forked child has none of these threads, so its
+ * copy of the pool is reset (pool_after_fork) and starts its own.
+ */
+typedef struct {
+    atomic_int value, sleepers; /* the count waited on; threads asleep in await */
+    pthread_cond_t changed;
+} event_t;
+
+typedef struct {
+    pthread_mutex_t use, lock; /* held by the one caller; guards the sleeps */
+    event_t slots, finished;
+    batch_job *job; /* the open call's */
+    int started, cpu; /* workers running; the caller's CPU at their placement */
+    pthread_t threads[MAX_WORKERS - 1];
+} pool_t;
+
+#define POOL_INIT                                                                              \
+    {.use = PTHREAD_MUTEX_INITIALIZER, .lock = PTHREAD_MUTEX_INITIALIZER, .cpu = -1,           \
+     .slots.changed = PTHREAD_COND_INITIALIZER, .finished.changed = PTHREAD_COND_INITIALIZER}
+static pool_t pool = POOL_INIT;
+static pthread_once_t pool_fork_handler = PTHREAD_ONCE_INIT;
+
+/*
+ * How long a waiting thread spins before it sleeps. evaluate leaves about
+ * 60-80 us of Python between its batches, and calibrate a few us between its
+ * exit counts, so a worker spinning 150 us is awake for the next call of
+ * either, and joins it with no system call and no cold wake; after a longer
+ * pause it sleeps and stops spending its CPU.
+ */
+#define SPIN_NS 150000
+
+static inline void cpu_relax(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    __asm__ __volatile__("yield");
+#endif
+}
+
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* Wait until e->value no longer holds `seen`: spin for SPIN_NS, then sleep. */
+static void await(event_t *e, int seen)
+{
+    for (const int64_t until = now_ns() + SPIN_NS; now_ns() < until; cpu_relax())
+        if (atomic_load(&e->value) != seen)
+            return;
+    pthread_mutex_lock(&pool.lock);
+    atomic_fetch_add(&e->sleepers, 1);
+    while (atomic_load(&e->value) == seen)
+        pthread_cond_wait(&e->changed, &pool.lock);
+    atomic_fetch_sub(&e->sleepers, 1);
+    pthread_mutex_unlock(&pool.lock);
+}
+
+/* Wake the threads asleep in await(e, ...) after e->value has changed. Both
+ * are sequentially consistent, so either a sleeper is counted here or it sees
+ * the new value before it sleeps. */
+static void notify(event_t *e)
+{
+    if (atomic_load(&e->sleepers)) {
+        pthread_mutex_lock(&pool.lock);
+        pthread_cond_broadcast(&e->changed);
+        pthread_mutex_unlock(&pool.lock);
+    }
+}
+
+static void *pool_worker(void *arg)
+{
+    (void)arg;
+    for (;;) {
+        await(&pool.slots, 0);
+        int open = atomic_load(&pool.slots.value);
+        while (open > 0 && !atomic_compare_exchange_weak(&pool.slots.value, &open, open - 1))
+            ;
+        if (open > 0) {
+            batch_worker(pool.job);
+            atomic_fetch_add(&pool.finished.value, 1);
+            notify(&pool.finished);
+        }
+    }
     return NULL;
 }
 
+static void pool_after_fork(void) { pool = (pool_t)POOL_INIT; }
+
+static void pool_register_fork_handler(void) { pthread_atfork(NULL, NULL, pool_after_fork); }
+
 /*
- * Where run_workers' started threads may run. Left to itself, a started thread
- * is often queued on its caller's CPU and begins only after the caller has
- * claimed every row, so the batch runs serially. So, on Linux, `attr` is set
- * to start threads on the caller's own affinity set less the CPU the caller
- * runs on now, and the system places them within it. Returns 1 when it is;
- * returns 0, with `attr` not left initialised, elsewhere, when there is no
- * such CPU or when a call fails. The caller's own affinity never changes.
+ * Keep the workers off the caller's CPU. Left to itself, a worker is often
+ * queued on its caller's CPU and begins only after the caller has claimed
+ * every row, so the batch runs serially. So, on Linux, when workers have just
+ * started (`fresh`) or the caller runs on another CPU than at their last
+ * placement, each worker may run on the caller's own affinity set less the
+ * CPU the caller runs on now, and the system places it within that set. With
+ * no such CPU, or when a call fails, they are left where they are. The
+ * caller's own affinity never changes.
  */
-static int off_caller_attr(pthread_attr_t *attr)
+static void place_workers(int fresh)
 {
 #if defined(__linux__) && defined(__GLIBC__)
-    cpu_set_t mask;
     const int here = sched_getcpu();
+    if (here == pool.cpu && !fresh)
+        return;
+    pool.cpu = here;
+    cpu_set_t mask;
     if (here < 0 || sched_getaffinity(0, sizeof mask, &mask) != 0)
-        return 0;
+        return;
     CPU_CLR(here, &mask);
-    if (CPU_COUNT(&mask) == 0 || pthread_attr_init(attr) != 0)
-        return 0;
-    if (pthread_attr_setaffinity_np(attr, sizeof mask, &mask) == 0)
-        return 1;
-    pthread_attr_destroy(attr);
+    if (CPU_COUNT(&mask) > 0)
+        for (int k = 0; k < pool.started; k++)
+            pthread_setaffinity_np(pool.threads[k], sizeof mask, &mask);
 #else
-    (void)attr;
+    (void)fresh;
 #endif
-    return 0;
-}
-
-/* A thread started by run_workers: it marks that it has begun, then works. */
-typedef struct {
-    batch_job *job;
-    atomic_int begun;
-} started_t;
-
-static void *started_worker(void *arg)
-{
-    started_t *s = arg;
-    atomic_store_explicit(&s->begun, 1, memory_order_relaxed);
-    return batch_worker(s->job);
 }
 
 /*
- * Once the caller has claimed every row, a started thread that has not begun
- * has none left to fly, but the caller still waits for it to run and end.
- * Kept off the caller's CPU, it may wait behind other work on its own CPU for
- * milliseconds, so each such thread is moved to the caller's CPU, which the
- * caller leaves free while it waits. A thread that has begun stays put.
+ * Start workers until `wanted` (at most MAX_WORKERS - 1) run and place them;
+ * returns how many of them run, fewer where a thread cannot be started.
+ * Called with pool.use held.
  */
-static void late_to_caller(const pthread_t *threads, started_t *starts, int started)
+static int pool_ready(int wanted)
 {
-#if defined(__linux__) && defined(__GLIBC__)
-    cpu_set_t here;
-    const int cpu = sched_getcpu();
-    if (cpu < 0)
-        return;
-    CPU_ZERO(&here);
-    CPU_SET(cpu, &here);
-    for (int k = 0; k < started; k++)
-        if (!atomic_load_explicit(&starts[k].begun, memory_order_relaxed))
-            pthread_setaffinity_np(threads[k], sizeof here, &here);
-#else
-    (void)threads, (void)starts, (void)started;
-#endif
+    pthread_once(&pool_fork_handler, pool_register_fork_handler);
+    const int before = pool.started;
+    while (pool.started < wanted
+           && pthread_create(&pool.threads[pool.started], NULL, pool_worker, NULL) == 0)
+        pthread_detach(pool.threads[pool.started++]);
+    place_workers(pool.started > before);
+    return pool.started < wanted ? pool.started : wanted;
 }
 
 /*
  * Fly every row of `job` from row 0, shared out, one at a time, among
  * `n_workers` threads (at least 1, at most MAX_WORKERS and job->n): the
- * calling thread and threads started here and joined before it returns. On
- * Linux each started thread is kept off the caller's CPU (off_caller_attr)
- * until the caller has claimed every row (late_to_caller). A thread that
- * cannot be started leaves its share to the others.
+ * calling thread and the pool's workers that join it, at most n_workers - 1
+ * (see the pool above). A thread that cannot be started, or a pool in use by
+ * another caller, leaves the rows to the threads that fly.
  */
 static void run_workers(batch_job *job, int n_workers)
 {
@@ -905,27 +996,20 @@ static void run_workers(batch_job *job, int n_workers)
     if (n_workers > job->n)
         n_workers = job->n;
     atomic_store_explicit(&job->next, 0, memory_order_relaxed);
-    pthread_t threads[MAX_WORKERS - 1];
-    started_t starts[MAX_WORKERS - 1];
-    int started = 0;
-    pthread_attr_t off_caller;
-    const pthread_attr_t *attr = n_workers > 1 && off_caller_attr(&off_caller) ? &off_caller : NULL;
-    while (started < n_workers - 1) {
-        started_t *s = &starts[started];
-        s->job = job;
-        atomic_init(&s->begun, 0);
-        if (!(attr && pthread_create(&threads[started], attr, started_worker, s) == 0)
-            && pthread_create(&threads[started], NULL, started_worker, s) != 0)
-            break;
-        started++;
+    if (n_workers < 2 || pthread_mutex_trylock(&pool.use) != 0) {
+        batch_worker(job);
+        return;
     }
+    const int helpers = pool_ready(n_workers - 1);
+    pool.job = job;
+    atomic_store(&pool.finished.value, 0);
+    atomic_store(&pool.slots.value, helpers);
+    notify(&pool.slots);
     batch_worker(job);
-    if (attr) {
-        pthread_attr_destroy(&off_caller);
-        late_to_caller(threads, starts, started);
-    }
-    for (int k = 0; k < started; k++)
-        pthread_join(threads[k], NULL);
+    const int joined = helpers - atomic_exchange(&pool.slots.value, 0);
+    for (int done; (done = atomic_load(&pool.finished.value)) != joined;)
+        await(&pool.finished, done);
+    pthread_mutex_unlock(&pool.use);
 }
 
 /*

@@ -21,10 +21,15 @@ on the same scenario and wind as the last nominal one resumes each
 threshold's trunk from them, fewer than ``_rollout_py.FORK_GAP`` steps
 before it deploys. Both backends take and store that record through
 ``_rollout_py.fork_record``, which states its layout, so a record made by
-either serves a sweep on the other. The C ``batch`` spreads the rows over
-as many threads as the process may use CPUs, at most one per row and at most
+either serves a sweep on the other. The C ``batch`` shares the rows out
+between its calling thread and the threads of one worker pool, as many
+threads in all as the process may use CPUs, at most one per row and at most
 8 (``MAX_WORKERS`` in ``_rollout.c``), with the same result and the same
-record on any count. ``exit_counter`` checks a nominal batch's arguments
+record on any count. The pool's threads start with the first batch that asks
+for more than one and stay for the life of the process (a forked child
+starts its own); between calls they spin briefly, then sleep, so
+back-to-back batches start no thread and rarely wait for one to wake.
+``exit_counter`` checks a nominal batch's arguments
 once and returns a counter of its exits at a given wind strength: each count
 is one call that rescales the seeds' wind rows from their unit draws and
 flies them as a nominal batch on the same threads, which records no

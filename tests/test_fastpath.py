@@ -5,10 +5,12 @@ import os
 import re
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
 import threading
+import time
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -202,6 +204,8 @@ def test_bench_rollout_script_finds_the_backends_bit_identical():
     assert run.returncode == 0, run.stderr
     assert "backends bit-identical over all episodes" in run.stdout
     assert "batch summaries byte-equal on 1 and" in run.stdout
+    assert "per-call cost: 10 episodes of 1 step, median of 200 calls" in run.stdout
+    assert "one-step summaries byte-equal on 1 and" in run.stdout
     assert "sweep summaries byte-equal to one batch per delta" in run.stdout
     assert "warm sweep summaries byte-equal to a cold sweep" in run.stdout
     assert "twin sweep on a C nominal batch's record byte-equal to a cold sweep" in run.stdout
@@ -405,6 +409,87 @@ class TestBatchWorkers:
         with pytest.raises(ValueError, match="waypoints"):
             c_batch(kwargs, 3, out)
         assert np.all(out == -7)
+
+
+MAX_WORKERS = int(re.search(r"#define MAX_WORKERS (\d+)", fastpath._SOURCE.read_text())[1])
+POOL_ROWS = 12
+
+
+def pool_calls(scenario, monkeypatch):
+    """(call, expected) pairs that alternate a nominal, a sweep and a weights batch and an
+    exit count on ``POOL_ROWS`` seeds: ``call(workers)`` runs one in C on that many
+    threads, and ``expected`` is the twin's bytes."""
+    seeds = range(POOL_ROWS)
+    batches = [batch_kwargs(scenario, PolicySpec.nominal(), seeds),
+               sweep_kwargs(scenario, SWEEP_GRIDS["soc"], seeds),
+               batch_kwargs(scenario, BATCH_POLICIES[-1], seeds)]
+    counter = TestArgumentChecks.counter_kwargs(scenario, seeds)
+    strength = (scenario.sim.wind_sigma, scenario.sim.gust_sigma)
+
+    def count(workers):
+        monkeypatch.setattr(fastpath, "batch_workers", lambda n: workers)
+        return np.intc(fastpath.exit_counter_compiled(**counter)(*strength)).tobytes()
+
+    calls = [(lambda w, kw=kw: c_batch(kw, w).tobytes(), _rollout_py.batch(**kw).tobytes())
+             for kw in batches]
+    exits = _rollout_py.exit_counter(**counter)(*strength)
+    assert 0 < exits < POOL_ROWS
+    return calls + [(count, np.intc(exits).tobytes())]
+
+
+def thread_count():
+    return len(os.listdir("/proc/self/task"))
+
+
+@needs_compiled
+class TestWorkerPool:
+    # Batches and exit counts share one pool of workers across calls; rows are
+    # still claimed one at a time and written to their own slots.
+    def test_back_to_back_calls_on_changing_worker_counts(self, calibrated_scenario,
+                                                         monkeypatch):
+        calls = pool_calls(calibrated_scenario, monkeypatch)
+        for workers in (2, 3, 2, POOL_ROWS + 5):
+            for round_ in range(5):
+                for call, expected in calls:
+                    assert call(workers) == expected, (workers, round_)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_many_calls_start_at_most_one_thread_per_worker(self, short_scenario, monkeypatch):
+        # The threads live across calls: 200 calls start no more than the pool holds.
+        calls = pool_calls(short_scenario, monkeypatch)
+        before = thread_count()
+        for k in range(200):
+            call, expected = calls[k % len(calls)]
+            assert call((2, 3, POOL_ROWS + 5)[k % 3]) == expected, k
+        assert thread_count() - before <= MAX_WORKERS - 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_a_forked_child_starts_its_own_workers(self, calibrated_scenario):
+        # The child has none of its parent's workers: it must neither wait for
+        # them nor count on them. A pool that survived the fork fails here, by
+        # the timeout, instead of hanging the suite.
+        kwargs = batch_kwargs(calibrated_scenario, PolicySpec.nominal(), range(POOL_ROWS))
+        expected = _rollout_py.batch(**kwargs).tobytes()
+        for workers in (2, 3, POOL_ROWS + 5):
+            assert c_batch(kwargs, workers).tobytes() == expected
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                # On Linux the child's one thread gains exactly one worker.
+                ok = c_batch(kwargs, 2).tobytes() == expected
+                status = 0 if ok and (not os.path.isdir("/proc/self/task")
+                                      or thread_count() == 2) else 1
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid, "the forked child's batch did not end within 60 s"
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 @pytest.mark.parametrize("policy", BATCH_POLICIES, ids=lambda p: p.policy_id)
